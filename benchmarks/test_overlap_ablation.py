@@ -35,12 +35,12 @@ def _sweep():
 
 def test_overlap_method_ablation(benchmark, emit):
     rows = benchmark.pedantic(_sweep, rounds=1, iterations=1)
-    base = rows[0][1].total
+    base = rows[0][1].makespan
     table = format_table(
         ["variant", "total [ms]", "compute [ms]", "vs full [%]"],
         [
-            [label, tl.total * 1e3, tl.compute * 1e3,
-             100.0 * (tl.total / base - 1.0)]
+            [label, tl.makespan * 1e3, tl.compute * 1e3,
+             100.0 * (tl.makespan / base - 1.0)]
             for label, tl in rows
         ],
         title="Sec. V-A — overlap-method ablation (528 GPUs, SP)",
@@ -48,11 +48,11 @@ def test_overlap_method_ablation(benchmark, emit):
     emit(table)
 
     results = dict(rows)
-    full = results["all three methods"].total
+    full = results["all three methods"].makespan
     # no variant beats the full set
     for label, tl in rows[1:]:
-        assert tl.total >= full - 1e-12, label
+        assert tl.makespan >= full - 1e-12, label
     # method 2 carries most of the benefit (the paper's Fig. 8 machinery)
-    assert results["no method 2 (kernel division)"].total > 1.05 * full
+    assert results["no method 2 (kernel division)"].makespan > 1.05 * full
     # dropping everything reverts to (approximately) the serial time
-    assert results["no overlap at all"].total > 1.08 * full
+    assert results["no overlap at all"].makespan > 1.08 * full

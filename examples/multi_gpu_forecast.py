@@ -66,7 +66,7 @@ def main() -> None:
     for overlap in (False, True):
         tl = model.step_timeline(overlap)
         label = "overlapping" if overlap else "non-overlapping"
-        print(f"  {label:16s} total {tl.total * 1e3:6.1f} ms  "
+        print(f"  {label:16s} total {tl.makespan * 1e3:6.1f} ms  "
               f"(compute {tl.compute * 1e3:5.0f}, MPI {tl.mpi * 1e3:4.0f}, "
               f"GPU-CPU {tl.gpu_cpu * 1e3:4.0f})")
 

@@ -20,7 +20,7 @@ finding format:
   :mod:`repro.analysis.stepgraph`) — whole-program def/use analysis of
   the model step loop: stale-halo reads per topology axis (LINT04),
   read-before-first-write (LINT05), dead stores (LINT06),
-  fused/numba-implementation drift from the ``@stencil`` declaration
+  fused-implementation drift from the ``@stencil`` declaration
   (LINT07), and float64 upcasts in dtype-preserving paths (LINT08),
   gated by inline allow-comments and the checked-in
   ``analysis/baseline.json``.

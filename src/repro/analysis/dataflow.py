@@ -17,10 +17,10 @@ writes, and halo widths.  Five passes interpret that sequence:
   binding on the walked path (collected during graph construction).
 * ``LINT06`` **dead store** — a killing definition (full rebind) whose
   value is overwritten, on an always-reached branch, before any read.
-* ``LINT07`` **fusion legality** — every ``register_fused`` /
-  ``register_numba`` implementation must match its declaration: the
-  reference signature (plus the leading ``pool`` for fused), no stores
-  into read-only roles, and no leaked pool-leased buffers.
+* ``LINT07`` **fusion legality** — every ``register_fused``
+  implementation must match its declaration: the reference signature
+  plus the leading ``pool``, no stores into read-only roles, and no
+  leaked pool-leased buffers.
 * ``LINT08`` **precision flow** — under ``dtype_policy='preserve'``
   (the paper's single-precision design point, Sec. IV) neither the
   reference kernel nor an unguarded backend implementation may upcast:
@@ -315,74 +315,67 @@ def _leased_returns(tree: ast.AST) -> list[int]:
 def fusion_findings(
     specs: Mapping[str, Any] | None = None,
     fused: Mapping[str, Callable[..., Any]] | None = None,
-    numba: Mapping[str, Callable[..., Any]] | None = None,
 ) -> list[Finding]:
-    """LINT07 over registered alternate-backend implementations."""
+    """LINT07 over the registered fused implementations."""
     if specs is None:
         specs = _registry()
-    if fused is None or numba is None:
-        from ..stencil.spec import FUSED_IMPLS, NUMBA_IMPLS
-        fused = dict(FUSED_IMPLS) if fused is None else fused
-        numba = dict(NUMBA_IMPLS) if numba is None else numba
+    if fused is None:
+        from ..stencil.spec import FUSED_IMPLS
+        fused = dict(FUSED_IMPLS)
 
     findings: list[Finding] = []
-    for backend, impls, needs_pool in (("fused", fused, True),
-                                       ("numba", numba, False)):
-        for name, impl in sorted(impls.items()):
-            file, line = _impl_location(impl)
+    for name, impl in sorted(fused.items()):
+        file, line = _impl_location(impl)
 
-            def emit(message: str, *, at: int | None = None,
-                     suggestion: str = "") -> None:
-                findings.append(Finding(
-                    code="LINT07", message=message, file=file,
-                    line=at if at is not None else line,
-                    suggestion=suggestion or
-                    "make the implementation match the @stencil "
-                    "declaration (the spec is the source of truth)",
-                ))
+        def emit(message: str, *, at: int | None = None,
+                 suggestion: str = "") -> None:
+            findings.append(Finding(
+                code="LINT07", message=message, file=file,
+                line=at if at is not None else line,
+                suggestion=suggestion or
+                "make the implementation match the @stencil "
+                "declaration (the spec is the source of truth)",
+            ))
 
-            entry = specs.get(name)
-            if entry is None:
-                emit(f"{backend} impl registered for '{name}' but no "
-                     f"@stencil declaration exists under that name")
-                continue
-            spec = _spec_of(entry)
-            ref = _reference_of(entry)
-            ref_params = _impl_params(ref) if ref is not None else None
-            impl_params = _impl_params(impl)
-            if ref_params is not None and impl_params is not None:
-                expected = (["pool"] + ref_params if needs_pool
-                            else list(ref_params))
-                if needs_pool and (not impl_params
-                                   or impl_params[0] != "pool"):
-                    emit(f"fused impl of '{name}' must take the scratch "
-                         f"pool as its first parameter "
-                         f"(got {tuple(impl_params)})")
-                elif impl_params != expected:
-                    emit(f"{backend} impl of '{name}' signature "
-                         f"{tuple(impl_params)} does not match the "
-                         f"reference {tuple(expected)} — callers "
-                         f"dispatch by the declared signature")
-            parsed = _impl_tree(impl)
-            if parsed is None:
-                continue
-            tree, file, _ = parsed
-            read_only = [r for r in spec.reads if r not in spec.writes]
-            stored = _stored_names(tree)
-            for role in read_only:
-                if role in stored and impl_params and role in impl_params:
-                    emit(f"{backend} impl of '{name}' writes into "
-                         f"'{role}', declared read-only by its spec",
-                         at=stored[role])
-            if needs_pool:
-                for lineno in _leased_returns(tree):
-                    emit(f"fused impl of '{name}' returns a pool-leased "
-                         f"buffer — the lease ends at the with-block and "
-                         f"the caller would alias recycled scratch",
-                         at=lineno,
-                         suggestion="copy into a fresh array (or take "
-                                    "the output outside the lease) "
-                                    "before returning")
+        entry = specs.get(name)
+        if entry is None:
+            emit(f"fused impl registered for '{name}' but no "
+                 f"@stencil declaration exists under that name")
+            continue
+        spec = _spec_of(entry)
+        ref = _reference_of(entry)
+        ref_params = _impl_params(ref) if ref is not None else None
+        impl_params = _impl_params(impl)
+        if ref_params is not None and impl_params is not None:
+            expected = ["pool"] + ref_params
+            if not impl_params or impl_params[0] != "pool":
+                emit(f"fused impl of '{name}' must take the scratch "
+                     f"pool as its first parameter "
+                     f"(got {tuple(impl_params)})")
+            elif impl_params != expected:
+                emit(f"fused impl of '{name}' signature "
+                     f"{tuple(impl_params)} does not match the "
+                     f"reference {tuple(expected)} — callers "
+                     f"dispatch by the declared signature")
+        parsed = _impl_tree(impl)
+        if parsed is None:
+            continue
+        tree, file, _ = parsed
+        read_only = [r for r in spec.reads if r not in spec.writes]
+        stored = _stored_names(tree)
+        for role in read_only:
+            if role in stored and impl_params and role in impl_params:
+                emit(f"fused impl of '{name}' writes into "
+                     f"'{role}', declared read-only by its spec",
+                     at=stored[role])
+        for lineno in _leased_returns(tree):
+            emit(f"fused impl of '{name}' returns a pool-leased "
+                 f"buffer — the lease ends at the with-block and "
+                 f"the caller would alias recycled scratch",
+                 at=lineno,
+                 suggestion="copy into a fresh array (or take "
+                            "the output outside the lease) "
+                            "before returning")
     return findings
 
 
@@ -445,16 +438,14 @@ def _precision_violations(tree: ast.AST) -> list[tuple[int, str]]:
 def precision_findings(
     specs: Mapping[str, Any] | None = None,
     fused: Mapping[str, Callable[..., Any]] | None = None,
-    numba: Mapping[str, Callable[..., Any]] | None = None,
 ) -> list[Finding]:
-    """LINT08 over reference kernels and unguarded backend impls of
+    """LINT08 over reference kernels and unguarded fused impls of
     every ``dtype_policy='preserve'`` spec."""
     if specs is None:
         specs = _registry()
-    if fused is None or numba is None:
-        from ..stencil.spec import FUSED_IMPLS, NUMBA_IMPLS
-        fused = dict(FUSED_IMPLS) if fused is None else fused
-        numba = dict(NUMBA_IMPLS) if numba is None else numba
+    if fused is None:
+        from ..stencil.spec import FUSED_IMPLS
+        fused = dict(FUSED_IMPLS)
 
     findings: list[Finding] = []
     seen: set[tuple[str, int]] = set()
@@ -468,8 +459,6 @@ def precision_findings(
             bodies.append(("reference", ref))
         if name in fused:
             bodies.append(("fused impl", fused[name]))
-        if name in numba:
-            bodies.append(("numba impl", numba[name]))
         for label, fn in bodies:
             parsed = _impl_tree(fn)
             if parsed is None:

@@ -75,7 +75,7 @@ CODES: dict[str, CodeInfo] = {
                        "dataflow", "static"),
     "LINT06": CodeInfo("dead store: value overwritten before any read",
                        "dataflow", "static"),
-    "LINT07": CodeInfo("fused/numba implementation drifts from its "
+    "LINT07": CodeInfo("fused implementation drifts from its "
                        "stencil declaration", "dataflow", "static"),
     "LINT08": CodeInfo("float64 upcast in a dtype-preserving stencil path",
                        "dataflow", "static"),

@@ -148,7 +148,7 @@ class RunSpec:
     ranks: "tuple[int, int] | str | None" = None
     precision: Any = None           #: gpu/multigpu modeled precision
     ice: bool = False
-    #: stencil executor backend ('reference' / 'fused' / 'numba', or
+    #: stencil executor backend ('reference' / 'fused', or
     #: 'auto' = the process default, i.e. $REPRO_STENCIL_BACKEND or
     #: 'reference') — the fused path is bit-identical to the reference,
     #: so this never enters the spec hash (see _NON_SEMANTIC_FIELDS)
@@ -197,7 +197,7 @@ class RunSpec:
             raise ValueError("steps must be >= 0")
         if self.counter_every < 1:
             raise ValueError("counter_every must be >= 1")
-        from .stencil import BACKENDS, default_backend, numba_available
+        from .stencil import BACKENDS, default_backend
 
         stencil_backend = self.stencil_backend
         if stencil_backend == "auto":
@@ -206,10 +206,6 @@ class RunSpec:
             raise ValueError(
                 f"unknown stencil backend {self.stencil_backend!r}; "
                 f"choose one of auto, {', '.join(BACKENDS)}")
-        if stencil_backend == "numba" and not numba_available():
-            raise ValueError(
-                "stencil backend 'numba' needs numba installed; "
-                "use 'fused' or 'reference'")
         if self.counters and backend == "cpu":
             raise ValueError(
                 "counters need a device-backed backend ('gpu'/'multigpu')")

@@ -89,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--ranks", type=str, default=None, metavar="PXxPY",
                      help="decompose, e.g. 2x3 (verifies against single-domain)")
     run.add_argument("--stencil-backend", default="auto",
-                     choices=["auto", "reference", "fused", "numba"],
+                     choices=["auto", "reference", "fused"],
                      help="stencil executor backend (docs/STENCILS.md): "
                           "'fused' reuses pooled temporaries and "
                           "precompiled slice plans, bit-identical to "
@@ -621,7 +621,7 @@ def _cmd_bench(args) -> int:
         for overlap in (True, False):
             tl = m.step_timeline(overlap)
             rows.append(["overlap" if overlap else "serial",
-                         tl.total * 1e3, tl.compute * 1e3, tl.mpi * 1e3,
+                         tl.makespan * 1e3, tl.compute * 1e3, tl.mpi * 1e3,
                          tl.gpu_cpu * 1e3])
         print(format_table(
             ["method", "total ms", "compute", "MPI", "GPU-CPU"], rows,

@@ -27,6 +27,7 @@ from ..core.pressure import eos_pressure
 from ..core.reference import ReferenceState
 from ..core.rk3 import Rk3Integrator
 from ..core.state import State
+from ..gpu.runtime import charge_step
 from ..obs.trace import span
 from ..physics.ice import cold_rain_step
 from ..physics.kessler import kessler_step
@@ -159,10 +160,11 @@ class MultiGpuAsuca:
 
         self._dev_precision = precision or Precision.SINGLE
         self._dev_order = order or ArrayOrder.XZY
-        self._dev_schedule = launch_schedule(
-            ns or self.config.dynamics.ns,
-            include_ice=self.config.ice_enabled)
-        self._dev_kernels = ASUCA_KERNELS
+        self._dev_schedule = [
+            (ASUCA_KERNELS[name], count)
+            for name, count in launch_schedule(
+                ns or self.config.dynamics.ns,
+                include_ice=self.config.ice_enabled)]
         self.devices = [
             GPUDevice(spec or TESLA_S1070, copy_engines=copy_engines,
                       label=f"rank{r}", fault_injector=self.faults)
@@ -183,7 +185,7 @@ class MultiGpuAsuca:
         self._backoff_charged = 0.0
         return self.devices
 
-    def _charge_devices(self, by_pair_before: dict, states=None) -> None:
+    def _charge_devices(self, by_pair_before: dict, states: list[State]) -> None:
         """Charge one step's modeled kernels plus the step's halo PCIe
         traffic (D2H on the sender, H2D on the receiver — the GPU-CPU
         leg of every exchanged strip) to the per-rank timelines.  On a
@@ -191,20 +193,12 @@ class MultiGpuAsuca:
         hook measures this step's kernels against the rank state and
         annotates the launches with measured counts."""
         nz = self.global_grid.nz
-        counting = getattr(self, "_dev_counting", None)
         for r, (rank, device) in enumerate(zip(self.ranks, self.devices)):
-            n_points = rank.sub.nx * rank.sub.ny * nz
-            hook = counting[r] if counting is not None else None
-            sampled = (hook is not None and states is not None
-                       and hook.begin_step(self.step_index, states[r]))
-            for name, count in self._dev_schedule:
-                kernel = self._dev_kernels[name]
-                for _ in range(count):
-                    _, op = kernel.launch(device, n_points,
-                                          precision=self._dev_precision,
-                                          order=self._dev_order)
-                    if sampled:
-                        hook.annotate(op, name, n_points)
+            charge_step(
+                device, self._dev_schedule, rank.sub.nx * rank.sub.ny * nz,
+                precision=self._dev_precision, order=self._dev_order,
+                hook=self._dev_counting[r] if self._dev_counting else None,
+                step_index=self.step_index, state=states[r])
         for (src, dst), nbytes in self.comm.stats.by_pair.items():
             delta = nbytes - by_pair_before.get((src, dst), 0)
             if delta <= 0:

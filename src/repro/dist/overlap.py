@@ -35,9 +35,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from ..gpu.device import Access, Event, GPUDevice
+from ..gpu.device import Access, Event, GPUDevice, Op, Stream
 from ..gpu.kernel import Kernel
 from ..gpu.spec import Precision
+from ..optimeline import SKEW_TAG, OpStats
 from ..perf.costmodel import ASUCA_KERNELS, DEFAULT_NS, N_WATER_TRACERS, launch_schedule
 from .decomposition import OVERLAP
 from .network import ClusterSpec, TSUBAME_1_2
@@ -118,37 +119,12 @@ class VariableBreakdown:
 
 
 @dataclass
-class StepTimeline:
-    """Aggregates of one long step on the slowest rank (Fig. 11 bars)."""
+class StepTimeline(OpStats):
+    """The :class:`~repro.optimeline.OpStats` of one long step on the
+    slowest rank (the Fig. 11 bars), plus the device it was scheduled
+    on."""
 
-    total: float
-    compute: float
-    mpi: float
-    gpu_cpu: float
-    overlap: bool
-    sync_skew: float = 0.0    #: barrier arrival-skew stalls (not comm)
     device: GPUDevice = field(repr=False, default=None)
-
-    @property
-    def communication(self) -> float:
-        return self.mpi + self.gpu_cpu
-
-    @property
-    def hidden_fraction(self) -> float:
-        """Fraction of communication hidden under computation, with the
-        paper's accounting: everything that is not computation counts as
-        exposed communication ("The difference of the overall and
-        computation times is the communication time that was not
-        overlapped")."""
-        exposed = self.total - self.compute
-        return max(0.0, 1.0 - exposed / self.communication) if self.communication else 0.0
-
-    @property
-    def hidden_fraction_comm_only(self) -> float:
-        """Same, but excluding the barrier arrival-skew stalls — the right
-        measure for the Sec. VII "communication completely hidden" claim."""
-        exposed = self.total - self.compute - self.sync_skew
-        return max(0.0, 1.0 - exposed / self.communication) if self.communication else 0.0
 
 
 class OverlapModel:
@@ -220,6 +196,32 @@ class OverlapModel:
         )
 
     # --------------------------------------------------------- scheduling
+    @staticmethod
+    def _exchange(dev: GPUDevice, stream: Stream, var: str,
+                  times: tuple[float, float, float], *, leg: str = "",
+                  sends: tuple[str, ...], fills: tuple[str, ...],
+                  after: Iterable[Event] = (),
+                  mpi_reads: tuple[str, ...] = ()) -> Op:
+        """The one halo-exchange chain, D2H -> MPI -> H2D on ``stream``:
+        stage ``var``'s ``sends`` buffers into the host buffer of this
+        ``leg`` ('' | '_y' | '_x'), ship it (after ``after``; the MPI may
+        also read ``mpi_reads``), and land it in the ``fills`` buffers.
+        ``times`` are the three op durations.  Returns the MPI op."""
+        t_d2h, t_mpi, t_h2d = times
+        host = f"{var}:host{leg}"
+        dev.schedule(f"{var}:d2h{leg}", "d2h", stream, t_d2h, tag="gpu_cpu",
+                     accesses=(*(Access(f"{var}:{b}", "r") for b in sends),
+                               Access(host, "w")))
+        mpi = dev.schedule(f"{var}:mpi{leg}", "mpi", stream, t_mpi, tag="mpi",
+                           after=after,
+                           accesses=(Access(host, "rw"),
+                                     *(Access(f"{var}:{b}", "r")
+                                       for b in mpi_reads)))
+        dev.schedule(f"{var}:h2d{leg}", "h2d", stream, t_h2d, tag="gpu_cpu",
+                     accesses=(Access(host, "r"),
+                               *(Access(f"{var}:{b}", "w") for b in fills)))
+        return mpi
+
     def _schedule_substep_overlap(self, dev: GPUDevice, streams, vb_list) -> None:
         """One acoustic substep with methods 2 (+3): Fig. 8 pipeline."""
         s_bnd_y, s_bnd_x, s_inner = streams
@@ -252,43 +254,26 @@ class OverlapModel:
                              accesses=(Access(f"{v.name}:strip_x", "w"),))
             pack = dev.schedule(f"{name}:pack", "kernel", s_bnd_x,
                                 0.1 * vb.boundary_x, tag="compute")
-            # (5) y exchanges: D2H -> MPI -> H2D on stream1
+            # (5) y exchanges on stream1
             s_bnd_y.wait_event(ev_y)
-            mpi_y_ops = []
-            for v in group:
-                dev.schedule(f"{v.name}:d2h_y", "d2h", s_bnd_y, v.gpu_to_host / 2,
-                             tag="gpu_cpu",
-                             accesses=(Access(f"{v.name}:strip_y", "r"),
-                                       Access(f"{v.name}:host_y", "w")))
-                mpi_y = dev.schedule(f"{v.name}:mpi_y", "mpi", s_bnd_y, v.mpi / 2,
-                                     tag="mpi",
-                                     accesses=(Access(f"{v.name}:host_y", "rw"),))
-                mpi_y_ops.append(mpi_y)
-                dev.schedule(f"{v.name}:h2d_y", "h2d", s_bnd_y, v.host_to_gpu / 2,
-                             tag="gpu_cpu",
-                             accesses=(Access(f"{v.name}:host_y", "r"),
-                                       Access(f"{v.name}:halo_y", "w")))
+            mpi_y_ops = [
+                self._exchange(
+                    dev, s_bnd_y, v.name,
+                    (v.gpu_to_host / 2, v.mpi / 2, v.host_to_gpu / 2),
+                    leg="_y", sends=("strip_y",), fills=("halo_y",))
+                for v in group]
             # (6) x exchanges on stream2; the x buffers carry the corner
             # values received by the y exchange ("copy corner values on
             # CPU"), so the x MPI may start only after the y MPI lands
             corner_deps = tuple(Event(o.end, op=o) for o in mpi_y_ops)
+            if self.config.seed_hazard == "missing-event" and i == 0:
+                corner_deps = ()       # seeded fixture: corner edge dropped
             for v in group:
-                dev.schedule(f"{v.name}:d2h_x", "d2h", s_bnd_x, v.gpu_to_host / 2,
-                             tag="gpu_cpu",
-                             accesses=(Access(f"{v.name}:strip_x", "r"),
-                                       Access(f"{v.name}:host_x", "w")))
-                if self.config.seed_hazard == "missing-event" and i == 0:
-                    after_x = ()       # seeded fixture: corner edge dropped
-                else:
-                    after_x = corner_deps
-                dev.schedule(f"{v.name}:mpi_x", "mpi", s_bnd_x, v.mpi / 2,
-                             tag="mpi", after=after_x,
-                             accesses=(Access(f"{v.name}:host_x", "rw"),
-                                       Access(f"{v.name}:host_y", "r")))
-                dev.schedule(f"{v.name}:h2d_x", "h2d", s_bnd_x, v.host_to_gpu / 2,
-                             tag="gpu_cpu",
-                             accesses=(Access(f"{v.name}:host_x", "r"),
-                                       Access(f"{v.name}:halo_x", "w")))
+                self._exchange(
+                    dev, s_bnd_x, v.name,
+                    (v.gpu_to_host / 2, v.mpi / 2, v.host_to_gpu / 2),
+                    leg="_x", sends=("strip_x",), fills=("halo_x",),
+                    after=corner_deps, mpi_reads=("host_y",))
             # (4) inner kernel after the pack frees the compute engine
             s_inner.wait_event(Event(pack.end, op=pack))
             dev.schedule(f"{name}:inner", "kernel", s_inner, fused_inner,
@@ -308,7 +293,7 @@ class OverlapModel:
         dev.synchronize()
         if self.config.sync_skew > 0.0:
             dev.schedule("sync_skew", "mpi", s_bnd_y, self.config.sync_skew,
-                         tag="skew")
+                         tag=SKEW_TAG)
             dev.synchronize()
 
     def _schedule_substep_serial(self, dev: GPUDevice, stream, vb_list) -> None:
@@ -318,18 +303,10 @@ class OverlapModel:
                          accesses=(Access(f"{vb.name}:strip_y", "w"),
                                    Access(f"{vb.name}:strip_x", "w"),
                                    Access(f"{vb.name}:interior", "w")))
-            dev.schedule(f"{vb.name}:d2h", "d2h", stream, vb.gpu_to_host,
-                         tag="gpu_cpu",
-                         accesses=(Access(f"{vb.name}:strip_y", "r"),
-                                   Access(f"{vb.name}:strip_x", "r"),
-                                   Access(f"{vb.name}:host", "w")))
-            dev.schedule(f"{vb.name}:mpi", "mpi", stream, vb.mpi, tag="mpi",
-                         accesses=(Access(f"{vb.name}:host", "rw"),))
-            dev.schedule(f"{vb.name}:h2d", "h2d", stream, vb.host_to_gpu,
-                         tag="gpu_cpu",
-                         accesses=(Access(f"{vb.name}:host", "r"),
-                                   Access(f"{vb.name}:halo_y", "w"),
-                                   Access(f"{vb.name}:halo_x", "w")))
+            self._exchange(dev, stream, vb.name,
+                           (vb.gpu_to_host, vb.mpi, vb.host_to_gpu),
+                           sends=("strip_y", "strip_x"),
+                           fills=("halo_y", "halo_x"))
         dev.synchronize()
 
     def _schedule_water(self, dev: GPUDevice, streams, overlap: bool) -> None:
@@ -340,42 +317,26 @@ class OverlapModel:
         nf = 1  # tracers travel alone
         bytes_x = self._strip_bytes("x") * self.links_x * nf
         bytes_y = self._strip_bytes("y") * self.links_y * nf
-        d2h = self.cluster.pcie.transfer_time(bytes_x + bytes_y)
+        pcie = self.cluster.pcie.transfer_time(bytes_x + bytes_y)
         mpi = self.cluster.mpi.transfer_time(bytes_x) + self.cluster.mpi.transfer_time(bytes_y)
-        h2d = d2h
         s_comm, _, s_comp = streams
+        pipelined = overlap and self.config.method1_pipeline
         # tracers advect in every RK stage but their halos travel once per
         # long step, in the final stage's pipeline (Fig. 7)
         for stage in range(3):
-            comm_this_stage = stage == 2
             for i in range(N_WATER_TRACERS):
                 op = dev.schedule(f"q{i}:advection", "kernel", s_comp, t_adv,
                                   tag="compute",
                                   accesses=(Access(f"q{i}:halo", "r"),
                                             Access(f"q{i}:interior", "w")))
-                if not comm_this_stage:
+                if stage != 2:
                     continue
-                acc_d2h = (Access(f"q{i}:interior", "r"),
-                           Access(f"q{i}:host", "w"))
-                acc_mpi = (Access(f"q{i}:host", "rw"),)
-                acc_h2d = (Access(f"q{i}:host", "r"),
-                           Access(f"q{i}:halo", "w"))
-                if overlap and self.config.method1_pipeline:
+                if pipelined:
                     # communication of tracer i rides its own chain
                     s_comm.wait_event(Event(op.end, op=op))
-                    dev.schedule(f"q{i}:d2h", "d2h", s_comm, d2h,
-                                 tag="gpu_cpu", accesses=acc_d2h)
-                    dev.schedule(f"q{i}:mpi", "mpi", s_comm, mpi, tag="mpi",
-                                 accesses=acc_mpi)
-                    dev.schedule(f"q{i}:h2d", "h2d", s_comm, h2d,
-                                 tag="gpu_cpu", accesses=acc_h2d)
-                else:
-                    dev.schedule(f"q{i}:d2h", "d2h", s_comp, d2h,
-                                 tag="gpu_cpu", accesses=acc_d2h)
-                    dev.schedule(f"q{i}:mpi", "mpi", s_comp, mpi, tag="mpi",
-                                 accesses=acc_mpi)
-                    dev.schedule(f"q{i}:h2d", "h2d", s_comp, h2d,
-                                 tag="gpu_cpu", accesses=acc_h2d)
+                self._exchange(dev, s_comm if pipelined else s_comp, f"q{i}",
+                               (pcie, mpi, pcie),
+                               sends=("interior",), fills=("halo",))
             dev.synchronize()
 
     def _other_compute_time(self) -> float:
@@ -410,16 +371,8 @@ class OverlapModel:
 
         dev.schedule("long_step_other", "kernel", streams[2],
                      self._other_compute_time(), tag="compute")
-        total = dev.synchronize()
-        return StepTimeline(
-            total=total,
-            compute=dev.busy_time("kernel"),
-            mpi=dev.busy_time("mpi") - dev.busy_time("mpi", tag="skew"),
-            gpu_cpu=dev.busy_time("h2d") + dev.busy_time("d2h"),
-            overlap=overlap,
-            sync_skew=dev.busy_time("mpi", tag="skew"),
-            device=dev,
-        )
+        dev.synchronize()
+        return StepTimeline.of(dev.timeline, device=dev)
 
     def breakdown_rows(self) -> list[VariableBreakdown]:
         """The Fig. 9 per-variable rows."""
@@ -427,8 +380,8 @@ class OverlapModel:
 
 
 #: the paper's named optimization levels, in increasing order — the
-#: doctor sweeps these to recommend an overlap method, and the
-#: critical-path tests validate its overlap accounting against each
+#: doctor sweeps these to recommend an overlap method, and each one's
+#: scheduled timeline is digest-pinned in tests/dist/test_overlap_model.py
 METHOD_CONFIGS: dict[str, OverlapConfig] = {
     "serial": OverlapConfig(method1_pipeline=False, method2_divide=False,
                             method3_fuse=False),

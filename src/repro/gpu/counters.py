@@ -43,7 +43,6 @@ from .spec import Precision
 __all__ = [
     "DEFAULT_DRIFT_BAND",
     "BYTES_DRIFT_BAND",
-    "DRIFT_BANDS",
     "drift_band",
     "flops_drift",
     "bytes_drift",
@@ -62,18 +61,12 @@ DEFAULT_DRIFT_BAND: tuple[float, float] = (0.2, 5.0)
 #: table never knew about, or touching almost nothing).
 BYTES_DRIFT_BAND: tuple[float, float] = (0.25, 64.0)
 
-#: per-kernel overrides of :data:`DEFAULT_DRIFT_BAND` for flops drift
-#: (checked before the stencil declarations)
-DRIFT_BANDS: dict[str, tuple[float, float]] = {}
-
 
 def drift_band(name: str) -> tuple[float, float]:
     """The (lo, hi) measured/table flops ratio band for one kernel:
-    the local override, else the band the kernel's ``@stencil``
-    declaration carries (``flops_band=``), else the default."""
-    band = DRIFT_BANDS.get(name)
-    if band is None:
-        band = declared_flops_band(name)
+    the band its ``@stencil`` declaration carries (``flops_band=``),
+    else the default."""
+    band = declared_flops_band(name)
     return band if band is not None else DEFAULT_DRIFT_BAND
 
 

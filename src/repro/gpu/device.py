@@ -30,6 +30,7 @@ from typing import Iterable
 
 import numpy as np
 
+from ..optimeline import engine_for
 from .spec import DeviceSpec, TESLA_S1070
 
 __all__ = ["Access", "Op", "Event", "Stream", "GPUDevice"]
@@ -67,7 +68,7 @@ class Op:
     """One scheduled operation on the virtual timeline."""
 
     name: str
-    kind: str          #: 'kernel' | 'h2d' | 'd2h'
+    kind: str          #: 'kernel' | 'h2d' | 'd2h' | 'mpi'
     stream: int
     start: float
     end: float
@@ -167,6 +168,7 @@ class GPUDevice:
         self.memcheck = None
         self._seq = 0          #: next op submission number
         self._epoch = 0        #: current synchronize epoch
+        self._makespan = 0.0   #: latest op end placed so far
         self._alloc_seq = 0    #: DeviceArray naming counter
         self.default_stream = self.create_stream()
 
@@ -177,17 +179,6 @@ class GPUDevice:
         return s
 
     # --------------------------------------------------------- schedule
-    def _engine_for(self, kind: str) -> str:
-        if kind == "kernel":
-            return "compute"
-        if kind == "mpi":
-            return "mpi"
-        # copies round-robin over DMA engines by direction when there are
-        # two, otherwise share the single engine
-        if self._n_copy >= 2:
-            return "copy0" if kind == "h2d" else "copy1"
-        return "copy0"
-
     def schedule(
         self,
         name: str,
@@ -234,7 +225,7 @@ class GPUDevice:
         accesses: Iterable[Access] = (),
     ) -> Op:
         after = tuple(after)
-        engine = self._engine_for(kind)
+        engine = engine_for(kind, self._n_copy)
         start = max(
             stream.available_at,
             self._engines[engine],
@@ -243,6 +234,8 @@ class GPUDevice:
         end = start + duration
         stream.available_at = end
         self._engines[engine] = end
+        if end > self._makespan:
+            self._makespan = end
         # happens-before edges: explicit `after` provenance plus any
         # wait_event deps pending on the stream (program order is implied
         # by `stream`/`seq` and need not be recorded)
@@ -276,9 +269,7 @@ class GPUDevice:
 
     def elapsed(self) -> float:
         """Current makespan of all submitted work."""
-        if not self.timeline:
-            return 0.0
-        return max(op.end for op in self.timeline)
+        return self._makespan
 
     def reset(self) -> None:
         """Clear the timeline and rewind the clock (memory stays)."""
@@ -291,6 +282,7 @@ class GPUDevice:
             self._engines[k] = 0.0
         self._seq = 0
         self._epoch = 0
+        self._makespan = 0.0
 
     # --------------------------------------------------------- reporting
     def busy_time(self, kind: str | None = None, tag: str | None = None) -> float:

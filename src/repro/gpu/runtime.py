@@ -23,10 +23,30 @@ from ..core.model import AsucaModel
 from ..core.state import State
 from .coalescing import ArrayOrder
 from .device import GPUDevice
+from .kernel import Kernel
 from .memory import DeviceArray
 from .spec import Precision, TESLA_S1070
 
-__all__ = ["GpuAsucaRunner"]
+__all__ = ["GpuAsucaRunner", "charge_step"]
+
+
+def charge_step(device: GPUDevice, schedule: list[tuple[Kernel, int]],
+                n_points: float, *, precision: Precision, order: ArrayOrder,
+                hook=None, step_index: int = 0,
+                state: State | None = None) -> None:
+    """Charge one long step's modeled kernel launches to ``device``:
+    ``schedule`` is ``(Kernel, launches per step)`` pairs (the cost
+    table resolved over :func:`~repro.perf.costmodel.launch_schedule`).
+    A :class:`~repro.gpu.counters.CountingHook` as ``hook`` measures the
+    kernels against ``state`` on the steps it samples and annotates
+    those launches with the measured counts."""
+    sampled = hook is not None and hook.begin_step(step_index, state)
+    for kernel, count in schedule:
+        for _ in range(count):
+            _, op = kernel.launch(device, n_points,
+                                  precision=precision, order=order)
+            if sampled:
+                hook.annotate(op, kernel.name, n_points)
 
 
 class GpuAsucaRunner:
@@ -49,8 +69,8 @@ class GpuAsucaRunner:
         self.device = device or GPUDevice(TESLA_S1070)
         self.precision = precision
         self.order = order
-        self._schedule = launch_schedule(ns or DEFAULT_NS)
-        self._kernels = ASUCA_KERNELS
+        self._schedule = [(ASUCA_KERNELS[name], count)
+                          for name, count in launch_schedule(ns or DEFAULT_NS)]
         self._device_arrays: dict[str, DeviceArray] = {}
         self.steps_taken = 0
         g = model.grid
@@ -115,17 +135,10 @@ class GpuAsucaRunner:
         """Advance the real model one long step and charge the modeled
         kernel launches to the device."""
         new = self.model.step(state)
-        sampled = (self.counting is not None
-                   and self.counting.begin_step(self.steps_taken, state))
-        for name, count in self._schedule:
-            k = self._kernels[name]
-            for _ in range(count):
-                _, op = k.launch(
-                    self.device, self.n_points,
+        charge_step(self.device, self._schedule, self.n_points,
                     precision=self.precision, order=self.order,
-                )
-                if sampled:
-                    self.counting.annotate(op, name, self.n_points)
+                    hook=self.counting, step_index=self.steps_taken,
+                    state=state)
         # keep the staged device copies current (no PCIe traffic: this is
         # device-resident data, the whole point of the full-GPU port)
         for name, d in self._device_arrays.items():

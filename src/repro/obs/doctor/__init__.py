@@ -21,11 +21,9 @@ this package says *why it was slow and what to do about it*:
 from .critical_path import (
     AttributionRow,
     CriticalPath,
-    OverlapStats,
     PathSegment,
     attribution,
     critical_path,
-    overlap_stats,
 )
 from .doctor import (
     DeviceDiagnosis,
@@ -48,8 +46,8 @@ from .regress import (
 from .roofline import KernelRoofline, RooflineReport, roofline_from_records
 
 __all__ = [
-    "PathSegment", "CriticalPath", "AttributionRow", "OverlapStats",
-    "critical_path", "attribution", "overlap_stats",
+    "PathSegment", "CriticalPath", "AttributionRow",
+    "critical_path", "attribution",
     "SloRule", "Alert", "RollingSeries", "HealthMonitor",
     "BENCH_SCHEMA_VERSION", "SchemaMismatch", "Drift", "RegressionReport",
     "compare_bench", "regression_gate",

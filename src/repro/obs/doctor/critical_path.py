@@ -14,55 +14,33 @@ but stream (track) order, engine serialization, and barrier fronts are
 all recoverable from the timestamps, which is what the scheduler's
 ``max()`` exposes.
 
-Three views come out of a timeline:
+Two views come out of a timeline here (the Fig. 11 busy/hidden
+aggregates are :class:`repro.optimeline.OpStats`):
 
 * :func:`critical_path` — the binding chain itself, with per-kind /
   per-tag time on the path (what the paper's Fig. 11 calls the exposed
   portion of each track);
 * :func:`attribution` — per-kernel self time grouped by variable
   (Fig. 9's bar groups), annotated with how much of each landed on the
-  critical path;
-* :func:`overlap_stats` — the Fig. 11 aggregates (compute / MPI /
-  GPU-CPU / skew) and the paper-accounting hidden-communication
-  fraction, numerically identical to
-  :attr:`repro.dist.overlap.StepTimeline.hidden_fraction` when fed the
-  same device.
+  critical path.
 """
 from __future__ import annotations
 
 import re
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable
+
+from ...optimeline import engine_for
 
 __all__ = [
     "PathSegment",
     "CriticalPath",
     "AttributionRow",
-    "OverlapStats",
     "critical_path",
     "attribution",
-    "overlap_stats",
     "base_name",
 ]
-
-#: op kinds that count as communication in the paper's accounting
-COMM_KINDS = ("mpi", "h2d", "d2h")
-
-#: tag marking barrier arrival-skew stalls (see dist/overlap.py) —
-#: charged to the mpi engine but not to communication proper
-SKEW_TAG = "skew"
-
-
-def _engine_of(kind: str, copy_engines: int) -> str:
-    if kind == "kernel":
-        return "compute"
-    if kind == "mpi":
-        return "mpi"
-    if copy_engines >= 2:
-        return "copy0" if kind == "h2d" else "copy1"
-    return "copy0"
-
 
 _TRACER_RE = re.compile(r"^q\d+$")
 
@@ -152,58 +130,6 @@ class AttributionRow:
                 "by_kind_s": dict(sorted(self.by_kind.items()))}
 
 
-@dataclass
-class OverlapStats:
-    """Fig. 11 aggregates of one device timeline, paper accounting."""
-
-    makespan: float
-    compute: float      #: kernel busy time
-    mpi: float          #: MPI busy time, skew excluded
-    gpu_cpu: float      #: H2D + D2H busy time
-    skew: float = 0.0   #: barrier arrival-skew stalls
-
-    @property
-    def communication(self) -> float:
-        return self.mpi + self.gpu_cpu
-
-    @property
-    def exposed(self) -> float:
-        """Not-computation time: the paper's exposed communication."""
-        return max(0.0, self.makespan - self.compute)
-
-    @property
-    def hidden_fraction(self) -> float:
-        """Fraction of communication hidden under computation with the
-        paper's accounting ("the difference of the overall and
-        computation times is the communication time that was not
-        overlapped") — skew counts as exposed."""
-        if not self.communication:
-            return 0.0
-        return max(0.0, 1.0 - self.exposed / self.communication)
-
-    @property
-    def hidden_fraction_comm_only(self) -> float:
-        """Same, excluding barrier arrival-skew stalls (the Sec. VII
-        "communication completely hidden" measure)."""
-        if not self.communication:
-            return 0.0
-        exposed = max(0.0, self.makespan - self.compute - self.skew)
-        return max(0.0, 1.0 - exposed / self.communication)
-
-    def as_dict(self) -> dict[str, Any]:
-        return {
-            "makespan_s": self.makespan,
-            "compute_s": self.compute,
-            "mpi_s": self.mpi,
-            "gpu_cpu_s": self.gpu_cpu,
-            "skew_s": self.skew,
-            "communication_s": self.communication,
-            "exposed_s": self.exposed,
-            "hidden_fraction": self.hidden_fraction,
-            "hidden_fraction_comm_only": self.hidden_fraction_comm_only,
-        }
-
-
 # --------------------------------------------------------------- internals
 @dataclass
 class _Node:
@@ -244,7 +170,7 @@ def _normalize(ops: Iterable[Any], copy_engines: int) -> list[_Node]:
             idx=idx, name=op.name, kind=op.kind,
             tag=getattr(op, "tag", "") or "",
             start=float(start), end=float(end),
-            stream=stream, engine=_engine_of(op.kind, copy_engines),
+            stream=stream, engine=engine_for(op.kind, copy_engines),
             deps=tuple(getattr(op, "deps", ()) or ()),
         ))
     # remap dep seq numbers to node indices (records have none)
@@ -354,25 +280,3 @@ def attribution(ops: Iterable[Any], path: CriticalPath | None = None,
                 rows[name].on_path += seg.duration
     return sorted(rows.values(), key=lambda r: -r.total)
 
-
-def overlap_stats(ops: Iterable[Any], makespan: float | None = None) -> OverlapStats:
-    """Fig. 11 aggregates of any op-shaped sequence; identical numbers
-    to :class:`~repro.dist.overlap.StepTimeline` for the same device."""
-    ops = list(ops)
-    if makespan is None:
-        makespan = max((op.end if hasattr(op, "end") else op.ts + op.dur
-                        for op in ops), default=0.0)
-    compute = mpi = gpu_cpu = skew = 0.0
-    for op in ops:
-        tag = getattr(op, "tag", "") or ""
-        if op.kind == "kernel":
-            compute += op.duration
-        elif op.kind == "mpi":
-            if tag == SKEW_TAG:
-                skew += op.duration
-            else:
-                mpi += op.duration
-        elif op.kind in ("h2d", "d2h"):
-            gpu_cpu += op.duration
-    return OverlapStats(makespan=makespan, compute=compute, mpi=mpi,
-                        gpu_cpu=gpu_cpu, skew=skew)

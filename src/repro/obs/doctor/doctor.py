@@ -9,10 +9,8 @@ Three entry points, one report shape:
   device track diagnosed, every counter series summarized and screened
   for EWMA anomalies;
 * :func:`diagnose_model` — rerun the paper's overlap performance model
-  (:mod:`repro.dist.overlap`) across the named method configurations,
-  cross-validate the doctor's timeline accounting against the model's
-  own :class:`~repro.dist.overlap.StepTimeline` aggregates, and
-  recommend the fastest method.
+  (:mod:`repro.dist.overlap`) across the named method configurations
+  and recommend the fastest method.
 
 A :class:`DoctorReport` renders as a Fig. 11-style text breakdown or
 JSON, names the dominant bottleneck, and carries gate findings (e.g.
@@ -25,14 +23,12 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Iterable
 
-from ..metrics import percentile_summary
+from ...optimeline import SKEW_TAG, OpStats
 from .critical_path import (
     AttributionRow,
     CriticalPath,
-    OverlapStats,
     attribution,
     critical_path,
-    overlap_stats,
 )
 from .health import HealthMonitor
 from .load import LoadedTrace, load_trace
@@ -49,11 +45,9 @@ class DeviceDiagnosis:
     """Everything the doctor derives from one device timeline."""
 
     label: str
-    stats: OverlapStats
+    stats: OpStats
     path: CriticalPath
     rows: list[AttributionRow]
-    #: concurrency level -> seconds (from perf.timeline)
-    concurrency: dict[int, float] = field(default_factory=dict)
 
     @property
     def bottleneck(self) -> str:
@@ -61,7 +55,7 @@ class DeviceDiagnosis:
         'exposed communication', 'barrier skew', or 'idle'."""
         kinds = self.path.time_by_kind
         compute = kinds.get("kernel", 0.0)
-        skew = self.path.time_by_tag.get("skew", 0.0)
+        skew = self.path.time_by_tag.get(SKEW_TAG, 0.0)
         comm = sum(kinds.get(k, 0.0) for k in ("mpi", "h2d", "d2h")) - skew
         idle = max(0.0, self.path.makespan - self.path.path_time)
         top = max((("compute", compute), ("exposed communication", comm),
@@ -76,7 +70,7 @@ class DeviceDiagnosis:
             "overlap": self.stats.as_dict(),
             "critical_path": self.path.as_dict(),
             "attribution": [r.as_dict() for r in self.rows],
-            "concurrency_s": {str(k): v for k, v in self.concurrency.items()},
+            "concurrency_s": {str(k): v for k, v in self.stats.profile.items()},
         }
 
     def text(self) -> str:
@@ -97,11 +91,10 @@ class DeviceDiagnosis:
             f"makespan reconstructed over {len(self.path.segments)} ops; "
             f"dominant: {self.bottleneck}",
         ]
-        overlapped = sum(t for k, t in self.concurrency.items() if k >= 2)
-        if self.concurrency and st.makespan > 0:
+        if st.makespan > 0:
             lines.append(f"  engine overlap: 2+ engines busy for "
-                         f"{overlapped * ms:.1f} ms "
-                         f"({100 * overlapped / st.makespan:.1f}% of the step)")
+                         f"{st.overlapped * ms:.1f} ms "
+                         f"({100 * st.overlap_fraction:.1f}% of the step)")
         if self.rows:
             lines.append(f"  {'variable / kernel group':<28} {'calls':>6} "
                          f"{'total ms':>9} {'on-path ms':>11}")
@@ -150,8 +143,6 @@ class DoctorReport:
     counters: dict[str, dict[str, float]] = field(default_factory=dict)
     #: counter anomalies flagged by the EWMA screen (trace mode)
     anomalies: list[dict[str, Any]] = field(default_factory=list)
-    #: doctor-vs-model cross-check: metric -> relative delta (model mode)
-    consistency: dict[str, float] = field(default_factory=dict)
     #: gate violations; any entry makes exit_status() nonzero
     findings: list[str] = field(default_factory=list)
 
@@ -186,7 +177,6 @@ class DoctorReport:
             "findings": list(self.findings),
             "hidden_fraction": self.hidden_fraction,
             "verdict": self.verdict.as_dict() if self.verdict else None,
-            "consistency": dict(self.consistency),
             "counters": dict(self.counters),
             "anomalies": list(self.anomalies),
             "devices": [d.as_dict() for d in self.devices],
@@ -211,12 +201,6 @@ class DoctorReport:
         for a in self.anomalies:
             lines.append(f"  anomaly: {a['metric']} at t={a['t']:.3f}: "
                          f"{a['message']}")
-        if self.consistency:
-            worst = max(self.consistency.values())
-            lines.append("")
-            lines.append(f"  cross-check vs modeled timeline: max relative "
-                         f"delta {100 * worst:.3f}% "
-                         f"({'OK' if worst < 0.01 else 'DIVERGED'})")
         if self.verdict:
             lines.append("")
             lines.append(self.verdict.text())
@@ -230,17 +214,10 @@ class DoctorReport:
 def diagnose_ops(ops: Iterable[Any], *, label: str = "device",
                  copy_engines: int = 1) -> DeviceDiagnosis:
     """Diagnose one device timeline (Ops or DeviceOpRecords)."""
-    from ...perf.timeline import concurrency_profile   # lazy: no obs cycle
-
     ops = list(ops)
     path = critical_path(ops, copy_engines=copy_engines)
-    return DeviceDiagnosis(
-        label=label,
-        stats=overlap_stats(ops, makespan=path.makespan),
-        path=path,
-        rows=attribution(ops, path),
-        concurrency=concurrency_profile(ops),
-    )
+    return DeviceDiagnosis(label=label, stats=OpStats.of(ops), path=path,
+                           rows=attribution(ops, path))
 
 
 def _recommendation(diag: DeviceDiagnosis) -> str:
@@ -295,8 +272,7 @@ def diagnose_model(
     nz: int = 48,
 ) -> DoctorReport:
     """Rerun the overlap performance model, diagnose the selected
-    method's schedule, cross-check the doctor's accounting against the
-    model's own aggregates, and recommend the fastest method."""
+    method's schedule, and recommend the fastest method."""
     from ...dist.overlap import METHOD_CONFIGS, method_timelines  # lazy
 
     if method not in METHOD_CONFIGS:
@@ -305,29 +281,11 @@ def diagnose_model(
     timelines = method_timelines(links_x=links_x, links_y=links_y,
                                  nx=nx, ny=ny, nz=nz)
     report = DoctorReport(mode="model")
-    tl = timelines[method]
-    diag = diagnose_ops(tl.device.timeline, label=f"model:{method}")
+    diag = diagnose_ops(timelines[method].device.timeline,
+                        label=f"model:{method}")
     report.devices.append(diag)
 
-    # the doctor's timeline accounting must agree with StepTimeline
-    def _rel(a: float, b: float) -> float:
-        return abs(a - b) / max(abs(b), 1e-30) if (a or b) else 0.0
-
-    st = diag.stats
-    report.consistency = {
-        "total": _rel(st.makespan, tl.total),
-        "compute": _rel(st.compute, tl.compute),
-        "mpi": _rel(st.mpi, tl.mpi),
-        "gpu_cpu": _rel(st.gpu_cpu, tl.gpu_cpu),
-        "hidden_fraction": _rel(st.hidden_fraction, tl.hidden_fraction),
-    }
-    if max(report.consistency.values()) > 0.01:
-        report.findings.append(
-            "doctor accounting diverged >1% from the modeled timeline: "
-            + ", ".join(f"{k}={100 * v:.2f}%"
-                        for k, v in report.consistency.items() if v > 0.01))
-
-    totals = {name: t.total for name, t in timelines.items()}
+    totals = {name: t.makespan for name, t in timelines.items()}
     best = min(totals, key=totals.get)
     rec = _recommendation(diag)
     if best != method:

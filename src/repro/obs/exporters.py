@@ -10,9 +10,9 @@ shareable artifacts.
 * :func:`jsonl_events` / :func:`write_jsonl` — a line-per-event JSON
   stream (spans, device ops, flows, then a final metrics record) for
   ad-hoc processing with ``jq``/pandas.
-* :func:`summary_text` — a text roll-up reusing the op-timeline
-  aggregation of :mod:`repro.perf.timeline` for each collected device,
-  plus a PhaseTimer-style host-span table and the metrics report.
+* :func:`summary_text` — a text roll-up: the op-interval algebra
+  (:class:`repro.optimeline.OpStats`) of each collected device, plus a
+  PhaseTimer-style host-span table and the metrics report.
 
 Timestamps are exported in microseconds, the CTF unit.  Host spans use
 wall time since the session epoch; device ops use the virtual device
@@ -24,6 +24,7 @@ from __future__ import annotations
 import json
 from typing import Any, Iterator
 
+from ..optimeline import OpStats
 from .trace import TraceSession
 
 __all__ = [
@@ -197,9 +198,7 @@ def write_jsonl(session: TraceSession, path: str) -> str:
 # ---------------------------------------------------------------- summary
 def summary_text(session: TraceSession) -> str:
     """Text roll-up: host-span totals, per-device timeline summaries
-    (via :func:`repro.perf.timeline.summarize_ops`), traffic, metrics."""
-    from ..perf.timeline import summarize_ops  # lazy: avoids import cycles
-
+    (:class:`~repro.optimeline.OpStats`), traffic, metrics."""
     lines = [f"trace session: {session.name}"]
 
     if session.spans:
@@ -216,7 +215,7 @@ def summary_text(session: TraceSession) -> str:
     for rec in session.device_ops:
         by_pid.setdefault(rec.pid, []).append(rec)
     for pid in sorted(by_pid):
-        s = summarize_ops(by_pid[pid])
+        s = OpStats.of(by_pid[pid])
         busy = " ".join(f"{k}={v * 1e3:.3f}ms"
                         for k, v in sorted(s.busy_by_kind.items()))
         lines.append("")

@@ -76,8 +76,8 @@ class DeviceOpRecord:
     ``ts``/``dur`` are in *virtual* device seconds (the simulated clock),
     not wall time; each device lives on its own track group so the two
     time bases never share an axis.  The ``start``/``end``/``duration``
-    properties make the record drop-in compatible with the op-timeline
-    aggregation in :mod:`repro.perf.timeline`.
+    properties make the record drop-in compatible with the op-interval
+    algebra (:class:`repro.optimeline.OpStats`).
     """
 
     name: str

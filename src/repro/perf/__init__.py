@@ -17,13 +17,7 @@ from .costmodel import (
     launch_schedule,
 )
 from .report import ComparisonReport, format_table
-from .timeline import (
-    TimelineSummary,
-    busy_by_name,
-    gantt_text,
-    summarize,
-    summarize_ops,
-)
+from .timeline import busy_by_name, gantt_text
 
 __all__ = [
     "CountingArray", "FlopCounter",
@@ -34,8 +28,7 @@ __all__ = [
     "DecompositionVariant", "decomposition_ablation", "near_square_factors",
     "Projection", "paper_formula_projection", "model_projection",
     "SensitivityRow", "sensitivity_sweep",
-    "TimelineSummary", "summarize", "summarize_ops", "gantt_text",
-    "busy_by_name",
+    "gantt_text", "busy_by_name",
     "ComparisonReport", "format_table",
 ]
 

@@ -47,8 +47,8 @@ def paper_formula_projection(
     model = OverlapModel(TSUBAME_1_2)
     tl = model.step_timeline(True)
     per_gpu = asuca_step_cost(320, 256, 48)
-    tflops_528 = baseline_gpus * per_gpu.total_flops / tl.total / 1e12
-    tflops = tflops_528 * (tl.total / tl.compute) * (n_gpus / baseline_gpus)
+    tflops_528 = baseline_gpus * per_gpu.total_flops / tl.makespan / 1e12
+    tflops = tflops_528 * (tl.makespan / tl.compute) * (n_gpus / baseline_gpus)
     return Projection(
         tflops=tflops,
         n_gpus=n_gpus,
@@ -79,9 +79,9 @@ def model_projection(
     tl = model.step_timeline(True)
     per_gpu = asuca_step_cost(320, 256, 48, spec=cluster.gpu, precision=precision)
     return Projection(
-        tflops=n_gpus * per_gpu.total_flops / tl.total / 1e12,
+        tflops=n_gpus * per_gpu.total_flops / tl.makespan / 1e12,
         n_gpus=n_gpus,
-        step_time=tl.total,
+        step_time=tl.makespan,
         method=("overlap model on TSUBAME 2.0, "
                 + ("real Fermi throughput" if fermi_throughput
                    else "Tesla-equivalent throughput (conservative)")),

@@ -83,8 +83,8 @@ def weak_scaling_sweep(
             links_y=2 if py > 1 else 0,
             config=cfg,
         )
-        t_ov = model.step_timeline(True).total
-        t_no = model.step_timeline(False).total
+        t_ov = model.step_timeline(True).makespan
+        t_no = model.step_timeline(False).makespan
         points.append(
             ScalingPoint(
                 n_gpus=n, px=px, py=py, mesh=table1_mesh(px, py),
@@ -165,7 +165,7 @@ def strong_scaling_sweep(
             links_y=2 if py > 1 else 0,
             config=cfg,
         )
-        t = model.step_timeline(True).total
+        t = model.step_timeline(True).makespan
         if t1 is None:
             t1 = t
         speedup = t1 / t
@@ -229,6 +229,6 @@ def decomposition_ablation(
         variants.append(DecompositionVariant(
             label=label, px=px, py=py, local_mesh=(loc_nx, loc_ny, nz),
             halo_bytes_per_exchange=bytes_per_field,
-            step_time=model.step_timeline(True).total,
+            step_time=model.step_timeline(True).makespan,
         ))
     return variants

@@ -15,20 +15,17 @@ from .executor import (
     StencilExecutor,
     active_executor,
     default_backend,
-    numba_available,
     use_executor,
 )
 from .pool import BufferPool
 from .spec import (
     FUSED_IMPLS,
-    NUMBA_IMPLS,
     REGISTRY,
     StencilFunction,
     StencilSpec,
     all_specs,
     get_stencil,
     register_fused,
-    register_numba,
     stencil,
 )
 
@@ -36,7 +33,6 @@ __all__ = [
     "BACKENDS",
     "BufferPool",
     "FUSED_IMPLS",
-    "NUMBA_IMPLS",
     "REGISTRY",
     "StencilExecutor",
     "StencilFunction",
@@ -46,9 +42,7 @@ __all__ = [
     "default_backend",
     "get_stencil",
     "load_dycore_specs",
-    "numba_available",
     "register_fused",
-    "register_numba",
     "stencil",
     "table_costs",
     "declared_flops_band",

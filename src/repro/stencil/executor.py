@@ -1,6 +1,6 @@
 """Stencil execution backends and the active-executor context.
 
-Three backends, selected by :class:`~repro.api.RunSpec`\\ 's
+Two backends, selected by :class:`~repro.api.RunSpec`\\ 's
 ``stencil_backend`` (or ``repro run --stencil-backend``, or the
 ``REPRO_STENCIL_BACKEND`` environment variable for whole-suite runs):
 
@@ -12,10 +12,6 @@ Three backends, selected by :class:`~repro.api.RunSpec`\\ 's
   to the reference (asserted on the tier-1 workloads), but the
   allocator traffic collapses — the wall-clock win lands in
   ``BENCH_stencil_fusion.json``.
-* ``numba`` — like ``fused`` but preferring registered Numba kernels.
-  Requires the optional ``numba`` package; constructing the executor
-  without it raises immediately (the container image does not bundle
-  numba, so this backend is opt-in by environment).
 
 Backend choice never changes what a run computes; accordingly
 ``RunSpec.spec_hash()`` ignores it and the serve-layer result cache
@@ -30,7 +26,7 @@ from collections import Counter
 from typing import Any, Dict
 
 from .pool import BufferPool
-from .spec import FUSED_IMPLS, NUMBA_IMPLS, StencilFunction
+from .spec import FUSED_IMPLS, StencilFunction
 
 __all__ = [
     "BACKENDS",
@@ -38,22 +34,13 @@ __all__ = [
     "active_executor",
     "use_executor",
     "default_backend",
-    "numba_available",
 ]
 
-BACKENDS = ("reference", "fused", "numba")
+BACKENDS = ("reference", "fused")
 
 #: environment override of the default backend (used by the CI stencil
 #: job to run the whole tier-1 suite fused)
 BACKEND_ENV = "REPRO_STENCIL_BACKEND"
-
-
-def numba_available() -> bool:
-    try:
-        import numba  # noqa: F401
-    except ImportError:
-        return False
-    return True
 
 
 def default_backend() -> str:
@@ -75,11 +62,6 @@ class StencilExecutor:
             raise ValueError(
                 f"unknown stencil backend {backend!r}; choose one of "
                 f"{BACKENDS}")
-        if backend == "numba" and not numba_available():
-            raise RuntimeError(
-                "stencil backend 'numba' needs the optional numba package "
-                "(not installed in this environment); use 'fused' — it is "
-                "bit-identical and needs only NumPy")
         if backend != "reference":
             # make sure the fused implementations are registered; without
             # this every dispatch would silently fall back to the reference
@@ -88,7 +70,7 @@ class StencilExecutor:
         self.pool = BufferPool()
         #: spec name -> dispatch count
         self.calls: Counter = Counter()
-        #: dispatches served by a fused/numba implementation
+        #: dispatches served by a fused implementation
         self.accelerated = 0
         #: dispatches that fell back to the reference implementation
         self.fallbacks = 0
@@ -97,17 +79,7 @@ class StencilExecutor:
     def call(self, sf: StencilFunction, args: tuple, kwargs: dict) -> Any:
         self.calls[sf.spec.name] += 1
         if self.backend != "reference":
-            impl = None
-            if self.backend == "numba":
-                impl = NUMBA_IMPLS.get(sf.spec.name)
-                if impl is not None:
-                    out = impl(*args, **kwargs)
-                    if out is not NotImplemented:
-                        self.accelerated += 1
-                        return out
-                    impl = None
-            if impl is None:
-                impl = FUSED_IMPLS.get(sf.spec.name)
+            impl = FUSED_IMPLS.get(sf.spec.name)
             if impl is not None:
                 out = impl(self.pool, *args, **kwargs)
                 if out is not NotImplemented:

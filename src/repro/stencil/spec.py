@@ -35,12 +35,10 @@ __all__ = [
     "StencilFunction",
     "stencil",
     "register_fused",
-    "register_numba",
     "get_stencil",
     "all_specs",
     "REGISTRY",
     "FUSED_IMPLS",
-    "NUMBA_IMPLS",
 ]
 
 #: every declared stencil, keyed by spec name
@@ -51,12 +49,6 @@ REGISTRY: Dict[str, "StencilFunction"] = {}
 #: to fall back to the reference path for argument combinations it does
 #: not cover (non-default limiters, mixed dtypes, tiny grids).
 FUSED_IMPLS: Dict[str, Callable[..., Any]] = {}
-
-#: optional Numba implementations (same contract as :data:`FUSED_IMPLS`
-#: minus the pool).  Only consulted when the ``numba`` backend is active,
-#: which requires the numba package; absent an entry the numba backend
-#: falls back to the fused implementation, then to the reference.
-NUMBA_IMPLS: Dict[str, Callable[..., Any]] = {}
 
 
 @dataclass(frozen=True)
@@ -227,17 +219,6 @@ def register_fused(name: str) -> Callable[[Callable[..., Any]], Callable[..., An
 
     def deco(fn: Callable[..., Any]) -> Callable[..., Any]:
         FUSED_IMPLS[name] = fn
-        return fn
-
-    return deco
-
-
-def register_numba(name: str) -> Callable[[Callable[..., Any]], Callable[..., Any]]:
-    """Attach a Numba implementation to the named spec (same contract as
-    :func:`register_fused` minus the pool argument)."""
-
-    def deco(fn: Callable[..., Any]) -> Callable[..., Any]:
-        NUMBA_IMPLS[name] = fn
         return fn
 
     return deco

@@ -29,19 +29,13 @@ def blend_fused_ok(pool, phi, grid):
     return out
 
 
-def blend_numba_upcast(phi, grid):
+def blend_fused_upcast(pool, phi, grid):
     acc = np.zeros(phi.shape)   # BUG: float64 regardless of phi.dtype
     acc[1:-1] = 0.5 * (phi[2:] + phi[:-2])
     return acc
 
 
-def blend_numba_clean(phi, grid):
-    acc = np.zeros(phi.shape, dtype=phi.dtype)
-    acc[1:-1] = 0.5 * (phi[2:] + phi[:-2])
-    return acc
-
-
-def blend_numba_suppressed(phi, grid):
+def blend_fused_upcast_suppressed(pool, phi, grid):
     acc = np.zeros(phi.shape)  # sanitizer: allow[LINT08] diag path, f64 wanted
     acc[1:-1] = 0.5 * (phi[2:] + phi[:-2])
     return acc

@@ -90,7 +90,7 @@ def test_lint06_intervening_read_keeps_the_store_alive():
 def test_lint07_signature_drift_fires_exactly_once():
     found = fusion_findings(
         specs=backend_specs(),
-        fused={"blend": bb.blend_fused_bad_signature}, numba={})
+        fused={"blend": bb.blend_fused_bad_signature})
     assert [(f.code, f.line) for f in found] == [
         ("LINT07", bb.LINE_BAD_SIGNATURE)]
     assert found[0].file.endswith("backend_bugs.py")
@@ -100,13 +100,12 @@ def test_lint07_signature_drift_fires_exactly_once():
 def test_lint07_matching_impls_are_clean():
     assert fusion_findings(
         specs=backend_specs(),
-        fused={"blend": bb.blend_fused_ok},
-        numba={"blend": bb.blend_numba_clean}) == []
+        fused={"blend": bb.blend_fused_ok}) == []
 
 
 def test_lint07_unknown_name_is_flagged():
     found = fusion_findings(specs=backend_specs(),
-                            fused={"ghost": bb.blend_fused_ok}, numba={})
+                            fused={"ghost": bb.blend_fused_ok})
     assert [f.code for f in found] == ["LINT07"]
     assert "no @stencil declaration" in found[0].message
 
@@ -114,8 +113,8 @@ def test_lint07_unknown_name_is_flagged():
 # ---------------------------------------------- LINT08 precision flow
 def test_lint08_upcast_fires_exactly_once():
     found = precision_findings(
-        specs=backend_specs(), fused={},
-        numba={"blend": bb.blend_numba_upcast})
+        specs=backend_specs(),
+        fused={"blend": bb.blend_fused_upcast})
     assert [(f.code, f.line) for f in found] == [
         ("LINT08", bb.LINE_UPCAST)]
     assert "float64" in found[0].message
@@ -124,8 +123,7 @@ def test_lint08_upcast_fires_exactly_once():
 def test_lint08_dtype_preserving_impls_are_clean():
     assert precision_findings(
         specs=backend_specs(),
-        fused={"blend": bb.blend_fused_ok},
-        numba={"blend": bb.blend_numba_clean}) == []
+        fused={"blend": bb.blend_fused_ok}) == []
 
 
 def test_lint08_widen_policy_exempts_the_kernel():
@@ -133,8 +131,7 @@ def test_lint08_widen_policy_exempts_the_kernel():
                        halo=1, dtype_policy="widen")
     specs = {"blend": SimpleNamespace(spec=spec, reference=bb.blend_ref)}
     assert precision_findings(
-        specs=specs, fused={},
-        numba={"blend": bb.blend_numba_upcast}) == []
+        specs=specs, fused={"blend": bb.blend_fused_upcast}) == []
 
 
 # ------------------------------------------------ inline suppressions
@@ -152,15 +149,15 @@ def test_allow_comment_suppresses_graph_finding(fn, code):
 def test_allow_comment_suppresses_lint07():
     found = fusion_findings(
         specs=backend_specs(),
-        fused={"blend": bb.blend_fused_suppressed}, numba={})
+        fused={"blend": bb.blend_fused_suppressed})
     assert all(origin_suppressed(f.file, f.line, f.code) for f in found)
     assert found  # the finding itself still exists pre-filter
 
 
 def test_allow_comment_suppresses_lint08():
     found = precision_findings(
-        specs=backend_specs(), fused={},
-        numba={"blend": bb.blend_numba_suppressed})
+        specs=backend_specs(),
+        fused={"blend": bb.blend_fused_upcast_suppressed})
     assert all(origin_suppressed(f.file, f.line, f.code) for f in found)
     assert found
 

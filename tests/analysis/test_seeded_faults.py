@@ -52,7 +52,7 @@ def test_seeded_schedule_is_timing_identical():
     clean = OverlapModel(config=OverlapConfig()).step_timeline(True)
     seeded = OverlapModel(
         config=OverlapConfig(seed_hazard="missing-event")).step_timeline(True)
-    assert seeded.total == clean.total
+    assert seeded.makespan == clean.makespan
 
 
 # -------------------------------------------------------- seeded teardown

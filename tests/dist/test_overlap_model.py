@@ -1,8 +1,15 @@
 """Tests of the overlap performance model (Figs. 8, 9, 10, 11)."""
+import hashlib
+
 import pytest
 
 from repro.dist.network import TSUBAME_1_2, TSUBAME_2_0
-from repro.dist.overlap import OverlapConfig, OverlapModel
+from repro.dist.overlap import (
+    METHOD_CONFIGS,
+    OverlapConfig,
+    OverlapModel,
+    method_timelines,
+)
 from repro.perf.costmodel import asuca_step_cost
 from repro.perf.scaling import weak_scaling_efficiency, weak_scaling_sweep
 
@@ -24,7 +31,7 @@ def tl_serial(model):
 
 def test_fig11_anchor_totals(tl_overlap):
     """Fig. 11 (overlap): total 988 ms, compute 763, MPI 336, GPU-CPU 145."""
-    assert tl_overlap.total == pytest.approx(0.988, rel=0.05)
+    assert tl_overlap.makespan == pytest.approx(0.988, rel=0.05)
     assert tl_overlap.compute == pytest.approx(0.763, rel=0.05)
     assert tl_overlap.mpi == pytest.approx(0.336, rel=0.10)
     assert tl_overlap.gpu_cpu == pytest.approx(0.145, rel=0.15)
@@ -37,7 +44,7 @@ def test_fig11_hidden_fraction(tl_overlap):
 
 def test_overlap_beats_serial(tl_overlap, tl_serial):
     """Overlap wins ~11% total time (paper Sec. V-B)."""
-    gain = 1.0 - tl_overlap.total / tl_serial.total
+    gain = 1.0 - tl_overlap.makespan / tl_serial.makespan
     assert 0.08 < gain < 0.18
 
 
@@ -45,12 +52,12 @@ def test_divided_kernels_cost_more_compute(tl_overlap, tl_serial):
     """The paper's Fig. 9/11 observation: dividing kernels *increases*
     compute time, yet the total still drops."""
     assert tl_overlap.compute > tl_serial.compute
-    assert tl_overlap.total < tl_serial.total
+    assert tl_overlap.makespan < tl_serial.makespan
 
 
 def test_fifteen_tflops_at_528(tl_overlap):
     c = asuca_step_cost(320, 256, 48)
-    tflops = 528 * c.total_flops / tl_overlap.total / 1e12
+    tflops = 528 * c.total_flops / tl_overlap.makespan / 1e12
     assert tflops == pytest.approx(15.0, rel=0.07)
 
 
@@ -70,10 +77,10 @@ def test_fig9_breakdown_shape(model):
 
 def test_method_ablation():
     """Disabling each optimization hurts (or at least never helps)."""
-    full = OverlapModel().step_timeline(True).total
-    no1 = OverlapModel(config=OverlapConfig(method1_pipeline=False)).step_timeline(True).total
-    no2 = OverlapModel(config=OverlapConfig(method2_divide=False)).step_timeline(True).total
-    no3 = OverlapModel(config=OverlapConfig(method3_fuse=False)).step_timeline(True).total
+    full = OverlapModel().step_timeline(True).makespan
+    no1 = OverlapModel(config=OverlapConfig(method1_pipeline=False)).step_timeline(True).makespan
+    no2 = OverlapModel(config=OverlapConfig(method2_divide=False)).step_timeline(True).makespan
+    no3 = OverlapModel(config=OverlapConfig(method3_fuse=False)).step_timeline(True).makespan
     assert no1 >= full - 1e-12
     assert no2 > full          # method 2 is the big one
     assert no3 >= full - 1e-12
@@ -106,7 +113,7 @@ def test_fewer_links_less_communication():
     interior = OverlapModel(links_x=2, links_y=2).step_timeline(True)
     corner = OverlapModel(links_x=1, links_y=1).step_timeline(True)
     assert corner.mpi < interior.mpi
-    assert corner.total <= interior.total
+    assert corner.makespan <= interior.makespan
 
 
 def test_projection_sec7():
@@ -129,4 +136,38 @@ def test_pcie_node_sharing_penalty():
         config=OverlapConfig(pcie_sharing=True)
     ).step_timeline(True)
     assert shared.gpu_cpu > 1.5 * base.gpu_cpu
-    assert shared.total >= base.total
+    assert shared.makespan >= base.makespan
+
+
+#: sha256 over every op of each named method's scheduled long step at the
+#: paper configuration, computed on the commit before the exchange chain
+#: was written once (PR 14).  A schedule refactor, or a new method added
+#: as ``OverlapConfig`` data, must leave these four untouched.
+PINNED_TIMELINE_SHA256 = {
+    "serial":
+        "03c1679d1a1f9aebc2a357638a6bc0689c5be732c0d9ad4a9d20663a72a5abac",
+    "method1":
+        "4ea0459e9bf253be4033fd56ec310567a95ed35a602b31155733fe8b23c217fb",
+    "method1+2":
+        "1d94516b980370d7d09d255a48fb3823fbaab6e872028af9f6f02b861abbdae2",
+    "method1+2+3":
+        "a7001a4841b18523dbbd814e20be6edd5214df39c2e4062ca1ab90a45a21266e",
+}
+
+
+def _timeline_sha256(ops) -> str:
+    h = hashlib.sha256()
+    for op in ops:
+        h.update(repr((
+            op.name, op.kind, op.stream, op.start.hex(), op.end.hex(),
+            op.tag, op.deps,
+            tuple((a.buffer, a.mode, a.lo, a.hi) for a in op.accesses),
+        )).encode())
+    return h.hexdigest()
+
+
+def test_method_timelines_are_op_for_op_pinned():
+    assert set(PINNED_TIMELINE_SHA256) == set(METHOD_CONFIGS)
+    digests = {name: _timeline_sha256(tl.device.timeline)
+               for name, tl in method_timelines().items()}
+    assert digests == PINNED_TIMELINE_SHA256

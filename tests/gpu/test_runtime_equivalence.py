@@ -5,6 +5,7 @@ timeline reports the modeled Tesla performance."""
 import numpy as np
 import pytest
 
+from repro.dist.multigpu import MultiGpuAsuca
 from repro.gpu.device import GPUDevice
 from repro.gpu.runtime import GpuAsucaRunner
 from repro.gpu.spec import DeviceSpec, Precision, TESLA_S1070
@@ -63,3 +64,30 @@ def test_upload_respects_capacity():
     runner = GpuAsucaRunner(case.model, GPUDevice(tiny))
     with pytest.raises(MemoryError):
         runner.upload(case.state)
+
+
+def test_one_rank_multigpu_charges_the_runner_kernel_sequence():
+    """Both drivers charge a step through the one routine
+    (gpu.runtime.charge_step): on the same grid a 1x1 decomposition's
+    device carries exactly the runner's kernel ops."""
+    ns = 4
+    a = make_mountain_wave_case(nx=16, ny=8, nz=10, dx=2000.0, ztop=12000.0,
+                                dt=4.0, ns=ns)
+    b = make_mountain_wave_case(nx=16, ny=8, nz=10, dx=2000.0, ztop=12000.0,
+                                dt=4.0, ns=ns)
+    runner = GpuAsucaRunner(a.model, ns=ns)
+    runner.step(a.state)
+
+    machine = MultiGpuAsuca(b.grid, b.ref, 1, 1, b.model.config)
+    (device,) = machine.attach_devices(ns=ns)
+    states = machine.scatter_state(b.state)
+    machine.exchange_all(states, None)
+    machine.step(states)
+
+    def kernel_ops(dev):
+        return [(op.name, op.start.hex(), op.end.hex(), op.flops,
+                 op.bytes_moved, op.tag)
+                for op in dev.timeline if op.kind == "kernel"]
+
+    assert kernel_ops(device) == kernel_ops(runner.device)
+    assert len(kernel_ops(device)) > 100

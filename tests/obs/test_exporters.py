@@ -1,7 +1,7 @@
 """A 2x2-rank decomposed warm-bubble run under tracing must export a
 valid Chrome Trace Format JSON with per-rank device tracks, kernel /
 copy / message events, and metrics that agree with the existing
-TimelineSummary / TrafficStats numbers — the acceptance criteria of the
+OpStats / TrafficStats numbers — the acceptance criteria of the
 observability layer."""
 import json
 
@@ -17,7 +17,7 @@ from repro.obs import (
     write_chrome_trace,
     write_jsonl,
 )
-from repro.perf.timeline import summarize
+from repro.optimeline import OpStats
 from repro.workloads.warm_bubble import make_warm_bubble_case
 
 N_STEPS = 2
@@ -118,14 +118,14 @@ def test_counter_series_exports_as_ctf_counter_events():
 
 
 def test_metrics_agree_with_timeline_and_traffic(traced_run):
-    """The registry's numbers are the same ones TimelineSummary and
+    """The registry's numbers are the same ones OpStats and
     TrafficStats report for the identical run."""
     session, machine = traced_run
     m = session.metrics
     kernels = copies_h2d = copies_d2h = 0
     total_ops = 0
     for device in machine.devices:
-        s = summarize(device)
+        s = OpStats.of(device.timeline)
         total_ops += s.op_count
         kernels += sum(1 for op in device.timeline if op.kind == "kernel")
         copies_h2d += sum(op.bytes_moved for op in device.timeline

@@ -3,8 +3,9 @@ import pytest
 
 from repro.gpu.device import GPUDevice
 from repro.gpu.spec import TESLA_S1070
+from repro.optimeline import OpStats
 from repro.perf.report import ComparisonReport, format_table
-from repro.perf.timeline import busy_by_name, gantt_text, summarize
+from repro.perf.timeline import busy_by_name, gantt_text
 
 
 @pytest.fixture
@@ -19,7 +20,7 @@ def dev():
 
 
 def test_summarize_busy_times(dev):
-    s = summarize(dev)
+    s = OpStats.of(dev.timeline)
     assert s.busy_by_kind == {"kernel": 3.0, "h2d": 1.0, "mpi": 3.0}
     assert s.busy_by_tag["compute"] == 3.0
     assert s.op_count == 4
@@ -27,14 +28,14 @@ def test_summarize_busy_times(dev):
 
 
 def test_summarize_overlap_fraction(dev):
-    s = summarize(dev)
+    s = OpStats.of(dev.timeline)
     # k1 [0,2] overlaps h2d [0,1] and mpi [1,4]; k2 [2,3] overlaps mpi
     # => concurrency >= 2 during [0,3] of the 4-unit makespan
     assert s.overlap_fraction == pytest.approx(3.0 / 4.0)
 
 
 def test_summarize_empty():
-    s = summarize(GPUDevice(TESLA_S1070))
+    s = OpStats.of(GPUDevice(TESLA_S1070).timeline)
     assert s.makespan == 0.0 and s.overlap_fraction == 0.0
 
 

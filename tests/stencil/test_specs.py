@@ -3,6 +3,7 @@ contracts the rest of the repo derives from (docs/STENCILS.md)."""
 import numpy as np
 import pytest
 
+from repro.api import RunSpec
 from repro.stencil import (
     BACKENDS,
     FUSED_IMPLS,
@@ -12,7 +13,6 @@ from repro.stencil import (
     declared_flops_band,
     default_backend,
     load_dycore_specs,
-    numba_available,
     table_costs,
     use_executor,
 )
@@ -92,12 +92,14 @@ def test_declared_drift_bands_reach_the_counters():
 
 # ----------------------------------------------------------------- executor
 def test_backend_validation_and_numba_gating():
-    assert set(BACKENDS) == {"reference", "fused", "numba"}
-    with pytest.raises(ValueError, match="unknown stencil backend"):
-        StencilExecutor("cuda")
-    if not numba_available():
-        with pytest.raises(RuntimeError, match="numba"):
-            StencilExecutor("numba")
+    """The never-installed numba slot is gone: it is an unknown backend
+    like any other, at the executor and at the RunSpec."""
+    assert BACKENDS == ("reference", "fused")
+    for unknown in ("cuda", "numba"):
+        with pytest.raises(ValueError, match="unknown stencil backend"):
+            StencilExecutor(unknown)
+        with pytest.raises(ValueError, match="unknown stencil backend"):
+            RunSpec(stencil_backend=unknown).normalized()
 
 
 def test_default_backend_follows_environment(monkeypatch):
