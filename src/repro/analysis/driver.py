@@ -66,7 +66,7 @@ def racecheck_overlap_methods(
     resulting device timelines.  ``seed_hazard`` forwards the test-only
     fault seed of :class:`~repro.dist.overlap.OverlapConfig`."""
     from ..dist.overlap import OverlapConfig, OverlapModel
-    from ..perf.costmodel import DEFAULT_NS
+    from ..gpu.asuca_kernels import DEFAULT_NS
 
     findings: list[Finding] = []
     for name, (cfg_kwargs, overlap) in (variants or OVERLAP_VARIANTS).items():

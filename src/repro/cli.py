@@ -882,7 +882,7 @@ def _drifted_table(seed_drift: str) -> dict:
     CI can prove the ROOF01 gate fires."""
     import dataclasses as _dc
 
-    from .perf.costmodel import ASUCA_KERNELS
+    from .gpu.asuca_kernels import ASUCA_KERNELS
 
     name, sep, factor = seed_drift.partition(":")
     if not sep or name not in ASUCA_KERNELS:

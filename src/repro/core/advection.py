@@ -168,7 +168,7 @@ def mass_divergence(
 
 
 @stencil(reads=("phi", "fx", "fy", "fz"), writes=("tend_phi",), halo=2,
-         flops=80, loads=9, stores=1, table="advection",
+         flops=80, loads=9, stores=1,
          # measured/table ratios sit at ~1.15-1.25 flops and ~19-21x
          # streamed bytes (NumPy materializes every temporary); these
          # bands hold a 1.5-2x margin and are far tighter than the
@@ -201,7 +201,7 @@ def advect_scalar(
 
 
 @stencil(reads=("u", "fx", "fy", "fz"), writes=("tend_u",), halo=2,
-         flops=80, loads=9, stores=1, table="advection")
+         flops=80, loads=9, stores=1)
 def advect_u(
     u: np.ndarray,
     fx: np.ndarray,
@@ -259,7 +259,7 @@ def advect_u(
 
 
 @stencil(reads=("v", "fx", "fy", "fz"), writes=("tend_v",), halo=2,
-         flops=80, loads=9, stores=1, table="advection")
+         flops=80, loads=9, stores=1)
 def advect_v(
     v: np.ndarray,
     fx: np.ndarray,
@@ -300,7 +300,7 @@ def advect_v(
 
 
 @stencil(reads=("w", "fx", "fy", "fz"), writes=("tend_w",), halo=2,
-         flops=80, loads=9, stores=1, table="advection")
+         flops=80, loads=9, stores=1)
 def advect_w(
     w: np.ndarray,
     fx: np.ndarray,

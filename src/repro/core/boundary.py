@@ -81,7 +81,7 @@ _STAGGER = {"rho": (False, False), "rhou": (True, False), "rhov": (False, True),
 
 
 @stencil(reads=("prognostics",), writes=("prognostics",), halo=0,
-         flops=1, loads=1, stores=1, table="boundary_ops", stage="boundary",
+         flops=1, loads=1, stores=1, stage="boundary",
          # measured ratios: 3.0 flops, ~4x bytes (five fields, two axes)
          flops_band=(1.5, 4.5), bytes_band=(2.0, 8.0),
          probe=False)

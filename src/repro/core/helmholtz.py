@@ -107,7 +107,7 @@ class HelmholtzOperator:
 
 
 @stencil(reads=("sub", "diag", "sup", "rhs"), writes=("w",), halo=0,
-         march_axis="z", flops=40, loads=7, stores=2, table="helmholtz",
+         march_axis="z", flops=40, loads=7, stores=2,
          stage="solver",
          # measured ratios: ~0.33 flops (the table prices assembly the
          # NumPy path amortizes into the operator), ~2.5x bytes

@@ -30,7 +30,7 @@ EOS_FLOPS_PER_POINT = 6
 
 
 @stencil(reads=("rhotheta_hat",), writes=("p",), halo=0,
-         flops=20, loads=2, stores=1, table="eos_pressure",
+         flops=20, loads=2, stores=1,
          # measured ratios: 1.30 flops (pow weighted at 8), ~3.4x bytes
          flops_band=(0.8, 2.0), bytes_band=(1.5, 8.0))
 def eos_pressure(rhotheta_hat: np.ndarray, grid: Grid) -> np.ndarray:

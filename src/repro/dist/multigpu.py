@@ -27,6 +27,7 @@ from ..core.pressure import eos_pressure
 from ..core.reference import ReferenceState
 from ..core.rk3 import Rk3Integrator
 from ..core.state import State
+from ..gpu.asuca_kernels import step_schedule
 from ..gpu.runtime import charge_step
 from ..obs.trace import span
 from ..physics.ice import cold_rain_step
@@ -156,15 +157,12 @@ class MultiGpuAsuca:
         from ..gpu.coalescing import ArrayOrder
         from ..gpu.device import GPUDevice
         from ..gpu.spec import Precision, TESLA_S1070
-        from ..perf.costmodel import ASUCA_KERNELS, launch_schedule
 
         self._dev_precision = precision or Precision.SINGLE
         self._dev_order = order or ArrayOrder.XZY
-        self._dev_schedule = [
-            (ASUCA_KERNELS[name], count)
-            for name, count in launch_schedule(
-                ns or self.config.dynamics.ns,
-                include_ice=self.config.ice_enabled)]
+        self._dev_schedule = step_schedule(
+            ns or self.config.dynamics.ns,
+            include_ice=self.config.ice_enabled)
         self.devices = [
             GPUDevice(spec or TESLA_S1070, copy_engines=copy_engines,
                       label=f"rank{r}", fault_injector=self.faults)

@@ -35,11 +35,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable
 
+from ..gpu.asuca_kernels import (
+    ASUCA_KERNELS,
+    DEFAULT_NS,
+    KERNEL_TABLE,
+    SHORT_STEP_VARIABLES,
+    step_schedule,
+    step_shape,
+)
 from ..gpu.device import Access, Event, GPUDevice, Op, Stream
 from ..gpu.kernel import Kernel
 from ..gpu.spec import Precision
 from ..optimeline import SKEW_TAG, OpStats
-from ..perf.costmodel import ASUCA_KERNELS, DEFAULT_NS, N_WATER_TRACERS, launch_schedule
 from .decomposition import OVERLAP
 from .network import ClusterSpec, TSUBAME_1_2
 
@@ -82,17 +89,6 @@ class OverlapConfig:
     @property
     def any_overlap(self) -> bool:
         return self.method1_pipeline or self.method2_divide
-
-
-#: the five short-time-step variables of the paper's Fig. 9, mapped to the
-#: cost-table kernels whose per-substep work belongs to each
-SHORT_STEP_VARIABLES: list[tuple[str, list[str]]] = [
-    ("Momentum (x)", ["pgf_x", "momentum_update"]),
-    ("Momentum (y)", ["pgf_y", "momentum_update"]),
-    ("Helmholtz-like eq.", ["helmholtz", "vertical_flux"]),
-    ("Density", ["continuity", "vertical_flux"]),
-    ("Potential temperature", ["theta_update", "eos_pressure"]),
-]
 
 
 @dataclass
@@ -152,7 +148,8 @@ class OverlapModel:
         self.links_y = links_y
         self.config = config
         self.n_points = nx * ny * nz
-        self.nsub = 1 + max(ns // 2, 1) + ns
+        self.shape = step_shape(ns)
+        self.nsub = self.shape.nsub
 
     # ------------------------------------------------------------ pieces
     def _kernel_time(self, kernel: Kernel, n_points: float) -> float:
@@ -323,13 +320,13 @@ class OverlapModel:
         pipelined = overlap and self.config.method1_pipeline
         # tracers advect in every RK stage but their halos travel once per
         # long step, in the final stage's pipeline (Fig. 7)
-        for stage in range(3):
-            for i in range(N_WATER_TRACERS):
+        for stage in range(self.shape.stages):
+            for i in range(self.shape.tracers):
                 op = dev.schedule(f"q{i}:advection", "kernel", s_comp, t_adv,
                                   tag="compute",
                                   accesses=(Access(f"q{i}:halo", "r"),
                                             Access(f"q{i}:interior", "w")))
-                if stage != 2:
+                if stage != self.shape.stages - 1:
                     continue
                 if pipelined:
                     # communication of tracer i rides its own chain
@@ -342,16 +339,16 @@ class OverlapModel:
     def _other_compute_time(self) -> float:
         """Long-step kernels with no communication of their own (momentum
         and theta advection, Coriolis, transforms, physics, copies)."""
-        per_substep = {k for _, ks in SHORT_STEP_VARIABLES for k in ks}
         t = 0.0
-        for name, count in launch_schedule(self.ns):
-            if name in per_substep or name == "advection":
-                continue
-            t += count * self._kernel_time(ASUCA_KERNELS[name], self.n_points)
-        # momentum + theta advection (3 stages x 4 kernels) — the tracer
-        # advections are scheduled by _schedule_water
-        t += 12 * self._kernel_time(ASUCA_KERNELS["advection"], self.n_points)
-        return t
+        for kernel, count in step_schedule(self.ns):
+            if kernel.name != "advection" and not KERNEL_TABLE[kernel.name].fig9:
+                t += count * self._kernel_time(kernel, self.n_points)
+        # momentum + theta advection — the tracer advections are scheduled
+        # by _schedule_water
+        own = (KERNEL_TABLE["advection"].launches(self.shape)
+               - self.shape.stages * self.shape.tracers)
+        return t + own * self._kernel_time(ASUCA_KERNELS["advection"],
+                                           self.n_points)
 
     # ------------------------------------------------------------- public
     def step_timeline(self, overlap: bool = True) -> StepTimeline:

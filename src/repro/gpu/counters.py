@@ -1,8 +1,8 @@
 """Per-launch FLOP/byte accounting for the virtual GPU runtime.
 
 This is the live-roofline measurement layer (ROADMAP item 1): instead of
-trusting the hand-entered per-point costs in
-:mod:`repro.perf.costmodel`, a :class:`CountingHook` runs every bound
+trusting the per-point costs of the kernel table
+(:mod:`repro.gpu.asuca_kernels`), a :class:`CountingHook` runs every bound
 reference kernel once per sampled step with its field arguments wrapped
 in :class:`~repro.perf.counting.CountingArray`\\ s — the pure-Python
 equivalent of the paper's PAPI counters (Sec. IV-B) — and annotates that
@@ -10,19 +10,16 @@ step's device ops with the measured per-point counts scaled to each
 launch's size (:attr:`~repro.gpu.device.Op.measured`).
 
 The hook never touches the run's numerics or the modeled timeline: it
-measures on *copies/views* of the state via the accounting bindings
-(:func:`~repro.gpu.asuca_kernels.bind_accounting_kernels`), and the
-modeled durations still come from the cost table.  ``sample_every=N``
+measures on *copies/views* of the state via the table's reference
+bindings (:func:`~repro.gpu.asuca_kernels.bind`), and the modeled
+durations still come from the cost table.  ``sample_every=N``
 bounds the measurement overhead to every Nth step; unsampled steps carry
 no ``measured`` payload.
 
-The drift bands here are shared by the doctor's ``--roofline`` check and
-the measured-vs-table tests: measured flops should land within
-:data:`DEFAULT_DRIFT_BAND` of the table (ufunc weights differ from the
-hand counts — e.g. a divide is 4 weighted flops), while measured
-*streamed* traffic legitimately exceeds the table's global-memory bytes
-by a large factor (NumPy materializes every temporary; the CUDA kernels
-keep them in registers), hence the much wider :data:`BYTES_DRIFT_BAND`.
+The measured counts are gated against the table by the doctor's
+``--roofline`` check and the measured-vs-table tests, within each
+kernel's drift bands (:attr:`~repro.gpu.asuca_kernels.KernelDecl.flops_band`,
+:attr:`~repro.gpu.asuca_kernels.KernelDecl.bytes_band`).
 """
 from __future__ import annotations
 
@@ -31,69 +28,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..perf.counting import FlopCounter
-from ..stencil import (
-    StencilExecutor,
-    declared_bytes_band,
-    declared_flops_band,
-    use_executor,
-)
-from .asuca_kernels import accounting_args, bind_accounting_kernels
+from ..stencil import StencilExecutor, use_executor
+from .asuca_kernels import KERNEL_TABLE, bind
 from .spec import Precision
 
-__all__ = [
-    "DEFAULT_DRIFT_BAND",
-    "BYTES_DRIFT_BAND",
-    "drift_band",
-    "flops_drift",
-    "bytes_drift",
-    "CountingHook",
-]
-
-#: acceptable measured/table flops-per-point ratio (outside → ROOF01).
-#: The spread is real: ufunc weights charge a divide at 4 and an exp at 8
-#: where the hand table counts 1, and the table rounds stencils up.
-DEFAULT_DRIFT_BAND: tuple[float, float] = (0.2, 5.0)
-
-#: acceptable measured/table bytes-per-point ratio (outside → ROOF02).
-#: Streamed NumPy traffic counts every temporary array — measured bytes
-#: run up to ~40x the table's global-memory estimate on fused stencils —
-#: so this band only catches gross drift (a kernel reading fields the
-#: table never knew about, or touching almost nothing).
-BYTES_DRIFT_BAND: tuple[float, float] = (0.25, 64.0)
-
-
-def drift_band(name: str) -> tuple[float, float]:
-    """The (lo, hi) measured/table flops ratio band for one kernel:
-    the band its ``@stencil`` declaration carries (``flops_band=``),
-    else the default."""
-    band = declared_flops_band(name)
-    return band if band is not None else DEFAULT_DRIFT_BAND
-
-
-def flops_drift(name: str, measured_pp: float, table_pp: float) -> float | None:
-    """Measured/table flops ratio when out of band, else None (in band).
-
-    Kernels the table prices at zero flops (``array_copy``) are skipped —
-    there is no ratio to take.
-    """
-    if table_pp <= 0:
-        return None
-    ratio = measured_pp / table_pp
-    lo, hi = drift_band(name)
-    return None if lo <= ratio <= hi else ratio
-
-
-def bytes_drift(name: str, measured_pp: float, table_pp: float) -> float | None:
-    """Measured/table bytes ratio when out of band, else None (in band).
-    A ``bytes_band=`` on the kernel's ``@stencil`` declaration tightens
-    the default band."""
-    if table_pp <= 0:
-        return None
-    ratio = measured_pp / table_pp
-    band = declared_bytes_band(name)
-    lo, hi = band if band is not None else BYTES_DRIFT_BAND
-    return None if lo <= ratio <= hi else ratio
-
+__all__ = ["CountingHook"]
 
 _REFERENCE_EXECUTOR: StencilExecutor | None = None
 
@@ -151,11 +90,9 @@ class CountingHook:
                  sample_every: int = 1):
         if sample_every < 1:
             raise ValueError("sample_every must be >= 1")
-        self.grid = grid
-        self.ref = ref
         self.precision = precision
         self.sample_every = int(sample_every)
-        self.kernels = bind_accounting_kernels(grid, ref)
+        self.kernels = bind(grid, ref)
         self.counter = FlopCounter()
         #: name -> {'flops','reads','writes'} per point, from the last sample
         self._per_point: dict[str, dict[str, float]] = {}
@@ -174,17 +111,13 @@ class CountingHook:
         self.steps_seen += 1
         if not self.due(step_index):
             return False
-        args = accounting_args(self.grid, self.ref, state)
         for name, kernel in self.kernels.items():
-            spec = args.get(name)
-            if spec is None or kernel.fn is None:
-                continue
-            self._measure_one(name, kernel, spec)
+            self._measure_one(name, kernel, KERNEL_TABLE[name].measure(state))
         self.steps_sampled += 1
         return True
 
-    def _measure_one(self, name: str, kernel, spec) -> None:
-        call_args, points = spec
+    def _measure_one(self, name: str, kernel, recipe) -> None:
+        call_args, points = recipe
         c = self.counter
         f0, r0, w0 = c.flops, c.elements_read, c.elements_written
         # always measure the *reference* implementation: counts are shape

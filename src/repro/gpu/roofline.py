@@ -137,10 +137,10 @@ def place_cost_table(
     the single implementation behind ``repro bench roofline`` and the
     Fig. 5 benchmark.  ``kernels`` is a sequence of ``(label, name)``
     pairs, defaulting to the paper's five
-    :data:`~repro.perf.costmodel.ROOFLINE_KERNELS`.
+    :data:`~repro.gpu.asuca_kernels.ROOFLINE_KERNELS`.
     """
-    # late import: costmodel imports gpu.kernel, which imports this module
-    from ..perf.costmodel import ASUCA_KERNELS, ROOFLINE_KERNELS
+    # late import: the table imports gpu.kernel, which imports this module
+    from .asuca_kernels import ASUCA_KERNELS, ROOFLINE_KERNELS
 
     placements = []
     for label, name in (kernels if kernels is not None else ROOFLINE_KERNELS):

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from ..core.model import AsucaModel
 from ..core.state import State
+from .asuca_kernels import DEFAULT_NS, step_schedule
 from .coalescing import ArrayOrder
 from .device import GPUDevice
 from .kernel import Kernel
@@ -35,8 +36,8 @@ def charge_step(device: GPUDevice, schedule: list[tuple[Kernel, int]],
                 hook=None, step_index: int = 0,
                 state: State | None = None) -> None:
     """Charge one long step's modeled kernel launches to ``device``:
-    ``schedule`` is ``(Kernel, launches per step)`` pairs (the cost
-    table resolved over :func:`~repro.perf.costmodel.launch_schedule`).
+    ``schedule`` is ``(Kernel, launches per step)`` pairs
+    (:func:`~repro.gpu.asuca_kernels.step_schedule`).
     A :class:`~repro.gpu.counters.CountingHook` as ``hook`` measures the
     kernels against ``state`` on the steps it samples and annotates
     those launches with the measured counts."""
@@ -50,7 +51,13 @@ def charge_step(device: GPUDevice, schedule: list[tuple[Kernel, int]],
 
 
 class GpuAsucaRunner:
-    """Executes model steps with device-time accounting."""
+    """Executes model steps with device-time accounting.
+
+    The charged schedule follows the model's ``ice_enabled``; ``ns``
+    defaults to :data:`~repro.gpu.asuca_kernels.DEFAULT_NS`, not the
+    model's own substep count, because the runner prices the paper's
+    production schedule (``BENCH_roofline.json``'s ``time_share`` values
+    depend on it)."""
 
     def __init__(
         self,
@@ -63,14 +70,12 @@ class GpuAsucaRunner:
         counters: bool = False,
         counter_every: int = 1,
     ):
-        from ..perf.costmodel import DEFAULT_NS, launch_schedule, ASUCA_KERNELS
-
         self.model = model
         self.device = device or GPUDevice(TESLA_S1070)
         self.precision = precision
         self.order = order
-        self._schedule = [(ASUCA_KERNELS[name], count)
-                          for name, count in launch_schedule(ns or DEFAULT_NS)]
+        self._schedule = step_schedule(
+            ns or DEFAULT_NS, include_ice=model.config.ice_enabled)
         self._device_arrays: dict[str, DeviceArray] = {}
         self.steps_taken = 0
         g = model.grid

@@ -53,7 +53,8 @@ class DeviceSpec:
     shared_mem_per_sm: int = 0    #: [B]
     is_gpu: bool = True
     #: sustained fraction of peak flops actually achievable by real code
-    #: (instruction mix, dual-issue limits); calibrated in perf.costmodel
+    #: (instruction mix, dual-issue limits); calibrated together with
+    #: the kernel table (gpu.asuca_kernels)
     compute_efficiency: float = 1.0
     #: sustained fraction of peak memory bandwidth achieved by real stencil
     #: kernels (GT200-era codes streamed at ~60-75% of peak)

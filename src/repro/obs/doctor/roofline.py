@@ -18,8 +18,8 @@ computed from measurement instead of the hand-entered cost table:
   measured element traffic, which counts every NumPy temporary) as a
   diagnostic;
 * **drift findings** in the shared sanitizer format when measurement
-  and the cost table disagree beyond the bands in
-  :mod:`repro.gpu.counters`: ``ROOF01`` (flops drift, error),
+  and the cost table disagree beyond the kernel's drift bands
+  (:mod:`repro.gpu.asuca_kernels`): ``ROOF01`` (flops drift, error),
   ``ROOF02`` (traffic drift, error), ``ROOF03`` (an on-path kernel of a
   counted run carries no measurement — warning, does not gate).
 
@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable, Sequence
 
 from ...analysis.findings import Finding
-from ...gpu.counters import bytes_drift, drift_band, flops_drift
+from ...gpu.asuca_kernels import ASUCA_KERNELS, KERNEL_TABLE, drift
 from ...gpu.roofline import RooflinePlacement, place_kernel, ridge_intensity
 from ...gpu.spec import DeviceSpec, Precision, TESLA_S1070
 from .critical_path import base_name
@@ -172,14 +172,11 @@ def roofline_from_records(
     :class:`~repro.gpu.device.Op` or trace
     :class:`~repro.obs.trace.DeviceOpRecord`) — only ``kind == 'kernel'``
     entries matter; launches are grouped by their Fig. 9 base name.
-    ``table`` overrides the cost table to validate against (name ->
-    :class:`~repro.gpu.kernel.Kernel` or
-    :class:`~repro.gpu.kernel.KernelCostModel`); the CLI's hidden
-    ``--seed-drift`` uses this to prove the gate fires.
+    ``table`` overrides the costs to validate against with a perturbed
+    copy of :data:`~repro.gpu.asuca_kernels.ASUCA_KERNELS`; the CLI's
+    hidden ``--seed-drift`` uses this to prove the gate fires.
     """
     if table is None:
-        from ...perf.costmodel import ASUCA_KERNELS
-
         table = ASUCA_KERNELS
 
     @dataclass
@@ -210,10 +207,6 @@ def roofline_from_records(
         acc.time_s += op.duration
         acc.points += m.get("points", 0.0)
 
-    def _cost(name: str):
-        k = table.get(name)
-        return getattr(k, "cost", k)   # Kernel or bare KernelCostModel
-
     report = RooflineReport(
         ridge=ridge_intensity(spec, precision),
         spec_name=spec.name, precision=precision.name,
@@ -232,21 +225,22 @@ def roofline_from_records(
                     message=f"kernel '{name}' ran {acc.unmeasured} launch(es)"
                             " without measured counts",
                     op=name,
-                    suggestion="bind it in bind_accounting_kernels() / "
-                               "accounting_args() so counted runs cover it",
+                    suggestion="declare it in gpu/asuca_kernels.py "
+                               "KERNEL_TABLE so counted runs cover it",
                 ))
             continue
-        cost = _cost(name)
+        kernel = table.get(name)
         fpp = acc.flops / acc.points if acc.points else 0.0
         bpp = acc.bytes_streamed / acc.points if acc.points else 0.0
         table_fpp = table_bpp = None
-        if cost is not None:
+        if kernel is not None:
+            cost, decl = kernel.cost, KERNEL_TABLE[name]
             table_fpp = cost.flops_per_point
             table_bpp = (cost.reads_per_point
                          + cost.writes_per_point) * itemsize
-            ratio = flops_drift(name, fpp, table_fpp)
+            ratio = drift(fpp, table_fpp, decl.flops_band)
             if ratio is not None:
-                lo, hi = drift_band(name)
+                lo, hi = decl.flops_band
                 report.findings.append(Finding(
                     code="ROOF01", severity="error",
                     message=f"kernel '{name}' measured "
@@ -254,10 +248,11 @@ def roofline_from_records(
                             f"{table_fpp:.2f} (ratio {ratio:.2f}, "
                             f"band [{lo}, {hi}])",
                     op=name,
-                    suggestion="re-derive the costmodel entry from the "
-                               "kernel or fix the accounting binding",
+                    suggestion="re-cost the kernel's KERNEL_TABLE "
+                               "declaration (or the @stencil it names) or "
+                               "fix its reference function",
                 ))
-            bratio = bytes_drift(name, bpp, table_bpp)
+            bratio = drift(bpp, table_bpp, decl.bytes_band)
             if bratio is not None:
                 report.findings.append(Finding(
                     code="ROOF02", severity="error",

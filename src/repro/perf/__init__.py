@@ -2,9 +2,9 @@
 the ASUCA kernel cost table, weak-scaling sweeps, the TSUBAME 2.0
 projection, and timeline reporting.
 
-``scaling`` and ``projection`` are loaded lazily (PEP 562): they depend on
-:mod:`repro.dist.overlap`, which itself uses the cost table here, and the
-lazy import breaks that cycle.
+``scaling`` and ``projection`` are loaded lazily (PEP 562): they pull in
+:mod:`repro.dist` (the overlap model), which importers that only price
+a step do not need.
 """
 from .counting import CountingArray, FlopCounter
 from .costmodel import (

@@ -1,38 +1,21 @@
-"""Analytic per-kernel cost table of the GPU ASUCA and the step-cost
-aggregator that drives every performance figure.
-
-The kernels and their launch counts per long time step mirror the paper's
-Fig. 1 execution flow and Sec. IV/V descriptions:
-
-* three Wicker-Skamarock RK stages, each computing slow tendencies
-  (advection of momentum and theta, Coriolis) and running acoustic
-  substeps (1, ns/2, ns of them);
-* per acoustic substep: horizontal pressure-gradient kernels, the
-  continuity/divergence kernel, the theta acoustic update, the 1-D
-  Helmholtz tridiagonal solver, and the EOS/pressure update;
-* once per long step: advection of the 13 water-substance-related tracers
-  (the paper's Fig. 7 pipeline), coordinate-transformation kernels
-  "applied to momentum components, density, potential temperature and
-  water substances several times", the Kessler warm-rain kernel ("called
-  once per time step, ~1.0% of GPU time"), and boundary operations.
-
-The five starred kernels are the ones placed on the paper's Fig. 5
-roofline.  ``compute_efficiency`` in the device spec and the per-kernel
-numbers below are calibrated (tests/perf/test_calibration.py) so that the
-320 x 256 x 48 single-precision mesh lands at ~44.3 GFlops with the
-double-precision run at ~33% of it, after which every other figure is
-model *output*, not input.
+"""The step-cost aggregator that drives every performance figure: the
+kernel table (:mod:`repro.gpu.asuca_kernels` — per-point costs and
+launches per long step, mirroring the paper's Fig. 1 execution flow)
+summed over one long step on one device.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
+from ..gpu.asuca_kernels import (
+    ASUCA_KERNELS,
+    DEFAULT_NS,
+    ROOFLINE_KERNELS,
+    launch_schedule,
+    step_schedule,
+)
 from ..gpu.coalescing import ArrayOrder
-from ..gpu.kernel import Kernel, KernelCostModel, LaunchConfig
 from ..gpu.spec import DeviceSpec, Precision, TESLA_S1070, OPTERON_CORE
-from ..stencil import table_costs
 
 __all__ = [
     "ASUCA_KERNELS",
@@ -44,149 +27,6 @@ __all__ = [
     "modeled_run_seconds",
     "DEFAULT_NS",
 ]
-
-#: acoustic substeps of the final RK stage (even); total substeps per long
-#: step = 1 + ns/2 + ns.  Chosen with the per-substep kernel list so one
-#: long step costs ~2.8e10 flop on a 320x256x48 mesh — the figure implied
-#: by the paper's 15.0 TFlops over 528 GPUs at 988 ms/step (Figs. 10/11).
-DEFAULT_NS = 12
-
-_STENCIL = LaunchConfig(block=(64, 4, 1), march_axis="y")
-_COLUMN = LaunchConfig(block=(64, 4, 1), march_axis="z")
-
-#: per-point (flops, reads, writes) derived from the stencil declarations
-#: in ``core/``/``physics/`` — the @stencil decorators are the source of
-#: truth for every table entry a NumPy kernel exists for
-_DECLARED = table_costs()
-
-
-def _declared_cost(name: str) -> KernelCostModel:
-    f, r, w = _DECLARED[name]
-    return KernelCostModel(f, r, w)
-
-#: the ASUCA kernel cost table (per-point flops / element reads / writes).
-#: Names marked (1)-(5) are the paper's Fig. 5 kernels.
-ASUCA_KERNELS: dict[str, Kernel] = {
-    # (1) coordinate transformation rho = J rho^: 2 reads, 1 write, 1 flop
-    "coord_transform": Kernel(
-        "coord_transform", KernelCostModel(1.0, 2.0, 1.0), launch_config=_STENCIL,
-        tag="transform",
-    ),
-    # (2) horizontal pressure gradient force (x): metric-corrected gradient
-    "pgf_x": Kernel(
-        "pgf_x", KernelCostModel(14.0, 5.0, 1.0), launch_config=_STENCIL, tag="short",
-    ),
-    "pgf_y": Kernel(
-        "pgf_y", KernelCostModel(14.0, 5.0, 1.0), launch_config=_STENCIL, tag="short",
-    ),
-    # (3) advection (x-momentum representative): Koren-limited 4-point
-    # stencils in 3 directions; shared-memory tiling keeps effective global
-    # reads low (Sec. IV-A-2)
-    "advection": Kernel(
-        "advection", _declared_cost("advection"), launch_config=_STENCIL,
-        tag="long",
-    ),
-    # (4) 1-D Helmholtz-like elliptic equation: tridiagonal assembly+solve
-    "helmholtz": Kernel(
-        "helmholtz", _declared_cost("helmholtz"), launch_config=_COLUMN,
-        tag="short",
-    ),
-    # (5) warm rain: transcendental-heavy, few memory accesses ("contains
-    # mathematical functions, such as log, exp, with few memory accesses";
-    # "called once per time step and spends only 1.0% GPU time")
-    "warm_rain": Kernel(
-        "warm_rain", _declared_cost("warm_rain"), launch_config=_STENCIL,
-        tag="physics",
-    ),
-    # remaining kernels of the execution flow
-    "momentum_update": Kernel(
-        "momentum_update", KernelCostModel(10.0, 4.0, 1.0), launch_config=_STENCIL,
-        tag="short",
-    ),
-    "continuity": Kernel(
-        "continuity", KernelCostModel(10.0, 5.0, 1.0), launch_config=_STENCIL,
-        tag="short",
-    ),
-    "theta_update": Kernel(
-        "theta_update", KernelCostModel(12.0, 6.0, 1.0), launch_config=_STENCIL,
-        tag="short",
-    ),
-    "vertical_flux": Kernel(
-        "vertical_flux", KernelCostModel(9.0, 4.0, 1.0), launch_config=_STENCIL,
-        tag="short",
-    ),
-    "eos_pressure": Kernel(
-        "eos_pressure", _declared_cost("eos_pressure"), launch_config=_STENCIL,
-        tag="short",
-    ),
-    "coriolis": Kernel(
-        "coriolis", KernelCostModel(8.0, 3.0, 2.0), launch_config=_STENCIL, tag="long",
-    ),
-    "array_copy": Kernel(
-        "array_copy", KernelCostModel(0.0, 1.0, 1.0), launch_config=_STENCIL,
-        tag="copy",
-    ),
-    "boundary_ops": Kernel(
-        "boundary_ops", _declared_cost("boundary_ops"), launch_config=_STENCIL,
-        tag="boundary",
-    ),
-    # the cold-rain (ice) extension — the paper's future work: "typical
-    # physics processes are compute bound and can easily extract GPU's
-    # performance" (Sec. V-B) and will "result in increased Flops"
-    # (Sec. VII).  Costed from repro.physics.ice.COLD_RAIN_FLOPS_PER_POINT.
-    "cold_rain": Kernel(
-        "cold_rain", KernelCostModel(320.0, 6.0, 5.0), launch_config=_STENCIL,
-        tag="physics",
-    ),
-}
-
-#: the five kernels of the paper's Fig. 5, in its numbering
-ROOFLINE_KERNELS = [
-    ("(1) coordinate transformation", "coord_transform"),
-    ("(2) pressure gradient (x)", "pgf_x"),
-    ("(3) advection", "advection"),
-    ("(4) Helmholtz-like eq.", "helmholtz"),
-    ("(5) warm rain", "warm_rain"),
-]
-
-#: tracers whose advection is pipelined in the paper's Fig. 7 experiment
-N_WATER_TRACERS = 13
-
-
-def launch_schedule(ns: int = DEFAULT_NS, *, include_ice: bool = False) -> list[tuple[str, int]]:
-    """(kernel name, launches per long step).
-
-    RK stages: 3; acoustic substeps: 1 + ns/2 + ns.  ``include_ice`` adds
-    the cold-rain extension kernel (the paper's future work).
-    """
-    nsub = 1 + max(ns // 2, 1) + ns
-    stages = 3
-    return [
-        # slow tendencies: momentum x/y/z + theta advection per stage,
-        # water-substance tracers per stage (RK3 recomputes them)
-        ("advection", stages * 4 + stages * N_WATER_TRACERS),
-        ("coriolis", stages),
-        # generalized-coordinate transforms: momentum (3), density, theta,
-        # water substances (13), roughly twice each per long step
-        ("coord_transform", 2 * (3 + 1 + 1 + N_WATER_TRACERS)),
-        # acoustic substeps: pressure gradients, explicit momentum updates
-        # (x, y), continuity, theta acoustic update, Helmholtz solve,
-        # vertical-flux updates of rho and theta, EOS/pressure update
-        ("pgf_x", nsub),
-        ("pgf_y", nsub),
-        ("momentum_update", 2 * nsub),
-        ("continuity", nsub),
-        ("theta_update", nsub),
-        ("helmholtz", nsub),
-        ("vertical_flux", 2 * nsub),
-        ("eos_pressure", nsub),
-        # RK-stage base copies and halo packing copies
-        ("array_copy", 5 * stages),
-        # physics + boundary
-        ("warm_rain", 1),
-        *((("cold_rain", 1),) if include_ice else ()),
-        ("boundary_ops", 4),
-    ]
 
 
 @dataclass
@@ -231,15 +71,14 @@ def asuca_step_cost(
     total_time = 0.0
     times: dict[str, float] = {}
     flops: dict[str, float] = {}
-    for name, count in launch_schedule(ns, include_ice=include_ice):
-        k = ASUCA_KERNELS[name]
+    for k, count in step_schedule(ns, include_ice=include_ice):
         t = count * k.duration(n_points, spec, precision, order)
         f = count * k.cost.flops(n_points)
         total_time += t
         total_flops += f
         total_bytes += count * k.cost.bytes_moved(n_points, precision)
-        times[name] = times.get(name, 0.0) + t
-        flops[name] = flops.get(name, 0.0) + f
+        times[k.name] = t
+        flops[k.name] = f
     return StepCost(
         n_points=n_points,
         precision=precision,
@@ -276,7 +115,8 @@ def modeled_run_seconds(
     if steps <= 0:
         return 0.0
     if backend == "cpu":
-        return steps * cpu_step_time(nx, ny, nz, ns=ns)
+        return steps * cpu_step_time(nx, ny, nz, ns=ns,
+                                     include_ice=include_ice)
     lx, ly = nx, ny
     if ranks is not None:
         px, py = ranks
@@ -288,13 +128,15 @@ def modeled_run_seconds(
 
 
 def cpu_step_time(
-    nx: int, ny: int, nz: int, *, spec: DeviceSpec = OPTERON_CORE, ns: int = DEFAULT_NS
+    nx: int, ny: int, nz: int, *, spec: DeviceSpec = OPTERON_CORE,
+    ns: int = DEFAULT_NS, include_ice: bool = False,
 ) -> float:
     """Time of one long step of the original Fortran on one CPU core
     (double precision).  The production code is modeled as sustaining
     ``compute_efficiency * peak`` flops — the Fig. 4 magenta line."""
     cost = asuca_step_cost(nx, ny, nz, spec=spec, precision=Precision.DOUBLE,
-                           order=ArrayOrder.KIJ, ns=ns)
+                           order=ArrayOrder.KIJ, ns=ns,
+                           include_ice=include_ice)
     # CPU execution: flops at sustained rate + memory at bandwidth, with
     # the kij-ordering giving it full cache-friendly bandwidth
     flop_time = cost.total_flops / (spec.peak_flops_dp * spec.compute_efficiency)

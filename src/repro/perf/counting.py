@@ -14,7 +14,7 @@ Usage::
     b = np.sqrt(a) + 2.0 * a
     counter.flops   # 3 * 1000 (sqrt counts its weight)
 
-The per-kernel analytic cost models in :mod:`repro.perf.costmodel` are
+The per-kernel analytic cost models in :mod:`repro.gpu.asuca_kernels` are
 validated against these measured counts on small grids.
 """
 from __future__ import annotations

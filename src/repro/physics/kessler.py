@@ -54,7 +54,7 @@ class KesslerConfig:
 
 @stencil(reads=("rho", "rhotheta", "qv", "qc", "qr"),
          writes=("rhotheta", "qv", "qc", "qr", "precip"), halo=0,
-         flops=400, loads=5, stores=3, table="warm_rain", stage="physics",
+         flops=400, loads=5, stores=3, stage="physics",
          # measured ratios: ~0.74-0.76 flops, ~37x streamed bytes (the
          # saturation/evaporation chain allocates aggressively)
          flops_band=(0.4, 1.5), bytes_band=(15.0, 60.0),

@@ -3,12 +3,13 @@
 Kernels in ``core/`` and ``physics/`` declare their shapes with
 :func:`~repro.stencil.spec.stencil` and dispatch through the active
 :class:`~repro.stencil.executor.StencilExecutor`; the declarations are
-the source of truth for the GPU cost table, the live-roofline drift
-bands, and the LINT03 halo check.  See docs/STENCILS.md.
+the source of truth for the spec-backed entries of the GPU kernel table
+(cost, launch geometry, live-roofline drift bands) and for the LINT03
+halo check.  See docs/STENCILS.md.
 """
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict
 
 from .executor import (
     BACKENDS,
@@ -44,9 +45,6 @@ __all__ = [
     "load_dycore_specs",
     "register_fused",
     "stencil",
-    "table_costs",
-    "declared_flops_band",
-    "declared_bytes_band",
     "use_executor",
 ]
 
@@ -75,50 +73,3 @@ def load_dycore_specs() -> Dict[str, StencilSpec]:
     from . import dycore  # noqa: F401
 
     return all_specs()
-
-
-def table_costs() -> Dict[str, Tuple[float, float, float]]:
-    """Cost-table entries derived from the stencil declarations:
-    table kernel name -> (flops, reads, writes) per point.
-
-    Several specs may price the same table entry (the four advection
-    kernels all price ``advection``); they must agree exactly — a
-    conflict raises so drift between declarations is impossible.
-    """
-    load_dycore_specs()
-    out: Dict[str, Tuple[float, float, float]] = {}
-    owner: Dict[str, str] = {}
-    for name, spec in all_specs().items():
-        if spec.table is None:
-            continue
-        cost = spec.cost_tuple()
-        if spec.table in out and out[spec.table] != cost:
-            raise ValueError(
-                f"stencil {name!r} declares cost {cost} for table kernel "
-                f"{spec.table!r} but {owner[spec.table]!r} declared "
-                f"{out[spec.table]} — the declarations must agree")
-        out[spec.table] = cost
-        owner[spec.table] = name
-    return out
-
-
-def _band_for(table_name: str, attr: str) -> Tuple[float, float] | None:
-    for spec in all_specs().values():
-        if spec.table == table_name:
-            band = getattr(spec, attr)
-            if band is not None:
-                return band
-    return None
-
-
-def declared_flops_band(table_name: str) -> Tuple[float, float] | None:
-    """The tightened measured/table flops drift band a spec declares for
-    ``table_name`` (None when no spec covers it or none declares one)."""
-    load_dycore_specs()
-    return _band_for(table_name, "flops_band")
-
-
-def declared_bytes_band(table_name: str) -> Tuple[float, float] | None:
-    """The tightened measured/table bytes drift band for ``table_name``."""
-    load_dycore_specs()
-    return _band_for(table_name, "bytes_band")

@@ -11,15 +11,16 @@ declaration layer, in the style of fv3core's gt4py stencils
 
 * :class:`StencilSpec` — name, ``reads``/``writes`` field roles, halo
   width, launch block, per-point FLOP/element costs, and (optionally)
-  the :data:`~repro.perf.costmodel.ASUCA_KERNELS` table entry the spec
-  prices plus tightened measured-drift bands for the live roofline.
+  tightened measured-drift bands for the live roofline.  A kernel-table
+  entry (:data:`~repro.gpu.asuca_kernels.KERNEL_TABLE`) priced from a
+  spec reads all of these off the spec object.
 * :func:`stencil` — the decorator; wraps a reference NumPy kernel into a
   :class:`StencilFunction` that dispatches through the active
   :class:`~repro.stencil.executor.StencilExecutor` (backend
   ``reference`` reproduces today's behavior exactly).
 * :data:`REGISTRY` — every declared stencil, keyed by name.  Downstream
-  consumers (``perf/costmodel``, ``gpu/counters``, ``analysis`` LINT03)
-  read shapes from here instead of re-deriving them from the AST.
+  consumers (``gpu/asuca_kernels``, ``analysis`` LINT03) read shapes
+  from here instead of re-deriving them from the AST.
 
 Fused implementations register separately (:func:`register_fused`) so
 the reference module never imports backend code.
@@ -59,9 +60,8 @@ class StencilSpec:
     reads beyond the interior it writes — the contract the halo exchange
     must satisfy before launch and the width LINT03 verifies by probing.
     ``flops/reads/writes_per_point`` are the hand-counted per-point costs
-    the GPU cost model prices launches with; when ``table`` names an
-    :data:`~repro.perf.costmodel.ASUCA_KERNELS` entry, those numbers
-    *are* that entry (the table is derived from the specs).
+    the GPU cost model prices launches with: a kernel-table entry that
+    names this spec takes them as its cost.
     """
 
     name: str
@@ -77,10 +77,8 @@ class StencilSpec:
     writes_per_point: float = 1.0
     #: 'dycore', 'physics', 'solver', or 'boundary'
     stage: str = "dycore"
-    #: ASUCA_KERNELS entry this spec prices (None: not in the step table)
-    table: str | None = None
     #: measured/table flops-per-point drift band for the live roofline
-    #: (None: the counters' default band applies)
+    #: (None: the kernel table's default band applies)
     flops_band: Tuple[float, float] | None = None
     #: measured/table bytes-per-point drift band (None: default band)
     bytes_band: Tuple[float, float] | None = None
@@ -162,7 +160,6 @@ def stencil(
     loads: float = 1.0,
     stores: float = 1.0,
     stage: str = "dycore",
-    table: str | None = None,
     flops_band: Tuple[float, float] | None = None,
     bytes_band: Tuple[float, float] | None = None,
     probe: bool = True,
@@ -173,7 +170,7 @@ def stencil(
     Usage::
 
         @stencil(reads=("phi", "fx", "fy", "fz"), writes=("tend",),
-                 halo=2, flops=80, loads=9, stores=1, table="advection")
+                 halo=2, flops=80, loads=9, stores=1)
         def advect_scalar(phi, fx, fy, fz, grid, limiter=koren):
             ...
     """
@@ -191,7 +188,6 @@ def stencil(
             reads_per_point=float(loads),
             writes_per_point=float(stores),
             stage=stage,
-            table=table,
             flops_band=flops_band,
             bytes_band=bytes_band,
             probe=probe,

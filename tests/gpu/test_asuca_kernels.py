@@ -1,25 +1,23 @@
-"""Tests of the bound dycore kernels and the model-vs-reality ranking."""
+"""Tests of the bound table kernels and the model-vs-reality ranking."""
 import numpy as np
 import pytest
 
-from repro.core.grid import make_grid
-from repro.core.reference import make_reference_state
-from repro.gpu.asuca_kernels import bind_dycore_kernels, measure_kernel_times
+from repro.gpu.asuca_kernels import ASUCA_KERNELS, bind, measure_kernel_times
 from repro.gpu.device import GPUDevice
 from repro.gpu.spec import Precision, TESLA_S1070
-from repro.workloads.sounding import constant_stability_sounding
+from repro.workloads.shear_layer import make_shear_layer_case
 
 
 @pytest.fixture(scope="module")
 def setup():
-    g = make_grid(32, 24, 16, 1000.0, 1000.0, 8000.0)
-    ref = make_reference_state(g, constant_stability_sounding())
-    return g, ref
+    case = make_shear_layer_case(nx=32, ny=24, nz=16)
+    return case.model.grid, case.model.ref, case.state
 
 
 def test_bound_kernels_execute(setup):
-    g, ref = setup
-    kernels = bind_dycore_kernels(g, ref)
+    g, ref, _ = setup
+    kernels = bind(g, ref)
+    assert set(kernels) == set(ASUCA_KERNELS)
     dev = GPUDevice(TESLA_S1070)
     rho_hat = ref.rho_c * g.jac[:, :, None]
     result, op = kernels["coord_transform"].launch(
@@ -36,14 +34,14 @@ def test_bound_kernels_execute(setup):
 
 def test_launch_matches_direct_call(setup):
     """The launch path is the same arithmetic as calling the function."""
-    g, ref = setup
-    kernels = bind_dycore_kernels(g, ref)
+    g, ref, state = setup
+    kernels = bind(g, ref)
     dev = GPUDevice(TESLA_S1070)
-    rng = np.random.default_rng(1)
-    pp = rng.normal(size=g.shape_c)
-    direct = kernels["pgf_x"].fn(pp)
-    launched, _ = kernels["pgf_x"].launch(dev, g.n_interior_cells, args=(pp,))
+    direct = kernels["pgf_x"].fn(state.rhotheta)
+    launched, _ = kernels["pgf_x"].launch(dev, g.n_interior_cells,
+                                          args=(state.rhotheta,))
     np.testing.assert_array_equal(direct, launched)
+    assert direct.shape == g.shape_u
 
 
 def test_measured_ranking_matches_model(setup):
@@ -51,13 +49,12 @@ def test_measured_ranking_matches_model(setup):
     on these kernels, so the cheap/expensive ordering must agree: the
     1-flop coordinate transform is the fastest per launch and the
     advection stencil the slowest of the streaming kernels."""
-    g, ref = setup
-    wall = measure_kernel_times(g, ref)
+    g, ref, state = setup
+    wall = measure_kernel_times(g, ref, state)
+    assert set(wall) == set(ASUCA_KERNELS)
     assert wall["coord_transform"] < wall["advection"]
     assert wall["pgf_x"] < wall["advection"]
     # and the model agrees on that ordering
-    from repro.perf.costmodel import ASUCA_KERNELS
-
     model = {
         name: ASUCA_KERNELS[name].duration(
             g.n_interior_cells, TESLA_S1070, Precision.SINGLE

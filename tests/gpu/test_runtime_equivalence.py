@@ -66,15 +66,21 @@ def test_upload_respects_capacity():
         runner.upload(case.state)
 
 
-def test_one_rank_multigpu_charges_the_runner_kernel_sequence():
-    """Both drivers charge a step through the one routine
-    (gpu.runtime.charge_step): on the same grid a 1x1 decomposition's
-    device carries exactly the runner's kernel ops."""
+@pytest.mark.parametrize("ice", [False, True], ids=["warm", "ice"])
+def test_one_rank_multigpu_charges_the_runner_kernel_sequence(ice):
+    """Both drivers take their schedule from the one resolver
+    (gpu.asuca_kernels.step_schedule, with the model's ``ice_enabled``)
+    and charge it through the one routine (gpu.runtime.charge_step): on
+    the same grid a 1x1 decomposition's device carries exactly the
+    runner's kernel ops — including the cold-rain kernel when ice is on."""
     ns = 4
     a = make_mountain_wave_case(nx=16, ny=8, nz=10, dx=2000.0, ztop=12000.0,
                                 dt=4.0, ns=ns)
     b = make_mountain_wave_case(nx=16, ny=8, nz=10, dx=2000.0, ztop=12000.0,
                                 dt=4.0, ns=ns)
+    for case in (a, b):
+        case.model.config.ice_enabled = ice
+        case.model.config.physics_enabled = ice
     runner = GpuAsucaRunner(a.model, ns=ns)
     runner.step(a.state)
 
@@ -91,3 +97,4 @@ def test_one_rank_multigpu_charges_the_runner_kernel_sequence():
 
     assert kernel_ops(device) == kernel_ops(runner.device)
     assert len(kernel_ops(device)) > 100
+    assert ("cold_rain" in {op.name for op in device.timeline}) == ice

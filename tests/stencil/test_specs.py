@@ -9,11 +9,8 @@ from repro.stencil import (
     FUSED_IMPLS,
     StencilExecutor,
     active_executor,
-    declared_bytes_band,
-    declared_flops_band,
     default_backend,
     load_dycore_specs,
-    table_costs,
     use_executor,
 )
 from repro.stencil.spec import StencilFunction, stencil
@@ -54,40 +51,11 @@ def test_decorated_function_is_a_stencil_function():
 
 
 # --------------------------------------------------------- declared costs
-def test_table_costs_match_the_cost_model():
-    """The cost table prices exactly what the declarations say — the
-    mapped entries of ASUCA_KERNELS are *derived* from the specs."""
-    from repro.perf.costmodel import ASUCA_KERNELS
-
-    derived = table_costs()
-    assert set(derived) == {"advection", "helmholtz", "eos_pressure",
-                            "warm_rain", "boundary_ops"}
-    for table_name, (flops, loads, stores) in derived.items():
-        k = ASUCA_KERNELS[table_name]
-        assert k.cost.flops_per_point == flops
-        assert k.cost.reads_per_point == loads
-        assert k.cost.writes_per_point == stores
-
-
-def test_declared_drift_bands_reach_the_counters():
-    from repro.gpu.counters import (
-        BYTES_DRIFT_BAND,
-        DEFAULT_DRIFT_BAND,
-        bytes_drift,
-        drift_band,
-    )
-
-    # specs with declared bands tighten the counters' gates
-    assert declared_flops_band("advection") == drift_band("advection")
-    assert declared_bytes_band("warm_rain") is not None
-    # a tightened band is strictly inside the permissive default
-    lo, hi = drift_band("advection")
-    assert DEFAULT_DRIFT_BAND[0] <= lo and hi <= DEFAULT_DRIFT_BAND[1]
-    # kernels without a declaration keep the defaults
-    assert drift_band("coord_transform") == DEFAULT_DRIFT_BAND
-    assert bytes_drift("coord_transform", 1.0, 1.0) is None  # in band
-    lo_b, hi_b = declared_bytes_band("warm_rain")
-    assert BYTES_DRIFT_BAND[0] <= lo_b and hi_b <= BYTES_DRIFT_BAND[1]
+def test_stencil_has_no_table_back_reference():
+    """The kernel table names the spec it is priced from, never the
+    reverse, so there is nothing to reconcile."""
+    with pytest.raises(TypeError, match="table"):
+        stencil(reads=("a",), writes=("b",), table="advection")
 
 
 # ----------------------------------------------------------------- executor
