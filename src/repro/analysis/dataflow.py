@@ -19,8 +19,8 @@ writes, and halo widths.  Five passes interpret that sequence:
   value is overwritten, on an always-reached branch, before any read.
 * ``LINT07`` **fusion legality** — every ``register_fused``
   implementation must match its declaration: the reference signature
-  plus the leading ``pool``, no stores into read-only roles, and no
-  leaked pool-leased buffers.
+  plus the leading ``plans``, no stores into read-only roles, and no
+  plan scratch escaping through a ``return``.
 * ``LINT08`` **precision flow** — under ``dtype_policy='preserve'``
   (the paper's single-precision design point, Sec. IV) neither the
   reference kernel nor an unguarded backend implementation may upcast:
@@ -270,44 +270,48 @@ def _stored_names(tree: ast.AST) -> dict[str, int]:
     return out
 
 
-def _leased_returns(tree: ast.AST) -> list[int]:
-    """Lines returning a buffer obtained from a pool lease (``mem.take``
-    where ``mem`` is a ``pool.lease()`` with-target), traced through
-    simple aliasing assignments."""
-    lease_targets: set[str] = set()
-    for node in ast.walk(tree):
-        if not isinstance(node, (ast.With, ast.AsyncWith)):
-            continue
-        for item in node.items:
-            ctx = item.context_expr
-            if (isinstance(ctx, ast.Call)
-                    and isinstance(ctx.func, ast.Attribute)
-                    and ctx.func.attr == "lease"
-                    and isinstance(item.optional_vars, ast.Name)):
-                lease_targets.add(item.optional_vars.id)
+#: ``Plan.scratch`` and the slab views built on it (``_Sweep.box``)
+_SCRATCH_ACCESSORS = {"scratch", "box"}
+_VIEW_MAKERS = {"reshape", "view", "moveaxis", "transpose", "swapaxes"}
 
-    def is_leased(expr: ast.expr) -> bool:
-        if (isinstance(expr, ast.Call)
-                and isinstance(expr.func, ast.Attribute)
-                and expr.func.attr == "take"
-                and isinstance(expr.func.value, ast.Name)
-                and expr.func.value.id in lease_targets):
-            return True
-        if isinstance(expr, ast.Name) and expr.id in leased_names:
-            return True
-        if isinstance(expr, ast.Call):  # np.moveaxis(leased, ...) etc.
-            return any(is_leased(a) for a in expr.args)
+
+def _scratch_returns(tree: ast.AST) -> list[int]:
+    """Lines returning plan scratch: a ``.scratch()``/``.box()`` view or
+    the ``.arena`` itself, traced through slicing, view-making calls,
+    ``out=`` results and simple aliasing assignments."""
+    names: set[str] = set()
+
+    def is_scratch(expr: ast.expr) -> bool:
+        if isinstance(expr, ast.Name):
+            return expr.id in names
+        if isinstance(expr, ast.Subscript):
+            return is_scratch(expr.value)
+        if isinstance(expr, ast.Attribute):
+            return expr.attr == "arena" or (expr.attr == "T"
+                                            and is_scratch(expr.value))
+        if isinstance(expr, (ast.GeneratorExp, ast.ListComp)):
+            return is_scratch(expr.elt)
+        if isinstance(expr, ast.Call):
+            f = expr.func
+            if isinstance(f, ast.Attribute) and (
+                    f.attr in _SCRATCH_ACCESSORS
+                    or f.attr in _VIEW_MAKERS and (
+                        is_scratch(f.value)
+                        or any(is_scratch(a) for a in expr.args))):
+                return True
+            return any(k.arg == "out" and is_scratch(k.value)
+                       for k in expr.keywords)
         return False
 
-    leased_names: set[str] = set()
     lines: list[int] = []
     for node in ast.walk(tree):
-        if isinstance(node, ast.Assign) and is_leased(node.value):
+        if isinstance(node, ast.Assign) and is_scratch(node.value):
             for t in node.targets:
-                if isinstance(t, ast.Name):
-                    leased_names.add(t.id)
+                for n in (t.elts if isinstance(t, ast.Tuple) else [t]):
+                    if isinstance(n, ast.Name):
+                        names.add(n.id)
         if (isinstance(node, ast.Return) and node.value is not None
-                and is_leased(node.value)):
+                and is_scratch(node.value)):
             lines.append(node.lineno)
     return lines
 
@@ -347,10 +351,10 @@ def fusion_findings(
         ref_params = _impl_params(ref) if ref is not None else None
         impl_params = _impl_params(impl)
         if ref_params is not None and impl_params is not None:
-            expected = ["pool"] + ref_params
-            if not impl_params or impl_params[0] != "pool":
-                emit(f"fused impl of '{name}' must take the scratch "
-                     f"pool as its first parameter "
+            expected = ["plans"] + ref_params
+            if not impl_params or impl_params[0] != "plans":
+                emit(f"fused impl of '{name}' must take the plan "
+                     f"cache as its first parameter "
                      f"(got {tuple(impl_params)})")
             elif impl_params != expected:
                 emit(f"fused impl of '{name}' signature "
@@ -368,13 +372,12 @@ def fusion_findings(
                 emit(f"fused impl of '{name}' writes into "
                      f"'{role}', declared read-only by its spec",
                      at=stored[role])
-        for lineno in _leased_returns(tree):
-            emit(f"fused impl of '{name}' returns a pool-leased "
-                 f"buffer — the lease ends at the with-block and "
-                 f"the caller would alias recycled scratch",
+        for lineno in _scratch_returns(tree):
+            emit(f"fused impl of '{name}' returns plan scratch — "
+                 f"the next kernel overwrites the arena and the "
+                 f"caller would alias recycled memory",
                  at=lineno,
-                 suggestion="copy into a fresh array (or take "
-                            "the output outside the lease) "
+                 suggestion="write the result into a fresh array "
                             "before returning")
     return findings
 

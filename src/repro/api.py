@@ -150,8 +150,9 @@ class RunSpec:
     ice: bool = False
     #: stencil executor backend ('reference' / 'fused', or
     #: 'auto' = the process default, i.e. $REPRO_STENCIL_BACKEND or
-    #: 'reference') — the fused path is bit-identical to the reference,
-    #: so this never enters the spec hash (see _NON_SEMANTIC_FIELDS)
+    #: 'fused', the planned path) — fused is byte-identical to the
+    #: reference oracle, so this never enters the spec hash (see
+    #: _NON_SEMANTIC_FIELDS)
     stencil_backend: str = "auto"
     # ---------------------------------------------------- observability
     trace_path: str | None = None
@@ -228,7 +229,7 @@ class RunSpec:
         # computed fields are bit-identical with or without it
         "counters", "counter_every",
         # the fused executor is bit-identical to the reference (enforced
-        # by tests/stencil/test_fused_identity.py), so the backend choice
+        # by tests/stencil/test_planned_identity.py), so the backend choice
         # does not change what a run computes — a cached result from one
         # backend is valid for all of them
         "stencil_backend",
@@ -304,7 +305,7 @@ class RunResult:
     resumed_from: int | None = None
     halo_messages: int = 0
     halo_bytes: int = 0
-    #: stencil executor dispatch/pool stats (StencilExecutor.stats())
+    #: stencil executor dispatch/arena stats (StencilExecutor.stats())
     stencil_stats: dict | None = None
     #: per-step point-product series recorded by the workload case (the
     #: vortex case's track: time, center, max wind), when it records one
@@ -436,6 +437,12 @@ class Experiment:
             self._initial = self.state.copy()
         else:
             self._initial = self.state.copy()
+
+        if self.executor.backend != "reference":
+            # build (or find) the per-shape plans now, so that their cost
+            # is part of set-up and not of the first step
+            for g in self._grids():
+                self.executor.plans(g.shape_c, self.state.rho.dtype)
 
         if spec.resume:
             if self.checkpoints.latest_step() is None:

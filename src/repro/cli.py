@@ -91,10 +91,10 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--stencil-backend", default="auto",
                      choices=["auto", "reference", "fused"],
                      help="stencil executor backend (docs/STENCILS.md): "
-                          "'fused' reuses pooled temporaries and "
-                          "precompiled slice plans, bit-identical to "
-                          "'reference'; 'auto' follows "
-                          "$REPRO_STENCIL_BACKEND, else 'reference'")
+                          "'fused' runs the planned slab-blocked "
+                          "bodies, byte-identical to the textbook "
+                          "'reference' oracle; 'auto' follows "
+                          "$REPRO_STENCIL_BACKEND, else 'fused'")
     run.add_argument("--history", type=str, default=None,
                      help="write snapshots to this .npz")
     run.add_argument("--history-every", type=float, default=60.0,

@@ -36,13 +36,15 @@ from .. import constants as c
 from .advection import contravariant_mass_flux_w
 from .grid import Grid
 from ..profiling import profile_phase
+from ..stencil.plan import Recent
 from .helmholtz import HelmholtzOperator
 from .pressure import eos_pressure, linearization_coefficient
 from .reference import ReferenceState
 from .state import State
 
-__all__ = ["AcousticContext", "SlowForcing", "AcousticStepper",
-           "acoustic_integrate", "build_context", "ACOUSTIC_FIELDS"]
+__all__ = ["AcousticContext", "SlowForcing", "AcousticScratch",
+           "AcousticStepper", "acoustic_integrate", "build_context",
+           "ACOUSTIC_FIELDS"]
 
 
 @dataclass
@@ -109,15 +111,14 @@ def build_context(state: State, ref: ReferenceState, p_ref: np.ndarray) -> Acous
     )
 
 
-def _dpp_dz_centers(pp: np.ndarray, grid: Grid) -> np.ndarray:
+def _dpp_dz_centers(pp: np.ndarray, grid: Grid, out: np.ndarray) -> np.ndarray:
     """(1/G) d(pp)/dx3 at cell centers (= physical d pp/dz), centered in the
-    interior, one-sided at the bottom/top cells."""
-    nz = grid.nz
-    out = np.empty_like(pp)
-    span = (grid.z_c[2:] - grid.z_c[:-2])[None, None, :]
-    out[:, :, 1:-1] = (pp[:, :, 2:] - pp[:, :, :-2]) / span
+    interior, one-sided at the bottom/top cells; written into ``out``."""
+    mid = out[:, :, 1:-1]
+    np.subtract(pp[:, :, 2:], pp[:, :, :-2], out=mid)
+    np.divide(mid, (grid.z_c[2:] - grid.z_c[:-2])[None, None, :], out=mid)
     out[:, :, 0] = (pp[:, :, 1] - pp[:, :, 0]) / (grid.z_c[1] - grid.z_c[0])
-    out[:, :, nz - 1] = (pp[:, :, -1] - pp[:, :, -2]) / (grid.z_c[-1] - grid.z_c[-2])
+    out[:, :, -1] = (pp[:, :, -1] - pp[:, :, -2]) / (grid.z_c[-1] - grid.z_c[-2])
     out /= grid.jac[:, :, None]
     return out
 
@@ -128,9 +129,44 @@ def _metric_flux(rhou: np.ndarray, rhov: np.ndarray, grid: Grid) -> np.ndarray:
     return contravariant_mass_flux_w(rhou, rhov, zero_w, grid)
 
 
-def _dz_center_from_faces(flux_w: np.ndarray, grid: Grid) -> np.ndarray:
+def _dz_center_from_faces(
+    flux_w: np.ndarray, grid: Grid, out: np.ndarray | None = None
+) -> np.ndarray:
     """(d/dx3) of a w-face flux, at centers: (F[k+1] - F[k]) / dz_c[k]."""
-    return (flux_w[:, :, 1:] - flux_w[:, :, :-1]) / grid.dz_c[None, None, :]
+    out = np.subtract(flux_w[:, :, 1:], flux_w[:, :, :-1], out=out)
+    return np.divide(out, grid.dz_c[None, None, :], out=out)
+
+
+class AcousticScratch:
+    """Every within-substep temporary for one grid shape, allocated once
+    and shared by all steppers on that shape (a substep runs to
+    completion, so nothing here is live between substeps; the
+    divergence-damping history ``pp`` is stepper-owned for that reason).
+    Float64 like the grid metrics every chain runs through."""
+
+    def __init__(self, nx: int, ny: int, nz: int, halo: int, terrain: bool):
+        def buf(shape, count):
+            return [np.empty(shape) for _ in range(count)]
+
+        nxh, nyh = nx + 2 * halo, ny + 2 * halo
+        self.c = buf((nxh, nyh, nz), 3 if terrain else 2)  # cell-shaped
+        self.gu = buf((nx + 1, ny, nz), 1 + terrain)      # interior u faces
+        self.gv = buf((nx, ny + 1, nz), 1 + terrain)      # interior v faces
+        self.i = buf((nx, ny, nz), 5)                     # interior cells
+        self.k = buf((nx, ny, nz - 1), 2)                 # interior w faces
+        self.w = buf((nxh, nyh, nz + 1), 2)               # w-shaped
+        # the Helmholtz operator's image of w, on the w buffers' memory
+        n = nxh * nyh * (nz - 1)
+        self.aw = [w.reshape(-1)[:n].reshape(nxh, nyh, nz - 1)
+                   for w in self.w]
+        #: Helmholtz right-hand side; its halo columns stay zero
+        self.rhs = np.zeros((nxh, nyh, nz - 1))
+
+
+#: process-wide and bounded like the stencil plans: scratch owned by every
+#: integrator would linger in each finished Experiment until the collector
+#: runs
+_SCRATCH = Recent(AcousticScratch)
 
 
 #: prognostic fields refreshed after every acoustic substep — the
@@ -180,6 +216,25 @@ class AcousticStepper:
         self.pp_prev: np.ndarray | None = None
         self.has_terrain = not g.is_flat()
         self._done = 0
+        self.s = _SCRATCH(g.nx, g.ny, g.nz, g.halo, self.has_terrain)
+        self._pp = (np.empty(g.shape_c), np.empty(g.shape_c))
+        # substep-invariant operands, evaluated once with the substep's own
+        # operations: the negated face Jacobians, the terrain metric
+        # products and the stage-flux vertical theta transport
+        h = g.halo
+        sx, sy = g.isl
+        self._su = su = (slice(h, h + g.nx + 1), sy)        # interior u faces
+        self._sv = sv = (sx, slice(h, h + g.ny + 1))        # interior v faces
+        self._njac_u = -g.jac_u[su][:, :, None]
+        self._njac_v = -g.jac_v[sv][:, :, None]
+        self._met_u = self._met_v = None
+        if self.has_terrain:
+            self._met_u = (g.jac_u[su][:, :, None] * g.dzsdx_u[su][:, :, None]
+                           * g.decay_c[None, None, :])
+            self._met_v = (g.jac_v[sv][:, :, None] * g.dzsdy_v[sv][:, :, None]
+                           * g.decay_c[None, None, :])
+        self._dws = (_dz_center_from_faces(ctx.theta_wf * forcing.w_s, g)[sx, sy]
+                     / self.jac3[sx, sy])
 
     def substep(self) -> list[str]:
         """One acoustic substep; returns the field names whose halos are
@@ -189,127 +244,139 @@ class AcousticStepper:
         with profile_phase("acoustic_substep"):
             return self._substep_impl()
 
+    def _pgf(self, pp_h, dppdz, axis, sl, njac, met, d, tend, mom):
+        """Explicit horizontal momentum update along ``axis`` on the
+        interior faces ``sl``: ``mom += dtau * (pgf + tend)``."""
+        lo = tuple(slice(s.start - (a == axis), s.stop - (a == axis))
+                   for a, s in enumerate(sl))
+        pgf, *t = (self.s.gu, self.s.gv)[axis]
+        np.subtract(pp_h[sl], pp_h[lo], out=pgf)
+        np.divide(pgf, d, out=pgf)
+        np.multiply(njac, pgf, out=pgf)
+        if dppdz is not None:
+            t, = t
+            np.add(dppdz[sl], dppdz[lo], out=t)
+            np.multiply(0.5, t, out=t)
+            np.multiply(met, t, out=t)
+            np.add(pgf, t, out=pgf)
+        np.add(pgf, tend[sl], out=pgf)
+        np.multiply(self.dtau, pgf, out=pgf)
+        np.add(mom[sl], pgf, out=mom[sl])
+
     def _substep_impl(self) -> list[str]:
-        ctx = self.ctx
-        forcing = self.forcing
-        st = self.st
-        g = self.g
-        h = g.halo
+        ctx, forcing, st, g, s = self.ctx, self.forcing, self.st, self.g, self.s
+        h, nx, ny = g.halo, g.nx, g.ny
         sx, sy = g.isl
-        dtau = self.dtau
-        beta = self.beta
-        jac3 = self.jac3
-        has_terrain = self.has_terrain
-        helm = self.helm
-        pp_prev = self.pp_prev
-        div_damp = self.div_damp
+        dtau, beta, jac3 = self.dtau, self.beta, self.jac3
+        i0, i1, i2, i3, i4 = s.i
+        k0, k1 = s.k
+        w0, w1 = s.w
 
         # (1) perturbation pressure ------------------------------------
-        pp = ctx.pc + ctx.cp_lin * st.rhotheta
-        if pp_prev is not None and div_damp > 0.0:
-            pp_h = pp + div_damp * (pp - pp_prev)
+        pp = self._pp[self._done % 2]
+        np.multiply(ctx.cp_lin, st.rhotheta, out=pp)
+        np.add(ctx.pc, pp, out=pp)
+        if self.pp_prev is not None and self.div_damp > 0.0:
+            pp_h = s.c[0]
+            np.subtract(pp, self.pp_prev, out=pp_h)
+            np.multiply(self.div_damp, pp_h, out=pp_h)
+            np.add(pp, pp_h, out=pp_h)
         else:
             pp_h = pp
         self.pp_prev = pp
 
         # (2) horizontal momentum (explicit) ---------------------------
-        ux0, ux1 = h, h + g.nx + 1          # interior u faces
-        grad_x = (pp_h[ux0:ux1, sy] - pp_h[ux0 - 1 : ux1 - 1, sy]) / g.dx
-        pgf_u = -g.jac_u[ux0:ux1, sy, None] * grad_x
-        if has_terrain:
-            dppdz = _dpp_dz_centers(pp_h, g)
-            dppdz_u = 0.5 * (dppdz[ux0:ux1, sy] + dppdz[ux0 - 1 : ux1 - 1, sy])
-            pgf_u += (
-                g.jac_u[ux0:ux1, sy, None]
-                * g.dzsdx_u[ux0:ux1, sy, None]
-                * g.decay_c[None, None, :]
-                * dppdz_u
-            )
-        st.rhou[ux0:ux1, sy] += dtau * (pgf_u + forcing.r_u[ux0:ux1, sy])
-
-        vy0, vy1 = h, h + g.ny + 1          # interior v faces
-        grad_y = (pp_h[sx, vy0:vy1] - pp_h[sx, vy0 - 1 : vy1 - 1]) / g.dy
-        pgf_v = -g.jac_v[sx, vy0:vy1, None] * grad_y
-        if has_terrain:
-            dppdz_v = 0.5 * (dppdz[sx, vy0:vy1] + dppdz[sx, vy0 - 1 : vy1 - 1])
-            pgf_v += (
-                g.jac_v[sx, vy0:vy1, None]
-                * g.dzsdy_v[sx, vy0:vy1, None]
-                * g.decay_c[None, None, :]
-                * dppdz_v
-            )
-        st.rhov[sx, vy0:vy1] += dtau * (pgf_v + forcing.r_v[sx, vy0:vy1])
+        dppdz = None
+        if self.has_terrain:
+            dppdz = _dpp_dz_centers(pp_h, g, s.c[2])
+        self._pgf(pp_h, dppdz, 0, self._su, self._njac_u,
+                  self._met_u, g.dx, forcing.r_u, st.rhou)
+        self._pgf(pp_h, dppdz, 1, self._sv, self._njac_v,
+                  self._met_v, g.dy, forcing.r_v, st.rhov)
 
         # (3) explicit parts of continuity / thermodynamics ------------
         # horizontal divergence of the updated mass fluxes
-        dfx = (st.rhou[h + 1 : h + g.nx + 1, sy] - st.rhou[h : h + g.nx, sy]) / g.dx
-        dfy = (st.rhov[sx, h + 1 : h + g.ny + 1] - st.rhov[sx, h : h + g.ny]) / g.dy
-
-        if has_terrain:
+        xp, xm = slice(h + 1, h + nx + 1), slice(h, h + nx)
+        yp, ym = slice(h + 1, h + ny + 1), slice(h, h + ny)
+        np.subtract(st.rhou[xp, sy], st.rhou[xm, sy], out=i0)
+        np.divide(i0, g.dx, out=i0)
+        np.subtract(st.rhov[sx, yp], st.rhov[sx, ym], out=i1)
+        np.divide(i1, g.dy, out=i1)
+        np.add(i0, i1, out=i0)
+        if self.has_terrain:
             m_now = _metric_flux(st.rhou, st.rhov, g)
-            dm = _dz_center_from_faces(m_now, g)[sx, sy]
+            np.add(i0, _dz_center_from_faces(m_now, g, s.c[1])[sx, sy], out=i0)
         else:
-            m_now = None
-            dm = 0.0
-        rho_e = st.rho[sx, sy] - dtau * (dfx + dfy + dm)
+            np.add(i0, 0.0, out=i0)      # the flat metric term (-0.0 -> +0.0)
+        np.multiply(dtau, i0, out=i0)
+        rho_e = np.subtract(st.rho[sx, sy], i0, out=i0)
 
-        # theta: perturbation fluxes relative to the stage fluxes
-        du_p = st.rhou - forcing.fx_s
-        dv_p = st.rhov - forcing.fy_s
-        thx = ctx.theta_xf
-        thy = ctx.theta_yf
-        dfx_t = (
-            thx[h + 1 : h + g.nx + 1, sy] * du_p[h + 1 : h + g.nx + 1, sy]
-            - thx[h : h + g.nx, sy] * du_p[h : h + g.nx, sy]
-        ) / g.dx
-        dfy_t = (
-            thy[sx, h + 1 : h + g.ny + 1] * dv_p[sx, h + 1 : h + g.ny + 1]
-            - thy[sx, h : h + g.ny] * dv_p[sx, h : h + g.ny]
-        ) / g.dy
-        if has_terrain:
-            dm_p = _dz_center_from_faces(
-                ctx.theta_wf * (m_now - forcing.m_s), g
-            )[sx, sy]
-        else:
-            dm_p = 0.0
+        # theta: perturbation fluxes relative to the stage fluxes (only
+        # the interior faces of the differences are ever read)
+        du_p = np.subtract(st.rhou[self._su], forcing.fx_s[self._su], out=s.gu[0])
+        dv_p = np.subtract(st.rhov[self._sv], forcing.fy_s[self._sv], out=s.gv[0])
+        np.multiply(ctx.theta_xf[xp, sy], du_p[1:], out=i1)
+        np.multiply(ctx.theta_xf[xm, sy], du_p[:-1], out=i2)
+        np.subtract(i1, i2, out=i1)
+        np.divide(i1, g.dx, out=i1)                           # dfx_t
+        np.multiply(ctx.theta_yf[sx, yp], dv_p[:, 1:], out=i2)
+        np.multiply(ctx.theta_yf[sx, ym], dv_p[:, :-1], out=i3)
+        np.subtract(i2, i3, out=i2)
+        np.divide(i2, g.dy, out=i2)                           # dfy_t
+        np.subtract(forcing.r_theta[sx, sy], i1, out=i3)
+        np.subtract(i3, i2, out=i3)
+        if self.has_terrain:
+            np.subtract(m_now, forcing.m_s, out=w0)
+            np.multiply(ctx.theta_wf, w0, out=w0)
+            np.subtract(i3, _dz_center_from_faces(w0, g, s.c[1])[sx, sy], out=i3)
+        # (flat: the reference subtracts dm_p = 0.0, an exact identity)
         # explicit stage-flux vertical theta transport is inside r_theta;
         # add back the w_s part that the implicit operator will replace
-        dws = _dz_center_from_faces(ctx.theta_wf * forcing.w_s, g)[sx, sy] / jac3[sx, sy]
-        theta_e = st.rhotheta[sx, sy] + dtau * (
-            forcing.r_theta[sx, sy] - dfx_t - dfy_t - dm_p + dws
-        )
+        np.add(i3, self._dws, out=i3)
+        np.multiply(dtau, i3, out=i3)
+        theta_e = np.add(st.rhotheta[sx, sy], i3, out=i3)
 
         # (4) vertical implicit solve ----------------------------------
-        rho_be = beta * rho_e + (1.0 - beta) * st.rho[sx, sy]
-        theta_be = beta * theta_e + (1.0 - beta) * st.rhotheta[sx, sy]
-
-        pp_be = ctx.pc[sx, sy] + ctx.cp_lin[sx, sy] * theta_be
-        dz_pp = (pp_be[:, :, 1:] - pp_be[:, :, :-1]) / g.dz_f[None, None, 1:-1]
-        buoy = 0.5 * (
-            (rho_be - ctx.rho_ref_hat[sx, sy])[:, :, 1:]
-            + (rho_be - ctx.rho_ref_hat[sx, sy])[:, :, :-1]
-        )
-        rhs_e = (
-            st.rhow[sx, sy, 1:-1]
-            + dtau * (-dz_pp - c.G * buoy + forcing.r_w[sx, sy, 1:-1])
-        )
+        np.multiply(beta, rho_e, out=i1)
+        np.multiply(1.0 - beta, st.rho[sx, sy], out=i2)
+        rho_be = np.add(i1, i2, out=i1)
+        np.multiply(beta, theta_e, out=i2)
+        np.multiply(1.0 - beta, st.rhotheta[sx, sy], out=i4)
+        np.add(i2, i4, out=i2)                                # theta_be
+        np.multiply(ctx.cp_lin[sx, sy], i2, out=i2)
+        pp_be = np.add(ctx.pc[sx, sy], i2, out=i2)
+        np.subtract(pp_be[:, :, 1:], pp_be[:, :, :-1], out=k0)
+        np.divide(k0, g.dz_f[None, None, 1:-1], out=k0)       # dz_pp
+        np.subtract(rho_be, ctx.rho_ref_hat[sx, sy], out=i1)
+        np.add(i1[:, :, 1:], i1[:, :, :-1], out=k1)
+        np.multiply(0.5, k1, out=k1)                          # buoy
+        np.negative(k0, out=k0)
+        np.multiply(c.G, k1, out=k1)
+        np.subtract(k0, k1, out=k0)
+        np.add(k0, forcing.r_w[sx, sy, 1:-1], out=k0)
+        np.multiply(dtau, k0, out=k0)
+        rhs_i = s.rhs[sx, sy]
+        np.add(st.rhow[sx, sy, 1:-1], k0, out=rhs_i)
         # trapezoidal correction from the known W^n
-        rhs = np.zeros((g.nxh, g.nyh, g.nz - 1), dtype=st.rho.dtype)
-        rhs[sx, sy] = rhs_e
         if beta < 1.0:
-            aw = helm.apply(st.rhow)
-            rhs[sx, sy] += ((1.0 - beta) / beta) * (
-                st.rhow[sx, sy, 1:-1] - aw[sx, sy]
-            )
+            aw = self.helm.apply(st.rhow, *s.aw)
+            np.subtract(st.rhow[sx, sy, 1:-1], aw[sx, sy], out=k1)
+            np.multiply((1.0 - beta) / beta, k1, out=k1)
+            np.add(rhs_i, k1, out=rhs_i)
         with profile_phase("helmholtz_solve"):
-            w_new = helm.solve(rhs)
-        w_beta = beta * w_new + (1.0 - beta) * st.rhow
+            w_new = self.helm.solve(s.rhs)
+        np.multiply(beta, w_new, out=w0)
+        np.multiply(1.0 - beta, st.rhow, out=w1)
+        w_beta = np.add(w0, w1, out=w0)
 
         # implied vertical-flux updates
-        st.rho[sx, sy] = rho_e - dtau * _dz_center_from_faces(w_beta, g)[sx, sy] / jac3[sx, sy]
-        st.rhotheta[sx, sy] = theta_e - dtau * _dz_center_from_faces(
-            ctx.theta_wf * w_beta, g
-        )[sx, sy] / jac3[sx, sy]
+        np.multiply(dtau, _dz_center_from_faces(w_beta, g, s.c[1])[sx, sy], out=i1)
+        np.divide(i1, jac3[sx, sy], out=i1)
+        np.subtract(rho_e, i1, out=st.rho[sx, sy])
+        np.multiply(ctx.theta_wf, w_beta, out=w1)
+        np.multiply(dtau, _dz_center_from_faces(w1, g, s.c[1])[sx, sy], out=i1)
+        np.divide(i1, jac3[sx, sy], out=i1)
+        np.subtract(theta_e, i1, out=st.rhotheta[sx, sy])
         st.rhow[sx, sy] = w_new[sx, sy]
 
         self._done += 1

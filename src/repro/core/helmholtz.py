@@ -87,14 +87,17 @@ class HelmholtzOperator:
             )
 
     # ------------------------------------------------------------------ ops
-    def apply(self, w_full: np.ndarray) -> np.ndarray:
+    def apply(self, w_full: np.ndarray, out: np.ndarray | None = None,
+              tmp: np.ndarray | None = None) -> np.ndarray:
         """Apply A to a full (nxh, nyh, nz+1) w-momentum array; returns the
         result at interior faces, shape (nxh, nyh, nz-1).  Boundary faces
-        of the input participate as known values."""
-        w_km = w_full[:, :, :-2]
-        w_k = w_full[:, :, 1:-1]
-        w_kp = w_full[:, :, 2:]
-        return self.sub * w_km + self.diag * w_k + self.sup * w_kp
+        of the input participate as known values.  ``out``/``tmp``:
+        optional result and scratch arrays of that shape."""
+        out = np.multiply(self.sub, w_full[:, :, :-2], out=out)
+        tmp = np.multiply(self.diag, w_full[:, :, 1:-1], out=tmp)
+        np.add(out, tmp, out=out)
+        np.multiply(self.sup, w_full[:, :, 2:], out=tmp)
+        return np.add(out, tmp, out=out)
 
     def solve(self, rhs_interior: np.ndarray) -> np.ndarray:
         """Solve ``A(W) = rhs`` with zero boundary faces; returns the full

@@ -18,7 +18,7 @@ from .executor import (
     default_backend,
     use_executor,
 )
-from .pool import BufferPool
+from .plan import PLANS, Plan
 from .spec import (
     FUSED_IMPLS,
     REGISTRY,
@@ -32,8 +32,9 @@ from .spec import (
 
 __all__ = [
     "BACKENDS",
-    "BufferPool",
     "FUSED_IMPLS",
+    "PLANS",
+    "Plan",
     "REGISTRY",
     "StencilExecutor",
     "StencilFunction",

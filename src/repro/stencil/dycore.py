@@ -1,26 +1,25 @@
-"""Fused implementations of the declared dycore stencils.
+"""Planned implementations of the declared dycore stencils.
 
-Every function here is the pooled-buffer twin of a reference kernel in
-``repro.core`` — same arithmetic operations, same operation order, same
-operand order, so the results are **bit-identical** (IEEE-754 float ops
-are deterministic; only the memory management differs).  The speedup
-comes from three mechanical changes:
+Each function is the fast twin of a reference kernel in ``repro.core``
+and **byte-identical** to it (``tobytes()``, signed zeros included) for
+every argument combination it accepts; for the rest (non-Koren limiters,
+mixed dtypes, ndarray subclasses, sub-4-level columns) it returns
+``NotImplemented`` and the executor runs the reference.  Identity holds
+by construction — only two kinds of change are made (docs/STENCILS.md):
 
-* temporaries come from the executor's :class:`~repro.stencil.pool.
-  BufferPool` instead of the allocator (the reference advection kernel
-  alone allocates ~20 full-field temporaries per call, 21 calls per RK3
-  step);
-* elementwise work lands in those buffers via ``out=`` ufunc calls;
-* slice plans are applied directly to the target windows instead of
-  materializing full-extent intermediates and slicing afterwards
-  (slicing commutes with elementwise ops, so the selected bits are the
-  same ones the reference computes).
+* *elementwise commuting*: a slice, a shift or an upwind select applied
+  before an elementwise op picks the same bits the reference picks after
+  it.  The Koren face value selects its stencil ``(a, b, c)`` or
+  ``(d, c, b)`` per face first and evaluates the limiter once, on
+  **unit-stride flat views**: a shift along x/y/z of a contiguous field
+  is an offset of ``ny*nz`` / ``nz`` / ``1`` elements, and the positions
+  that straddle a row are computed and never read.
+* *same op, same operands, other memory*: every temporary lives in the
+  plan's slab-sized arena (:mod:`repro.stencil.plan`) and is written
+  with ``out=``; the Thomas factors ``cp``/``denom`` depend only on the
+  operator, so they are computed once per operator, k-leading.
 
-An implementation returns ``NotImplemented`` for argument combinations
-it does not cover (non-Koren limiters, mixed dtypes, sub-4-level
-columns) and the executor falls back to the reference — correctness
-never depends on coverage.  tests/stencil/test_fused_identity.py holds
-the whole layer to ``np.array_equal`` on the tier-1 workloads.
+Nothing taken from ``pl.scratch`` is ever returned.
 """
 from __future__ import annotations
 
@@ -28,264 +27,301 @@ import numpy as np
 
 from .. import constants as c
 from ..core.limiter import koren
+from .plan import NBUF
 from .spec import register_fused
 
 __all__: list[str] = []
 
 
-# ------------------------------------------------------------------ koren
-def _koren_upwind(mem, base, g1, g2, shape, dt_):
-    """``base + 0.5 * koren(g1, g2)`` with pooled buffers.
+def _plain(*arrays) -> bool:
+    """Same-dtype float32/float64 exact ndarrays (a subclass such as the
+    FLOP-counting array must see the reference's own ufunc calls)."""
+    dt_ = arrays[0].dtype
+    return dt_.kind == "f" and dt_.itemsize in (4, 8) and all(
+        type(a) is np.ndarray and a.dtype == dt_ for a in arrays)
 
-    Mirrors :func:`repro.core.limiter.koren` op for op; ``g1``/``g2``
-    are consumed (they are caller-leased scratch).
+
+# ------------------------------------------------------------ face sweep
+def _faces(pl, pf, lo, hi, s, fa, out):
+    """``out = fa * phi_face`` on the flat faces ``[lo, hi)`` of the
+    contiguous field ``pf``; face ``i`` lies between ``pf[i]`` and
+    ``pf[i + s]`` and carries the mass flux ``fa[i - lo]``.
+
+    The reference evaluates ``b + 0.5*koren(b-a, c-b)`` and
+    ``c + 0.5*koren(c-d, b-c)`` and keeps one by the sign of the flux;
+    here the flux sign first blends the *operands* bitwise
+    (``n ^ ((n ^ p) & mask)``, exact for every bit pattern), then the
+    very same op sequence runs once.
     """
-    s = np.sign(g1, out=mem.take(shape, dt_))
-    g1s = np.abs(g1, out=g1)
-    g2s = np.multiply(g2, s, out=g2)
-    t2 = np.multiply(2.0, g2s, out=mem.take(shape, dt_))
-    t3 = np.add(g1s, t2, out=mem.take(shape, dt_))
+    n = hi - lo
+    pi = pf.view(pl.bits)
+    # five buffers, each as bits and as floats: the blended operands
+    # down/up are read back as the gradients' inputs g2/g1, and the mask
+    # and xor buffers are free for t3/sg once the blends are done
+    m, x, base, down, up, t3, sg, fbase, g2, g1 = pl.sweep_views(n)
+    np.greater_equal(fa, 0.0, out=m)
+    np.negative(m, out=m)                       # all-ones where flux >= 0
+    a, b, cc, d = (pi[lo + k * s:hi + k * s] for k in (-1, 0, 1, 2))
+    np.bitwise_xor(b, cc, out=x)
+    np.bitwise_and(x, m, out=x)
+    np.bitwise_xor(cc, x, out=base)             # b if flux >= 0 else c
+    np.bitwise_xor(b, x, out=down)              # c if flux >= 0 else b
+    np.bitwise_xor(a, d, out=x)
+    np.bitwise_and(x, m, out=x)
+    np.bitwise_xor(d, x, out=up)                # a if flux >= 0 else d
+    base = fbase                                # the same bytes, as floats
+    np.subtract(base, g1, out=g1)
+    np.subtract(g2, base, out=g2)
+    # koren(g1, g2), op for op
+    np.sign(g1, out=sg)
+    np.abs(g1, out=g1)
+    np.multiply(g2, sg, out=g2)
+    np.multiply(2.0, g2, out=g2)
+    np.add(g1, g2, out=t3)
     np.divide(t3, 3.0, out=t3)
-    t = np.minimum(t2, t3, out=t2)
-    g1d = np.multiply(2.0, g1s, out=g1s)
-    np.minimum(t, g1d, out=t)
-    np.maximum(0.0, t, out=t)
-    lim = np.multiply(s, t, out=t)
-    np.multiply(0.5, lim, out=lim)
-    return np.add(base, lim, out=lim)
+    np.minimum(g2, t3, out=g2)
+    np.multiply(2.0, g1, out=g1)
+    np.minimum(g2, g1, out=g2)
+    np.maximum(0.0, g2, out=g2)
+    np.multiply(sg, g2, out=g2)
+    np.multiply(0.5, g2, out=g2)
+    np.add(base, g2, out=base)
+    np.multiply(fa, base, out=out)
 
 
-def _face_values(mem, p, f, shape, dt_):
-    """Limited (Koren) face values in the moved-axis frame: the
-    ``np.where(f >= 0, up_pos, up_neg)`` select of the reference."""
-    a, b, cc, d = p[:-3], p[1:-2], p[2:-1], p[3:]
-    g1 = np.subtract(b, a, out=mem.take(shape, dt_))
-    g2 = np.subtract(cc, b, out=mem.take(shape, dt_))
-    up_pos = _koren_upwind(mem, b, g1, g2, shape, dt_)
-    g1n = np.subtract(cc, d, out=g1)
-    g2n = np.subtract(b, cc, out=g2)
-    up_neg = _koren_upwind(mem, cc, g1n, g2n, shape, dt_)
-    cond = np.greater_equal(f, 0.0, out=mem.take(shape, np.bool_))
-    face = up_neg
-    np.copyto(face, up_pos, where=cond)
-    return face
+class _Sweep:
+    """One contiguous field bound to a plan: slab views and face sweeps.
 
+    Scratch buffer 5 holds the *aligned* mass flux ``FA`` (``FA[i]`` is
+    the flux through face ``i`` of the field's own flat indexing), 6 the
+    face fluxes ``F``, 1 the divergence ``D`` (free once ``F`` exists).
+    """
 
-def _lff(mem, phi, flux, axis):
-    """Pooled :func:`repro.core.advection.limited_face_flux` whose result
-    lives in a lease-scoped buffer (moved back to ``axis``)."""
-    p = np.moveaxis(phi, axis, 0)
-    f = np.moveaxis(flux, axis, 0)[1:-1]
-    shape, dt_ = f.shape, p.dtype
-    face = _face_values(mem, p, f, shape, dt_)
-    res = np.multiply(f, face, out=mem.take(shape, dt_))
-    return np.moveaxis(res, 0, axis)
+    def __init__(self, plans, p, shape):
+        self.p = p = np.ascontiguousarray(p)
+        self.pl = plans(tuple(shape), p.dtype)
+        self.pf = p.reshape(-1)
+        self.n1, self.n2 = p.shape[1:]
+        self.row = self.n1 * self.n2
 
+    def box(self, k, nb):
+        """Buffer ``k`` as ``nb`` rows of the field's own shape."""
+        return self.pl.scratch(k, nb * self.row).reshape(nb, self.n1, self.n2)
 
-@register_fused("limited_face_flux")
-def _fused_limited_face_flux(pool, phi, flux, axis, limiter=koren):
-    if limiter is not koren or phi.dtype != flux.dtype:
-        return NotImplemented
-    p = np.moveaxis(phi, axis, 0)
-    f = np.moveaxis(flux, axis, 0)[1:-1]
-    shape, dt_ = f.shape, p.dtype
-    with pool.lease() as mem:
-        face = _face_values(mem, p, f, shape, dt_)
-        # the result escapes the kernel: allocate it, never lease it
-        res = np.multiply(f, face, out=np.empty(shape, dt_))
-    return np.moveaxis(res, 0, axis)
-
-
-# -------------------------------------------------------- vertical pieces
-def _sub_divz(mem, ov, phi, fz, dz_c, dt_):
-    """``ov -= flux_divergence_z(phi, fz, dz_c)`` (the ``nz >= 4`` branch
-    of the reference, with the concatenate/diff collapsed into direct
-    subtractions on the three face ranges)."""
-    nz = phi.shape[-1]
-    ff = mem.take(phi.shape[:-1] + (nz - 1,), dt_)
-    ff[..., 1:-1] = _lff(mem, phi, fz[..., 1:-1], -1)
-    f_lo = fz[..., 1]
-    ff[..., 0] = f_lo * np.where(f_lo >= 0.0, phi[..., 0], phi[..., 1])
-    f_hi = fz[..., nz - 1]
-    ff[..., -1] = f_hi * np.where(f_hi >= 0.0, phi[..., nz - 2],
-                                  phi[..., nz - 1])
-    div = mem.take(phi.shape, dt_)
-    np.subtract(ff[..., 0], fz[..., 0], out=div[..., 0])
-    np.subtract(ff[..., 1:], ff[..., :-1], out=div[..., 1:-1])
-    np.subtract(fz[..., -1], ff[..., -1], out=div[..., -1])
-    np.divide(div, dz_c[None, None, :], out=div)
-    np.subtract(ov, div, out=ov)
-
-
-def _advect_guard(limiter, grid, *fields) -> bool:
-    if limiter is not koren or grid.nz < 4:
-        return False
-    dt_ = fields[0].dtype
-    return all(f.dtype == dt_ for f in fields)
+    def fluxes(self, axis, m0, m1, fill, off=0):
+        """Face fluxes along ``axis`` into ``F[off:]``: for axis 0 the
+        face rows ``[m0, m1)`` (face row m lies between rows m, m+1); for
+        axes 1/2 every face of rows ``[m0, m1)`` with a full stencil.
+        ``fill(FA3, m0, m1)`` writes the aligned mass flux."""
+        row, n = self.row, (m1 - m0) * self.row
+        fill(self.box(5, m1 - m0), m0, m1)
+        s = (row, self.n2, 1)[axis]
+        lo, hi = (0, n) if axis == 0 else (s, n - 2 * s)
+        _faces(self.pl, self.pf, m0 * row + lo, m0 * row + hi, s,
+               self.pl.scratch(5, n)[lo:hi],
+               self.pl.scratch(6, off + n)[off + lo:off + hi])
 
 
 # ------------------------------------------------------------- advection
-@register_fused("advect_scalar")
-def _fused_advect_scalar(pool, phi, fx, fy, fz, grid, limiter=koren):
-    if not _advect_guard(limiter, grid, phi, fx, fy, fz):
+@register_fused("limited_face_flux")
+def _limited_face_flux(plans, phi, flux, axis, limiter=koren):
+    if (limiter is not koren or phi.ndim != 3 or not _plain(phi, flux)
+            or phi.shape[axis] < 4):
         return NotImplemented
-    dt_ = phi.dtype
-    out = np.zeros(grid.shape_c, dtype=dt_)
-    h, nx, ny, nz = grid.halo, grid.nx, grid.ny, grid.nz
-    sx, sy = grid.isl
-    ov = out[sx, sy]
-    with pool.lease() as mem:
-        ff = _lff(mem, phi, fx[1:-1], 0)
-        d = np.subtract(ff[h - 1 : h - 1 + nx, sy], ff[h - 2 : h - 2 + nx, sy],
-                        out=mem.take((nx, ny, nz), dt_))
+    axis %= 3
+    sw = _Sweep(plans, phi, phi.shape)
+    n0 = phi.shape[0]
+    valid, aligned = [slice(None)] * 3, [slice(None)] * 3
+    valid[axis] = slice(1, phi.shape[axis] - 2)   # faces with a full stencil
+    if axis:
+        aligned[axis] = slice(0, -1)      # one face fewer than cells
+    valid, aligned = tuple(valid), tuple(aligned)
+    res = np.empty(flux[valid].shape, phi.dtype)
+
+    def fill(fa3, m0, m1):
+        fa3[aligned] = flux[m0:m1]
+
+    lo, hi = (1, n0 - 2) if axis == 0 else (0, n0)
+    for x0 in range(lo, hi, sw.pl.rows):
+        x1 = min(x0 + sw.pl.rows, hi)
+        sw.fluxes(axis, x0, x1, fill)
+        f3 = sw.box(6, x1 - x0)
+        if axis == 0:
+            res[x0 - 1:x1 - 1] = f3
+        else:
+            res[x0:x1] = f3[valid]
+    return res
+
+
+def _advect(plans, p, grid, xsl, ysl, fill_x, fill_y, fill_z, zedge):
+    """``-div(F p)`` of one staggered field, slab by slab.
+
+    ``fill_*`` write the aligned mass flux of a direction; ``zedge(x0,
+    x1, k)`` is the w-level mass flux at the bottom/top boundary face
+    (``None`` for the w field itself, whose boundary faces carry no
+    tendency)."""
+    sw = _Sweep(plans, p, grid.shape_c)
+    pl, row, n2 = sw.pl, sw.row, sw.n2
+    out = np.zeros(p.shape, p.dtype)
+    for x0 in range(xsl.start, xsl.stop, pl.rows):
+        x1 = min(x0 + pl.rows, xsl.stop)
+        nb, n = x1 - x0, (x1 - x0) * row
+        ov = out[x0:x1, ysl]
+        f, d = pl.scratch(6, n + row), pl.scratch(1, n)
+        f3, d3, p3 = sw.box(6, nb), sw.box(1, nb), sw.p[x0:x1]
+
+        # x: cell row x gets (F[x] - F[x-1]) / dx; the upstream face row
+        # of a slab is the last one of the slab before it
+        if x0 == xsl.start:
+            sw.fluxes(0, x0 - 1, x1, fill_x)
+        else:
+            f[:row] = pl.scratch(6, (pl.rows + 1) * row)[pl.rows * row:]
+            sw.fluxes(0, x0, x1, fill_x, off=row)
+        np.subtract(f[row:], f[:n], out=d)
         np.divide(d, grid.dx, out=d)
-        np.negative(d, out=ov)
+        np.negative(d3[:, ysl], out=ov)
 
-        ffy = _lff(mem, phi, fy[:, 1:-1], 1)
-        d2 = np.subtract(ffy[sx, h - 1 : h - 1 + ny],
-                         ffy[sx, h - 2 : h - 2 + ny], out=d)
-        np.divide(d2, grid.dy, out=d2)
-        np.subtract(ov, d2, out=ov)
+        sw.fluxes(1, x0, x1, fill_y)
+        lo, hi = 2 * n2, n - 2 * n2
+        np.subtract(f[lo:hi], f[lo - n2:hi - n2], out=d[lo:hi])
+        np.divide(d[lo:hi], grid.dy, out=d[lo:hi])
+        np.subtract(ov, d3[:, ysl], out=ov)
 
-        _sub_divz(mem, ov, phi[sx, sy], fz[sx, sy], grid.dz_c, dt_)
+        # z: limited faces 1..N-3, first-order upwind on faces 0 and N-2
+        sw.fluxes(2, x0, x1, fill_z)
+        fa3 = sw.box(5, nb)
+        for k in (0, n2 - 2):
+            fk = fa3[:, ysl, k]
+            f3[:, ysl, k] = fk * np.where(fk >= 0.0, p3[:, ysl, k],
+                                          p3[:, ysl, k + 1])
+        np.subtract(f[1:n], f[:n - 1], out=d[1:])
+        if zedge is None:
+            np.divide(d3, grid.dz_f, out=d3)
+            np.subtract(ov[..., 1:-1], d3[:, ysl, 1:-1], out=ov[..., 1:-1])
+            ov[..., 0] = 0.0
+            ov[..., -1] = 0.0
+        else:
+            np.subtract(f3[:, ysl, 0], zedge(x0, x1, 0), out=d3[:, ysl, 0])
+            np.subtract(zedge(x0, x1, n2), f3[:, ysl, n2 - 2],
+                        out=d3[:, ysl, n2 - 1])
+            np.divide(d3, grid.dz_c, out=d3)
+            np.subtract(ov, d3[:, ysl], out=ov)
     return out
+
+
+def _covers(limiter, grid, *fields) -> bool:
+    # the reference divides by the float64 grid metrics, so a float32
+    # field is a mixed-dtype call
+    return (limiter is koren and grid.nz >= 4 and grid.halo >= 2
+            and _plain(*fields)
+            and fields[0].dtype == grid.dz_c.dtype)
+
+
+def _mean_into(dst, a, b):
+    """``dst = 0.5 * (a + b)``."""
+    np.add(a, b, out=dst)
+    np.multiply(0.5, dst, out=dst)
+
+
+def _to_levels(dst, src):
+    """Cell-centre mass flux ``src`` averaged to the w levels of ``dst``
+    (the boundary levels take the adjacent cell's value)."""
+    _mean_into(dst[..., 1:-1], src[..., 1:], src[..., :-1])
+    dst[..., 0] = src[..., 0]
+    dst[..., -1] = src[..., -1]
+
+
+@register_fused("advect_scalar")
+def _advect_scalar(plans, phi, fx, fy, fz, grid, limiter=koren):
+    if not _covers(limiter, grid, phi, fx, fy, fz):
+        return NotImplemented
+    sx, sy = grid.isl
+
+    def fill_x(fa3, m0, m1):
+        fa3[...] = fx[m0 + 1:m1 + 1]
+
+    def fill_y(fa3, x0, x1):
+        fa3[:, :-1] = fy[x0:x1, 1:-1]
+
+    def fill_z(fa3, x0, x1):
+        fa3[..., :-1] = fz[x0:x1, :, 1:-1]
+
+    return _advect(plans, phi, grid, sx, sy, fill_x, fill_y, fill_z,
+                   lambda x0, x1, k: fz[x0:x1, sy, k])
 
 
 @register_fused("advect_u")
-def _fused_advect_u(pool, u, fx, fy, fz, grid, limiter=koren):
-    if not _advect_guard(limiter, grid, u, fx, fy, fz):
+def _advect_u(plans, u, fx, fy, fz, grid, limiter=koren):
+    if not _covers(limiter, grid, u, fx, fy, fz):
         return NotImplemented
-    dt_ = u.dtype
-    out = np.zeros(grid.shape_u, dtype=dt_)
-    h, nx, ny, nz = grid.halo, grid.nx, grid.ny, grid.nz
-    slu_x, slu_y = grid.isl_u
-    ov = out[slu_x, slu_y]
-    with pool.lease() as mem:
-        fxc = np.add(fx[1:], fx[:-1], out=mem.take(fx[1:].shape, dt_))
-        np.multiply(0.5, fxc, out=fxc)
-        ff = _lff(mem, u, fxc, 0)
-        d = np.subtract(ff[h - 1 : h + nx, slu_y],
-                        ff[h - 2 : h + nx - 1, slu_y],
-                        out=mem.take(ov.shape, dt_))
-        np.divide(d, grid.dx, out=d)
-        np.negative(d, out=ov)
+    sx, sy = grid.isl_u
 
-        fyc = np.add(fy[1:], fy[:-1], out=mem.take(fy[1:].shape, dt_))
-        np.multiply(0.5, fyc, out=fyc)
-        ffy = _lff(mem, u[1:-1], fyc[:, 1:-1], 1)
-        d2 = np.subtract(ffy[h - 1 : h + nx, h - 1 : h + ny - 1],
-                         ffy[h - 1 : h + nx, h - 2 : h + ny - 2], out=d)
-        np.divide(d2, grid.dy, out=d2)
-        np.subtract(ov, d2, out=ov)
+    # mass fluxes at the u control volume: two-point x averages
+    def fill_x(fa3, m0, m1):
+        _mean_into(fa3, fx[m0 + 1:m1 + 1], fx[m0:m1])
 
-        fzu = mem.take((grid.nxh + 1, grid.nyh, nz + 1), dt_)
-        np.add(fz[1:], fz[:-1], out=fzu[1:-1])
-        np.multiply(0.5, fzu[1:-1], out=fzu[1:-1])
-        fzu[0] = fz[0]
-        fzu[-1] = fz[-1]
-        _sub_divz(mem, ov, u[slu_x, slu_y], fzu[slu_x, slu_y], grid.dz_c, dt_)
-    return out
+    def fill_y(fa3, x0, x1):
+        _mean_into(fa3[:, :-1], fy[x0:x1, 1:-1], fy[x0 - 1:x1 - 1, 1:-1])
+
+    def fill_z(fa3, x0, x1):
+        _mean_into(fa3[..., :-1], fz[x0:x1, :, 1:-1],
+                   fz[x0 - 1:x1 - 1, :, 1:-1])
+
+    return _advect(plans, u, grid, sx, sy, fill_x, fill_y, fill_z,
+                   lambda x0, x1, k: 0.5 * (fz[x0:x1, sy, k]
+                                            + fz[x0 - 1:x1 - 1, sy, k]))
 
 
 @register_fused("advect_v")
-def _fused_advect_v(pool, v, fx, fy, fz, grid, limiter=koren):
-    if not _advect_guard(limiter, grid, v, fx, fy, fz):
+def _advect_v(plans, v, fx, fy, fz, grid, limiter=koren):
+    if not _covers(limiter, grid, v, fx, fy, fz):
         return NotImplemented
-    dt_ = v.dtype
-    out = np.zeros(grid.shape_v, dtype=dt_)
-    h, nx, ny, nz = grid.halo, grid.nx, grid.ny, grid.nz
-    slv_x, slv_y = grid.isl_v
-    ov = out[slv_x, slv_y]
-    with pool.lease() as mem:
-        fyc = np.add(fy[:, 1:], fy[:, :-1], out=mem.take(fy[:, 1:].shape, dt_))
-        np.multiply(0.5, fyc, out=fyc)
-        ff = _lff(mem, v, fyc, 1)
-        d = np.subtract(ff[slv_x, h - 1 : h + ny],
-                        ff[slv_x, h - 2 : h + ny - 1],
-                        out=mem.take(ov.shape, dt_))
-        np.divide(d, grid.dy, out=d)
-        np.negative(d, out=ov)
+    sx, sy = grid.isl_v
+    sym = slice(sy.start - 1, sy.stop - 1)
 
-        fxc = np.add(fx[:, 1:], fx[:, :-1], out=mem.take(fx[:, 1:].shape, dt_))
-        np.multiply(0.5, fxc, out=fxc)
-        ffx = _lff(mem, v[:, 1:-1], fxc[1:-1], 0)
-        d2 = np.subtract(ffx[h - 1 : h + nx - 1, h - 1 : h + ny],
-                         ffx[h - 2 : h + nx - 2, h - 1 : h + ny], out=d)
-        np.divide(d2, grid.dx, out=d2)
-        np.subtract(ov, d2, out=ov)
+    # two-point y averages; v columns 0 and nyh are never read
+    def fill_x(fa3, m0, m1):
+        _mean_into(fa3[:, 1:-1], fx[m0 + 1:m1 + 1, 1:], fx[m0 + 1:m1 + 1, :-1])
 
-        fzv = mem.take((grid.nxh, grid.nyh + 1, nz + 1), dt_)
-        np.add(fz[:, 1:], fz[:, :-1], out=fzv[:, 1:-1])
-        np.multiply(0.5, fzv[:, 1:-1], out=fzv[:, 1:-1])
-        fzv[:, 0] = fz[:, 0]
-        fzv[:, -1] = fz[:, -1]
-        _sub_divz(mem, ov, v[slv_x, slv_y], fzv[slv_x, slv_y], grid.dz_c, dt_)
-    return out
+    def fill_y(fa3, x0, x1):
+        _mean_into(fa3[:, :-1], fy[x0:x1, 1:], fy[x0:x1, :-1])
+
+    def fill_z(fa3, x0, x1):
+        _mean_into(fa3[:, 1:-1, :-1], fz[x0:x1, 1:, 1:-1],
+                   fz[x0:x1, :-1, 1:-1])
+
+    return _advect(plans, v, grid, sx, sy, fill_x, fill_y, fill_z,
+                   lambda x0, x1, k: 0.5 * (fz[x0:x1, sy, k]
+                                            + fz[x0:x1, sym, k]))
 
 
 @register_fused("advect_w")
-def _fused_advect_w(pool, w, fx, fy, fz, grid, limiter=koren):
-    if not _advect_guard(limiter, grid, w, fx, fy, fz):
+def _advect_w(plans, w, fx, fy, fz, grid, limiter=koren):
+    if not _covers(limiter, grid, w, fx, fy, fz):
         return NotImplemented
-    dt_ = w.dtype
-    out = np.zeros(grid.shape_w, dtype=dt_)
-    h, nx, ny, nz = grid.halo, grid.nx, grid.ny, grid.nz
     sx, sy = grid.isl
-    with pool.lease() as mem:
-        fxw = mem.take((grid.nxh + 1, grid.nyh, nz + 1), dt_)
-        np.add(fx[:, :, 1:], fx[:, :, :-1], out=fxw[:, :, 1:-1])
-        np.multiply(0.5, fxw[:, :, 1:-1], out=fxw[:, :, 1:-1])
-        fxw[:, :, 0] = fx[:, :, 0]
-        fxw[:, :, -1] = fx[:, :, -1]
-        ffx = _lff(mem, w, fxw[1:-1], 0)
-        ov = out[sx, sy]
-        d = np.subtract(ffx[h - 1 : h - 1 + nx, sy],
-                        ffx[h - 2 : h - 2 + nx, sy],
-                        out=mem.take((nx, ny, nz + 1), dt_))
-        np.divide(d, grid.dx, out=d)
-        np.negative(d, out=ov)
 
-        fyw = mem.take((grid.nxh, grid.nyh + 1, nz + 1), dt_)
-        np.add(fy[:, :, 1:], fy[:, :, :-1], out=fyw[:, :, 1:-1])
-        np.multiply(0.5, fyw[:, :, 1:-1], out=fyw[:, :, 1:-1])
-        fyw[:, :, 0] = fy[:, :, 0]
-        fyw[:, :, -1] = fy[:, :, -1]
-        ffy = _lff(mem, w, fyw[:, 1:-1], 1)
-        d2 = np.subtract(ffy[sx, h - 1 : h - 1 + ny],
-                         ffy[sx, h - 2 : h - 2 + ny], out=d)
-        np.divide(d2, grid.dy, out=d2)
-        np.subtract(ov, d2, out=ov)
+    def fill_x(fa3, m0, m1):
+        _to_levels(fa3, fx[m0 + 1:m1 + 1])
 
-        fzc = np.add(fz[..., 1:], fz[..., :-1],
-                     out=mem.take(fz[..., 1:].shape, dt_))
-        np.multiply(0.5, fzc, out=fzc)
-        wi = w[sx, sy]
-        fzi = fzc[sx, sy]
-        # nz >= 4 guarantees the wide-stencil branch (nz + 1 >= 4)
-        ffz = mem.take(fzi.shape, dt_)
-        ffz[..., 1:-1] = _lff(mem, wi, fzi, -1)
-        ffz[..., 0] = fzi[..., 0] * np.where(fzi[..., 0] >= 0.0,
-                                             wi[..., 0], wi[..., 1])
-        ffz[..., -1] = fzi[..., -1] * np.where(fzi[..., -1] >= 0.0,
-                                               wi[..., -2], wi[..., -1])
-        d3 = np.subtract(ffz[..., 1:], ffz[..., :-1],
-                         out=mem.take((nx, ny, nz - 1), dt_))
-        np.divide(d3, grid.dz_f[None, None, 1:-1], out=d3)
-        np.subtract(ov[..., 1:-1], d3, out=ov[..., 1:-1])
-        ov[..., 0] = 0.0
-        ov[..., nz] = 0.0
-    return out
+    def fill_y(fa3, x0, x1):
+        _to_levels(fa3[:, :-1], fy[x0:x1, 1:-1])
+
+    def fill_z(fa3, x0, x1):
+        _mean_into(fa3[..., :-1], fz[x0:x1, :, 1:], fz[x0:x1, :, :-1])
+
+    return _advect(plans, w, grid, sx, sy, fill_x, fill_y, fill_z, None)
 
 
 # ------------------------------------------------------------- diffusion
-def _lap_into(mem, dest, phi, sx, sy, dx, dy):
-    """``dest = _lap_on(phi, sx, sy, dx, dy)`` with pooled temporaries
-    (same ``(A - 2C + B)/dx^2 + (E - 2C + F)/dy^2`` evaluation order)."""
+# out= chains with fresh temporaries (not yet on the plan: ROADMAP item 1)
+def _lap_into(dest, phi, sx, sy, dx, dy):
+    """``dest = _lap_on(phi, sx, sy, dx, dy)`` with two temporaries (same
+    ``(A - 2C + B)/dx^2 + (E - 2C + F)/dy^2`` evaluation order)."""
     x0, x1 = sx.start, sx.stop
     y0, y1 = sy.start, sy.stop
-    shape, dt_ = phi[sx, sy].shape, phi.dtype
-    c2 = np.multiply(2.0, phi[sx, sy], out=mem.take(shape, dt_))
-    tx = np.subtract(phi[x0 + 1 : x1 + 1, sy], c2, out=mem.take(shape, dt_))
+    c2 = np.multiply(2.0, phi[sx, sy])
+    tx = np.subtract(phi[x0 + 1 : x1 + 1, sy], c2)
     np.add(tx, phi[x0 - 1 : x1 - 1, sy], out=tx)
     np.divide(tx, dx ** 2, out=tx)
     ty = np.subtract(phi[sx, y0 + 1 : y1 + 1], c2, out=c2)
@@ -294,121 +330,121 @@ def _lap_into(mem, dest, phi, sx, sy, dx, dy):
     np.add(tx, ty, out=dest)
 
 
-def _fused_hlap(pool, phi, grid, sx, sy):
+def _hlap(phi, grid, sx, sy):
     out = np.zeros_like(phi)
-    with pool.lease() as mem:
-        _lap_into(mem, out[sx, sy], phi, sx, sy, grid.dx, grid.dy)
+    _lap_into(out[sx, sy], phi, sx, sy, grid.dx, grid.dy)
     return out
 
 
 @register_fused("horizontal_laplacian_c")
-def _fused_hlap_c(pool, phi, grid):
-    sx, sy = grid.isl
-    return _fused_hlap(pool, phi, grid, sx, sy)
+def _hlap_c(plans, phi, grid):
+    return _hlap(phi, grid, *grid.isl)
 
 
 @register_fused("horizontal_laplacian_u")
-def _fused_hlap_u(pool, u, grid):
-    sx, sy = grid.isl_u
-    return _fused_hlap(pool, u, grid, sx, sy)
+def _hlap_u(plans, u, grid):
+    return _hlap(u, grid, *grid.isl_u)
 
 
 @register_fused("horizontal_laplacian_v")
-def _fused_hlap_v(pool, v, grid):
-    sx, sy = grid.isl_v
-    return _fused_hlap(pool, v, grid, sx, sy)
+def _hlap_v(plans, v, grid):
+    return _hlap(v, grid, *grid.isl_v)
 
 
 @register_fused("horizontal_laplacian_w")
-def _fused_hlap_w(pool, w, grid):
-    sx, sy = grid.isl
-    return _fused_hlap(pool, w, grid, sx, sy)
+def _hlap_w(plans, w, grid):
+    return _hlap(w, grid, *grid.isl)
 
 
 @register_fused("hyperdiffusion_c")
-def _fused_hyperdiffusion_c(pool, phi, grid):
+def _hyperdiffusion_c(plans, phi, grid):
     h = grid.halo
     sx, sy = grid.isl
     sx1 = slice(h - 1, h + grid.nx + 1)
     sy1 = slice(h - 1, h + grid.ny + 1)
     out = np.zeros_like(phi)
-    with pool.lease() as mem:
-        # the reference's first full-interior Laplacian is dead code (the
-        # ring recomputes the interior); only the ring's values are read
-        # by the outer Laplacian, so the lease buffer needs no zeroing
-        ring = mem.take(phi.shape, phi.dtype)
-        _lap_into(mem, ring[sx1, sy1], phi, sx1, sy1, grid.dx, grid.dy)
-        _lap_into(mem, out[sx, sy], ring, sx, sy, grid.dx, grid.dy)
-        np.negative(out[sx, sy], out=out[sx, sy])
+    # the reference's first full-interior Laplacian is dead code (the
+    # ring recomputes the interior); only the ring's values are read by
+    # the outer Laplacian, so the rest of the buffer needs no zeroing
+    ring = np.empty_like(phi)
+    _lap_into(ring[sx1, sy1], phi, sx1, sy1, grid.dx, grid.dy)
+    _lap_into(out[sx, sy], ring, sx, sy, grid.dx, grid.dy)
+    np.negative(out[sx, sy], out=out[sx, sy])
     return out
 
 
 @register_fused("vertical_diffusion_c")
-def _fused_vertical_diffusion_c(pool, phi, grid, kv):
+def _vertical_diffusion_c(plans, phi, grid, kv):
     if phi.dtype != np.float64:
         return NotImplemented
     kv_f = np.broadcast_to(np.asarray(kv, dtype=np.float64), (grid.nz + 1,))
     jac = grid.jac[:, :, None]
-    with pool.lease() as mem:
-        dzf = np.multiply(grid.dz_f[None, None, :], jac,
-                          out=mem.take(grid.shape_w, np.float64))
-        flux = mem.take(grid.shape_w, np.float64)
-        flux[:, :, 0] = 0.0
-        flux[:, :, -1] = 0.0
-        t = np.subtract(phi[:, :, 1:], phi[:, :, :-1],
-                        out=mem.take(phi[:, :, 1:].shape, np.float64))
-        np.multiply(kv_f[None, None, 1:-1], t, out=t)
-        np.divide(t, dzf[:, :, 1:-1], out=flux[:, :, 1:-1])
-        dzc = np.multiply(grid.dz_c[None, None, :], jac,
-                          out=mem.take(grid.shape_c, np.float64))
-        res = np.subtract(flux[:, :, 1:], flux[:, :, :-1],
-                          out=np.empty(grid.shape_c, np.float64))
-        np.divide(res, dzc, out=res)
-    return res
+    flux = np.zeros(grid.shape_w)
+    t = np.subtract(phi[:, :, 1:], phi[:, :, :-1])
+    np.multiply(kv_f[None, None, 1:-1], t, out=t)
+    np.divide(t, (grid.dz_f[None, None, :] * jac)[:, :, 1:-1],
+              out=flux[:, :, 1:-1])
+    res = np.subtract(flux[:, :, 1:], flux[:, :, :-1])
+    return np.divide(res, grid.dz_c[None, None, :] * jac, out=res)
 
 
 # ------------------------------------------------------ pressure / solver
 @register_fused("eos_pressure")
-def _fused_eos_pressure(pool, rhotheta_hat, grid):
+def _eos_pressure(plans, rhotheta_hat, grid):
     if rhotheta_hat.dtype != np.float64:
         return NotImplemented
-    with pool.lease() as mem:
-        t = np.divide(rhotheta_hat, grid.jac[:, :, None],
-                      out=mem.take(rhotheta_hat.shape, np.float64))
-        np.multiply(c.RD, t, out=t)
-        np.divide(t, c.P0, out=t)
-        np.power(t, c.CP / c.CV, out=t)
-        res = np.multiply(c.P0, t, out=np.empty(rhotheta_hat.shape,
-                                                np.float64))
-    return res
+    # the reference's five-op chain, in place on the one array returned
+    res = np.divide(rhotheta_hat, grid.jac[:, :, None])
+    np.multiply(c.RD, res, out=res)
+    np.divide(res, c.P0, out=res)
+    np.power(res, c.CP / c.CV, out=res)
+    return np.multiply(c.P0, res, out=res)
+
+
+def _factor(op):
+    """Forward-elimination factors of ``op``, k-leading and contiguous
+    (``cp[k]``, ``denom[k]`` never depend on the right-hand side, and the
+    ten solves of a long step share three operators)."""
+    fac = getattr(op, "_thomas_factors", None)
+    if fac is None:
+        n = op.diag.shape[-1]
+        sub, den, cp = (np.ascontiguousarray(a.reshape(-1, n).T)
+                        for a in (op.sub, op.diag, op.sup))
+        np.divide(cp[0], den[0], out=cp[0])
+        t = np.empty_like(cp[0])
+        for k in range(1, n):
+            np.multiply(sub[k], cp[k - 1], out=t)
+            np.subtract(den[k], t, out=den[k])
+            np.divide(cp[k], den[k], out=cp[k])
+        fac = op._thomas_factors = (sub, cp, den)
+    return fac
 
 
 @register_fused("helmholtz_solve")
-def _fused_helmholtz_solve(pool, op, rhs_interior):
-    sub, diag, sup = op.sub, op.diag, op.sup
+def _helmholtz_solve(plans, op, rhs_interior):
     rhs = rhs_interior
-    if not (rhs.dtype == sub.dtype == diag.dtype == sup.dtype):
+    if not _plain(rhs, op.sub, op.diag, op.sup) or rhs.shape != op.diag.shape:
         return NotImplemented
-    n = rhs.shape[-1]
-    w = np.zeros((rhs.shape[0], rhs.shape[1], op.grid.nz + 1),
-                 dtype=rhs.dtype)
-    x = w[:, :, 1:-1]
-    with pool.lease() as mem:
-        cp = mem.take(rhs.shape, rhs.dtype)
-        dp = mem.take(rhs.shape, rhs.dtype)
-        denom = mem.take(rhs.shape[:-1], rhs.dtype)
-        t = mem.take(rhs.shape[:-1], rhs.dtype)
-        np.divide(sup[..., 0], diag[..., 0], out=cp[..., 0])
-        np.divide(rhs[..., 0], diag[..., 0], out=dp[..., 0])
+    sub, cp, den = _factor(op)
+    n, ncol = den.shape
+    pl = plans(op.grid.shape_c, rhs.dtype)
+    w = np.zeros(rhs.shape[:2] + (op.grid.nz + 1,), rhs.dtype)
+    r2, w2 = rhs.reshape(ncol, n), w.reshape(ncol, op.grid.nz + 1)
+    # all but the last buffer hold the transposed columns of one block,
+    # the last one a level's worth of products
+    bc = min(ncol, pl.cap, (pl.arena.size - pl.cap) // n)
+    block = pl.arena[:n * bc].reshape(n, bc)
+    for c0 in range(0, ncol, bc):
+        c1 = min(c0 + bc, ncol)
+        dp, t = block[:, :c1 - c0], pl.scratch(NBUF - 1, c1 - c0)
+        dp[...] = r2[c0:c1].T
+        np.divide(dp[0], den[0, c0:c1], out=dp[0])
         for k in range(1, n):
-            np.multiply(sub[..., k], cp[..., k - 1], out=denom)
-            np.subtract(diag[..., k], denom, out=denom)
-            np.divide(sup[..., k], denom, out=cp[..., k])
-            np.multiply(sub[..., k], dp[..., k - 1], out=t)
-            np.subtract(rhs[..., k], t, out=t)
-            np.divide(t, denom, out=dp[..., k])
-        x[..., -1] = dp[..., -1]
+            np.multiply(sub[k, c0:c1], dp[k - 1], out=t)
+            np.subtract(dp[k], t, out=t)
+            np.divide(t, den[k, c0:c1], out=dp[k])
         for k in range(n - 2, -1, -1):
-            np.multiply(cp[..., k], x[..., k + 1], out=t)
-            np.subtract(dp[..., k], t, out=x[..., k])
+            np.multiply(cp[k, c0:c1], dp[k + 1], out=t)
+            np.subtract(dp[k], t, out=dp[k])
+        w2[c0:c1, 1:-1] = dp.T
     return w

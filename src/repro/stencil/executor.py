@@ -4,14 +4,15 @@ Two backends, selected by :class:`~repro.api.RunSpec`\\ 's
 ``stencil_backend`` (or ``repro run --stencil-backend``, or the
 ``REPRO_STENCIL_BACKEND`` environment variable for whole-suite runs):
 
-* ``reference`` — call the decorated NumPy kernel directly.  The
-  default; byte-for-byte the pre-stencil-layer behavior.
-* ``fused`` — route through the registered fused implementation:
-  pooled temporaries, ``out=`` ufuncs, precompiled slice plans.  The
-  arithmetic and its order are untouched, so results are bit-identical
-  to the reference (asserted on the tier-1 workloads), but the
-  allocator traffic collapses — the wall-clock win lands in
-  ``BENCH_stencil_fusion.json``.
+* ``fused`` — the default: route through the registered *planned*
+  implementation (:mod:`repro.stencil.dycore`): slab-blocked, unit-stride
+  ``out=`` chains on the per-shape plan's small scratch arena
+  (:mod:`repro.stencil.plan`).  Byte-identical to the reference by
+  construction and by test (tests/stencil); measured end to end by
+  ``python3 bench/run.py`` (``dycore_cpu/op_ms`` 480 -> 250 ms against
+  the reference as default; docs/STENCILS.md has every workload).
+* ``reference`` — call the decorated textbook NumPy kernel directly: the
+  test oracle, and the body the FLOP counters measure.
 
 Backend choice never changes what a run computes; accordingly
 ``RunSpec.spec_hash()`` ignores it and the serve-layer result cache
@@ -25,7 +26,7 @@ import os
 from collections import Counter
 from typing import Any, Dict
 
-from .pool import BufferPool
+from .plan import PLANS
 from .spec import FUSED_IMPLS, StencilFunction
 
 __all__ = [
@@ -39,13 +40,13 @@ __all__ = [
 BACKENDS = ("reference", "fused")
 
 #: environment override of the default backend (used by the CI stencil
-#: job to run the whole tier-1 suite fused)
+#: job to run the whole tier-1 suite on the reference oracle)
 BACKEND_ENV = "REPRO_STENCIL_BACKEND"
 
 
 def default_backend() -> str:
-    """The process-default backend: :data:`BACKEND_ENV` or 'reference'."""
-    backend = os.environ.get(BACKEND_ENV, "reference").strip() or "reference"
+    """The process-default backend: :data:`BACKEND_ENV` or 'fused'."""
+    backend = os.environ.get(BACKEND_ENV, "fused").strip() or "fused"
     if backend not in BACKENDS:
         raise ValueError(
             f"{BACKEND_ENV}={backend!r}: unknown stencil backend; choose "
@@ -55,7 +56,8 @@ def default_backend() -> str:
 
 class StencilExecutor:
     """Dispatches :class:`~repro.stencil.spec.StencilFunction` calls to
-    one backend, owning the buffer pool and per-kernel call statistics."""
+    one backend, with per-kernel call statistics.  The planned kernels
+    take the process-wide plan cache as their first argument."""
 
     def __init__(self, backend: str = "reference"):
         if backend not in BACKENDS:
@@ -67,7 +69,7 @@ class StencilExecutor:
             # this every dispatch would silently fall back to the reference
             from . import dycore  # noqa: F401
         self.backend = backend
-        self.pool = BufferPool()
+        self.plans = PLANS
         #: spec name -> dispatch count
         self.calls: Counter = Counter()
         #: dispatches served by a fused implementation
@@ -81,7 +83,7 @@ class StencilExecutor:
         if self.backend != "reference":
             impl = FUSED_IMPLS.get(sf.spec.name)
             if impl is not None:
-                out = impl(self.pool, *args, **kwargs)
+                out = impl(self.plans, *args, **kwargs)
                 if out is not NotImplemented:
                     self.accelerated += 1
                     return out
@@ -95,16 +97,20 @@ class StencilExecutor:
             "dispatches": int(sum(self.calls.values())),
             "accelerated": self.accelerated,
             "fallbacks": self.fallbacks,
-            **self.pool.stats(),
+            # nothing is taken per call any more: the only scratch is the
+            # plans' arenas, bound at build time
+            "allocations": 0.0,
+            "reuses": 0.0,
+            "reuse_fraction": 0.0,
+            "bytes_allocated": float(self.plans.nbytes()),
         }
 
     def report(self) -> str:
         s = self.stats()
         return (f"stencil[{self.backend}]: {s['dispatches']} dispatches "
                 f"({s['accelerated']} fused, {s['fallbacks']} reference), "
-                f"pool reuse {self.pool.reuses}/"
-                f"{self.pool.reuses + self.pool.allocations} "
-                f"({self.pool.reuse_fraction:.0%})")
+                f"{self.plans.built} plan(s), arena "
+                f"{s['bytes_allocated'] / 1024:.0f} KiB")
 
 
 _ACTIVE: contextvars.ContextVar["StencilExecutor | None"] = \
@@ -123,7 +129,7 @@ def _default_executor() -> StencilExecutor:
 def active_executor() -> StencilExecutor:
     """The executor stencil dispatch goes through right now: the
     innermost :func:`use_executor` context, else the process default
-    (``reference`` unless :data:`BACKEND_ENV` says otherwise)."""
+    (``fused`` unless :data:`BACKEND_ENV` says otherwise)."""
     ex = _ACTIVE.get()
     return ex if ex is not None else _default_executor()
 

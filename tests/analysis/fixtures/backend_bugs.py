@@ -18,33 +18,40 @@ def blend_ref(phi, grid):
     return out
 
 
-def blend_fused_bad_signature(pool, phi):
+def blend_fused_bad_signature(plans, phi):
     """BUG: drops the reference's ``grid`` parameter."""
     return 0.5 * (phi[2:] + phi[:-2])
 
 
-def blend_fused_ok(pool, phi, grid):
+def blend_fused_ok(plans, phi, grid):
     out = np.zeros_like(phi)
     out[1:-1] = 0.5 * (phi[2:] + phi[:-2])
     return out
 
 
-def blend_fused_upcast(pool, phi, grid):
+def blend_fused_upcast(plans, phi, grid):
     acc = np.zeros(phi.shape)   # BUG: float64 regardless of phi.dtype
     acc[1:-1] = 0.5 * (phi[2:] + phi[:-2])
     return acc
 
 
-def blend_fused_upcast_suppressed(pool, phi, grid):
+def blend_fused_upcast_suppressed(plans, phi, grid):
     acc = np.zeros(phi.shape)  # sanitizer: allow[LINT08] diag path, f64 wanted
     acc[1:-1] = 0.5 * (phi[2:] + phi[:-2])
     return acc
 
 
-def blend_fused_suppressed(pool, phi):  # sanitizer: allow[LINT07] shim binds grid
+def blend_fused_suppressed(plans, phi):  # sanitizer: allow[LINT07] shim binds grid
     return 0.5 * (phi[2:] + phi[:-2])
+
+
+def blend_fused_escapes(plans, phi, grid):
+    t = plans(phi.shape, phi.dtype).scratch(0, phi.size).reshape(phi.shape)
+    np.add(phi, phi, out=t)
+    return t   # BUG: the arena is overwritten by the next kernel
 
 
 #: the planted-bug lines the tests pin (1-based)
 LINE_BAD_SIGNATURE = 21
 LINE_UPCAST = 33
+LINE_ESCAPE = 51

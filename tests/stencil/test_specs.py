@@ -72,9 +72,10 @@ def test_backend_validation_and_numba_gating():
 
 def test_default_backend_follows_environment(monkeypatch):
     monkeypatch.delenv("REPRO_STENCIL_BACKEND", raising=False)
+    assert default_backend() == "fused"        # the planned path
+    assert RunSpec().normalized().stencil_backend == "fused"
+    monkeypatch.setenv("REPRO_STENCIL_BACKEND", "reference")
     assert default_backend() == "reference"
-    monkeypatch.setenv("REPRO_STENCIL_BACKEND", "fused")
-    assert default_backend() == "fused"
     monkeypatch.setenv("REPRO_STENCIL_BACKEND", "gpu")
     with pytest.raises(ValueError, match="REPRO_STENCIL_BACKEND"):
         default_backend()
@@ -126,18 +127,33 @@ def test_fused_impls_cover_the_hot_dycore():
         assert name in FUSED_IMPLS, name
 
 
-# --------------------------------------------------------------- pool
-def test_buffer_pool_reuses_within_and_across_leases():
-    from repro.stencil import BufferPool
+# --------------------------------------------------------------- plan
+def test_plan_cache_builds_once_and_stays_bounded():
+    """One plan per (shape, dtype), a bounded number of them, and an
+    arena that is a function of the slab, never of the field."""
+    from repro.stencil.plan import BLOCK_BYTES, NBUF, Plan, PlanCache
 
-    pool = BufferPool()
-    with pool.lease() as mem:
-        a = mem.take((4, 4))
-        b = mem.take((4, 4))
-        assert a is not b
-    with pool.lease() as mem:
-        c = mem.take((4, 4))
-    assert pool.allocations == 2 and pool.reuses == 1
-    assert c is a or c is b
-    stats = pool.stats()
-    assert stats["bytes_allocated"] == 2 * 4 * 4 * 8
+    cache = PlanCache(maxsize=2)
+    f8 = np.dtype("f8")
+    a = cache((52, 52, 24), f8)
+    assert cache((52, 52, 24), f8) is a and cache.built == 1
+    assert a.arena.nbytes <= Plan.arena_bound((52, 52, 24), f8)
+    assert cache.nbytes() == a.arena.nbytes
+    # a 25x larger field costs the same arena up to row rounding ...
+    big = cache((260, 260, 24), f8)
+    assert big.arena.nbytes <= Plan.arena_bound((260, 260, 24), f8)
+    assert big.arena.nbytes < 0.05 * 260 * 260 * 24 * 8 * NBUF
+    assert a.rows * 53 * 25 * 8 <= BLOCK_BYTES
+    # ... and the cache never holds more than maxsize shapes
+    cache((20, 20, 12), f8)
+    assert cache.built == 3 and len(cache.items) == 2
+    assert cache((52, 52, 24), f8) is not a          # evicted, rebuilt
+    # scratch views alias the arena, same bytes as floats or as bits
+    v = a.scratch(3, 16)
+    assert np.shares_memory(v, a.arena)
+    bits, floats = a.sweep_views(16)[3], a.sweep_views(16)[8]
+    assert bits.dtype == np.int64 and np.shares_memory(bits, v)
+    assert floats.dtype == np.float64 and np.shares_memory(floats, v)
+    # a field smaller than a block gets a field-sized slab, not a block
+    small = PlanCache()((20, 20, 8), f8)
+    assert small.rows == 21 and small.arena.nbytes < 0.5 * a.arena.nbytes
