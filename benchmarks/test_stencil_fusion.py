@@ -11,8 +11,9 @@ Anchors:
   diffusion/EOS twins, not yet on the plan, sit near 1x);
 * byte identity of every timed kernel output (``tobytes()``);
 * the plan's deterministic facts for a fixed end-to-end run — dispatch
-  counts, plans built, arena bytes — and the ufunc passes of one
-  face-flux call, counted by wrapping the kernel modules' ``np`` once:
+  counts, the scalar transports skipped because their species is absent
+  (docs/STENCILS.md), plans built, arena bytes — and the ufunc passes of
+  one face-flux call, counted by wrapping the kernel modules' ``np`` once:
   the numbers ``repro doctor --regress`` gates in CI, since wall-clock
   is too noisy to gate there (wall metrics ship with the artifact but
   the CI gate ignores them by pattern).  The end-to-end wall-clock gain
@@ -169,6 +170,7 @@ def test_fused_kernels_speed_up_bit_identically(emit):
             "dispatches": stats["dispatches"],
             "accelerated": stats["accelerated"],
             "fallbacks": stats["fallbacks"],
+            "transports_skipped": stats["skipped"],
             "plans_built": cache.built,
             "arena_bytes": cache.nbytes(),
             "face_flux_ufunc_passes_reference": passes["reference"],

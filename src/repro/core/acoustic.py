@@ -27,7 +27,7 @@ consistency property the tests assert.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -74,6 +74,17 @@ class AcousticContext:
     theta_xf: np.ndarray         # theta^t at u faces
     theta_yf: np.ndarray         # theta^t at v faces
     theta_wf: np.ndarray         # theta^t at w faces (boundary faces too)
+    _helm: dict = field(default_factory=dict, repr=False)
+
+    def helmholtz(self, dtau: float, beta: float) -> HelmholtzOperator:
+        """The vertical implicit operator of this linearization for one
+        ``(dtau, beta)``, assembled (and factored) once per value: RK
+        stages 2 and 3 share it whenever ``ns`` is even."""
+        key = (dtau, beta)
+        if key not in self._helm:
+            self._helm[key] = HelmholtzOperator(
+                self.grid, self.theta_wf, self.cp_lin, dtau, beta)
+        return self._helm[key]
 
 
 def build_context(state: State, ref: ReferenceState, p_ref: np.ndarray) -> AcousticContext:
@@ -211,7 +222,7 @@ class AcousticStepper:
         self.dtau = dts / nsub
         self.st = base.copy()
         self.st.time = base.time + dts
-        self.helm = HelmholtzOperator(g, ctx.theta_wf, ctx.cp_lin, self.dtau, beta)
+        self.helm = ctx.helmholtz(self.dtau, beta)
         self.jac3 = g.jac[:, :, None]
         self.pp_prev: np.ndarray | None = None
         self.has_terrain = not g.is_flat()
@@ -382,15 +393,19 @@ class AcousticStepper:
         self._done += 1
         return list(ACOUSTIC_FIELDS)
 
-    def finish(self, q_tendencies: dict[str, np.ndarray] | None = None) -> list[str]:
+    def finish(self, q_tendencies: dict[str, np.ndarray | None] | None = None) -> list[str]:
         """Apply the slow moisture tendencies over the full stage interval
-        (moisture is a slow mode); returns the fields needing exchange."""
+        (moisture is a slow mode); returns the fields needing exchange —
+        every species, inactive ones (tendency ``None``, field left at the
+        base's ``+0.0``) too, so all ranks exchange the same list."""
         if self._done != self.nsub:
             raise RuntimeError(f"finish() after {self._done}/{self.nsub} substeps")
         if not q_tendencies:
             return []
         sx, sy = self.g.isl
         for name, tend in q_tendencies.items():
+            if tend is None:
+                continue
             arr = self.st.q[name]
             arr[sx, sy] = self.base.q[name][sx, sy] + self.dts * tend[sx, sy]
         return list(q_tendencies.keys())

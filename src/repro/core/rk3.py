@@ -34,6 +34,7 @@ from .diffusion import (
 )
 from .grid import Grid
 from ..profiling import profile_phase
+from ..stencil.executor import active_executor
 from .limiter import Limiter, get_limiter
 from .reference import ReferenceState
 from .state import State
@@ -60,13 +61,19 @@ class DynamicsConfig:
     check_finite: bool = True        #: validate the state each long step
 
     def __post_init__(self) -> None:
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
+        if not 0.0 < self.dt < float("inf"):
+            raise ValueError("dt must be positive and finite")
         if self.ns < 1:
             raise ValueError("ns must be >= 1")
         if not 0.5 <= self.beta <= 1.0:
             raise ValueError("beta must be in [0.5, 1]")
         get_limiter(self.limiter)  # validate early
+
+
+def _zero_bits(a: np.ndarray) -> bool:
+    """Every byte of ``a`` is zero.  A test on bits, not ``== 0``: a
+    ``-0.0`` keeps its sign through ``-0.0 + -0.0``, so it is not zero."""
+    return not a.view(f"u{a.itemsize}").max()
 
 
 def slow_tendencies(
@@ -75,9 +82,18 @@ def slow_tendencies(
     cfg: DynamicsConfig,
     limiter: Limiter,
     rayleigh_w: np.ndarray | None = None,
-) -> tuple[SlowForcing, dict[str, np.ndarray]]:
+    base: State | None = None,
+) -> tuple[SlowForcing, dict[str, np.ndarray | None]]:
     """Slow-mode forcings at the given (stage) state, plus moisture
-    advection tendencies.  Requires valid halos of width >= 2."""
+    advection tendencies.  Requires valid halos of width >= 2.
+
+    ``base`` is the state the stage adds the tendencies to
+    (:class:`AcousticStepper`'s; the stage state itself by default).  A
+    species whose tendency is ``None`` is *inactive*: its stage and base
+    fields are all ``+0.0``, so its transport is a field of signed zeros
+    and the stage leaves ``+0.0`` — what the stepper's copy of ``base``
+    already holds (docs/STENCILS.md, "Work that is skipped exactly").
+    """
     g = state.grid
     u, v, w = state.velocities()
     fx = state.rhou
@@ -121,9 +137,20 @@ def slow_tendencies(
     if rayleigh_w is not None:
         r_w -= rayleigh_w[None, None, :] * state.rhow
 
-    with profile_phase("advect_moisture"):
+    base_q = state.q if base is None else base.q
+    idle = [n for n, q_hat in state.q.items()
+            if _zero_bits(q_hat) and _zero_bits(base_q[n])]
+    # 0 * inf and 0 / 0 are NaN in the full path: it runs unless every
+    # flux is finite and rho divides zero to zero
+    if idle and not (np.isfinite(fx.sum() + fy.sum() + fz.sum())
+                     and state.rho.min() > 0.0):
+        idle = []
+    active_executor().skip_transports(idle)
+    with profile_phase("advect_moisture",
+                       active=" ".join(n for n in state.q if n not in idle)):
         q_tend = {
-            name: adv.advect_scalar(q_hat / state.rho, fx, fy, fz, g, limiter)
+            name: None if name in idle else
+            adv.advect_scalar(q_hat / state.rho, fx, fy, fz, g, limiter)
             for name, q_hat in state.q.items()
         }
 
@@ -171,7 +198,7 @@ class Rk3Integrator:
             self.rayleigh_w = None
 
     def stage_plan(self) -> list[tuple[float, int]]:
-        """(stage interval, substep count) triples of the WS-RK3 scheme."""
+        """(stage interval, substep count) pairs of the WS-RK3 scheme."""
         dt, ns = self.cfg.dt, self.cfg.ns
         return [(dt / 3.0, 1), (dt / 2.0, max(ns // 2, 1)), (dt, ns)]
 
@@ -191,7 +218,7 @@ class Rk3Integrator:
         new = state
         for dts, nsub in self.stage_plan():
             forcing, q_tend = slow_tendencies(
-                cur, self.ref, self.cfg, self.limiter, self.rayleigh_w
+                cur, self.ref, self.cfg, self.limiter, self.rayleigh_w, state
             )
             stepper = AcousticStepper(
                 state, forcing, ctx, self.ref, dts, nsub,

@@ -85,10 +85,11 @@ def use_timer(timer: PhaseTimer):
 
 
 @contextlib.contextmanager
-def profile_phase(name: str):
+def profile_phase(name: str, **args):
     """Charge the enclosed block to the innermost active timer and/or
-    record it as a span on the innermost active trace session (a no-op —
-    two list lookups — when neither is active)."""
+    record it as a span on the innermost active trace session, ``args``
+    becoming the span's arguments (a no-op — two list lookups — when
+    neither is active)."""
     if not _ACTIVE and not _SESSIONS:
         yield
         return
@@ -102,4 +103,4 @@ def profile_phase(name: str):
         if _SESSIONS:
             session = _SESSIONS[-1]
             session.record_span(name, t0 - session.epoch, t1 - t0,
-                                cat="phase")
+                                cat="phase", args=args)

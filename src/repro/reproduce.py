@@ -72,7 +72,10 @@ SECTIONS: list[tuple[str, str, str]] = [
      "test_phase_breakdown.txt",
      "Real wall-clock shares of the reproduction (instrumented integrator):\n"
      "advection dominates and warm rain is a few percent — the same structure the\n"
-     "paper reports for the CUDA kernels.  Modules: `repro.profiling`."),
+     "paper reports for the CUDA kernels.  Modules: `repro.profiling`.\n"
+     "`advect_moisture` was the largest phase (39 % of this run) until the RK3\n"
+     "stage stopped transporting all-zero species (\"Host performance\" below);\n"
+     "it now advects `qv` and, once it forms, `qc`."),
     ("Ablation — array ordering (Sec. IV-A-1)", "test_ordering_model.txt", ""),
     ("Ablation — real host-memory strides", "test_ordering_real_strides.txt", ""),
     ("Ablation — overlap methods 1/2/3 (Sec. V-A)",
@@ -132,6 +135,65 @@ running code.
 """
 
 _FOOTER = """
+## Host performance — transporting only the water that exists
+
+`bench/run.py --layers` plus a cProfile of the `dycore_cpu` spec ranked
+`advect_scalar` first on the planned default: 24 of the 61 dispatches
+and ≈ 87 of the ≈ 240 ms of a step, most of it on species whose field is
+all-zero (no benchmark workload turns ice on; `qc`/`qr` are zero until
+the first cloud; the dry vortex has seven zero species of seven). The RK3
+stage now keeps an exact **active-tracer set** (docs/STENCILS.md, "Work
+that is skipped exactly"). Ten alternating parent/change pairs of
+`python3 bench/run.py --seconds 18`, seeds 3, 11, 12, 21-27, median
+[quartiles] of `op_ms`; every `sim_digest` equal, every verify check
+true, `setup_s` and `peak_rss_mb` flat (worst: `decomp_2x2/peak_rss_mb`
++0.3 %):
+
+```text
+workload           parent                  change                  delta    pairs won
+dycore_cpu         237.1 [230.1, 263.5]    177.9 [170.2, 182.3]    -24.9 %  10 / 10
+decomp_2x2         141.1 [139.8, 155.3]    121.2 [116.2, 125.9]    -14.1 %  10 / 10
+serve_stream        68.1 [ 65.3,  71.0]     49.1 [ 48.1,  50.8]    -27.9 %  10 / 10
+ensemble_recover   235.9 [219.3, 240.7]    162.4 [158.5, 172.8]    -31.2 %  10 / 10
+```
+
+**Two routes that were measured and ruled out** (on scratch copies while
+the issue was written; recorded so nobody re-runs them). PR 16 had
+already taken `advect_scalar` to NumPy's floor — 25 ufunc passes at
+≈ 0.7 ns per element-pass, the same at 16x16x16 and 48x48x24 — so the
+per-element cost was not the lever:
+
+* *Threads.* Running the eight independent `advect_scalar` calls of a
+  stage on two threads is **0.92x at 48x48x24 and 0.4x at 16x16x16**: a
+  slab ufunc lasts ≈ 5 µs and the GIL changes hands around each one.
+* *Slab-blocking the acoustic substep.* A 75-pass chain shaped like the
+  substep, run slab by slab instead of field by field, gains **10 % of
+  that chain** — the substep's operands are already L2-resident at these
+  tile sizes.
+
+**All-active control** — what the tests and guards cost when nothing can
+be skipped. No benchmark workload has every tracer active, so this is the
+only place that number exists. The `dycore_cpu` spec (warm-bubble
+48x48x24, `cpu`, seed 3) through the public API with every species
+seeded with a small positive field (`q = 1e-5 * U(0,1) * rho`) and the
+warm-rain physics off (Kessler evaporates a trace of cloud to exact zero
+within one step, which would make `qc` skippable again); one worker
+process per tree, 60 interleaved rounds of three steps, order
+alternating; the skip counter reads 0 in every run:
+
+```text
+                                   parent     change     paired change/parent, median [quartiles]   rounds won
+active set only (no shared op)     195.4 ms   194.0 ms   0.995 [0.963, 1.022]                        33 / 60
+as shipped (+ shared Helmholtz)    211.3 ms   205.6 ms   0.985 [0.948, 1.027]                        34 / 60
+```
+
+The wall clock cannot resolve the cost (quartiles ±3 %); the point
+estimate is a 0.5 % *gain*, i.e. no measurable cost. Timed directly, the
+bit test of an active 54x54x24 field is 11 µs (a zero one 7 µs) and the
+four guard reductions 95 µs, run only when some species is a candidate:
+7 x 3 x 11 µs = 0.23 ms of a ≈ 200 ms all-active step (0.1 %), and
+≈ 0.6 ms (0.35 %) of a `dycore_cpu` step where five species are skipped.
+
 ## Known deviations and their reasons
 
 * **Performance is modeled, not measured** — no GPU/cluster exists here.

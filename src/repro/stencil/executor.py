@@ -76,6 +76,10 @@ class StencilExecutor:
         self.accelerated = 0
         #: dispatches that fell back to the reference implementation
         self.fallbacks = 0
+        #: ``advect_scalar`` calls an RK stage did not have to make
+        self.skipped = 0
+        #: the species the most recent stage found inactive
+        self.inactive: tuple = ()
 
     # ---------------------------------------------------------- dispatch
     def call(self, sf: StencilFunction, args: tuple, kwargs: dict) -> Any:
@@ -90,6 +94,13 @@ class StencilExecutor:
             self.fallbacks += 1
         return sf.reference(*args, **kwargs)
 
+    def skip_transports(self, names) -> None:
+        """Record the species whose transport an RK stage skipped because
+        the result is known exactly (core/rk3.py: an all-zero field stays
+        ``+0.0``), so a report can say why a dry run is faster."""
+        self.skipped += len(names)
+        self.inactive = tuple(names)
+
     # --------------------------------------------------------- reporting
     def stats(self) -> Dict[str, Any]:
         return {
@@ -97,6 +108,8 @@ class StencilExecutor:
             "dispatches": int(sum(self.calls.values())),
             "accelerated": self.accelerated,
             "fallbacks": self.fallbacks,
+            "skipped": self.skipped,
+            "inactive": list(self.inactive),
             # nothing is taken per call any more: the only scratch is the
             # plans' arenas, bound at build time
             "allocations": 0.0,
@@ -107,10 +120,15 @@ class StencilExecutor:
 
     def report(self) -> str:
         s = self.stats()
-        return (f"stencil[{self.backend}]: {s['dispatches']} dispatches "
+        text = (f"stencil[{self.backend}]: {s['dispatches']} dispatches "
                 f"({s['accelerated']} fused, {s['fallbacks']} reference), "
                 f"{self.plans.built} plan(s), arena "
                 f"{s['bytes_allocated'] / 1024:.0f} KiB")
+        if self.skipped:
+            total = self.skipped + self.calls["advect_scalar"]
+            text += (f"; {self.skipped} of {total} scalar transports skipped "
+                     f"(inactive: {' '.join(self.inactive) or 'none'})")
+        return text
 
 
 _ACTIVE: contextvars.ContextVar["StencilExecutor | None"] = \

@@ -13,7 +13,7 @@ from repro.core.grid import make_grid
 from repro.core.model import AsucaModel, ModelConfig
 from repro.core.pressure import eos_pressure
 from repro.core.reference import make_reference_state
-from repro.core.rk3 import DynamicsConfig, slow_tendencies
+from repro.core.rk3 import DynamicsConfig, Rk3Integrator, slow_tendencies
 from repro.core.limiter import koren
 from repro.core.state import state_from_reference
 from repro.workloads.sounding import constant_stability_sounding
@@ -71,6 +71,23 @@ def test_integrate_equals_manual_drive(setup):
     for name in auto.prognostic_names():
         np.testing.assert_array_equal(auto.get(name), stepper.st.get(name),
                                       err_msg=name)
+
+
+@pytest.mark.parametrize("ns", [1, 2, 3, 4, 5, 6])
+def test_stages_2_and_3_share_one_helmholtz_operator_iff_ns_is_even(setup, ns):
+    """``(dt/2)/(ns//2)`` and ``dt/ns`` are the same double for even
+    ``ns``: the context assembles (and factors) that operator once."""
+    g, ref, st, ctx, forcing, _ = setup
+    rk = Rk3Integrator(g, ref, DynamicsConfig(dt=4.0, ns=ns), _exchange, None)
+    steppers = [AcousticStepper(st, forcing, ctx, ref, dts, nsub)
+                for dts, nsub in rk.stage_plan()]
+    helms = [s.helm for s in steppers]
+    assert (helms[1] is helms[2]) == (ns % 2 == 0)
+    for a in steppers:                  # shared exactly when dtau is equal
+        for b in steppers:
+            assert (a.helm is b.helm) == (a.dtau == b.dtau)
+    assert AcousticStepper(st, forcing, ctx, ref, 4.0, ns,
+                           beta=0.7).helm is not helms[2]
 
 
 def test_does_not_mutate_base(setup):
