@@ -32,9 +32,9 @@ def main() -> None:
 
     print(f"domain {g.nx}x{g.ny}x{g.nz} split over "
           f"{machine.px}x{machine.py} = {len(machine.ranks)} ranks")
-    for r in machine.ranks[:3]:
-        print(f"  rank {r.sub.rank}: offset ({r.sub.x0},{r.sub.y0}), "
-              f"local {r.sub.nx}x{r.sub.ny}")
+    for sub in machine.subs[:3]:
+        print(f"  rank {sub.rank}: offset ({sub.x0},{sub.y0}), "
+              f"local {sub.nx}x{sub.ny}")
 
     n_steps = 60  # six minutes of model time
     single = case.state

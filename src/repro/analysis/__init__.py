@@ -16,7 +16,7 @@ finding format:
   and occupancy-valid launch configurations (AST), plus probe-verified
   stencil halo declarations (LINT03 runs each kernel against its
   ``@stencil`` declaration instead of guessing from slices);
-* **dataflow** (:mod:`repro.analysis.dataflow` over the step graphs of
+* **dataflow** (:mod:`repro.analysis.dataflow` over the step graph of
   :mod:`repro.analysis.stepgraph`) — whole-program def/use analysis of
   the model step loop: stale-halo reads per topology axis (LINT04),
   read-before-first-write (LINT05), dead stores (LINT06),

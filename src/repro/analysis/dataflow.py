@@ -571,40 +571,29 @@ def graph_findings(graph: StepGraph) -> list[Finding]:
 
 def dataflow_pass(
     *,
-    entries: tuple[str, ...] = ("single", "multigpu"),
     registry: Mapping[str, Any] | None = None,
     baseline: str | Path | None = None,
 ) -> tuple[list[Finding], list[Finding], list[str]]:
     """Run the full dataflow analysis; returns
     ``(findings, suppressed, notes)``.
 
+    The graph passes run over the decomposed driver's step graph: both
+    drivers resume the same long-step body, and the single-domain one
+    only adds a fill to it, so whatever is stale there is stale here.
+
     ``baseline`` is a path to the checked-in baseline file
     (:data:`DEFAULT_BASELINE` when None; pass ``"none"`` to disable).
     Inline ``# sanitizer: allow[...]`` comments are honored first, the
     baseline second.
     """
-    notes: list[str] = []
-    raw: list[Finding] = []
-    for entry in entries:
-        graph = build_step_graph(entry, registry=registry)
-        notes.extend(n for n in graph.notes if n not in notes)
-        raw.extend(graph_findings(graph))
-    raw.extend(fusion_findings(specs=registry))
-    raw.extend(precision_findings(specs=registry))
-
-    # the two entry graphs share the inlined single-rank step: dedupe
-    deduped: list[Finding] = []
-    seen: set[tuple[str, str | None, int | None, str]] = set()
-    for f in raw:
-        key = (f.code, f.file, f.line, f.message)
-        if key in seen:
-            continue
-        seen.add(key)
-        deduped.append(f)
+    graph = build_step_graph("multigpu", registry=registry)
+    notes = list(graph.notes)
+    raw = (graph_findings(graph) + fusion_findings(specs=registry)
+           + precision_findings(specs=registry))
 
     findings: list[Finding] = []
     suppressed: list[Finding] = []
-    for f in deduped:
+    for f in raw:
         if origin_suppressed(f.file, f.line, f.code):
             suppressed.append(f)
         else:

@@ -3,16 +3,19 @@
 The ``@stencil`` registry declares what each kernel reads, writes, and
 how far it reaches (:mod:`repro.stencil.spec`); the step loop decides
 *when* each kernel runs and where the halo exchanges sit.  This module
-joins the two: it walks the AST of the real step sequence —
-:meth:`repro.core.model.AsucaModel.step` (which drives
+joins the two: it walks the AST of the real step sequence — a driver's
+``step`` (:meth:`repro.core.model.AsucaModel.step` or
+:meth:`repro.dist.multigpu.MultiGpuAsuca.step`) and, inlined into it, the
+one long-step body both drivers resume,
+:meth:`repro.core.model.AsucaModel.long_step` (the RK3 stages of
 :meth:`repro.core.rk3.Rk3Integrator.step_phases`, the acoustic substeps
-and the physics) and :meth:`repro.dist.multigpu.MultiGpuAsuca.step` —
-resolving every kernel invocation against the registry and every
-exchange point (``yield`` of ``step_phases``, ``exchange``/
-``_exchange``/``exchange_all``/``fill_halos_state`` calls, with the
-per-axis coverage of :meth:`repro.dist.halo.HaloExchanger.exchange`)
-into a linear sequence of :class:`Node` records whose edges are
-field-level def/use chains.  The dataflow passes
+and the physics) — resolving every kernel invocation against the
+registry and every exchange point (a ``yield`` of the body, or an
+``exchange``/``_exchange``/``exchange_all``/``fill_halos_state`` call,
+with the per-axis coverage of
+:meth:`repro.dist.halo.HaloExchanger.exchange`) into a linear sequence
+of :class:`Node` records whose edges are field-level def/use chains.
+The dataflow passes
 (:mod:`repro.analysis.dataflow`: LINT04/05/06) run over this graph.
 
 Scope and honesty
@@ -24,11 +27,11 @@ interpreter, not a Python interpreter:
   ``state``/``st``/``base``/``cur``/``new`` parameter-name convention),
   sets of underlying prognostic fields, literal field-name lists, or
   unknown;
-* known step-path helpers (``step_phases``, ``substep``, ``finish``,
-  ``slow_tendencies``, ``build_context`` and same-module functions) are
-  inlined; branches are linearized (writes are *may*-writes, exchanges
-  are taken optimistically); loops are unrolled once — the cyclic
-  passes double the node sequence instead;
+* known step-path helpers (``long_step``, ``step_phases``, ``substep``,
+  ``finish``, ``slow_tendencies``, ``build_context`` and same-module
+  functions) are inlined; branches are linearized (writes are
+  *may*-writes, exchanges are taken optimistically); loops are unrolled
+  once — the cyclic passes double the node sequence instead;
 * anything it cannot resolve degrades *loudly*: a call that receives
   the state but is not declared becomes an ``opaque`` node (reads
   everything, writes nothing) and an entry in :attr:`StepGraph.notes`,
@@ -523,7 +526,7 @@ class _FunctionWalker:
             cur = self.env.get(tgt.id)
             tok = self.token(tgt.id)
             merged_fields = val.fields | (cur.fields if cur else frozenset())
-            # += on a known literal list extends it (multigpu's physics
+            # += on a known literal list extends it (the post-physics
             # exchange list); on arrays it is a read-modify-write
             names = None
             if (cur is not None and cur.names is not None
@@ -708,6 +711,10 @@ class _FunctionWalker:
             self._exchange_node(fields_arg, line=node.lineno, axes=axes,
                                 what=callee)
             return _UNKNOWN
+        # 1b. the lockstep driver refreshes at the yields of the bodies
+        #     it is handed — exchange nodes already, once those are walked
+        if callee == "run_lockstep" and node.args:
+            return self._eval_val(node.args[0])
         # 2. registered stencil invocations
         if callee is not None and self.b.spec_of(callee) is not None:
             return self._kernel_node(callee, node, target_tokens,
@@ -832,9 +839,6 @@ class _FunctionWalker:
         if callee is None:
             return None
         target: tuple[_Module, ast.FunctionDef] | None = None
-        # integrator.step(state) drives step_phases with inline exchange
-        if callee == "step" and any("integrator" in p for p in recv_chain):
-            callee = "step_phases"
         if callee in self.b.inline_map:
             get_mod, qualname = self.b.inline_map[callee]
             mod = get_mod()
@@ -983,6 +987,7 @@ def _core_inline_map(b: _Builder) -> None:
         return lambda: b.module(inspect.getsourcefile(mod))
 
     b.inline_map.update({
+        "long_step": (of(model), "AsucaModel.long_step"),
         "step_phases": (of(rk3), "Rk3Integrator.step_phases"),
         "slow_tendencies": (of(rk3), "slow_tendencies"),
         "substep": (of(acoustic), "AcousticStepper._substep_impl"),
@@ -997,11 +1002,12 @@ def build_step_graph(entry: str = "single", *,
                      registry: dict[str, Any] | None = None) -> StepGraph:
     """Build the step graph of a real driver.
 
-    ``entry='single'`` walks :meth:`AsucaModel.step` (which inlines
-    ``step_phases``, the acoustic substeps, and the physics);
-    ``entry='multigpu'`` walks :meth:`MultiGpuAsuca.step`, whose
-    exchange points come from both the lockstep generator yields and the
-    explicit ``exchange_all`` sites.
+    ``entry='single'`` walks :meth:`AsucaModel.step`, ``entry='multigpu'``
+    :meth:`MultiGpuAsuca.step`.  Both resolve to the same inlined body,
+    :meth:`AsucaModel.long_step`, whose yields are the exchange points;
+    the graphs differ only in what the driver itself adds (the
+    single-domain fill after relaxation; the decomposed driver's fault
+    and telemetry bookkeeping).
     """
     if entry not in ("single", "multigpu"):
         raise ValueError(f"unknown entry {entry!r}: single|multigpu")

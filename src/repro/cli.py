@@ -180,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
     an.add_argument("--dataflow", action="store_true",
                     help="run the whole-program dataflow pass (stale "
                          "halos, liveness, fusion drift, precision flow) "
-                         "over the model step graphs")
+                         "over the model step graph")
     an.add_argument("--baseline", type=str, default=None, metavar="FILE",
                     help="dataflow baseline file (default the checked-in "
                          "analysis/baseline.json; 'none' disables it)")

@@ -28,7 +28,6 @@ consistency property the tests assert.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -43,8 +42,7 @@ from .reference import ReferenceState
 from .state import State
 
 __all__ = ["AcousticContext", "SlowForcing", "AcousticScratch",
-           "AcousticStepper", "acoustic_integrate", "build_context",
-           "ACOUSTIC_FIELDS"]
+           "AcousticStepper", "build_context", "ACOUSTIC_FIELDS"]
 
 
 @dataclass
@@ -191,10 +189,11 @@ class AcousticStepper:
     ``substep()`` advances one acoustic substep *without* touching halos;
     the caller must refresh halos of :data:`ACOUSTIC_FIELDS` between
     substeps (periodic fill or multi-GPU exchange).  ``finish()`` applies
-    the slow moisture tendencies and returns the stage state.  The
-    single-domain :func:`acoustic_integrate` and the distributed driver
-    both run on this class, which is what makes the decomposed run
-    bit-identical to the single-domain run.
+    the slow moisture tendencies and returns the stage state.  Its one
+    caller is :meth:`repro.core.rk3.Rk3Integrator.step_phases`, which
+    turns every refresh into a ``yield`` — the single-domain and the
+    decomposed driver both resume that generator, which is what makes
+    the two runs bit-identical.
     """
 
     def __init__(
@@ -409,31 +408,3 @@ class AcousticStepper:
             arr = self.st.q[name]
             arr[sx, sy] = self.base.q[name][sx, sy] + self.dts * tend[sx, sy]
         return list(q_tendencies.keys())
-
-
-def acoustic_integrate(
-    base: State,
-    forcing: SlowForcing,
-    ctx: AcousticContext,
-    ref: ReferenceState,
-    dts: float,
-    nsub: int,
-    *,
-    beta: float = 0.55,
-    div_damp: float = 0.1,
-    exchange: Callable[[State, list[str]], None],
-    q_tendencies: dict[str, np.ndarray] | None = None,
-) -> State:
-    """Single-domain driver over :class:`AcousticStepper`: integrate the
-    fast modes from ``base`` over ``dts``, refreshing halos after each
-    substep (the paper's short-time-step communications)."""
-    stepper = AcousticStepper(
-        base, forcing, ctx, ref, dts, nsub, beta=beta, div_damp=div_damp
-    )
-    for _ in range(nsub):
-        fields = stepper.substep()
-        exchange(stepper.st, fields)
-    q_fields = stepper.finish(q_tendencies)
-    if q_fields:
-        exchange(stepper.st, q_fields)
-    return stepper.st

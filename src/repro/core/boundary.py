@@ -13,6 +13,7 @@ equivalence tests assert both paths produce identical interiors.
 """
 from __future__ import annotations
 
+import copy
 from typing import Iterable
 
 import numpy as np
@@ -150,6 +151,8 @@ class RelaxationBC:
         self.width = width
         self.tau = tau
         self.targets: dict[str, np.ndarray] = {}
+        #: global index of a state's first (halo) cell; see :meth:`at`
+        self.origin = (0, 0)
         self._weight_c = self._make_weight(grid.nxh, grid.nyh)
         self._weight_u = self._make_weight(grid.nxh + 1, grid.nyh)
         self._weight_v = self._make_weight(grid.nxh, grid.nyh + 1)
@@ -187,30 +190,25 @@ class RelaxationBC:
             return self._weight_v
         return self._weight_c
 
-    def apply(self, state: State, dt: float) -> None:
-        """Relax the state toward the installed targets over ``dt``."""
-        for name, target in self.targets.items():
-            arr = state.get(name)
-            w = self.weight_for(arr)
-            factor = dt * w
-            if arr.ndim == 3:
-                factor = factor[:, :, None]
-            arr -= factor / (1.0 + factor) * (arr - target)
+    def at(self, x0: int, y0: int) -> "RelaxationBC":
+        """Rank-local view for a subdomain whose halo-inclusive arrays
+        start at global index ``(x0, y0)``.  The view *shares* this
+        object's targets and weights, so a later :meth:`set_target` here
+        reaches every rank."""
+        view = copy.copy(self)
+        view.origin = (x0, y0)
+        return view
 
-    def apply_sliced(
-        self, state: State, dt: float, x0: int, y0: int
-    ) -> None:
-        """Distributed form: relax a rank-local state using the *global*
-        weights and targets sliced at the rank's offset (``x0, y0`` are
-        the subdomain's interior offsets).  Point-wise, so halo cells
-        relax exactly as the neighbor's interior does — no exchange is
-        needed afterwards."""
+    def apply(self, state: State, dt: float) -> None:
+        """Relax the state toward the installed targets over ``dt``.
+        Point-wise, so on a rank-local view (:meth:`at`) halo cells relax
+        exactly as the neighbor's interior does — no exchange is needed
+        afterwards."""
+        x0, y0 = self.origin
         for name, target in self.targets.items():
             arr = state.get(name)
-            w_glob = self.weight_for(target)
-            sx = slice(x0, x0 + arr.shape[0])
-            sy = slice(y0, y0 + arr.shape[1])
-            factor = dt * w_glob[sx, sy]
+            here = (slice(x0, x0 + arr.shape[0]), slice(y0, y0 + arr.shape[1]))
+            factor = dt * self.weight_for(target)[here]
             if arr.ndim == 3:
                 factor = factor[:, :, None]
-            arr -= factor / (1.0 + factor) * (arr - target[sx, sy])
+            arr -= factor / (1.0 + factor) * (arr - target[here])

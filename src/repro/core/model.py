@@ -5,18 +5,21 @@ integrator, boundary handling and (optionally) the warm-rain physics into
 the execution flow of the paper's Fig. 1: initialize -> iterate long steps
 (each containing short acoustic steps) -> physics -> output.
 
-This class is the single-domain ("one GPU worth of work") driver; the
-multi-GPU wrapper in :mod:`repro.dist.multigpu` runs one of these per rank
-with halo exchanges replacing the periodic fills.
+The long step is written once, as the generator
+:meth:`AsucaModel.long_step`, which yields at every point where halos
+must be refreshed and never refreshes one itself.  :func:`run_lockstep`
+resumes N such generators together: :meth:`AsucaModel.step` is that loop
+with N = 1 and the grid's periodic/open fill as the refresh, and
+:mod:`repro.dist.multigpu` is the same loop over one ``AsucaModel`` per
+subdomain with the halo exchange as the refresh.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable, Generator, Sequence
 
 import numpy as np
 
-from .. import constants as c
 from ..obs.trace import span
 from ..profiling import profile_phase
 from ..physics.ice import IceConfig, cold_rain_step
@@ -34,7 +37,12 @@ from .reference import ReferenceState
 from .rk3 import DynamicsConfig, Rk3Integrator
 from .state import State, state_from_reference
 
-__all__ = ["ModelConfig", "AsucaModel", "StepDiagnostics"]
+__all__ = ["ModelConfig", "AsucaModel", "StepDiagnostics", "run_lockstep"]
+
+#: a long-step generator: yields ``(state, names)`` — the state whose
+#: halos are due and the fields to refresh (``None`` = every prognostic)
+#: — and returns the new state
+LongStep = Generator[tuple[State, "list[str] | None"], None, State]
 
 
 @dataclass
@@ -63,8 +71,33 @@ class StepDiagnostics:
     max_theta: float
 
 
+def run_lockstep(
+    steps: Sequence[LongStep],
+    refresh: Callable[[list[State], "list[str] | None"], None],
+) -> list[State]:
+    """Resume every long-step generator to its next refresh point, call
+    ``refresh(states, names)`` on what they yielded, and repeat until
+    they return; the new states come back in order.  All generators must
+    yield the same sequence of field lists (every rank of a decomposed
+    run does), so the first one's ``names`` stands for all."""
+    while True:
+        points: list[tuple[State, list[str] | None]] = []
+        done: list[State] = []
+        for gen in steps:
+            try:
+                points.append(next(gen))
+            except StopIteration as stop:
+                done.append(stop.value)
+        if points and done:
+            raise RuntimeError("ranks desynchronized at an exchange point")
+        if done:
+            return done
+        refresh([st for st, _ in points], points[0][1])
+
+
 class AsucaModel:
-    """Single-domain non-hydrostatic model.
+    """Non-hydrostatic model on one domain: the whole grid, or one rank's
+    subdomain of it.
 
     Parameters
     ----------
@@ -72,10 +105,6 @@ class AsucaModel:
         geometry and balanced base state.
     config
         :class:`ModelConfig`; ``config.dynamics.dt`` is the long step.
-    exchange
-        optional halo-refresh hook ``exchange(state, names|None)``; the
-        default applies the grid's periodic/open fills.  The distributed
-        driver passes its own exchanger here.
     relaxation
         optional :class:`~repro.core.boundary.RelaxationBC` applied after
         every long step (real-case workload).
@@ -87,24 +116,22 @@ class AsucaModel:
         ref: ReferenceState,
         config: ModelConfig | None = None,
         *,
-        exchange: Callable[[State, list[str] | None], None] | None = None,
         relaxation: RelaxationBC | None = None,
     ):
         self.grid = grid
         self.ref = ref
         self.config = config or ModelConfig()
         self.relaxation = relaxation
-        self._exchange = exchange or self._default_exchange
         # discrete reference pressure via the same EOS the model uses, so
         # that an unperturbed state is exactly stationary
         rhotheta_ref_hat = ref.rhotheta_c * grid.jac[:, :, None]
         self.p_ref = eos_pressure(rhotheta_ref_hat, grid)
         self.integrator = Rk3Integrator(
-            grid, ref, self.config.dynamics, self._exchange, self.p_ref
-        )
+            grid, ref, self.config.dynamics, self.p_ref)
 
     # ------------------------------------------------------------------
-    def _default_exchange(self, state: State, names: list[str] | None) -> None:
+    def _exchange(self, state: State, names: list[str] | None) -> None:
+        """The single-domain halo refresh: the grid's periodic/open fill."""
         with span("halo_fill", cat="comm"):
             fill_halos_state(state, names)
 
@@ -115,37 +142,48 @@ class AsucaModel:
         return st
 
     # ------------------------------------------------------------------
-    def step(self, state: State) -> State:
-        """One long time step: dynamics, then physics, then lateral
-        relaxation (paper Fig. 1 flow)."""
-        with span("dynamics_rk3", cat="phase"):
-            new = self.integrator.step(state)
-        if self.config.physics_enabled:
+    def long_step(self, state: State) -> LongStep:
+        """One long time step — dynamics, then physics, surface forcing
+        and lateral relaxation (paper Fig. 1 flow) — as a generator that
+        yields ``(state, names)`` wherever halos must be refreshed before
+        it is resumed, and returns the new state.  Relaxation is
+        point-wise, so nothing is yielded after it."""
+        new = yield from self.integrator.step_phases(state)
+        cfg = self.config
+        dt = cfg.dynamics.dt
+        if cfg.physics_enabled:
             with profile_phase("physics_warm_rain"):
-                kessler_step(new, self.ref, self.config.dynamics.dt, self.config.kessler)
-            if self.config.ice_enabled:
+                kessler_step(new, self.ref, dt, cfg.kessler)
+            fields = ["rhotheta", "qv", "qc", "qr", "rho"]
+            if cfg.ice_enabled:
                 with profile_phase("physics_cold_rain"):
-                    cold_rain_step(new, self.ref, self.config.dynamics.dt,
-                                   self.config.ice)
-                self._exchange(new, ["rhotheta", "rho", "qv", "qc", "qr",
-                                     "qi", "qs"])
-            else:
-                self._exchange(new, ["rhotheta", "qv", "qc", "qr"])
-        sc = self.config.surface
+                    cold_rain_step(new, self.ref, dt, cfg.ice)
+                fields += ["qi", "qs"]
+            yield new, fields
+        sc = cfg.surface
         if sc.heat_flux != 0.0 or sc.radiation_tau > 0.0:
             with span("physics_surface", cat="phase"):
-                dt = self.config.dynamics.dt
                 flux = sc.heat_flux
                 if sc.diurnal:
                     flux = diurnal_cycle_flux(sc.heat_flux, new.time,
                                               sc.day_length)
                 apply_surface_heating(new, self.ref, dt, flux)
                 apply_newtonian_cooling(new, self.ref, dt, sc.radiation_tau)
-                self._exchange(new, ["rhotheta"])
+            yield new, ["rhotheta"]
         if self.relaxation is not None:
             with span("boundary_relaxation", cat="phase"):
-                self.relaxation.apply(new, self.config.dynamics.dt)
-                self._exchange(new, None)
+                self.relaxation.apply(new, dt)
+        return new
+
+    def step(self, state: State) -> State:
+        """One long time step with the periodic/open fill as the refresh."""
+        with span("dynamics_rk3", cat="phase"):
+            new, = run_lockstep(
+                [self.long_step(state)],
+                lambda states, names: self._exchange(states[0], names))
+        if self.relaxation is not None:
+            # a returned state carries boundary-rule halos, not relaxed ones
+            self._exchange(new, None)
         return new
 
     def run(

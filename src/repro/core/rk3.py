@@ -8,8 +8,7 @@ from the long-step start (:mod:`repro.core.acoustic`).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,7 +17,6 @@ from .acoustic import (
     AcousticContext,
     AcousticStepper,
     SlowForcing,
-    acoustic_integrate,
     build_context,
 )
 from .boundary import rayleigh_coefficient
@@ -171,24 +169,20 @@ def slow_tendencies(
 
 
 class Rk3Integrator:
-    """One long step of the HE-VI split-explicit integrator.
-
-    ``exchange(state, names)`` is the halo-refresh hook (periodic fill in
-    single-domain runs; the multi-GPU exchange in distributed runs).
-    """
+    """The dynamics of one long step of the HE-VI split-explicit
+    integrator, as the generator :meth:`step_phases`: it never refreshes
+    a halo itself, so it cannot be run without a driver that does."""
 
     def __init__(
         self,
         grid: Grid,
         ref: ReferenceState,
         cfg: DynamicsConfig,
-        exchange: Callable[[State, list[str]], None],
         p_ref: np.ndarray,
     ):
         self.grid = grid
         self.ref = ref
         self.cfg = cfg
-        self.exchange = exchange
         self.p_ref = p_ref
         self.limiter = get_limiter(cfg.limiter)
         if cfg.rayleigh_depth > 0.0:
@@ -203,14 +197,14 @@ class Rk3Integrator:
         return [(dt / 3.0, 1), (dt / 2.0, max(ns // 2, 1)), (dt, ns)]
 
     def step_phases(self, state: State):
-        """Generator form of one long step for lockstep multi-domain
-        drivers: yields ``(state_to_refresh, field_names_or_None)`` at
-        every halo-exchange point; the driver must refresh the halos
-        before resuming.  Returns the new state via ``StopIteration``.
+        """The RK3 stages as a generator: yields ``(state_to_refresh,
+        field_names_or_None)`` at every halo-exchange point; the driver
+        must refresh the halos before resuming.  Returns the new state
+        via ``StopIteration``.
 
         Every rank of a decomposed run yields the identical sequence of
-        exchange points, which is what lets :mod:`repro.dist.multigpu`
-        drive all ranks in lockstep.
+        exchange points, which is what lets
+        :func:`repro.core.model.run_lockstep` drive all ranks together.
         """
         yield state, None  # make sure every halo is valid
         ctx = build_context(state, self.ref, self.p_ref)
@@ -235,13 +229,3 @@ class Rk3Integrator:
         if self.cfg.check_finite:
             new.validate()
         return new
-
-    def step(self, state: State) -> State:
-        """Advance one long step; returns a new state at t + dt."""
-        gen = self.step_phases(state)
-        try:
-            while True:
-                st, fields = next(gen)
-                self.exchange(st, fields)
-        except StopIteration as stop:
-            return stop.value

@@ -1,12 +1,14 @@
 """Functional multi-GPU ASUCA: lockstep SPMD execution over subdomains.
 
-Each rank owns a subdomain (grid slice + reference slice + its own
-:class:`~repro.core.rk3.Rk3Integrator`) and all ranks advance through the
-long step in lockstep, pausing at every halo-exchange point of the
-generator :meth:`~repro.core.rk3.Rk3Integrator.step_phases` — exactly the
+Each rank is an ordinary :class:`~repro.core.model.AsucaModel` on its
+subdomain (grid slice + reference slice + a rank-local view of the
+lateral relaxation), and all ranks advance through the same long-step
+body, :meth:`~repro.core.model.AsucaModel.long_step`, in lockstep:
+:func:`~repro.core.model.run_lockstep` pauses them at every halo-refresh
+point and this driver answers with a halo exchange — exactly the
 communication pattern of the paper's Sec. V (exchanges of momentum,
 density and potential temperature inside the short time step, moisture
-once per stage).
+once per stage).  Nothing of the step itself is written here.
 
 Because local geometry/reference arrays are *slices* of the global ones
 and the halo strips mirror the single-domain periodic fills, a decomposed
@@ -16,22 +18,16 @@ the paper's "results agree within machine round-off" claim.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ..core.boundary import RelaxationBC
 from ..core.grid import Grid
-from ..core.model import ModelConfig
-from ..core.pressure import eos_pressure
+from ..core.model import AsucaModel, ModelConfig, run_lockstep
 from ..core.reference import ReferenceState
-from ..core.rk3 import Rk3Integrator
 from ..core.state import State
 from ..gpu.asuca_kernels import step_schedule
 from ..gpu.runtime import charge_step
 from ..obs.trace import span
-from ..physics.ice import cold_rain_step
-from ..physics.kessler import kessler_step
 from ..resilience.faults import RankCrash
 from .decomposition import Subdomain, Topology, decompose, make_subgrid
 from .halo import STAGGER, HaloExchanger
@@ -67,14 +63,6 @@ def _field_slices(sub: Subdomain, halo: int, stag: tuple[bool, bool]):
     )
 
 
-@dataclass
-class _Rank:
-    sub: Subdomain
-    grid: Grid
-    ref: ReferenceState
-    integrator: Rk3Integrator
-
-
 class MultiGpuAsuca:
     """2-D-decomposed, lockstep multi-rank driver.
 
@@ -107,8 +95,8 @@ class MultiGpuAsuca:
         self.global_grid = global_grid
         self.global_ref = global_ref
         self.config = config or ModelConfig()
-        #: global Davies relaxation (real-data case); applied per rank
-        #: with globally sliced weights/targets
+        #: global Davies relaxation (real-data case); each rank applies a
+        #: view of it at its own offset
         self.relaxation = relaxation
         self.px, self.py = px, py
         #: the one place the open-vs-periodic edge decision is made
@@ -125,24 +113,15 @@ class MultiGpuAsuca:
         self.devices: list | None = None
         #: exchanger recovery seconds already charged to the devices
         self._backoff_charged = 0.0
-        self.ranks: list[_Rank] = []
-        for sub in self.subs:
-            grid = make_subgrid(global_grid, sub)
-            ref = _slice_ref(global_ref, sub, global_grid.halo)
-            rhotheta_ref_hat = ref.rhotheta_c * grid.jac[:, :, None]
-            p_ref = eos_pressure(rhotheta_ref_hat, grid)
-            integ = Rk3Integrator(
-                grid, ref, self.config.dynamics,
-                exchange=self._no_exchange, p_ref=p_ref,
-            )
-            self.ranks.append(_Rank(sub=sub, grid=grid, ref=ref, integrator=integ))
-
-    @staticmethod
-    def _no_exchange(state: State, names) -> None:  # pragma: no cover
-        raise RuntimeError(
-            "rank-local integrator must be driven through step_phases(); "
-            "direct step() would skip the multi-GPU exchange"
-        )
+        #: one model per subdomain, in the order of :attr:`subs`
+        self.ranks = [
+            AsucaModel(
+                make_subgrid(global_grid, sub),
+                _slice_ref(global_ref, sub, global_grid.halo), self.config,
+                relaxation=(relaxation.at(sub.x0, sub.y0)
+                            if relaxation is not None else None))
+            for sub in self.subs
+        ]
 
     # ------------------------------------------------------ device telemetry
     def attach_devices(self, spec=None, *, precision=None, order=None,
@@ -191,9 +170,9 @@ class MultiGpuAsuca:
         hook measures this step's kernels against the rank state and
         annotates the launches with measured counts."""
         nz = self.global_grid.nz
-        for r, (rank, device) in enumerate(zip(self.ranks, self.devices)):
+        for r, (sub, device) in enumerate(zip(self.subs, self.devices)):
             charge_step(
-                device, self._dev_schedule, rank.sub.nx * rank.sub.ny * nz,
+                device, self._dev_schedule, sub.nx * sub.ny * nz,
                 precision=self._dev_precision, order=self._dev_order,
                 hook=self._dev_counting[r] if self._dev_counting else None,
                 step_index=self.step_index, state=states[r])
@@ -227,8 +206,7 @@ class MultiGpuAsuca:
         """Split a global state into per-rank states (copies)."""
         h = self.global_grid.halo
         states = []
-        for rank in self.ranks:
-            sub = rank.sub
+        for sub, rank in zip(self.subs, self.ranks):
             kw = {}
             for name in ("rho", "rhou", "rhov", "rhow", "rhotheta"):
                 stag = STAGGER[name]
@@ -254,8 +232,7 @@ class MultiGpuAsuca:
             q={k: g.zeros_c(states[0].dtype) for k in states[0].q},
             time=states[0].time,
         )
-        for rank, st in zip(self.ranks, states):
-            sub = rank.sub
+        for sub, st in zip(self.subs, states):
             for name in st.prognostic_names():
                 stag = STAGGER.get(name, (False, False))
                 loc = st.get(name)
@@ -269,9 +246,8 @@ class MultiGpuAsuca:
         # per-rank diagnostics: accumulated precipitation (interior-sized)
         if any(st.precip_accum is not None for st in states):
             acc = np.zeros((g.nx, g.ny), dtype=states[0].dtype)
-            for rank, st in zip(self.ranks, states):
+            for sub, st in zip(self.subs, states):
                 if st.precip_accum is not None:
-                    sub = rank.sub
                     acc[sub.x0 : sub.x0 + sub.nx,
                         sub.y0 : sub.y0 + sub.ny] = st.precip_accum
             out.precip_accum = acc
@@ -297,44 +273,9 @@ class MultiGpuAsuca:
         by_pair_before = (dict(self.comm.stats.by_pair)
                           if self.devices is not None else {})
         with span("rk3_long_step", cat="phase"):
-            gens = [r.integrator.step_phases(st)
-                    for r, st in zip(self.ranks, states)]
-            results: list[State | None] = [None] * len(gens)
-            live = list(range(len(gens)))
-            while live:
-                pending: list[tuple[State, list[str] | None]] = []
-                for i in list(live):
-                    try:
-                        pending.append(next(gens[i]))
-                    except StopIteration as stop:
-                        results[i] = stop.value
-                        live.remove(i)
-                if pending:
-                    if len(pending) != len(gens):
-                        raise RuntimeError(
-                            "ranks desynchronized at an exchange point")
-                    fields = pending[0][1]
-                    self.exchange_all([st for st, _ in pending], fields)
-        new_states = [r for r in results if r is not None]
-
-        if self.config.physics_enabled:
-            with span("physics", cat="phase"):
-                for rank, st in zip(self.ranks, new_states):
-                    kessler_step(st, rank.ref, self.config.dynamics.dt,
-                                 self.config.kessler)
-                    if self.config.ice_enabled:
-                        cold_rain_step(st, rank.ref, self.config.dynamics.dt,
-                                       self.config.ice)
-            fields = ["rhotheta", "qv", "qc", "qr", "rho"]
-            if self.config.ice_enabled:
-                fields += ["qi", "qs"]
-            self.exchange_all(new_states, fields)
-        if self.relaxation is not None:
-            with span("boundary_relaxation", cat="phase"):
-                dt = self.config.dynamics.dt
-                for rank, st in zip(self.ranks, new_states):
-                    self.relaxation.apply_sliced(st, dt, rank.sub.x0,
-                                                 rank.sub.y0)
+            new_states = run_lockstep(
+                [rank.long_step(st) for rank, st in zip(self.ranks, states)],
+                self.exchange_all)
         if self.devices is not None:
             self._charge_devices(by_pair_before, new_states)
         self.step_index += 1

@@ -1,10 +1,11 @@
 """Tests of the whole-program step-graph builder: the real model graphs
-(both entries), the fixture harness, and the exchange-axis introspection."""
+(both drivers, one body), the fixture harness, and the exchange-axis introspection."""
 import inspect
 from pathlib import Path
 
 import pytest
 
+from repro.analysis.dataflow import graph_findings
 from repro.analysis.stepgraph import (
     PROGNOSTIC_FIELDS,
     build_graph_for_function,
@@ -49,12 +50,37 @@ def test_multigpu_entry_graph_builds_and_is_resolved():
     assert g.use_before_def == []
 
 
+def test_both_drivers_resolve_the_one_long_step_body():
+    """The drivers differ by what they add around the body — the
+    single-domain fill after relaxation — never by a kernel or by an
+    exchange point inside it."""
+    def sites(nodes):
+        return [(n.name, Path(n.file).name, n.line, n.exch_fields)
+                for n in nodes]
+
+    single, multi = build_step_graph("single"), build_step_graph("multigpu")
+    assert sites(single.kernels()) == sites(multi.kernels())
+    *body, trailing = single.exchanges()
+    assert sites(body) == sites(multi.exchanges())
+    assert {Path(n.file).name for n in body} == {"rk3.py", "model.py"}
+    assert trailing.name == "_exchange" and trailing.exch_fields is None
+    # the post-physics list is the decomposed (pinned) one, ice included
+    assert ("rhotheta", "qv", "qc", "qr", "rho", "qi", "qs") in [
+        n.exch_fields for n in body]
+    # which is why the dataflow pass may run on the decomposed graph only
+    assert graph_findings(single) == graph_findings(multi) == []
+
+
 def test_graph_notes_name_only_known_opaque_calls():
     for entry in ("single", "multigpu"):
         g = build_step_graph(entry)
         for note in g.notes:
             assert ("opaque state call" in note
                     or "cannot resolve" in note), note
+        # the drive loop is not walked: its refreshes are the body's yields
+        assert not any("multigpu.py" in n and "exchange" in n
+                       for n in g.notes)
+        assert not any("apply_sliced" in n for n in g.notes)
 
 
 def test_edges_reference_valid_nodes():

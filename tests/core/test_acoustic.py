@@ -5,7 +5,6 @@ import pytest
 from repro.core.acoustic import (
     ACOUSTIC_FIELDS,
     AcousticStepper,
-    acoustic_integrate,
     build_context,
 )
 from repro.core.boundary import fill_halos_state
@@ -39,6 +38,18 @@ def _exchange(state, names):
     fill_halos_state(state, names)
 
 
+def _integrate(base, forcing, ctx, ref, dts, nsub, *, q_tendencies=None, **kw):
+    """Drive one stage by hand: a fill after every substep, then the
+    moisture tendencies (what ``Rk3Integrator.step_phases`` yields for)."""
+    stepper = AcousticStepper(base, forcing, ctx, ref, dts, nsub, **kw)
+    for _ in range(nsub):
+        _exchange(stepper.st, stepper.substep())
+    q_fields = stepper.finish(q_tendencies)
+    if q_fields:
+        _exchange(stepper.st, q_fields)
+    return stepper.st
+
+
 def test_stepper_counts_substeps(setup):
     g, ref, st, ctx, forcing, _ = setup
     stepper = AcousticStepper(st, forcing, ctx, ref, 2.0, 4)
@@ -58,27 +69,12 @@ def test_finish_requires_all_substeps(setup):
         stepper.finish(q_tend)
 
 
-def test_integrate_equals_manual_drive(setup):
-    """acoustic_integrate is exactly the stepper + exchanges."""
-    g, ref, st, ctx, forcing, q_tend = setup
-    auto = acoustic_integrate(st, forcing, ctx, ref, 2.0, 4,
-                              exchange=_exchange, q_tendencies=q_tend)
-    stepper = AcousticStepper(st, forcing, ctx, ref, 2.0, 4)
-    for _ in range(4):
-        _exchange(stepper.st, stepper.substep())
-    q_fields = stepper.finish(q_tend)
-    _exchange(stepper.st, q_fields)
-    for name in auto.prognostic_names():
-        np.testing.assert_array_equal(auto.get(name), stepper.st.get(name),
-                                      err_msg=name)
-
-
 @pytest.mark.parametrize("ns", [1, 2, 3, 4, 5, 6])
 def test_stages_2_and_3_share_one_helmholtz_operator_iff_ns_is_even(setup, ns):
     """``(dt/2)/(ns//2)`` and ``dt/ns`` are the same double for even
     ``ns``: the context assembles (and factors) that operator once."""
     g, ref, st, ctx, forcing, _ = setup
-    rk = Rk3Integrator(g, ref, DynamicsConfig(dt=4.0, ns=ns), _exchange, None)
+    rk = Rk3Integrator(g, ref, DynamicsConfig(dt=4.0, ns=ns), None)
     steppers = [AcousticStepper(st, forcing, ctx, ref, dts, nsub)
                 for dts, nsub in rk.stage_plan()]
     helms = [s.helm for s in steppers]
@@ -93,15 +89,14 @@ def test_stages_2_and_3_share_one_helmholtz_operator_iff_ns_is_even(setup, ns):
 def test_does_not_mutate_base(setup):
     g, ref, st, ctx, forcing, q_tend = setup
     before = {n: st.get(n).copy() for n in st.prognostic_names()}
-    acoustic_integrate(st, forcing, ctx, ref, 2.0, 4,
-                       exchange=_exchange, q_tendencies=q_tend)
+    _integrate(st, forcing, ctx, ref, 2.0, 4, q_tendencies=q_tend)
     for name, arr in before.items():
         np.testing.assert_array_equal(st.get(name), arr, err_msg=name)
 
 
 def test_time_advances(setup):
     g, ref, st, ctx, forcing, _ = setup
-    out = acoustic_integrate(st, forcing, ctx, ref, 2.0, 4, exchange=_exchange)
+    out = _integrate(st, forcing, ctx, ref, 2.0, 4)
     assert out.time == pytest.approx(st.time + 2.0)
 
 
@@ -109,8 +104,8 @@ def test_more_substeps_converge(setup):
     """Halving dtau changes the result by less than dtau itself changes
     things — a weak consistency/stability check of the substepping."""
     g, ref, st, ctx, forcing, _ = setup
-    coarse = acoustic_integrate(st, forcing, ctx, ref, 2.0, 2, exchange=_exchange)
-    fine = acoustic_integrate(st, forcing, ctx, ref, 2.0, 8, exchange=_exchange)
+    coarse = _integrate(st, forcing, ctx, ref, 2.0, 2)
+    fine = _integrate(st, forcing, ctx, ref, 2.0, 8)
     d_cf = np.abs(g.interior(coarse.rhotheta) - g.interior(fine.rhotheta)).max()
     d_total = np.abs(g.interior(fine.rhotheta) - g.interior(st.rhotheta)).max()
     assert d_cf < 0.5 * d_total
@@ -118,7 +113,7 @@ def test_more_substeps_converge(setup):
 
 def test_w_boundary_faces_stay_zero(setup):
     g, ref, st, ctx, forcing, _ = setup
-    out = acoustic_integrate(st, forcing, ctx, ref, 2.0, 4, exchange=_exchange)
+    out = _integrate(st, forcing, ctx, ref, 2.0, 4)
     assert np.all(out.rhow[:, :, 0] == 0.0)
     assert np.all(out.rhow[:, :, -1] == 0.0)
 
@@ -127,10 +122,8 @@ def test_beta_one_fully_implicit(setup):
     """beta = 1 must run (skips the trapezoidal correction branch) and
     damp the vertical motion at least as strongly as beta = 0.55."""
     g, ref, st, ctx, forcing, _ = setup
-    out_55 = acoustic_integrate(st, forcing, ctx, ref, 2.0, 4,
-                                beta=0.55, exchange=_exchange)
-    out_10 = acoustic_integrate(st, forcing, ctx, ref, 2.0, 4,
-                                beta=1.0, exchange=_exchange)
+    out_55 = _integrate(st, forcing, ctx, ref, 2.0, 4, beta=0.55)
+    out_10 = _integrate(st, forcing, ctx, ref, 2.0, 4, beta=1.0)
     w55 = np.abs(g.interior(out_55.rhow)).max()
     w10 = np.abs(g.interior(out_10.rhow)).max()
     assert w10 <= w55 * 1.05
@@ -140,10 +133,8 @@ def test_divergence_damping_reduces_pressure_noise(setup):
     """With damping on, the max perturbation pressure after the substeps
     is no larger than without."""
     g, ref, st, ctx, forcing, _ = setup
-    out_d = acoustic_integrate(st, forcing, ctx, ref, 2.0, 8,
-                               div_damp=0.2, exchange=_exchange)
-    out_n = acoustic_integrate(st, forcing, ctx, ref, 2.0, 8,
-                               div_damp=0.0, exchange=_exchange)
+    out_d = _integrate(st, forcing, ctx, ref, 2.0, 8, div_damp=0.2)
+    out_n = _integrate(st, forcing, ctx, ref, 2.0, 8, div_damp=0.0)
     # both stable; damped run has no larger acoustic amplitude
     for out in (out_d, out_n):
         assert np.all(np.isfinite(g.interior(out.rhotheta)))

@@ -26,7 +26,7 @@ from repro.constants import WATER_SPECIES
 from repro.core.acoustic import AcousticStepper, build_context
 from repro.core.boundary import fill_halos_state
 from repro.core.grid import bell_mountain, make_grid
-from repro.core.model import AsucaModel, ModelConfig
+from repro.core.model import AsucaModel, ModelConfig, run_lockstep
 from repro.core.reference import make_reference_state
 from repro.core.rk3 import DynamicsConfig, Rk3Integrator, slow_tendencies
 from repro.stencil import StencilExecutor, default_backend, use_executor
@@ -76,15 +76,16 @@ def _long_step(model, st, *, full=False):
     opening refresh-everything exchange is left out (the halos are valid)
     so that a value planted in a halo is still there when the first stage
     looks."""
-    def exchange(state, names):
+    def refresh(states, names):
         if names is not None:
-            fill_halos_state(state, names)
+            fill_halos_state(states[0], names)
 
     rk = Rk3Integrator(model.grid, model.ref, model.config.dynamics,
-                       exchange, model.p_ref)
+                       model.p_ref)
     ex = StencilExecutor(default_backend())
     with use_executor(ex), (_full_path() if full else nullcontext()):
-        return rk.step(st.copy()), ex
+        new, = run_lockstep([rk.step_phases(st.copy())], refresh)
+    return new, ex
 
 
 def _one_stage(model, stage, base):

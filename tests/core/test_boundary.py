@@ -135,3 +135,30 @@ class TestRelaxationBC:
         bc.apply(st, dt=5.0)
         h = g.halo
         assert abs(st.rhou[h, h, 0]) < abs(before[h, h, 0])
+
+    def test_rank_view_shares_targets_set_later(self):
+        """A view at a subdomain's origin relaxes the rank-local arrays
+        exactly as the global object relaxes that window — including for
+        a target installed on the global object *after* the view was
+        made (the real case updates its boundary data hourly)."""
+        from repro.dist.multigpu import MultiGpuAsuca
+
+        g = self._grid()
+        ref = make_reference_state(g, constant_stability_sounding())
+        bc = RelaxationBC(g, width=4, tau=10.0)
+        machine = MultiGpuAsuca(g, ref, 2, 2, relaxation=bc)
+        glob = state_from_reference(g, ref, u0=5.0)
+        bc.set_target("rho", glob.rho * 1.01)       # after the views
+        bc.set_target("rhou", np.zeros(g.shape_u))  # a staggered one
+        before = machine.scatter_state(glob)
+        locals_ = machine.scatter_state(glob)
+        bc.apply(glob, dt=5.0)
+        for rank, sub, st in zip(machine.ranks, machine.subs, locals_):
+            view = rank.relaxation
+            assert view is not bc and view.targets is bc.targets
+            assert view.origin == (sub.x0, sub.y0)
+            view.apply(st, dt=5.0)
+        for st, st0, want in zip(locals_, before, machine.scatter_state(glob)):
+            for name in ("rho", "rhou"):    # halo cells included
+                np.testing.assert_array_equal(st.get(name), want.get(name))
+                assert not np.array_equal(st.get(name), st0.get(name))

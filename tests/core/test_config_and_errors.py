@@ -38,25 +38,13 @@ def test_rayleigh_wiring():
     g = make_grid(8, 8, 6, 1000.0, 1000.0, 6000.0)
     ref = make_reference_state(g, constant_stability_sounding())
     on = Rk3Integrator(g, ref, DynamicsConfig(rayleigh_depth=2000.0),
-                       exchange=lambda s, n: None, p_ref=np.zeros(g.shape_c))
-    off = Rk3Integrator(g, ref, DynamicsConfig(),
-                        exchange=lambda s, n: None, p_ref=np.zeros(g.shape_c))
+                       p_ref=np.zeros(g.shape_c))
+    off = Rk3Integrator(g, ref, DynamicsConfig(), p_ref=np.zeros(g.shape_c))
     assert on.rayleigh_w is not None and on.rayleigh_w.max() > 0
     assert off.rayleigh_w is None
 
 
 # ------------------------------------------------------ distributed errors
-def test_multigpu_rejects_direct_integrator_use():
-    from repro.core.model import ModelConfig
-    from repro.dist.multigpu import MultiGpuAsuca
-
-    g = make_grid(12, 12, 4, 1000.0, 1000.0, 4000.0)
-    ref = make_reference_state(g, constant_stability_sounding())
-    machine = MultiGpuAsuca(g, ref, 2, 2, ModelConfig())
-    with pytest.raises(RuntimeError, match="step_phases"):
-        machine.ranks[0].integrator.exchange(None, None)
-
-
 def test_multigpu_too_many_ranks():
     from repro.core.model import ModelConfig
     from repro.dist.multigpu import MultiGpuAsuca

@@ -31,9 +31,9 @@ def make_machine(nx=12, ny=12, px=2, py=2):
 
 def poison_y_halos(machine, states, name="rho"):
     h = states[0].grid.halo
-    for rank, stt in zip(machine.ranks, states):
+    for sub, stt in zip(machine.subs, states):
         arr = stt.get(name)
-        ny_loc = rank.sub.ny
+        ny_loc = sub.ny
         arr[:, :h] = SENTINEL
         arr[:, h + ny_loc:] = SENTINEL
 
@@ -44,13 +44,13 @@ def test_axis0_exchange_leaves_y_halos_untouched():
     poison_y_halos(machine, states)
     machine.exchange_all(states, ["rho"], axes=(0,))
     h = states[0].grid.halo
-    for rank, stt in zip(machine.ranks, states):
+    for sub, stt in zip(machine.subs, states):
         arr = stt.get("rho")
-        ny_loc = rank.sub.ny
+        ny_loc = sub.ny
         # the y strips were never exchanged: the sentinel survives on
         # the interior-x columns (x halos got neighbor data, which may
         # itself carry the neighbor's poisoned y rows)
-        nx_loc = rank.sub.nx
+        nx_loc = sub.nx
         interior_x = slice(h, h + nx_loc)
         assert np.all(arr[interior_x, :h] == SENTINEL)
         assert np.all(arr[interior_x, h + ny_loc:] == SENTINEL)
@@ -80,8 +80,7 @@ def test_full_exchange_matches_periodic_fill_including_corners():
     states = machine.scatter_state(gstate)
     machine.exchange_all(states, None)
     fill_halos_state(gstate)
-    for rank, stt in zip(machine.ranks, states):
-        sub = rank.sub
+    for sub, stt in zip(machine.subs, states):
         for name in stt.prognostic_names():
             ex = 1 if name == "rhou" else 0
             ey = 1 if name == "rhov" else 0

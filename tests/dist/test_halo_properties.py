@@ -43,8 +43,7 @@ def test_exchange_equals_periodic_fill_random(nx, ny, px, py, seed):
     assert machine.comm.pending() == 0
 
     fill_halos_state(gstate)
-    for rank, stt in zip(machine.ranks, states):
-        sub = rank.sub
+    for sub, stt in zip(machine.subs, states):
         for name in stt.prognostic_names():
             loc = stt.get(name)
             ex = 1 if name == "rhou" else 0

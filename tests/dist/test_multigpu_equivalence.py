@@ -5,6 +5,7 @@ margin of machine round-off error" — here the margin is exactly zero).
 """
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as hs
 
 from repro.core import (
     AsucaModel,
@@ -14,18 +15,31 @@ from repro.core import (
     make_grid,
     make_reference_state,
 )
+from repro.core.boundary import RelaxationBC
+from repro.core.pressure import eos_pressure, exner
 from repro.dist.multigpu import MultiGpuAsuca
+from repro.physics.saturation import saturation_mixing_ratio
+from repro.physics.surface import SurfaceConfig
 from repro.workloads.sounding import constant_stability_sounding, tropospheric_sounding
 
+#: every surface term on, with a day short enough that the diurnal flux
+#: is far from zero within a few steps
+SURFACE = SurfaceConfig(heat_flux=500.0, diurnal=True, day_length=240.0,
+                        radiation_tau=600.0)
+surface_cases = pytest.mark.parametrize(
+    "surface", [SurfaceConfig(), SURFACE], ids=["plain", "surface"])
 
-def _setup(terrain=None, sounding=None, physics=False, nx=16, ny=12, nz=8):
+
+def _setup(terrain=None, sounding=None, physics=False, nx=16, ny=12, nz=8,
+           surface=None, ice=False, periodic=True, **dynamics):
     g = make_grid(nx=nx, ny=ny, nz=nz, dx=2000.0, dy=2000.0, ztop=12000.0,
-                  terrain=terrain)
+                  terrain=terrain, periodic_x=periodic, periodic_y=periodic)
     ref = make_reference_state(g, sounding or constant_stability_sounding())
     cfg = ModelConfig(
         dynamics=DynamicsConfig(dt=4.0, ns=4, rayleigh_depth=4000.0,
-                                rayleigh_tau=30.0),
-        physics_enabled=physics,
+                                rayleigh_tau=30.0, **dynamics),
+        physics_enabled=physics, ice_enabled=ice,
+        surface=surface or SurfaceConfig(),
     )
     return g, ref, cfg
 
@@ -42,90 +56,105 @@ def _perturbed_initial(model):
     return st
 
 
-@pytest.mark.parametrize("px,py", [(2, 2), (1, 2), (3, 1), (2, 3)])
-def test_bitwise_equivalence_flat(px, py):
-    g, ref, cfg = _setup()
-    single = AsucaModel(g, ref, cfg)
-    st = _perturbed_initial(single)
+def _moisten(model, st):
+    """Supersaturate the lower levels so the Kessler path definitely fires."""
+    p = eos_pressure(st.rhotheta, model.grid)
+    T = (st.rhotheta / st.rho) * exner(p)
+    qvs = saturation_mixing_ratio(p, T)
+    st.q["qv"][...] = 0.9 * qvs * st.rho
+    st.q["qv"][:, :, :3] = 1.1 * qvs[:, :, :3] * st.rho[:, :, :3]
+    model._exchange(st, None)
 
-    machine = MultiGpuAsuca(g, ref, px, py, cfg)
+
+def _run_both(single, machine, st, steps=3):
+    """Step the single-domain model and the decomposed machine side by
+    side and assert the gathered interiors are bitwise the single ones."""
     rank_states = machine.scatter_state(st)
     machine.exchange_all(rank_states, None)
-
-    st_single = st
-    for _ in range(3):
-        st_single = single.step(st_single)
+    for _ in range(steps):
+        st = single.step(st)
         rank_states = machine.step(rank_states)
     gathered = machine.gather_state(rank_states)
-    for name in st_single.prognostic_names():
-        a = st_single.get(name)
-        b = gathered.get(name)
-        h = g.halo
+    g = single.grid
+    h = g.halo
+    for name in st.prognostic_names():
         np.testing.assert_array_equal(
-            a[h : h + g.nx, h : h + g.ny], b[h : h + g.nx, h : h + g.ny],
-            err_msg=f"{name} differs for {px}x{py}",
+            st.get(name)[h : h + g.nx, h : h + g.ny],
+            gathered.get(name)[h : h + g.nx, h : h + g.ny],
+            err_msg=f"{name} differs for {machine.px}x{machine.py}",
         )
+    return st, rank_states, gathered
+
+
+@surface_cases
+@pytest.mark.parametrize("px,py", [(2, 2), (1, 2), (3, 1), (2, 3)])
+def test_bitwise_equivalence_flat(px, py, surface):
+    g, ref, cfg = _setup(surface=surface)
+    single = AsucaModel(g, ref, cfg)
+    st = _perturbed_initial(single)
+    first, _, _ = _run_both(single, MultiGpuAsuca(g, ref, px, py, cfg), st)
+    if surface is SURFACE:  # the forcing is live, not compared as a no-op
+        plain = AsucaModel(g, ref, _setup()[2])
+        for _ in range(3):
+            st = plain.step(st)
+        assert not np.array_equal(first.rhotheta, st.rhotheta)
 
 
 def test_bitwise_equivalence_terrain():
     terr = bell_mountain(height=300.0, half_width=4000.0, x0=16000.0)
     g, ref, cfg = _setup(terrain=terr)
     single = AsucaModel(g, ref, cfg)
-    st = single.initial_state(u0=10.0)
-
     machine = MultiGpuAsuca(g, ref, 2, 2, cfg)
-    rank_states = machine.scatter_state(st)
-    machine.exchange_all(rank_states, None)
-
-    st_single = st
-    for _ in range(3):
-        st_single = single.step(st_single)
-        rank_states = machine.step(rank_states)
-    gathered = machine.gather_state(rank_states)
-    h = g.halo
-    for name in st_single.prognostic_names():
-        np.testing.assert_array_equal(
-            st_single.get(name)[h : h + g.nx, h : h + g.ny],
-            gathered.get(name)[h : h + g.nx, h : h + g.ny],
-            err_msg=name,
-        )
+    _, rank_states, _ = _run_both(single, machine,
+                                  single.initial_state(u0=10.0))
     # and the wave is actually active (the test is not comparing zeros)
     assert machine.max_w(rank_states) > 1e-4
 
 
-def test_bitwise_equivalence_with_physics():
-    g, ref, cfg = _setup(sounding=tropospheric_sounding(), physics=True)
+@surface_cases
+def test_bitwise_equivalence_with_physics(surface):
+    g, ref, cfg = _setup(sounding=tropospheric_sounding(), physics=True,
+                         surface=surface)
     single = AsucaModel(g, ref, cfg)
     st = _perturbed_initial(single)
-    # moisten so the Kessler path activates
-    from repro.core.pressure import eos_pressure, exner
-    from repro.physics.saturation import saturation_mixing_ratio
-
-    p = eos_pressure(st.rhotheta, g)
-    T = (st.rhotheta / st.rho) * exner(p)
-    # supersaturate the lower levels so the Kessler path definitely fires
-    qvs = saturation_mixing_ratio(p, T)
-    st.q["qv"][...] = 0.9 * qvs * st.rho
-    st.q["qv"][:, :, :3] = 1.1 * qvs[:, :, :3] * st.rho[:, :, :3]
-    single._exchange(st, None)
-
-    machine = MultiGpuAsuca(g, ref, 2, 2, cfg)
-    rank_states = machine.scatter_state(st)
-    machine.exchange_all(rank_states, None)
-
-    st_single = st
-    for _ in range(3):
-        st_single = single.step(st_single)
-        rank_states = machine.step(rank_states)
-    gathered = machine.gather_state(rank_states)
-    h = g.halo
-    for name in st_single.prognostic_names():
-        np.testing.assert_array_equal(
-            st_single.get(name)[h : h + g.nx, h : h + g.ny],
-            gathered.get(name)[h : h + g.nx, h : h + g.ny],
-            err_msg=name,
-        )
+    _moisten(single, st)
+    _, _, gathered = _run_both(single, MultiGpuAsuca(g, ref, 2, 2, cfg), st)
     assert float(gathered.q["qc"].max()) > 0.0  # cloud formed somewhere
+
+
+@settings(max_examples=8, deadline=None)
+@given(
+    topo=hs.sampled_from([(1, 1), (2, 1), (1, 2), (2, 2), (3, 1), (1, 3), (3, 2)]),
+    physics=hs.booleans(), ice=hs.booleans(), surface=hs.booleans(),
+    relaxation=hs.booleans(), coriolis=hs.booleans(), diffusion=hs.booleans(),
+)
+def test_generated_configurations_are_bitwise_equivalent(
+        topo, physics, ice, surface, relaxation, coriolis, diffusion):
+    """Any process grid, any mix of the step's optional terms: both
+    drivers resume the one long-step body, so they cannot disagree."""
+    dynamics = {}
+    if coriolis:
+        dynamics["coriolis_f"] = 1.0e-4
+    if diffusion:
+        dynamics.update(kdiff_h=50.0, kdiff4_h=1.0e6, kdiff_v=5.0)
+    g, ref, cfg = _setup(
+        sounding=tropospheric_sounding() if physics else None,
+        physics=physics, ice=physics and ice,
+        surface=SURFACE if surface else None,
+        periodic=not relaxation, **dynamics)
+    bc = None
+    if relaxation:
+        bc = RelaxationBC(g, width=3, tau=20.0)
+    single = AsucaModel(g, ref, cfg, relaxation=bc)
+    st = _perturbed_initial(single)
+    if physics:
+        _moisten(single, st)
+    if relaxation:  # pull the perturbed edges back toward the base state
+        base = single.initial_state(u0=10.0)
+        for name in ("rho", "rhou", "rhotheta"):
+            bc.set_target(name, base.get(name))
+    _run_both(single, MultiGpuAsuca(g, ref, *topo, cfg, relaxation=bc), st,
+              steps=2)
 
 
 def test_mass_conservation_distributed():
