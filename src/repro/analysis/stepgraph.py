@@ -980,7 +980,7 @@ def _default_registry() -> dict[str, Any]:
 
 
 def _core_inline_map(b: _Builder) -> None:
-    from ..core import acoustic, model, rk3
+    from ..core import acoustic, model, rk3, state
     from ..dist import multigpu
 
     def of(mod):
@@ -994,6 +994,7 @@ def _core_inline_map(b: _Builder) -> None:
         "_substep_impl": (of(acoustic), "AcousticStepper._substep_impl"),
         "finish": (of(acoustic), "AcousticStepper.finish"),
         "build_context": (of(acoustic), "build_context"),
+        "_zero_bits": (of(state), "zero_bits"),
     })
     b.modules_entry = {"single": model, "multigpu": multigpu}
 

@@ -44,7 +44,7 @@ from .core.boundary import fill_halos_state
 from .core.model import StepDiagnostics
 from .core.state import State
 from .obs.trace import TraceSession, span, use_session
-from .resilience.checkpoint import CheckpointManager
+from .resilience.checkpoint import CheckpointError, CheckpointManager
 from .resilience.faults import FaultInjector, FaultPlan, RankCrash
 from .resilience.retry import RetryPolicy
 
@@ -303,6 +303,8 @@ class RunResult:
     recovery_wall_s: float = 0.0
     checkpoints_written: int = 0
     resumed_from: int | None = None
+    #: step each crash recovery restored from (0: cold restart)
+    recovered_from: list = field(default_factory=list)
     halo_messages: int = 0
     halo_bytes: int = 0
     #: stencil executor dispatch/arena stats (StencilExecutor.stats())
@@ -323,7 +325,9 @@ class RunResult:
         if self.retry_stats is not None:
             parts.append(self.retry_stats.report())
         parts.append(f"{self.recoveries} crash recoveries "
-                     f"({self.recovery_wall_s * 1e3:.1f} ms wall)")
+                     f"({self.recovery_wall_s * 1e3:.1f} ms wall"
+                     + "".join(f", from step {s}" for s in self.recovered_from)
+                     + ")")
         parts.append(f"{self.checkpoints_written} checkpoints written")
         if self.resumed_from is not None:
             parts.append(f"resumed from step {self.resumed_from}")
@@ -365,6 +369,7 @@ class Experiment:
         self.recoveries = 0
         self.recovery_wall_s = 0.0
         self.resumed_from: int | None = None
+        self.recovered_from: list[int] = []
         self._initial: "State | list[State] | None" = None
         self._prepared = False
 
@@ -445,9 +450,8 @@ class Experiment:
                 self.executor.plans(g.shape_c, self.state.rho.dtype)
 
         if spec.resume:
-            if self.checkpoints.latest_step() is None:
-                raise FileNotFoundError(
-                    f"--resume: no checkpoint under {spec.checkpoint_dir}")
+            # newest readable archive; FileNotFoundError when there is
+            # none, CheckpointError when every one is damaged
             self._restore(self.checkpoints.load(self._grids()))
             self.resumed_from = self.step_index
 
@@ -539,23 +543,28 @@ class Experiment:
     # --------------------------------------------------------- recovery
     def _recover(self, crash: RankCrash) -> None:
         """Checkpoint-restart after a rank crash: reload the newest
-        consistent snapshot (or the initial state when none exists) and
-        rewind the step counter; the re-run is bit-identical to an
-        uninterrupted one because the snapshot holds full halos."""
+        readable snapshot (an older one when the newest is damaged, the
+        initial state when none reads) and rewind the step counter; the
+        re-run is bit-identical to an uninterrupted one because the
+        snapshot holds full halos."""
         t0 = time.perf_counter()
         with span("recovery", cat="resilience", rank=crash.rank,
                   step=crash.step):
-            if (self.checkpoints is not None
-                    and self.checkpoints.latest_step() is not None):
-                self._restore(self.checkpoints.load(self._grids()))
+            ckpt = None
+            if self.checkpoints is not None:
+                with contextlib.suppress(FileNotFoundError, CheckpointError):
+                    ckpt = self.checkpoints.load(self._grids())
+            if ckpt is not None:
+                self._restore(ckpt)
             else:
-                # no checkpoint yet: cold restart from the initial state
+                # nothing to read: cold restart from the initial state
                 self._restore_states(
                     [st.copy() for st in self._initial]
                     if isinstance(self._initial, list)
                     else self._initial.copy(), step=0)
         dt_wall = time.perf_counter() - t0
         self.recoveries += 1
+        self.recovered_from.append(self.step_index)
         self.recovery_wall_s += dt_wall
         if self.session is not None:
             m = self.session.metrics
@@ -634,6 +643,7 @@ class Experiment:
             checkpoints_written=(self.checkpoints.writes
                                  if self.checkpoints else 0),
             resumed_from=self.resumed_from,
+            recovered_from=list(self.recovered_from),
             halo_messages=comm.stats.messages if comm is not None else 0,
             halo_bytes=comm.stats.bytes_total if comm is not None else 0,
             stencil_stats=(self.executor.stats()

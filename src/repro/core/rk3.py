@@ -35,7 +35,7 @@ from ..profiling import profile_phase
 from ..stencil.executor import active_executor
 from .limiter import Limiter, get_limiter
 from .reference import ReferenceState
-from .state import State
+from .state import State, zero_bits as _zero_bits
 
 __all__ = ["DynamicsConfig", "Rk3Integrator", "slow_tendencies"]
 
@@ -66,12 +66,6 @@ class DynamicsConfig:
         if not 0.5 <= self.beta <= 1.0:
             raise ValueError("beta must be in [0.5, 1]")
         get_limiter(self.limiter)  # validate early
-
-
-def _zero_bits(a: np.ndarray) -> bool:
-    """Every byte of ``a`` is zero.  A test on bits, not ``== 0``: a
-    ``-0.0`` keeps its sign through ``-0.0 + -0.0``, so it is not zero."""
-    return not a.view(f"u{a.itemsize}").max()
 
 
 def slow_tendencies(

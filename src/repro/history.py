@@ -15,6 +15,7 @@ import numpy as np
 
 from .core.grid import Grid
 from .core.state import State
+from .resilience.checkpoint import read_states, write_states
 
 __all__ = ["HistoryWriter", "HistorySnapshot", "read_history",
            "save_checkpoint", "load_checkpoint"]
@@ -157,44 +158,11 @@ def read_history(path: str | pathlib.Path) -> tuple[dict, list[HistorySnapshot]]
 
 def save_checkpoint(state: State, path: str | pathlib.Path) -> pathlib.Path:
     """Serialize a full model state (halos included) so a run can restart
-    *bit-identically* — asserted by tests/test_cli_history.py."""
-    path = pathlib.Path(path)
-    payload: dict[str, np.ndarray] = {
-        "format_version": np.array(_FORMAT_VERSION),
-        "time": np.array(state.time),
-        "species": np.array(sorted(state.q), dtype="U8"),
-    }
-    for name in ("rho", "rhou", "rhov", "rhow", "rhotheta"):
-        payload[f"field/{name}"] = state.get(name)
-    for name, arr in state.q.items():
-        payload[f"q/{name}"] = arr
-    if state.precip_accum is not None:
-        payload["precip_accum"] = state.precip_accum
-    path.parent.mkdir(parents=True, exist_ok=True)
-    np.savez_compressed(path, **payload)
-    return path
+    *bit-identically*: a one-rank :mod:`repro.resilience.checkpoint` archive."""
+    write_states(path, [state])
+    return pathlib.Path(path)
 
 
 def load_checkpoint(path: str | pathlib.Path, grid: Grid) -> State:
     """Restore a checkpoint onto a grid of matching shape."""
-    with np.load(path) as z:
-        version = int(z["format_version"])
-        if version != _FORMAT_VERSION:
-            raise ValueError(f"unsupported checkpoint format {version}")
-        fields = {}
-        for name, shape in (
-            ("rho", grid.shape_c), ("rhou", grid.shape_u),
-            ("rhov", grid.shape_v), ("rhow", grid.shape_w),
-            ("rhotheta", grid.shape_c),
-        ):
-            arr = z[f"field/{name}"]
-            if arr.shape != shape:
-                raise ValueError(
-                    f"checkpoint field {name} has shape {arr.shape}, "
-                    f"grid expects {shape}"
-                )
-            fields[name] = arr.copy()
-        q = {str(name): z[f"q/{name}"].copy() for name in z["species"]}
-        precip = z["precip_accum"].copy() if "precip_accum" in z.files else None
-        return State(grid=grid, q=q, time=float(z["time"]),
-                     precip_accum=precip, **fields)
+    return read_states(path, [grid]).states[0]

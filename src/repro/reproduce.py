@@ -92,6 +92,9 @@ SECTIONS: list[tuple[str, str, str]] = [
      "test_cold_convection_produces_snow.txt", ""),
     ("Model transparency — parameter sensitivity",
      "test_parameter_sensitivity.txt", ""),
+    ("Host performance — checkpoints at memory speed",
+     "test_checkpoint_codec.txt",
+     "Format 2 (docs/RESILIENCE.md): stored, not deflated; zeros only named."),
 ]
 
 _HEADER = """# EXPERIMENTS — paper vs. reproduced

@@ -1,10 +1,13 @@
 """The RunSpec/Experiment facade, crash recovery, and the CLI surface."""
+import json
 import warnings
 
 import numpy as np
 import pytest
 
 from repro.api import Experiment, RunSpec, make_case, parse_ranks
+from repro.core.state import zero_bits
+from repro.resilience.checkpoint import CheckpointError
 from repro.resilience.faults import FaultPlan
 
 _SMALL = dict(nx=12, ny=12, nz=10)
@@ -115,6 +118,79 @@ class TestExperiment:
         for name in ref.state.prognostic_names():
             np.testing.assert_array_equal(resumed.state.get(name),
                                           ref.state.get(name), err_msg=name)
+
+    @pytest.mark.parametrize("damage, restored_from", [
+        ("flip", 2), ("truncate", 2), ("marker", 3), ("all", 0)])
+    def test_crash_with_damaged_newest_archive_still_recovers(
+            self, tmp_path, damage, restored_from):
+        """keep=2 holds steps 2 and 3 when the crash hits: a flipped byte
+        or a truncation in step 3 falls back to step 2, a deleted marker
+        costs nothing, and with both archives gone the run restarts cold
+        — each time bit-identical to the uninterrupted run."""
+        ref = Experiment(RunSpec(steps=5, **_SMALL)).run()
+        exp = Experiment(RunSpec(
+            steps=5, faults="crash@3", checkpoint_every=1,
+            checkpoint_dir=str(tmp_path), **_SMALL)).prepare()
+        exp.advance(3)
+        newest, older = exp.checkpoints.path_for(3), exp.checkpoints.path_for(2)
+        assert newest.exists() and older.exists()
+        raw = bytearray(newest.read_bytes())
+        if damage == "flip":
+            raw[len(raw) // 2] ^= 0x01
+            newest.write_bytes(bytes(raw))
+        elif damage == "truncate":
+            newest.write_bytes(bytes(raw[: len(raw) // 3]))
+        elif damage == "marker":
+            (tmp_path / "latest").unlink()
+        else:
+            newest.write_bytes(b"")
+            older.write_bytes(bytes(raw[:100]))
+        result = exp.run()
+        assert result.recoveries == 1
+        assert result.recovered_from == [restored_from]
+        assert f"from step {restored_from}" in result.resilience_report()
+        for name in ref.state.prognostic_names():
+            assert (result.state.get(name).tobytes()
+                    == ref.state.get(name).tobytes()), name
+
+    def test_species_elided_at_the_checkpoint_becomes_active_after(
+            self, tmp_path):
+        """A bubble just short of saturation: ``qc`` is all-zero (so not
+        stored) in the step-4 archive the crash restores from, and
+        condenses by step 6 — resumed == uninterrupted, bitwise."""
+        base = dict(steps=6, workload_kwargs={"bubble_rh": 0.96}, **_SMALL)
+        ref = Experiment(RunSpec(**base)).run()
+        result = Experiment(RunSpec(
+            faults="crash@4", checkpoint_every=1, checkpoint_keep=8,
+            checkpoint_dir=str(tmp_path), **base)).run()
+        assert result.recovered_from == [4]
+        with np.load(tmp_path / "ckpt-00000004.npz") as z:
+            manifest = json.loads(bytes(z["manifest"]).decode())
+            assert "r0/qc" in [key for key, _, _ in manifest["zeros"]]
+            assert "r0/qc" not in z.files
+        assert not zero_bits(result.state.q["qc"])
+        for name in ref.state.prognostic_names():
+            assert (result.state.get(name).tobytes()
+                    == ref.state.get(name).tobytes()), name
+
+    def test_resume_skips_a_damaged_newest_archive(self, tmp_path):
+        base = dict(checkpoint_every=1, checkpoint_dir=str(tmp_path),
+                    **_SMALL)
+        ref = Experiment(RunSpec(steps=4, **_SMALL)).run()
+        Experiment(RunSpec(steps=2, **base)).run()
+        newest = tmp_path / "ckpt-00000002.npz"
+        newest.write_bytes(newest.read_bytes()[:-40])
+        resumed = Experiment(RunSpec(steps=4, resume=True, **base)).run()
+        assert resumed.resumed_from == 1
+        for name in ref.state.prognostic_names():
+            assert (resumed.state.get(name).tobytes()
+                    == ref.state.get(name).tobytes()), name
+        # nothing readable left: a typed failure, not a BadZipFile
+        for path in tmp_path.glob("ckpt-*.npz"):
+            path.write_bytes(b"PK")
+        with pytest.raises(CheckpointError) as err:
+            Experiment(RunSpec(steps=4, resume=True, **base)).prepare()
+        assert err.value.path.parent == tmp_path
 
     def test_resume_without_checkpoint_raises(self, tmp_path):
         spec = RunSpec(steps=2, resume=True,

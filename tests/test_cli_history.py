@@ -161,6 +161,29 @@ class TestCheckpoint:
         st = load_checkpoint(p, case.grid)
         np.testing.assert_array_equal(st.precip_accum, 1.25)
 
+    def test_failed_write_leaves_the_previous_checkpoint(self, tmp_path,
+                                                         monkeypatch):
+        """The writer dies after some bytes are out: no ``*.tmp`` is left
+        and the file that was there still restores."""
+        from repro.history import load_checkpoint, save_checkpoint
+
+        case = make_mountain_wave_case(nx=14, ny=8, nz=8, dx=2000.0,
+                                       ztop=8000.0)
+        p = save_checkpoint(case.state, tmp_path / "c.npz")
+        before = p.read_bytes()
+
+        def dies_midway(f, **arrays):
+            f.write(before[:1000])
+            raise OSError("disk full")
+
+        monkeypatch.setattr(np, "savez", dies_midway)
+        case.state.rho += 1.0
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(case.state, p)
+        assert [q.name for q in tmp_path.iterdir()] == ["c.npz"]
+        assert p.read_bytes() == before
+        load_checkpoint(p, case.grid)
+
 
 class TestReproduce:
     def test_generates_document(self, tmp_path):
