@@ -699,9 +699,12 @@ class _FunctionWalker:
                    target_tokens: set[str] = frozenset()) -> Val:
         callee, recv_chain = _call_name(node)
         # an attribute call reads its receiver (helm.solve consumes the
-        # helm binding); module receivers contribute nothing
+        # helm binding), a call of a local binding reads that binding;
+        # module receivers contribute nothing
         if isinstance(node.func, ast.Attribute):
             recv, recv_reads = self._eval(node.func.value)
+        elif isinstance(node.func, ast.Name) and node.func.id in self.env:
+            recv, recv_reads = _UNKNOWN, self._eval_name(node.func)[1]
         else:
             recv, recv_reads = _UNKNOWN, set()
         # 1. halo-exchange sites

@@ -261,9 +261,25 @@ class RunSpec:
         resolution) hash identically; observability-only fields (trace
         paths, metrics flags, history output) never affect the hash.
         """
-        payload = json.dumps(self.canonical_dict(), sort_keys=True,
-                             separators=(",", ":"), default=str)
-        return hashlib.sha256(payload.encode()).hexdigest()
+        return _digest(self.canonical_dict())
+
+    def problem_hash(self) -> str:
+        """Identity of the initial-value problem this spec integrates:
+        :meth:`spec_hash` without how far the run goes, what is injected
+        into it and how often it is snapshotted.  Every checkpoint of the
+        problem carries it, so a ``resume`` with more steps reads its own
+        archives and a run never restores another run's."""
+        semantic = self.canonical_dict()
+        for name in ("steps", "faults", "resume", "checkpoint_every",
+                     "checkpoint_keep"):
+            del semantic[name]
+        return _digest(semantic)
+
+
+def _digest(canonical: dict[str, Any]) -> str:
+    payload = json.dumps(canonical, sort_keys=True, separators=(",", ":"),
+                         default=str)
+    return hashlib.sha256(payload.encode()).hexdigest()
 
 
 def _canonical_value(value: Any) -> Any:
@@ -408,7 +424,7 @@ class Experiment:
         if spec.checkpoint_dir:
             self.checkpoints = CheckpointManager(
                 spec.checkpoint_dir, every=spec.checkpoint_every,
-                keep=spec.checkpoint_keep)
+                keep=spec.checkpoint_keep, identity=spec.problem_hash())
 
         if spec.backend == "multigpu":
             from .dist.multigpu import MultiGpuAsuca
@@ -543,8 +559,9 @@ class Experiment:
     # --------------------------------------------------------- recovery
     def _recover(self, crash: RankCrash) -> None:
         """Checkpoint-restart after a rank crash: reload the newest
-        readable snapshot (an older one when the newest is damaged, the
-        initial state when none reads) and rewind the step counter; the
+        readable snapshot of this run (an older one when the newest is
+        damaged or another run's, the initial state when none reads) and
+        rewind the step counter; the
         re-run is bit-identical to an uninterrupted one because the
         snapshot holds full halos."""
         t0 = time.perf_counter()

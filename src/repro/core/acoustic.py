@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .. import constants as c
-from .advection import contravariant_mass_flux_w
+from .advection import MetricFlux
 from .grid import Grid
 from ..profiling import profile_phase
 from ..stencil.plan import Recent
@@ -41,8 +41,31 @@ from .pressure import eos_pressure, linearization_coefficient
 from .reference import ReferenceState
 from .state import State
 
-__all__ = ["AcousticContext", "SlowForcing", "AcousticScratch",
-           "AcousticStepper", "build_context", "ACOUSTIC_FIELDS"]
+__all__ = ["AcousticContext", "AcousticGeometry", "SlowForcing",
+           "AcousticScratch", "AcousticStepper", "build_context",
+           "ACOUSTIC_FIELDS"]
+
+
+class AcousticGeometry:
+    """Every substep operand that the grid alone decides, evaluated with
+    the substep's own operations: the interior face slices, the negated
+    face Jacobians, the terrain metric products and the metric mass flux.
+    One per :class:`~repro.core.rk3.Rk3Integrator`, not one per stage."""
+
+    def __init__(self, grid: Grid):
+        g = self.grid = grid
+        self.has_terrain = not g.is_flat()
+        self.jac3 = g.jac[:, :, None]
+        self.su, self.sv = su, sv = g.isl_u, g.isl_v
+        self.njac_u = -g.jac_u[su][:, :, None]
+        self.njac_v = -g.jac_v[sv][:, :, None]
+        self.met_u = self.met_v = None
+        if self.has_terrain:
+            self.met_u = (g.jac_u[su][:, :, None] * g.dzsdx_u[su][:, :, None]
+                          * g.decay_c[None, None, :])
+            self.met_v = (g.jac_v[sv][:, :, None] * g.dzsdy_v[sv][:, :, None]
+                          * g.decay_c[None, None, :])
+        self.metric_flux = MetricFlux(g)
 
 
 @dataclass
@@ -72,6 +95,7 @@ class AcousticContext:
     theta_xf: np.ndarray         # theta^t at u faces
     theta_yf: np.ndarray         # theta^t at v faces
     theta_wf: np.ndarray         # theta^t at w faces (boundary faces too)
+    geom: AcousticGeometry       # the integrator's grid-only operands
     _helm: dict = field(default_factory=dict, repr=False)
 
     def helmholtz(self, dtau: float, beta: float) -> HelmholtzOperator:
@@ -85,8 +109,11 @@ class AcousticContext:
         return self._helm[key]
 
 
-def build_context(state: State, ref: ReferenceState, p_ref: np.ndarray) -> AcousticContext:
-    """Precompute the acoustic linearization at the long-step start."""
+def build_context(state: State, ref: ReferenceState, p_ref: np.ndarray,
+                  geom: AcousticGeometry | None = None) -> AcousticContext:
+    """Precompute the acoustic linearization at the long-step start.
+    ``geom`` is the integrator's :class:`AcousticGeometry` (built here
+    for a caller that keeps none)."""
     g = state.grid
     p_t = eos_pressure(state.rhotheta, g)
     cp_lin = linearization_coefficient(p_t, state.rhotheta)
@@ -117,6 +144,7 @@ def build_context(state: State, ref: ReferenceState, p_ref: np.ndarray) -> Acous
         theta_xf=theta_xf,
         theta_yf=theta_yf,
         theta_wf=theta_wf,
+        geom=geom or AcousticGeometry(g),
     )
 
 
@@ -130,12 +158,6 @@ def _dpp_dz_centers(pp: np.ndarray, grid: Grid, out: np.ndarray) -> np.ndarray:
     out[:, :, -1] = (pp[:, :, -1] - pp[:, :, -2]) / (grid.z_c[-1] - grid.z_c[-2])
     out /= grid.jac[:, :, None]
     return out
-
-
-def _metric_flux(rhou: np.ndarray, rhov: np.ndarray, grid: Grid) -> np.ndarray:
-    """Metric part of the contravariant vertical mass flux (zero rhow)."""
-    zero_w = np.zeros(grid.shape_w, dtype=rhou.dtype)
-    return contravariant_mass_flux_w(rhou, rhov, zero_w, grid)
 
 
 def _dz_center_from_faces(
@@ -172,7 +194,7 @@ class AcousticScratch:
         self.rhs = np.zeros((nxh, nyh, nz - 1))
 
 
-#: process-wide and bounded like the stencil plans: scratch owned by every
+#: per thread and bounded like the stencil plans: scratch owned by every
 #: integrator would linger in each finished Experiment until the collector
 #: runs
 _SCRATCH = Recent(AcousticScratch)
@@ -222,29 +244,16 @@ class AcousticStepper:
         self.st = base.copy()
         self.st.time = base.time + dts
         self.helm = ctx.helmholtz(self.dtau, beta)
-        self.jac3 = g.jac[:, :, None]
+        self.geom = geom = ctx.geom
         self.pp_prev: np.ndarray | None = None
-        self.has_terrain = not g.is_flat()
         self._done = 0
-        self.s = _SCRATCH(g.nx, g.ny, g.nz, g.halo, self.has_terrain)
+        self.s = _SCRATCH(g.nx, g.ny, g.nz, g.halo, geom.has_terrain)
         self._pp = (np.empty(g.shape_c), np.empty(g.shape_c))
-        # substep-invariant operands, evaluated once with the substep's own
-        # operations: the negated face Jacobians, the terrain metric
-        # products and the stage-flux vertical theta transport
-        h = g.halo
+        # the one stage-invariant operand the grid does not decide: the
+        # stage-flux vertical theta transport, with the substep's operations
         sx, sy = g.isl
-        self._su = su = (slice(h, h + g.nx + 1), sy)        # interior u faces
-        self._sv = sv = (sx, slice(h, h + g.ny + 1))        # interior v faces
-        self._njac_u = -g.jac_u[su][:, :, None]
-        self._njac_v = -g.jac_v[sv][:, :, None]
-        self._met_u = self._met_v = None
-        if self.has_terrain:
-            self._met_u = (g.jac_u[su][:, :, None] * g.dzsdx_u[su][:, :, None]
-                           * g.decay_c[None, None, :])
-            self._met_v = (g.jac_v[sv][:, :, None] * g.dzsdy_v[sv][:, :, None]
-                           * g.decay_c[None, None, :])
         self._dws = (_dz_center_from_faces(ctx.theta_wf * forcing.w_s, g)[sx, sy]
-                     / self.jac3[sx, sy])
+                     / geom.jac3[sx, sy])
 
     def substep(self) -> list[str]:
         """One acoustic substep; returns the field names whose halos are
@@ -275,9 +284,10 @@ class AcousticStepper:
 
     def _substep_impl(self) -> list[str]:
         ctx, forcing, st, g, s = self.ctx, self.forcing, self.st, self.g, self.s
+        geom = self.geom
         h, nx, ny = g.halo, g.nx, g.ny
         sx, sy = g.isl
-        dtau, beta, jac3 = self.dtau, self.beta, self.jac3
+        dtau, beta, jac3 = self.dtau, self.beta, geom.jac3
         i0, i1, i2, i3, i4 = s.i
         k0, k1 = s.k
         w0, w1 = s.w
@@ -297,12 +307,12 @@ class AcousticStepper:
 
         # (2) horizontal momentum (explicit) ---------------------------
         dppdz = None
-        if self.has_terrain:
+        if geom.has_terrain:
             dppdz = _dpp_dz_centers(pp_h, g, s.c[2])
-        self._pgf(pp_h, dppdz, 0, self._su, self._njac_u,
-                  self._met_u, g.dx, forcing.r_u, st.rhou)
-        self._pgf(pp_h, dppdz, 1, self._sv, self._njac_v,
-                  self._met_v, g.dy, forcing.r_v, st.rhov)
+        self._pgf(pp_h, dppdz, 0, geom.su, geom.njac_u,
+                  geom.met_u, g.dx, forcing.r_u, st.rhou)
+        self._pgf(pp_h, dppdz, 1, geom.sv, geom.njac_v,
+                  geom.met_v, g.dy, forcing.r_v, st.rhov)
 
         # (3) explicit parts of continuity / thermodynamics ------------
         # horizontal divergence of the updated mass fluxes
@@ -313,8 +323,8 @@ class AcousticStepper:
         np.subtract(st.rhov[sx, yp], st.rhov[sx, ym], out=i1)
         np.divide(i1, g.dy, out=i1)
         np.add(i0, i1, out=i0)
-        if self.has_terrain:
-            m_now = _metric_flux(st.rhou, st.rhov, g)
+        if geom.has_terrain:
+            m_now = geom.metric_flux(st.rhou, st.rhov)
             np.add(i0, _dz_center_from_faces(m_now, g, s.c[1])[sx, sy], out=i0)
         else:
             np.add(i0, 0.0, out=i0)      # the flat metric term (-0.0 -> +0.0)
@@ -323,8 +333,8 @@ class AcousticStepper:
 
         # theta: perturbation fluxes relative to the stage fluxes (only
         # the interior faces of the differences are ever read)
-        du_p = np.subtract(st.rhou[self._su], forcing.fx_s[self._su], out=s.gu[0])
-        dv_p = np.subtract(st.rhov[self._sv], forcing.fy_s[self._sv], out=s.gv[0])
+        du_p = np.subtract(st.rhou[geom.su], forcing.fx_s[geom.su], out=s.gu[0])
+        dv_p = np.subtract(st.rhov[geom.sv], forcing.fy_s[geom.sv], out=s.gv[0])
         np.multiply(ctx.theta_xf[xp, sy], du_p[1:], out=i1)
         np.multiply(ctx.theta_xf[xm, sy], du_p[:-1], out=i2)
         np.subtract(i1, i2, out=i1)
@@ -335,7 +345,7 @@ class AcousticStepper:
         np.divide(i2, g.dy, out=i2)                           # dfy_t
         np.subtract(forcing.r_theta[sx, sy], i1, out=i3)
         np.subtract(i3, i2, out=i3)
-        if self.has_terrain:
+        if geom.has_terrain:
             np.subtract(m_now, forcing.m_s, out=w0)
             np.multiply(ctx.theta_wf, w0, out=w0)
             np.subtract(i3, _dz_center_from_faces(w0, g, s.c[1])[sx, sy], out=i3)

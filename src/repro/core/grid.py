@@ -106,6 +106,8 @@ class Grid:
             self.decay_c = 1.0 - self.z_c / self.ztop
         if self.decay_f is None:
             self.decay_f = 1.0 - self.z_f / self.ztop
+        # the terrain is fixed once the grid is built; kernels ask every call
+        self._flat = bool(np.all(self.zs == 0.0))
 
     # ------------------------------------------------------------------ sizes
     @property
@@ -210,7 +212,7 @@ class Grid:
 
     def is_flat(self) -> bool:
         """True when there is no terrain (all metric terms vanish)."""
-        return bool(np.all(self.zs == 0.0))
+        return self._flat
 
     # ------------------------------------------------------------- memory
     def field_bytes(self, dtype=np.float64) -> int:

@@ -15,6 +15,7 @@ import numpy as np
 from . import advection as adv
 from .acoustic import (
     AcousticContext,
+    AcousticGeometry,
     AcousticStepper,
     SlowForcing,
     build_context,
@@ -75,6 +76,7 @@ def slow_tendencies(
     limiter: Limiter,
     rayleigh_w: np.ndarray | None = None,
     base: State | None = None,
+    metric_flux: adv.MetricFlux | None = None,
 ) -> tuple[SlowForcing, dict[str, np.ndarray | None]]:
     """Slow-mode forcings at the given (stage) state, plus moisture
     advection tendencies.  Requires valid halos of width >= 2.
@@ -85,12 +87,16 @@ def slow_tendencies(
     fields are all ``+0.0``, so its transport is a field of signed zeros
     and the stage leaves ``+0.0`` — what the stepper's copy of ``base``
     already holds (docs/STENCILS.md, "Work that is skipped exactly").
+    ``metric_flux`` is the integrator's :class:`~repro.core.advection.MetricFlux`
+    (built here for a caller that keeps none).
     """
     g = state.grid
+    if metric_flux is None:
+        metric_flux = adv.MetricFlux(g)
     u, v, w = state.velocities()
     fx = state.rhou
     fy = state.rhov
-    fz = adv.contravariant_mass_flux_w(state.rhou, state.rhov, state.rhow, g)
+    fz = metric_flux(state.rhou, state.rhov, state.rhow)
 
     with profile_phase("advect_momentum"):
         r_u = adv.advect_u(u, fx, fy, fz, g, limiter)
@@ -149,12 +155,7 @@ def slow_tendencies(
     w_s = state.rhow.copy()
     w_s[:, :, 0] = 0.0
     w_s[:, :, -1] = 0.0
-    if g.is_flat():
-        m_s = np.zeros(g.shape_w, dtype=state.rho.dtype)
-    else:
-        m_s = adv.contravariant_mass_flux_w(
-            state.rhou, state.rhov, np.zeros(g.shape_w, dtype=state.rho.dtype), g
-        )
+    m_s = metric_flux(state.rhou, state.rhov)
     forcing = SlowForcing(
         r_u=r_u, r_v=r_v, r_w=r_w, r_theta=r_theta,
         fx_s=fx.copy(), fy_s=fy.copy(), w_s=w_s, m_s=m_s,
@@ -179,6 +180,8 @@ class Rk3Integrator:
         self.cfg = cfg
         self.p_ref = p_ref
         self.limiter = get_limiter(cfg.limiter)
+        #: grid-only operands of the acoustic substep and the metric flux
+        self.geom = AcousticGeometry(grid)
         if cfg.rayleigh_depth > 0.0:
             _, ray_f = rayleigh_coefficient(grid, cfg.rayleigh_depth, cfg.rayleigh_tau)
             self.rayleigh_w: np.ndarray | None = ray_f
@@ -201,12 +204,13 @@ class Rk3Integrator:
         :func:`repro.core.model.run_lockstep` drive all ranks together.
         """
         yield state, None  # make sure every halo is valid
-        ctx = build_context(state, self.ref, self.p_ref)
+        ctx = build_context(state, self.ref, self.p_ref, self.geom)
         cur = state
         new = state
         for dts, nsub in self.stage_plan():
             forcing, q_tend = slow_tendencies(
-                cur, self.ref, self.cfg, self.limiter, self.rayleigh_w, state
+                cur, self.ref, self.cfg, self.limiter, self.rayleigh_w, state,
+                self.geom.metric_flux,
             )
             stepper = AcousticStepper(
                 state, forcing, ctx, self.ref, dts, nsub,

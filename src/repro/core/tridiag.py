@@ -12,7 +12,6 @@ A ``scipy.linalg.solve_banded`` cross-check path exists for the tests.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 __all__ = ["thomas_solve", "thomas_solve_scipy", "TRIDIAG_FLOPS_PER_POINT"]
 
@@ -54,7 +53,10 @@ def thomas_solve_scipy(
     sub: np.ndarray, diag: np.ndarray, sup: np.ndarray, rhs: np.ndarray
 ) -> np.ndarray:
     """Reference implementation via ``scipy.linalg.solve_banded``, one
-    column at a time.  Slow; used only to validate :func:`thomas_solve`."""
+    column at a time.  Slow; used only to validate :func:`thomas_solve`
+    (which is why SciPy is imported here and not by the module)."""
+    from scipy.linalg import solve_banded
+
     flat_shape = (-1, rhs.shape[-1])
     sub2 = sub.reshape(flat_shape)
     diag2 = diag.reshape(flat_shape)

@@ -88,6 +88,10 @@ class HaloExchanger:
         self.topology = topology
         self.retry = retry or RetryPolicy()
         self.stats = RetryStats()
+        if [sub.rank for sub in subdomains] != list(range(len(subdomains))):
+            raise ValueError("subdomains must be listed in rank order")
+        #: (axis, staggered, halo) -> the compiled exchange
+        self._schedules: dict[tuple[int, bool, int], tuple] = {}
 
     # ------------------------------------------------------------ public
     def exchange(self, states: list[State], names: list[str] | None,
@@ -101,79 +105,80 @@ class HaloExchanger:
         """
         if names is None:
             names = states[0].prognostic_names()
+        h = states[0].grid.halo
         for axis in sorted(axes):
             for name in names:
-                self._exchange_axis(states, name, axis=axis)
+                key = (axis, _stagger_of(name)[axis], h)
+                schedule = self._schedules.get(key)
+                if schedule is None:
+                    schedule = self._schedules[key] = self._compile(*key)
+                self._run(schedule, [st.get(name) for st in states],
+                          name, axis)
 
-    # ----------------------------------------------------------- helpers
-    def _exchange_axis(self, states: list[State], name: str, axis: int) -> None:
-        stag = _stagger_of(name)[axis]
-        h = states[0].grid.halo
+    # ---------------------------------------------------------- schedule
+    def _compile(self, axis: int, stag: bool, h: int) -> tuple:
+        """Everything about one exchange that the fields do not decide:
+        ``(posts, recvs, fills)``.  ``posts`` holds one ``(src, dst,
+        direction, send index, recv index)`` per directed message in post
+        order (by sender, ``+`` first) and ``recvs`` the same tuples in
+        collect order (by receiver, from the low side first); ``fills``
+        holds ``(rank, target index, edge index)`` per open edge."""
+        def along(lo: int, hi: int) -> tuple:
+            return (slice(None),) * axis + (slice(lo, hi),)
 
-        # post — and remember how to rebuild each strip so a lost or
-        # corrupted frame can be retransmitted by its sender
-        senders: dict[tuple[int, int, object], tuple] = {}
-        for sub, st in zip(self.subs, states):
-            arr = st.get(name)
-            n_loc = sub.nx if axis == 0 else sub.ny
-            lo_nb = self.topology.axis_neighbor(sub, axis, -1)
-            hi_nb = self.topology.axis_neighbor(sub, axis, +1)
-            if hi_nb is not None:
-                # data travelling toward +axis fills the neighbor's low halo:
-                # the last h interior cells/faces (indices [n, n+h))
-                tag = (name, axis, "+")
-                senders[(sub.rank, hi_nb, tag)] = (arr, n_loc, n_loc + h)
-                self._post(sub.rank, hi_nb, tag, senders)
-            if lo_nb is not None:
-                # toward -axis fills the neighbor's high halo: first h
+        e = int(stag)       # a staggered axis has one more face than cells
+        nb = {(sub.rank, d): self.topology.axis_neighbor(sub, axis, d)
+              for sub in self.subs for d in (-1, +1)}
+        n = {sub.rank: sub.nx if axis == 0 else sub.ny for sub in self.subs}
+        posts, recvs, fills = [], [], []
+        for sub in self.subs:
+            r = sub.rank
+            if nb[r, +1] is not None:
+                # data travelling toward +axis fills the neighbor's low
+                # halo: the last h interior cells/faces (indices [n, n+h))
+                posts.append((r, nb[r, +1], "+", along(n[r], n[r] + h),
+                              along(0, h)))
+            if nb[r, -1] is not None:
+                # toward -axis fills the neighbor's high halo: the first h
                 # interior cells (staggered: faces [h+1, 2h+1))
-                tag = (name, axis, "-")
-                if stag:
-                    senders[(sub.rank, lo_nb, tag)] = (arr, h + 1, 2 * h + 1)
-                else:
-                    senders[(sub.rank, lo_nb, tag)] = (arr, h, 2 * h)
-                self._post(sub.rank, lo_nb, tag, senders)
+                dst = nb[r, -1]
+                posts.append((r, dst, "-", along(h + e, 2 * h + e),
+                              along(h + n[dst] + e, None)))
+        by_key = {msg[:3]: msg for msg in posts}
+        for sub in self.subs:
+            r = sub.rank
+            if nb[r, -1] is not None:
+                recvs.append(by_key[nb[r, -1], r, "+"])
+            else:
+                fills.append((r, along(0, h), along(h, h + 1)))
+            if nb[r, +1] is not None:
+                recvs.append(by_key[nb[r, +1], r, "-"])
+            else:
+                # zero-gradient from the last interior cell (staggered:
+                # from the boundary face itself)
+                fills.append((r, along(h + n[r] + e, None),
+                              along(h + n[r] + e - 1, h + n[r] + e)))
+        return posts, recvs, fills
 
-        # collect / open-edge fill
-        for sub, st in zip(self.subs, states):
-            arr = st.get(name)
-            n_loc = sub.nx if axis == 0 else sub.ny
-            lo_nb = self.topology.axis_neighbor(sub, axis, -1)
-            hi_nb = self.topology.axis_neighbor(sub, axis, +1)
-            if lo_nb is not None:
-                data = self._collect(lo_nb, sub.rank, (name, axis, "+"),
-                                     senders)
-                _put(arr, axis, 0, h, data)
-            else:
-                edge = _take(arr, axis, h, h + 1)
-                _put(arr, axis, 0, h, np.broadcast_to(edge, _take(arr, axis, 0, h).shape))
-            if hi_nb is not None:
-                data = self._collect(hi_nb, sub.rank, (name, axis, "-"),
-                                     senders)
-                if stag:
-                    _put(arr, axis, h + n_loc + 1, arr.shape[axis], data)
-                else:
-                    _put(arr, axis, h + n_loc, arr.shape[axis], data)
-            else:
-                if stag:
-                    edge = _take(arr, axis, h + n_loc, h + n_loc + 1)
-                    tgt = _take(arr, axis, h + n_loc + 1, arr.shape[axis])
-                else:
-                    edge = _take(arr, axis, h + n_loc - 1, h + n_loc)
-                    tgt = _take(arr, axis, h + n_loc, arr.shape[axis])
-                _put(arr, axis, arr.shape[axis] - tgt.shape[axis], arr.shape[axis],
-                     np.broadcast_to(edge, tgt.shape))
+    def _run(self, schedule: tuple, arrs: list[np.ndarray], name: str,
+             axis: int) -> None:
+        posts, recvs, fills = schedule
+        tags = {"+": (name, axis, "+"), "-": (name, axis, "-")}
+        post = self.comm.post
+        for src, dst, sign, send, _ in posts:
+            post(src, dst, tags[sign], arrs[src][send])
+        for src, dst, sign, send, recv in recvs:
+            arrs[dst][recv] = self._collect(src, dst, tags[sign],
+                                            arrs[src], send)
+        for rank, target, edge in fills:
+            arrs[rank][target] = arrs[rank][edge]
 
     # ------------------------------------------------- faulty transport
-    def _post(self, src: int, dst: int, tag: object, senders: dict) -> None:
-        arr, lo, hi = senders[(src, dst, tag)]
-        axis = tag[1]
-        self.comm.post(src, dst, tag, _take(arr, axis, lo, hi))
-
-    def _collect(self, src: int, dst: int, tag: object,
-                 senders: dict) -> np.ndarray:
+    def _collect(self, src: int, dst: int, tag: object, arr: np.ndarray,
+                 send: tuple) -> np.ndarray:
         """Receive one message, recovering from transport faults under
-        the retry policy; raises
+        the retry policy (a lost or corrupted frame is posted again from
+        the sender's ``arr[send]``); raises
         :class:`~repro.resilience.retry.RetryExhaustedError` when the
         fault outlasts the policy."""
         policy = self.retry
@@ -199,7 +204,7 @@ class HaloExchanger:
                 backoff = policy.backoff(attempt)
                 attempt = self._charge_retry(err, attempt, backoff,
                                              type(err).__name__)
-                self._post(src, dst, tag, senders)
+                self.comm.post(src, dst, tag, arr[send])
                 self.stats.retransmits += 1
 
     def _charge_retry(self, err: HaloMessageError, attempt: int,
@@ -230,15 +235,3 @@ class HaloExchanger:
         sess.record_instant(
             f"halo_{'retry' if retried else 'wait'}", cat="resilience",
             args={"src": err.src, "dst": err.dst, "tag": str(err.tag)})
-
-
-def _take(arr: np.ndarray, axis: int, lo: int, hi: int) -> np.ndarray:
-    sl = [slice(None)] * arr.ndim
-    sl[axis] = slice(lo, hi)
-    return arr[tuple(sl)]
-
-
-def _put(arr: np.ndarray, axis: int, lo: int, hi: int, data: np.ndarray) -> None:
-    sl = [slice(None)] * arr.ndim
-    sl[axis] = slice(lo, hi)
-    arr[tuple(sl)] = data

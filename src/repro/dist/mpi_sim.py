@@ -118,8 +118,10 @@ class SimComm:
     # ------------------------------------------------------------- p2p
     def post(self, src: int, dst: int, tag: object, buf: np.ndarray) -> None:
         """Non-blocking send analogue; the buffer is copied immediately."""
-        self._check_rank(src)
-        self._check_rank(dst)
+        n = self.n_ranks
+        if not (0 <= src < n and 0 <= dst < n):
+            raise ValueError(f"rank {dst if 0 <= src < n else src} out of "
+                             f"range [0, {n})")
         key = (src, dst, tag)
         if key in self._mail:
             raise RuntimeError(f"duplicate message {key} — missing collect?")
@@ -196,10 +198,6 @@ class SimComm:
         if len(values) != self.n_ranks:
             raise ValueError("allreduce needs one value per rank")
         return float(np.max(values))
-
-    def _check_rank(self, r: int) -> None:
-        if not 0 <= r < self.n_ranks:
-            raise ValueError(f"rank {r} out of range [0, {self.n_ranks})")
 
 
 def _flip_bytes(data: np.ndarray) -> None:

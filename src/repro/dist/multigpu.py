@@ -26,7 +26,7 @@ from ..core.model import AsucaModel, ModelConfig, run_lockstep
 from ..core.reference import ReferenceState
 from ..core.state import State
 from ..gpu.asuca_kernels import step_schedule
-from ..gpu.runtime import charge_step
+from ..gpu.runtime import charge_step, price_step
 from ..obs.trace import span
 from ..resilience.faults import RankCrash
 from .decomposition import Subdomain, Topology, decompose, make_subgrid
@@ -137,15 +137,20 @@ class MultiGpuAsuca:
         from ..gpu.device import GPUDevice
         from ..gpu.spec import Precision, TESLA_S1070
 
-        self._dev_precision = precision or Precision.SINGLE
-        self._dev_order = order or ArrayOrder.XZY
-        self._dev_schedule = step_schedule(
-            ns or self.config.dynamics.ns,
-            include_ice=self.config.ice_enabled)
+        precision = precision or Precision.SINGLE
         self.devices = [
             GPUDevice(spec or TESLA_S1070, copy_engines=copy_engines,
                       label=f"rank{r}", fault_injector=self.faults)
             for r in range(len(self.subs))
+        ]
+        schedule = step_schedule(ns or self.config.dynamics.ns,
+                                 include_ice=self.config.ice_enabled)
+        #: per-rank priced launches of one long step
+        self._dev_launches = [
+            price_step(schedule, sub.nx * sub.ny * self.global_grid.nz,
+                       device.spec, precision=precision,
+                       order=order or ArrayOrder.XZY)
+            for sub, device in zip(self.subs, self.devices)
         ]
         #: per-rank counting hooks (measured FLOP/byte per launch); None
         #: when the run is not counted
@@ -154,8 +159,7 @@ class MultiGpuAsuca:
             from ..gpu.counters import CountingHook
 
             self._dev_counting = [
-                CountingHook(rank.grid, rank.ref,
-                             precision=self._dev_precision,
+                CountingHook(rank.grid, rank.ref, precision=precision,
                              sample_every=counter_every)
                 for rank in self.ranks
             ]
@@ -169,11 +173,9 @@ class MultiGpuAsuca:
         counted run (``attach_devices(counters=True)``), the per-rank
         hook measures this step's kernels against the rank state and
         annotates the launches with measured counts."""
-        nz = self.global_grid.nz
-        for r, (sub, device) in enumerate(zip(self.subs, self.devices)):
+        for r, device in enumerate(self.devices):
             charge_step(
-                device, self._dev_schedule, sub.nx * sub.ny * nz,
-                precision=self._dev_precision, order=self._dev_order,
+                device, self._dev_launches[r],
                 hook=self._dev_counting[r] if self._dev_counting else None,
                 step_index=self.step_index, state=states[r])
         for (src, dst), nbytes in self.comm.stats.by_pair.items():

@@ -119,6 +119,14 @@ class Kernel:
             compute_fraction=self.cost.compute_fraction,
         )
 
+    def price(self, n_points: float, spec, precision: Precision,
+              order: ArrayOrder) -> tuple[float, float, float]:
+        """``(modeled duration, flops, bytes moved)`` of one launch over
+        ``n_points`` — every data-independent number a launch charges."""
+        return (self.duration(n_points, spec, precision, order),
+                self.cost.flops(n_points),
+                self.cost.bytes_moved(n_points, precision))
+
     def launch(
         self,
         device: GPUDevice,
@@ -167,12 +175,11 @@ class Kernel:
             }
         else:
             result = self.fn(*args, **kwargs) if self.fn is not None else None
-        dur = self.duration(n_points, device.spec, precision, order)
+        dur, flops, bytes_moved = self.price(n_points, device.spec,
+                                             precision, order)
         op = device.schedule(
             self.name, "kernel", stream or device.default_stream, dur,
-            flops=self.cost.flops(n_points),
-            bytes_moved=self.cost.bytes_moved(n_points, precision),
-            after=after,
+            flops=flops, bytes_moved=bytes_moved, after=after,
             tag=self.tag if tag is None else tag,
         )
         op.measured = measured

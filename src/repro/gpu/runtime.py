@@ -26,28 +26,39 @@ from .coalescing import ArrayOrder
 from .device import GPUDevice
 from .kernel import Kernel
 from .memory import DeviceArray
-from .spec import Precision, TESLA_S1070
+from .spec import DeviceSpec, Precision, TESLA_S1070
 
-__all__ = ["GpuAsucaRunner", "charge_step"]
+__all__ = ["GpuAsucaRunner", "charge_step", "price_step"]
 
 
-def charge_step(device: GPUDevice, schedule: list[tuple[Kernel, int]],
-                n_points: float, *, precision: Precision, order: ArrayOrder,
-                hook=None, step_index: int = 0,
-                state: State | None = None) -> None:
-    """Charge one long step's modeled kernel launches to ``device``:
-    ``schedule`` is ``(Kernel, launches per step)`` pairs
-    (:func:`~repro.gpu.asuca_kernels.step_schedule`).
+def price_step(schedule: list[tuple[Kernel, int]], n_points: float,
+               spec: DeviceSpec, *, precision: Precision,
+               order: ArrayOrder) -> list[tuple]:
+    """Price one long step's launches once: ``(name, tag, launches per
+    step, n_points, duration, flops, bytes moved)`` per kernel of
+    ``schedule`` (:func:`~repro.gpu.asuca_kernels.step_schedule`) on a
+    device of ``spec``.  None of it depends on the data, so a driver
+    calls this when it attaches its devices, not every step."""
+    return [(kernel.name, kernel.tag, count, n_points,
+             *kernel.price(n_points, spec, precision, order))
+            for kernel, count in schedule]
+
+
+def charge_step(device: GPUDevice, launches: list[tuple], *, hook=None,
+                step_index: int = 0, state: State | None = None) -> None:
+    """Place one long step's modeled kernel launches (:func:`price_step`,
+    priced for ``device.spec``) on ``device``'s timeline.
     A :class:`~repro.gpu.counters.CountingHook` as ``hook`` measures the
     kernels against ``state`` on the steps it samples and annotates
     those launches with the measured counts."""
     sampled = hook is not None and hook.begin_step(step_index, state)
-    for kernel, count in schedule:
+    schedule, stream = device.schedule, device.default_stream
+    for name, tag, count, n_points, duration, flops, bytes_moved in launches:
         for _ in range(count):
-            _, op = kernel.launch(device, n_points,
-                                  precision=precision, order=order)
+            op = schedule(name, "kernel", stream, duration, flops=flops,
+                          bytes_moved=bytes_moved, tag=tag)
             if sampled:
-                hook.annotate(op, kernel.name, n_points)
+                hook.annotate(op, name, n_points)
 
 
 class GpuAsucaRunner:
@@ -74,12 +85,14 @@ class GpuAsucaRunner:
         self.device = device or GPUDevice(TESLA_S1070)
         self.precision = precision
         self.order = order
-        self._schedule = step_schedule(
-            ns or DEFAULT_NS, include_ice=model.config.ice_enabled)
-        self._device_arrays: dict[str, DeviceArray] = {}
-        self.steps_taken = 0
         g = model.grid
         self.n_points = g.nx * g.ny * g.nz
+        self._launches = price_step(
+            step_schedule(ns or DEFAULT_NS,
+                          include_ice=model.config.ice_enabled),
+            self.n_points, self.device.spec, precision=precision, order=order)
+        self._device_arrays: dict[str, DeviceArray] = {}
+        self.steps_taken = 0
         #: optional :class:`~repro.gpu.counters.CountingHook` measuring
         #: per-launch FLOP/byte counts (``counters=True``); sampling every
         #: Nth step bounds the measurement overhead
@@ -140,10 +153,8 @@ class GpuAsucaRunner:
         """Advance the real model one long step and charge the modeled
         kernel launches to the device."""
         new = self.model.step(state)
-        charge_step(self.device, self._schedule, self.n_points,
-                    precision=self.precision, order=self.order,
-                    hook=self.counting, step_index=self.steps_taken,
-                    state=state)
+        charge_step(self.device, self._launches, hook=self.counting,
+                    step_index=self.steps_taken, state=state)
         # keep the staged device copies current (no PCIe traffic: this is
         # device-resident data, the whole point of the full-GPU port)
         for name, d in self._device_arrays.items():

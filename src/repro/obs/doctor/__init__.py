@@ -43,7 +43,6 @@ from .regress import (
     compare_bench,
     regression_gate,
 )
-from .roofline import KernelRoofline, RooflineReport, roofline_from_records
 
 __all__ = [
     "PathSegment", "CriticalPath", "AttributionRow",
@@ -56,3 +55,13 @@ __all__ = [
     "diagnose_ops", "diagnose_trace", "diagnose_model",
     "KernelRoofline", "RooflineReport", "roofline_from_records",
 ]
+
+
+def __getattr__(name: str):
+    # the roofline needs the kernel table and repro.analysis; a service
+    # process, which imports this package for doctor.health, does not
+    if name in ("KernelRoofline", "RooflineReport", "roofline_from_records"):
+        from . import roofline
+
+        return getattr(roofline, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

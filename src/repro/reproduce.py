@@ -95,6 +95,11 @@ SECTIONS: list[tuple[str, str, str]] = [
     ("Host performance — checkpoints at memory speed",
      "test_checkpoint_codec.txt",
      "Format 2 (docs/RESILIENCE.md): stored, not deflated; zeros only named."),
+    ("Host performance — fixed costs paid once", "test_fixed_costs.txt",
+     "What does not depend on the data is computed once — per process, per\n"
+     "decomposition / device schedule, per grid / integrator (DESIGN.md §9 has the\n"
+     "table) — instead of per process start, per message, per launch and per RK\n"
+     "stage.  Bench: `benchmarks/test_fixed_costs.py`."),
 ]
 
 _HEADER = """# EXPERIMENTS — paper vs. reproduced

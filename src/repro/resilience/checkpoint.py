@@ -15,6 +15,12 @@ and verifies a CRC-32 per member.  An array whose bytes are all zero
 not stored; the manifest lists it under ``zeros`` as ``[key, shape,
 dtype]``.  Format 1 (deflated, no ``zeros``) reads through the same code.
 
+A manager writes the ``identity`` of its run's initial-value problem into
+the manifest (:meth:`repro.api.RunSpec.problem_hash`) and refuses, with
+the error it raises for a damaged archive, one that carries another: jobs
+and ensemble members that share a directory share archive names, and
+shapes alone do not tell their snapshots apart.
+
 Writes are atomic: the archive is written to a ``*.tmp`` sibling, fsynced
 and ``os.replace``d into place, and only then is the ``latest`` marker
 (itself replaced atomically) updated — a kill at any instant leaves
@@ -118,10 +124,13 @@ def write_states(path: "str | os.PathLike", states: list[State], *,
 
 
 def read_states(path: "str | os.PathLike", grids: list[Grid], *,
-                step: int | None = None) -> Checkpoint:
+                step: int | None = None,
+                identity: str | None = None) -> Checkpoint:
     """Restore the archive at ``path`` onto the per-rank ``grids``.  One
-    this reader cannot decode raises :class:`CheckpointError` (tagged with
-    ``step``); a sound one that does not fit ``grids``, :class:`ValueError`."""
+    this reader cannot decode, or one whose manifest names an ``identity``
+    other than the given one (an archive without the key belongs to
+    anybody), raises :class:`CheckpointError` (tagged with ``step``); a
+    sound one that does not fit ``grids``, :class:`ValueError`."""
     path = pathlib.Path(path)
     with open(path, "rb") as f:         # a missing file is not a damaged one
         try:
@@ -130,6 +139,9 @@ def read_states(path: "str | os.PathLike", grids: list[Grid], *,
                 if manifest["format_version"] not in (1, _FORMAT_VERSION):
                     raise ValueError("unsupported checkpoint format "
                                      f"{manifest['format_version']}")
+                if manifest.get("identity", identity) != identity:
+                    raise ValueError("written by another run (identity "
+                                     f"{manifest['identity']})")
                 arrays = {key: z[key] for key in z.files if key != "manifest"}
             for key, shape, dtype in manifest.get("zeros", ()):
                 arrays[key] = np.zeros(shape, dtype)
@@ -173,10 +185,13 @@ class CheckpointManager:
         how many archives to retain; older ones are pruned after each
         successful write (the marker is updated first, so pruning can
         never remove the newest consistent checkpoint).
+    identity
+        what tells this run's archives from another run's in the same
+        directory (None: every archive is taken for this run's).
     """
 
     def __init__(self, directory: str | os.PathLike, *, every: int = 0,
-                 keep: int = 2):
+                 keep: int = 2, identity: str | None = None):
         if every < 0:
             raise ValueError("checkpoint cadence must be >= 0")
         if keep < 1:
@@ -184,6 +199,7 @@ class CheckpointManager:
         self.directory = pathlib.Path(directory)
         self.every = every
         self.keep = keep
+        self.identity = identity
         self.writes = 0
         self.restores = 0
 
@@ -209,6 +225,8 @@ class CheckpointManager:
         if not states:
             raise ValueError("nothing to checkpoint")
         path = self.path_for(step)
+        if self.identity is not None:
+            meta = {"identity": self.identity, **(meta or {})}
         with span("checkpoint_write", cat="resilience", step=step):
             nbytes, n_zeros = write_states(path, states, step=step, rng=rng,
                                            meta=meta)
@@ -250,8 +268,9 @@ class CheckpointManager:
              step: int | None = None) -> Checkpoint:
         """Restore the checkpoint at ``step`` onto the given per-rank grids
         (a single grid restores a one-rank run).  With no ``step``: the
-        latest one, or the newest older one that is not damaged; the last
-        :class:`CheckpointError` is raised when none reads."""
+        latest one, or the newest older one that is neither damaged nor
+        another run's; the last :class:`CheckpointError` is raised when
+        none reads."""
         if isinstance(grids, Grid):
             grids = [grids]
         if step is not None:
@@ -270,7 +289,8 @@ class CheckpointManager:
 
     def _load(self, grids: list[Grid], step: int) -> Checkpoint:
         with span("checkpoint_restore", cat="resilience", step=step):
-            ckpt = read_states(self.path_for(step), grids, step=step)
+            ckpt = read_states(self.path_for(step), grids, step=step,
+                               identity=self.identity)
         self.restores += 1
         sess = active_session()
         if sess is not None:

@@ -57,7 +57,7 @@ def default_backend() -> str:
 class StencilExecutor:
     """Dispatches :class:`~repro.stencil.spec.StencilFunction` calls to
     one backend, with per-kernel call statistics.  The planned kernels
-    take the process-wide plan cache as their first argument."""
+    take the plan cache (per-thread items) as their first argument."""
 
     def __init__(self, backend: str = "reference"):
         if backend not in BACKENDS:

@@ -5,18 +5,22 @@ marches through the field (Sec. IV-A); the host analogue is to run every
 planned kernel over *slabs* of a few x-rows whose temporaries all live in
 one L2-resident arena.  A :class:`Plan` is that arena plus its typed
 views for one ``(cell shape, dtype)``; :data:`PLANS` builds it once per
-process (``Experiment.prepare()`` warms it, so the cost lands in set-up)
+thread (``Experiment.prepare()`` warms it, so the cost lands in set-up)
 and keeps only the last few shapes.
 
 The arena is bounded by construction: ``NBUF`` buffers of one slab each,
 and a slab is ``BLOCK_BYTES`` rounded to whole rows (the whole field when
 that is smaller) — a function of the row, never growing with the field.
 Nothing handed out by :meth:`Plan.scratch` may escape a kernel (LINT07
-and the identity tests check it).  Plans are shared by everything in the
-process, which is single-threaded; a kernel runs to completion, so no
-scratch is live between two kernels.
+and the identity tests check it).  Plans are shared by everything that
+runs on one thread: a kernel runs to completion there, so no scratch is
+live between two kernels.  Two threads never share one (:class:`Recent`
+keeps its items per thread), or two runs stepped side by side would
+compute in each other's temporaries.
 """
 from __future__ import annotations
+
+import threading
 
 import numpy as np
 
@@ -69,24 +73,38 @@ class Plan:
 
 
 class Recent:
-    """``cache(*key)`` -> ``build(*key)``, built on first use.  Only the
-    ``maxsize`` most recently built keys are kept, so what is cached
-    never grows with the number of shapes a process has seen."""
+    """``cache(*key)`` -> ``build(*key)``, built on first use *by the
+    calling thread*: what is cached is scratch memory, which two threads
+    must not share.  Only the ``maxsize`` keys a thread built most
+    recently are kept, so what is cached never grows with the number of
+    shapes a process has seen."""
 
     def __init__(self, build, maxsize: int = 8):
         self.build = build
         self.maxsize = maxsize
-        self.items: dict = {}
+        self._local = threading.local()
+        self._lock = threading.Lock()
         #: items ever built (a deterministic fact the benchmarks gate)
         self.built = 0
 
+    @property
+    def items(self) -> dict:
+        """The calling thread's items, oldest first."""
+        try:
+            return self._local.items
+        except AttributeError:
+            items = self._local.items = {}
+            return items
+
     def __call__(self, *key):
-        item = self.items.get(key)
+        items = self.items
+        item = items.get(key)
         if item is None:
-            if len(self.items) >= self.maxsize:
-                del self.items[next(iter(self.items))]
-            item = self.items[key] = self.build(*key)
-            self.built += 1
+            if len(items) >= self.maxsize:
+                del items[next(iter(items))]
+            item = items[key] = self.build(*key)
+            with self._lock:
+                self.built += 1
         return item
 
 
@@ -101,5 +119,5 @@ class PlanCache(Recent):
         return sum(p.arena.nbytes for p in self.items.values())
 
 
-#: the process-wide cache every executor hands to the planned kernels
+#: the cache every executor hands to the planned kernels
 PLANS = PlanCache()

@@ -27,9 +27,13 @@ the reference module never imports backend code.
 """
 from __future__ import annotations
 
-import inspect
+import sys
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Tuple
+
+# the module, not its names: ``executor`` imports this module first (the
+# package __init__ starts with it), so it is only partly initialised here
+from . import executor as _executor
 
 __all__ = [
     "StencilSpec",
@@ -138,9 +142,7 @@ class StencilFunction:
         self.__wrapped__ = reference
 
     def __call__(self, *args: Any, **kwargs: Any):
-        from .executor import active_executor
-
-        return active_executor().call(self, args, kwargs)
+        return _executor.active_executor().call(self, args, kwargs)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         s = self.spec
@@ -176,7 +178,9 @@ def stencil(
     """
 
     def deco(fn: Callable[..., Any]) -> StencilFunction:
-        frame = inspect.stack()[1]
+        # the declaring frame, read directly: inspect.stack() would look up
+        # source lines for every frame of the import chain, per declaration
+        frame = sys._getframe(1)
         spec = StencilSpec(
             name=name or fn.__name__,
             reads=tuple(reads),
@@ -192,7 +196,7 @@ def stencil(
             bytes_band=bytes_band,
             probe=probe,
             dtype_policy=dtype_policy,
-            origin=(frame.filename, frame.lineno),
+            origin=(frame.f_code.co_filename, frame.f_lineno),
         )
         if spec.name in REGISTRY:
             raise ValueError(f"stencil {spec.name!r} already registered "

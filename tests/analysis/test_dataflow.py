@@ -86,6 +86,11 @@ def test_lint06_intervening_read_keeps_the_store_alive():
     assert live == [] and supp == []
 
 
+def test_lint06_calling_a_local_binding_reads_it():
+    live, supp = run_flow("called_store_step")
+    assert live == [] and supp == []
+
+
 # -------------------------------------------------- LINT07 fusion drift
 def test_lint07_signature_drift_fires_exactly_once():
     found = fusion_findings(

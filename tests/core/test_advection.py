@@ -193,6 +193,30 @@ def test_contravariant_flux_terrain(terrain_grid):
     assert np.all(fz[:, :, mid][dn] > 0)
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("terrain", [False, True])
+def test_metric_flux_is_the_oracle_byte_for_byte(g, terrain_grid, terrain,
+                                                 dtype):
+    """The integrator's bound form (operands broadcast once, ``out=``
+    chain) against the textbook function: same bytes and dtype, signed
+    zeros included, with ``rhow`` given and with the all-zero ``rhow`` it
+    stands for when omitted."""
+    grid = terrain_grid if terrain else g
+    r = np.random.default_rng(4)
+    rhou = r.normal(size=grid.shape_u).astype(dtype)
+    rhov = r.normal(size=grid.shape_v).astype(dtype)
+    rhow = r.normal(size=grid.shape_w).astype(dtype)
+    rhou[2:4] = 0.0
+    rhov[:, 3] = -0.0
+    bound = adv.MetricFlux(grid)
+    for _ in range(2):          # the second call reuses the temporaries
+        for given_w, oracle_w in ((rhow, rhow), (None, np.zeros_like(rhow))):
+            want = adv.contravariant_mass_flux_w(rhou, rhov, oracle_w, grid)
+            got = bound(rhou, rhov, given_w)
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
+
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 10_000))
 def test_limited_face_flux_bounded(seed):

@@ -2,9 +2,12 @@
 GPU produces results identical to the direct NumPy execution (the GPU
 path is the same arithmetic plus a simulated clock), while the device
 timeline reports the modeled Tesla performance."""
+import hashlib
+
 import numpy as np
 import pytest
 
+from repro.api import Experiment, RunSpec
 from repro.dist.multigpu import MultiGpuAsuca
 from repro.gpu.device import GPUDevice
 from repro.gpu.runtime import GpuAsucaRunner
@@ -98,3 +101,28 @@ def test_one_rank_multigpu_charges_the_runner_kernel_sequence(ice):
     assert kernel_ops(device) == kernel_ops(runner.device)
     assert len(kernel_ops(device)) > 100
     assert ("cold_rain" in {op.name for op in device.timeline}) == ice
+
+
+@pytest.mark.parametrize("spec,n_ops,digest", [
+    # bench's decomp_2x2 spec: 856 scheduled ops per step
+    (RunSpec("real-case", nx=32, ny=32, nz=16, backend="multigpu",
+             ranks=(2, 2), stencil_backend="fused", metrics=True, seed=0),
+     2568, "de370e10686972ffcbdc1c8e30616d225c6292dcbe20205d7ddb03825ee1b37f"),
+    # the single-device runner, ice kernels and a sampling counter hook
+    (RunSpec("warm-bubble", nx=16, ny=16, nz=8, backend="gpu", ice=True,
+             counters=True, counter_every=2),
+     915, "17ee3a83caad335be62386c6f96db68ccbe500f98674911cbaf6c6aad9bf255e"),
+])
+def test_charged_ops_pinned(spec, n_ops, digest):
+    """Every device op of three steps, recorded at the commit before a
+    step's launches were priced once (``price_step``) instead of per
+    launch: the modeled timeline must not move by one bit."""
+    exp = Experiment(spec).prepare()
+    exp.advance(3)
+    devices = exp.machine.devices if exp.machine else [exp.runner.device]
+    ops = [op for device in devices for op in device.timeline]
+    h = hashlib.sha256()
+    for op in ops:
+        h.update(repr((op.name, op.kind, op.stream, op.start, op.end,
+                       op.flops, op.bytes_moved, op.tag)).encode())
+    assert (len(ops), h.hexdigest()) == (n_ops, digest)

@@ -1,6 +1,7 @@
 """The RunSpec/Experiment facade, crash recovery, and the CLI surface."""
 import json
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -152,6 +153,35 @@ class TestExperiment:
         for name in ref.state.prognostic_names():
             assert (result.state.get(name).tobytes()
                     == ref.state.get(name).tobytes()), name
+
+    def test_members_sharing_a_directory_restore_only_their_own(
+            self, tmp_path):
+        """Every member of an ensemble gets the base spec's
+        ``checkpoint_dir``.  Members 1 and 2 crash before their first
+        save; the newest archive in the directory is member 0's final one
+        (same shapes, same rank count), which they used to restore — and
+        returned member 0's fields.  They restart cold instead; a resume
+        with more steps still reads the run's own archives."""
+        from repro.ensemble import EnsembleSpec
+
+        base = RunSpec("vortex", nx=16, ny=16, nz=8, steps=4)
+        crashing = EnsembleSpec(base=replace(
+            base, faults="crash@1", checkpoint_every=2,
+            checkpoint_dir=str(tmp_path)), members=3, seed=5).expand()
+        clean = EnsembleSpec(base=base, members=3, seed=5).expand()
+        results = [Experiment(spec).run() for spec in crashing]
+        for got, spec in zip(results, clean):
+            want = Experiment(spec).run().state
+            assert got.recovered_from == [0]
+            for name in want.prognostic_names():
+                np.testing.assert_array_equal(got.state.get(name),
+                                              want.get(name), err_msg=name)
+        # the directory now holds the last member's step-2 and step-4
+        more = replace(crashing[2], steps=6, faults=None, resume=True)
+        resumed = Experiment(more).run()
+        assert resumed.resumed_from == 4
+        with pytest.raises(CheckpointError, match="another run"):
+            Experiment(replace(crashing[1], resume=True)).prepare()
 
     def test_species_elided_at_the_checkpoint_becomes_active_after(
             self, tmp_path):

@@ -323,6 +323,32 @@ class TestDamagedArchive:
         assert ckpt.step == 2 and ckpt.time != 99.0
         assert m.restores == 1
 
+    def test_another_runs_archive_is_skipped_like_a_damaged_one(
+            self, tmp_path, case):
+        """Archives under one directory carry the identity of the run
+        that wrote them: a foreign one is a typed error on a direct load
+        and skipped on the way to the newest own one; an archive without
+        the key (any written before it existed) belongs to anybody."""
+        mine = CheckpointManager(tmp_path, keep=3, identity="mine")
+        other = CheckpointManager(tmp_path, keep=3, identity="other")
+        st = _fresh_state(case)
+        CheckpointManager(tmp_path, keep=3).save(1, st)     # no key
+        st.time = 2.0
+        mine.save(2, st)
+        st.time = 4.0
+        other.save(4, st)
+        assert "identity" not in mine.load([case.grid], step=1).meta
+        with pytest.raises(CheckpointError, match="another run") as err:
+            mine.load([case.grid], step=4)
+        assert err.value.step == 4
+        assert mine.load([case.grid]).step == 2
+        assert other.load([case.grid]).step == 4
+        mine.path_for(2).unlink()
+        assert mine.load([case.grid]).step == 1
+        mine.path_for(1).unlink()
+        with pytest.raises(CheckpointError):
+            mine.load([case.grid])
+
     def test_any_flipped_bit_or_cut_is_typed_or_harmless(self, tmp_path):
         """Walk a small archive: one flipped bit (data, npy header, zip
         local header, central directory) or a cut anywhere either raises

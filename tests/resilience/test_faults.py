@@ -1,4 +1,8 @@
 """Fault plans, the injector, and fault-injected halo exchanges."""
+import dataclasses
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -201,3 +205,54 @@ class TestFaultyExchange:
             np.testing.assert_array_equal(ga.get(name), gb.get(name),
                                           err_msg=name)
         assert len(faulty.faults.fired) == 3
+
+
+def test_seeded_fault_run_is_pinned():
+    """Every observable of a run over a busy seeded drop/corrupt/delay
+    plan, recorded at the commit before the exchange became a compiled
+    schedule: post order decides which message a fault hits, collect
+    order decides the order the floats of ``RetryStats`` are summed in and
+    the order of the ``halo_retry``/``halo_wait`` instants."""
+    from repro.api import Experiment, RunSpec
+
+    plan = FaultPlan.random(seed=11, n_steps=3, n_ranks=4, p_drop=1.0,
+                            p_corrupt=1.0, p_delay=1.0, p_pcie=1.0)
+    plan = FaultPlan(events=plan.events + [
+        FaultEvent(FaultKind.DROP, 1, count=5),
+        FaultEvent(FaultKind.CORRUPT, 2, src=1, dst=3, count=4),
+        FaultEvent(FaultKind.DELAY, 0, magnitude=0.5, count=2),
+        FaultEvent(FaultKind.DELAY, 2, dst=0, magnitude=0.001, count=3),
+    ], name="pinned", seed=11)
+    res = Experiment(RunSpec("warm-bubble", nx=16, ny=16, nz=8, steps=3,
+                             ranks=(2, 2), faults=plan,
+                             metrics=True)).prepare().run()
+
+    fields = hashlib.sha256()
+    for name in res.state.prognostic_names():
+        fields.update(np.ascontiguousarray(res.state.get(name)).tobytes())
+    assert fields.hexdigest() == (
+        "e4df6aba3da943a64b8c6ea7b9c3864b831587cb3f193ae0833e5c797f9a6b16")
+    assert dataclasses.asdict(res.retry_stats) == {
+        "retries": 17, "retransmits": 15, "timeouts": 2, "waits": 6,
+        "backoff_s": 0.054000000000000006, "wait_s": 0.013700646221735977,
+        "by_kind": {"MessageLostError": 8, "timeout": 2,
+                    "MessageCorruptError": 7, "delay": 6},
+    }
+    assert (res.halo_messages, res.halo_bytes) == (4431, 12197760)
+    assert [(s, k.value, d) for s, k, d in res.fault_log] == [
+        (0, "delay", "0->2"), (0, "delay", "0->2"), (0, "corrupt", "1->3"),
+        (0, "delay", "1->3"), (0, "drop", "3->1"), (0, "pcie", "rank0"),
+        (1, "delay", "0->2"), (1, "drop", "0->2"), (1, "drop", "1->3"),
+        (1, "drop", "1->3"), (1, "drop", "2->0"), (1, "drop", "2->0"),
+        (1, "drop", "3->1"), (1, "corrupt", "3->1"), (1, "pcie", "rank2"),
+        (2, "drop", "1->3"), (2, "corrupt", "1->3"), (2, "delay", "2->0"),
+        (2, "delay", "2->0"), (2, "corrupt", "3->1"), (2, "delay", "3->1"),
+        (2, "corrupt", "1->3"), (2, "corrupt", "1->3"), (2, "corrupt", "1->3"),
+        (2, "delay", "2->0"), (2, "pcie", "rank3"),
+    ]
+    instants = [(i.name, i.args) for i in res.session.instants
+                if i.cat == "resilience"]
+    assert len(instants) == 23
+    assert hashlib.sha256(json.dumps(instants, sort_keys=True).encode()
+                          ).hexdigest() == (
+        "d5228fe0c48a01b8c0bb2e2b8e531a417d8da4ee143abbf6e112e02c7a29de49")

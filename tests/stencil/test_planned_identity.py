@@ -17,6 +17,8 @@ propagate a different operand's payload than a select after it).
 System level: the default (``auto``) backend equals ``reference`` after
 three steps on four workloads and three execution backends.
 """
+import sys
+import threading
 from contextlib import contextmanager
 
 import numpy as np
@@ -257,3 +259,33 @@ def test_auto_equals_reference_on_every_backend(workload):
     # a gathered state's halos are refilled, not computed
     decomposed = _run(workload, "auto", backend="multigpu", ranks=(2, 2))
     assert _fields(decomposed, interior=True) == _fields(ref, interior=True)
+
+
+def test_two_threads_equal_their_serial_runs():
+    """The plan arenas and the acoustic scratch are per thread: two runs
+    advanced side by side do not compute in each other's temporaries
+    (they did: a non-finite ``rho``, or finite garbage)."""
+    specs = [RunSpec("vortex", nx=24, ny=24, nz=12, steps=5, seed=s)
+             for s in (1, 2)]
+    serial = [_fields(Experiment(spec).prepare().run().state)
+              for spec in specs]
+    threaded: list = [None, None]
+
+    def work(i):
+        try:
+            threaded[i] = _fields(Experiment(specs[i]).prepare().run().state)
+        except BaseException as exc:     # reported by the assertion below
+            threaded[i] = exc
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in (0, 1)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert threaded == serial
