@@ -409,9 +409,12 @@ class Experiment:
             self.model.config.ice_enabled = True
             self.model.config.physics_enabled = True
 
-        from .stencil import StencilExecutor
+        from .stencil import StencilExecutor, native
 
         self.executor = StencilExecutor(spec.stencil_backend)
+        # find (once per machine: build) and verify the compiled bodies
+        # now: the cost belongs to set-up, not to the first step
+        native.library()
 
         if spec.faults and len(spec.faults):
             self.injector = FaultInjector(spec.faults)

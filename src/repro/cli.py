@@ -1014,6 +1014,10 @@ def _cmd_doctor(args) -> int:
     if args.min_hidden is not None:
         report.require_min_hidden(args.min_hidden)
     print(report.as_json() if args.json else report.text())
+    if not args.json:   # host health: which body this box's hot loops run
+        from .stencil import native
+
+        print(f"\nhost kernels: {native.library().report()}")
     return report.exit_status()
 
 

@@ -27,6 +27,7 @@ consistency property the tests assert.
 """
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,6 +36,7 @@ from .. import constants as c
 from .advection import MetricFlux
 from .grid import Grid
 from ..profiling import profile_phase
+from ..stencil import native
 from ..stencil.plan import Recent
 from .helmholtz import HelmholtzOperator
 from .pressure import eos_pressure, linearization_coefficient
@@ -59,8 +61,12 @@ class AcousticGeometry:
         self.su, self.sv = su, sv = g.isl_u, g.isl_v
         self.njac_u = -g.jac_u[su][:, :, None]
         self.njac_v = -g.jac_v[sv][:, :, None]
-        self.met_u = self.met_v = None
+        self.met_u = self.met_v = self.dzc2 = None
         if self.has_terrain:
+            #: the spacings `_dpp_dz_centers` divides by, bottom to top
+            self.dzc2 = np.concatenate(([g.z_c[1] - g.z_c[0]],
+                                        g.z_c[2:] - g.z_c[:-2],
+                                        [g.z_c[-1] - g.z_c[-2]]))
             self.met_u = (g.jac_u[su][:, :, None] * g.dzsdx_u[su][:, :, None]
                           * g.decay_c[None, None, :])
             self.met_v = (g.jac_v[sv][:, :, None] * g.dzsdy_v[sv][:, :, None]
@@ -205,6 +211,21 @@ _SCRATCH = Recent(AcousticScratch)
 ACOUSTIC_FIELDS = ["rho", "rhou", "rhov", "rhow", "rhotheta"]
 
 
+class _Args(ctypes.Structure):
+    """``acoustic_args`` of stencil/csrc/acoustic.c, field for field."""
+
+    _fields_ = (
+        [(n, ctypes.c_long) for n in "nxh nyh nz h nx ny".split()]
+        + [(n, ctypes.c_double)
+           for n in "dtau beta omb ratio damp dx dy grav".split()]
+        + [(n, ctypes.c_void_p) for n in (
+            "cp_lin pc rho_ref_hat theta_xf theta_yf theta_wf "
+            "r_u r_v r_w r_theta fx_s fy_s m_s dws sub diag sup "
+            "jac njac_u njac_v met_u met_v dz_c dz_f dzc2 m_now w_new "
+            "rho rhou rhov rhow rhotheta pp pp_prev "
+            "pp_h dppdz rho_e theta_e rhs col").split()])
+
+
 class AcousticStepper:
     """Resumable HE-VI integrator: one object per RK stage.
 
@@ -254,6 +275,48 @@ class AcousticStepper:
         sx, sy = g.isl
         self._dws = (_dz_center_from_faces(ctx.theta_wf * forcing.w_s, g)[sx, sy]
                      / geom.jac3[sx, sy])
+        self._lib = native.kernels(np.float64)
+        self._args = self._lib and self._bind()
+
+    def _bind(self) -> "_Args | None":
+        """The compiled substep's operands, or ``None`` unless every array
+        is a contiguous float64 of this grid's shapes (C only gets
+        addresses; stepper, context and per-thread scratch keep them)."""
+        ctx, f, st, g, geom, s = (self.ctx, self.forcing, self.st, self.g,
+                                  self.geom, self.s)
+        staggered = (
+            (g.shape_c, dict(cp_lin=ctx.cp_lin, pc=ctx.pc, rho=st.rho,
+                             rho_ref_hat=ctx.rho_ref_hat, r_theta=f.r_theta,
+                             rhotheta=st.rhotheta, pp_h=s.c[0],
+                             dppdz=s.c[-1])),
+            (g.shape_u, dict(theta_xf=ctx.theta_xf, r_u=f.r_u, fx_s=f.fx_s,
+                             rhou=st.rhou)),
+            (g.shape_v, dict(theta_yf=ctx.theta_yf, r_v=f.r_v, fy_s=f.fy_s,
+                             rhov=st.rhov)),
+            (g.shape_w, dict(theta_wf=ctx.theta_wf, r_w=f.r_w, m_s=f.m_s,
+                             rhow=st.rhow, col=s.w[0])))
+        arrays = dict(
+            dws=self._dws, rho_e=s.i[0], theta_e=s.i[3], rhs=s.rhs,
+            jac=g.jac, njac_u=geom.njac_u, njac_v=geom.njac_v,
+            dz_c=g.dz_c, dz_f=g.dz_f)
+        if geom.has_terrain:
+            arrays.update(met_u=geom.met_u, met_v=geom.met_v, dzc2=geom.dzc2)
+        if self.beta < 1.0:             # else: no trapezoidal correction
+            arrays.update(sub=self.helm.sub, diag=self.helm.diag,
+                          sup=self.helm.sup)
+        for shape, named in staggered:
+            if any(a.shape != shape for a in named.values()):
+                return None
+            arrays.update(named)
+        ptrs = native.pointers(np.float64, *arrays.values())
+        if ptrs is None:
+            return None
+        args = _Args(g.nxh, g.nyh, g.nz, g.halo, g.nx, g.ny, self.dtau,
+                     self.beta, 1.0 - self.beta, (1.0 - self.beta) / self.beta,
+                     self.div_damp, g.dx, g.dy, c.G)
+        for name, ptr in zip(arrays, ptrs):
+            setattr(args, name, ptr)
+        return args
 
     def substep(self) -> list[str]:
         """One acoustic substep; returns the field names whose halos are
@@ -283,6 +346,34 @@ class AcousticStepper:
         np.add(mom[sl], pgf, out=mom[sl])
 
     def _substep_impl(self) -> list[str]:
+        """One substep: compiled where a verified library is loaded and every
+        operand is plain float64, else the NumPy chain — the same bytes."""
+        if self._args is None:
+            self._substep_numpy()
+        else:
+            self._substep_native()
+        self._done += 1
+        return list(ACOUSTIC_FIELDS)
+
+    def _substep_native(self) -> None:
+        """csrc/acoustic.c's three segments around the two calls that stay
+        here: the terrain metric flux and the Helmholtz solve."""
+        a, lib, st = self._args, self._lib, self.st
+        pp, prev = self._pp[self._done % 2], self.pp_prev
+        a.pp = pp.ctypes.data
+        a.pp_prev = None if prev is None else prev.ctypes.data
+        lib.momentum(ctypes.byref(a))
+        if self.geom.has_terrain:
+            m_now = self.geom.metric_flux(st.rhou, st.rhov)
+            a.m_now = m_now.ctypes.data
+        lib.rhs(ctypes.byref(a))
+        with profile_phase("helmholtz_solve"):
+            w_new = self.helm.solve(self.s.rhs)
+        a.w_new = w_new.ctypes.data
+        lib.update(ctypes.byref(a))
+        self.pp_prev = pp
+
+    def _substep_numpy(self) -> None:
         ctx, forcing, st, g, s = self.ctx, self.forcing, self.st, self.g, self.s
         geom = self.geom
         h, nx, ny = g.halo, g.nx, g.ny
@@ -399,9 +490,6 @@ class AcousticStepper:
         np.subtract(theta_e, i1, out=st.rhotheta[sx, sy])
         st.rhow[sx, sy] = w_new[sx, sy]
 
-        self._done += 1
-        return list(ACOUSTIC_FIELDS)
-
     def finish(self, q_tendencies: dict[str, np.ndarray | None] | None = None) -> list[str]:
         """Apply the slow moisture tendencies over the full stage interval
         (moisture is a slow mode); returns the fields needing exchange —
@@ -418,3 +506,40 @@ class AcousticStepper:
             arr = self.st.q[name]
             arr[sx, sy] = self.base.q[name][sx, sy] + self.dts * tend[sx, sy]
         return list(q_tendencies.keys())
+
+
+def native_check(lib) -> str:
+    """What differs between ``lib``'s compiled substep and the NumPy chain
+    ("" when nothing does): two substeps (the first has no damping history)
+    of one stage, flat grid and terrain."""
+    from ..stencil.executor import StencilExecutor, use_executor
+    from .grid import make_grid
+
+    wave = native.wave
+    for terrain in (None, lambda x, y: 40.0 + 30.0 * np.sin(x / 90.0 + y)):
+        g = make_grid(3, 2, 5, 100.0, 130.0, 500.0, terrain=terrain)
+        base = State(g, wave(g.shape_c, 1.3, 2.0), wave(g.shape_u, 0.7),
+                     wave(g.shape_v, 1.9), wave(g.shape_w, 2.9),
+                     wave(g.shape_c, 0.3, 600.0))
+        forcing = SlowForcing(*(wave(s, k) for s, k in (
+            (g.shape_u, 1.1), (g.shape_v, 1.2), (g.shape_w, 1.4),
+            (g.shape_c, 1.5), (g.shape_u, 1.6), (g.shape_v, 1.7),
+            (g.shape_w, 1.8), (g.shape_w, 2.1))))
+        ctx = AcousticContext(
+            g, None, wave(g.shape_c, 0.9, 400.0), wave(g.shape_c, 2.2),
+            None, wave(g.shape_c, 2.3, 2.0), wave(g.shape_u, 2.4, 300.0),
+            wave(g.shape_v, 2.5, 300.0), wave(g.shape_w, 2.6, 300.0),
+            AcousticGeometry(g))
+        runs = {}                       # by "took the NumPy chain"
+        for use in (lib, None):
+            # the oracle solve on both sides: no plan enters the shared cache
+            with native.using(use), \
+                    use_executor(StencilExecutor("reference")):
+                stepper = AcousticStepper(base, forcing, ctx, None, 0.2, 2)
+                stepper.substep()
+                stepper.substep()
+            runs[stepper._args is None] = b"".join(a.tobytes() for a in (
+                *map(stepper.st.get, ACOUSTIC_FIELDS), stepper.pp_prev))
+        if len(runs) != 2 or runs[True] != runs[False]:
+            return f"acoustic substep, {'terrain' if terrain else 'flat'} grid"
+    return ""

@@ -225,5 +225,5 @@ class Rk3Integrator:
             new = stepper.st
             cur = new
         if self.cfg.check_finite:
-            new.validate()
+            new.validate(step=round(new.time / self.cfg.dt))
         return new

@@ -32,7 +32,21 @@ from .. import constants as c
 from .grid import Grid
 from .reference import ReferenceState
 
-__all__ = ["State", "zero_bits", "zeros_state", "state_from_reference"]
+__all__ = ["NumericalBlowup", "State", "zero_bits", "zeros_state",
+           "state_from_reference"]
+
+
+class NumericalBlowup(FloatingPointError):
+    """A prognostic ``field`` left the finite (density: the positive) range
+    at model ``time``, after long step ``step`` (``None``: not counted).
+    The compiled bodies raise no floating-point warnings, so
+    :meth:`State.validate` is the tripwire."""
+
+    def __init__(self, what: str, field: str, time: float,
+                 step: int | None = None):
+        where = f"t={time}" + ("" if step is None else f", long step {step}")
+        super().__init__(f"{what} at {where}")
+        self.field, self.time, self.step = field, time, step
 
 
 def zero_bits(a: np.ndarray) -> bool:
@@ -91,16 +105,19 @@ class State:
         else:
             setattr(self, name, value)
 
-    def validate(self) -> None:
-        """Raise if any array is non-finite or density is non-positive in the
-        interior — the model driver calls this when ``check_finite`` is on."""
+    def validate(self, step: int | None = None) -> None:
+        """Raise :class:`NumericalBlowup` if any array is non-finite or
+        density is non-positive in the interior — the model driver calls
+        this after long step ``step`` when ``check_finite`` is on."""
         g = self.grid
         for name in self.prognostic_names():
             arr = self.get(name)
             if not np.all(np.isfinite(g.interior(arr))):
-                raise FloatingPointError(f"non-finite values in {name!r} at t={self.time}")
+                raise NumericalBlowup(f"non-finite values in {name!r}",
+                                      name, self.time, step)
         if np.any(g.interior(self.rho) <= 0):
-            raise FloatingPointError(f"non-positive density at t={self.time}")
+            raise NumericalBlowup("non-positive density", "rho", self.time,
+                                  step)
 
     # --------------------------------------------------------- diagnostics
     def velocities(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

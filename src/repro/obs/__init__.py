@@ -18,14 +18,8 @@ The reproduction's three signal sources — host phase timings
 See docs/OBSERVABILITY.md for a worked multi-rank example, and
 ``repro trace --help`` for the CLI entry point.
 """
-from .collectors import collect_comm, collect_device
-from .exporters import (
-    chrome_trace,
-    jsonl_events,
-    summary_text,
-    write_chrome_trace,
-    write_jsonl,
-)
+import importlib
+
 from .metrics import (
     Counter,
     Gauge,
@@ -35,18 +29,6 @@ from .metrics import (
     percentile,
     percentile_summary,
 )
-from .recorder import FlightRecorder, RecordedEvent, load_flight_dump
-from .telemetry import (
-    FleetView,
-    SchedulerProfile,
-    build_fleet_view,
-    fleet_view_from_session,
-    fleet_view_from_trace,
-    render_fleet_view,
-    render_frames,
-    sparkline,
-)
-from .timeseries import SeriesKey, Snapshot, SnapshotSeries
 from .trace import (
     CounterRecord,
     DeviceOpRecord,
@@ -59,30 +41,36 @@ from .trace import (
     use_session,
 )
 
+#: resolved on first use (PEP 562): a run that records spans needs none of
+#: the exporters, the telemetry views or the doctor (which pulls in
+#: gpu/dist/perf modules) at start-up
+_MODULE_OF = {name: module for module, names in {
+    "collectors": "collect_device collect_comm",
+    "exporters": "chrome_trace write_chrome_trace jsonl_events write_jsonl "
+                 "summary_text",
+    "recorder": "FlightRecorder RecordedEvent load_flight_dump",
+    "telemetry": "SchedulerProfile FleetView build_fleet_view "
+                 "fleet_view_from_trace fleet_view_from_session "
+                 "render_fleet_view render_frames sparkline",
+    "timeseries": "SeriesKey Snapshot SnapshotSeries",
+}.items() for name in names.split()}
+
 __all__ = [
     "TraceSession", "use_session", "active_session", "span",
     "SpanRecord", "InstantRecord", "DeviceOpRecord", "CounterRecord",
     "FlowRecord",
-    "collect_device", "collect_comm",
-    "chrome_trace", "write_chrome_trace",
-    "jsonl_events", "write_jsonl", "summary_text",
     "Counter", "Gauge", "Histogram", "MetricsRegistry",
     "MetricTypeConflict",
     "percentile", "percentile_summary",
-    "FlightRecorder", "RecordedEvent", "load_flight_dump",
-    "SchedulerProfile", "FleetView", "build_fleet_view",
-    "fleet_view_from_trace", "fleet_view_from_session",
-    "render_fleet_view", "render_frames", "sparkline",
-    "SeriesKey", "Snapshot", "SnapshotSeries",
+    *_MODULE_OF,
     "doctor",
 ]
 
 
 def __getattr__(name: str):
-    # the doctor pulls in gpu/dist/perf modules; loading it lazily keeps
-    # `repro.obs` important-for-profiling-shims light and cycle-free
     if name == "doctor":
-        from . import doctor
-
-        return doctor
+        return importlib.import_module(f"{__name__}.doctor")
+    if name in _MODULE_OF:
+        return getattr(importlib.import_module(
+            f"{__name__}.{_MODULE_OF[name]}"), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -18,6 +18,7 @@ from .executor import (
     default_backend,
     use_executor,
 )
+from . import native
 from .plan import PLANS, Plan
 from .spec import (
     FUSED_IMPLS,
@@ -44,6 +45,7 @@ __all__ = [
     "default_backend",
     "get_stencil",
     "load_dycore_specs",
+    "native",
     "register_fused",
     "stencil",
     "use_executor",

@@ -1,0 +1,180 @@
+/* One HE-VI acoustic substep (repro/core/acoustic.py), as three segments
+ * around the two calls that stay in Python: the terrain metric flux
+ * (between momentum and rhs) and the Helmholtz solve (between rhs and
+ * update).  Float64 like AcousticScratch.  Every expression mirrors one
+ * ufunc call of the NumPy chain in AcousticStepper._substep_numpy, in its
+ * order, so the fields come out the same bytes; see advect.c for the
+ * rules.  The struct is repro.core.acoustic._Args, field for field.
+ * Not cloned per ISA: these loops wait on memory (and on the Thomas solve
+ * between them), a 48x48x24 substep read 1.40 / 1.49 / 1.57 ms as SSE2 /
+ * AVX2 / AVX-512, and three clones doubled the build.
+ */
+typedef struct {
+    long nxh, nyh, nz, h, nx, ny;
+    double dtau, beta, omb, ratio, damp, dx, dy, grav;
+    /* the linearization and the stage forcing */
+    const double *cp_lin, *pc, *rho_ref_hat, *theta_xf, *theta_yf, *theta_wf;
+    const double *r_u, *r_v, *r_w, *r_theta, *fx_s, *fy_s, *m_s, *dws;
+    /* the operator (NULL when beta == 1: no trapezoidal correction) */
+    const double *sub, *diag, *sup;
+    /* grid-only operands; met_u / met_v / dzc2 / m_now NULL on a flat grid */
+    const double *jac, *njac_u, *njac_v, *met_u, *met_v, *dz_c, *dz_f, *dzc2;
+    const double *m_now, *w_new;
+    /* the state, updated in place, and the damping history */
+    double *rho, *rhou, *rhov, *rhow, *rhotheta, *pp;
+    const double *pp_prev;
+    /* scratch: pressure with damping, its z derivative, the explicit
+     * rho / rhotheta, the Helmholtz right-hand side, four columns */
+    double *pp_h, *dppdz, *rho_e, *theta_e, *rhs, *col;
+} acoustic_args;
+
+/* (1) perturbation pressure with divergence damping, (2) the explicit
+ * horizontal momentum update */
+void acoustic_momentum(const acoustic_args *restrict a)
+{
+    const long nyh = a->nyh, nz = a->nz, h = a->h, nx = a->nx, ny = a->ny;
+    const long ncell = a->nxh * nyh * nz;
+    const double dtau = a->dtau;
+    const double *pp_h = a->pp;
+
+    for (long i = 0; i < ncell; i++)
+        a->pp[i] = a->pc[i] + a->cp_lin[i] * a->rhotheta[i];
+    if (a->pp_prev && a->damp > 0.0) {
+        for (long i = 0; i < ncell; i++)
+            a->pp_h[i] = a->pp[i] + a->damp * (a->pp[i] - a->pp_prev[i]);
+        pp_h = a->pp_h;
+    }
+    if (a->dzc2) {
+        /* (1/G) d(pp)/dx3 at centres: centred, one-sided at the ends */
+        for (long c = 0; c < a->nxh * nyh; c++) {
+            const double *p = pp_h + c * nz;
+            double *d = a->dppdz + c * nz;
+            d[0] = (p[1] - p[0]) / a->dzc2[0] / a->jac[c];
+            for (long k = 1; k < nz - 1; k++)
+                d[k] = (p[k + 1] - p[k - 1]) / a->dzc2[k] / a->jac[c];
+            d[nz - 1] = (p[nz - 1] - p[nz - 2]) / a->dzc2[nz - 1] / a->jac[c];
+        }
+    }
+    /* u faces [h, h + nx] x [h, h + ny): the cell behind is one row back */
+    for (long x = 0; x <= nx; x++)
+        for (long y = 0; y < ny; y++) {
+            const long f = x * ny + y, i = ((x + h) * nyh + y + h) * nz;
+            const long b = i - nyh * nz;
+            for (long k = 0; k < nz; k++) {
+                double g = a->njac_u[f] * ((pp_h[i + k] - pp_h[b + k]) / a->dx);
+                if (a->met_u)
+                    g = g + a->met_u[f * nz + k]
+                        * (0.5 * (a->dppdz[i + k] + a->dppdz[b + k]));
+                a->rhou[i + k] = a->rhou[i + k] + dtau * (g + a->r_u[i + k]);
+            }
+        }
+    /* v faces [h, h + nx) x [h, h + ny]: rows of nyh + 1 columns, cells
+     * of nyh */
+    for (long x = 0; x < nx; x++)
+        for (long y = 0; y <= ny; y++) {
+            const long f = x * (ny + 1) + y;
+            const long i = ((x + h) * nyh + y + h) * nz, b = i - nz;
+            const long v = ((x + h) * (nyh + 1) + y + h) * nz;
+            for (long k = 0; k < nz; k++) {
+                double g = a->njac_v[f] * ((pp_h[i + k] - pp_h[b + k]) / a->dy);
+                if (a->met_v)
+                    g = g + a->met_v[f * nz + k]
+                        * (0.5 * (a->dppdz[i + k] + a->dppdz[b + k]));
+                a->rhov[v + k] = a->rhov[v + k] + dtau * (g + a->r_v[v + k]);
+            }
+        }
+}
+
+/* (3) the explicit parts of continuity and thermodynamics, (4) the
+ * right-hand side of the vertical implicit solve */
+void acoustic_rhs(const acoustic_args *restrict a)
+{
+    const long nyh = a->nyh, nz = a->nz, h = a->h, nx = a->nx, ny = a->ny;
+    const long su = nyh * nz, sv = (nyh + 1) * nz;
+    const double dtau = a->dtau, beta = a->beta, omb = a->omb;
+    double *restrict pp_be = a->col, *restrict buoy = a->col + nz;
+
+    for (long x = 0; x < nx; x++)
+        for (long y = 0; y < ny; y++) {
+            const long c = (x + h) * nyh + y + h, i = c * nz;
+            const long u = i, v = ((x + h) * (nyh + 1) + y + h) * nz;
+            const long w = c * (nz + 1), n = (x * ny + y) * nz;
+            const long r = c * (nz - 1);
+            const double *mn = a->m_now ? a->m_now + w : 0;
+            for (long k = 0; k < nz; k++) {
+                double d = (a->rhou[u + su + k] - a->rhou[u + k]) / a->dx
+                    + (a->rhov[v + nz + k] - a->rhov[v + k]) / a->dy;
+                if (mn)
+                    d = d + (mn[k + 1] - mn[k]) / a->dz_c[k];
+                else
+                    d = d + 0.0;        /* the flat metric term: -0 -> +0 */
+                const double rho_e = a->rho[i + k] - dtau * d;
+
+                /* theta: perturbation fluxes relative to the stage fluxes */
+                double tx = a->theta_xf[u + su + k]
+                    * (a->rhou[u + su + k] - a->fx_s[u + su + k]);
+                tx = (tx - a->theta_xf[u + k]
+                      * (a->rhou[u + k] - a->fx_s[u + k])) / a->dx;
+                double ty = a->theta_yf[v + nz + k]
+                    * (a->rhov[v + nz + k] - a->fy_s[v + nz + k]);
+                ty = (ty - a->theta_yf[v + k]
+                      * (a->rhov[v + k] - a->fy_s[v + k])) / a->dy;
+                double t = a->r_theta[i + k] - tx - ty;
+                if (mn) {
+                    const double *ms = a->m_s + w, *th = a->theta_wf + w;
+                    t = t - (th[k + 1] * (mn[k + 1] - ms[k + 1])
+                             - th[k] * (mn[k] - ms[k])) / a->dz_c[k];
+                }
+                const double theta_e = a->rhotheta[i + k]
+                    + dtau * (t + a->dws[n + k]);
+                a->rho_e[n + k] = rho_e;
+                a->theta_e[n + k] = theta_e;
+
+                /* the beta-weighted pressure and buoyancy of the solve */
+                const double theta_be = beta * theta_e
+                    + omb * a->rhotheta[i + k];
+                pp_be[k] = a->pc[i + k] + a->cp_lin[i + k] * theta_be;
+                buoy[k] = beta * rho_e + omb * a->rho[i + k]
+                    - a->rho_ref_hat[i + k];
+            }
+            const double *rw = a->rhow + w, *fw = a->r_w + w;
+            for (long k = 0; k < nz - 1; k++) {
+                double f = -((pp_be[k + 1] - pp_be[k]) / a->dz_f[k + 1])
+                    - a->grav * (0.5 * (buoy[k + 1] + buoy[k]));
+                double rhs = rw[k + 1] + dtau * (f + fw[k + 1]);
+                if (a->diag) {
+                    /* trapezoidal correction from the known W^n */
+                    const double aw = a->sub[r + k] * rw[k]
+                        + a->diag[r + k] * rw[k + 1]
+                        + a->sup[r + k] * rw[k + 2];
+                    rhs = rhs + a->ratio * (rw[k + 1] - aw);
+                }
+                a->rhs[r + k] = rhs;
+            }
+        }
+}
+
+/* the implied vertical-flux updates of rho and rhotheta, and the new W */
+void acoustic_update(const acoustic_args *restrict a)
+{
+    const long nyh = a->nyh, nz = a->nz, h = a->h, nx = a->nx, ny = a->ny;
+    const double dtau = a->dtau, beta = a->beta, omb = a->omb;
+    double *restrict wb = a->col, *restrict tw = a->col + nz + 1;
+
+    for (long x = 0; x < nx; x++)
+        for (long y = 0; y < ny; y++) {
+            const long c = (x + h) * nyh + y + h, i = c * nz;
+            const long w = c * (nz + 1), n = (x * ny + y) * nz;
+            for (long k = 0; k <= nz; k++) {
+                wb[k] = beta * a->w_new[w + k] + omb * a->rhow[w + k];
+                tw[k] = a->theta_wf[w + k] * wb[k];
+                a->rhow[w + k] = a->w_new[w + k];
+            }
+            for (long k = 0; k < nz; k++) {
+                a->rho[i + k] = a->rho_e[n + k]
+                    - dtau * ((wb[k + 1] - wb[k]) / a->dz_c[k]) / a->jac[c];
+                a->rhotheta[i + k] = a->theta_e[n + k]
+                    - dtau * ((tw[k + 1] - tw[k]) / a->dz_c[k]) / a->jac[c];
+            }
+        }
+}

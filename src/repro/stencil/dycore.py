@@ -23,12 +23,15 @@ Nothing taken from ``pl.scratch`` is ever returned.
 """
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from .. import constants as c
 from ..core.limiter import koren
-from .plan import NBUF
-from .spec import register_fused
+from . import native
+from .plan import NBUF, Plan, PlanCache
+from .spec import FUSED_IMPLS, register_fused
 
 __all__: list[str] = []
 
@@ -100,6 +103,8 @@ class _Sweep:
     def __init__(self, plans, p, shape):
         self.p = p = np.ascontiguousarray(p)
         self.pl = plans(tuple(shape), p.dtype)
+        #: the verified compiled kernels of this width, else ``None``
+        self.lib = native.kernels(p.dtype)
         self.pf = p.reshape(-1)
         self.n1, self.n2 = p.shape[1:]
         self.row = self.n1 * self.n2
@@ -117,9 +122,13 @@ class _Sweep:
         fill(self.box(5, m1 - m0), m0, m1)
         s = (row, self.n2, 1)[axis]
         lo, hi = (0, n) if axis == 0 else (s, n - 2 * s)
-        _faces(self.pl, self.pf, m0 * row + lo, m0 * row + hi, s,
-               self.pl.scratch(5, n)[lo:hi],
-               self.pl.scratch(6, off + n)[off + lo:off + hi])
+        fa = self.pl.scratch(5, n)[lo:hi]
+        out = self.pl.scratch(6, off + n)[off + lo:off + hi]
+        if self.lib is None:
+            _faces(self.pl, self.pf, m0 * row + lo, m0 * row + hi, s, fa, out)
+        else:
+            self.lib.faces(self.pf[m0 * row + lo:].ctypes.data, s,
+                           fa.ctypes.data, out.ctypes.data, hi - lo)
 
 
 # ------------------------------------------------------------- advection
@@ -153,8 +162,15 @@ def _limited_face_flux(plans, phi, flux, axis, limiter=koren):
     return res
 
 
-def _advect(plans, p, grid, xsl, ysl, fill_x, fill_y, fill_z, zedge):
-    """``-div(F p)`` of one staggered field, slab by slab.
+#: csrc/advect.c's name for the staggering of the advected field
+_SCALAR, _U, _V, _W = range(4)
+
+
+def _advect(plans, variant, p, flux, grid, xsl, ysl, fill_x, fill_y, fill_z,
+            zedge):
+    """``-div(F p)`` of one staggered field: one compiled call where a
+    verified library is loaded for its width, else slab by slab on the
+    plan's arena — the same bytes either way.
 
     ``fill_*`` write the aligned mass flux of a direction; ``zedge(x0,
     x1, k)`` is the w-level mass flux at the bottom/top boundary face
@@ -163,6 +179,17 @@ def _advect(plans, p, grid, xsl, ysl, fill_x, fill_y, fill_z, zedge):
     sw = _Sweep(plans, p, grid.shape_c)
     pl, row, n2 = sw.pl, sw.row, sw.n2
     out = np.zeros(p.shape, p.dtype)
+    if sw.lib is not None:
+        # _covers vouched for dtypes and shapes; the scratch is this
+        # thread's plan (ctypes releases the GIL)
+        ptrs = native.pointers(
+            p.dtype, sw.p, *map(np.ascontiguousarray, flux), out,
+            grid.dz_f if variant == _W else grid.dz_c, pl.arena)
+        if ptrs:
+            sw.lib.advect(variant, *ptrs[:5], *grid.shape_c[1:], xsl.start,
+                          xsl.stop, ysl.start, ysl.stop, grid.dx, grid.dy,
+                          *ptrs[5:])
+            return out
     for x0 in range(xsl.start, xsl.stop, pl.rows):
         x1 = min(x0 + pl.rows, xsl.stop)
         nb, n = x1 - x0, (x1 - x0) * row
@@ -209,12 +236,15 @@ def _advect(plans, p, grid, xsl, ysl, fill_x, fill_y, fill_z, zedge):
     return out
 
 
-def _covers(limiter, grid, *fields) -> bool:
+def _covers(limiter, grid, shape, *fields) -> bool:
     # the reference divides by the float64 grid metrics, so a float32
-    # field is a mixed-dtype call
+    # field is a mixed-dtype call; the compiled body takes addresses, so
+    # the shapes are checked here, for both bodies
     return (limiter is koren and grid.nz >= 4 and grid.halo >= 2
             and _plain(*fields)
-            and fields[0].dtype == grid.dz_c.dtype)
+            and fields[0].dtype == grid.dz_c.dtype
+            and tuple(f.shape for f in fields)
+            == (shape, grid.shape_u, grid.shape_v, grid.shape_w))
 
 
 def _mean_into(dst, a, b):
@@ -233,7 +263,7 @@ def _to_levels(dst, src):
 
 @register_fused("advect_scalar")
 def _advect_scalar(plans, phi, fx, fy, fz, grid, limiter=koren):
-    if not _covers(limiter, grid, phi, fx, fy, fz):
+    if not _covers(limiter, grid, grid.shape_c, phi, fx, fy, fz):
         return NotImplemented
     sx, sy = grid.isl
 
@@ -246,13 +276,14 @@ def _advect_scalar(plans, phi, fx, fy, fz, grid, limiter=koren):
     def fill_z(fa3, x0, x1):
         fa3[..., :-1] = fz[x0:x1, :, 1:-1]
 
-    return _advect(plans, phi, grid, sx, sy, fill_x, fill_y, fill_z,
+    return _advect(plans, _SCALAR, phi, (fx, fy, fz), grid, sx, sy,
+                   fill_x, fill_y, fill_z,
                    lambda x0, x1, k: fz[x0:x1, sy, k])
 
 
 @register_fused("advect_u")
 def _advect_u(plans, u, fx, fy, fz, grid, limiter=koren):
-    if not _covers(limiter, grid, u, fx, fy, fz):
+    if not _covers(limiter, grid, grid.shape_u, u, fx, fy, fz):
         return NotImplemented
     sx, sy = grid.isl_u
 
@@ -267,14 +298,15 @@ def _advect_u(plans, u, fx, fy, fz, grid, limiter=koren):
         _mean_into(fa3[..., :-1], fz[x0:x1, :, 1:-1],
                    fz[x0 - 1:x1 - 1, :, 1:-1])
 
-    return _advect(plans, u, grid, sx, sy, fill_x, fill_y, fill_z,
+    return _advect(plans, _U, u, (fx, fy, fz), grid, sx, sy,
+                   fill_x, fill_y, fill_z,
                    lambda x0, x1, k: 0.5 * (fz[x0:x1, sy, k]
                                             + fz[x0 - 1:x1 - 1, sy, k]))
 
 
 @register_fused("advect_v")
 def _advect_v(plans, v, fx, fy, fz, grid, limiter=koren):
-    if not _covers(limiter, grid, v, fx, fy, fz):
+    if not _covers(limiter, grid, grid.shape_v, v, fx, fy, fz):
         return NotImplemented
     sx, sy = grid.isl_v
     sym = slice(sy.start - 1, sy.stop - 1)
@@ -290,14 +322,15 @@ def _advect_v(plans, v, fx, fy, fz, grid, limiter=koren):
         _mean_into(fa3[:, 1:-1, :-1], fz[x0:x1, 1:, 1:-1],
                    fz[x0:x1, :-1, 1:-1])
 
-    return _advect(plans, v, grid, sx, sy, fill_x, fill_y, fill_z,
+    return _advect(plans, _V, v, (fx, fy, fz), grid, sx, sy,
+                   fill_x, fill_y, fill_z,
                    lambda x0, x1, k: 0.5 * (fz[x0:x1, sy, k]
                                             + fz[x0:x1, sym, k]))
 
 
 @register_fused("advect_w")
 def _advect_w(plans, w, fx, fy, fz, grid, limiter=koren):
-    if not _covers(limiter, grid, w, fx, fy, fz):
+    if not _covers(limiter, grid, grid.shape_w, w, fx, fy, fz):
         return NotImplemented
     sx, sy = grid.isl
 
@@ -310,7 +343,8 @@ def _advect_w(plans, w, fx, fy, fz, grid, limiter=koren):
     def fill_z(fa3, x0, x1):
         _mean_into(fa3[..., :-1], fz[x0:x1, :, 1:], fz[x0:x1, :, :-1])
 
-    return _advect(plans, w, grid, sx, sy, fill_x, fill_y, fill_z, None)
+    return _advect(plans, _W, w, (fx, fy, fz), grid, sx, sy,
+                   fill_x, fill_y, fill_z, None)
 
 
 # ------------------------------------------------------------- diffusion
@@ -448,3 +482,55 @@ def _helmholtz_solve(plans, op, rhs_interior):
             np.subtract(dp[k], t, out=dp[k])
         w2[c0:c1, 1:-1] = dp.T
     return w
+
+
+# ------------------------------------------------- compiled-body self-check
+def _same(got, want) -> bool:
+    """Equal bytes, NaN payloads exempt (IEEE leaves them open)."""
+    nan = np.isnan(want)
+    return (np.array_equal(np.isnan(got), nan)
+            and np.where(nan, 0, got).tobytes()
+            == np.where(nan, 0, want).tobytes())
+
+
+def native_check(lib) -> str:
+    """What differs between ``lib``'s compiled bodies and their NumPy
+    twins ("" when nothing does), in both widths: the face sweep over every
+    four-cell stencil of signed zeros, ones, infinities, NaN and a subnormal
+    under fluxes of both signs; the four advections on a grid of plateaus."""
+    with np.errstate(all="ignore"):
+        for dtype, k in ((np.float64, lib.f64), (np.float32, lib.f32)):
+            tiny = np.finfo(dtype).smallest_subnormal
+            vals = np.array([0.0, -0.0, 1.0, -1.0, 3.25, np.inf, -np.inf,
+                             np.nan, tiny], dtype)
+            p = np.ascontiguousarray(
+                np.stack(np.meshgrid(*[vals] * 4, indexing="ij"))).reshape(-1)
+            n = p.size // 4             # face i: cells p[i - n] .. p[i + 2n]
+            # 7 fluxes against 9 values a cell: every upwind triple meets
+            # every flux (9 and 9**3 are both coprime to 7)
+            fa = np.array([1.0, -1.0, 0.0, -0.0, 2.5, -tiny, np.inf],
+                          dtype)[np.arange(n) % 7]
+            want, got = np.empty(n, dtype), np.empty(n, dtype)
+            _faces(Plan((1, n - 1, 0), p.dtype), p, n, 2 * n, n, fa, want)
+            k.faces(p[n:].ctypes.data, n, fa.ctypes.data, got.ctypes.data, n)
+            if not _same(got, want):
+                return f"faces_{p.dtype.name}"
+    from ..core.grid import make_grid
+
+    g64 = make_grid(3, 2, 4, 100.0, 130.0, 400.0)
+    plans = PlanCache()
+    for dtype in (np.float64, np.float32):  # no run has float32 metrics yet
+        g = replace(g64, dz_c=g64.dz_c.astype(dtype),
+                    dz_f=g64.dz_f.astype(dtype))
+        flux = [native.wave(s, k).round(1).astype(dtype) for s, k in (
+            (g.shape_u, 1.1), (g.shape_v, 1.7), (g.shape_w, 2.3))]
+        for name, shape in (
+                ("advect_scalar", g.shape_c), ("advect_u", g.shape_u),
+                ("advect_v", g.shape_v), ("advect_w", g.shape_w)):
+            runs, phi = [], native.wave(shape, 0.7).round(1).astype(dtype)
+            for use in (lib, None):
+                with native.using(use):
+                    runs.append(FUSED_IMPLS[name](plans, phi, *flux, g))
+            if not _same(*runs):
+                return f"{name}_{phi.dtype.name}"
+    return ""

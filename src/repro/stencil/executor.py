@@ -26,6 +26,7 @@ import os
 from collections import Counter
 from typing import Any, Dict
 
+from . import native
 from .plan import PLANS
 from .spec import FUSED_IMPLS, StencilFunction
 
@@ -116,6 +117,8 @@ class StencilExecutor:
             "reuses": 0.0,
             "reuse_fraction": 0.0,
             "bytes_allocated": float(self.plans.nbytes()),
+            # the compiled bodies: state, hash, ISA clones, cold-build s
+            "native": native.library().stats(),
         }
 
     def report(self) -> str:
@@ -128,7 +131,7 @@ class StencilExecutor:
             total = self.skipped + self.calls["advect_scalar"]
             text += (f"; {self.skipped} of {total} scalar transports skipped "
                      f"(inactive: {' '.join(self.inactive) or 'none'})")
-        return text
+        return f"{text}; {native.library().report()}"
 
 
 _ACTIVE: contextvars.ContextVar["StencilExecutor | None"] = \

@@ -1,0 +1,287 @@
+"""Compiled bodies of the two hot loops: built once per machine, proved
+at load, never required.
+
+``csrc/advect.c`` (the Koren sweep plus flux divergence, both float
+widths) and ``csrc/acoustic.c`` (the HE-VI substep around the Helmholtz
+solve) become one shared object per *(sources, flags, ``cc --version``,
+machine)* hash in the user's cache directory, loaded through
+:mod:`ctypes`.  It is used only after every kernel in it has reproduced
+its planned NumPy twin byte for byte on a fixed battery (``native_check``
+of :mod:`repro.stencil.dycore` and :mod:`repro.core.acoustic`); every
+other outcome is one of four typed, counted reasons and ends on the NumPy
+bodies — never on a different field.  docs/STENCILS.md "Compiled bodies".
+"""
+from __future__ import annotations
+
+import contextlib
+import contextvars
+import ctypes
+import functools
+import hashlib
+import os
+import platform
+import stat
+import threading
+import time
+from collections import Counter
+from dataclasses import dataclass, field
+from pathlib import Path
+from types import SimpleNamespace
+
+import numpy as np
+
+__all__ = ["FLAGS", "CLONES", "STATES", "Native", "load", "library",
+           "kernels", "pointers", "using"]
+
+#: value-preserving only: no contraction, no reassociation, no -march (the
+#: cache may be shared between hosts; the clones pick the ISA at load time)
+FLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off",
+         "-fno-trapping-math", "-fno-math-errno")
+CLONES = ("avx512f", "avx2", "default")
+SOURCES = ("advect.c", "acoustic.c")
+STATES = ("loaded", "no-compiler", "build-failed", "cache-unwritable",
+          "self-check-failed")
+#: how every :func:`load` of this process ended, by state
+COUNTS: Counter = Counter()
+
+_PTR, _LONG = ctypes.c_void_p, ctypes.c_long
+
+
+class _Unavailable(Exception):
+    """``(state, detail)``: why there is no compiled body."""
+
+
+@dataclass
+class Native:
+    """The outcome of one :func:`load`."""
+
+    state: str
+    detail: str = ""
+    hash: str = ""
+    clones: tuple = ()
+    #: seconds spent compiling (0 on a cache hit) and loading + checking
+    build_s: float = 0.0
+    load_s: float = 0.0
+    #: ``faces`` / ``advect`` per width; f64 also has the substep's three
+    f64: SimpleNamespace | None = field(default=None, repr=False)
+    f32: SimpleNamespace | None = field(default=None, repr=False)
+
+    def stats(self) -> dict:
+        return {"state": self.state, "detail": self.detail,
+                "hash": self.hash, "clones": list(self.clones),
+                "build_s": round(self.build_s, 3)}
+
+    def report(self) -> str:
+        text = f"native[{self.state}]"
+        if self.hash:
+            text += (f": {self.hash} clones {','.join(self.clones) or '-'}"
+                     f" build {self.build_s:.2f} s load "
+                     f"{self.load_s * 1e3:.1f} ms")
+        return text + (f" ({self.detail})" if self.detail else "")
+
+
+# ------------------------------------------------------------------ build
+def _spawn(argv: list) -> tuple:
+    """``(exit status, stdout + stderr)`` of ``argv`` found on ``PATH``."""
+    import subprocess       # 4 ms: here, not at the top of every import
+
+    try:
+        done = subprocess.run(argv, stdout=subprocess.PIPE,
+                              stderr=subprocess.STDOUT)
+    except OSError as exc:
+        return 127, str(exc)
+    return done.returncode, done.stdout.decode(errors="replace")
+
+
+def _compiler() -> tuple:
+    """``(argv prefix, version text)`` of ``$CC``, else ``cc`` / ``gcc``."""
+    names = [os.environ["CC"]] if os.environ.get("CC") else ["cc", "gcc"]
+    for argv in map(str.split, names):
+        status, out = _spawn(argv + ["--version"])
+        if status == 0:
+            return argv, out
+    raise _Unavailable("no-compiler",
+                       f"{' / '.join(names)}: no working C compiler")
+
+
+def read_sources() -> dict:
+    """The shipped kernel sources, name -> text."""
+    here = Path(__file__).resolve().parent / "csrc"
+    return {name: (here / name).read_text("utf-8") for name in SOURCES}
+
+
+def _unit(sources: dict, clones: tuple) -> str:
+    """One translation unit: ``advect.c`` once per float width, then
+    ``acoustic.c``; every ``KERNEL`` is cloned per ISA."""
+    targets = ",".join(f'"{c}"' for c in clones)
+    kernel = f"__attribute__((target_clones({targets})))" if clones else ""
+    widths = "".join(
+        f"#define REAL {real}\n#define F(x) x##_{tag}\n#define ABS {fabs}\n"
+        f"{sources['advect.c']}\n#undef REAL\n#undef F\n#undef ABS\n"
+        for real, tag, fabs in (("double", "f64", "fabs"),
+                                ("float", "f32", "fabsf")))
+    return (f"#include <math.h>\n#define KERNEL {kernel}\n"
+            f'const char *repro_clones(void) {{ return "'
+            f'{",".join(clones) or "default"}"; }}\n'
+            + widths + sources["acoustic.c"])
+
+
+def _trusted(path: str, kind=stat.S_ISREG) -> bool:
+    """Ours alone: a real file (or directory), not a symlink to one, owned
+    by the caller, not group- or world-writable."""
+    try:
+        st = os.lstat(path)
+    except OSError:
+        return False
+    return (kind(st.st_mode) and st.st_uid == os.getuid()
+            and not st.st_mode & 0o022)
+
+
+def cache_dir() -> str | None:
+    """``$XDG_CACHE_HOME`` (or ``~/.cache``) ``/repro-asuca``, else a per-uid
+    directory under the temp dir; ``None`` when neither is a writable
+    directory of the caller's alone."""
+    def private(path):
+        with contextlib.suppress(OSError):
+            os.makedirs(path, mode=0o700, exist_ok=True)
+        return (_trusted(path, stat.S_ISDIR)
+                and os.access(path, os.W_OK | os.X_OK))
+
+    path = os.path.join(os.environ.get("XDG_CACHE_HOME")
+                        or os.path.expanduser("~/.cache"), "repro-asuca")
+    if private(path):
+        return path
+    import tempfile
+
+    path = os.path.join(tempfile.gettempdir(), f"repro-asuca-{os.getuid()}")
+    return path if private(path) else None
+
+
+def _build(cc: list, sources: dict, path: str) -> None:
+    """Compile to a temp name, then ``os.replace``: concurrent builders each
+    publish a whole file.  No function multiversioning: one plain build."""
+    tmp = f"{path}.{os.getpid()}.{threading.get_ident()}"
+    try:
+        for clones in (CLONES, ()):
+            Path(tmp + ".c").write_text(_unit(sources, clones), "utf-8")
+            status, out = _spawn([*cc, *FLAGS, tmp + ".c", "-o", tmp, "-lm"])
+            if status == 0:
+                os.chmod(tmp, 0o700)
+                return os.replace(tmp, path)
+        raise _Unavailable("build-failed",
+                           out.strip()[-500:] or f"exit status {status}")
+    except OSError as exc:
+        raise _Unavailable("cache-unwritable", str(exc)) from None
+    finally:
+        for leftover in (tmp, tmp + ".c"):
+            with contextlib.suppress(OSError):
+                os.unlink(leftover)
+
+
+# ------------------------------------------------------------------- load
+def _bind(dll: ctypes.CDLL) -> dict:
+    def fn(name, *argtypes):
+        f = getattr(dll, name)
+        f.argtypes, f.restype = argtypes, None
+        return f
+
+    out = {}
+    for tag, real in (("f64", ctypes.c_double), ("f32", ctypes.c_float)):
+        out[tag] = SimpleNamespace(
+            faces=fn(f"faces_{tag}", _PTR, _LONG, _PTR, _PTR, _LONG),
+            advect=fn(f"advect_{tag}", ctypes.c_int, *[_PTR] * 5,
+                      *[_LONG] * 6, real, real, _PTR, _PTR))
+    for name in ("momentum", "rhs", "update"):      # float64 only
+        setattr(out["f64"], name, fn(f"acoustic_{name}", _PTR))
+    dll.repro_clones.restype = ctypes.c_char_p
+    out["clones"] = tuple(dll.repro_clones().decode().split(","))
+    return out
+
+
+def _find_build_check(lib: Native, sources: dict) -> None:
+    cc, version = _compiler()
+    lib.hash = hashlib.sha256("\0".join(
+        [*(sources[n] for n in SOURCES), *FLAGS, *CLONES, version,
+         platform.machine()]).encode()).hexdigest()[:16]
+    directory = cache_dir()
+    if directory is None:
+        raise _Unavailable("cache-unwritable", "no private cache directory")
+    path = os.path.join(directory, f"native-{lib.hash}.so")
+    if not _trusted(path):
+        t0 = time.perf_counter()
+        try:
+            _build(cc, sources, path)
+        finally:
+            lib.build_s = time.perf_counter() - t0
+    try:
+        vars(lib).update(_bind(ctypes.CDLL(path)))
+    except (OSError, AttributeError) as exc:
+        raise _Unavailable("build-failed", str(exc)) from None
+    from ..core import acoustic
+    from . import dycore
+
+    failed = dycore.native_check(lib) or acoustic.native_check(lib)
+    if failed:
+        raise _Unavailable("self-check-failed", failed)
+
+
+def load(sources: dict | None = None) -> Native:
+    """Find or build the library of ``sources`` (default: the shipped ones),
+    load and self-check it.  Always returns; ``state`` says how it ended."""
+    t0 = time.perf_counter()
+    lib = Native("loaded")
+    try:
+        _find_build_check(lib, sources or read_sources())
+    except _Unavailable as why:
+        lib.state, lib.detail = why.args
+        lib.f64 = lib.f32 = None
+    COUNTS[lib.state] += 1
+    lib.load_s = time.perf_counter() - t0 - lib.build_s
+    return lib
+
+
+_UNSET = object()
+_FORCED: contextvars.ContextVar = contextvars.ContextVar(
+    "repro_native", default=_UNSET)
+
+
+@functools.cache
+def library() -> Native:
+    """This process's one :func:`load`, paid in ``Experiment.prepare()``
+    (two threads that both come first each load: builds publish whole)."""
+    return load()
+
+
+@contextlib.contextmanager
+def using(lib: Native | None):
+    """Inside the block :func:`kernels` answers from ``lib`` (``None``: the
+    NumPy bodies): how the self-check and the tests run both side by side."""
+    token = _FORCED.set(lib)
+    try:
+        yield lib
+    finally:
+        _FORCED.reset(token)
+
+
+def kernels(dtype) -> SimpleNamespace | None:
+    """The verified compiled kernels for ``dtype``, else ``None``: *the*
+    question a body asks before it takes its compiled branch."""
+    lib = _FORCED.get()
+    lib = library() if lib is _UNSET else lib   # not loaded: f64 = f32 = None
+    return lib and {"float64": lib.f64,
+                    "float32": lib.f32}.get(np.dtype(dtype).name)
+
+
+def wave(shape, k: float, mean: float = 0.0) -> np.ndarray:
+    """A deterministic field for the load-time checks (no RNG import)."""
+    return mean + np.sin(np.arange(np.prod(shape)) * k).reshape(shape)
+
+
+def pointers(dtype, *arrays) -> list | None:
+    """Addresses of ``arrays`` (the caller keeps them alive), or ``None``
+    unless every one is a C-contiguous exact ndarray of ``dtype``."""
+    dtype = np.dtype(dtype)
+    if all(type(a) is np.ndarray and a.dtype == dtype
+           and a.flags.c_contiguous for a in arrays):
+        return [a.ctypes.data for a in arrays]
+    return None

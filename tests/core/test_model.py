@@ -172,6 +172,41 @@ def test_check_finite_catches_blowup():
         m.step(st)
 
 
+def test_planted_nan_is_one_typed_blowup_under_every_body():
+    """The compiled bodies raise no floating-point warnings, so
+    ``State.validate()`` is the tripwire: a NaN planted mid-run is the
+    same :class:`NumericalBlowup` — field, long step, model time — under
+    the compiled bodies, the planned NumPy bodies and the oracle."""
+    import contextlib
+
+    from repro.api import Experiment, RunSpec
+    from repro.core.state import NumericalBlowup
+    from repro.stencil import native
+
+    seen = {}
+    for mode in ("compiled", "planned", "reference"):
+        spec = RunSpec("warm-bubble", nx=12, ny=12, nz=8, steps=5,
+                       stencil_backend="reference" if mode == "reference"
+                       else "auto")
+        bodies = (contextlib.nullcontext() if mode == "compiled"
+                  else native.using(None))
+        with bodies, np.errstate(all="ignore"):
+            exp = Experiment(spec).prepare()
+            exp.advance(2)
+            t2 = exp.state.time
+            exp.state.rhotheta[6, 6, 3] = np.nan
+            with pytest.raises(NumericalBlowup) as err:
+                exp.advance(1)
+        assert isinstance(err.value, FloatingPointError)
+        assert exp.step_index == 2              # the third step never landed
+        seen[mode] = (err.value.field, err.value.step, err.value.time,
+                      str(err.value))
+    assert len(set(seen.values())) == 1, seen
+    field, step, time, text = seen["compiled"]
+    assert step == 3 and time == pytest.approx(1.5 * t2)
+    assert repr(field) in text and "long step 3" in text
+
+
 def test_run_with_callback():
     m = _model()
     st = m.initial_state()

@@ -57,14 +57,24 @@ def test_model_phases_recorded():
     """A real model step populates the instrumented phases, and the
     warm-rain share is small — the paper's '1.0% GPU time' observation
     holds for the NumPy implementation too."""
-    case = make_warm_bubble_case(nx=12, ny=12, nz=12, dt=4.0)
-    t = PhaseTimer()
-    with use_timer(t):
-        case.run(3)
-    for phase in ("advect_momentum", "advect_theta", "advect_moisture",
-                  "acoustic_substep", "helmholtz_solve", "physics_warm_rain"):
-        assert t.calls[phase] > 0, phase
-    assert t.fraction("physics_warm_rain") < 0.1
+    from repro.stencil import native
+
+    def phases(lib):
+        case = make_warm_bubble_case(nx=12, ny=12, nz=12, dt=4.0)
+        t = PhaseTimer()
+        with use_timer(t), native.using(lib):
+            case.run(3)
+        for phase in ("advect_momentum", "advect_theta", "advect_moisture",
+                      "acoustic_substep", "helmholtz_solve",
+                      "physics_warm_rain"):
+            assert t.calls[phase] > 0, phase
+        return t
+
+    # the shipped bodies (compiled where a library loads): the still-NumPy
+    # kessler_step is a larger share of a faster step, ~11 % at this size
+    assert phases(native.library()).fraction("physics_warm_rain") < 0.25
+    # the NumPy implementation, as the paper's observation is stated
+    assert phases(None).fraction("physics_warm_rain") < 0.1
 
 
 def test_exception_still_charges():

@@ -1,0 +1,389 @@
+"""The compiled bodies (repro.stencil.native): the same bytes as their
+planned NumPy twins and the oracles, and a loader whose every failure ends
+on the NumPy bodies with a typed reason.
+
+Where no C compiler exists only the tests that need a library skip, with
+the loader's own reason; the others (``CC=/nonexistent`` runs, the cache
+trust rules, the packaged sources) run everywhere.
+"""
+import hashlib
+import os
+import stat
+import subprocess
+import sys
+import textwrap
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.api import Experiment, RunSpec
+from repro.core import advection as adv
+from repro.core.acoustic import ACOUSTIC_FIELDS, AcousticStepper, build_context
+from repro.core.boundary import fill_halos_state
+from repro.core.grid import make_grid
+from repro.core.limiter import koren
+from repro.core.pressure import eos_pressure
+from repro.core.reference import make_reference_state
+from repro.core.rk3 import DynamicsConfig, slow_tendencies
+from repro.core.state import state_from_reference
+from repro.stencil import StencilExecutor, load_dycore_specs, native
+from repro.stencil.plan import PlanCache
+from repro.stencil.spec import FUSED_IMPLS
+from repro.workloads.sounding import constant_stability_sounding
+
+from .test_planned_identity import (KINDS, _FIELD_SHAPE, _advect_case, _fill,
+                                    _oracle, _same_bytes, _strided)
+
+load_dycore_specs()
+LIB = native.library()
+needs_library = pytest.mark.skipif(
+    LIB.state == "no-compiler", reason=f"compiled bodies unavailable: "
+                                       f"{LIB.detail}")
+SETTINGS = settings(max_examples=60, deadline=None)
+SRC = os.path.dirname(os.path.dirname(os.path.dirname(native.__file__)))
+
+
+def _both(name, *args):
+    """``(compiled, planned)`` results of one planned kernel."""
+    out = []
+    for lib in (LIB, None):
+        with native.using(lib):
+            out.append(FUSED_IMPLS[name](PlanCache(), *args))
+    return out
+
+
+@needs_library
+def test_a_compiler_means_a_loaded_library():
+    assert LIB.state == "loaded", LIB.report()
+    assert LIB.clones and len(LIB.hash) == 16
+    assert native.COUNTS["loaded"] >= 1
+
+
+@needs_library
+def test_planned_entry_points_take_the_compiled_branch(monkeypatch):
+    """What the identity tests below compare *is* the compiled body."""
+    taken = []
+    for name in ("advect", "faces"):
+        monkeypatch.setattr(LIB.f64, name, lambda *a, name=name:
+                            taken.append(name))
+    rng = np.random.default_rng(0)
+    g, fx, fy, fz = _advect_case(rng, 6, 5, 5, 2, ("normal", "normal"))
+    phi = rng.normal(size=g.shape_c)
+    with native.using(LIB):
+        FUSED_IMPLS["advect_scalar"](PlanCache(), phi, fx, fy, fz, g)
+        FUSED_IMPLS["limited_face_flux"](PlanCache(), phi, fz[..., 1:-1], 2)
+    assert taken[0] == "advect" and set(taken[1:]) == {"faces"}
+    with native.using(None):
+        FUSED_IMPLS["advect_scalar"](PlanCache(), phi, fx, fy, fz, g)
+    assert taken.count("advect") == 1
+
+
+# ------------------------------------------- (a) advection, three ways
+@needs_library
+@SETTINGS
+@given(nx=st.integers(3, 11), ny=st.integers(1, 9), nz=st.integers(4, 9),
+       halo=st.sampled_from([2, 3]), name=st.sampled_from(sorted(_FIELD_SHAPE)),
+       kinds=st.tuples(st.sampled_from(KINDS), st.sampled_from(KINDS)),
+       strided=st.booleans(), seed=st.integers(0, 2 ** 16))
+def test_advect_compiled_planned_oracle(nx, ny, nz, halo, name, kinds,
+                                        strided, seed):
+    rng = np.random.default_rng(seed)
+    g, fx, fy, fz = _advect_case(rng, nx, ny, nz, halo, kinds)
+    phi = _fill(rng, kinds[0], getattr(g, _FIELD_SHAPE[name]), np.float64)
+    if strided:
+        phi, fx, fz = _strided(phi), _strided(fx), _strided(fz)
+    compiled, planned = _both(name, phi, fx, fy, fz, g)
+    _same_bytes(name, compiled, planned)
+    _same_bytes(name, compiled, _oracle(getattr(adv, name), phi, fx, fy, fz, g))
+
+
+@needs_library
+@SETTINGS
+@given(nx=st.integers(3, 9), ny=st.integers(1, 7), nz=st.integers(4, 7),
+       name=st.sampled_from(sorted(_FIELD_SHAPE)),
+       kinds=st.tuples(st.sampled_from(KINDS), st.sampled_from(KINDS)),
+       seed=st.integers(0, 2 ** 16))
+def test_advect_float32_compiled_equals_planned(nx, ny, nz, name, kinds, seed):
+    """The grid's metrics are float64, so no run reaches the float32
+    advection yet (ROADMAP item 6 will); on a grid whose spacings are
+    float32 the two bodies agree all the same."""
+    rng = np.random.default_rng(seed)
+    g, fx, fy, fz = _advect_case(rng, nx, ny, nz, 2, kinds, np.float32)
+    g32 = SimpleNamespace(**{k: getattr(g, k) for k in (
+        "shape_c", "shape_u", "shape_v", "shape_w", "isl", "isl_u", "isl_v",
+        "nz", "halo", "dx", "dy")}, dz_c=g.dz_c.astype(np.float32),
+        dz_f=g.dz_f.astype(np.float32))
+    phi = _fill(rng, kinds[0], getattr(g, _FIELD_SHAPE[name]), np.float32)
+    compiled, planned = _both(name, phi, fx, fy, fz, g32)
+    assert compiled is not NotImplemented and compiled.dtype == np.float32
+    _same_bytes(name, compiled, planned)
+
+
+@needs_library
+@SETTINGS
+@given(n0=st.integers(4, 13), n1=st.integers(4, 11), n2=st.integers(4, 9),
+       axis=st.sampled_from([0, 1, 2, -1]),
+       dtype=st.sampled_from([np.float32, np.float64]),
+       kinds=st.tuples(st.sampled_from(KINDS), st.sampled_from(KINDS)),
+       strided=st.booleans(), seed=st.integers(0, 2 ** 16))
+def test_limited_face_flux_compiled_planned_oracle(n0, n1, n2, axis, dtype,
+                                                   kinds, strided, seed):
+    rng = np.random.default_rng(seed)
+    shape = [n0, n1, n2]
+    phi = _fill(rng, kinds[0], shape, dtype)
+    shape[axis] -= 1
+    flux = _fill(rng, kinds[1], shape, dtype)
+    if strided:
+        phi, flux = _strided(phi), _strided(flux)
+    compiled, planned = _both("limited_face_flux", phi, flux, axis)
+    _same_bytes("limited_face_flux", compiled, planned)
+    _same_bytes("limited_face_flux", compiled,
+                _oracle(adv.limited_face_flux, phi, flux, axis))
+
+
+@needs_library
+@SETTINGS
+@given(name=st.sampled_from(sorted(_FIELD_SHAPE)),
+       bad=st.sampled_from([np.nan, np.inf, -np.inf]),
+       where=st.sampled_from(["phi", "fx", "fz"]), seed=st.integers(0, 2 ** 16))
+def test_nonfinite_inputs_land_where_the_planned_body_puts_them(name, bad,
+                                                                where, seed):
+    rng = np.random.default_rng(seed)
+    g, fx, fy, fz = _advect_case(rng, 7, 6, 5, 2, ("normal", "normal"))
+    phi = rng.normal(size=getattr(g, _FIELD_SHAPE[name]))
+    target = {"phi": phi, "fx": fx, "fz": fz}[where]
+    target.flat[rng.integers(0, target.size, size=5)] = bad
+    with np.errstate(all="ignore"):
+        compiled, planned = _both(name, phi, fx, fy, fz, g)
+    assert np.array_equal(np.isnan(compiled), np.isnan(planned))
+    # infinities keep their sign; only NaN payloads are exempt
+    _same_bytes(name, np.where(np.isnan(compiled), 0.0, compiled),
+                np.where(np.isnan(planned), 0.0, planned))
+
+
+# --------------------------------------------- (b) the acoustic substep
+def _stage(terrain, dtype=np.float64):
+    bump = (lambda x, y: 600.0 * np.exp(-((x - 12e3) / 4e3) ** 2)) \
+        if terrain else None
+    g = make_grid(12, 8, 10, 2000.0, 2000.0, 10000.0, terrain=bump)
+    ref = make_reference_state(g, constant_stability_sounding())
+    base = state_from_reference(g, ref, u0=10.0)
+    x = g.x_c()[:, None, None]
+    base.rhotheta += base.rho * 0.5 * np.exp(-(((x - 12e3) / 3e3) ** 2))
+    fill_halos_state(base)
+    p_ref = eos_pressure(ref.rhotheta_c * g.jac[:, :, None], g)
+    forcing, _ = slow_tendencies(base, ref, DynamicsConfig(dt=4.0, ns=4), koren)
+    if dtype != np.float64:
+        for name in base.prognostic_names():
+            base.set(name, base.get(name).astype(dtype))
+    return base, forcing, build_context(base, ref, p_ref), ref
+
+
+@needs_library
+@pytest.mark.parametrize("terrain", [False, True])
+@pytest.mark.parametrize("div_damp", [0.1, 0.0])
+@pytest.mark.parametrize("beta", [0.55, 1.0])
+def test_substep_compiled_equals_numpy_chain(terrain, div_damp, beta):
+    base, forcing, ctx, ref = _stage(terrain)
+    steppers = []
+    for lib in (LIB, None):
+        with native.using(lib):
+            steppers.append(AcousticStepper(base, forcing, ctx, ref, 2.0, 3,
+                                            beta=beta, div_damp=div_damp))
+    compiled, chain = steppers
+    assert compiled._args is not None and chain._args is None
+    for _ in range(3):          # the first substep has no damping history
+        for s in steppers:
+            fill_halos_state(s.st, s.substep())
+        for name in ACOUSTIC_FIELDS:
+            _same_bytes(name, compiled.st.get(name), chain.st.get(name))
+        _same_bytes("pp_prev", compiled.pp_prev, chain.pp_prev)
+
+
+@needs_library
+def test_substep_declines_operands_it_cannot_take_by_address():
+    """A float32 state, or a field of another grid's shape, runs the NumPy
+    chain (which rounds, or raises, as it always did)."""
+    base, forcing, ctx, ref = _stage(False, np.float32)
+    assert AcousticStepper(base, forcing, ctx, ref, 2.0, 3)._args is None
+    base, forcing, ctx, ref = _stage(False)
+    forcing.r_u = forcing.r_u[:-1]
+    assert AcousticStepper(base, forcing, ctx, ref, 2.0, 3)._args is None
+
+
+# ------------------------------------------------ (c) without a compiler
+def _state_sha(workload):
+    state = Experiment(RunSpec(workload, nx=16, ny=16, nz=8,
+                               steps=3)).prepare().run().state
+    h = hashlib.sha256()
+    for name in state.prognostic_names():
+        h.update(np.ascontiguousarray(state.get(name)).tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("workload", ["warm-bubble", "real-case"])
+def test_no_compiler_is_a_reason_not_a_different_field(workload, tmp_path):
+    probe = textwrap.dedent(f"""
+        from tests.stencil.test_native import _state_sha, native
+        print(_state_sha({workload!r}), native.library().state,
+              native.COUNTS["no-compiler"])
+    """)
+    env = dict(os.environ, CC="/nonexistent", PYTHONPATH=SRC,
+               XDG_CACHE_HOME=str(tmp_path))
+    done = subprocess.run([sys.executable, "-c", probe], env=env, text=True,
+                          capture_output=True, timeout=300,
+                          cwd=os.path.dirname(SRC))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == [_state_sha(workload), "no-compiler", "1"]
+    assert not os.listdir(tmp_path)             # nothing was built
+
+
+# ------------------------------------------------------ (d) the self-check
+@needs_library
+def test_swapped_minimum_is_rejected_at_load(tmp_path, monkeypatch):
+    """``minimum(a, b)`` and ``minimum(b, a)`` differ in the sign of a zero
+    and in which NaN survives: a body that is almost NumPy's must not be
+    used."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    sources = native.read_sources()
+    numpys = "    REAL t = a < b ? a : b;\n    return a != a ? a : t;\n"
+    assert numpys in sources["advect.c"]
+    sources["advect.c"] = sources["advect.c"].replace(
+        numpys, "    REAL t = b < a ? b : a;\n    return b != b ? b : t;\n")
+    before = native.COUNTS["self-check-failed"]
+    lib = native.load(sources)
+    assert lib.state == "self-check-failed" and lib.detail.startswith("faces")
+    assert lib.f64 is None and lib.hash != LIB.hash
+    assert native.COUNTS["self-check-failed"] == before + 1
+    with native.using(lib):                     # a rejected library is no library
+        assert native.kernels(np.float64) is None
+
+
+@needs_library
+@pytest.mark.parametrize("width", ["f64", "f32"])
+def test_the_self_check_reaches_the_advection_of_both_widths(width,
+                                                             monkeypatch):
+    """No run has float32 grid metrics yet, so the load-time battery is
+    the float32 advection's only traffic: it must be on it."""
+    from repro.stencil import dycore
+
+    assert dycore.native_check(LIB) == ""
+    monkeypatch.setattr(getattr(LIB, width), "advect", lambda *a: None)
+    assert dycore.native_check(LIB) == f"advect_scalar_float{width[1:]}"
+
+
+@needs_library
+def test_a_source_that_does_not_compile_is_build_failed(tmp_path, monkeypatch):
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    sources = native.read_sources()
+    sources["acoustic.c"] += "\nthis is not C\n"
+    lib = native.load(sources)
+    assert lib.state == "build-failed" and "error" in lib.detail
+    assert os.listdir(tmp_path / "repro-asuca") == []      # no leftovers
+
+
+# ------------------------------------------------- (e) the cache directory
+@needs_library
+def test_two_processes_building_one_hash_leave_one_file(tmp_path):
+    probe = "from repro.stencil import native; print(native.library().report())"
+    env = dict(os.environ, PYTHONPATH=SRC, XDG_CACHE_HOME=str(tmp_path))
+    procs = [subprocess.Popen([sys.executable, "-c", probe], env=env, text=True,
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+             for _ in range(2)]
+    for p in procs:
+        out, err = p.communicate(timeout=300)
+        assert p.returncode == 0 and out.startswith("native[loaded]"), out + err
+    assert os.listdir(tmp_path / "repro-asuca") == [f"native-{LIB.hash}.so"]
+
+
+def test_a_cache_directory_others_can_write_is_refused(tmp_path, monkeypatch):
+    import tempfile
+
+    shared = tmp_path / "cache" / "repro-asuca"
+    shared.mkdir(parents=True)
+    shared.chmod(0o777)
+    assert not native._trusted(str(shared), stat.S_ISDIR)
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    # refused: the per-uid temp directory (created 0700) is used instead
+    private = native.cache_dir()
+    assert private == str(tmp_path / f"repro-asuca-{os.getuid()}")
+    assert os.stat(private).st_mode & 0o777 == 0o700
+    # ... and with that one open to others too there is no cache at all
+    os.chmod(private, 0o777)
+    assert native.cache_dir() is None
+    if LIB.state != "no-compiler":
+        lib = native.load()
+        assert lib.state == "cache-unwritable" and lib.f64 is None
+
+
+def test_a_planted_symlink_is_not_a_cache_directory(tmp_path, monkeypatch):
+    """Another user can pre-plant ``<tmp>/repro-asuca-<uid>`` as a symlink
+    to a directory the victim owns and re-point it later: the name itself
+    must be a real directory of the caller's, whatever it points at."""
+    import tempfile
+
+    mine = tmp_path / "mine"
+    mine.mkdir(mode=0o700)
+    assert native._trusted(str(mine), stat.S_ISDIR)
+    for parent in ("cache", "tmp"):
+        (tmp_path / parent).mkdir()
+    names = (tmp_path / "cache" / "repro-asuca",
+             tmp_path / "tmp" / f"repro-asuca-{os.getuid()}")
+    for name in names:
+        name.symlink_to(mine, target_is_directory=True)
+        assert not native._trusted(str(name), stat.S_ISDIR)
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
+    assert native.cache_dir() is None
+    assert os.listdir(mine) == []
+    # ... and a library that is a symlink is rebuilt over, never loaded
+    names[0].unlink()
+    planted = tmp_path / "cache" / "repro-asuca" / f"native-{LIB.hash}.so"
+    planted.parent.mkdir(mode=0o700)
+    planted.symlink_to(mine / "evil.so")
+    assert not native._trusted(str(planted))
+    if LIB.state != "no-compiler":
+        assert native.load().state == "loaded" and not planted.is_symlink()
+
+
+# ------------------------------------------------------- observability
+def test_executor_stats_and_report_carry_the_native_entry():
+    ex = StencilExecutor("fused")
+    s = ex.stats()
+    assert {"dispatches", "accelerated", "fallbacks", "allocations",
+            "reuses"} <= set(s)
+    assert s["native"]["state"] == LIB.state in native.STATES
+    assert set(s["native"]) == {"state", "detail", "hash", "clones", "build_s"}
+    assert f"native[{LIB.state}]" in ex.report()
+
+
+def test_sources_ship_as_package_data(tmp_path):
+    """An installed layout (``build_py`` into a scratch directory) carries
+    the ``.c`` files where ``importlib.resources`` finds them, and no
+    shared object."""
+    pytest.importorskip("setuptools")
+    root = os.path.dirname(SRC)
+    built = subprocess.run(
+        [sys.executable, "setup.py", "-q", "egg_info", "--egg-base",
+         str(tmp_path), "build_py", "--build-lib", str(tmp_path / "lib")],
+        cwd=root, capture_output=True, text=True, timeout=300)
+    assert built.returncode == 0, built.stderr
+    probe = textwrap.dedent("""
+        from importlib import resources
+        from repro.stencil import native
+        csrc = resources.files("repro.stencil") / "csrc"
+        assert sorted(p.name for p in csrc.iterdir()) == sorted(native.SOURCES)
+        assert all(native.read_sources()[n] == (csrc / n).read_text()
+                   for n in native.SOURCES)
+        print(native.__file__)
+    """)
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, timeout=120, cwd=str(tmp_path),
+                          env=dict(os.environ, PYTHONPATH=str(tmp_path / "lib")))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith(str(tmp_path / "lib"))
+    assert not [f for _, _, files in os.walk(tmp_path / "lib")
+                for f in files if f.endswith(".so")]

@@ -12,7 +12,10 @@ import textwrap
 
 #: heavyweight or offline-only modules no run path needs at import
 FORBIDDEN = ("scipy", "unittest", "numpy.testing", "numpy.f2py",
-             "repro.analysis", "repro.obs.doctor.roofline")
+             "repro.analysis", "repro.obs.doctor.roofline",
+             # `repro.gpu` and `repro.obs` resolve their names lazily: the
+             # service needs gpu.spec and the span recorder, not these
+             "repro.gpu.runtime", "repro.obs.exporters")
 
 
 def test_entry_points_import_nothing_heavy():
