@@ -377,7 +377,6 @@ class Experiment:
         self.runner = None                  #: GpuAsucaRunner (gpu)
         self.session: TraceSession | None = None
         self.executor = None                #: StencilExecutor
-        self.timer = None
         self.injector: FaultInjector | None = None
         self.checkpoints: CheckpointManager | None = None
         self.history = None
@@ -418,12 +417,10 @@ class Experiment:
 
         if spec.faults and len(spec.faults):
             self.injector = FaultInjector(spec.faults)
-        if spec.wants_session():
+        # profile only reads the session's phase spans: it opens one but
+        # (unlike wants_session) never changes the backend or what runs
+        if spec.wants_session() or spec.profile:
             self.session = TraceSession(name=spec.workload)
-        if spec.profile:
-            from .profiling import PhaseTimer
-
-            self.timer = PhaseTimer()
         if spec.checkpoint_dir:
             self.checkpoints = CheckpointManager(
                 spec.checkpoint_dir, every=spec.checkpoint_every,
@@ -437,7 +434,7 @@ class Experiment:
                 self.grid, self.case.ref, px, py, self.model.config,
                 relaxation=getattr(self.model, "relaxation", None),
                 fault_injector=self.injector, retry=spec.retry)
-            if self.session is not None or spec.counters:
+            if spec.wants_session() or spec.counters:
                 self.machine.attach_devices(
                     precision=spec.precision,
                     counters=spec.counters,
@@ -490,7 +487,7 @@ class Experiment:
 
     @contextlib.contextmanager
     def _contexts(self):
-        """Activate the stencil executor/session/profiler around any
+        """Activate the stencil executor and the session around any
         stepping."""
         from .stencil import use_executor
 
@@ -499,10 +496,6 @@ class Experiment:
                 stack.enter_context(use_executor(self.executor))
             if self.session is not None:
                 stack.enter_context(use_session(self.session))
-            if self.timer is not None:
-                from .profiling import use_timer
-
-                stack.enter_context(use_timer(self.timer))
             yield
 
     # ------------------------------------------------------------ drive

@@ -110,8 +110,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--metrics", action="store_true",
                      help="print the run metrics registry at the end")
     run.add_argument("--profile", action="store_true",
-                     help="activate the phase profiler and print its "
-                          "report after integration")
+                     help="print the host phase table (calls, seconds, "
+                          "share of the cat='phase' spans) after integration")
     run.add_argument("--summary", action="store_true",
                      help="print the trace summary (implies a session)")
     run.add_argument("--counters", action="store_true",
@@ -506,7 +506,8 @@ def _cmd_run(args) -> int:
         print(f"ranks {px}x{py}: {result.halo_messages} messages, "
               f"{result.halo_bytes / 1e6:.1f} MB halo traffic")
     if result.session is not None:
-        from .obs import summary_text, write_chrome_trace, write_jsonl
+        from .obs import (span_table, summary_text, write_chrome_trace,
+                          write_jsonl)
 
         if exp.spec.trace_path:
             print(f"trace: {write_chrome_trace(result.session, exp.spec.trace_path)}")
@@ -516,8 +517,9 @@ def _cmd_run(args) -> int:
             print(summary_text(result.session))
         elif exp.spec.metrics:
             print(result.session.metrics.report())
-    if exp.timer is not None:
-        print(exp.timer.report())
+        if exp.spec.profile:
+            print(span_table((rec for rec in result.session.spans
+                              if rec.cat == "phase"), "phase"))
     if exp.executor is not None and exp.executor.backend != "reference":
         print(exp.executor.report())
     if exp.spec.counters:
@@ -761,10 +763,9 @@ def _cmd_serve(args) -> int:
                   f"{write_jsonl(session, args.trace_jsonl)}",
                   file=sys.stderr)
         if args.prometheus or args.timeseries_csv:
-            from .obs import fleet_view_from_session
+            from .obs import fleet_view
 
-            view = fleet_view_from_session(session,
-                                           interval=args.ts_interval)
+            view = fleet_view(session, interval=args.ts_interval)
             snaps = view.snapshots
             # fold the end-of-run registry onto the grid so the scrape
             # also carries the serve gauges and job counters
@@ -914,9 +915,7 @@ def _doctor_roofline(args) -> int:
         if args.trace:
             from .obs.doctor import load_trace
 
-            trace = load_trace(args.trace)
-            ops = [op for per_pid in trace.device_ops.values()
-                   for op in per_pid]
+            ops = load_trace(args.trace).device_ops
             if not any(op.kind == "kernel" and op.measured is not None
                        for op in ops):
                 raise ValueError(
@@ -977,11 +976,11 @@ def _cmd_doctor(args) -> int:
             print("doctor: --fleet needs --trace TRACE (a serve trace "
                   "artifact)", file=sys.stderr)
             return 2
-        from .obs import fleet_view_from_trace, render_fleet_view
+        from .obs import fleet_view, render_fleet_view
         from .obs.doctor import load_trace
 
         try:
-            view = fleet_view_from_trace(load_trace(args.trace))
+            view = fleet_view(load_trace(args.trace))
         except (OSError, ValueError) as exc:
             print(f"doctor: {exc}", file=sys.stderr)
             return 2
@@ -1027,15 +1026,13 @@ def _cmd_top(args) -> int:
     trace, or run a live scheduling-only Poisson workload and view it."""
     import json as _json
 
-    from .obs import (fleet_view_from_session, fleet_view_from_trace,
-                      render_fleet_view, render_frames)
+    from .obs import fleet_view, render_fleet_view, render_frames
 
     if args.replay:
         from .obs.doctor import load_trace
 
         try:
-            view = fleet_view_from_trace(load_trace(args.replay),
-                                         interval=args.interval)
+            session = load_trace(args.replay)
         except (OSError, ValueError) as exc:
             print(f"top: {exc}", file=sys.stderr)
             return 2
@@ -1055,7 +1052,7 @@ def _cmd_top(args) -> int:
         service.run(poisson_workload(args.jobs, rate=args.rate,
                                      seed=args.seed))
         session.finalize()
-        view = fleet_view_from_session(session, interval=args.interval)
+    view = fleet_view(session, interval=args.interval)
     if args.json:
         print(_json.dumps(view.as_dict(), indent=2, sort_keys=True))
     else:

@@ -35,7 +35,7 @@ import numpy as np
 from .. import constants as c
 from .advection import MetricFlux
 from .grid import Grid
-from ..profiling import profile_phase
+from ..obs.trace import span
 from ..stencil import native
 from ..stencil.plan import Recent
 from .helmholtz import HelmholtzOperator
@@ -323,7 +323,7 @@ class AcousticStepper:
         now stale and must be exchanged by the caller."""
         if self._done >= self.nsub:
             raise RuntimeError("all substeps already taken")
-        with profile_phase("acoustic_substep"):
+        with span("acoustic_substep", cat="phase"):
             return self._substep_impl()
 
     def _pgf(self, pp_h, dppdz, axis, sl, njac, met, d, tend, mom):
@@ -367,7 +367,7 @@ class AcousticStepper:
             m_now = self.geom.metric_flux(st.rhou, st.rhov)
             a.m_now = m_now.ctypes.data
         lib.rhs(ctypes.byref(a))
-        with profile_phase("helmholtz_solve"):
+        with span("helmholtz_solve", cat="phase"):
             w_new = self.helm.solve(self.s.rhs)
         a.w_new = w_new.ctypes.data
         lib.update(ctypes.byref(a))
@@ -474,7 +474,7 @@ class AcousticStepper:
             np.subtract(st.rhow[sx, sy, 1:-1], aw[sx, sy], out=k1)
             np.multiply((1.0 - beta) / beta, k1, out=k1)
             np.add(rhs_i, k1, out=rhs_i)
-        with profile_phase("helmholtz_solve"):
+        with span("helmholtz_solve", cat="phase"):
             w_new = self.helm.solve(s.rhs)
         np.multiply(beta, w_new, out=w0)
         np.multiply(1.0 - beta, st.rhow, out=w1)

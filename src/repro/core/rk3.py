@@ -32,7 +32,7 @@ from .diffusion import (
     vertical_diffusion_c,
 )
 from .grid import Grid
-from ..profiling import profile_phase
+from ..obs.trace import span
 from ..stencil.executor import active_executor
 from .limiter import Limiter, get_limiter
 from .reference import ReferenceState
@@ -98,16 +98,16 @@ def slow_tendencies(
     fy = state.rhov
     fz = metric_flux(state.rhou, state.rhov, state.rhow)
 
-    with profile_phase("advect_momentum"):
+    with span("advect_momentum", cat="phase"):
         r_u = adv.advect_u(u, fx, fy, fz, g, limiter)
         r_v = adv.advect_v(v, fx, fy, fz, g, limiter)
         r_w = adv.advect_w(w, fx, fy, fz, g, limiter)
-    with profile_phase("advect_theta"):
+    with span("advect_theta", cat="phase"):
         theta = state.rhotheta / state.rho
         r_theta = adv.advect_scalar(theta, fx, fy, fz, g, limiter)
 
     if cfg.coriolis_f != 0.0:
-        with profile_phase("coriolis"):
+        with span("coriolis", cat="phase"):
             cu, cv = coriolis_tendencies(state.rhou, state.rhov, cfg.coriolis_f, g)
             r_u += cu
             r_v += cv
@@ -144,8 +144,8 @@ def slow_tendencies(
                      and state.rho.min() > 0.0):
         idle = []
     active_executor().skip_transports(idle)
-    with profile_phase("advect_moisture",
-                       active=" ".join(n for n in state.q if n not in idle)):
+    with span("advect_moisture", cat="phase",
+              active=" ".join(n for n in state.q if n not in idle)):
         q_tend = {
             name: None if name in idle else
             adv.advect_scalar(q_hat / state.rho, fx, fy, fz, g, limiter)

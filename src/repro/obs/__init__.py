@@ -1,17 +1,20 @@
 """Unified tracing & metrics: one run context for host, device and comm.
 
 The reproduction's three signal sources — host phase timings
-(:mod:`repro.profiling`), virtual-GPU op timelines
+(:func:`span` call sites in the integrator), virtual-GPU op timelines
 (:class:`repro.gpu.device.GPUDevice`), and simulated-MPI traffic
 (:class:`repro.dist.mpi_sim.SimComm`) — flow into a single
 :class:`TraceSession`:
 
-* **spans** (:func:`span`, plus the ``profile_phase`` shim) record host
-  intervals while a session is active;
-* **collectors** ingest device timelines and message logs after a run,
-  stamped with rank/device identity;
-* **exporters** emit Chrome Trace Format JSON (``chrome://tracing`` /
-  Perfetto), a JSONL event stream, and a text summary;
+* **spans** (:func:`span`) record host intervals while a session is
+  active;
+* **collectors** (:meth:`TraceSession.collect_device` /
+  :meth:`~TraceSession.collect_comm`) ingest device timelines and message
+  logs after a run, stamped with rank/device identity;
+* **exporters** emit the JSONL event stream (one codec,
+  :func:`to_event` / :func:`from_event`), its Chrome Trace Format view
+  (``chrome://tracing`` / Perfetto), and a text summary;
+  :func:`repro.obs.doctor.load_trace` reads either back into a session;
 * the **metrics registry** answers "how many kernel launches per step,
   how many halo bytes, what sustained GFlops" at run end.
 
@@ -37,7 +40,9 @@ from .trace import (
     SpanRecord,
     TraceSession,
     active_session,
+    from_event,
     span,
+    to_event,
     use_session,
 )
 
@@ -45,12 +50,10 @@ from .trace import (
 #: the exporters, the telemetry views or the doctor (which pulls in
 #: gpu/dist/perf modules) at start-up
 _MODULE_OF = {name: module for module, names in {
-    "collectors": "collect_device collect_comm",
-    "exporters": "chrome_trace write_chrome_trace jsonl_events write_jsonl "
-                 "summary_text",
+    "exporters": "chrome_trace chrome_events write_chrome_trace jsonl_events "
+                 "write_jsonl span_totals span_table summary_text",
     "recorder": "FlightRecorder RecordedEvent load_flight_dump",
-    "telemetry": "SchedulerProfile FleetView build_fleet_view "
-                 "fleet_view_from_trace fleet_view_from_session "
+    "telemetry": "SchedulerProfile FleetView fleet_view "
                  "render_fleet_view render_frames sparkline",
     "timeseries": "SeriesKey Snapshot SnapshotSeries",
 }.items() for name in names.split()}
@@ -58,7 +61,7 @@ _MODULE_OF = {name: module for module, names in {
 __all__ = [
     "TraceSession", "use_session", "active_session", "span",
     "SpanRecord", "InstantRecord", "DeviceOpRecord", "CounterRecord",
-    "FlowRecord",
+    "FlowRecord", "to_event", "from_event",
     "Counter", "Gauge", "Histogram", "MetricsRegistry",
     "MetricTypeConflict",
     "percentile", "percentile_summary",

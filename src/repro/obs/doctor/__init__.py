@@ -14,7 +14,8 @@ this package says *why it was slow and what to do about it*:
 * :mod:`~repro.obs.doctor.roofline` — the live roofline: place every
   on-path kernel of a counted run on the Eq.-6 curve from *measured*
   FLOP/byte counts and flag drift against the cost table;
-* :mod:`~repro.obs.doctor.load` — read exported traces back in;
+* :mod:`~repro.obs.doctor.load` — read exported traces back in, as the
+  :class:`~repro.obs.trace.TraceSession` they were written from;
 * :mod:`~repro.obs.doctor.doctor` — the report/verdict layer behind
   ``repro doctor`` (docs/DOCTOR.md).
 """
@@ -34,7 +35,7 @@ from .doctor import (
     diagnose_trace,
 )
 from .health import Alert, HealthMonitor, RollingSeries, SloRule
-from .load import LoadedTrace, load_trace
+from .load import load_trace
 from .regress import (
     BENCH_SCHEMA_VERSION,
     Drift,
@@ -50,7 +51,7 @@ __all__ = [
     "SloRule", "Alert", "RollingSeries", "HealthMonitor",
     "BENCH_SCHEMA_VERSION", "SchemaMismatch", "Drift", "RegressionReport",
     "compare_bench", "regression_gate",
-    "LoadedTrace", "load_trace",
+    "load_trace",
     "DeviceDiagnosis", "Verdict", "DoctorReport",
     "diagnose_ops", "diagnose_trace", "diagnose_model",
     "KernelRoofline", "RooflineReport", "roofline_from_records",

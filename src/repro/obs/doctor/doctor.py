@@ -31,7 +31,7 @@ from .critical_path import (
     critical_path,
 )
 from .health import HealthMonitor
-from .load import LoadedTrace, load_trace
+from .load import load_trace
 
 __all__ = ["DeviceDiagnosis", "Verdict", "DoctorReport",
            "diagnose_ops", "diagnose_trace", "diagnose_model"]
@@ -243,15 +243,15 @@ def _recommendation(diag: DeviceDiagnosis) -> str:
 def diagnose_trace(path: str, *, anomaly_sigma: float = 8.0,
                    window: int = 256) -> DoctorReport:
     """Diagnose an exported trace artifact (Chrome JSON or JSONL)."""
-    trace: LoadedTrace = load_trace(path)
+    trace = load_trace(path)
     report = DoctorReport(mode="trace")
-    for pid in sorted(trace.device_ops):
-        report.devices.append(diagnose_ops(trace.device_ops[pid], label=pid))
+    for pid, ops in sorted(trace.ops_by_pid().items()):
+        report.devices.append(diagnose_ops(ops, label=pid))
 
     monitor = HealthMonitor(window=window, anomaly_sigma=anomaly_sigma)
-    for (pid, name), series in sorted(trace.counters.items()):
+    for pid, name in sorted({(c.pid, c.name) for c in trace.counters}):
         metric = f"{pid}/{name}"
-        monitor.observe_series(metric, series)
+        monitor.observe_series(metric, trace.counter_series(name, pid))
         report.counters[metric] = monitor.series[metric].summary()
     report.anomalies = [a.as_dict() for a in monitor.alerts]
 

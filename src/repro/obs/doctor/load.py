@@ -1,194 +1,77 @@
-"""Read exported trace artifacts back into analyzable records.
+"""Read an exported trace artifact back into a session.
 
-The exporters (:mod:`repro.obs.exporters`) are one-way by design — they
-serialize a live :class:`~repro.obs.trace.TraceSession` for external
-viewers.  The doctor closes the loop: :func:`load_trace` parses either
-artifact format back into :class:`~repro.obs.trace.DeviceOpRecord`
-lists and counter series so a trace written yesterday (or on another
-machine, or by CI) can be diagnosed post hoc.
-
-* **Chrome Trace Format** (``.json``): integer pid/tid fields are mapped
-  back to their string labels via the ``process_name``/``thread_name``
-  metadata events the exporter always writes; 'X' events whose category
-  is a device-op kind become DeviceOpRecords, 'C' events become counter
-  samples.  Timestamps come back from microseconds.
-* **JSONL** (``.jsonl``): the stream is self-describing; ``device_op``
-  and ``counter`` lines round-trip exactly.
-
-Host spans, instants, and the end-of-run metrics payload are
-reconstructed too (the fleet view behind ``repro top`` reads alert
-instants and the serve gauges from here); flow arrows are counted but
-not reconstructed — no analysis consumes them yet.
+:func:`load_trace` closes the exporters' loop: either artifact format
+(:mod:`repro.obs.exporters`) is turned back into the canonical event
+stream — the JSONL lines as they are, a Chrome Trace Format document
+through :func:`~repro.obs.exporters.chrome_events` — and every record
+event through the one codec (:func:`~repro.obs.trace.from_event`) onto
+the lists of a :class:`~repro.obs.trace.TraceSession`.  A trace written
+yesterday (or on another machine, or by CI) is therefore the same object
+the run held: every analysis that takes a live session takes a loaded
+one.  JSONL round-trips exactly; Chrome within the exporter's 1 ns
+rounding of ``ts``/``dur``.  Two things do not come back: the collected
+device objects (``session.devices``) and the metrics *registry* — the
+end-of-run payload is carried as the document it crossed the file as
+(:meth:`~repro.obs.trace.TraceSession.metrics_dict`).
 """
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Iterator
 
-from ..trace import DeviceOpRecord, InstantRecord, SpanRecord
+from ..trace import RECORD_TYPES, TraceSession, from_event
 
-__all__ = ["LoadedTrace", "load_trace"]
-
-#: 'X'-event categories that are device ops (matches DeviceOpRecord.kind)
-_OP_KINDS = frozenset(("kernel", "h2d", "d2h", "mpi"))
+__all__ = ["load_trace"]
 
 
-@dataclass
-class LoadedTrace:
-    """What the doctor can recover from an exported trace."""
-
-    name: str
-    #: track-group label -> ops sorted by (ts, insertion)
-    device_ops: dict[str, list[DeviceOpRecord]] = field(default_factory=dict)
-    #: (pid label, counter name) -> [(ts, value), ...] in stream order
-    counters: dict[tuple[str, str], list[tuple[float, float]]] = \
-        field(default_factory=dict)
-    spans: list[SpanRecord] = field(default_factory=list)
-    instants: list[InstantRecord] = field(default_factory=list)
-    #: the session's end-of-run MetricsRegistry payload (JSONL metrics
-    #: line / Chrome ``otherData.metrics``), {} when absent
-    metrics: dict[str, Any] = field(default_factory=dict)
-    n_spans: int = 0
-    n_flows: int = 0
-
-    def counter_series(self, name: str,
-                       pid: str | None = None) -> list[tuple[float, float]]:
-        """One counter's samples (any track group when pid is None)."""
-        out: list[tuple[float, float]] = []
-        for (p, n), series in self.counters.items():
-            if n == name and (pid is None or p == pid):
-                out.extend(series)
-        out.sort(key=lambda tv: tv[0])
-        return out
+def _parsed_lines(path: str, text: str) -> Iterator[dict[str, Any]]:
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        if raw.strip():
+            try:
+                yield json.loads(raw)
+            except json.JSONDecodeError as exc:
+                raise ValueError(
+                    f"{path}: line {lineno}: not valid JSON: {exc}") from None
 
 
-def _load_chrome(doc: dict[str, Any], name: str) -> LoadedTrace:
-    events = doc.get("traceEvents")
-    if not isinstance(events, list):
-        raise ValueError("not a Chrome Trace Format file "
-                         "(no traceEvents array)")
-    other = doc.get("otherData") or {}
-    trace = LoadedTrace(name=str(other.get("session", name)))
-    metrics = other.get("metrics")
-    if isinstance(metrics, dict):
-        trace.metrics = metrics
-
-    pid_label: dict[int, str] = {}
-    tid_label: dict[tuple[int, int], str] = {}
-    for ev in events:
-        if ev.get("ph") != "M":
-            continue
-        if ev.get("name") == "process_name":
-            pid_label[ev["pid"]] = ev["args"]["name"]
-        elif ev.get("name") == "thread_name":
-            tid_label[(ev["pid"], ev["tid"])] = ev["args"]["name"]
-
-    def plabel(pid: int) -> str:
-        return pid_label.get(pid, f"pid{pid}")
-
-    def tlabel(ev: dict[str, Any]) -> str:
-        return tid_label.get((ev["pid"], ev.get("tid", 0)),
-                             f"tid{ev.get('tid', 0)}")
-
-    for ev in events:
-        ph = ev.get("ph")
-        if ph == "X":
-            cat = ev.get("cat", "")
-            if cat not in _OP_KINDS:
-                trace.n_spans += 1
-                trace.spans.append(SpanRecord(
-                    name=ev.get("name", "?"), ts=ev["ts"] / 1e6,
-                    dur=ev.get("dur", 0.0) / 1e6, pid=plabel(ev["pid"]),
-                    tid=tlabel(ev), cat=cat,
-                    args=ev.get("args") or {}))
-                continue
-            pid = plabel(ev["pid"])
-            tid = tid_label.get((ev["pid"], ev["tid"]), f"tid{ev['tid']}")
-            args = ev.get("args") or {}
-            measured = args.get("measured")
-            trace.device_ops.setdefault(pid, []).append(DeviceOpRecord(
-                name=ev.get("name", "?"), kind=cat,
-                ts=ev["ts"] / 1e6, dur=ev.get("dur", 0.0) / 1e6,
-                pid=pid, tid=tid,
-                flops=float(args.get("flops", 0.0)),
-                bytes_moved=float(args.get("bytes", 0.0)),
-                tag=str(args.get("tag", "")),
-                measured=measured if isinstance(measured, dict) else None,
-            ))
-        elif ph == "C":
-            pid = plabel(ev["pid"])
-            for _series, value in (ev.get("args") or {}).items():
-                trace.counters.setdefault(
-                    (pid, ev.get("name", "?")), []).append(
-                        (ev["ts"] / 1e6, float(value)))
-        elif ph == "i":
-            trace.instants.append(InstantRecord(
-                name=ev.get("name", "?"), ts=ev["ts"] / 1e6,
-                pid=plabel(ev["pid"]), tid=tlabel(ev),
-                cat=ev.get("cat", "host"), args=ev.get("args") or {}))
-        elif ph in ("s", "f"):
-            trace.n_flows += 1
-    return trace
-
-
-def _load_jsonl(lines: list[str], name: str) -> LoadedTrace:
-    trace = LoadedTrace(name=name)
-    for lineno, raw in enumerate(lines, 1):
-        raw = raw.strip()
-        if not raw:
-            continue
-        try:
-            ev = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"line {lineno}: not valid JSON: {exc}") from None
-        etype = ev.get("type")
-        if etype == "session":
-            trace.name = ev.get("name", name)
-        elif etype == "device_op":
-            measured = ev.get("measured")
-            trace.device_ops.setdefault(ev["pid"], []).append(DeviceOpRecord(
-                name=ev["name"], kind=ev["kind"], ts=ev["ts"], dur=ev["dur"],
-                pid=ev["pid"], tid=ev.get("tid", "stream0"),
-                flops=float(ev.get("flops", 0.0)),
-                bytes_moved=float(ev.get("bytes", 0.0)),
-                tag=str(ev.get("tag", "")),
-                measured=measured if isinstance(measured, dict) else None,
-            ))
-        elif etype == "counter":
-            trace.counters.setdefault(
-                (ev.get("pid", "host"), ev["name"]), []).append(
-                    (float(ev["ts"]), float(ev["value"])))
-        elif etype == "span":
-            trace.n_spans += 1
-            trace.spans.append(SpanRecord(
-                name=ev["name"], ts=ev["ts"], dur=ev["dur"],
-                pid=ev.get("pid", "host"), tid=ev.get("tid", "main"),
-                cat=ev.get("cat", "host"), args=ev.get("args") or {}))
-        elif etype == "instant":
-            trace.instants.append(InstantRecord(
-                name=ev["name"], ts=ev["ts"],
-                pid=ev.get("pid", "host"), tid=ev.get("tid", "main"),
-                cat=ev.get("cat", "host"), args=ev.get("args") or {}))
-        elif etype == "metrics":
-            trace.metrics = {k: v for k, v in ev.items() if k != "type"}
-        elif etype == "flow":
-            trace.n_flows += 1
-    return trace
-
-
-def load_trace(path: str) -> LoadedTrace:
-    """Parse a trace artifact (Chrome JSON or JSONL, sniffed from the
-    content) into a :class:`LoadedTrace`."""
+def load_trace(path: str) -> TraceSession:
+    """Parse a trace artifact into a :class:`TraceSession`.  The format
+    is sniffed from the first JSON object in the file: a ``"type"`` key
+    makes it a JSONL event stream, ``"traceEvents"`` a Chrome Trace
+    Format document."""
     with open(path) as fh:
         text = fh.read()
-    stripped = text.lstrip()
-    if not stripped:
+    if not text.strip():
         raise ValueError(f"{path}: empty trace file")
-    if stripped.startswith("{") and "\n{" not in stripped.rstrip():
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: not valid JSON: {exc}") from None
-        return _load_chrome(doc, name=path)
-    return _load_jsonl(text.splitlines(), name=path)
+    try:
+        first, _ = json.JSONDecoder().raw_decode(
+            text, len(text) - len(text.lstrip()))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: line {exc.lineno}: not valid JSON: "
+                         f"{exc.msg}") from None
+    if isinstance(first, dict) and "traceEvents" in first:
+        # on first use: a service imports this package for doctor.health
+        from ..exporters import chrome_events
+
+        events = chrome_events(first)
+    elif isinstance(first, dict) and "type" in first:
+        events = _parsed_lines(path, text)
+    else:
+        raise ValueError(
+            f"{path}: line 1: neither a trace event stream (no \"type\" key) "
+            f"nor a Chrome Trace Format document (no \"traceEvents\")")
+
+    session = TraceSession(name=path)
+    try:
+        for event in events:
+            etype = event.get("type")
+            if etype == "session":
+                session.name = event.get("name", path)
+            elif etype == "metrics":
+                session.metrics_doc = {k: v for k, v in event.items()
+                                       if k != "type"}
+            elif etype in RECORD_TYPES:
+                session.add(from_event(event))
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise ValueError(f"{path}: malformed trace event: {exc!r}") from None
+    return session

@@ -19,9 +19,10 @@ Two halves:
   service object, never in the :class:`~repro.serve.service.ServiceReport`
   — the report must stay bit-identical across replays.
 
-* :class:`FleetView` — a single summary of a service run assembled from
-  telemetry alone (a live :class:`~repro.obs.trace.TraceSession` or a
-  trace loaded back by :func:`~repro.obs.doctor.load.load_trace`):
+* :class:`FleetView` — a single summary of a service run assembled by
+  :func:`fleet_view` from telemetry alone (a
+  :class:`~repro.obs.trace.TraceSession`, live or loaded back by
+  :func:`~repro.obs.doctor.load.load_trace`):
   utilization, queue depth, throughput, wait/turnaround p50/p95/p99,
   cache hit rate, fired alerts, plus a :class:`~repro.obs.timeseries.
   SnapshotSeries` grid for frame-by-frame replay.  Wait/turnaround
@@ -33,13 +34,16 @@ Two halves:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable
+from typing import TYPE_CHECKING, Any, Iterable
 
 from .metrics import Histogram, percentile_summary
 from .timeseries import SnapshotSeries
 
-__all__ = ["SchedulerProfile", "FleetView", "build_fleet_view",
-           "render_fleet_view", "sparkline"]
+if TYPE_CHECKING:
+    from .trace import TraceSession
+
+__all__ = ["SchedulerProfile", "FleetView", "fleet_view",
+           "render_fleet_view", "render_frames", "sparkline"]
 
 
 # ---------------------------------------------------------------- profile
@@ -228,20 +232,15 @@ class FleetView:
         }
 
 
-def build_fleet_view(
-    source: str,
-    counter_series: "Callable[[str], list[tuple[float, float]]]",
-    metrics: dict[str, Any],
-    instants: "Iterable[Any]" = (),
-    *,
-    interval: float = 0.05,
-) -> FleetView:
-    """Assemble a :class:`FleetView` from the three telemetry shapes.
-
-    ``counter_series(name)`` returns time-sorted ``(t, value)`` samples;
-    ``metrics`` is a :meth:`MetricsRegistry.as_dict` payload; ``instants``
-    yields instant records (``cat == 'alert'`` ones become the fired-
-    alert list, in time order)."""
+def fleet_view(session: "TraceSession", *,
+               interval: float = 0.05) -> FleetView:
+    """Assemble the :class:`FleetView` of a session — a live one, or one
+    read back by :func:`~repro.obs.doctor.load.load_trace`: the same
+    code either way, so the two are bitwise equal.  Read are the
+    service's counter series, the end-of-run metrics payload, and the
+    ``cat == 'alert'`` instants (the fired-alert list, in time order)."""
+    metrics = session.metrics_dict()
+    counter_series = session.counter_series
     gauges = metrics.get("gauges", {})
     counters = metrics.get("counters", {})
     queue = counter_series("queue.depth")
@@ -249,15 +248,15 @@ def build_fleet_view(
     waits = [v for _, v in counter_series("job.wait_s")]
     turnarounds = [v for _, v in counter_series("job.turnaround_s")]
 
-    snaps = SnapshotSeries(interval, name=source)
-    for name, series in (("queue.depth", queue),
-                         ("fleet.gpus_in_use", gpus),
-                         ("jobs.running", counter_series("jobs.running"))):
-        snaps.ingest_series(name, series, {"pid": "service"})
+    snaps = SnapshotSeries(interval, name=session.name)
+    snaps.ingest_counters(sorted(
+        (rec for rec in session.counters if rec.name in
+         ("queue.depth", "fleet.gpus_in_use", "jobs.running")),
+        key=lambda rec: rec.ts))
 
     alerts = []
-    for rec in instants:
-        if getattr(rec, "cat", None) != "alert":
+    for rec in session.instants:
+        if rec.cat != "alert":
             continue
         alert = {"t": round(rec.ts, 9)}
         alert.update(rec.args or {})
@@ -272,7 +271,7 @@ def build_fleet_view(
             jobs[key] = int(counters[f"serve.{key}"])
 
     return FleetView(
-        source=source,
+        source=session.name,
         n_gpus=int(gauges.get("serve.fleet.gpus", 0)),
         makespan_s=float(gauges.get("serve.makespan_s", 0.0)),
         utilization=float(gauges.get("serve.utilization", 0.0)),
@@ -289,29 +288,6 @@ def build_fleet_view(
         queue_series=queue,
         gpus_series=gpus,
     )
-
-
-def fleet_view_from_trace(trace: Any, *, interval: float = 0.05) -> FleetView:
-    """Build the view from a :class:`~repro.obs.doctor.load.LoadedTrace`
-    (an exported Chrome/JSONL artifact read back)."""
-    return build_fleet_view(trace.name, trace.counter_series,
-                            trace.metrics, trace.instants,
-                            interval=interval)
-
-
-def fleet_view_from_session(session: Any, *,
-                            interval: float = 0.05) -> FleetView:
-    """Build the view straight from a live
-    :class:`~repro.obs.trace.TraceSession` (no export round-trip)."""
-    def series(name: str) -> list[tuple[float, float]]:
-        out = [(rec.ts, rec.value) for rec in session.counters
-               if rec.name == name]
-        out.sort(key=lambda tv: tv[0])
-        return out
-
-    return build_fleet_view(session.name, series,
-                            session.metrics.as_dict(), session.instants,
-                            interval=interval)
 
 
 def render_fleet_view(view: FleetView, *, spark_width: int = 40) -> str:
@@ -378,7 +354,3 @@ def render_frames(view: FleetView, *, frames: int = 12) -> str:
                      f"{vals.get('jobs.running', 0.0):>8.0f} "
                      f"{gpus:>5.0f}/{view.n_gpus:<3}")
     return "\n".join(lines)
-
-
-__all__.extend(["fleet_view_from_trace", "fleet_view_from_session",
-                "render_frames"])

@@ -30,7 +30,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping
+from typing import TYPE_CHECKING, Any, Iterable, Mapping
+
+if TYPE_CHECKING:
+    from .trace import CounterRecord
 
 __all__ = ["SeriesKey", "Snapshot", "SnapshotSeries"]
 
@@ -96,28 +99,19 @@ class SnapshotSeries:
         key = SeriesKey.of(name, labels)
         self.samples.setdefault(key, []).append((float(t), float(value)))
 
-    def ingest_counters(self, records: Iterable[Any], *,
-                        extra_labels: "Mapping[str, str] | None" = None,
-                        ) -> int:
-        """Ingest :class:`~repro.obs.trace.CounterRecord`-shaped objects
-        (``name``/``ts``/``value``/``pid``/``series`` attributes); the
-        track group becomes a ``pid`` label, a non-default series a
-        ``series`` label.  Returns the number of samples ingested."""
+    def ingest_counters(self, records: "Iterable[CounterRecord]") -> int:
+        """Ingest :class:`~repro.obs.trace.CounterRecord`s (a session's
+        ``counters``, live or loaded); the track group becomes a ``pid``
+        label, a non-default series a ``series`` label.  Returns the
+        number of samples ingested."""
         n = 0
         for rec in records:
-            labels = dict(extra_labels or {})
-            labels["pid"] = rec.pid
-            if getattr(rec, "series", "value") != "value":
+            labels = {"pid": rec.pid}
+            if rec.series != "value":
                 labels["series"] = rec.series
             self.ingest(rec.name, rec.ts, rec.value, labels)
             n += 1
         return n
-
-    def ingest_series(self, name: str,
-                      series: Iterable[tuple[float, float]],
-                      labels: "Mapping[str, str] | None" = None) -> None:
-        for t, value in series:
-            self.ingest(name, t, value, labels)
 
     def ingest_registry(self, metrics: Any, t: float,
                         labels: "Mapping[str, str] | None" = None) -> None:
@@ -163,13 +157,6 @@ class SnapshotSeries:
     def final(self) -> Snapshot:
         snaps = self.snapshots()
         return snaps[-1] if snaps else Snapshot(t=0.0)
-
-    def series(self, name: str) -> list[tuple[float, float]]:
-        """All samples of ``name`` across label sets, time-sorted."""
-        out = [tv for key, series in self.samples.items()
-               if key.name == name for tv in series]
-        out.sort(key=lambda tv: tv[0])
-        return out
 
     # ----------------------------------------------------------- exports
     def prometheus(self, *, namespace: str = "repro") -> str:

@@ -4,29 +4,33 @@ A :class:`TraceSession` is the single run context into which all three
 signal sources of the reproduction flow:
 
 * **host spans** — wall-clock intervals recorded by the :func:`span`
-  context manager (and by the :func:`repro.profiling.profile_phase` shim,
-  so every already-instrumented phase of the integrator shows up);
+  context manager (the instrumented phases of the integrator are
+  ``span(name, cat="phase")`` call sites);
 * **device ops** — the virtual-clock op timelines of
   :class:`repro.gpu.device.GPUDevice`, ingested after a run by
-  :mod:`repro.obs.collectors`;
+  :meth:`TraceSession.collect_device`;
 * **messages** — :class:`repro.dist.mpi_sim.SimComm` post/collect pairs,
-  ingested as flow (arrow) records between rank tracks.
+  ingested by :meth:`TraceSession.collect_comm` as flow (arrow) records
+  between rank tracks.
 
-Records are kept in a neutral in-memory form; :mod:`repro.obs.exporters`
-turns them into Chrome Trace Format JSON, a JSONL stream, or a text
-summary.
+Records are kept in a neutral in-memory form with **one codec**:
+:data:`RECORD_TYPES` names every record type once, :func:`to_event` /
+:func:`from_event` turn a record into its JSON-ready event and back, and
+every serialisation (:mod:`repro.obs.exporters`: the JSONL stream, and
+Chrome Trace Format as a view of that stream) and every reader
+(:func:`repro.obs.doctor.load.load_trace`, which returns a
+:class:`TraceSession` again) goes through them.
 
-This module is **stdlib-only by design**: ``repro.profiling`` (imported
-by the dynamical core) shims onto it, so it must not import anything
-from the package that could cycle back into ``repro.core``.  Tracing is
-zero-cost when no session is active — :func:`span` does one empty-list
-check and yields.
+This module is **stdlib-only by design**: the dynamical core imports
+:func:`span` from it, so it must not import anything from the package
+that could cycle back into ``repro.core``.  Tracing is zero-cost when no
+session is active — :func:`span` does one empty-list check and yields.
 """
 from __future__ import annotations
 
 import contextlib
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any
 
 from .metrics import MetricsRegistry
@@ -37,6 +41,10 @@ __all__ = [
     "DeviceOpRecord",
     "CounterRecord",
     "FlowRecord",
+    "OP_KINDS",
+    "RECORD_TYPES",
+    "to_event",
+    "from_event",
     "TraceSession",
     "use_session",
     "active_session",
@@ -69,6 +77,11 @@ class InstantRecord:
     args: dict[str, Any] = field(default_factory=dict)
 
 
+#: the values of :attr:`DeviceOpRecord.kind` (the engines of
+#: :func:`repro.optimeline.engine_of`)
+OP_KINDS = frozenset(("kernel", "h2d", "d2h", "mpi"))
+
+
 @dataclass
 class DeviceOpRecord:
     """One virtual-device op, normalized from :class:`~repro.gpu.device.Op`.
@@ -81,7 +94,7 @@ class DeviceOpRecord:
     """
 
     name: str
-    kind: str                 #: 'kernel' | 'h2d' | 'd2h' | 'mpi'
+    kind: str                 #: one of :data:`OP_KINDS`
     ts: float
     dur: float
     pid: str
@@ -137,15 +150,73 @@ class FlowRecord:
     args: dict[str, Any] = field(default_factory=dict)
 
 
+#: The one record table: event type -> (record class, the session list
+#: that holds it, field -> event-key renames).  An event is
+#: ``{"type": <type>, <key>: <field value>, ...}`` in field order; a
+#: dotted key nests (``"src.pid"`` is ``event["src"]["pid"]``) and a
+#: field that is None (only ``measured`` may be) is left out.
+RECORD_TYPES: dict[str, tuple[type, str, dict[str, str]]] = {
+    "span": (SpanRecord, "spans", {}),
+    "instant": (InstantRecord, "instants", {}),
+    "device_op": (DeviceOpRecord, "device_ops", {"bytes_moved": "bytes"}),
+    "counter": (CounterRecord, "counters", {}),
+    "flow": (FlowRecord, "flows", {
+        "flow_id": "id",
+        "src_pid": "src.pid", "src_tid": "src.tid", "ts_src": "src.ts",
+        "dst_pid": "dst.pid", "dst_tid": "dst.tid", "ts_dst": "dst.ts"}),
+}
+
+#: record class -> (event type, session list)
+_FILED_AS = {cls: (etype, attr)
+             for etype, (cls, attr, _) in RECORD_TYPES.items()}
+#: event type -> [(field name, key path)], derived from the dataclasses
+_KEYS = {etype: [(f.name, tuple(renames.get(f.name, f.name).split(".")))
+                 for f in fields(cls)]
+         for etype, (cls, _, renames) in RECORD_TYPES.items()}
+
+
+def to_event(rec) -> dict[str, Any]:
+    """The JSON-ready event of one record (a line of the JSONL stream)."""
+    etype = _FILED_AS[type(rec)][0]
+    event: dict[str, Any] = {"type": etype}
+    for name, path in _KEYS[etype]:
+        value = getattr(rec, name)
+        if value is None:
+            continue
+        node = event
+        for key in path[:-1]:
+            node = node.setdefault(key, {})
+        node[path[-1]] = value
+    return event
+
+
+def from_event(event: dict[str, Any]):
+    """The record an event describes; keys the event lacks take the
+    record's defaults (a missing required one is the constructor's
+    ``TypeError``)."""
+    etype = event["type"]
+    kwargs = {}
+    for name, path in _KEYS[etype]:
+        node: Any = event
+        try:
+            for key in path:
+                node = node[key]
+        except (KeyError, TypeError):
+            continue
+        kwargs[name] = node
+    return RECORD_TYPES[etype][0](**kwargs)
+
+
 class TraceSession:
     """One run's worth of unified telemetry.
 
-    Activate with :func:`use_session`; while active, host spans (and the
-    ``profile_phase`` shim), ``SimComm`` message logging, and any direct
-    :meth:`record_span` calls feed it.  After the run, pull in the
-    device/comm signals with :meth:`collect_device` /
-    :meth:`collect_comm`, then :meth:`finalize` to derive per-step
-    metrics, and hand the session to an exporter.
+    Activate with :func:`use_session`; while active, host spans,
+    ``SimComm`` message logging, and any direct :meth:`record_span`
+    calls feed it.  After the run, pull in the device/comm signals with
+    :meth:`collect_device` / :meth:`collect_comm`, then :meth:`finalize`
+    to derive per-step metrics, and hand the session to an exporter.  A
+    trace read back by :func:`~repro.obs.doctor.load.load_trace` is a
+    session too: the same record lists, filled through :meth:`add`.
     """
 
     def __init__(self, name: str = "trace"):
@@ -161,6 +232,37 @@ class TraceSession:
         #: free-form text attachments (e.g. the per-pair traffic report)
         self.notes: dict[str, str] = {}
         self.metrics = MetricsRegistry()
+        #: a loaded session's end-of-run metrics, as the
+        #: :meth:`MetricsRegistry.as_dict` document they crossed the file
+        #: as (histogram summaries cannot be turned back into histograms)
+        self.metrics_doc: dict[str, Any] | None = None
+
+    # ------------------------------------------------------------- views
+    def add(self, rec) -> None:
+        """File a record on the list of its type."""
+        getattr(self, _FILED_AS[type(rec)][1]).append(rec)
+
+    def metrics_dict(self) -> dict[str, Any]:
+        """The metrics payload: the live registry's snapshot, or the
+        document a loaded session carries."""
+        return (self.metrics.as_dict() if self.metrics_doc is None
+                else self.metrics_doc)
+
+    def counter_series(self, name: str,
+                       pid: str | None = None) -> list[tuple[float, float]]:
+        """One counter's ``(ts, value)`` samples in time order (every
+        track group when ``pid`` is None)."""
+        out = [(rec.ts, rec.value) for rec in self.counters
+               if rec.name == name and (pid is None or rec.pid == pid)]
+        out.sort(key=lambda tv: tv[0])
+        return out
+
+    def ops_by_pid(self) -> dict[str, list[DeviceOpRecord]]:
+        """Device ops grouped by track-group label, in record order."""
+        by_pid: dict[str, list[DeviceOpRecord]] = {}
+        for rec in self.device_ops:
+            by_pid.setdefault(rec.pid, []).append(rec)
+        return by_pid
 
     # ------------------------------------------------------------- clock
     def now(self) -> float:
@@ -220,20 +322,72 @@ class TraceSession:
         return rec
 
     # -------------------------------------------------------- collectors
+    # Both are duck-typed on purpose (nothing is imported from the rest of
+    # the package) and run after the stepping, not inside it.
     def collect_device(self, device, *, rank: int | None = None,
                        label: str | None = None) -> str:
-        """Ingest a :class:`~repro.gpu.device.GPUDevice` op timeline;
-        returns the track-group label used."""
-        from .collectors import collect_device
-
-        return collect_device(self, device, rank=rank, label=label)
+        """Ingest every op of a :class:`~repro.gpu.device.GPUDevice`
+        timeline as per-stream tracks of complete events (kernels and
+        PCIe copies), and fold its aggregates into the metrics registry
+        (launches, flops, copied bytes).  Returns the track-group label
+        the ops were filed under: ``label``, else ``rankN`` when ``rank``
+        is given, else the device's own label."""
+        pid = label or (f"rank{rank}" if rank is not None
+                        else getattr(device, "label", "gpu"))
+        m = self.metrics
+        kernel_hist = m.histogram("kernel.duration_us")
+        for op in device.timeline:
+            measured = getattr(op, "measured", None)
+            self.device_ops.append(DeviceOpRecord(
+                name=op.name, kind=op.kind, ts=op.start, dur=op.duration,
+                pid=pid, tid=f"stream{op.stream}",
+                flops=op.flops, bytes_moved=op.bytes_moved, tag=op.tag,
+                measured=measured,
+            ))
+            if op.kind == "kernel":
+                m.counter("kernel.launches").inc()
+                m.counter("kernel.flops").inc(op.flops)
+                kernel_hist.observe(op.duration * 1e6)
+                if measured is not None:
+                    # counted-run accounting: measured totals plus an
+                    # achieved-GFlops counter series on this rank's track
+                    m.counter("measured.flops").inc(measured.get("flops", 0.0))
+                    m.counter("measured.bytes").inc(
+                        measured.get("bytes_read", 0.0)
+                        + measured.get("bytes_written", 0.0))
+                    if op.duration > 0:
+                        self.record_counter(
+                            "gflops.achieved",
+                            measured.get("flops", 0.0) / op.duration / 1e9,
+                            ts=op.end, pid=pid)
+            elif op.kind == "h2d":
+                m.counter("h2d.bytes").inc(op.bytes_moved)
+            elif op.kind == "d2h":
+                m.counter("d2h.bytes").inc(op.bytes_moved)
+        self.devices[pid] = device
+        return pid
 
     def collect_comm(self, comm) -> int:
-        """Ingest a :class:`~repro.dist.mpi_sim.SimComm` message log;
-        returns the number of flow records added."""
-        from .collectors import collect_comm
-
-        return collect_comm(self, comm)
+        """Ingest a :class:`~repro.dist.mpi_sim.SimComm` message log
+        (populated while a session is active) as flow records between the
+        ``comm`` tracks of the rank groups, and fold the communicator's
+        authoritative :class:`~repro.dist.mpi_sim.TrafficStats` totals
+        into the metrics registry.  Returns the number of flows added."""
+        for rec in comm.message_log:
+            ts_src = self.rebase(rec.t_post)
+            ts_dst = (self.rebase(rec.t_collect)
+                      if rec.t_collect is not None else ts_src)
+            self.flows.append(FlowRecord(
+                name=f"msg:{rec.tag}",
+                flow_id=rec.seq,
+                src_pid=f"rank{rec.src}", src_tid="comm", ts_src=ts_src,
+                dst_pid=f"rank{rec.dst}", dst_tid="comm", ts_dst=ts_dst,
+                args={"bytes": rec.nbytes, "src": rec.src, "dst": rec.dst},
+            ))
+        self.metrics.counter("halo.messages").inc(comm.stats.messages)
+        self.metrics.counter("halo.bytes").inc(comm.stats.bytes_total)
+        self.notes["traffic_by_pair"] = comm.stats.per_pair_report()
+        return len(comm.message_log)
 
     # ---------------------------------------------------------- finalize
     def finalize(self, *, steps: int | None = None) -> MetricsRegistry:
@@ -265,7 +419,7 @@ class TraceSession:
         return m
 
 
-#: innermost-last stack of active sessions (mirrors ``profiling._ACTIVE``)
+#: innermost-last stack of active sessions
 _SESSIONS: list[TraceSession] = []
 
 

@@ -72,7 +72,7 @@ SECTIONS: list[tuple[str, str, str]] = [
      "test_phase_breakdown.txt",
      "Real wall-clock shares of the reproduction (instrumented integrator):\n"
      "advection dominates and warm rain is a few percent — the same structure the\n"
-     "paper reports for the CUDA kernels.  Modules: `repro.profiling`.\n"
+     "paper reports for the CUDA kernels.  Modules: `repro.obs.trace` (`span`).\n"
      "`advect_moisture` was the largest phase (39 % of this run) until the RK3\n"
      "stage stopped transporting all-zero species (\"Host performance\" below);\n"
      "it now advects `qv` and, once it forms, `qc`."),

@@ -49,8 +49,9 @@ __all__ = [
 #: every declared stencil, keyed by spec name
 REGISTRY: Dict[str, "StencilFunction"] = {}
 
-#: fused (pooled-buffer) implementations, keyed by spec name.  An impl
-#: takes ``(pool, *args, **kwargs)`` and may return ``NotImplemented``
+#: fused (planned) implementations, keyed by spec name.  An impl takes
+#: ``(plans, *args, **kwargs)`` — the executor's per-(shape, dtype) plan
+#: cache first — and may return ``NotImplemented``
 #: to fall back to the reference path for argument combinations it does
 #: not cover (non-default limiters, mixed dtypes, tiny grids).
 FUSED_IMPLS: Dict[str, Callable[..., Any]] = {}
@@ -211,7 +212,7 @@ def stencil(
 def register_fused(name: str) -> Callable[[Callable[..., Any]], Callable[..., Any]]:
     """Attach a fused implementation to the named spec.
 
-    The impl receives ``(pool, *args, **kwargs)`` and must be
+    The impl receives ``(plans, *args, **kwargs)`` and must be
     *bit-identical* to the reference for every argument combination it
     accepts (return ``NotImplemented`` for the rest) — the identity
     tests in tests/stencil enforce this on the tier-1 workloads.

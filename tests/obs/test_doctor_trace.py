@@ -1,44 +1,19 @@
-"""Round-trip tests: what the exporters write, the doctor reads back.
+"""Round-trip tests: what the exporters write, the doctor reads back
+(record-level equality over generated sessions is
+tests/obs/test_exporters.py).
 
-Counters recorded on a session must survive the Chrome-trace 'C'-event
-encoding and the JSONL stream; device ops must come back close enough
-(the CTF microsecond rounding is 1e-9 s) that a post-hoc diagnosis of
-the artifact agrees with the live-timeline diagnosis within 1%."""
+Device ops must come back close enough (the CTF microsecond rounding is
+1e-9 s) that a post-hoc diagnosis of the artifact agrees with the
+live-timeline diagnosis within 1%; the loader sniffs the format from
+the first object and rejects anything else with the path and line."""
+import json
+
 import pytest
 
 from repro.dist.overlap import method_timelines
 from repro.gpu.device import GPUDevice
 from repro.obs import TraceSession, write_chrome_trace, write_jsonl
 from repro.obs.doctor import diagnose_ops, diagnose_trace, load_trace
-
-SAMPLES = [(0.0, 0.0), (0.125, 3.0), (0.25, 7.0), (0.375, 2.5), (0.5, 0.0)]
-
-
-@pytest.fixture()
-def session():
-    s = TraceSession(name="roundtrip")
-    for t, v in SAMPLES:
-        s.record_counter("queue.depth", v, t, pid="service")
-    return s
-
-
-def _assert_counters_match(loaded):
-    series = loaded.counter_series("queue.depth", pid="service")
-    assert len(series) == len(SAMPLES)
-    for (t0, v0), (t1, v1) in zip(SAMPLES, series):
-        assert t1 == pytest.approx(t0, abs=1e-9)
-        assert v1 == pytest.approx(v0)
-
-
-def test_counter_round_trip_chrome(session, tmp_path):
-    path = write_chrome_trace(session, tmp_path / "t.json")
-    _assert_counters_match(load_trace(str(path)))
-
-
-def test_counter_round_trip_jsonl(session, tmp_path):
-    path = write_jsonl(session, tmp_path / "t.jsonl")
-    _assert_counters_match(load_trace(str(path)))
-
 
 def test_device_ops_round_trip(tmp_path):
     """Ops collected from a device come back with their kinds, tags and
@@ -54,8 +29,8 @@ def test_device_ops_round_trip(tmp_path):
     path = write_chrome_trace(session, tmp_path / "ops.json")
 
     loaded = load_trace(str(path))
-    assert list(loaded.device_ops) == ["rank0"]
-    ops = loaded.device_ops["rank0"]
+    assert list(loaded.ops_by_pid()) == ["rank0"]
+    ops = loaded.ops_by_pid()["rank0"]
     assert {(o.name, o.kind) for o in ops} == {
         ("A", "kernel"), ("H", "h2d"), ("M", "mpi")}
     by_name = {o.name: o for o in ops}
@@ -107,12 +82,58 @@ def test_diagnose_trace_screens_counter_anomalies(tmp_path):
     assert "service/queue.depth" in report.counters
 
 
+def test_stacked_counter_series_stay_apart(tmp_path):
+    """Regression: both loaders dropped CounterRecord.series, merging
+    the stacked series of one counter into a single list."""
+    session = TraceSession(name="stacked")
+    session.record_counter("gpus", 3, 0.1, pid="fleet", series="busy")
+    session.record_counter("gpus", 1, 0.1, pid="fleet", series="idle")
+    for path in (write_chrome_trace(session, tmp_path / "s.json"),
+                 write_jsonl(session, tmp_path / "s.jsonl")):
+        loaded = load_trace(str(path))
+        assert [(c.series, c.value) for c in loaded.counters] == [
+            ("busy", 3.0), ("idle", 1.0)]
+        assert loaded.counter_series("gpus", pid="fleet") == [
+            (pytest.approx(0.1), 3.0), (pytest.approx(0.1), 1.0)]
+        assert loaded.counter_series("gpus", pid="service") == []
+
+
+def test_format_is_sniffed_from_the_first_object(tmp_path):
+    session = TraceSession(name="sniff")
+    session.record_span("work", 0.0, 0.5)
+    # a JSONL stream cut off after its session line is still JSONL
+    cut = tmp_path / "cut.jsonl"
+    cut.write_text(json.dumps({"type": "session", "name": "sniff"}) + "\n")
+    loaded = load_trace(str(cut))
+    assert loaded.name == "sniff" and not loaded.spans
+    # a pretty-printed Chrome document is still a Chrome document
+    from repro.obs import chrome_trace
+    for indent in (0, 2):
+        pretty = tmp_path / f"pretty{indent}.json"
+        pretty.write_text("\n" + json.dumps(chrome_trace(session),
+                                            indent=indent))
+        loaded = load_trace(str(pretty))
+        assert loaded.name == "sniff"
+        assert [r.name for r in loaded.spans] == ["work"]
+
+
 def test_load_trace_rejects_garbage(tmp_path):
-    bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    with pytest.raises(ValueError):
-        load_trace(str(bad))
-    empty = tmp_path / "empty.json"
-    empty.write_text("")
-    with pytest.raises(ValueError):
-        load_trace(str(empty))
+    def rejected(name, text, *needles):
+        path = tmp_path / name
+        path.write_text(text)
+        with pytest.raises(ValueError) as err:
+            load_trace(str(path))
+        for needle in (str(path), *needles):
+            assert needle in str(err.value), (needle, str(err.value))
+
+    rejected("bad.json", "{not json", "line 1", "not valid JSON")
+    rejected("empty.json", "", "empty")
+    rejected("blank.json", " \n\n", "empty")
+    rejected("neither.json", '{"answer": 42}', "line 1", "traceEvents")
+    rejected("list.json", "[1, 2]", "line 1")
+    rejected("torn.jsonl",
+             '{"type": "session", "name": "t"}\n{"type": "span", "na',
+             "line 2", "not valid JSON")
+    rejected("fieldless.jsonl",
+             '{"type": "session", "name": "t"}\n{"type": "span"}\n',
+             "malformed")

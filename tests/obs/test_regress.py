@@ -137,3 +137,23 @@ def test_checked_in_artifacts_are_versioned():
     for path in artifacts:
         doc = json.loads(path.read_text())
         assert doc.get("schema_version") == BENCH_SCHEMA_VERSION, path
+
+
+def test_ci_gates_every_checked_in_bench_artifact_exactly_once():
+    """The `regress` matrix of .github/workflows/ci.yml is the only place
+    a BENCH_*.json is gated, and it names every one on disk: its
+    producing benchmark (which must write that artifact) and a
+    tolerance."""
+    yaml = pytest.importorskip("yaml")
+    root = pathlib.Path(__file__).parents[2]
+    text = (root / ".github" / "workflows" / "ci.yml").read_text()
+    entries = yaml.safe_load(text)["jobs"]["regress"]["strategy"]["matrix"][
+        "include"]
+    on_disk = sorted(p.name for p in
+                     (root / "benchmarks" / "reports").glob("BENCH_*.json"))
+    assert sorted(f"BENCH_{e['name']}.json" for e in entries) == on_disk
+    for entry in entries:
+        producer = (root / "benchmarks" / entry["test"]).read_text()
+        assert f'write_bench_json("{entry["name"]}"' in producer, entry
+        assert 0.0 < entry["rel_tol"] <= 0.1, entry
+    assert text.count("doctor --regress") == 1   # no gate outside the matrix

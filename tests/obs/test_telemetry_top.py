@@ -8,8 +8,7 @@ import pytest
 from repro.cli import main
 from repro.obs import (
     TraceSession,
-    fleet_view_from_session,
-    fleet_view_from_trace,
+    fleet_view,
     render_fleet_view,
     render_frames,
     sparkline,
@@ -36,7 +35,7 @@ def test_replayed_view_equals_the_service_report_exactly(tmp_path, fmt):
     assert rep.n_submitted >= 100
     path = str(tmp_path / f"t.{'json' if fmt == 'chrome' else 'jsonl'}")
     (write_chrome_trace if fmt == "chrome" else write_jsonl)(session, path)
-    view = fleet_view_from_trace(load_trace(path))
+    view = fleet_view(load_trace(path))
     # bitwise equality, not approx: the trace carries one exact sample
     # per completed job and the same percentile_summary folds both
     assert view.wait_s == rep.wait_s
@@ -54,17 +53,17 @@ def test_replayed_view_equals_the_service_report_exactly(tmp_path, fmt):
 
 def test_session_view_equals_trace_view(tmp_path):
     session, rep = _run_service()
-    live = fleet_view_from_session(session)
-    path = write_jsonl(session, str(tmp_path / "t.jsonl"))
-    replayed = fleet_view_from_trace(load_trace(path))
-    assert live.as_dict() == replayed.as_dict()
+    live = fleet_view(session)
+    for path in (write_jsonl(session, str(tmp_path / "t.jsonl")),
+                 write_chrome_trace(session, str(tmp_path / "t.json"))):
+        assert fleet_view(load_trace(path)).as_dict() == live.as_dict()
     assert live.wait_s == rep.wait_s
 
 
 def test_alerts_flow_into_the_view():
     session, rep = _run_service(slo="p95_wait_s<0.001")
     assert rep.alerts
-    view = fleet_view_from_session(session)
+    view = fleet_view(session)
     assert len(view.alerts) == len(rep.alerts)
     assert view.alerts[0]["metric"] == rep.alerts[0]["metric"]
     assert view.alerts[0]["t"] == rep.alerts[0]["t"]
@@ -72,7 +71,7 @@ def test_alerts_flow_into_the_view():
 
 def test_render_fleet_view_and_frames():
     session, _ = _run_service()
-    view = fleet_view_from_session(session)
+    view = fleet_view(session)
     text = render_fleet_view(view)
     assert "fleet view" in text and "queue depth" in text
     assert "p99" in text and "cache hit rate" in text

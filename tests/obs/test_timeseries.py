@@ -74,12 +74,7 @@ def test_counter_round_trip_exporter_loader_snapshots(tmp_path, fmt):
     assert [v for _, v in series] == [0.0, 1.0, 2.0, 0.0, 1.0, 2.0]
 
     snaps = SnapshotSeries(0.05)
-    assert snaps.ingest_counters(
-        (rec for (pid, name), samples in trace.counters.items()
-         for rec in [type("R", (), {"name": name, "pid": pid,
-                                    "ts": t, "value": v,
-                                    "series": "value"})()
-                     for t, v in samples])) == 12
+    assert snaps.ingest_counters(trace.counters) == 12
     grid = snaps.snapshots()
     assert grid          # both formats produce the same grid
     last = {k.name: v for k, v in grid[-1].values.items()}
@@ -93,7 +88,7 @@ def test_chrome_and_jsonl_round_trips_agree(tmp_path):
     ct, jt = load_trace(cpath), load_trace(jpath)
     assert ct.counter_series("queue.depth") == \
         jt.counter_series("queue.depth")
-    assert ct.metrics == jt.metrics
+    assert ct.metrics_dict() == jt.metrics_dict() == sess.metrics.as_dict()
 
 
 def test_loader_reconstructs_spans_instants_and_metrics(tmp_path):
@@ -105,11 +100,11 @@ def test_loader_reconstructs_spans_instants_and_metrics(tmp_path):
     for path in (write_chrome_trace(sess, str(tmp_path / "f.json")),
                  write_jsonl(sess, str(tmp_path / "f.jsonl"))):
         trace = load_trace(path)
-        assert trace.n_spans == len(trace.spans) == 1
+        assert len(trace.spans) == 1
         assert trace.spans[0].name == "phase"
         alerts = [i for i in trace.instants if i.cat == "alert"]
         assert alerts and alerts[0].args["metric"] == "wait_s"
-        assert trace.metrics["gauges"]["serve.utilization"] == 0.75
+        assert trace.metrics_dict()["gauges"]["serve.utilization"] == 0.75
 
 
 # ----------------------------------------------------------- the exports

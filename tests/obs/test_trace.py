@@ -1,9 +1,8 @@
-"""Tests of the tracing core: sessions, spans, the profile_phase shim,
-and the zero-cost guarantee when no session is active."""
+"""Tests of the tracing core: sessions, spans, and the zero-cost
+guarantee when no session is active."""
 import time
 
 from repro.obs import TraceSession, active_session, span, use_session
-from repro.profiling import PhaseTimer, profile_phase, use_timer
 
 
 def test_span_noop_without_session():
@@ -43,27 +42,6 @@ def test_sessions_nest_lifo():
     assert [r.name for r in b.spans] == ["y"]
 
 
-def test_profile_phase_shim_feeds_both_timer_and_session():
-    """The existing profile_phase instrumentation doubles as the span
-    source: one call site charges the timer AND records a span."""
-    s = TraceSession("t")
-    timer = PhaseTimer()
-    with use_session(s), use_timer(timer):
-        with profile_phase("advect"):
-            pass
-    assert timer.calls["advect"] == 1
-    assert [r.name for r in s.spans] == ["advect"]
-    assert s.spans[0].cat == "phase"
-
-
-def test_profile_phase_session_only():
-    s = TraceSession("t")
-    with use_session(s):
-        with profile_phase("p"):
-            pass
-    assert len(s.spans) == 1
-
-
 def test_instant_and_rebase():
     s = TraceSession("t")
     rec = s.record_instant("marker")
@@ -73,12 +51,10 @@ def test_instant_and_rebase():
 
 
 def test_zero_cost_when_inactive():
-    """With no session and no timer, profile_phase/span must stay a
-    two-list-check no-op: 20k traversals in well under half a second."""
+    """With no session, span must stay a one-list-check no-op: 40k
+    traversals in well under half a second."""
     t0 = time.perf_counter()
-    for _ in range(20_000):
-        with profile_phase("hot"):
-            pass
-        with span("hot"):
+    for _ in range(40_000):
+        with span("hot", cat="phase"):
             pass
     assert time.perf_counter() - t0 < 0.5

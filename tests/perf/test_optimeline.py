@@ -69,8 +69,8 @@ def test_same_stats_from_ops_records_and_reloaded_traces(ops):
     with tempfile.TemporaryDirectory() as tmp:
         jsonl = write_jsonl(session, str(Path(tmp) / "t.jsonl"))
         chrome = write_chrome_trace(session, str(Path(tmp) / "t.json"))
-        from_jsonl = load_trace(jsonl).device_ops.get(pid, [])
-        from_chrome = load_trace(chrome).device_ops.get(pid, [])
+        from_jsonl = load_trace(jsonl).ops_by_pid().get(pid, [])
+        from_chrome = load_trace(chrome).ops_by_pid().get(pid, [])
     assert OpStats.of(from_jsonl) == live
 
     # Chrome timestamps are rounded to 1 ns

@@ -45,6 +45,47 @@ def test_observability_fields_never_affect_the_hash(tmp_path):
     assert plain.spec_hash() == traced.spec_hash()
 
 
+def test_profile_never_changes_what_runs():
+    # --profile opens a session to read the phase spans from, but unlike
+    # the trace/metrics/summary outputs it must not resolve 'auto' to the
+    # device-backed backend
+    assert RunSpec(profile=True).normalized().backend == "cpu"
+    assert not RunSpec(profile=True).wants_session()
+    assert RunSpec(metrics=True).normalized().backend == "gpu"
+    exp = Experiment(RunSpec(workload="warm-bubble", nx=16, ny=16, nz=8,
+                             steps=1, ranks=(2, 1), profile=True)).prepare()
+    assert exp.session is not None and exp.machine.devices is None
+
+
+#: spec_hash() of representative specs, taken at the commit before the
+#: host-phase timing moved onto the session (PR 22); a cache or checkpoint
+#: written by any earlier version must keep resolving
+PINNED_HASHES = [
+    (RunSpec(),
+     "c3847f57aaef4497c8fef832446bc3d8395d470d6c61382fbc71645dff7bc31f"),
+    (RunSpec(workload="warm-bubble", nx=16, ny=16, nz=8, steps=3),
+     "e45c8f52305ff8257e9be3d9c15a6ff8313578f4b8c5747b6f204e7d88866ffe"),
+    (RunSpec(workload="real-case", nx=32, ny=32, nz=16, steps=10,
+             backend="multigpu", ranks=(2, 2), metrics=True, seed=3),
+     "2d40ce8bf96fae1d1dcdfbaba1691fdee96a2373d103cdc2bbb65190e2268282"),
+    (RunSpec(workload="mountain-wave", steps=2, trace_path="t.json",
+             profile=True),
+     "a77c9f866cbeb04079172252190d91375b178c617e86b378d27eb39c4ccd9a97"),
+    (RunSpec(workload="vortex", nx=24, ny=24, nz=12, steps=4,
+             faults="crash@3", checkpoint_every=2, checkpoint_dir="ck",
+             seed=7),
+     "8cebcd1e18c52ef0f34c889e917145d97b7c5a52dd890e7fc9496215f28d6985"),
+    (RunSpec(workload="shear-layer", steps=5, ice=True, profile=True,
+             dt=2.0),
+     "ca282666bd11e1c6f0e3df500591c72237bbb3b26781e5eade006a73b2f12a8b"),
+]
+
+
+@pytest.mark.parametrize("spec, digest", PINNED_HASHES)
+def test_historical_spec_hashes_stay_valid(spec, digest):
+    assert spec.spec_hash() == digest
+
+
 def test_fault_plan_is_semantic():
     assert (RunSpec(steps=5).spec_hash()
             != RunSpec(steps=5, faults="drop@1").spec_hash())
