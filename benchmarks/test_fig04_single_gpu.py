@@ -5,64 +5,25 @@ Paper anchors: 44.3 GFlops SP at 320x256x48; 14.6 GFlops DP at
 320x128x48; SP-vs-CPU speedup 83.4x; DP memory limit halves the maximum
 grid; performance rises with grid size and saturates.
 """
-import pytest
 
 from repro.gpu.memory import max_grid_fits
-from repro.gpu.spec import Precision, TESLA_S1070
-from repro.perf.costmodel import asuca_step_cost, cpu_step_time
-from repro.perf.report import ComparisonReport, format_table
-
-NY_SWEEP = [32, 64, 96, 128, 160, 192, 224, 256]
-
-
-def _sweep():
-    rows = []
-    for ny in NY_SWEEP:
-        n = 320 * ny * 48
-        sp = asuca_step_cost(320, ny, 48)
-        dp = (
-            asuca_step_cost(320, ny, 48, precision=Precision.DOUBLE)
-            if ny <= 128 else None  # paper: DP does not fit beyond 320x128x48
-        )
-        t_cpu = cpu_step_time(320, ny, 48)
-        rows.append(
-            (n, ny, sp.gflops, dp.gflops if dp else float("nan"),
-             sp.total_flops / t_cpu / 1e9)
-        )
-    return rows
+from repro.gpu.spec import TESLA_S1070
+from repro.perf.figures import fig4
+from repro.perf.report import ComparisonReport
 
 
 def test_fig04_single_gpu_performance(benchmark, emit):
-    rows = benchmark.pedantic(_sweep, rounds=1, iterations=1)
+    fig = benchmark.pedantic(fig4, rounds=1, iterations=1)
+    emit(fig.text)
 
-    table = format_table(
-        ["grid pts", "ny", "GPU SP [GFlops]", "GPU DP [GFlops]", "CPU DP [GFlops]"],
-        [list(r) for r in rows],
-        title="Fig. 4 — single-GPU performance vs grid size (nx=320, nz=48)",
-    )
-
-    rep = ComparisonReport("Fig. 4 anchors")
-    sp_max = rows[-1][2]
-    rep.add("GPU SP GFlops @320x256x48", 44.3, sp_max, rel_tol=0.05)
-    dp_128 = [r for r in rows if r[1] == 128][0][3]
-    rep.add("GPU DP GFlops @320x128x48", 14.6, dp_128, rel_tol=0.07)
-    t_cpu = cpu_step_time(320, 256, 48)
-    sp_cost = asuca_step_cost(320, 256, 48)
-    rep.add("speedup SP GPU vs DP CPU core", 83.4,
-            t_cpu / sp_cost.total_time, rel_tol=0.07)
-    rep.add("speedup DP GPU vs DP CPU core", 26.3,
-            t_cpu / asuca_step_cost(320, 256, 48, precision=Precision.DOUBLE).total_time,
-            rel_tol=0.10)
-    emit(table + "\n\n" + rep.render())
-
-    assert rep.all_within_tolerance()
+    assert fig.anchors.all_within_tolerance()
     # rising, saturating curve
-    sp = [r[2] for r in rows]
+    sp = [r[2] for r in fig.data]
     assert all(b > a for a, b in zip(sp, sp[1:]))
     assert (sp[-1] - sp[-2]) < 0.3 * (sp[1] - sp[0])
     # CPU line is flat and tiny
-    cpu = [r[4] for r in rows]
-    assert max(cpu) < 0.02 * sp_max * 2
+    cpu = [r[4] for r in fig.data]
+    assert max(cpu) < 0.02 * sp[-1] * 2
 
 
 def test_fig04_memory_limits(benchmark, emit):

@@ -11,33 +11,21 @@ import numpy as np
 import pytest
 
 from repro.core.advection import limited_face_flux
-from repro.gpu.roofline import place_cost_table, ridge_intensity
+from repro.gpu.roofline import ridge_intensity
 from repro.gpu.spec import TESLA_S1070
 from repro.perf.costmodel import ASUCA_KERNELS, ROOFLINE_KERNELS
 from repro.perf.counting import FlopCounter
-from repro.perf.report import ComparisonReport, format_table
-
-N_POINTS = 320 * 256 * 48
-
-
-def _roofline_rows():
-    return [(p.name, p.intensity, p.gflops, p.ceiling_gflops)
-            for p in place_cost_table(N_POINTS, spec=TESLA_S1070)]
+from repro.perf.figures import roofline
+from repro.perf.report import ComparisonReport
 
 
 def test_fig05_roofline(benchmark, emit):
-    rows = benchmark.pedantic(_roofline_rows, rounds=1, iterations=1)
-    table = format_table(
-        ["kernel", "AI [flop/B]", "modeled GFlops", "Eq.6 ceiling"],
-        [list(r) for r in rows],
-        title="Fig. 5 — arithmetic intensity vs performance (SP, Tesla S1070)",
-    )
-    emit(table)
+    fig = benchmark.pedantic(roofline, rounds=1, iterations=1)
+    emit(fig.text)
 
-    perfs = {name: perf for (label, name), (_, _, perf, _) in
-             zip(ROOFLINE_KERNELS, rows)}
-    ais = {name: ai for (label, name), (_, ai, _, _) in
-           zip(ROOFLINE_KERNELS, rows)}
+    by_name = {name: p for (_, name), p in zip(ROOFLINE_KERNELS, fig.data)}
+    perfs = {name: p.gflops for name, p in by_name.items()}
+    ais = {name: p.intensity for name, p in by_name.items()}
     ridge = ridge_intensity(TESLA_S1070)
 
     # paper orderings and boundedness
@@ -47,8 +35,8 @@ def test_fig05_roofline(benchmark, emit):
         assert ais[name] < ridge, f"{name} must be memory bound"
     assert ais["warm_rain"] > ridge  # compute bound
     # every kernel sits below its Eq.-6 ceiling
-    for _, ai, perf, ceiling in rows:
-        assert perf <= ceiling * 1.0001
+    for p in fig.data:
+        assert p.gflops <= p.ceiling_gflops * 1.0001
     # coordinate transform anchor: 1 flop / 12 bytes
     assert ais["coord_transform"] == pytest.approx(1.0 / 12.0)
 

@@ -8,45 +8,18 @@ kernels are a sizable minority of the inner time; density's communication
 exceeds its own compute (hence method 3); the effective per-link MPI
 bandwidth is the measured 438 MB/s.
 """
-import pytest
-
-from repro.dist.network import IB_SDR_MPI
-from repro.dist.overlap import OverlapModel
-from repro.perf.report import ComparisonReport, format_table
+from repro.perf.figures import fig9
 
 
 def test_fig09_kernel_breakdown(benchmark, emit):
-    model = OverlapModel()  # 528-GPU interior rank, Table-I block
-    rows = benchmark.pedantic(model.breakdown_rows, rounds=1, iterations=1)
+    fig = benchmark.pedantic(fig9, rounds=1, iterations=1)
+    emit(fig.text)
 
-    table = format_table(
-        ["variable", "whole [us]", "inner", "bnd-y", "bnd-x",
-         "GPU->host", "MPI", "host->GPU"],
-        [
-            [vb.name, vb.whole * 1e6, vb.inner * 1e6, vb.boundary_y * 1e6,
-             vb.boundary_x * 1e6, vb.gpu_to_host * 1e6, vb.mpi * 1e6,
-             vb.host_to_gpu * 1e6]
-            for vb in rows
-        ],
-        title=("Fig. 9 — per-variable short-step breakdown "
-               "(6956x6052x48 on 22x24 GPUs, SP)"),
-    )
-
-    rep = ComparisonReport("Fig. 9 anchors")
-    rep.add("effective MPI bandwidth [MB/s]", 438.0,
-            IB_SDR_MPI.bandwidth / 1e6, rel_tol=0.01)
-    whole_range = (min(vb.whole for vb in rows) * 1e6,
-                   max(vb.whole for vb in rows) * 1e6)
-    # the paper's bars span roughly 3000-5000 us per whole kernel
-    rep.add("largest whole-kernel time [us]", 4500.0, whole_range[1],
-            rel_tol=0.25)
-    emit(table + "\n\n" + rep.render())
-
-    for vb in rows:
+    for vb in fig.data:     # the 528-GPU interior rank, Table-I block
         assert vb.divided_compute > vb.whole       # reduced parallelism
         assert vb.inner < vb.whole
         assert 0.05 * vb.inner < vb.boundary_y < vb.inner
         assert 0.05 * vb.inner < vb.boundary_x < vb.inner
-    density = next(vb for vb in rows if vb.name == "Density")
+    density = next(vb for vb in fig.data if vb.name == "Density")
     assert density.communication > density.inner   # motivates method 3
-    assert rep.all_within_tolerance()
+    assert fig.anchors.all_within_tolerance()

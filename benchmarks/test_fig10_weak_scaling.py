@@ -6,38 +6,17 @@ Paper anchors: 15.0 TFlops at 528 GPUs with the overlapping method; the
 overlap advantage is ~14%; weak-scaling efficiency >= 93% (6324x6052x48 on
 480+ GPUs relative to 6); the CPU line is negligible at this scale.
 """
-import pytest
-
 from bench_json import write_bench_json
-from repro.perf.report import ComparisonReport, format_table
-from repro.perf.scaling import weak_scaling_efficiency, weak_scaling_sweep
+from repro.perf.figures import fig10
+from repro.perf.scaling import weak_scaling_efficiency
 
 
 def test_fig10_weak_scaling(benchmark, emit):
-    points = benchmark.pedantic(weak_scaling_sweep, rounds=1, iterations=1)
-
-    table = format_table(
-        ["GPUs", "PxxPy", "mesh", "overlap [TFlops]", "non-overlap",
-         "CPU DP", "gain %"],
-        [
-            [p.n_gpus, f"{p.px}x{p.py}",
-             f"{p.mesh[0]}x{p.mesh[1]}x{p.mesh[2]}",
-             p.tflops_overlap, p.tflops_nonoverlap, p.tflops_cpu,
-             100.0 * p.overlap_gain]
-            for p in points
-        ],
-        title="Fig. 10 — weak scaling on TSUBAME 1.2 (Table I meshes)",
-    )
-
+    fig = benchmark.pedantic(fig10, rounds=1, iterations=1)
+    emit(fig.text)
+    points = fig.data
     last = points[-1]
     eff = weak_scaling_efficiency(points)
-    rep = ComparisonReport("Fig. 10 anchors")
-    rep.add("TFlops @528 GPUs (overlap, SP)", 15.0, last.tflops_overlap,
-            rel_tol=0.07)
-    rep.add("overlap improvement @528 [%]", 14.0, 100 * last.overlap_gain,
-            rel_tol=0.35)
-    rep.add("weak-scaling efficiency [%]", 93.0, 100 * eff, rel_tol=0.05)
-    emit(table + "\n\n" + rep.render())
     write_bench_json("fig10_weak_scaling", {
         "tflops_overlap_528": last.tflops_overlap,
         "overlap_gain_528": last.overlap_gain,
@@ -51,7 +30,7 @@ def test_fig10_weak_scaling(benchmark, emit):
         ],
     })
 
-    assert last.tflops_overlap == pytest.approx(15.0, rel=0.07)
+    assert fig.anchors.all_within_tolerance()
     assert eff >= 0.90
     # strictly increasing TFlops, overlap always at least as good
     tf = [p.tflops_overlap for p in points]

@@ -4,46 +4,16 @@ The table follows a block law: each GPU holds 320x256x48 and adjacent
 blocks share a 4-cell overlap, so ``nx = 320 Px - 4 (Px-1)`` etc.  The
 benchmark regenerates every row and checks it verbatim against the paper.
 """
-import pytest
-
 from repro.dist.decomposition import TABLE1_CONFIGS, decompose, table1_mesh
+from repro.perf.figures import table1
 from repro.perf.report import format_table
-
-PAPER_ROWS = [
-    (6, (2, 3), (636, 760, 48)),
-    (20, (4, 5), (1268, 1264, 48)),
-    (54, (6, 9), (1900, 2272, 48)),
-    (80, (8, 10), (2532, 2524, 48)),
-    (120, (10, 12), (3164, 3028, 48)),
-    (168, (12, 14), (3796, 3532, 48)),
-    (192, (12, 16), (3796, 4036, 48)),
-    (252, (14, 18), (4428, 4540, 48)),
-    (320, (16, 20), (5060, 5044, 48)),
-    (360, (18, 20), (5692, 5044, 48)),
-    (396, (18, 22), (5692, 5548, 48)),
-    (440, (20, 22), (6324, 5548, 48)),
-    (480, (20, 24), (6324, 6052, 48)),
-    (528, (22, 24), (6956, 6052, 48)),
-]
-
-
-def _regenerate():
-    return [(px * py, (px, py), table1_mesh(px, py)) for px, py in TABLE1_CONFIGS]
 
 
 def test_table1_mesh_sizes(benchmark, emit):
-    ours = benchmark.pedantic(_regenerate, rounds=1, iterations=1)
-    table = format_table(
-        ["GPUs", "Px x Py", "mesh (regenerated)", "paper", "match"],
-        [
-            [n, f"{pq[0]}x{pq[1]}", f"{m[0]}x{m[1]}x{m[2]}",
-             f"{pm[0]}x{pm[1]}x{pm[2]}", "yes" if m == pm else "NO"]
-            for (n, pq, m), (_, _, pm) in zip(ours, PAPER_ROWS)
-        ],
-        title="Table I — GPU counts and mesh sizes (all 14 rows)",
-    )
-    emit(table)
-    assert ours == PAPER_ROWS
+    fig = benchmark.pedantic(table1, rounds=1, iterations=1)
+    emit(fig.text)
+    assert len(fig.rows) == 14
+    assert all(row[-1] == "yes" for row in fig.rows)
 
 
 def test_table1_decomposition_feasible(benchmark, emit):

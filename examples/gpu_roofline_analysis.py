@@ -9,26 +9,21 @@ Run:  python examples/gpu_roofline_analysis.py
 """
 import numpy as np
 
-from repro.gpu import ArrayOrder, Precision, TESLA_S1070, attainable_flops
+from repro.gpu import ArrayOrder, TESLA_S1070, attainable_flops
 from repro.gpu.coalescing import bandwidth_fraction, stride_microbenchmark
-from repro.perf import ROOFLINE_KERNELS, asuca_step_cost, cpu_step_time
-from repro.perf.costmodel import ASUCA_KERNELS
+from repro.gpu.roofline import ridge_intensity
+from repro.perf import asuca_step_cost
+from repro.perf.figures import fig4, roofline
 
 
 def main() -> None:
-    n = 320 * 256 * 48
     spec = TESLA_S1070
 
-    print("=== Fig. 5: arithmetic intensity vs performance (SP) ===")
-    print(f"{'kernel':<34} {'AI [flop/B]':>11} {'GFlops':>8} {'bound':>8}")
-    ridge = spec.peak_flops_sp / spec.mem_bandwidth
-    for label, name in ROOFLINE_KERNELS:
-        k = ASUCA_KERNELS[name]
-        ai = k.cost.intensity(Precision.SINGLE)
-        t = k.duration(n, spec, Precision.SINGLE)
-        gf = k.cost.flops(n) / t / 1e9
-        bound = "compute" if ai > ridge else "memory"
-        print(f"{label:<34} {ai:11.2f} {gf:8.1f} {bound:>8}")
+    fig = roofline(spec)
+    print(fig.text)
+    ridge = ridge_intensity(spec)
+    print("compute bound:", ", ".join(
+        p.name for p in fig.data if p.intensity > ridge))
     print(f"(ridge at {ridge:.2f} flop/B; peak {spec.peak_flops_sp/1e9:.1f} GFlops, "
           f"{spec.mem_bandwidth/1e9:.1f} GB/s)")
 
@@ -37,13 +32,8 @@ def main() -> None:
         print(f"  AI {ai:6.2f} -> attainable "
               f"{attainable_flops(ai, spec)/1e9:7.1f} GFlops")
 
-    print("\n=== Fig. 4 anchors: single GPU vs one Opteron core ===")
-    c_sp = asuca_step_cost(320, 256, 48)
-    c_dp = asuca_step_cost(320, 128, 48, precision=Precision.DOUBLE)
-    t_cpu = cpu_step_time(320, 256, 48)
-    print(f"GPU single precision : {c_sp.gflops:5.1f} GFlops  (paper 44.3)")
-    print(f"GPU double precision : {c_dp.gflops:5.1f} GFlops  (paper 14.6)")
-    print(f"speedup SP vs CPU DP : {t_cpu / c_sp.total_time:5.1f}x      (paper 83.4)")
+    print("\nsingle GPU vs one Opteron core:")
+    print(fig4().anchors.render())
 
     print("\n=== Sec. IV-A-1: array ordering ===")
     for order in (ArrayOrder.XZY, ArrayOrder.KIJ):

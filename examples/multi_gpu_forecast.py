@@ -15,7 +15,8 @@ import numpy as np
 
 from repro.core.model import ModelConfig
 from repro.core.rk3 import DynamicsConfig
-from repro.dist import MultiGpuAsuca, OverlapModel
+from repro.dist import MultiGpuAsuca
+from repro.perf.figures import fig11
 from repro.workloads.real_case import make_real_case
 
 
@@ -61,14 +62,8 @@ def main() -> None:
     print(f"vortex max wind: {np.hypot(u[g.isl_u].max(), v[g.isl_v].max()):.1f} m/s")
 
     # ---- the performance model for the same structure ------------------
-    print("\nmodeled step timing at the paper's 528-GPU scale (Fig. 11):")
-    model = OverlapModel()
-    for overlap in (False, True):
-        tl = model.step_timeline(overlap)
-        label = "overlapping" if overlap else "non-overlapping"
-        print(f"  {label:16s} total {tl.makespan * 1e3:6.1f} ms  "
-              f"(compute {tl.compute * 1e3:5.0f}, MPI {tl.mpi * 1e3:4.0f}, "
-              f"GPU-CPU {tl.gpu_cpu * 1e3:4.0f})")
+    print("\nmodeled step timing at the paper's 528-GPU scale:")
+    print(fig11().text)
 
 
 if __name__ == "__main__":

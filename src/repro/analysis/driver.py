@@ -3,8 +3,9 @@ real entry points.
 
 * :func:`lint_pass` — asuca-lint over a source tree;
 * :func:`racecheck_overlap_methods` — schedule one long step under each
-  of the paper's overlap methods (1: pipeline, 2: kernel division,
-  3: fusion) plus the serial reference, and racecheck every timeline;
+  of the paper's four named overlap methods
+  (:data:`repro.optimeline.METHOD_NAMES`: serial, + pipeline,
+  + kernel division, + fusion) and racecheck every timeline;
 * :func:`sanitized_gpu_smoke` — a short single-GPU run
   (upload -> steps -> download -> teardown) under a memcheck tracker and
   a final racecheck sweep;
@@ -32,21 +33,7 @@ from .memcheck import memcheck_session
 from .racecheck import racecheck_device
 
 __all__ = ["lint_pass", "racecheck_overlap_methods", "sanitized_gpu_smoke",
-           "sanitized_multigpu_smoke", "run_all", "OVERLAP_VARIANTS"]
-
-#: the schedule variants racecheck sweeps: name -> OverlapConfig kwargs
-#: (+ overlap flag).  One entry per paper method, plus the serial
-#: reference path.
-OVERLAP_VARIANTS: dict[str, tuple[dict, bool]] = {
-    "method1-pipeline": (dict(method1_pipeline=True, method2_divide=False,
-                              method3_fuse=False), True),
-    "method2-divide": (dict(method1_pipeline=True, method2_divide=True,
-                            method3_fuse=False), True),
-    "method3-fuse": (dict(method1_pipeline=True, method2_divide=True,
-                          method3_fuse=True), True),
-    "serial": (dict(method1_pipeline=False, method2_divide=False,
-                    method3_fuse=False), False),
-}
+           "sanitized_multigpu_smoke", "run_all"]
 
 
 def lint_pass(root: str | Path) -> tuple[list[Finding], list[Finding]]:
@@ -60,19 +47,17 @@ def lint_pass(root: str | Path) -> tuple[list[Finding], list[Finding]]:
 
 def racecheck_overlap_methods(
     *, ns: int | None = None, seed_hazard: str | None = None,
-    variants: dict | None = None,
 ) -> list[Finding]:
-    """Schedule one long step per overlap variant and racecheck the
+    """Schedule one long step per named overlap method and racecheck the
     resulting device timelines.  ``seed_hazard`` forwards the test-only
     fault seed of :class:`~repro.dist.overlap.OverlapConfig`."""
-    from ..dist.overlap import OverlapConfig, OverlapModel
+    from ..dist.overlap import OverlapConfig, method_timelines
     from ..gpu.asuca_kernels import DEFAULT_NS
 
     findings: list[Finding] = []
-    for name, (cfg_kwargs, overlap) in (variants or OVERLAP_VARIANTS).items():
-        config = OverlapConfig(seed_hazard=seed_hazard, **cfg_kwargs)
-        model = OverlapModel(ns=ns or DEFAULT_NS, config=config)
-        timeline = model.step_timeline(overlap)
+    timelines = method_timelines(
+        ns=ns or DEFAULT_NS, config=OverlapConfig(seed_hazard=seed_hazard))
+    for name, timeline in timelines.items():
         for f in racecheck_device(timeline.device):
             f.device = f"{f.device or 'gpu'}:{name}"
             findings.append(f)

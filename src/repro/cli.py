@@ -48,19 +48,18 @@ import sys
 
 import numpy as np
 
+from .api import WORKLOADS
+from .optimeline import METHOD_NAMES, PAPER_METHOD
+
 __all__ = ["main", "build_parser"]
 
 #: shared exit-code contract, shown in each diagnostic command's --help
 _EXIT_CODES = ("exit codes: 0 = clean, 1 = findings/alerts were reported, "
                "2 = usage error (bad arguments or unreadable input)")
 
-#: overlap method configurations the doctor knows; mirrors
-#: repro.dist.overlap.METHOD_CONFIGS (asserted by tests/obs/test_doctor.py)
-_METHODS = ["serial", "method1", "method1+2", "method1+2+3"]
-
-#: mirrors repro.api.WORKLOADS (asserted by tests/test_cli.py)
-_WORKLOADS = ["mountain-wave", "warm-bubble", "real-case", "shear-layer",
-              "vortex"]
+#: the tables `repro bench` prints: the producers of repro.perf.figures
+_BENCH_TABLES = ("fig4", "roofline", "fig9", "fig10", "fig11", "table1",
+                 "projection")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -72,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="integrate a workload")
     run.add_argument("workload", nargs="?", default="warm-bubble",
-                     choices=_WORKLOADS)
+                     choices=WORKLOADS)
     run.add_argument("--nx", type=int, default=None)
     run.add_argument("--ny", type=int, default=None)
     run.add_argument("--nz", type=int, default=None)
@@ -140,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
         "trace", help="replay a workload under tracing (run + artifacts)",
         epilog=_EXIT_CODES)
     tr.add_argument("workload", nargs="?", default="warm-bubble",
-                    choices=_WORKLOADS)
+                    choices=WORKLOADS)
     tr.add_argument("-o", "--output", default="trace.json",
                     help="Chrome Trace Format output path")
     tr.add_argument("--jsonl", type=str, default=None,
@@ -156,8 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser("bench", help="print a paper table")
     bench.add_argument("table",
-                       choices=["fig4", "roofline", "fig9", "fig10", "fig11",
-                                "table1", "projection"])
+                       choices=_BENCH_TABLES)
     bench.add_argument("--device", default="s1070",
                        choices=["s1070", "m2050"],
                        help="device spec for the roofline table "
@@ -190,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     an.add_argument("--list-codes", action="store_true",
                     help="print the finding-code registry and exit")
     an.add_argument("--workload", default="shear-layer",
-                    choices=_WORKLOADS,
+                    choices=WORKLOADS,
                     help="workload driven by the smoke runs")
     an.add_argument("--steps", type=int, default=2,
                     help="smoke-run long steps")
@@ -296,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
         epilog=_EXIT_CODES + "; for ensembles, exit 1 also flags a "
                "degraded product (coverage < 1)")
     ens.add_argument("workload", nargs="?", default="vortex",
-                     choices=_WORKLOADS)
+                     choices=WORKLOADS)
     ens.add_argument("--members", type=int, default=8,
                      help="ensemble size (member 0 is the unperturbed "
                           "control unless --no-control)")
@@ -345,7 +343,8 @@ def build_parser() -> argparse.ArgumentParser:
     doc.add_argument("--trace", type=str, default=None, metavar="TRACE",
                      help="diagnose an exported trace artifact (Chrome "
                           "Trace JSON or JSONL) instead of the model")
-    doc.add_argument("--method", default="method1+2+3", choices=_METHODS,
+    doc.add_argument("--method", default=PAPER_METHOD,
+                     choices=list(METHOD_NAMES),
                      help="overlap method configuration to diagnose "
                           "(model mode)")
     doc.add_argument("--ranks", type=str, default="2x2", metavar="PXxPY",
@@ -369,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
                           "flag drift vs the cost table "
                           "(docs/DOCTOR.md)")
     doc.add_argument("--workload", default="shear-layer",
-                     choices=_WORKLOADS,
+                     choices=WORKLOADS,
                      help="workload for the counted --roofline run "
                           "(default shear-layer)")
     doc.add_argument("--steps", type=int, default=2,
@@ -566,86 +565,12 @@ def _cmd_trace(args) -> int:
 
 # -------------------------------------------------------------------- bench
 def _cmd_bench(args) -> int:
-    from .gpu.spec import Precision
-    from .perf.costmodel import asuca_step_cost, cpu_step_time
-    from .perf.report import format_table
+    from .gpu.spec import device_spec
+    from .perf import figures
 
-    if args.table == "fig4":
-        rows = []
-        for ny in (32, 64, 96, 128, 160, 192, 224, 256):
-            sp = asuca_step_cost(320, ny, 48)
-            dp = (asuca_step_cost(320, ny, 48, precision=Precision.DOUBLE)
-                  if ny <= 128 else None)
-            rows.append([320 * ny * 48, sp.gflops,
-                         dp.gflops if dp else float("nan"),
-                         sp.total_flops / cpu_step_time(320, ny, 48) / 1e9])
-        print(format_table(
-            ["grid pts", "GPU SP", "GPU DP", "CPU DP"], rows,
-            title="Fig. 4 — single-GPU GFlops vs grid size"))
-    elif args.table == "roofline":
-        from .gpu.roofline import place_cost_table
-        from .gpu.spec import device_spec
-
-        spec = device_spec(getattr(args, "device", "s1070"))
-        rows = [[p.name, p.intensity, p.gflops]
-                for p in place_cost_table(320 * 256 * 48, spec=spec)]
-        print(format_table(["kernel", "AI [flop/B]", "GFlops"], rows,
-                           title=f"Fig. 5 — kernel roofline (SP, "
-                                 f"{spec.name})"))
-    elif args.table == "fig9":
-        from .dist.overlap import OverlapModel
-
-        rows = [
-            [vb.name, vb.whole * 1e6, vb.inner * 1e6, vb.boundary_y * 1e6,
-             vb.boundary_x * 1e6, vb.communication * 1e6]
-            for vb in OverlapModel().breakdown_rows()
-        ]
-        print(format_table(
-            ["variable", "whole [us]", "inner", "bnd-y", "bnd-x", "comm"],
-            rows, title="Fig. 9 — short-step breakdown at 528 GPUs"))
-    elif args.table == "fig10":
-        from .perf.scaling import weak_scaling_efficiency, weak_scaling_sweep
-
-        pts = weak_scaling_sweep()
-        rows = [[p.n_gpus, f"{p.mesh[0]}x{p.mesh[1]}x{p.mesh[2]}",
-                 p.tflops_overlap, p.tflops_nonoverlap, p.tflops_cpu]
-                for p in pts]
-        print(format_table(
-            ["GPUs", "mesh", "overlap TF", "non-ov TF", "CPU TF"], rows,
-            title="Fig. 10 — weak scaling"))
-        print(f"weak-scaling efficiency: "
-              f"{100 * weak_scaling_efficiency(pts):.1f}% (paper >= 93%)")
-    elif args.table == "fig11":
-        from .dist.overlap import OverlapModel
-
-        m = OverlapModel()
-        rows = []
-        for overlap in (True, False):
-            tl = m.step_timeline(overlap)
-            rows.append(["overlap" if overlap else "serial",
-                         tl.makespan * 1e3, tl.compute * 1e3, tl.mpi * 1e3,
-                         tl.gpu_cpu * 1e3])
-        print(format_table(
-            ["method", "total ms", "compute", "MPI", "GPU-CPU"], rows,
-            title="Fig. 11 — one-step breakdown at 528 GPUs"))
-    elif args.table == "table1":
-        from .dist.decomposition import TABLE1_CONFIGS, table1_mesh
-
-        rows = [[px * py, f"{px}x{py}",
-                 "x".join(map(str, table1_mesh(px, py)))]
-                for px, py in TABLE1_CONFIGS]
-        print(format_table(["GPUs", "grid", "mesh"], rows,
-                           title="Table I — GPU counts and mesh sizes"))
-    elif args.table == "projection":
-        from .perf.projection import model_projection, paper_formula_projection
-
-        f = paper_formula_projection()
-        c = model_projection(fermi_throughput=False)
-        r = model_projection(fermi_throughput=True)
-        print(format_table(
-            ["method", "TFlops"],
-            [[f.method, f.tflops], [c.method, c.tflops], [r.method, r.tflops]],
-            title="Sec. VII — TSUBAME 2.0 projection"))
+    kwargs = ({"spec": device_spec(args.device)}
+              if args.table == "roofline" else {})
+    print(getattr(figures, args.table)(**kwargs).brief)
     return 0
 
 
@@ -1065,8 +990,9 @@ def _cmd_top(args) -> int:
 
 # --------------------------------------------------------------------- info
 def _cmd_info(_args) -> int:
-    from .gpu.spec import FERMI_M2050, OPTERON_CORE, Precision, TESLA_S1070
-    from .perf.costmodel import asuca_step_cost, cpu_step_time
+    from .gpu.spec import FERMI_M2050, OPTERON_CORE, TESLA_S1070
+    from .perf.figures import fig4
+    from .perf.report import PAPER
 
     for spec in (TESLA_S1070, FERMI_M2050, OPTERON_CORE):
         print(f"{spec.name}:")
@@ -1074,13 +1000,12 @@ def _cmd_info(_args) -> int:
               f"{spec.peak_flops_dp/1e9:.1f} GF DP, "
               f"{spec.mem_bandwidth/1e9:.1f} GB/s, "
               f"{spec.mem_capacity/2**30:.0f} GiB")
-    sp = asuca_step_cost(320, 256, 48)
-    dp = asuca_step_cost(320, 128, 48, precision=Precision.DOUBLE)
-    t_cpu = cpu_step_time(320, 256, 48)
     print("\ncalibration anchors (paper / model):")
-    print(f"  single GPU SP : 44.3 / {sp.gflops:.1f} GFlops")
-    print(f"  single GPU DP : 14.6 / {dp.gflops:.1f} GFlops")
-    print(f"  speedup vs CPU: 83.4 / {t_cpu / sp.total_time:.1f} x")
+    ours = fig4().anchors.ours
+    for label, key, unit in (("single GPU SP ", "sp_gflops", "GFlops"),
+                             ("single GPU DP ", "dp_gflops", "GFlops"),
+                             ("speedup vs CPU", "speedup_sp", "x")):
+        print(f"  {label}: {PAPER[key].value} / {ours[key]:.1f} {unit}")
     return 0
 
 

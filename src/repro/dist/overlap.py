@@ -46,21 +46,21 @@ from ..gpu.asuca_kernels import (
 from ..gpu.device import Access, Event, GPUDevice, Op, Stream
 from ..gpu.kernel import Kernel
 from ..gpu.spec import Precision
-from ..optimeline import SKEW_TAG, OpStats
+from ..optimeline import METHOD_NAMES, SKEW_TAG, OpStats, Overlap
 from .decomposition import OVERLAP
 from .network import ClusterSpec, TSUBAME_1_2
 
 __all__ = ["OverlapConfig", "VariableBreakdown", "StepTimeline", "OverlapModel",
-           "METHOD_CONFIGS", "method_timelines"]
+           "method_timelines"]
 
 
 @dataclass(frozen=True)
 class OverlapConfig:
-    """Which of the paper's three optimizations are active."""
+    """The overlap model's calibration constants.  Which of the paper's
+    three optimizations run is not one of them: that is the
+    :class:`~repro.optimeline.Overlap` value handed to
+    :meth:`OverlapModel.step_timeline`."""
 
-    method1_pipeline: bool = True    #: inter-variable pipelining (Fig. 7)
-    method2_divide: bool = True      #: kernel division (Fig. 8)
-    method3_fuse: bool = True        #: density+theta logical fusion
     exchange_width: int = OVERLAP    #: halo cells exchanged per side
     #: work fields shipped along with each prognostic exchange (pressure,
     #: packed metric terms); calibrated against the paper's Fig. 11 MPI bar
@@ -85,10 +85,6 @@ class OverlapConfig:
     #: engine still serializes the transfers — which is exactly the class
     #: of latent hazard `repro.analysis.racecheck` exists to catch.
     seed_hazard: str | None = None
-
-    @property
-    def any_overlap(self) -> bool:
-        return self.method1_pipeline or self.method2_divide
 
 
 @dataclass
@@ -219,10 +215,10 @@ class OverlapModel:
                                *(Access(f"{var}:{b}", "w") for b in fills)))
         return mpi
 
-    def _schedule_substep_overlap(self, dev: GPUDevice, streams, vb_list) -> None:
+    def _schedule_substep_overlap(self, dev: GPUDevice, streams, vb_list,
+                                  fuse: bool) -> None:
         """One acoustic substep with methods 2 (+3): Fig. 8 pipeline."""
         s_bnd_y, s_bnd_x, s_inner = streams
-        fuse = self.config.method3_fuse
         i = 0
         while i < len(vb_list):
             vb = vb_list[i]
@@ -306,7 +302,7 @@ class OverlapModel:
                            fills=("halo_y", "halo_x"))
         dev.synchronize()
 
-    def _schedule_water(self, dev: GPUDevice, streams, overlap: bool) -> None:
+    def _schedule_water(self, dev: GPUDevice, streams, pipelined: bool) -> None:
         """Method 1 (Fig. 7): the 13 tracer advections per RK stage; each
         tracer's exchange overlaps the next tracer's advection kernel."""
         adv = ASUCA_KERNELS["advection"]
@@ -317,7 +313,6 @@ class OverlapModel:
         pcie = self.cluster.pcie.transfer_time(bytes_x + bytes_y)
         mpi = self.cluster.mpi.transfer_time(bytes_x) + self.cluster.mpi.transfer_time(bytes_y)
         s_comm, _, s_comp = streams
-        pipelined = overlap and self.config.method1_pipeline
         # tracers advect in every RK stage but their halos travel once per
         # long step, in the final stage's pipeline (Fig. 7)
         for stage in range(self.shape.stages):
@@ -351,20 +346,22 @@ class OverlapModel:
                                            self.n_points)
 
     # ------------------------------------------------------------- public
-    def step_timeline(self, overlap: bool = True) -> StepTimeline:
-        """Schedule one full long step; returns the Fig. 11 aggregates."""
+    def step_timeline(self, method: Overlap = Overlap.ALL) -> StepTimeline:
+        """Schedule one full long step under ``method`` (default: all
+        three optimizations, the paper's run); returns the Fig. 11
+        aggregates."""
         dev = GPUDevice(self.cluster.gpu, copy_engines=1)
         streams = (dev.create_stream(), dev.create_stream(), dev.create_stream())
-        vb_list = [self.variable_breakdown(n, ks) for n, ks in SHORT_STEP_VARIABLES]
+        vb_list = self.breakdown_rows()
 
-        use_divide = overlap and self.config.method2_divide
         for _ in range(self.nsub):
-            if use_divide:
-                self._schedule_substep_overlap(dev, streams, vb_list)
+            if Overlap.DIVIDE in method:
+                self._schedule_substep_overlap(dev, streams, vb_list,
+                                               Overlap.FUSE in method)
             else:
                 self._schedule_substep_serial(dev, streams[0], vb_list)
 
-        self._schedule_water(dev, streams, overlap)
+        self._schedule_water(dev, streams, Overlap.PIPELINE in method)
 
         dev.schedule("long_step_other", "kernel", streams[2],
                      self._other_compute_time(), tag="compute")
@@ -376,31 +373,13 @@ class OverlapModel:
         return [self.variable_breakdown(n, ks) for n, ks in SHORT_STEP_VARIABLES]
 
 
-#: the paper's named optimization levels, in increasing order — the
-#: doctor sweeps these to recommend an overlap method, and each one's
-#: scheduled timeline is digest-pinned in tests/dist/test_overlap_model.py
-METHOD_CONFIGS: dict[str, OverlapConfig] = {
-    "serial": OverlapConfig(method1_pipeline=False, method2_divide=False,
-                            method3_fuse=False),
-    "method1": OverlapConfig(method1_pipeline=True, method2_divide=False,
-                             method3_fuse=False),
-    "method1+2": OverlapConfig(method1_pipeline=True, method2_divide=True,
-                               method3_fuse=False),
-    "method1+2+3": OverlapConfig(),
-}
-
-
-def method_timelines(
-    cluster: ClusterSpec = TSUBAME_1_2,
-    *,
-    methods: "Iterable[str] | None" = None,
-    **model_kwargs,
-) -> dict[str, StepTimeline]:
-    """One scheduled long step per named method configuration (same
-    mesh / cluster for all, so the totals are directly comparable)."""
-    out: dict[str, StepTimeline] = {}
-    for name in (methods if methods is not None else METHOD_CONFIGS):
-        config = METHOD_CONFIGS[name]
-        model = OverlapModel(cluster, config=config, **model_kwargs)
-        out[name] = model.step_timeline(config.any_overlap)
-    return out
+def method_timelines(cluster: ClusterSpec = TSUBAME_1_2,
+                     **model_kwargs) -> dict[str, StepTimeline]:
+    """One scheduled long step per named method of
+    :data:`~repro.optimeline.METHOD_NAMES` (same mesh / cluster for
+    all, so the totals are directly comparable).  The doctor sweeps these
+    to recommend a method, racecheck to clear them, and each one's
+    timeline is digest-pinned in tests/dist/test_overlap_model.py."""
+    model = OverlapModel(cluster, **model_kwargs)
+    return {name: model.step_timeline(method)
+            for name, method in METHOD_NAMES.items()}

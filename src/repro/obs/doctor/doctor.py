@@ -23,7 +23,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Iterable
 
-from ...optimeline import SKEW_TAG, OpStats
+from ...optimeline import METHOD_NAMES, PAPER_METHOD, SKEW_TAG, OpStats
 from .critical_path import (
     AttributionRow,
     CriticalPath,
@@ -264,7 +264,7 @@ def diagnose_trace(path: str, *, anomaly_sigma: float = 8.0,
 
 def diagnose_model(
     *,
-    method: str = "method1+2+3",
+    method: str = PAPER_METHOD,
     links_x: int = 2,
     links_y: int = 2,
     nx: int = 320,
@@ -273,11 +273,11 @@ def diagnose_model(
 ) -> DoctorReport:
     """Rerun the overlap performance model, diagnose the selected
     method's schedule, and recommend the fastest method."""
-    from ...dist.overlap import METHOD_CONFIGS, method_timelines  # lazy
+    from ...dist.overlap import method_timelines  # lazy
 
-    if method not in METHOD_CONFIGS:
+    if method not in METHOD_NAMES:
         raise ValueError(f"unknown overlap method {method!r} "
-                         f"(choose from {', '.join(METHOD_CONFIGS)})")
+                         f"(choose from {', '.join(METHOD_NAMES)})")
     timelines = method_timelines(links_x=links_x, links_y=links_y,
                                  nx=nx, ny=ny, nz=nz)
     report = DoctorReport(mode="model")

@@ -12,7 +12,10 @@ their numbers cannot drift apart.
 
 The module also owns the op-kind -> engine map that the device
 (:class:`repro.gpu.device.GPUDevice`) schedules by and the critical-path
-walk (:mod:`repro.obs.doctor.critical_path`) reconstructs from.
+walk (:mod:`repro.obs.doctor.critical_path`) reconstructs from, and the
+one vocabulary for *which* schedule ran: an :class:`Overlap` value and the
+paper's four names for one (:data:`METHOD_NAMES`), read by the overlap
+model, the doctor, the racecheck sweep, the ablation and the CLI choices.
 
 Stdlib only and imports nothing from the package, so any layer can import
 it at module top.  An *op* is anything with ``kind``, ``tag``, ``start``,
@@ -21,11 +24,37 @@ it at module top.  An *op* is anything with ``kind``, ``tag``, ``start``,
 """
 from __future__ import annotations
 
+import enum
 from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Any, Iterable
 
-__all__ = ["SKEW_TAG", "engine_for", "OpStats"]
+__all__ = ["SKEW_TAG", "engine_for", "OpStats",
+           "Overlap", "METHOD_NAMES", "PAPER_METHOD"]
+
+
+class Overlap(enum.Flag):
+    """An overlap method: the subset of the paper's three
+    communication/computation overlap optimisations (Sec. V-A) that is
+    on.  Immutable; combine with ``|``, drop one with ``& ~``."""
+
+    SERIAL = 0      #: none: whole kernels, blocking exchanges
+    PIPELINE = 1    #: method 1: water-substance exchanges pipelined (Fig. 7)
+    DIVIDE = 2      #: method 2: kernel division (Fig. 8)
+    FUSE = 4        #: method 3: density + theta fused, inside the division
+    ALL = PIPELINE | DIVIDE | FUSE
+
+
+#: the paper's four optimisation levels by name, in increasing order
+METHOD_NAMES: dict[str, Overlap] = {
+    "serial": Overlap.SERIAL,
+    "method1": Overlap.PIPELINE,
+    "method1+2": Overlap.PIPELINE | Overlap.DIVIDE,
+    "method1+2+3": Overlap.ALL,
+}
+
+#: the name of the configuration the paper ran (Figs. 10, 11)
+PAPER_METHOD = "method1+2+3"
 
 #: tag marking barrier arrival-skew stalls (see dist/overlap.py) —
 #: charged to the mpi engine but not to communication proper

@@ -1,6 +1,7 @@
 """Performance measurement and modeling: FLOP counting (PAPI substitute),
 the ASUCA kernel cost table, weak-scaling sweeps, the TSUBAME 2.0
-projection, and timeline reporting.
+projection, the paper's own numbers (``PAPER``) and, in
+:mod:`repro.perf.figures`, one producer per paper figure.
 
 ``scaling`` and ``projection`` are loaded lazily (PEP 562): they pull in
 :mod:`repro.dist` (the overlap model), which importers that only price
@@ -16,8 +17,7 @@ from .costmodel import (
     cpu_step_time,
     launch_schedule,
 )
-from .report import ComparisonReport, format_table
-from .timeline import busy_by_name, gantt_text
+from .report import PAPER, ComparisonReport, format_table
 
 __all__ = [
     "CountingArray", "FlopCounter",
@@ -28,8 +28,7 @@ __all__ = [
     "DecompositionVariant", "decomposition_ablation", "near_square_factors",
     "Projection", "paper_formula_projection", "model_projection",
     "SensitivityRow", "sensitivity_sweep",
-    "gantt_text", "busy_by_name",
-    "ComparisonReport", "format_table",
+    "PAPER", "ComparisonReport", "format_table",
 ]
 
 _LAZY = {

@@ -52,6 +52,11 @@ class StepCost:
     def time_fraction(self, kernel: str) -> float:
         return self.kernel_times[kernel] / self.total_time
 
+    def cluster_tflops(self, n_gpus: int, step_time: float) -> float:
+        """Sustained TFlops of ``n_gpus`` devices that each do this step's
+        work every ``step_time`` seconds (Figs. 10, 11, Sec. VII)."""
+        return n_gpus * self.total_flops / step_time / 1e12
+
 
 def asuca_step_cost(
     nx: int,

@@ -21,7 +21,7 @@ import dataclasses
 from dataclasses import dataclass
 
 from ..dist.network import ClusterSpec, TSUBAME_1_2, TSUBAME_2_0
-from ..dist.overlap import OverlapConfig, OverlapModel
+from ..dist.overlap import OverlapModel
 from ..gpu.spec import Precision, TESLA_S1070
 from .costmodel import asuca_step_cost
 
@@ -45,9 +45,9 @@ def paper_formula_projection(
     """Sec. VII's own arithmetic, fed with the model's measured 528-GPU
     step: TFlops_528 * (total / compute) * (n / 528)."""
     model = OverlapModel(TSUBAME_1_2)
-    tl = model.step_timeline(True)
-    per_gpu = asuca_step_cost(320, 256, 48)
-    tflops_528 = baseline_gpus * per_gpu.total_flops / tl.makespan / 1e12
+    tl = model.step_timeline()
+    tflops_528 = asuca_step_cost(320, 256, 48).cluster_tflops(
+        baseline_gpus, tl.makespan)
     tflops = tflops_528 * (tl.makespan / tl.compute) * (n_gpus / baseline_gpus)
     return Projection(
         tflops=tflops,
@@ -76,10 +76,10 @@ def model_projection(
         cluster = dataclasses.replace(cluster, gpu=dataclasses.replace(
             TESLA_S1070, pcie_bandwidth=cluster.gpu.pcie_bandwidth))
     model = OverlapModel(cluster, precision=precision)
-    tl = model.step_timeline(True)
+    tl = model.step_timeline()
     per_gpu = asuca_step_cost(320, 256, 48, spec=cluster.gpu, precision=precision)
     return Projection(
-        tflops=n_gpus * per_gpu.total_flops / tl.makespan / 1e12,
+        tflops=per_gpu.cluster_tflops(n_gpus, tl.makespan),
         n_gpus=n_gpus,
         step_time=tl.makespan,
         method=("overlap model on TSUBAME 2.0, "

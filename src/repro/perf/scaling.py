@@ -18,6 +18,7 @@ from ..dist.decomposition import TABLE1_CONFIGS, table1_mesh
 from ..dist.network import ClusterSpec, TSUBAME_1_2
 from ..dist.overlap import OverlapConfig, OverlapModel
 from ..gpu.spec import OPTERON_CORE, Precision
+from ..optimeline import Overlap
 from .costmodel import DEFAULT_NS, asuca_step_cost
 
 __all__ = [
@@ -55,6 +56,21 @@ def _skew_for(n_ranks: int, base: float) -> float:
     return base * (math.log2(n_ranks) / math.log2(_SKEW_REFERENCE_RANKS)) ** 0.25
 
 
+def _rank_model(cluster: ClusterSpec, px: int, py: int,
+                overlap_config: OverlapConfig, **model_kwargs) -> OverlapModel:
+    """The overlap model of the slowest rank of a periodic ``px x py``
+    process grid: both sides communicate along every decomposed axis, and
+    the barrier skew is scaled to the rank count."""
+    return OverlapModel(
+        cluster,
+        links_x=2 if px > 1 else 0,
+        links_y=2 if py > 1 else 0,
+        config=replace(overlap_config, sync_skew=_skew_for(
+            px * py, overlap_config.sync_skew)),
+        **model_kwargs,
+    )
+
+
 def weak_scaling_sweep(
     cluster: ClusterSpec = TSUBAME_1_2,
     configs: list[tuple[int, int]] = TABLE1_CONFIGS,
@@ -73,25 +89,17 @@ def weak_scaling_sweep(
     points = []
     for px, py in configs:
         n = px * py
-        cfg = replace(overlap_config,
-                      sync_skew=_skew_for(n, overlap_config.sync_skew))
-        model = OverlapModel(
-            cluster,
-            precision=precision,
-            ns=ns,
-            links_x=2 if px > 1 else 0,   # periodic benchmark: both sides
-            links_y=2 if py > 1 else 0,
-            config=cfg,
-        )
-        t_ov = model.step_timeline(True).makespan
-        t_no = model.step_timeline(False).makespan
+        model = _rank_model(cluster, px, py, overlap_config,
+                            precision=precision, ns=ns)
+        t_ov = model.step_timeline().makespan
+        t_no = model.step_timeline(Overlap.SERIAL).makespan
         points.append(
             ScalingPoint(
                 n_gpus=n, px=px, py=py, mesh=table1_mesh(px, py),
                 step_time_overlap=t_ov,
                 step_time_nonoverlap=t_no,
-                tflops_overlap=n * per_gpu.total_flops / t_ov / 1e12,
-                tflops_nonoverlap=n * per_gpu.total_flops / t_no / 1e12,
+                tflops_overlap=per_gpu.cluster_tflops(n, t_ov),
+                tflops_nonoverlap=per_gpu.cluster_tflops(n, t_no),
                 tflops_cpu=n * cpu_sustained * cpu_parallel_efficiency / 1e12,
             )
         )
@@ -156,16 +164,9 @@ def strong_scaling_sweep(
     for n in gpu_counts:
         px, py = near_square_factors(n)
         loc_nx, loc_ny = max(nx // px, 8), max(ny // py, 8)
-        cfg = replace(overlap_config,
-                      sync_skew=_skew_for(n, overlap_config.sync_skew))
-        model = OverlapModel(
-            cluster, nx=loc_nx, ny=loc_ny, nz=nz,
-            precision=precision, ns=ns,
-            links_x=2 if px > 1 else 0,
-            links_y=2 if py > 1 else 0,
-            config=cfg,
-        )
-        t = model.step_timeline(True).makespan
+        t = _rank_model(cluster, px, py, overlap_config,
+                        nx=loc_nx, ny=loc_ny, nz=nz, precision=precision,
+                        ns=ns).step_timeline().makespan
         if t1 is None:
             t1 = t
         speedup = t1 / t
@@ -211,16 +212,9 @@ def decomposition_ablation(
         (f"2-D ({sq[0]}x{sq[1]})", sq),
     ):
         loc_nx, loc_ny = max(nx // px, 8), max(ny // py, 8)
-        cfg = replace(overlap_config,
-                      sync_skew=_skew_for(n_gpus, overlap_config.sync_skew))
-        model = OverlapModel(
-            cluster, nx=loc_nx, ny=loc_ny, nz=nz,
-            precision=precision,
-            links_x=2 if px > 1 else 0,
-            links_y=2 if py > 1 else 0,
-            config=cfg,
-        )
-        w = cfg.exchange_width
+        model = _rank_model(cluster, px, py, overlap_config,
+                            nx=loc_nx, ny=loc_ny, nz=nz, precision=precision)
+        w = overlap_config.exchange_width
         item = precision.itemsize
         bytes_per_field = (
             (2 if px > 1 else 0) * w * loc_ny * nz * item
@@ -229,6 +223,6 @@ def decomposition_ablation(
         variants.append(DecompositionVariant(
             label=label, px=px, py=py, local_mesh=(loc_nx, loc_ny, nz),
             halo_bytes_per_exchange=bytes_per_field,
-            step_time=model.step_timeline(True).makespan,
+            step_time=model.step_timeline().makespan,
         ))
     return variants

@@ -37,8 +37,8 @@ class SensitivityRow:
 def _outputs(gpu_spec, overlap_cfg) -> tuple[float, float]:
     cost = asuca_step_cost(320, 256, 48, spec=gpu_spec)
     cluster = dataclasses.replace(TSUBAME_1_2, gpu=gpu_spec)
-    tl = OverlapModel(cluster, config=overlap_cfg).step_timeline(True)
-    return cost.gflops, 528 * cost.total_flops / tl.makespan / 1e12
+    tl = OverlapModel(cluster, config=overlap_cfg).step_timeline()
+    return cost.gflops, cost.cluster_tflops(528, tl.makespan)
 
 
 #: (name, how to apply a relative delta) — the model's free parameters

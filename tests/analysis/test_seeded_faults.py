@@ -31,7 +31,7 @@ def test_seeded_missing_event_yields_exactly_one_race():
     finding."""
     cfg = OverlapConfig(seed_hazard="missing-event")
     model = OverlapModel(config=cfg)
-    timeline = model.step_timeline(True)
+    timeline = model.step_timeline()
     findings = racecheck_device(timeline.device)
 
     assert len(findings) == 1
@@ -49,9 +49,9 @@ def test_seeded_schedule_is_timing_identical():
     """The seed removes an ordering edge, not time: the single MPI engine
     still serializes the transfers, so the hazard is invisible to the
     clock — the exact class racecheck exists for."""
-    clean = OverlapModel(config=OverlapConfig()).step_timeline(True)
+    clean = OverlapModel(config=OverlapConfig()).step_timeline()
     seeded = OverlapModel(
-        config=OverlapConfig(seed_hazard="missing-event")).step_timeline(True)
+        config=OverlapConfig(seed_hazard="missing-event")).step_timeline()
     assert seeded.makespan == clean.makespan
 
 

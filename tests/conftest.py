@@ -7,6 +7,7 @@ import pytest
 from repro.core.grid import make_grid, bell_mountain
 from repro.core.reference import make_reference_state
 from repro.core.state import state_from_reference
+from repro.perf.report import PAPER
 from repro.workloads.sounding import constant_stability_sounding
 
 
@@ -28,6 +29,18 @@ def terrain_grid():
 def small_state(small_grid):
     ref = make_reference_state(small_grid, constant_stability_sounding())
     return state_from_reference(small_grid, ref, u0=10.0)
+
+
+@pytest.fixture(scope="session")
+def paper():
+    """``paper(key, scale=1.0, **tol)``: ``pytest.approx`` of the paper's
+    number ``PAPER[key]`` (times ``scale`` for another unit) at the
+    table's relative tolerance, or at ``tol`` when given."""
+    def approx(key: str, scale: float = 1.0, **tol):
+        anchor = PAPER[key]
+        return pytest.approx(anchor.value * scale,
+                             **(tol or {"rel": anchor.rel_tol}))
+    return approx
 
 
 def rng(seed: int = 0) -> np.random.Generator:

@@ -3,7 +3,8 @@ device schedules and the pinned Fig. 11 hidden-communication fractions
 for each overlap method."""
 import pytest
 
-from repro.dist.overlap import METHOD_CONFIGS, method_timelines
+from repro.dist.overlap import method_timelines
+from repro.optimeline import METHOD_NAMES
 from repro.gpu.device import GPUDevice
 from repro.obs.doctor import (
     attribution,
@@ -93,10 +94,10 @@ def test_hidden_fraction_pinned_to_fig11(timelines, method):
         PINNED_HIDDEN[method], abs=0.01)
 
 
-def test_full_overlap_hides_paper_fraction(timelines):
+def test_full_overlap_hides_paper_fraction(timelines, paper):
     """Acceptance anchor: method1+2+3 hides ~53% of communication."""
     st = timelines["method1+2+3"]
-    assert st.hidden_fraction == pytest.approx(0.53, rel=0.15)
+    assert st.hidden_fraction == paper("hidden_pct", 1e-2)
     # excluding barrier skew, communication is almost completely hidden
     assert st.hidden_fraction_comm_only > 0.85
 
@@ -116,7 +117,7 @@ def test_critical_path_covers_model_step(timelines):
 def test_diagnose_model_is_self_consistent():
     report = diagnose_model()
     assert report.ok, report.findings
-    assert set(report.verdict.method_totals) == set(METHOD_CONFIGS)
+    assert set(report.verdict.method_totals) == set(METHOD_NAMES)
     assert report.hidden_fraction == pytest.approx(0.548, abs=0.01)
     # the gate flips the exit status without touching the diagnosis
     assert report.exit_status() == 0
@@ -127,8 +128,3 @@ def test_diagnose_model_rejects_unknown_method():
     with pytest.raises(ValueError, match="unknown overlap method"):
         diagnose_model(method="method4")
 
-
-def test_cli_method_choices_mirror_model():
-    from repro.cli import _METHODS
-
-    assert sorted(_METHODS) == sorted(METHOD_CONFIGS)

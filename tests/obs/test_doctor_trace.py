@@ -10,7 +10,7 @@ import json
 
 import pytest
 
-from repro.dist.overlap import method_timelines
+from repro.dist.overlap import OverlapModel
 from repro.gpu.device import GPUDevice
 from repro.obs import TraceSession, write_chrome_trace, write_jsonl
 from repro.obs.doctor import diagnose_ops, diagnose_trace, load_trace
@@ -43,7 +43,7 @@ def test_trace_diagnosis_matches_live_within_1pct(tmp_path):
     """Acceptance criterion: diagnosing the exported artifact of the
     full-overlap model step reproduces the live per-kernel attribution
     and overlap efficiency within 1%."""
-    tl = method_timelines(methods=["method1+2+3"])["method1+2+3"]
+    tl = OverlapModel().step_timeline()
     live = diagnose_ops(tl.device.timeline)
 
     session = TraceSession(name="overlap")

@@ -12,42 +12,44 @@ from repro.perf.costmodel import (
     cpu_step_time,
     launch_schedule,
 )
+from repro.perf.report import PAPER
 
 
-def test_single_gpu_single_precision_gflops():
+def test_single_gpu_single_precision_gflops(paper):
     """Paper: 44.3 GFlops SP on 320x256x48 (within 5%)."""
     c = asuca_step_cost(320, 256, 48)
-    assert c.gflops == pytest.approx(44.3, rel=0.05)
+    assert c.gflops == paper("sp_gflops")
 
 
-def test_single_gpu_double_precision_gflops():
+def test_single_gpu_double_precision_gflops(paper):
     """Paper: 14.6 GFlops DP on 320x128x48; DP ~30% of SP."""
     c_dp = asuca_step_cost(320, 128, 48, precision=Precision.DOUBLE)
-    assert c_dp.gflops == pytest.approx(14.6, rel=0.07)
+    assert c_dp.gflops == paper("dp_gflops")
     c_sp = asuca_step_cost(320, 256, 48)
     assert 0.25 < c_dp.gflops / c_sp.gflops < 0.40
 
 
-def test_over_80_fold_speedup():
+def test_over_80_fold_speedup(paper):
     """Paper title: GPU SP is 83.4x one Opteron core running the Fortran
     in DP ('over 80-fold')."""
     t_cpu = cpu_step_time(320, 256, 48)
     t_gpu = asuca_step_cost(320, 256, 48).total_time
-    assert t_cpu / t_gpu == pytest.approx(83.4, rel=0.07)
+    assert t_cpu / t_gpu == paper("speedup_sp")
     assert t_cpu / t_gpu > 80.0
 
 
-def test_26x_dp_speedup():
+def test_26x_dp_speedup(paper):
     """Paper: DP-vs-DP speedup 26.3x."""
     t_cpu = cpu_step_time(320, 256, 48)
     t_gpu = asuca_step_cost(320, 256, 48, precision=Precision.DOUBLE).total_time
-    assert t_cpu / t_gpu == pytest.approx(26.3, rel=0.10)
+    assert t_cpu / t_gpu == paper("speedup_dp")
 
 
 def test_warm_rain_one_percent():
     """Paper: the warm-rain kernel 'spends only 1.0% GPU time'."""
     c = asuca_step_cost(320, 256, 48)
-    assert 0.005 < c.time_fraction("warm_rain") < 0.02
+    share = PAPER["warm_rain_pct"].value / 100
+    assert 0.5 * share < c.time_fraction("warm_rain") < 2 * share
 
 
 def test_cpu_sustained_half_gflop():

@@ -4,8 +4,7 @@ import pytest
 from repro.gpu.device import GPUDevice
 from repro.gpu.spec import TESLA_S1070
 from repro.optimeline import OpStats
-from repro.perf.report import ComparisonReport, format_table
-from repro.perf.timeline import busy_by_name, gantt_text
+from repro.perf.report import PAPER, ComparisonReport, format_table
 
 
 @pytest.fixture
@@ -39,21 +38,6 @@ def test_summarize_empty():
     assert s.makespan == 0.0 and s.overlap_fraction == 0.0
 
 
-def test_busy_by_name(dev):
-    by = busy_by_name(dev)
-    assert by["k1"] == 3.0
-    assert busy_by_name(dev, prefix="k") == {"k1": 3.0}
-
-
-def test_gantt_text(dev):
-    txt = gantt_text(dev)
-    lines = txt.splitlines()
-    assert "timeline" in lines[0]
-    assert len(lines) == 5
-    assert all("|" in ln for ln in lines[1:])
-    assert gantt_text(GPUDevice(TESLA_S1070)) == "(empty timeline)"
-
-
 # ------------------------------------------------------------------ report
 def test_format_table_alignment():
     t = format_table(["a", "quantity"], [[1, 2.5], [30, 0.001]], title="T")
@@ -79,3 +63,14 @@ def test_comparison_report_zero_reference():
     rep.add("zero paper value", 0.0, 5.0)
     assert rep.all_within_tolerance()  # zero reference: informational only
     assert "nan" in rep.render()
+
+
+def test_anchor_rows_come_from_the_paper_table():
+    rep = ComparisonReport("a")
+    rep.anchor("total_ms", 979.5)
+    a = PAPER["total_ms"]
+    assert rep.rows == [(a.quantity, a.value, 979.5, a.rel_tol)]
+    assert rep.ours == {"total_ms": 979.5}
+    assert rep.all_within_tolerance()
+    rep.anchor("total_ms", a.value * (1 + 2 * a.rel_tol))
+    assert not rep.all_within_tolerance()
