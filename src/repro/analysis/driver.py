@@ -25,6 +25,7 @@ fixtures.
 """
 from __future__ import annotations
 
+from dataclasses import replace
 from pathlib import Path
 
 from .findings import CODES, Finding, Report, stale_suppressions
@@ -45,20 +46,29 @@ def lint_pass(root: str | Path) -> tuple[list[Finding], list[Finding]]:
     return findings + sf, suppressed + ss
 
 
-def racecheck_overlap_methods(
-    *, ns: int | None = None, seed_hazard: str | None = None,
-) -> list[Finding]:
-    """Schedule one long step per named overlap method and racecheck the
-    resulting device timelines.  ``seed_hazard`` forwards the test-only
-    fault seed of :class:`~repro.dist.overlap.OverlapConfig`."""
-    from ..dist.overlap import OverlapConfig, method_timelines
-    from ..gpu.asuca_kernels import DEFAULT_NS
+def drop_corner_edge(schedule):
+    """The ``missing-event`` fixture: ``schedule`` minus the first
+    variable's corner dependency (x MPI after y MPI, Fig. 8).  The clock
+    cannot see it — the single MPI engine still serializes the transfers —
+    which is exactly the class of latent hazard racecheck exists to catch."""
+    first, *rest = schedule.groups
+    steps = tuple(replace(step, mpi_after=None) if step.name == "_x" else step
+                  for step in first.steps)
+    return replace(schedule, groups=(replace(first, steps=steps), *rest))
 
+
+def racecheck_overlap_methods(*, seed_hazard: str | None = None) -> list[Finding]:
+    """Schedule one long step per named overlap method and racecheck the
+    resulting device timelines.  ``seed_hazard='missing-event'`` runs the
+    :func:`drop_corner_edge` edit of each method's schedule instead."""
+    from ..dist.overlap import OverlapModel, schedule_for
+    from ..optimeline import METHOD_NAMES
+
+    edit = drop_corner_edge if seed_hazard == "missing-event" else (lambda s: s)
+    model = OverlapModel()
     findings: list[Finding] = []
-    timelines = method_timelines(
-        ns=ns or DEFAULT_NS, config=OverlapConfig(seed_hazard=seed_hazard))
-    for name, timeline in timelines.items():
-        for f in racecheck_device(timeline.device):
+    for name, method in METHOD_NAMES.items():
+        for f in racecheck_device(model.run(edit(schedule_for(method))).device):
             f.device = f"{f.device or 'gpu'}:{name}"
             findings.append(f)
     return findings

@@ -3,11 +3,13 @@ and a planted use-after-free in the runner teardown path must each yield
 EXACTLY the expected finding — and the clean paths zero findings."""
 from repro.analysis import racecheck_device
 from repro.analysis.driver import (
+    drop_corner_edge,
     racecheck_overlap_methods,
     sanitized_gpu_smoke,
     sanitized_multigpu_smoke,
 )
-from repro.dist.overlap import OverlapConfig, OverlapModel
+from repro.dist.overlap import OverlapModel, schedule_for
+from repro.optimeline import Overlap
 
 
 # ------------------------------------------------------------ clean paths
@@ -29,9 +31,8 @@ def test_seeded_missing_event_yields_exactly_one_race():
     the kernel-division schedule: one RACE01, on the right ops, streams
     and buffer — and recurring across all substeps as one deduped
     finding."""
-    cfg = OverlapConfig(seed_hazard="missing-event")
-    model = OverlapModel(config=cfg)
-    timeline = model.step_timeline()
+    model = OverlapModel()
+    timeline = model.run(drop_corner_edge(schedule_for(Overlap.ALL)))
     findings = racecheck_device(timeline.device)
 
     assert len(findings) == 1
@@ -49,9 +50,8 @@ def test_seeded_schedule_is_timing_identical():
     """The seed removes an ordering edge, not time: the single MPI engine
     still serializes the transfers, so the hazard is invisible to the
     clock — the exact class racecheck exists for."""
-    clean = OverlapModel(config=OverlapConfig()).step_timeline()
-    seeded = OverlapModel(
-        config=OverlapConfig(seed_hazard="missing-event")).step_timeline()
+    clean = OverlapModel().step_timeline()
+    seeded = OverlapModel().run(drop_corner_edge(schedule_for(Overlap.ALL)))
     assert seeded.makespan == clean.makespan
 
 
