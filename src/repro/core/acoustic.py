@@ -276,12 +276,20 @@ class AcousticStepper:
         self._dws = (_dz_center_from_faces(ctx.theta_wf * forcing.w_s, g)[sx, sy]
                      / geom.jac3[sx, sy])
         self._lib = native.kernels(np.float64)
-        self._args = self._lib and self._bind()
+        #: the compiled substep's operands, else ``None``; ``_unbound``
+        #: says why a loaded library could not take them
+        self._args = self._unbound = None
+        if self._lib is not None:
+            bound = self._bind()
+            if isinstance(bound, native.Unbound):
+                self._unbound = bound
+            else:
+                self._args = bound
 
-    def _bind(self) -> "_Args | None":
-        """The compiled substep's operands, or ``None`` unless every array
-        is a contiguous float64 of this grid's shapes (C only gets
-        addresses; stepper, context and per-thread scratch keep them)."""
+    def _bind(self) -> "_Args | native.Unbound":
+        """The compiled substep's operands, or why not: every array must be
+        a contiguous float64 of this grid's shapes (C only gets addresses;
+        stepper, context and per-thread scratch keep them)."""
         ctx, f, st, g, geom, s = (self.ctx, self.forcing, self.st, self.g,
                                   self.geom, self.s)
         staggered = (
@@ -304,13 +312,13 @@ class AcousticStepper:
         if self.beta < 1.0:             # else: no trapezoidal correction
             arrays.update(sub=self.helm.sub, diag=self.helm.diag,
                           sup=self.helm.sup)
+        shapes = {}
         for shape, named in staggered:
-            if any(a.shape != shape for a in named.values()):
-                return None
             arrays.update(named)
-        ptrs = native.pointers(np.float64, *arrays.values())
-        if ptrs is None:
-            return None
+            shapes.update(dict.fromkeys(named, shape))
+        ptrs = native.pointers(np.float64, arrays, shapes)
+        if isinstance(ptrs, native.Unbound):
+            return ptrs
         args = _Args(g.nxh, g.nyh, g.nz, g.halo, g.nx, g.ny, self.dtau,
                      self.beta, 1.0 - self.beta, (1.0 - self.beta) / self.beta,
                      self.div_damp, g.dx, g.dy, c.G)
@@ -349,6 +357,8 @@ class AcousticStepper:
         """One substep: compiled where a verified library is loaded and every
         operand is plain float64, else the NumPy chain — the same bytes."""
         if self._args is None:
+            if self._unbound is not None:
+                native.unbound("substeps", self._unbound)
             self._substep_numpy()
         else:
             self._substep_native()
@@ -356,8 +366,9 @@ class AcousticStepper:
         return list(ACOUSTIC_FIELDS)
 
     def _substep_native(self) -> None:
-        """csrc/acoustic.c's three segments around the two calls that stay
-        here: the terrain metric flux and the Helmholtz solve."""
+        """csrc/acoustic.c's three segments around the terrain metric flux
+        and the Helmholtz solve, whose compiled bodies (same file) are
+        reached through their own objects."""
         a, lib, st = self._args, self._lib, self.st
         pp, prev = self._pp[self._done % 2], self.pp_prev
         a.pp = pp.ctypes.data
@@ -509,14 +520,51 @@ class AcousticStepper:
 
 
 def native_check(lib) -> str:
-    """What differs between ``lib``'s compiled substep and the NumPy chain
-    ("" when nothing does): two substeps (the first has no damping history)
-    of one stage, flat grid and terrain."""
+    """What differs between ``lib``'s compiled acoustic bodies and their
+    NumPy twins ("" when nothing does): the terrain metric flux (``rhow``
+    given and ``None``; float64 and float32 momenta); the Thomas solve for
+    ``beta < 1`` and ``beta == 1`` on 81 columns (two blocks, a multiple of
+    no vector width) with signed zeros, infinities and NaN in the right-hand
+    side; two substeps (the first has no damping history) of one stage,
+    flat grid and terrain."""
+    from ..stencil.dycore import _helmholtz_solve, _same
     from ..stencil.executor import StencilExecutor, use_executor
+    from ..stencil.plan import PlanCache
     from .grid import make_grid
 
+    def both(fn, *args):
+        runs = []
+        for use in (lib, None):
+            with native.using(use):
+                runs.append(fn(*args))
+        return _same(*runs)
+
+    def hill(x, y):
+        return 40.0 + 30.0 * np.sin(x / 90.0 + y)
+
     wave = native.wave
-    for terrain in (None, lambda x, y: 40.0 + 30.0 * np.sin(x / 90.0 + y)):
+    g = make_grid(3, 3, 5, 100.0, 130.0, 500.0, terrain=hill)   # 9 x 9 columns
+    flux = MetricFlux(g)
+    for dtype in (np.float64, np.float32):
+        rhou, rhov, rhow = (wave(s, k, 3.0).astype(dtype) for s, k in (
+            (g.shape_u, 0.7), (g.shape_v, 1.9), (g.shape_w, 2.9)))
+        for w in (rhow, None):
+            if not both(flux, rhou, rhov, w):
+                return (f"metric flux, {np.dtype(dtype).name} momenta, rhow "
+                        f"{'None' if w is None else 'given'}")
+    plans = PlanCache()
+    for beta in (0.55, 1.0):
+        op = HelmholtzOperator(g, wave(g.shape_w, 2.6, 300.0),
+                               wave(g.shape_c, 0.9, 400.0), 0.2, beta)
+        rhs = wave(op.diag.shape, 1.7)
+        cols = rhs.reshape(-1, g.nz - 1)
+        cols[0], cols[1, ::2], cols[2, 1] = 0.0, -0.0, np.inf
+        cols[3, 2], cols[4, 0], cols[5, 3] = -np.inf, np.nan, -0.0
+        with np.errstate(all="ignore"):
+            if not both(_helmholtz_solve, plans, op, rhs):
+                return f"thomas solve, beta {beta}"
+
+    for terrain in (None, hill):
         g = make_grid(3, 2, 5, 100.0, 130.0, 500.0, terrain=terrain)
         base = State(g, wave(g.shape_c, 1.3, 2.0), wave(g.shape_u, 0.7),
                      wave(g.shape_v, 1.9), wave(g.shape_w, 2.9),

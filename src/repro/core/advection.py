@@ -21,8 +21,11 @@ garbage and must not be read).
 """
 from __future__ import annotations
 
+import ctypes
+
 import numpy as np
 
+from ..stencil import native
 from ..stencil.spec import stencil
 from .grid import Grid
 from .limiter import Limiter, koren
@@ -153,14 +156,24 @@ def contravariant_mass_flux_w(
     return out
 
 
+class _MetricArgs(ctypes.Structure):
+    """``metric_args`` of stencil/csrc/acoustic.c, field for field."""
+
+    _fields_ = ([(n, ctypes.c_long) for n in ("nxh", "nyh", "nz")]
+                + [(n, ctypes.c_void_p) for n in (
+                    "jac jac_u jac_v dzsdx_u dzsdy_v decay_f rows").split()])
+
+
 class MetricFlux:
-    """:func:`contravariant_mass_flux_w` on one grid, byte for byte, with
-    everything the grid alone decides done once: the 2-D metric arrays
-    are broadcast to contiguous 3-D operands (against a stride-0 operand
-    a ufunc runs one short inner loop per column) and the temporaries of
-    the ``out=`` chain are allocated here.  Float64 like the metrics, so
-    float32 momenta are rounded where the oracle rounds them: on the
-    store into the result."""
+    """:func:`contravariant_mass_flux_w` on one grid, byte for byte: one
+    compiled call where a verified library is loaded (csrc/acoustic.c,
+    ``acoustic_metric_flux``), else the ``out=`` chain below, its twin and
+    load-time reference.  For the chain everything the grid alone decides
+    is done once: the 2-D metric arrays are broadcast to contiguous 3-D
+    operands (against a stride-0 operand a ufunc runs one short inner loop
+    per column) and the temporaries are allocated here.  Float64 like the
+    metrics, so float32 momenta are rounded where the oracle rounds them:
+    on the store into the result."""
 
     def __init__(self, grid: Grid):
         self.grid = grid
@@ -171,6 +184,9 @@ class MetricFlux:
                 np.broadcast_to(a[:, :, None], a.shape + (n,)))
 
         self.jac = deep(grid.jac, nz - 1)
+        # the compiled body's operands: 2-D metrics and four short rows
+        metrics = dict(jac=grid.jac, decay_f=grid.decay_f,
+                       rows=np.empty(4 * (nyh + 1) * (nz + 1)))
         if not grid.is_flat():
             self.jac_u, self.dzsdx_u = deep(grid.jac_u, nz), deep(grid.dzsdx_u, nz)
             self.jac_v, self.dzsdy_v = deep(grid.jac_v, nz), deep(grid.dzsdy_v, nz)
@@ -181,17 +197,53 @@ class MetricFlux:
             # interior-face-shaped scratch on the second cell buffer
             self._k = self._c[1].reshape(-1)[:self.jac.size].reshape(
                 self.jac.shape)
+            metrics.update(jac_u=grid.jac_u, jac_v=grid.jac_v,
+                           dzsdx_u=grid.dzsdx_u, dzsdy_v=grid.dzsdy_v)
+        #: the compiled body's grid operands, else ``None`` and
+        #: ``_unbound`` says why a library could not take them
+        self._args = self._unbound = None
+        bound = native.pointers(np.float64, metrics)
+        if isinstance(bound, native.Unbound):
+            self._unbound = bound
+        else:
+            self._args = _MetricArgs(nxh, nyh, nz, **dict(zip(metrics, bound)))
+            self._rows = metrics["rows"]
+
+    def _momenta(self, rhou, rhov, rhow, dtype) -> "list | native.Unbound":
+        """Addresses of the momenta (``None`` for an absent ``rhow``), or
+        why the compiled body cannot take them."""
+        if self._args is None:
+            return self._unbound
+        g, named = self.grid, dict(rhou=rhou, rhov=rhov)
+        if rhow is not None:
+            named["rhow"] = rhow
+        ptrs = native.pointers(
+            np.float32 if dtype == np.float32 else np.float64, named,
+            dict(rhou=g.shape_u, rhov=g.shape_v, rhow=g.shape_w))
+        if isinstance(ptrs, native.Unbound) or rhow is not None:
+            return ptrs
+        return ptrs + [None]
 
     def __call__(self, rhou: np.ndarray, rhov: np.ndarray,
                  rhow: np.ndarray | None = None) -> np.ndarray:
         """``G rho u^3`` at w faces; ``rhow=None`` is an all-``+0.0``
         ``rhow`` (the metric part alone), which need not be divided."""
-        out = np.zeros(self.grid.shape_w,
-                       dtype=rhou.dtype if rhow is None else rhow.dtype)
+        g = self.grid
+        dtype = rhou.dtype if rhow is None else rhow.dtype
+        lib = native.kernels(np.float64)
+        if lib is not None:
+            ptrs = self._momenta(rhou, rhov, rhow, dtype)
+            if not isinstance(ptrs, native.Unbound):
+                out = np.empty(g.shape_w, dtype)
+                lib.metric_flux(ctypes.byref(self._args), dtype == np.float32,
+                                *ptrs, out.ctypes.data)
+                return out
+            native.unbound("metric fluxes", ptrs)
+        out = np.zeros(g.shape_w, dtype=dtype)
         mid = out[:, :, 1:-1]
         if rhow is not None:
             np.divide(rhow[:, :, 1:-1], self.jac, out=mid)
-        if not self.grid.is_flat():
+        if not g.is_flat():
             ax, ay, (ax_c, ay_c), k = self._u, self._v, self._c, self._k
             np.divide(rhou, self.jac_u, out=ax)
             np.multiply(ax, self.dzsdx_u, out=ax)

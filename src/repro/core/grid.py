@@ -106,6 +106,11 @@ class Grid:
             self.decay_c = 1.0 - self.z_c / self.ztop
         if self.decay_f is None:
             self.decay_f = 1.0 - self.z_f / self.ztop
+        # C-contiguous by construction: a compiled body takes addresses, and
+        # a subgrid is built from strided slices of the global arrays (a
+        # copy of the same bytes; an array that already is one is kept)
+        for name in ("zs", "jac", "jac_u", "jac_v", "dzsdx_u", "dzsdy_v"):
+            setattr(self, name, np.ascontiguousarray(getattr(self, name)))
         # the terrain is fixed once the grid is built; kernels ask every call
         self._flat = bool(np.all(self.zs == 0.0))
 

@@ -169,7 +169,8 @@ def _block_sizes(n: int, p: int) -> np.ndarray:
 def make_subgrid(global_grid: Grid, sub: Subdomain) -> Grid:
     """Local grid of one rank, with geometry arrays *sliced* from the
     global grid so that distributed arithmetic is bit-identical to the
-    single-domain run (halo regions carry the true neighbor geometry)."""
+    single-domain run (halo regions carry the true neighbor geometry).
+    The :class:`Grid` keeps contiguous copies of the slices."""
     g = global_grid
     h = g.halo
     # global arrays span [0, nx + 2h); local interior [x0, x0+nxl) maps to

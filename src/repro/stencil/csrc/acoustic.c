@@ -1,13 +1,14 @@
 /* One HE-VI acoustic substep (repro/core/acoustic.py), as three segments
- * around the two calls that stay in Python: the terrain metric flux
- * (between momentum and rhs) and the Helmholtz solve (between rhs and
- * update).  Float64 like AcousticScratch.  Every expression mirrors one
- * ufunc call of the NumPy chain in AcousticStepper._substep_numpy, in its
- * order, so the fields come out the same bytes; see advect.c for the
- * rules.  The struct is repro.core.acoustic._Args, field for field.
- * Not cloned per ISA: these loops wait on memory (and on the Thomas solve
- * between them), a 48x48x24 substep read 1.40 / 1.49 / 1.57 ms as SSE2 /
- * AVX2 / AVX-512, and three clones doubled the build.
+ * around two calls made from Python, each compiled here too: the terrain
+ * metric flux (between momentum and rhs; acoustic_metric_flux) and the
+ * Helmholtz solve (between rhs and update; acoustic_thomas).  Float64 like
+ * AcousticScratch.  Every expression mirrors one ufunc call of the NumPy
+ * chain in AcousticStepper._substep_numpy, in its order, so the fields
+ * come out the same bytes; see advect.c for the rules.  The struct is
+ * repro.core.acoustic._Args, field for field.
+ * Not cloned per ISA: these loops wait on memory, a 48x48x24 substep read
+ * 1.40 / 1.49 / 1.57 ms as SSE2 / AVX2 / AVX-512, and three clones doubled
+ * the build.
  */
 typedef struct {
     long nxh, nyh, nz, h, nx, ny;
@@ -177,4 +178,139 @@ void acoustic_update(const acoustic_args *restrict a)
                     - dtau * ((tw[k + 1] - tw[k]) / a->dz_c[k]) / a->jac[c];
             }
         }
+}
+
+/* ---- G rho u^3 at the w faces: repro.core.advection.MetricFlux's out=
+ * chain, one x row at a time.  The metrics are float64; the momenta are
+ * float64 or (f32) float32, widened row by row, and a float32 result is
+ * rounded where the chain's out= rounds it: after the rhow division and on
+ * the store.  jac_u == NULL on a flat grid (no metric term), rhow == NULL
+ * for the metric part alone (an all +0.0 rhow).  The struct is
+ * repro.core.advection._MetricArgs. */
+typedef struct {
+    long nxh, nyh, nz;
+    const double *jac, *jac_u, *jac_v, *dzsdx_u, *dzsdy_v, *decay_f;
+    double *rows;               /* scratch: 4 (nyh + 1) (nz + 1) */
+} metric_args;
+
+/* dst[0, n) = p[i, i + n) as double, p float32 (f32) or float64.  The two
+ * helpers are out of line: inlined at their three call sites they cost
+ * 0.04 s of build and nothing measurable at run time. */
+static __attribute__((noinline)) void widen(double *restrict dst, const void *p, int f32, long i,
+                  long n)
+{
+    if (f32)
+        for (long j = 0; j < n; j++)
+            dst[j] = ((const float *)p)[i + j];
+    else
+        for (long j = 0; j < n; j++)
+            dst[j] = ((const double *)p)[i + j];
+}
+
+/* the metric term of one row of u (v) faces, in place: m / jac * dzs */
+static __attribute__((noinline)) void face_terms(double *restrict t, const double *restrict jac,
+                       const double *restrict dzs, long ncol, long nz)
+{
+    for (long c = 0; c < ncol; c++)
+        for (long k = 0; k < nz; k++)
+            t[c * nz + k] = t[c * nz + k] / jac[c] * dzs[c];
+}
+
+void acoustic_metric_flux(const metric_args *restrict a, int f32,
+                          const void *rhou, const void *rhov,
+                          const void *rhow, void *out)
+{
+    const long nyh = a->nyh, nz = a->nz, nw = nz + 1;
+    const long rv = (nyh + 1) * nz, rw = nyh * nw;
+    /* the u-face terms of rows x and x + 1, the v-face terms of row x, the
+     * result row (in place when float64) and the horizontal column sum */
+    double *axp = a->rows, *axn = axp + rv, *ay = axn + rv;
+    double *m = ay + rv, *hz = m + rw;
+
+    for (long x = -1; x < a->nxh; x++) {
+        if (a->jac_u) {
+            const long f = (x + 1) * nyh;
+            widen(axn, rhou, f32, f * nz, nyh * nz);
+            face_terms(axn, a->jac_u + f, a->dzsdx_u + f, nyh, nz);
+        }
+        double *t = axp; axp = axn; axn = t;
+        if (x < 0)
+            continue;
+        double *o = f32 ? m : (double *)out + x * rw;
+        if (rhow) {
+            widen(o, rhow, f32, x * rw, rw);
+            for (long c = 0; c < nyh; c++)
+                for (long k = 1; k < nz; k++)
+                    o[c * nw + k] = o[c * nw + k] / a->jac[x * nyh + c];
+            if (f32)
+                for (long i = 0; i < rw; i++)
+                    o[i] = (float)o[i];
+        } else {
+            for (long i = 0; i < rw; i++)
+                o[i] = 0.0;
+        }
+        if (a->jac_u) {
+            const long f = x * (nyh + 1);
+            widen(ay, rhov, f32, f * nz, rv);
+            face_terms(ay, a->jac_v + f, a->dzsdy_v + f, nyh + 1, nz);
+            for (long c = 0; c < nyh; c++) {
+                /* axp is row x + 1 now, axn row x */
+                for (long k = 0; k < nz; k++)
+                    hz[k] = 0.5 * (axp[c * nz + k] + axn[c * nz + k])
+                        + 0.5 * (ay[(c + 1) * nz + k] + ay[c * nz + k]);
+                for (long k = 1; k < nz; k++)
+                    o[c * nw + k] = o[c * nw + k]
+                        - 0.5 * (hz[k] + hz[k - 1]) * a->decay_f[k];
+            }
+        }
+        for (long c = 0; c < nyh; c++)
+            o[c * nw] = o[c * nw + nz] = 0.0;
+        if (f32)
+            for (long i = 0; i < rw; i++)
+                ((float *)out)[x * rw + i] = (float)o[i];
+    }
+}
+
+/* ---- the Thomas solve of repro.stencil.dycore._helmholtz_solve, marching
+ * in k with the columns innermost: ncol columns of n unknowns, the
+ * forward-elimination factors sub / cp / den k-leading (n x ncol), rhs
+ * column-leading (ncol x n), w the (ncol x n + 2) result with zero end
+ * faces.  Blocks of bc columns are transposed into dp (n x bc) and back;
+ * the divisions are kept (a reciprocal would round twice).  Not cloned:
+ * 2916 columns x 23 levels read 178 us plain and 193-197 us with the
+ * three clones (the divider does as many elements per cycle at any width). */
+void acoustic_thomas(long ncol, long n, long bc, const double *restrict sub,
+                     const double *restrict cp, const double *restrict den,
+                     const double *restrict rhs, double *restrict w,
+                     double *restrict dp)
+{
+    for (long c0 = 0; c0 < ncol; c0 += bc) {
+        const long nb = ncol - c0 < bc ? ncol - c0 : bc;
+        for (long j = 0; j < nb; j++)
+            for (long k = 0; k < n; k++)
+                dp[k * bc + j] = rhs[(c0 + j) * n + k];
+        for (long j = 0; j < nb; j++)
+            dp[j] = dp[j] / den[c0 + j];
+        for (long k = 1; k < n; k++) {
+            double *restrict d = dp + k * bc;
+            const double *restrict dm = d - bc;
+            const double *s = sub + k * ncol + c0, *e = den + k * ncol + c0;
+            for (long j = 0; j < nb; j++)
+                d[j] = (d[j] - s[j] * dm[j]) / e[j];
+        }
+        for (long k = n - 2; k >= 0; k--) {
+            double *restrict d = dp + k * bc;
+            const double *restrict dn = d + bc;
+            const double *q = cp + k * ncol + c0;
+            for (long j = 0; j < nb; j++)
+                d[j] = d[j] - q[j] * dn[j];
+        }
+        for (long j = 0; j < nb; j++) {
+            double *o = w + (c0 + j) * (n + 2);
+            o[0] = 0.0;
+            for (long k = 0; k < n; k++)
+                o[k + 1] = dp[k * bc + j];
+            o[n + 1] = 0.0;
+        }
+    }
 }

@@ -182,14 +182,16 @@ def _advect(plans, variant, p, flux, grid, xsl, ysl, fill_x, fill_y, fill_z,
     if sw.lib is not None:
         # _covers vouched for dtypes and shapes; the scratch is this
         # thread's plan (ctypes releases the GIL)
-        ptrs = native.pointers(
-            p.dtype, sw.p, *map(np.ascontiguousarray, flux), out,
-            grid.dz_f if variant == _W else grid.dz_c, pl.arena)
-        if ptrs:
+        fx, fy, fz = map(np.ascontiguousarray, flux)
+        ptrs = native.pointers(p.dtype, dict(
+            p=sw.p, fx=fx, fy=fy, fz=fz, out=out,
+            dz=grid.dz_f if variant == _W else grid.dz_c, scratch=pl.arena))
+        if not isinstance(ptrs, native.Unbound):
             sw.lib.advect(variant, *ptrs[:5], *grid.shape_c[1:], xsl.start,
                           xsl.stop, ysl.start, ysl.stop, grid.dx, grid.dy,
                           *ptrs[5:])
             return out
+        native.unbound("advections", ptrs)
     for x0 in range(xsl.start, xsl.stop, pl.rows):
         x1 = min(x0 + pl.rows, xsl.stop)
         nb, n = x1 - x0, (x1 - x0) * row
@@ -454,6 +456,11 @@ def _factor(op):
     return fac
 
 
+#: columns of one compiled Thomas block (its n x THOMAS_BLOCK elimination
+#: buffer stays in L1 for the n of every workload here)
+THOMAS_BLOCK = 64
+
+
 @register_fused("helmholtz_solve")
 def _helmholtz_solve(plans, op, rhs_interior):
     rhs = rhs_interior
@@ -462,7 +469,19 @@ def _helmholtz_solve(plans, op, rhs_interior):
     sub, cp, den = _factor(op)
     n, ncol = den.shape
     pl = plans(op.grid.shape_c, rhs.dtype)
-    w = np.zeros(rhs.shape[:2] + (op.grid.nz + 1,), rhs.dtype)
+    shape = rhs.shape[:2] + (op.grid.nz + 1,)
+    lib = native.kernels(np.float64)
+    if lib is not None:
+        # one compiled call; the factors are ours, k-leading and contiguous
+        bc = min(ncol, THOMAS_BLOCK, pl.arena.size // n)
+        w = np.empty(shape, rhs.dtype)
+        ptrs = native.pointers(np.float64, dict(
+            sub=sub, cp=cp, den=den, rhs=rhs, w=w, scratch=pl.arena))
+        if not isinstance(ptrs, native.Unbound):
+            lib.thomas(ncol, n, bc, *ptrs)
+            return w
+        native.unbound("solves", ptrs)
+    w = np.zeros(shape, rhs.dtype)
     r2, w2 = rhs.reshape(ncol, n), w.reshape(ncol, op.grid.nz + 1)
     # all but the last buffer hold the transposed columns of one block,
     # the last one a level's worth of products

@@ -9,7 +9,10 @@ machine)* hash in the user's cache directory, loaded through
 its planned NumPy twin byte for byte on a fixed battery (``native_check``
 of :mod:`repro.stencil.dycore` and :mod:`repro.core.acoustic`); every
 other outcome is one of four typed, counted reasons and ends on the NumPy
-bodies — never on a different field.  docs/STENCILS.md "Compiled bodies".
+bodies — never on a different field.  A loaded library whose body cannot
+take one call's operands is a per-call fact, not a fifth outcome: that
+call runs the NumPy body and :func:`unbound` counts it, by reason.
+docs/STENCILS.md "Compiled bodies".
 """
 from __future__ import annotations
 
@@ -30,8 +33,8 @@ from types import SimpleNamespace
 
 import numpy as np
 
-__all__ = ["FLAGS", "CLONES", "STATES", "Native", "load", "library",
-           "kernels", "pointers", "using"]
+__all__ = ["FLAGS", "CLONES", "STATES", "Native", "Unbound", "load",
+           "library", "kernels", "pointers", "unbound", "using"]
 
 #: value-preserving only: no contraction, no reassociation, no -march (the
 #: cache may be shared between hosts; the clones pick the ISA at load time)
@@ -43,6 +46,11 @@ STATES = ("loaded", "no-compiler", "build-failed", "cache-unwritable",
           "self-check-failed")
 #: how every :func:`load` of this process ended, by state
 COUNTS: Counter = Counter()
+#: this process's NumPy calls of a body a loaded library could not take,
+#: by ``(body, reason)`` (:func:`unbound`; per process like :data:`COUNTS`,
+#: so that ``repro doctor``'s host line carries it too)
+UNBOUND: Counter = Counter()
+_UNBOUND_LOCK = threading.Lock()
 
 _PTR, _LONG = ctypes.c_void_p, ctypes.c_long
 
@@ -63,13 +71,17 @@ class Native:
     build_s: float = 0.0
     load_s: float = 0.0
     #: ``faces`` / ``advect`` per width; f64 also has the substep's three
+    #: segments, ``metric_flux`` and ``thomas``
     f64: SimpleNamespace | None = field(default=None, repr=False)
     f32: SimpleNamespace | None = field(default=None, repr=False)
 
     def stats(self) -> dict:
+        unbound: dict = {}
+        for (body, why), n in sorted(UNBOUND.items()):
+            unbound.setdefault(body, {})[why] = n
         return {"state": self.state, "detail": self.detail,
                 "hash": self.hash, "clones": list(self.clones),
-                "build_s": round(self.build_s, 3)}
+                "build_s": round(self.build_s, 3), "unbound": unbound}
 
     def report(self) -> str:
         text = f"native[{self.state}]"
@@ -77,7 +89,29 @@ class Native:
             text += (f": {self.hash} clones {','.join(self.clones) or '-'}"
                      f" build {self.build_s:.2f} s load "
                      f"{self.load_s * 1e3:.1f} ms")
-        return text + (f" ({self.detail})" if self.detail else "")
+        text += f" ({self.detail})" if self.detail else ""
+        return "; ".join([text] + [f"{n} {body} on NumPy ({why})" for
+                                   (body, why), n in sorted(UNBOUND.items())])
+
+
+@dataclass(frozen=True)
+class Unbound:
+    """Why a loaded library's body could not take one call's operands: the
+    first one that is not a C-contiguous exact ndarray of the body's dtype
+    and shape (``jac not C-contiguous``, ``rhou float32``)."""
+
+    operand: str
+    fact: str
+
+    def __str__(self) -> str:
+        return f"unbound: {self.operand} {self.fact}"
+
+
+def unbound(body: str, why: Unbound) -> None:
+    """Count one call of ``body`` (plural: ``"substeps"``) that ran on
+    NumPy although a library is loaded (stepping threads count too)."""
+    with _UNBOUND_LOCK:
+        UNBOUND[body, f"{why.operand} {why.fact}"] += 1
 
 
 # ------------------------------------------------------------------ build
@@ -191,8 +225,12 @@ def _bind(dll: ctypes.CDLL) -> dict:
             faces=fn(f"faces_{tag}", _PTR, _LONG, _PTR, _PTR, _LONG),
             advect=fn(f"advect_{tag}", ctypes.c_int, *[_PTR] * 5,
                       *[_LONG] * 6, real, real, _PTR, _PTR))
-    for name in ("momentum", "rhs", "update"):      # float64 only
-        setattr(out["f64"], name, fn(f"acoustic_{name}", _PTR))
+    f64 = out["f64"]                                # acoustic.c: float64 only
+    for name in ("momentum", "rhs", "update"):
+        setattr(f64, name, fn(f"acoustic_{name}", _PTR))
+    f64.metric_flux = fn("acoustic_metric_flux", _PTR, ctypes.c_int,
+                         *[_PTR] * 4)
+    f64.thomas = fn("acoustic_thomas", *[_LONG] * 3, *[_PTR] * 6)
     dll.repro_clones.restype = ctypes.c_char_p
     out["clones"] = tuple(dll.repro_clones().decode().split(","))
     return out
@@ -268,8 +306,7 @@ def kernels(dtype) -> SimpleNamespace | None:
     question a body asks before it takes its compiled branch."""
     lib = _FORCED.get()
     lib = library() if lib is _UNSET else lib   # not loaded: f64 = f32 = None
-    return lib and {"float64": lib.f64,
-                    "float32": lib.f32}.get(np.dtype(dtype).name)
+    return lib and {"d": lib.f64, "f": lib.f32}.get(np.dtype(dtype).char)
 
 
 def wave(shape, k: float, mean: float = 0.0) -> np.ndarray:
@@ -277,11 +314,19 @@ def wave(shape, k: float, mean: float = 0.0) -> np.ndarray:
     return mean + np.sin(np.arange(np.prod(shape)) * k).reshape(shape)
 
 
-def pointers(dtype, *arrays) -> list | None:
-    """Addresses of ``arrays`` (the caller keeps them alive), or ``None``
-    unless every one is a C-contiguous exact ndarray of ``dtype``."""
-    dtype = np.dtype(dtype)
-    if all(type(a) is np.ndarray and a.dtype == dtype
-           and a.flags.c_contiguous for a in arrays):
-        return [a.ctypes.data for a in arrays]
-    return None
+def pointers(dtype, arrays: dict, shapes: dict | None = None
+             ) -> "list | Unbound":
+    """Addresses of the named ``arrays`` (the caller keeps them alive), or
+    the :class:`Unbound` of the first one that is not a C-contiguous exact
+    ndarray of ``dtype`` (and of its shape in ``shapes``, where named)."""
+    dtype, shapes = np.dtype(dtype), shapes or {}
+    for name, a in arrays.items():
+        if type(a) is not np.ndarray:
+            return Unbound(name, f"a {type(a).__name__}")
+        if a.dtype != dtype:
+            return Unbound(name, a.dtype.name)
+        if name in shapes and a.shape != shapes[name]:
+            return Unbound(name, f"shape {a.shape}")
+        if not a.flags.c_contiguous:
+            return Unbound(name, "not C-contiguous")
+    return [a.ctypes.data for a in arrays.values()]

@@ -1,6 +1,7 @@
 """Tests of the 2-D decomposition and the Table I mesh law."""
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.dist.decomposition import (
     TABLE1_CONFIGS,
@@ -102,3 +103,32 @@ def test_make_subgrid_slices_geometry():
                          sub.y0 : sub.y0 + sub.ny + 2 * h],
         )
         assert not loc.periodic_x and not loc.periodic_y
+
+
+#: the 2-D metric arrays of a Grid and their extra (u-face, v-face) extent
+_METRICS = {"zs": (0, 0), "jac": (0, 0), "jac_u": (1, 0), "jac_v": (0, 1),
+            "dzsdx_u": (1, 0), "dzsdy_v": (0, 1)}
+
+
+@settings(max_examples=40, deadline=None)
+@given(px=st.integers(1, 3), py=st.integers(1, 3), terrain=st.booleans(),
+       halo=st.sampled_from([2, 3]), extra=st.tuples(st.integers(0, 4),
+                                                     st.integers(0, 4)))
+def test_subgrid_metrics_are_contiguous_copies_of_the_global_slices(
+        px, py, terrain, halo, extra):
+    """A compiled body takes addresses: every rank's 2-D metrics are
+    C-contiguous (they were strided views of the global arrays, and every
+    rank's substep silently ran on NumPy) and hold the bytes of the global
+    slice, which is what keeps decomposed == single-domain."""
+    nx, ny = 3 * px + extra[0], 3 * py + extra[1]
+    hill = bell_mountain(height=300.0, half_width=500.0, x0=900.0, y0=700.0)
+    g = make_grid(nx, ny, 4, 100.0, 120.0, 4000.0, halo=halo,
+                  terrain=hill if terrain else None)
+    for sub in decompose(nx, ny, px, py):
+        loc = make_subgrid(g, sub)
+        for name, (ex, ey) in _METRICS.items():
+            got = getattr(loc, name)
+            want = getattr(g, name)[sub.x0:sub.x0 + sub.nx + 2 * halo + ex,
+                                    sub.y0:sub.y0 + sub.ny + 2 * halo + ey]
+            assert got.flags.c_contiguous, name
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()

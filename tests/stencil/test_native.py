@@ -12,6 +12,7 @@ import stat
 import subprocess
 import sys
 import textwrap
+from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
@@ -23,12 +24,14 @@ from repro.core import advection as adv
 from repro.core.acoustic import ACOUSTIC_FIELDS, AcousticStepper, build_context
 from repro.core.boundary import fill_halos_state
 from repro.core.grid import make_grid
+from repro.core.helmholtz import HelmholtzOperator, helmholtz_solve
 from repro.core.limiter import koren
 from repro.core.pressure import eos_pressure
 from repro.core.reference import make_reference_state
 from repro.core.rk3 import DynamicsConfig, slow_tendencies
 from repro.core.state import state_from_reference
-from repro.stencil import StencilExecutor, load_dycore_specs, native
+from repro.stencil import (StencilExecutor, load_dycore_specs, native,
+                           use_executor)
 from repro.stencil.plan import PlanCache
 from repro.stencil.spec import FUSED_IMPLS
 from repro.workloads.sounding import constant_stability_sounding
@@ -203,14 +206,149 @@ def test_substep_compiled_equals_numpy_chain(terrain, div_damp, beta):
 
 
 @needs_library
-def test_substep_declines_operands_it_cannot_take_by_address():
-    """A float32 state, or a field of another grid's shape, runs the NumPy
-    chain (which rounds, or raises, as it always did)."""
+def test_substep_declines_operands_it_cannot_take_by_address(monkeypatch):
+    """A float32 state, a field of another grid's shape or a strided one
+    runs the NumPy chain (which rounds, or raises, as it always did), and
+    says so: a typed reason naming the first operand, counted per substep
+    and printed by the executor's report."""
     base, forcing, ctx, ref = _stage(False, np.float32)
-    assert AcousticStepper(base, forcing, ctx, ref, 2.0, 3)._args is None
+    stepper = AcousticStepper(base, forcing, ctx, ref, 2.0, 3)
+    assert stepper._args is None
+    assert str(stepper._unbound) == "unbound: rho float32"
+    monkeypatch.setattr(native, "UNBOUND", Counter())
+    stepper.substep()
+    assert native.UNBOUND == Counter({("substeps", "rho float32"): 1})
+    assert "; 1 substeps on NumPy (rho float32)" in \
+        StencilExecutor("fused").report()
     base, forcing, ctx, ref = _stage(False)
     forcing.r_u = forcing.r_u[:-1]
-    assert AcousticStepper(base, forcing, ctx, ref, 2.0, 3)._args is None
+    stepper = AcousticStepper(base, forcing, ctx, ref, 2.0, 3)
+    assert stepper._args is None
+    assert stepper._unbound == native.Unbound("r_u", f"shape {forcing.r_u.shape}")
+    base, forcing, ctx, ref = _stage(True)
+    ctx.grid.jac = ctx.grid.jac.T.copy().T          # the bug: a strided view
+    assert str(AcousticStepper(base, forcing, ctx, ref, 2.0, 3)._unbound) == \
+        "unbound: jac not C-contiguous"
+    with native.using(None):                    # no library: nothing declined
+        assert AcousticStepper(base, forcing, ctx, ref, 2.0, 3)._unbound is None
+
+
+# --------------------- (b2) the metric flux and the Thomas solve, three ways
+def _hill(x, y):
+    return 200.0 + 150.0 * np.sin(x / 700.0) * np.cos(y / 900.0)
+
+
+@needs_library
+@SETTINGS
+@given(nx=st.integers(1, 9), ny=st.integers(1, 7), nz=st.integers(2, 7),
+       halo=st.sampled_from([2, 3]), terrain=st.booleans(),
+       dtype=st.sampled_from([np.float64, np.float32]),
+       rhow_given=st.booleans(), kind=st.sampled_from(KINDS),
+       strided=st.booleans(), seed=st.integers(0, 2 ** 16))
+def test_metric_flux_compiled_planned_oracle(nx, ny, nz, halo, terrain, dtype,
+                                             rhow_given, kind, strided, seed):
+    """One object, both call sites (the substep's ``m_now``, the slow
+    tendencies' ``fz`` / ``m_s``): compiled == the out= chain == the oracle,
+    float32 momenta rounded on the store; a strided momentum is declined
+    with its reason and runs the chain."""
+    rng = np.random.default_rng(seed)
+    g = make_grid(nx, ny, nz, 100.0, 130.0, 400.0 * nz, halo=halo,
+                  terrain=_hill if terrain else None)
+    rhou, rhov, rhow = (_fill(rng, kind, s, dtype)
+                        for s in (g.shape_u, g.shape_v, g.shape_w))
+    if strided:
+        rhov = _strided(rhov)
+    w = rhow if rhow_given else None
+    flux = adv.MetricFlux(g)
+    before = Counter(native.UNBOUND)
+    compiled, chain = [], []
+    for lib, out in ((LIB, compiled), (None, chain)):
+        with native.using(lib):
+            out.append(flux(rhou, rhov, w))
+    declined = native.UNBOUND - before
+    assert declined == (Counter({("metric fluxes", "rhov not C-contiguous"): 1})
+                        if strided else Counter())
+    oracle = adv.contravariant_mass_flux_w(
+        rhou, rhov, rhow if rhow_given else np.zeros(g.shape_w, dtype), g)
+    _same_bytes("metric_flux", compiled[0], chain[0])
+    _same_bytes("metric_flux", compiled[0], oracle)
+
+
+def _operator(rng, nx, ny, nz, beta):
+    g = make_grid(nx, ny, nz, 100.0, 100.0, 100.0 * nz)
+    return HelmholtzOperator(
+        g, np.abs(rng.normal(size=g.shape_w)) + 280.0,
+        np.abs(rng.normal(size=g.shape_c)) * 50.0 + 350.0, 0.05, beta)
+
+
+@needs_library
+@SETTINGS
+@given(nx=st.integers(1, 12), ny=st.integers(1, 9), nz=st.integers(2, 12),
+       beta=st.sampled_from([0.55, 1.0]), kind=st.sampled_from(KINDS),
+       bad=st.sampled_from([None, np.nan, np.inf, -np.inf]),
+       seed=st.integers(0, 2 ** 16))
+def test_thomas_solve_compiled_planned_oracle(nx, ny, nz, beta, kind, bad,
+                                              seed):
+    """Columns innermost over any column count (blocks of 64 and a
+    remainder, a multiple of no vector width), both off-centerings, signed
+    zeros and non-finite right-hand sides; NaN payloads exempt."""
+    rng = np.random.default_rng(seed)
+    op = _operator(rng, nx, ny, nz, beta)
+    rhs = _fill(rng, kind, op.diag.shape, np.float64)
+    if bad is not None:
+        rhs.flat[rng.integers(0, rhs.size, size=3)] = bad
+    with np.errstate(all="ignore"):
+        compiled, planned = _both("helmholtz_solve", op, rhs)
+        oracle = _oracle(helmholtz_solve, op, rhs)
+    for got in (planned, oracle):
+        assert np.array_equal(np.isnan(compiled), np.isnan(got))
+        _same_bytes("helmholtz_solve", np.where(np.isnan(compiled), 0.0, compiled),
+                    np.where(np.isnan(got), 0.0, got))
+
+
+@needs_library
+def test_the_substep_reaches_no_numpy_chain(monkeypatch):
+    """With a library loaded, a terrain substep runs neither the metric
+    flux's out= chain nor the planned NumPy Thomas solve."""
+    base, forcing, ctx, ref = _stage(True)
+    with use_executor(StencilExecutor("fused")):
+        stepper = AcousticStepper(base, forcing, ctx, ref, 2.0, 3)
+        assert stepper._args is not None
+        stepper.substep()               # factors the operator (NumPy, once)
+        for name in ("divide", "subtract"):     # both chains' first ufuncs
+            monkeypatch.setattr(np, name, lambda *a, **k: pytest.fail(name))
+        stepper.substep()
+        stepper.substep()
+
+
+@needs_library
+@pytest.mark.parametrize("workload, ranks", [
+    ("real-case", (2, 2)), ("warm-bubble", (2, 2)), ("warm-bubble", (3, 1))])
+def test_every_rank_runs_the_compiled_substep(workload, ranks, monkeypatch):
+    """A rank's grid is built from slices of the global one; its metrics
+    used to be strided views, so every rank's substep took the NumPy chain,
+    silently.  Now no substep, advection, metric flux or solve of a
+    decomposed run declines, and the rank states are the NumPy bodies'
+    bytes."""
+    numpy_substeps = []
+    chain = AcousticStepper._substep_numpy
+    monkeypatch.setattr(AcousticStepper, "_substep_numpy", lambda self: (
+        numpy_substeps.append(self), chain(self)))
+    spec = RunSpec(workload, nx=16, ny=12, nz=8, steps=2, backend="multigpu",
+                   ranks=ranks)
+    states = {}
+    for lib in (LIB, None):
+        before = Counter(native.UNBOUND)
+        with native.using(lib):
+            exp = Experiment(spec).prepare()
+            exp.run()
+        assert bool(numpy_substeps) == (lib is None), \
+            f"{workload}: {len(numpy_substeps)} substeps on NumPy"
+        assert native.UNBOUND - before == Counter()
+        states[lib is None] = [np.ascontiguousarray(st.get(n)).tobytes()
+                               for st in exp.rank_states
+                               for n in st.prognostic_names()]
+    assert states[False] == states[True]
 
 
 # ------------------------------------------------ (c) without a compiler
@@ -259,6 +397,25 @@ def test_swapped_minimum_is_rejected_at_load(tmp_path, monkeypatch):
     assert native.COUNTS["self-check-failed"] == before + 1
     with native.using(lib):                     # a rejected library is no library
         assert native.kernels(np.float64) is None
+
+
+@needs_library
+@pytest.mark.parametrize("body, old, new", [
+    ("metric flux", "t[c * nz + k] / jac[c] * dzs[c]",
+     "t[c * nz + k] * dzs[c] / jac[c]"),
+    ("thomas solve", "d[j] = (d[j] - s[j] * dm[j]) / e[j];",
+     "d[j] = (d[j] - s[j] * dm[j]) * (1.0 / e[j]);")])
+def test_a_reordered_acoustic_body_is_rejected_at_load(body, old, new,
+                                                       tmp_path, monkeypatch):
+    """Dividing before multiplying, or by a reciprocal, rounds differently:
+    the load-time battery reaches both new bodies on their own."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    sources = native.read_sources()
+    assert old in sources["acoustic.c"]
+    sources["acoustic.c"] = sources["acoustic.c"].replace(old, new)
+    lib = native.load(sources)
+    assert lib.state == "self-check-failed" and lib.detail.startswith(body)
+    assert lib.f64 is None
 
 
 @needs_library
@@ -350,14 +507,22 @@ def test_a_planted_symlink_is_not_a_cache_directory(tmp_path, monkeypatch):
 
 
 # ------------------------------------------------------- observability
-def test_executor_stats_and_report_carry_the_native_entry():
+def test_executor_stats_and_report_carry_the_native_entry(monkeypatch):
+    monkeypatch.setattr(native, "UNBOUND", Counter())
     ex = StencilExecutor("fused")
     s = ex.stats()
     assert {"dispatches", "accelerated", "fallbacks", "allocations",
             "reuses"} <= set(s)
     assert s["native"]["state"] == LIB.state in native.STATES
-    assert set(s["native"]) == {"state", "detail", "hash", "clones", "build_s"}
+    assert set(s["native"]) == {"state", "detail", "hash", "clones", "build_s",
+                                "unbound"}
     assert f"native[{LIB.state}]" in ex.report()
+    # a declined call is a per-call fact: counted, never a load state
+    native.unbound("solves", native.Unbound("rhs", "not C-contiguous"))
+    s = ex.stats()["native"]
+    assert s["unbound"] == {"solves": {"rhs not C-contiguous": 1}}
+    assert s["state"] == LIB.state and "unbound" not in native.STATES
+    assert ex.report().endswith("; 1 solves on NumPy (rhs not C-contiguous)")
 
 
 def test_sources_ship_as_package_data(tmp_path):
