@@ -38,26 +38,28 @@ from .grid import Grid
 from ..obs.trace import span
 from ..stencil import native
 from ..stencil.plan import Recent
-from .helmholtz import HelmholtzOperator
+from .helmholtz import HelmholtzOperator, helmholtz_brackets
 from .pressure import eos_pressure, linearization_coefficient
 from .reference import ReferenceState
 from .state import State
 
 __all__ = ["AcousticContext", "AcousticGeometry", "SlowForcing",
            "AcousticScratch", "AcousticStepper", "build_context",
-           "ACOUSTIC_FIELDS"]
+           "interior_scratch", "ACOUSTIC_FIELDS"]
 
 
 class AcousticGeometry:
-    """Every substep operand that the grid alone decides, evaluated with
-    the substep's own operations: the interior face slices, the negated
-    face Jacobians, the terrain metric products and the metric mass flux.
-    One per :class:`~repro.core.rk3.Rk3Integrator`, not one per stage."""
+    """Every substep operand that the grid (and its reference state) alone
+    decides, evaluated with the substep's own operations: the interior face
+    slices, the negated face Jacobians, the terrain metric products, the
+    metric mass flux and the buoyancy reference ``G rho_ref``.  One per
+    :class:`~repro.core.rk3.Rk3Integrator`, not one per stage."""
 
-    def __init__(self, grid: Grid):
+    def __init__(self, grid: Grid, ref: ReferenceState):
         g = self.grid = grid
         self.has_terrain = not g.is_flat()
         self.jac3 = g.jac[:, :, None]
+        self.rho_ref_hat = ref.rho_c * self.jac3
         self.su, self.sv = su, sv = g.isl_u, g.isl_v
         self.njac_u = -g.jac_u[su][:, :, None]
         self.njac_v = -g.jac_v[sv][:, :, None]
@@ -102,26 +104,39 @@ class AcousticContext:
     theta_yf: np.ndarray         # theta^t at v faces
     theta_wf: np.ndarray         # theta^t at w faces (boundary faces too)
     geom: AcousticGeometry       # the integrator's grid-only operands
+    #: the Helmholtz operator's dtau-independent brackets (built on first
+    #: use where the compiled linearization did not build them)
+    brackets: tuple | None = field(default=None, repr=False)
     _helm: dict = field(default_factory=dict, repr=False)
 
     def helmholtz(self, dtau: float, beta: float) -> HelmholtzOperator:
         """The vertical implicit operator of this linearization for one
-        ``(dtau, beta)``, assembled (and factored) once per value: RK
-        stages 2 and 3 share it whenever ``ns`` is even."""
+        ``(dtau, beta)``, assembled (and factored) once per value from the
+        one set of brackets: RK stages 2 and 3 share it whenever ``ns`` is
+        even."""
         key = (dtau, beta)
         if key not in self._helm:
+            if self.brackets is None:
+                self.brackets = helmholtz_brackets(self.grid, self.theta_wf,
+                                                   self.cp_lin)
             self._helm[key] = HelmholtzOperator(
-                self.grid, self.theta_wf, self.cp_lin, dtau, beta)
+                self.grid, self.theta_wf, self.cp_lin, dtau, beta,
+                self.brackets)
         return self._helm[key]
 
 
 def build_context(state: State, ref: ReferenceState, p_ref: np.ndarray,
                   geom: AcousticGeometry | None = None) -> AcousticContext:
-    """Precompute the acoustic linearization at the long-step start.
-    ``geom`` is the integrator's :class:`AcousticGeometry` (built here
-    for a caller that keeps none)."""
+    """Precompute the acoustic linearization at the long-step start:
+    after the EOS, one compiled pass where a verified library is loaded,
+    else the NumPy below — the same bytes.  ``geom`` is the integrator's
+    :class:`AcousticGeometry` (built here for a caller that keeps none)."""
     g = state.grid
+    geom = geom or AcousticGeometry(g, ref)
     p_t = eos_pressure(state.rhotheta, g)
+    ctx = _context_native(state, p_t, p_ref, geom)
+    if ctx is not None:
+        return ctx
     cp_lin = linearization_coefficient(p_t, state.rhotheta)
     theta = state.rhotheta / state.rho
 
@@ -146,12 +161,40 @@ def build_context(state: State, ref: ReferenceState, p_ref: np.ndarray,
         cp_lin=cp_lin,
         pc=p_t - p_ref - cp_lin * state.rhotheta,
         rhotheta_t=state.rhotheta.copy(),
-        rho_ref_hat=ref.rho_c * g.jac[:, :, None],
+        rho_ref_hat=geom.rho_ref_hat,
         theta_xf=theta_xf,
         theta_yf=theta_yf,
         theta_wf=theta_wf,
-        geom=geom or AcousticGeometry(g),
+        geom=geom,
     )
+
+
+def _context_native(state: State, p_t: np.ndarray, p_ref: np.ndarray,
+                    geom: AcousticGeometry) -> AcousticContext | None:
+    """:func:`build_context`'s linearization and the Helmholtz brackets in
+    one call of csrc/acoustic.c's ``acoustic_context``; ``None`` where no
+    verified library takes the operands (a float32 state: counted)."""
+    lib = native.kernels(np.float64)
+    if lib is None:
+        return None
+    g = state.grid
+    out = dict(cp_lin=np.empty(g.shape_c), pc=np.empty(g.shape_c),
+               theta_xf=np.empty(g.shape_u), theta_yf=np.empty(g.shape_v),
+               theta_wf=np.empty(g.shape_w))
+    brackets = [np.empty(g.shape_c[:2] + (g.nz - 1,)) for _ in range(3)]
+    ptrs = native.pointers(
+        np.float64, dict(rho=state.rho, rhotheta=state.rhotheta, p_t=p_t,
+                         p_ref=p_ref, dz_c=g.dz_c, dz_f=g.dz_f),
+        dict.fromkeys(("rho", "rhotheta", "p_t", "p_ref"), g.shape_c))
+    if isinstance(ptrs, native.Unbound):
+        native.unbound("contexts", ptrs)
+        return None
+    theta = np.empty(g.shape_c)
+    lib.context(*g.shape_c, c.CP / c.CV, 0.5 * c.G, *ptrs, theta.ctypes.data,
+                *(a.ctypes.data for a in [*out.values(), *brackets]))
+    return AcousticContext(grid=g, p_t=p_t, rhotheta_t=state.rhotheta.copy(),
+                           rho_ref_hat=geom.rho_ref_hat, geom=geom,
+                           brackets=tuple(brackets), **out)
 
 
 def _dpp_dz_centers(pp: np.ndarray, grid: Grid, out: np.ndarray) -> np.ndarray:
@@ -204,6 +247,15 @@ class AcousticScratch:
 #: integrator would linger in each finished Experiment until the collector
 #: runs
 _SCRATCH = Recent(AcousticScratch)
+
+
+def interior_scratch(grid: Grid) -> list[np.ndarray]:
+    """This thread's five float64 interior-cell buffers of the acoustic
+    scratch for ``grid``, flat: free outside a substep, so the warm rain's
+    compiled body (run after the last substep of a long step) borrows
+    them instead of holding 40 bytes a cell of its own."""
+    s = _SCRATCH(grid.nx, grid.ny, grid.nz, grid.halo, not grid.is_flat())
+    return [b.reshape(-1) for b in s.i]
 
 
 #: prognostic fields refreshed after every acoustic substep — the
@@ -525,9 +577,11 @@ def native_check(lib) -> str:
     given and ``None``; float64 and float32 momenta); the Thomas solve for
     ``beta < 1`` and ``beta == 1`` on 81 columns (two blocks, a multiple of
     no vector width) with signed zeros, infinities and NaN in the right-hand
-    side; two substeps (the first has no damping history) of one stage,
-    flat grid and terrain."""
-    from ..stencil.dycore import _helmholtz_solve, _same
+    side; then, flat grid and terrain, the linearization of
+    :func:`build_context` with the Helmholtz brackets, the operator and its
+    Thomas factors, and two substeps (the first has no damping history) of
+    one stage."""
+    from ..stencil.dycore import _factor, _helmholtz_solve
     from ..stencil.executor import StencilExecutor, use_executor
     from ..stencil.plan import PlanCache
     from .grid import make_grid
@@ -537,7 +591,7 @@ def native_check(lib) -> str:
         for use in (lib, None):
             with native.using(use):
                 runs.append(fn(*args))
-        return _same(*runs)
+        return native.same(*runs)
 
     def hill(x, y):
         return 40.0 + 30.0 * np.sin(x / 90.0 + y)
@@ -566,6 +620,7 @@ def native_check(lib) -> str:
 
     for terrain in (None, hill):
         g = make_grid(3, 2, 5, 100.0, 130.0, 500.0, terrain=terrain)
+        where = "terrain" if terrain else "flat"
         base = State(g, wave(g.shape_c, 1.3, 2.0), wave(g.shape_u, 0.7),
                      wave(g.shape_v, 1.9), wave(g.shape_w, 2.9),
                      wave(g.shape_c, 0.3, 600.0))
@@ -573,21 +628,29 @@ def native_check(lib) -> str:
             (g.shape_u, 1.1), (g.shape_v, 1.2), (g.shape_w, 1.4),
             (g.shape_c, 1.5), (g.shape_u, 1.6), (g.shape_v, 1.7),
             (g.shape_w, 1.8), (g.shape_w, 2.1))))
-        ctx = AcousticContext(
-            g, None, wave(g.shape_c, 0.9, 400.0), wave(g.shape_c, 2.2),
-            None, wave(g.shape_c, 2.3, 2.0), wave(g.shape_u, 2.4, 300.0),
-            wave(g.shape_v, 2.5, 300.0), wave(g.shape_w, 2.6, 300.0),
-            AcousticGeometry(g))
-        runs = {}                       # by "took the NumPy chain"
+        geom = AcousticGeometry(g, ReferenceState(
+            *[None] * 3, wave(g.shape_c, 2.3, 2.0), *[None] * 5))
+        runs = {}                       # by "took the NumPy bodies"
         for use in (lib, None):
             # the oracle solve on both sides: no plan enters the shared cache
             with native.using(use), \
                     use_executor(StencilExecutor("reference")):
+                ctx = build_context(base, None, wave(g.shape_c, 2.2), geom)
                 stepper = AcousticStepper(base, forcing, ctx, None, 0.2, 2)
                 stepper.substep()
                 stepper.substep()
-            runs[stepper._args is None] = b"".join(a.tobytes() for a in (
-                *map(stepper.st.get, ACOUSTIC_FIELDS), stepper.pp_prev))
-        if len(runs) != 2 or runs[True] != runs[False]:
-            return f"acoustic substep, {'terrain' if terrain else 'flat'} grid"
+            helm = stepper.helm
+            runs[stepper._args is None] = {
+                "linearization": (ctx.cp_lin, ctx.pc, ctx.theta_xf,
+                                  ctx.theta_yf, ctx.theta_wf),
+                "Helmholtz brackets": ctx.brackets,
+                "Helmholtz operator": (helm.sup, helm.sub, helm.diag,
+                                       *_factor(helm)),
+                "acoustic substep": (*map(stepper.st.get, ACOUSTIC_FIELDS),
+                                     stepper.pp_prev)}
+        if len(runs) != 2:
+            return f"acoustic substep, {where} grid"
+        for what, got in runs[False].items():
+            if not all(map(native.same, got, runs[True][what])):
+                return f"{what}, {where} grid"
     return ""

@@ -19,18 +19,45 @@ equivalent.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .. import constants as c
+from ..stencil import native
 from ..stencil.spec import stencil
 from .grid import Grid
 from .tridiag import thomas_solve
 
-__all__ = ["HelmholtzOperator", "helmholtz_solve", "HELMHOLTZ_FLOPS_PER_POINT"]
+__all__ = ["HelmholtzOperator", "helmholtz_brackets", "helmholtz_solve",
+           "HELMHOLTZ_FLOPS_PER_POINT"]
 
 HELMHOLTZ_FLOPS_PER_POINT = 20
+
+
+def helmholtz_brackets(grid: Grid, theta_f: np.ndarray,
+                       cp_lin: np.ndarray) -> tuple:
+    """The ``dtau``-independent brackets ``(xsup, xsub, ydiag)`` of the
+    operator, (nxh, nyh, nz-1) each: ``sup = (-s) xsup``, ``sub = (-s)
+    xsub`` and ``diag = 1 + s ydiag`` with ``s = (dtau beta)^2 / G``."""
+    nz, dz_c, dz_f = grid.nz, grid.dz_c, grid.dz_f
+    # interior w faces k = 1..nz-1 -> array index m = k-1
+    k = np.arange(1, nz)
+    inv_dzf = 1.0 / dz_f[k]
+    inv_dzc_k = 1.0 / dz_c[k]        # dz of the cell above face k
+    inv_dzc_km = 1.0 / dz_c[k - 1]   # below
+
+    cp_k = cp_lin[:, :, 1:]          # Cp[k] for k=1..nz-1
+    cp_km = cp_lin[:, :, :-1]
+    th_kp = theta_f[:, :, 2:]        # theta_f[k+1]
+    th_k = theta_f[:, :, 1:-1]
+    th_km = theta_f[:, :, :-2]
+
+    half_g = 0.5 * c.G
+    return (cp_k * th_kp * inv_dzf * inv_dzc_k + half_g * inv_dzc_k,
+            cp_km * th_km * inv_dzf * inv_dzc_km - half_g * inv_dzc_km,
+            th_k * (cp_k * inv_dzc_k + cp_km * inv_dzc_km) * inv_dzf
+            - half_g * (inv_dzc_km - inv_dzc_k))
 
 
 @dataclass
@@ -40,6 +67,10 @@ class HelmholtzOperator:
     ``theta_f``: (nxh, nyh, nz+1) base theta at w faces;
     ``cp_lin``:  (nxh, nyh, nz) EOS linearization coefficient;
     built for a fixed acoustic substep ``dtau`` and off-centering ``beta``.
+    ``brackets``: their :func:`helmholtz_brackets`, when the caller holds
+    them (an acoustic context builds two operators from one set).  Where
+    a verified library is loaded the scaling, the positivity check and the
+    Thomas factors are one compiled call (csrc/acoustic.c).
     """
 
     grid: Grid
@@ -47,44 +78,52 @@ class HelmholtzOperator:
     cp_lin: np.ndarray
     dtau: float
     beta: float
+    brackets: tuple | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         g = self.grid
-        nz = g.nz
-        dz_c = g.dz_c
-        dz_f = g.dz_f
-        s = (self.dtau * self.beta) ** 2 / g.jac[:, :, None]  # (nxh, nyh, 1)
-
-        thf = self.theta_f
-        cp = self.cp_lin
-        # interior w faces k = 1..nz-1 -> array index m = k-1
-        k = np.arange(1, nz)
-        inv_dzf = 1.0 / dz_f[k]
-        inv_dzc_k = 1.0 / dz_c[k]        # dz of the cell above face k
-        inv_dzc_km = 1.0 / dz_c[k - 1]   # below
-
-        cp_k = cp[:, :, 1:]              # Cp[k] for k=1..nz-1
-        cp_km = cp[:, :, :-1]
-        th_kp = thf[:, :, 2:]            # theta_f[k+1]
-        th_k = thf[:, :, 1:-1]
-        th_km = thf[:, :, :-2]
-
-        half_g = 0.5 * c.G
-        self.sup = -s * (
-            cp_k * th_kp * inv_dzf * inv_dzc_k + half_g * inv_dzc_k
-        )
-        self.sub = -s * (
-            cp_km * th_km * inv_dzf * inv_dzc_km - half_g * inv_dzc_km
-        )
-        self.diag = 1.0 + s * (
-            th_k * (cp_k * inv_dzc_k + cp_km * inv_dzc_km) * inv_dzf
-            - half_g * (inv_dzc_km - inv_dzc_k)
-        )
-        if np.any(self.diag <= 0.0):
+        if self.brackets is None:
+            self.brackets = helmholtz_brackets(g, self.theta_f, self.cp_lin)
+        sq = (self.dtau * self.beta) ** 2
+        bad = self._assemble_native(sq)
+        if bad is None:
+            xsup, xsub, ydiag = self.brackets
+            s = sq / g.jac[:, :, None]   # (nxh, nyh, 1)
+            self.sup = -s * xsup
+            self.sub = -s * xsub
+            self.diag = 1.0 + s * ydiag
+            bad = np.any(self.diag <= 0.0)
+        if bad:
             raise ValueError(
                 "Helmholtz diagonal not positive; dtau/beta/stratification "
                 "outside the operator's validity range"
             )
+
+    def _assemble_native(self, sq: float) -> "bool | None":
+        """The compiled assembly: ``sup`` / ``sub`` / ``diag`` and the
+        k-leading Thomas factors of ``stencil.dycore._factor``, whether a
+        diagonal entry is <= 0; ``None`` where no library takes them."""
+        lib = native.kernels(np.float64)
+        if lib is None:
+            return None
+        g = self.grid
+        shape = self.brackets[0].shape
+        out = [np.empty(shape) for _ in range(3)]
+        n = shape[-1]
+        factors = [np.empty((n, g.nxh * g.nyh)) for _ in range(3)]
+        ptrs = native.pointers(
+            np.float64, dict(jac=g.jac, xsup=self.brackets[0],
+                             xsub=self.brackets[1], ydiag=self.brackets[2]),
+            dict(jac=shape[:2], xsup=shape, xsub=shape, ydiag=shape))
+        if isinstance(ptrs, native.Unbound):
+            native.unbound("operators", ptrs)
+            return None
+        bad = lib.operator(g.nxh * g.nyh, n, sq, *ptrs,
+                           *(a.ctypes.data for a in out + factors))
+        self.sup, self.sub, self.diag = out
+        fsub, fcp, fden = factors
+        self._thomas_factors = (fsub, fcp, fden)
+        return bool(bad)
 
     # ------------------------------------------------------------------ ops
     def apply(self, w_full: np.ndarray, out: np.ndarray | None = None,

@@ -181,7 +181,7 @@ class Rk3Integrator:
         self.p_ref = p_ref
         self.limiter = get_limiter(cfg.limiter)
         #: grid-only operands of the acoustic substep and the metric flux
-        self.geom = AcousticGeometry(grid)
+        self.geom = AcousticGeometry(grid, ref)
         if cfg.rayleigh_depth > 0.0:
             _, ray_f = rayleigh_coefficient(grid, cfg.rayleigh_depth, cfg.rayleigh_tau)
             self.rayleigh_w: np.ndarray | None = ray_f

@@ -25,6 +25,8 @@ SEDIMENTATION_FLOPS_PER_POINT = 12
 _VT_COEF = 36.34          # m/s per (kg/m^3 of rain water)^0.1364
 _VT_EXP = 0.1364
 _RHO_SFC = 1.2            # density normalization [kg/m^3]
+#: the largest fall-out Courant number of one sub-step
+MAX_CFL = 0.9
 
 
 def terminal_velocity(rho_qr: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -42,7 +44,7 @@ def sediment_rain(
     grid: Grid,
     dt: float,
     *,
-    max_cfl: float = 0.9,
+    max_cfl: float = MAX_CFL,
 ) -> np.ndarray:
     """Fall out rain over ``dt`` (in place on ``qr_hat`` and ``rho_hat``,
     interior columns only) and return the surface precipitation rate

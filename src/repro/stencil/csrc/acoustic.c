@@ -314,3 +314,121 @@ void acoustic_thomas(long ncol, long n, long bc, const double *restrict sub,
         }
     }
 }
+
+/* ---- the linearization of repro.core.acoustic.build_context after the
+ * EOS pow (p_t): cp_lin, pc and theta = rhotheta / rho at the u / v / w
+ * faces (two-point means, the edge faces copy their cell; theta is
+ * scratch), and the three dtau-independent brackets of
+ * repro.core.helmholtz.HelmholtzOperator (xsup, xsub, ydiag: (nxh, nyh,
+ * nz - 1)), all halo-inclusive. */
+void acoustic_context(long nxh, long nyh, long nz, double gamma,
+                      double half_g, const double *restrict rho,
+                      const double *restrict rt, const double *restrict p_t,
+                      const double *restrict p_ref,
+                      const double *restrict dz_c,
+                      const double *restrict dz_f, double *restrict theta,
+                      double *restrict cp_lin, double *restrict pc,
+                      double *restrict xf, double *restrict yf,
+                      double *restrict wf, double *restrict xsup,
+                      double *restrict xsub, double *restrict ydiag)
+{
+    const long ncell = nxh * nyh * nz, row = nyh * nz, nw = nz + 1;
+    double inv_dzf[nz], inv_dzc[nz];
+
+    for (long k = 0; k < nz; k++) {
+        inv_dzf[k] = 1.0 / dz_f[k];
+        inv_dzc[k] = 1.0 / dz_c[k];
+    }
+    for (long i = 0; i < ncell; i++) {
+        theta[i] = rt[i] / rho[i];
+        cp_lin[i] = (gamma * p_t[i]) / rt[i];
+        pc[i] = (p_t[i] - p_ref[i]) - cp_lin[i] * rt[i];
+    }
+    /* u faces: x rows of nyh nz; v faces: per x row, y columns of nz */
+    for (long j = 0; j < row; j++) {
+        xf[j] = theta[j];
+        xf[nxh * row + j] = theta[(nxh - 1) * row + j];
+    }
+    for (long i = row; i < ncell; i++)
+        xf[i] = 0.5 * (theta[i] + theta[i - row]);
+    for (long x = 0; x < nxh; x++) {
+        const double *t = theta + x * row;
+        double *v = yf + x * (row + nz);
+        for (long k = 0; k < nz; k++) {
+            v[k] = t[k];
+            v[row + k] = t[row - nz + k];
+        }
+        for (long j = nz; j < row; j++)
+            v[j] = 0.5 * (t[j] + t[j - nz]);
+    }
+    for (long c = 0; c < nxh * nyh; c++) {
+        const double *t = theta + c * nz, *cp = cp_lin + c * nz;
+        double *restrict w = wf + c * nw;
+        double *restrict su = xsup + c * (nz - 1);
+        double *restrict sb = xsub + c * (nz - 1);
+        double *restrict dg = ydiag + c * (nz - 1);
+        w[0] = t[0];
+        for (long k = 1; k < nz; k++)
+            w[k] = 0.5 * (t[k] + t[k - 1]);
+        w[nz] = t[nz - 1];
+        /* interior w face k = m + 1 */
+        for (long m = 0; m < nz - 1; m++) {
+            const long k = m + 1;
+            su[m] = cp[k] * w[k + 1] * inv_dzf[k] * inv_dzc[k]
+                + half_g * inv_dzc[k];
+            sb[m] = cp[k - 1] * w[k - 1] * inv_dzf[k] * inv_dzc[k - 1]
+                - half_g * inv_dzc[k - 1];
+            dg[m] = w[k] * (cp[k] * inv_dzc[k] + cp[k - 1] * inv_dzc[k - 1])
+                * inv_dzf[k] - half_g * (inv_dzc[k - 1] - inv_dzc[k]);
+        }
+    }
+}
+
+/* ---- one (dtau, beta) operator from the brackets: sup = (-s) xsup,
+ * sub = (-s) xsub, diag = 1 + s ydiag with s = sq / jac per column
+ * (column-leading, ncol x n), and the forward-elimination factors of
+ * repro.stencil.dycore._factor, k-leading (n x ncol), a block of bc
+ * columns at a time (the transposes stay in cache).  Returns 1 when a
+ * diagonal entry is <= 0 (HelmholtzOperator raises). */
+int acoustic_operator(long ncol, long n, double sq, const double *restrict jac,
+                      const double *restrict xsup, const double *restrict xsub,
+                      const double *restrict ydiag, double *restrict sup,
+                      double *restrict sub, double *restrict diag,
+                      double *restrict fsub, double *restrict fcp,
+                      double *restrict fden)
+{
+    const long bc = 64;
+    int bad = 0;
+    for (long c0 = 0; c0 < ncol; c0 += bc) {
+        const long c1 = ncol - c0 < bc ? ncol : c0 + bc;
+        for (long c = c0; c < c1; c++) {
+            const double s = sq / jac[c], ns = -s;
+            for (long k = 0; k < n; k++) {
+                const long o = c * n + k;
+                sup[o] = ns * xsup[o];
+                sub[o] = ns * xsub[o];
+                diag[o] = 1.0 + s * ydiag[o];
+                bad |= diag[o] <= 0.0;
+            }
+        }
+        for (long k = 0; k < n; k++)
+            for (long c = c0; c < c1; c++) {
+                fcp[k * ncol + c] = sup[c * n + k];
+                fsub[k * ncol + c] = sub[c * n + k];
+                fden[k * ncol + c] = diag[c * n + k];
+            }
+        for (long c = c0; c < c1; c++)
+            fcp[c] = fcp[c] / fden[c];
+        for (long k = 1; k < n; k++) {
+            double *restrict cp = fcp + k * ncol;
+            double *restrict den = fden + k * ncol;
+            const double *restrict cpm = cp - ncol;
+            const double *restrict s = fsub + k * ncol;
+            for (long c = c0; c < c1; c++) {
+                den[c] = den[c] - s[c] * cpm[c];
+                cp[c] = cp[c] / den[c];
+            }
+        }
+    }
+    return bad;
+}

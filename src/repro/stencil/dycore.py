@@ -23,11 +23,13 @@ Nothing taken from ``pl.scratch`` is ever returned.
 """
 from __future__ import annotations
 
+import ctypes
 from dataclasses import replace
 
 import numpy as np
 
 from .. import constants as c
+from ..core.boundary import _STAGGER
 from ..core.limiter import koren
 from . import native
 from .plan import NBUF, Plan, PlanCache
@@ -444,7 +446,9 @@ def _factor(op):
     fac = getattr(op, "_thomas_factors", None)
     if fac is None:
         n = op.diag.shape[-1]
-        sub, den, cp = (np.ascontiguousarray(a.reshape(-1, n).T)
+        # copies: with one unknown a column the transpose is contiguous,
+        # and ascontiguousarray would hand back (and factor) op's own arrays
+        sub, den, cp = (np.array(a.reshape(-1, n).T, order="C")
                         for a in (op.sub, op.diag, op.sup))
         np.divide(cp[0], den[0], out=cp[0])
         t = np.empty_like(cp[0])
@@ -503,20 +507,46 @@ def _helmholtz_solve(plans, op, rhs_interior):
     return w
 
 
+# -------------------------------------------------------------- halo fill
+@register_fused("fill_halos_state")
+def _fill_halos_state(plans, state, names=None):
+    """One compiled call per refresh (csrc/halo.c) where a library is
+    loaded, else the reference fill: there is no planned twin."""
+    lib = native.kernels(np.float64)
+    if lib is None or not isinstance(names, (list, tuple, type(None))):
+        return NotImplemented
+    g = state.grid
+    nxh, nyh = g.nxh, g.nyh
+    arrays, shapes, desc = {}, {}, []
+    for name in state.prognostic_names() if names is None else names:
+        a = state.q.get(name)
+        if a is None and name in _STAGGER:
+            a = getattr(state, name)
+        # a subclass (the FLOP counter) must see the reference's copies
+        if type(a) is not np.ndarray:
+            return NotImplemented
+        sx, sy = _STAGGER.get(name, (False, False))
+        arrays[name], shapes[name] = a, (nxh + sx, nyh + sy) + a.shape[2:]
+        # rows, columns, bytes of one (x, y) column, staggering
+        desc += (*a.shape[:2], a.strides[1], sx, sy)
+    ptrs = native.pointers(next(iter(arrays.values())).dtype if arrays
+                           else np.float64, arrays, shapes)
+    if isinstance(ptrs, native.Unbound):
+        native.unbound("halo fills", ptrs)
+        return NotImplemented
+    lib.halo_fill(len(ptrs), (ctypes.c_void_p * len(ptrs))(*ptrs),
+                  (ctypes.c_long * len(desc))(*desc), g.halo, g.nx, g.ny,
+                  g.periodic_x, g.periodic_y)
+    return None
+
+
 # ------------------------------------------------- compiled-body self-check
-def _same(got, want) -> bool:
-    """Equal bytes, NaN payloads exempt (IEEE leaves them open)."""
-    nan = np.isnan(want)
-    return (np.array_equal(np.isnan(got), nan)
-            and np.where(nan, 0, got).tobytes()
-            == np.where(nan, 0, want).tobytes())
-
-
 def native_check(lib) -> str:
     """What differs between ``lib``'s compiled bodies and their NumPy
     twins ("" when nothing does), in both widths: the face sweep over every
     four-cell stencil of signed zeros, ones, infinities, NaN and a subnormal
-    under fluxes of both signs; the four advections on a grid of plateaus."""
+    under fluxes of both signs; the four advections on a grid of plateaus;
+    then the halo fill against the reference fill."""
     with np.errstate(all="ignore"):
         for dtype, k in ((np.float64, lib.f64), (np.float32, lib.f32)):
             tiny = np.finfo(dtype).smallest_subnormal
@@ -532,7 +562,7 @@ def native_check(lib) -> str:
             want, got = np.empty(n, dtype), np.empty(n, dtype)
             _faces(Plan((1, n - 1, 0), p.dtype), p, n, 2 * n, n, fa, want)
             k.faces(p[n:].ctypes.data, n, fa.ctypes.data, got.ctypes.data, n)
-            if not _same(got, want):
+            if not native.same(got, want):
                 return f"faces_{p.dtype.name}"
     from ..core.grid import make_grid
 
@@ -550,6 +580,29 @@ def native_check(lib) -> str:
             for use in (lib, None):
                 with native.using(use):
                     runs.append(FUSED_IMPLS[name](plans, phi, *flux, g))
-            if not _same(*runs):
+            if not native.same(*runs):
                 return f"{name}_{phi.dtype.name}"
+    # the halo fill: 3 x 2 columns under a halo of 3 (overlapping copies),
+    # periodic x with open y and the reverse, every staggering
+    from ..core.boundary import fill_halos_state
+    from ..core.state import State
+
+    for px in (True, False):
+        g = replace(g64, periodic_x=px, periodic_y=not px)
+        runs = []
+        for fill in (lambda st: _fill_halos_state(plans, st),
+                     fill_halos_state.reference):
+            st = State(g, *(native.wave(s, k) for s, k in (
+                (g.shape_c, 0.3), (g.shape_u, 0.5), (g.shape_v, 0.7),
+                (g.shape_w, 0.9), (g.shape_c, 1.1))),
+                {"qv": native.wave(g.shape_c, 1.3)})
+            with native.using(lib):
+                fill(st)
+            runs.append([st.get(n) for n in st.prognostic_names()])
+        if not all(map(native.same, *runs)):
+            return f"halo fill, periodic {'x' if px else 'y'}"
     return ""
+
+
+# the warm-rain body registers itself beside these
+from . import kessler  # noqa: E402,F401

@@ -8,9 +8,11 @@ Two backends, selected by :class:`~repro.api.RunSpec`\\ 's
   implementation (:mod:`repro.stencil.dycore`): slab-blocked, unit-stride
   ``out=`` chains on the per-shape plan's small scratch arena
   (:mod:`repro.stencil.plan`).  Byte-identical to the reference by
-  construction and by test (tests/stencil); measured end to end by
-  ``python3 bench/run.py`` (``dycore_cpu/op_ms`` 480 -> 250 ms against
-  the reference as default; docs/STENCILS.md has every workload).
+  construction and by test (tests/stencil); where a verified library
+  is loaded (:mod:`repro.stencil.native`) most of them are one compiled
+  call, and the warm rain and the halo fill, which have no planned twin,
+  are served too.  Measured end to end by ``python3 bench/run.py``;
+  docs/STENCILS.md "Measured" has the numbers, by workload.
 * ``reference`` — call the decorated textbook NumPy kernel directly: the
   test oracle, and the body the FLOP counters measure.
 

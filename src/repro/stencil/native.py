@@ -1,14 +1,18 @@
-"""Compiled bodies of the two hot loops: built once per machine, proved
-at load, never required.
+"""Compiled bodies of the run path's loops: built once per machine,
+proved at load, never required.
 
 ``csrc/advect.c`` (the Koren sweep plus flux divergence, both float
-widths) and ``csrc/acoustic.c`` (the HE-VI substep around the Helmholtz
-solve) become one shared object per *(sources, flags, ``cc --version``,
-machine)* hash in the user's cache directory, loaded through
-:mod:`ctypes`.  It is used only after every kernel in it has reproduced
-its planned NumPy twin byte for byte on a fixed battery (``native_check``
-of :mod:`repro.stencil.dycore` and :mod:`repro.core.acoustic`); every
-other outcome is one of four typed, counted reasons and ends on the NumPy
+widths), ``csrc/acoustic.c`` (the HE-VI substep around the Helmholtz
+solve, the linearization and the operator assembly), ``csrc/kessler.c``
+(the C segments of the warm-rain body) and ``csrc/halo.c`` (the halo
+fill) become one shared object per *(sources, flags, compiler, machine)*
+hash in the user's cache directory, loaded through :mod:`ctypes`; the
+compiler is identified by its resolved path, ``st_mtime_ns`` and
+``st_size``, so a warm load runs no process.  It is used only after every
+kernel in it has reproduced its NumPy twin byte for byte on a fixed
+battery (the ``native_check`` of :mod:`repro.stencil.dycore`,
+:mod:`repro.core.acoustic` and :mod:`repro.stencil.kessler`); every other
+outcome is one of four typed, counted reasons and ends on the NumPy
 bodies — never on a different field.  A loaded library whose body cannot
 take one call's operands is a per-call fact, not a fifth outcome: that
 call runs the NumPy body and :func:`unbound` counts it, by reason.
@@ -21,8 +25,10 @@ import contextvars
 import ctypes
 import functools
 import hashlib
+import math
 import os
 import platform
+import shutil
 import stat
 import threading
 import time
@@ -34,14 +40,14 @@ from types import SimpleNamespace
 import numpy as np
 
 __all__ = ["FLAGS", "CLONES", "STATES", "Native", "Unbound", "load",
-           "library", "kernels", "pointers", "unbound", "using"]
+           "library", "kernels", "pointers", "same", "unbound", "using"]
 
 #: value-preserving only: no contraction, no reassociation, no -march (the
 #: cache may be shared between hosts; the clones pick the ISA at load time)
 FLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off",
          "-fno-trapping-math", "-fno-math-errno")
 CLONES = ("avx512f", "avx2", "default")
-SOURCES = ("advect.c", "acoustic.c")
+SOURCES = ("advect.c", "acoustic.c", "kessler.c", "halo.c")
 STATES = ("loaded", "no-compiler", "build-failed", "cache-unwritable",
           "self-check-failed")
 #: how every :func:`load` of this process ended, by state
@@ -71,7 +77,8 @@ class Native:
     build_s: float = 0.0
     load_s: float = 0.0
     #: ``faces`` / ``advect`` per width; f64 also has the substep's three
-    #: segments, ``metric_flux`` and ``thomas``
+    #: segments, ``metric_flux``, ``thomas``, ``context``, ``operator``,
+    #: ``kessler`` and ``halo_fill`` (byte copies: any dtype)
     f64: SimpleNamespace | None = field(default=None, repr=False)
     f32: SimpleNamespace | None = field(default=None, repr=False)
 
@@ -115,25 +122,39 @@ def unbound(body: str, why: Unbound) -> None:
 
 
 # ------------------------------------------------------------------ build
-def _spawn(argv: list) -> tuple:
-    """``(exit status, stdout + stderr)`` of ``argv`` found on ``PATH``."""
-    import subprocess       # 4 ms: here, not at the top of every import
+def _spawn(*argvs: list) -> tuple:
+    """``(exit status, stdout + stderr)`` of the first of ``argvs`` (found
+    on ``PATH``, run side by side) that fails, else of the last."""
+    import subprocess       # 4 ms: only when something is built
 
-    try:
-        done = subprocess.run(argv, stdout=subprocess.PIPE,
-                              stderr=subprocess.STDOUT)
-    except OSError as exc:
-        return 127, str(exc)
-    return done.returncode, done.stdout.decode(errors="replace")
+    procs = []
+    for argv in argvs:
+        try:
+            procs.append(subprocess.Popen(argv, stdout=subprocess.PIPE,
+                                          stderr=subprocess.STDOUT))
+        except OSError as exc:
+            procs.append((127, str(exc)))
+    done = []
+    for p in procs:
+        if not isinstance(p, tuple):
+            out = p.communicate()[0].decode(errors="replace")
+            p = (p.returncode, out)
+        done.append(p)
+    return next((d for d in done if d[0]), done[-1])
 
 
 def _compiler() -> tuple:
-    """``(argv prefix, version text)`` of ``$CC``, else ``cc`` / ``gcc``."""
+    """``(argv prefix, identity)`` of ``$CC``, else ``cc`` / ``gcc``: the
+    first whose program is an executable on ``PATH``, identified by its
+    resolved path, ``st_mtime_ns`` and ``st_size`` (no process is run:
+    ``cc --version`` cost 1.5 ms of every load, and ``subprocess`` 4)."""
     names = [os.environ["CC"]] if os.environ.get("CC") else ["cc", "gcc"]
     for argv in map(str.split, names):
-        status, out = _spawn(argv + ["--version"])
-        if status == 0:
-            return argv, out
+        path = argv and shutil.which(argv[0])
+        if path:
+            st = os.stat(path)
+            return argv, (f"{os.path.realpath(path)} {st.st_mtime_ns} "
+                          f"{st.st_size}")
     raise _Unavailable("no-compiler",
                        f"{' / '.join(names)}: no working C compiler")
 
@@ -144,9 +165,10 @@ def read_sources() -> dict:
     return {name: (here / name).read_text("utf-8") for name in SOURCES}
 
 
-def _unit(sources: dict, clones: tuple) -> str:
-    """One translation unit: ``advect.c`` once per float width, then
-    ``acoustic.c``; every ``KERNEL`` is cloned per ISA."""
+def _units(sources: dict, clones: tuple) -> tuple:
+    """Two translation units, compiled side by side: ``advect.c`` once per
+    float width with every ``KERNEL`` cloned per ISA, and the float64-only
+    sources (0.63 and 0.77 s alone, 1.06 s as one unit)."""
     targets = ",".join(f'"{c}"' for c in clones)
     kernel = f"__attribute__((target_clones({targets})))" if clones else ""
     widths = "".join(
@@ -156,8 +178,9 @@ def _unit(sources: dict, clones: tuple) -> str:
                                 ("float", "f32", "fabsf")))
     return (f"#include <math.h>\n#define KERNEL {kernel}\n"
             f'const char *repro_clones(void) {{ return "'
-            f'{",".join(clones) or "default"}"; }}\n'
-            + widths + sources["acoustic.c"])
+            f'{",".join(clones) or "default"}"; }}\n' + widths,
+            "#include <math.h>\n#include <string.h>\n"
+            + "".join(sources[n] for n in SOURCES[1:]))
 
 
 def _trusted(path: str, kind=stat.S_ISREG) -> bool:
@@ -192,31 +215,38 @@ def cache_dir() -> str | None:
 
 
 def _build(cc: list, sources: dict, path: str) -> None:
-    """Compile to a temp name, then ``os.replace``: concurrent builders each
+    """Compile to temp names, then ``os.replace``: concurrent builders each
     publish a whole file.  No function multiversioning: one plain build."""
     tmp = f"{path}.{os.getpid()}.{threading.get_ident()}"
+    names = [f"{tmp}.{k}" for k in range(2)]
     try:
         for clones in (CLONES, ()):
-            Path(tmp + ".c").write_text(_unit(sources, clones), "utf-8")
-            status, out = _spawn([*cc, *FLAGS, tmp + ".c", "-o", tmp, "-lm"])
+            for name, text in zip(names, _units(sources, clones)):
+                Path(name + ".c").write_text(text, "utf-8")
+            status, out = _spawn(*([*cc, *FLAGS, "-c", n + ".c", "-o",
+                                    n + ".o"] for n in names))
+            if status == 0:
+                status, out = _spawn([*cc, *FLAGS, *(n + ".o" for n in names),
+                                      "-o", tmp, "-lm"])
             if status == 0:
                 os.chmod(tmp, 0o700)
                 return os.replace(tmp, path)
-        raise _Unavailable("build-failed",
-                           out.strip()[-500:] or f"exit status {status}")
+        errors = "\n".join(ln for ln in out.splitlines() if "error" in ln)
+        raise _Unavailable("build-failed", (errors or out).strip()[-500:]
+                           or f"exit status {status}")
     except OSError as exc:
         raise _Unavailable("cache-unwritable", str(exc)) from None
     finally:
-        for leftover in (tmp, tmp + ".c"):
+        for leftover in (tmp, *(n + e for n in names for e in (".c", ".o"))):
             with contextlib.suppress(OSError):
                 os.unlink(leftover)
 
 
 # ------------------------------------------------------------------- load
 def _bind(dll: ctypes.CDLL) -> dict:
-    def fn(name, *argtypes):
+    def fn(name, *argtypes, restype=None):
         f = getattr(dll, name)
-        f.argtypes, f.restype = argtypes, None
+        f.argtypes, f.restype = argtypes, restype
         return f
 
     out = {}
@@ -231,15 +261,23 @@ def _bind(dll: ctypes.CDLL) -> dict:
     f64.metric_flux = fn("acoustic_metric_flux", _PTR, ctypes.c_int,
                          *[_PTR] * 4)
     f64.thomas = fn("acoustic_thomas", *[_LONG] * 3, *[_PTR] * 6)
+    f64.context = fn("acoustic_context", *[_LONG] * 3, *[ctypes.c_double] * 2,
+                     *[_PTR] * 15)
+    f64.operator = fn("acoustic_operator", _LONG, _LONG, ctypes.c_double,
+                      *[_PTR] * 10, restype=ctypes.c_int)
+    f64.kessler = fn("kessler", _PTR, ctypes.c_int, restype=ctypes.c_double)
+    f64.pack = fn("kessler_pack", _PTR, _LONG, _PTR, restype=_LONG)
+    f64.unpack = fn("kessler_unpack", _PTR, _LONG, _PTR, _LONG, _PTR)
+    f64.halo_fill = fn("halo_fill", _LONG, _PTR, _PTR, *[_LONG] * 5)
     dll.repro_clones.restype = ctypes.c_char_p
     out["clones"] = tuple(dll.repro_clones().decode().split(","))
     return out
 
 
 def _find_build_check(lib: Native, sources: dict) -> None:
-    cc, version = _compiler()
+    cc, identity = _compiler()
     lib.hash = hashlib.sha256("\0".join(
-        [*(sources[n] for n in SOURCES), *FLAGS, *CLONES, version,
+        [*(sources[n] for n in SOURCES), *FLAGS, *CLONES, identity,
          platform.machine()]).encode()).hexdigest()[:16]
     directory = cache_dir()
     if directory is None:
@@ -248,6 +286,10 @@ def _find_build_check(lib: Native, sources: dict) -> None:
     if not _trusted(path):
         t0 = time.perf_counter()
         try:
+            if _spawn(cc + ["--version"])[0] != 0:
+                lib.hash = ""           # no library has this name
+                raise _Unavailable("no-compiler", f"{' '.join(cc)}: no "
+                                   f"working C compiler")
             _build(cc, sources, path)
         finally:
             lib.build_s = time.perf_counter() - t0
@@ -256,9 +298,11 @@ def _find_build_check(lib: Native, sources: dict) -> None:
     except (OSError, AttributeError) as exc:
         raise _Unavailable("build-failed", str(exc)) from None
     from ..core import acoustic
-    from . import dycore
+    from . import dycore, kessler
 
-    failed = dycore.native_check(lib) or acoustic.native_check(lib)
+    with using(None):       # a check names the library it runs, always
+        failed = (dycore.native_check(lib) or acoustic.native_check(lib)
+                  or kessler.native_check(lib))
     if failed:
         raise _Unavailable("self-check-failed", failed)
 
@@ -311,7 +355,18 @@ def kernels(dtype) -> SimpleNamespace | None:
 
 def wave(shape, k: float, mean: float = 0.0) -> np.ndarray:
     """A deterministic field for the load-time checks (no RNG import)."""
-    return mean + np.sin(np.arange(np.prod(shape)) * k).reshape(shape)
+    return mean + np.sin(np.arange(math.prod(shape)) * k).reshape(shape)
+
+
+def same(got, want) -> bool:
+    """The load-time checks' equality: equal bytes, NaN payloads exempt
+    (IEEE leaves them open)."""
+    if got.tobytes() == want.tobytes():
+        return True
+    nan = np.isnan(want)
+    return (np.array_equal(np.isnan(got), nan)
+            and np.where(nan, 0, got).tobytes()
+            == np.where(nan, 0, want).tobytes())
 
 
 def pointers(dtype, arrays: dict, shapes: dict | None = None

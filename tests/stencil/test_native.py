@@ -13,6 +13,7 @@ import subprocess
 import sys
 import textwrap
 from collections import Counter
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -24,12 +25,15 @@ from repro.core import advection as adv
 from repro.core.acoustic import ACOUSTIC_FIELDS, AcousticStepper, build_context
 from repro.core.boundary import fill_halos_state
 from repro.core.grid import make_grid
-from repro.core.helmholtz import HelmholtzOperator, helmholtz_solve
+from repro.core.helmholtz import (HelmholtzOperator, helmholtz_brackets,
+                                  helmholtz_solve)
 from repro.core.limiter import koren
-from repro.core.pressure import eos_pressure
+from repro.core.pressure import eos_pressure, exner
 from repro.core.reference import make_reference_state
 from repro.core.rk3 import DynamicsConfig, slow_tendencies
-from repro.core.state import state_from_reference
+from repro.core.state import State, state_from_reference
+from repro.physics.kessler import KesslerConfig, kessler_step
+from repro.physics.saturation import saturation_mixing_ratio
 from repro.stencil import (StencilExecutor, load_dycore_specs, native,
                            use_executor)
 from repro.stencil.plan import PlanCache
@@ -351,6 +355,190 @@ def test_every_rank_runs_the_compiled_substep(workload, ranks, monkeypatch):
     assert states[False] == states[True]
 
 
+# ------- (b3) warm rain, the halo fill, the linearization and the operator
+def _rain_case(rng, nx, ny, nz, terrain, nan):
+    """A warm-rain state whose rain falls in several sub-steps (40 m
+    levels): sub- and super-saturated vapor, cloud water at and around the
+    autoconversion threshold, rain in about half the cells, signed zeros,
+    and (``nan``) one NaN cell of that field."""
+    ztop = 40.0 * nz
+    g = make_grid(nx, ny, nz, 500.0, 500.0, ztop, terrain=(
+        lambda x, y: 0.05 * ztop * (1.0 + np.sin(x / 700.0 + y / 900.0)))
+        if terrain else None)
+    shape = g.shape_c
+    rho = 1.0 + 0.2 * rng.random(shape)
+    rhotheta = (290.0 + 15.0 * rng.random(shape)) * rho
+    p = eos_pressure(rhotheta, g)
+    qvs = saturation_mixing_ratio(p, rhotheta / rho * exner(p))
+    qv = qvs * rng.uniform(0.8, 1.2, shape)
+    qc = rng.choice([0.0, -0.0, 1e-3, 1e-3 * (1 - 1e-9), 1e-3 * (1 + 1e-9),
+                     5e-4, 3e-3], shape)
+    qr = np.where(rng.random(shape) < 0.5, 0.0,
+                  rng.uniform(1e-4, 4e-3, shape))
+    qr[rng.random(shape) < 0.05] = -0.0
+    q = {"qv": qv * rho, "qc": qc * rho, "qr": qr * rho}
+    fields = dict(q, rho=rho)
+    if nan is not None:
+        sx, sy = g.isl
+        fields[nan][sx, sy].flat[rng.integers(0, nx * ny * nz)] = np.nan
+    return g, rho, rhotheta, q
+
+
+@needs_library
+@SETTINGS
+@given(nx=st.integers(1, 7), ny=st.integers(1, 5), nz=st.integers(2, 9),
+       terrain=st.booleans(), nan=st.sampled_from([None, "rho", "qv", "qr"]),
+       flags=st.tuples(st.booleans(), st.booleans(), st.booleans()),
+       seed=st.integers(0, 2 ** 16))
+def test_kessler_compiled_equals_oracle(nx, ny, nz, terrain, nan, flags, seed):
+    """The hybrid body (C segments, NumPy exp / pow) == the oracle, every
+    field byte for byte (halos too; NaN payloads exempt), the precipitation
+    and its accumulation included, whichever processes are switched on."""
+    rng = np.random.default_rng(seed)
+    g, rho, rhotheta, q = _rain_case(rng, nx, ny, nz, terrain, nan)
+    cfg = KesslerConfig(sedimentation=flags[0], evaporation=flags[1],
+                        saturation_adjust=flags[2])
+    runs = []
+    for body in (FUSED_IMPLS["kessler_step"], None):
+        state = State(g, rho.copy(), g.zeros_u(), g.zeros_v(), g.zeros_w(),
+                      rhotheta.copy(), {k: v.copy() for k, v in q.items()})
+        with native.using(LIB), np.errstate(all="ignore"):
+            precip = (body(PlanCache(), state, None, 10.0, cfg) if body
+                      else _oracle(kessler_step, state, None, 10.0, cfg))
+        assert precip is not NotImplemented
+        runs.append([*map(state.get, ("rho", "rhotheta", "qv", "qc", "qr")),
+                     precip, state.precip_accum])
+    for got, want in zip(*runs):
+        assert native.same(got, want)
+
+
+@needs_library
+def test_kessler_declines_what_it_cannot_take(monkeypatch):
+    """A float32 state runs the oracle (a reference dispatch, not a
+    decline); a strided field is declined with its reason, counted."""
+    rng = np.random.default_rng(3)
+    g, rho, rhotheta, q = _rain_case(rng, 4, 3, 5, False, None)
+    impl = FUSED_IMPLS["kessler_step"]
+    monkeypatch.setattr(native, "UNBOUND", Counter())
+    with native.using(LIB):
+        state = State(g, rho.astype(np.float32), None, None, None,
+                      rhotheta.astype(np.float32),
+                      {k: v.astype(np.float32) for k, v in q.items()})
+        assert impl(PlanCache(), state, None, 10.0) is NotImplemented
+        assert native.UNBOUND == Counter()
+        state = State(g, rho, None, None, None, rhotheta,
+                      dict(q, qc=_strided(q["qc"])))
+        assert impl(PlanCache(), state, None, 10.0) is NotImplemented
+    assert native.UNBOUND == Counter(
+        {("warm-rain steps", "qc not C-contiguous"): 1})
+
+
+@needs_library
+@SETTINGS
+@given(nx=st.integers(1, 6), ny=st.integers(1, 6), nz=st.integers(2, 4),
+       halo=st.integers(1, 3), periodic=st.tuples(st.booleans(), st.booleans()),
+       names=st.sampled_from([None, ["rho"], ["rhou", "rhov", "rhow"],
+                              ["rhotheta", "qv", "qr"], ["rhov", "rhou"], []]),
+       dtype=st.sampled_from([np.float64, np.float32]),
+       seed=st.integers(0, 2 ** 16))
+def test_halo_fill_compiled_equals_reference(nx, ny, nz, halo, periodic,
+                                             names, dtype, seed):
+    """One compiled call per refresh == the reference fill: periodic and
+    open, every staggering, halos wider than the interior (overlapping
+    copies), any field list, both widths."""
+    rng = np.random.default_rng(seed)
+    g = replace(make_grid(nx, ny, nz, 100.0, 100.0, 100.0 * nz,
+                          periodic_x=periodic[0], periodic_y=periodic[1]),
+                halo=halo)              # the model's grids take halo >= 2
+    arrays = [rng.normal(size=s).astype(dtype) for s in (
+        g.shape_c, g.shape_u, g.shape_v, g.shape_w, g.shape_c, g.shape_c,
+        g.shape_c)]
+    runs = []
+    for body in (FUSED_IMPLS["fill_halos_state"], None):
+        state = State(g, *(a.copy() for a in arrays[:5]),
+                      {"qv": arrays[5].copy(), "qr": arrays[6].copy()})
+        with native.using(LIB):
+            out = (body(PlanCache(), state, names) if body
+                   else _oracle(fill_halos_state, state, names))
+        assert out is None
+        runs.append([state.get(n) for n in state.prognostic_names()])
+    for got, want in zip(*runs):
+        _same_bytes("fill_halos_state", got, want)
+
+
+@needs_library
+@SETTINGS
+@given(nx=st.integers(1, 12), ny=st.integers(1, 9), nz=st.integers(2, 12),
+       beta=st.sampled_from([0.55, 1.0]), seed=st.integers(0, 2 ** 16))
+def test_operator_assembly_compiled_equals_numpy(nx, ny, nz, beta, seed):
+    """One compiled call per (dtau, beta) from the brackets == the NumPy
+    scaling of ``HelmholtzOperator`` plus ``_factor`` (blocks of 64
+    columns and a remainder); a non-positive diagonal raises either way."""
+    from repro.stencil.dycore import _factor
+
+    rng = np.random.default_rng(seed)
+    g = make_grid(nx, ny, nz, 100.0, 100.0, 100.0 * nz)
+    thf = np.abs(rng.normal(size=g.shape_w)) + 280.0
+    cp = np.abs(rng.normal(size=g.shape_c)) * 50.0 + 350.0
+    brackets = helmholtz_brackets(g, thf, cp)
+    ops = []
+    for lib in (LIB, None):
+        with native.using(lib):
+            op = HelmholtzOperator(g, thf, cp, 0.05, beta, brackets)
+            ops.append((op.sup, op.sub, op.diag, *_factor(op)))
+    for got, want in zip(*ops):
+        _same_bytes("helmholtz operator", got, want)
+    for lib in (LIB, None):
+        with native.using(lib), pytest.raises(ValueError, match="diagonal"):
+            HelmholtzOperator(g, thf, -cp, 50.0, beta)
+
+
+@needs_library
+@pytest.mark.parametrize("terrain", [False, True])
+def test_linearization_compiled_equals_numpy(terrain):
+    """``build_context``'s compiled pass == its NumPy, the Helmholtz
+    brackets included; a float32 state is declined, counted."""
+    base, _, _, ref = _stage(terrain)
+    g = base.grid
+    p_ref = eos_pressure(ref.rhotheta_c * g.jac[:, :, None], g)
+    ctxs = []
+    for lib in (LIB, None):
+        with native.using(lib):
+            ctx = build_context(base, ref, p_ref)
+            ctx.helmholtz(0.5, 0.55)
+            ctxs.append(ctx)
+    compiled, chain = ctxs
+    for name in ("p_t", "cp_lin", "pc", "rhotheta_t", "rho_ref_hat",
+                 "theta_xf", "theta_yf", "theta_wf"):
+        _same_bytes(name, getattr(compiled, name), getattr(chain, name))
+    for got, want in zip(compiled.brackets, chain.brackets):
+        _same_bytes("brackets", got, want)
+    base32, *_ = _stage(terrain, np.float32)
+    before = Counter(native.UNBOUND)
+    with native.using(LIB):
+        assert build_context(base32, ref, p_ref).brackets is None
+    assert native.UNBOUND - before == Counter(
+        {("contexts", "rho float32"): 1})
+
+
+@needs_library
+def test_a_warm_bubble_step_dispatches_nothing_to_the_reference():
+    """With a library loaded every stencil dispatch of a single-domain
+    warm-bubble step, warm rain and halo fills included, is served by a
+    planned or compiled body, and nothing is declined."""
+    before = Counter(native.UNBOUND)
+    with native.using(LIB):
+        exp = Experiment(RunSpec("warm-bubble", nx=12, ny=10, nz=8, steps=2,
+                                 stencil_backend="fused")).prepare()
+        exp.run()
+    ex = exp.executor
+    stats = ex.stats()
+    assert stats["fallbacks"] == 0 and stats["accelerated"] > 0
+    assert ex.calls["kessler_step"] and ex.calls["fill_halos_state"]
+    assert native.UNBOUND - before == Counter()
+    assert ", 0 reference)" in ex.report()
+
+
 # ------------------------------------------------ (c) without a compiler
 def _state_sha(workload):
     state = Experiment(RunSpec(workload, nx=16, ny=16, nz=8,
@@ -376,6 +564,40 @@ def test_no_compiler_is_a_reason_not_a_different_field(workload, tmp_path):
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == [_state_sha(workload), "no-compiler", "1"]
     assert not os.listdir(tmp_path)             # nothing was built
+
+
+def test_the_compiler_is_identified_by_its_file(tmp_path, monkeypatch):
+    """Resolved path, ``st_mtime_ns`` and ``st_size`` name the compiler in
+    the hash; a program that runs but is no compiler (``CC=/bin/false``)
+    is ``no-compiler``, found out only when something must be built."""
+    cc = tmp_path / "mycc"
+    cc.write_text("#!/bin/sh\nexit 1\n")
+    cc.chmod(0o755)
+    monkeypatch.setenv("CC", str(cc))
+    argv, identity = native._compiler()
+    st = os.stat(cc)
+    assert argv == [str(cc)]
+    assert identity == f"{cc.resolve()} {st.st_mtime_ns} {st.st_size}"
+    os.utime(cc, ns=(st.st_atime_ns, st.st_mtime_ns + 1000))
+    assert native._compiler()[1] != identity
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    lib = native.load()
+    assert lib.state == "no-compiler" and lib.f64 is None
+    assert os.listdir(tmp_path / "cache" / "repro-asuca") == []
+
+
+@needs_library
+def test_a_warm_load_runs_no_process(monkeypatch):
+    """A cache hit spawns nothing, and a process that only loads never
+    imports ``subprocess``."""
+    monkeypatch.setattr(native, "_spawn", lambda *argv: pytest.fail("spawn"))
+    assert native.load().state == "loaded"
+    probe = ("import sys; from repro.stencil import native; "
+             "print(native.library().state, 'subprocess' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", probe], text=True,
+                          capture_output=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=SRC))
+    assert done.stdout.split() == ["loaded", "False"], done.stderr
 
 
 # ------------------------------------------------------ (d) the self-check
@@ -413,6 +635,34 @@ def test_a_reordered_acoustic_body_is_rejected_at_load(body, old, new,
     sources = native.read_sources()
     assert old in sources["acoustic.c"]
     sources["acoustic.c"] = sources["acoustic.c"].replace(old, new)
+    lib = native.load(sources)
+    assert lib.state == "self-check-failed" and lib.detail.startswith(body)
+    assert lib.f64 is None
+
+
+@needs_library
+@pytest.mark.parametrize("source, body, old, new", [
+    ("acoustic.c", "Helmholtz operator", "cp[c] = cp[c] / den[c];",
+     "cp[c] = cp[c] * (1.0 / den[c]);"),
+    ("acoustic.c", "linearization",
+     "pc[i] = (p_t[i] - p_ref[i]) - cp_lin[i] * rt[i];",
+     "pc[i] = p_t[i] - (p_ref[i] + cp_lin[i] * rt[i]);"),
+    ("kessler.c", "kessler step", "const double tb = rt[k] * pi - a->tb;",
+     "const double tb = rt[k] * (pi - a->tb / rt[k]);"),
+    ("kessler.c", "kessler step", "nan |= vt != vt;", ""),
+    ("halo.c", "halo fill",
+     "memmove(a + (h + n) * unit, a + h * unit, unit);", "")])
+def test_a_changed_step_body_is_rejected_at_load(source, body, old, new,
+                                                 tmp_path, monkeypatch):
+    """Another order of operations rounds differently, a fall speed whose
+    NaN is dropped lets the rain fall in more sub-steps, and a staggered
+    halo without its seam copy differs at the seam: the load-time battery
+    reaches the operator, the linearization, the warm rain and the halo
+    fill each on its own."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    sources = native.read_sources()
+    assert old in sources[source]
+    sources[source] = sources[source].replace(old, new)
     lib = native.load(sources)
     assert lib.state == "self-check-failed" and lib.detail.startswith(body)
     assert lib.f64 is None
