@@ -38,7 +38,7 @@ from .driver import (
     sanitized_multigpu_smoke,
 )
 from .dataflow import dataflow_pass, graph_findings
-from .lint import lint_paths, lint_stencils
+from .lint import lint_launches, lint_paths, lint_stencils
 from .memcheck import MemcheckTracker, memcheck_session
 from .racecheck import (
     happens_before,
@@ -51,7 +51,7 @@ from .stepgraph import StepGraph, build_step_graph
 
 __all__ = [
     "CODES", "Finding", "Report", "codes_table",
-    "lint_pass", "lint_paths", "lint_stencils",
+    "lint_launches", "lint_pass", "lint_paths", "lint_stencils",
     "dataflow_pass", "graph_findings",
     "StepGraph", "build_step_graph",
     "racecheck_overlap_methods", "run_all",

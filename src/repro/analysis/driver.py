@@ -29,7 +29,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .findings import CODES, Finding, Report, stale_suppressions
-from .lint import lint_paths, lint_stencils
+from .lint import lint_launches, lint_paths, lint_stencils
 from .memcheck import memcheck_session
 from .racecheck import racecheck_device
 
@@ -38,12 +38,13 @@ __all__ = ["lint_pass", "racecheck_overlap_methods", "sanitized_gpu_smoke",
 
 
 def lint_pass(root: str | Path) -> tuple[list[Finding], list[Finding]]:
-    """asuca-lint over ``root``: the AST rules (LINT01/LINT02) plus the
-    declaration-driven stencil halo probes (LINT03); returns
-    (findings, suppressed)."""
+    """asuca-lint over ``root``: the AST rule (LINT01) plus the
+    declaration-driven launch check (LINT02) and stencil halo probes
+    (LINT03); returns (findings, suppressed)."""
     findings, suppressed = lint_paths(root)
+    lf, ls = lint_launches()
     sf, ss = lint_stencils()
-    return findings + sf, suppressed + ss
+    return findings + lf + sf, suppressed + ls + ss
 
 
 def drop_corner_edge(schedule):

@@ -176,11 +176,6 @@ class Finding:
 _SUPPRESS_RE = re.compile(r"sanitizer:\s*allow\[([A-Z]+\d+)\]")
 
 
-def suppression_comment(code: str) -> str:
-    """The inline comment that suppresses ``code`` on its line."""
-    return f"# sanitizer: allow[{code}]"
-
-
 def is_suppressed(source_lines: list[str], lineno: int, code: str) -> bool:
     """True when line ``lineno`` (1-based) carries an allow-comment for
     ``code`` — the one suppression rule every pass shares."""

@@ -1,4 +1,4 @@
-"""asuca-lint: AST-based static checks of the repo's GPU invariants.
+"""asuca-lint: static checks of the repo's GPU invariants.
 
 Three rules, each guarding a claim the paper's speedup rests on:
 
@@ -14,9 +14,11 @@ Three rules, each guarding a claim the paper's speedup rests on:
 
 * ``LINT02`` — **launch configurations** must respect the GT200
   occupancy rules the paper's (64, 4, 1) blocks were chosen under: every
-  literal ``LaunchConfig(block=(x, y, z))`` must fit the per-SM thread
-  limit and keep >= 50% occupancy (the era's latency-hiding threshold,
-  :mod:`repro.gpu.occupancy`).
+  launch the kernel table declares
+  (:data:`~repro.gpu.asuca_kernels.KERNEL_TABLE`) must fit the per-SM
+  thread limit and keep >= 50% occupancy (the era's latency-hiding
+  threshold, :mod:`repro.gpu.occupancy`).  Findings anchor at the
+  ``@stencil`` declaration (``spec.origin``) the way LINT03's do.
 
 * ``LINT03`` — **stencil widths**: every ``@stencil`` declaration in
   ``core/``/``physics/`` must fit the grid's halo budget, and the
@@ -29,8 +31,8 @@ Three rules, each guarding a claim the paper's speedup rests on:
   and the check runs the kernel instead of pattern-matching its source.)
 
 Suppression: an inline ``# sanitizer: allow[CODE] <rationale>`` comment
-on the flagged line (for LINT03: the ``@stencil`` declaration line)
-moves the finding to the report's suppressed list.
+on the flagged line (for LINT02/LINT03: the ``@stencil`` declaration
+line) moves the finding to the report's suppressed list.
 """
 from __future__ import annotations
 
@@ -40,7 +42,7 @@ from pathlib import Path
 from ..gpu.occupancy import GT200_LIMITS, SMLimits, occupancy
 from .findings import Finding, is_suppressed, origin_suppressed
 
-__all__ = ["lint_paths", "lint_stencils", "declared_halo"]
+__all__ = ["lint_paths", "lint_launches", "lint_stencils", "declared_halo"]
 
 #: transfer methods the full-GPU invariant forbids inside step loops
 TRANSFER_NAMES = frozenset({"copy_to_host", "copy_from_host"})
@@ -79,12 +81,11 @@ def _is_allowed_name(name: str) -> bool:
 
 class _ModuleLint:
     def __init__(self, path: Path, display: str, tree: ast.Module,
-                 source_lines: list[str], *, limits: SMLimits):
+                 source_lines: list[str]):
         self.path = path
         self.display = display
         self.tree = tree
         self.lines = source_lines
-        self.limits = limits
         self.findings: list[Finding] = []
         self.suppressed: list[Finding] = []
         #: function name -> does any same-name function here transfer?
@@ -150,62 +151,12 @@ class _ModuleLint:
                                    "accounted checkpoint/halo path",
                     ))
 
-    # ---------------------------------------------------------- LINT02
-    def check_launch_configs(self) -> None:
-        for call in ast.walk(self.tree):
-            if not (isinstance(call, ast.Call)
-                    and _call_name(call) == "LaunchConfig"):
-                continue
-            block = None
-            if call.args:
-                block = call.args[0]
-            for kw in call.keywords:
-                if kw.arg == "block":
-                    block = kw.value
-            if not isinstance(block, ast.Tuple):
-                continue
-            dims = []
-            for elt in block.elts:
-                if not (isinstance(elt, ast.Constant)
-                        and isinstance(elt.value, int)):
-                    break
-                dims.append(elt.value)
-            else:
-                threads = 1
-                for d in dims:
-                    threads *= d
-                if threads < 1 or threads > self.limits.max_threads:
-                    occ = None
-                else:
-                    occ = occupancy(threads, limits=self.limits)
-                if occ is not None and occ.latency_hiding_ok:
-                    continue
-                detail = (f"{threads} threads/block exceeds the "
-                          f"{self.limits.name} limit of "
-                          f"{self.limits.max_threads}" if occ is None else
-                          f"block of {threads} threads reaches only "
-                          f"{occ.occupancy:.0%} occupancy "
-                          f"(limited by {occ.limiter}; >= 50% needed to "
-                          f"hide memory latency)")
-                self._emit(Finding(
-                    code="LINT02",
-                    message=f"LaunchConfig(block={tuple(dims)}): {detail}",
-                    file=self.display, line=call.lineno,
-                    suggestion="use a block geometry validated by "
-                               "repro.gpu.occupancy (e.g. the paper's "
-                               "(64, 4, 1))",
-                ))
 
-
-def lint_paths(
-    root: str | Path,
-    *,
-    limits: SMLimits = GT200_LIMITS,
-) -> tuple[list[Finding], list[Finding]]:
-    """AST lint (LINT01/LINT02) over every ``*.py`` under ``root`` (or
-    the single file ``root``); returns ``(findings, suppressed)``.  The
-    stencil-width check is :func:`lint_stencils` — it runs kernels, not
-    the AST."""
+def lint_paths(root: str | Path) -> tuple[list[Finding], list[Finding]]:
+    """AST lint (LINT01) over every ``*.py`` under ``root`` (or the single
+    file ``root``); returns ``(findings, suppressed)``.  The launch and
+    stencil-width checks are :func:`lint_launches` and
+    :func:`lint_stencils` — they read declarations, not the AST."""
     root = Path(root)
     files = [root] if root.is_file() else sorted(root.rglob("*.py"))
     findings: list[Finding] = []
@@ -214,12 +165,62 @@ def lint_paths(
         display = str(path)
         text = path.read_text()
         tree = ast.parse(text, filename=display)
-        mod = _ModuleLint(path, display, tree, text.splitlines(),
-                          limits=limits)
+        mod = _ModuleLint(path, display, tree, text.splitlines())
         mod.check_step_transfers()
-        mod.check_launch_configs()
         findings.extend(mod.findings)
         suppressed.extend(mod.suppressed)
+    return findings, suppressed
+
+
+# -------------------------------------------------------------------- LINT02
+def lint_launches(
+    table: dict | None = None, *, limits: SMLimits = GT200_LIMITS,
+) -> tuple[list[Finding], list[Finding]]:
+    """LINT02 over the launches of the kernel table (default
+    :data:`~repro.gpu.asuca_kernels.KERNEL_TABLE`); returns
+    ``(findings, suppressed)``.
+
+    A spec-backed entry launches with the block its ``@stencil``
+    declares and its finding anchors there (``spec.origin``), where an
+    inline ``# sanitizer: allow[LINT02]`` comment suppresses; a cost-only
+    entry launches with the default
+    :class:`~repro.gpu.kernel.LaunchConfig` block and anchors at that
+    class.
+    """
+    import inspect
+
+    from ..gpu.asuca_kernels import KERNEL_TABLE
+    from ..gpu.kernel import LaunchConfig
+
+    default_origin = (inspect.getsourcefile(LaunchConfig),
+                      inspect.getsourcelines(LaunchConfig)[1])
+    findings: list[Finding] = []
+    suppressed: list[Finding] = []
+    for name, decl in (KERNEL_TABLE if table is None else table).items():
+        spec = decl.spec
+        block = spec.launch if spec else LaunchConfig().block
+        origin = spec.origin if spec and spec.origin else default_origin
+        threads = block[0] * block[1] * block[2]
+        occ = (occupancy(threads, limits=limits)
+               if 1 <= threads <= limits.max_threads else None)
+        if occ is not None and occ.latency_hiding_ok:
+            continue
+        detail = (f"{threads} threads/block exceeds the {limits.name} "
+                  f"limit of {limits.max_threads}" if occ is None else
+                  f"block of {threads} threads reaches only "
+                  f"{occ.occupancy:.0%} occupancy (limited by "
+                  f"{occ.limiter}; >= 50% needed to hide memory latency)")
+        finding = Finding(
+            code="LINT02",
+            message=f"kernel '{name}' launches block={tuple(block)}: {detail}",
+            file=origin[0], line=origin[1],
+            suggestion="declare a block geometry validated by "
+                       "repro.gpu.occupancy (e.g. the paper's (64, 4, 1))",
+        )
+        if origin_suppressed(origin[0], origin[1], "LINT02"):
+            suppressed.append(finding)
+        else:
+            findings.append(finding)
     return findings, suppressed
 
 

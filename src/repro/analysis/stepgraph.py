@@ -162,17 +162,6 @@ class Node:
     axes: tuple[int, ...] = (0, 1)      #: exchanges: axes refreshed
     branch: tuple[str, ...] = ()        #: enclosing if/else path
 
-    def describe(self) -> str:
-        loc = f"{Path(self.file).name}:{self.line}"
-        if self.kind == "exchange":
-            what = ("*" if self.exch_fields is None
-                    else ",".join(self.exch_fields))
-            return f"[{self.idx}] exchange({what}) axes={self.axes} @ {loc}"
-        rw = (f"reads={sorted(self.reads)} writes={sorted(self.writes)}"
-              if self.reads or self.writes else "")
-        halo = f" halo={self.halo}" if self.halo else ""
-        return f"[{self.idx}] {self.kind} {self.name}{halo} {rw} @ {loc}"
-
 
 @dataclass
 class StepGraph:
@@ -185,42 +174,11 @@ class StepGraph:
     #: local reads that precede any definition: (token, file, line)
     use_before_def: list[tuple[str, str, int]] = dfield(default_factory=list)
 
-    def edges(self) -> list[tuple[int, int, str]]:
-        """Field-level def/use chains ``(writer idx, reader idx, name)``."""
-        last_writer: dict[str, int] = {}
-        out: list[tuple[int, int, str]] = []
-        for node in self.nodes:
-            touched = (set(node.reads)
-                       if node.kind != "exchange"
-                       else set(node.exch_fields
-                                if node.exch_fields is not None
-                                else PROGNOSTIC_FIELDS - {"precip"}))
-            for r in sorted(touched):
-                if r in last_writer:
-                    out.append((last_writer[r], node.idx, r))
-            writes = (set(node.writes) if node.kind != "exchange"
-                      else touched)
-            for w in writes:
-                last_writer[w] = node.idx
-        return out
-
     def kernels(self) -> list[Node]:
         return [n for n in self.nodes if n.kind == "kernel"]
 
     def exchanges(self) -> list[Node]:
         return [n for n in self.nodes if n.kind == "exchange"]
-
-    def summary(self) -> str:
-        head = (f"step graph [{self.entry}]: {len(self.nodes)} nodes "
-                f"({len(self.kernels())} kernel, "
-                f"{len(self.exchanges())} exchange), "
-                f"{len(self.edges())} def/use edges")
-        lines = [head] + [n.describe() for n in self.nodes]
-        if self.notes:
-            lines.append("notes:")
-            lines += [f"  - {n}" for n in self.notes]
-        return "\n".join(lines)
-
 
 # ---------------------------------------------------------------- builder
 class _Module:
@@ -261,13 +219,6 @@ def _parse_module(file: str | Path) -> _Module:
     file = str(file)
     text = Path(file).read_text()
     return _Module(file, ast.parse(text, filename=file))
-
-
-def _module_of(obj: Any) -> _Module:
-    file = inspect.getsourcefile(obj)
-    if file is None:  # pragma: no cover - C extensions etc.
-        raise ValueError(f"no source for {obj!r}")
-    return _parse_module(file)
 
 
 class _Builder:

@@ -38,8 +38,6 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable
 
-import numpy as np
-
 from .core.boundary import fill_halos_state
 from .core.model import StepDiagnostics
 from .core.state import State
@@ -327,13 +325,6 @@ class RunResult:
     #: per-step point-product series recorded by the workload case (the
     #: vortex case's track: time, center, max wind), when it records one
     series: "dict[str, list] | None" = None
-
-    @property
-    def spec_hash(self) -> str:
-        """Content hash identifying the computation that produced this
-        result (:meth:`RunSpec.spec_hash`) — the key a result cache
-        stores it under."""
-        return self.spec.spec_hash()
 
     def resilience_report(self) -> str:
         parts = [f"{len(self.fault_log)} faults fired"]

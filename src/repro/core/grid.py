@@ -219,12 +219,6 @@ class Grid:
         """True when there is no terrain (all metric terms vanish)."""
         return self._flat
 
-    # ------------------------------------------------------------- memory
-    def field_bytes(self, dtype=np.float64) -> int:
-        """Bytes of one interior cell-centered field (no halo), used by the
-        GPU-capacity accounting mirroring the paper's 4-GB limit."""
-        return self.nx * self.ny * self.nz * np.dtype(dtype).itemsize
-
 
 def make_grid(
     nx: int,

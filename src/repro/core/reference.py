@@ -75,10 +75,6 @@ class ReferenceState:
     p_wf: np.ndarray
     cs2_c: np.ndarray        # sound speed squared at centers
 
-    @property
-    def shape(self) -> tuple[int, int, int]:
-        return self.theta_c.shape
-
 
 def make_reference_state(
     grid: Grid,

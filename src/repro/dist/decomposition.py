@@ -78,11 +78,6 @@ class Subdomain:
             return None
         return nx_ * self.py + ny_
 
-    def __str__(self) -> str:  # pragma: no cover - debugging nicety
-        return (f"Subdomain(rank={self.rank}, ({self.cx},{self.cy}) of "
-                f"{self.px}x{self.py}, x0={self.x0}, y0={self.y0}, "
-                f"{self.nx}x{self.ny})")
-
 
 @dataclass(frozen=True)
 class Topology:
@@ -110,10 +105,6 @@ class Topology:
         global grid's periodicity flags, per axis."""
         return cls(px=px, py=py, periodic_x=grid.periodic_x,
                    periodic_y=grid.periodic_y)
-
-    def periodic(self, axis: int) -> bool:
-        """Does ``axis`` (0 = x, 1 = y) wrap at the global edge?"""
-        return self.periodic_x if axis == 0 else self.periodic_y
 
     def neighbor(self, sub: Subdomain, dx: int, dy: int) -> int | None:
         """Rank at (cx+dx, cy+dy) from ``sub``, or None at an open edge."""

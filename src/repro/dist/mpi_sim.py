@@ -187,18 +187,6 @@ class SimComm:
         exchange — asserted by the tests)."""
         return len(self._mail)
 
-    # ------------------------------------------------------ collectives
-    def allreduce_sum(self, values: list[float]) -> float:
-        """Sum across ranks (every rank contributed one value)."""
-        if len(values) != self.n_ranks:
-            raise ValueError("allreduce needs one value per rank")
-        return float(np.sum(values))
-
-    def allreduce_max(self, values: list[float]) -> float:
-        if len(values) != self.n_ranks:
-            raise ValueError("allreduce needs one value per rank")
-        return float(np.max(values))
-
 
 def _flip_bytes(data: np.ndarray) -> None:
     """Deterministically corrupt a payload in place (first byte and a

@@ -293,14 +293,3 @@ class MultiGpuAsuca:
             if checkpoint is not None and checkpoint.due(self.step_index):
                 checkpoint.save(self.step_index, states)
         return states
-
-    # ---------------------------------------------------------- diagnostics
-    def total_mass(self, states: list[State]) -> float:
-        return self.comm.allreduce_sum([st.total_mass() for st in states])
-
-    def max_w(self, states: list[State]) -> float:
-        vals = []
-        for st in states:
-            _, _, w = st.velocities()
-            vals.append(float(np.abs(st.grid.interior(w)).max()))
-        return self.comm.allreduce_max(vals)

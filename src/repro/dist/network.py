@@ -60,12 +60,6 @@ class ClusterSpec:
     mpi: LinkSpec
     max_gpus: int
 
-    def mpi_time(self, nbytes: float) -> float:
-        return self.mpi.transfer_time(nbytes)
-
-    def pcie_time(self, nbytes: float) -> float:
-        return self.pcie.transfer_time(nbytes)
-
 
 TSUBAME_1_2 = ClusterSpec(
     name="TSUBAME 1.2",

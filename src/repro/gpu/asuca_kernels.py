@@ -508,9 +508,7 @@ def launch_schedule(ns: int = DEFAULT_NS, *,
 def bind(grid: Grid, ref: ReferenceState) -> dict[str, Kernel]:
     """Every table kernel with ``fn`` bound to its reference
     implementation on the given grid.  Each ``fn`` takes the arrays it
-    needs and returns the computed field — launching one through
-    :meth:`~repro.gpu.kernel.Kernel.launch` therefore does the real work
-    *and* charges modeled device time, and the counting hook measures
+    needs and returns the computed field; the counting hook measures
     real FLOP/byte counts by calling it on instrumented arrays."""
     terms = _Terms(grid, ref)
     return {name: d.kernel(partial(d.reference, terms))

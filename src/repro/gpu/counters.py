@@ -71,13 +71,14 @@ class CountingHook:
     """Measures per-point FLOP/element counts of the ASUCA kernels and
     annotates device ops with them.
 
-    Lifecycle per step::
+    Lifecycle per step, as :func:`repro.gpu.runtime.charge_step` drives
+    it::
 
         sampled = hook.begin_step(step_index, state)   # measures if due
-        ...
-        op = kernel.launch(...)
-        if sampled:
-            hook.annotate(op, name, n_points)
+        for name, ..., n_points, duration, ... in launches:
+            op = device.schedule(name, "kernel", ...)
+            if sampled:
+                hook.annotate(op, name, n_points)
 
     ``begin_step`` runs every accounting kernel once on (copies of) the
     live state fields under a :class:`~repro.perf.counting.FlopCounter`,
@@ -161,17 +162,3 @@ class CountingHook:
     def per_point(self, name: str) -> dict[str, float] | None:
         """Latest sampled per-point counts for one kernel (or None)."""
         return self._per_point.get(name)
-
-    def summary(self) -> dict[str, dict[str, float]]:
-        """Per-kernel measured per-point counts and launch totals."""
-        return {
-            name: {
-                "flops_per_point": mk.flops_per_point,
-                "reads_per_point": mk.reads_per_point,
-                "writes_per_point": mk.writes_per_point,
-                "measurements": mk.measurements,
-                "launches": mk.launches,
-                "points": mk.points,
-            }
-            for name, mk in sorted(self.measured.items())
-        }

@@ -25,10 +25,8 @@ conflicting accesses with no ordering edge (the virtual machine's
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
-
-import numpy as np
 
 from ..optimeline import engine_for
 from .spec import DeviceSpec, TESLA_S1070
@@ -131,9 +129,6 @@ class Stream:
         self.available_at = max(self.available_at, event.time)
         if event.op is not None:
             self._pending_deps.append(event.op)
-
-    def synchronize(self) -> float:
-        return self.available_at
 
 
 class GPUDevice:

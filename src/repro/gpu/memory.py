@@ -23,7 +23,7 @@ import numpy as np
 from .coalescing import ArrayOrder
 from .device import Access, Event, GPUDevice, Stream
 
-__all__ = ["DeviceArray", "DeviceAllocator", "asuca_field_count", "max_grid_fits"]
+__all__ = ["DeviceArray", "DeviceAllocator", "max_grid_fits"]
 
 #: Effective number of resident 3-D fields of the full-GPU ASUCA: 5
 #: dynamical prognostics + 7 water substances, each with long-step base
@@ -33,10 +33,6 @@ __all__ = ["DeviceArray", "DeviceAllocator", "asuca_field_count", "max_grid_fits
 #: mesh fitting a 4 GiB Tesla S1070 and 320 x 128 x 48 the largest in
 #: double precision — exactly the paper's Sec. IV-B statements.
 ASUCA_RESIDENT_FIELDS = 256
-
-
-def asuca_field_count() -> int:
-    return ASUCA_RESIDENT_FIELDS
 
 
 class DeviceArray:
@@ -67,14 +63,6 @@ class DeviceArray:
     @property
     def nbytes(self) -> int:
         return self.data.nbytes
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.data.shape
-
-    @property
-    def dtype(self):
-        return self.data.dtype
 
     def free(self) -> None:
         """Release the modeled allocation.  Idempotent — a second call

@@ -75,11 +75,6 @@ class DeviceSpec:
             return self.mem_bandwidth
         return self.mem_bandwidth * n_points / (n_points + self.saturation_points)
 
-    @property
-    def total_sp(self) -> int:
-        return self.sm_count * self.sp_per_sm
-
-
 #: the paper's GPU (one of the four in a Tesla S1070 box)
 TESLA_S1070 = DeviceSpec(
     name="NVIDIA Tesla S1070 (GT200)",

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Iterable
 
 from ..metrics import percentile_summary
@@ -277,17 +277,6 @@ class HealthMonitor:
         return fired
 
     # ----------------------------------------------------------- queries
-    @property
-    def breached(self) -> bool:
-        return bool(self.alerts)
-
     def summary(self) -> dict[str, dict[str, float]]:
         """Per-metric rolling-window summaries (shared percentile math)."""
         return {m: s.summary() for m, s in sorted(self.series.items())}
-
-    def as_dict(self) -> dict[str, Any]:
-        return {
-            "rules": [r.expr for r in self.rules],
-            "alerts": [a.as_dict() for a in self.alerts],
-            "metrics": self.summary(),
-        }

@@ -30,7 +30,7 @@ cost-table perturbation to prove the check has teeth.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable
 
 from ...analysis.findings import Finding
 from ...gpu.asuca_kernels import ASUCA_KERNELS, KERNEL_TABLE, drift

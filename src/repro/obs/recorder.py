@@ -146,10 +146,6 @@ class FlightRecorder:
             return None
         return self.dump(self.path, reason=None)
 
-    def __repr__(self) -> str:
-        return (f"FlightRecorder({len(self._ring)}/{self.capacity} "
-                f"buffered, {self.recorded} recorded, {self.trips} trips)")
-
 
 def load_flight_dump(path: str) -> tuple[dict[str, Any], list[dict[str, Any]]]:
     """Read a recorder dump back: (header, events oldest-first)."""

@@ -204,7 +204,3 @@ class SnapshotSeries:
         with open(path, "w") as fh:
             fh.write(self.csv())
         return path
-
-    def __repr__(self) -> str:
-        return (f"SnapshotSeries(interval={self.interval}, "
-                f"{len(self.samples)} series, t_max={self.t_max:.3f})")

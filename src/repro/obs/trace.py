@@ -265,10 +265,6 @@ class TraceSession:
         return by_pid
 
     # ------------------------------------------------------------- clock
-    def now(self) -> float:
-        """Wall seconds since the session epoch."""
-        return time.perf_counter() - self.epoch
-
     def rebase(self, t_abs: float) -> float:
         """Convert an absolute ``perf_counter`` stamp to session time
         (clamped at 0 for stamps that predate the session)."""
@@ -301,7 +297,7 @@ class TraceSession:
         cat: str = "host",
         args: dict[str, Any] | None = None,
     ) -> InstantRecord:
-        rec = InstantRecord(name=name, ts=self.now() if ts is None else ts,
+        rec = InstantRecord(name=name, ts=self.rebase(time.perf_counter()) if ts is None else ts,
                             pid=pid, tid=tid, cat=cat, args=args or {})
         self.instants.append(rec)
         return rec
@@ -316,7 +312,7 @@ class TraceSession:
         series: str = "value",
     ) -> CounterRecord:
         """Sample a counter time series (exported as a CTF 'C' event)."""
-        rec = CounterRecord(name=name, ts=self.now() if ts is None else ts,
+        rec = CounterRecord(name=name, ts=self.rebase(time.perf_counter()) if ts is None else ts,
                             value=float(value), pid=pid, series=series)
         self.counters.append(rec)
         return rec

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from ..dist.network import TSUBAME_1_2
 from ..dist.overlap import OverlapConfig, OverlapModel
-from ..gpu.spec import Precision, TESLA_S1070
+from ..gpu.spec import TESLA_S1070
 from .costmodel import asuca_step_cost
 
 __all__ = ["SensitivityRow", "sensitivity_sweep", "PARAMETERS"]

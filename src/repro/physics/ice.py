@@ -36,7 +36,6 @@ from ..core.pressure import eos_pressure, exner
 from ..core.reference import ReferenceState
 from ..core.state import State
 from ..stencil.spec import stencil
-from .saturation import saturation_mixing_ratio
 from .sedimentation import SEDIMENTATION_FLOPS_PER_POINT  # noqa: F401 (re-export pattern)
 
 __all__ = [

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import constants as c
-from ..core.grid import Grid
 from ..core.pressure import eos_pressure, exner
 from ..stencil.spec import stencil
 from ..core.reference import ReferenceState

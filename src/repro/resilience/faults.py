@@ -190,9 +190,6 @@ class FaultPlan:
     def __len__(self) -> int:
         return len(self.events)
 
-    def max_step(self) -> int:
-        return max((ev.step for ev in self.events), default=-1)
-
 
 class RankCrash(RuntimeError):
     """Raised when the fault plan kills a rank; recovered (if at all) by
@@ -276,12 +273,6 @@ class FaultInjector:
     def pending(self) -> int:
         """Scheduled firings not yet consumed."""
         return sum(max(0, remaining) for _, remaining in self._live)
-
-    def report(self) -> str:
-        if not self.fired:
-            return "no faults fired"
-        parts = ", ".join(f"{k}={n}" for k, n in sorted(self.counts.items()))
-        return f"{len(self.fired)} faults fired ({parts})"
 
 
 def _label_rank(label: str) -> int:

@@ -60,13 +60,6 @@ class RetryPolicy:
         if self.backoff_factor < 1.0:
             raise ValueError("backoff_factor must be >= 1")
 
-    @property
-    def max_attempts(self) -> int:
-        """Total execution attempts allowed (the first try + retries).
-        :class:`repro.serve.service.ForecastService` evicts a job once
-        its crash count reaches this."""
-        return self.max_retries + 1
-
     def allows(self, failures: int) -> bool:
         """May the work be retried after ``failures`` failed attempts?"""
         return failures <= self.max_retries
@@ -75,10 +68,6 @@ class RetryPolicy:
         """Modeled backoff before retry ``attempt`` (0-based)."""
         return min(self.backoff_base * self.backoff_factor ** attempt,
                    self.backoff_max)
-
-    def schedule(self) -> list[float]:
-        """The full backoff schedule, one entry per allowed retry."""
-        return [self.backoff(k) for k in range(self.max_retries)]
 
 
 @dataclass

@@ -77,7 +77,3 @@ class ResultCache:
     def hit_rate(self) -> float:
         lookups = self.hits + self.misses
         return self.hits / lookups if lookups else 0.0
-
-    def __repr__(self) -> str:
-        return (f"ResultCache({len(self)}/{self.capacity}, "
-                f"hits={self.hits}, misses={self.misses})")

@@ -15,7 +15,7 @@ or two gang jobs deadlock the fleet).
 """
 from __future__ import annotations
 
-from ..gpu.spec import DeviceSpec, TESLA_S1070, FERMI_M2050, device_spec
+from ..gpu.spec import DeviceSpec, TESLA_S1070, device_spec
 
 __all__ = ["GpuFleet"]
 
@@ -42,11 +42,6 @@ class GpuFleet:
         """The paper's full machine: 528 S1070 GPUs (Sec. VI)."""
         return cls(528, TESLA_S1070, name="TSUBAME 1.2 (528x S1070)")
 
-    @classmethod
-    def tsubame20(cls, n_gpus: int = 4224) -> "GpuFleet":
-        """The Sec. VII projection target: Fermi M2050 GPUs."""
-        return cls(n_gpus, FERMI_M2050, name=f"TSUBAME 2.0 ({n_gpus}x M2050)")
-
     # -------------------------------------------------------- allocation
     @property
     def free_gpus(self) -> int:
@@ -55,9 +50,6 @@ class GpuFleet:
     @property
     def in_use(self) -> int:
         return self.n_gpus - self.free_gpus
-
-    def owner_of(self, gpu: int) -> int | None:
-        return self._owner[gpu]
 
     def holding(self, job_index: int) -> tuple[int, ...]:
         """The GPUs currently owned by ``job_index``."""
@@ -108,7 +100,3 @@ class GpuFleet:
         if makespan <= 0:
             return 0.0
         return self.total_busy_s / (self.n_gpus * makespan)
-
-    def __repr__(self) -> str:
-        return (f"GpuFleet({self.name!r}, {self.in_use}/{self.n_gpus} "
-                f"in use)")

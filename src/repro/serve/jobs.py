@@ -110,10 +110,6 @@ class Job:
 
     # ----------------------------------------------------------- queries
     @property
-    def done(self) -> bool:
-        return self.state in TERMINAL_STATES
-
-    @property
     def wait(self) -> float | None:
         """Modeled seconds from arrival to the *first* execution start
         (0 for cache hits, None while still waiting)."""
@@ -140,10 +136,6 @@ class Job:
 
     def note(self, t: float, event: str) -> None:
         self.log.append((t, event))
-
-    def __repr__(self) -> str:  # concise: job listings appear in reports
-        return (f"Job({self.index}, {self.spec.workload}, "
-                f"{self.gpus_needed}g, {self.state.value})")
 
 
 def _grid_defaults(workload: str) -> tuple[int, int, int]:

@@ -26,7 +26,6 @@ from .spec import (
     StencilFunction,
     StencilSpec,
     all_specs,
-    get_stencil,
     register_fused,
     stencil,
 )
@@ -43,7 +42,6 @@ __all__ = [
     "active_executor",
     "all_specs",
     "default_backend",
-    "get_stencil",
     "load_dycore_specs",
     "native",
     "register_fused",

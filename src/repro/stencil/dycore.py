@@ -379,21 +379,6 @@ def _hlap_c(plans, phi, grid):
     return _hlap(phi, grid, *grid.isl)
 
 
-@register_fused("horizontal_laplacian_u")
-def _hlap_u(plans, u, grid):
-    return _hlap(u, grid, *grid.isl_u)
-
-
-@register_fused("horizontal_laplacian_v")
-def _hlap_v(plans, v, grid):
-    return _hlap(v, grid, *grid.isl_v)
-
-
-@register_fused("horizontal_laplacian_w")
-def _hlap_w(plans, w, grid):
-    return _hlap(w, grid, *grid.isl)
-
-
 @register_fused("hyperdiffusion_c")
 def _hyperdiffusion_c(plans, phi, grid):
     h = grid.halo

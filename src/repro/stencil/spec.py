@@ -40,7 +40,6 @@ __all__ = [
     "StencilFunction",
     "stencil",
     "register_fused",
-    "get_stencil",
     "all_specs",
     "REGISTRY",
     "FUSED_IMPLS",
@@ -145,11 +144,6 @@ class StencilFunction:
     def __call__(self, *args: Any, **kwargs: Any):
         return _executor.active_executor().call(self, args, kwargs)
 
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        s = self.spec
-        return (f"<stencil {s.name} reads={s.reads} writes={s.writes} "
-                f"halo={s.halo}>")
-
 
 def stencil(
     *,
@@ -223,15 +217,6 @@ def register_fused(name: str) -> Callable[[Callable[..., Any]], Callable[..., An
         return fn
 
     return deco
-
-
-def get_stencil(name: str) -> StencilFunction:
-    try:
-        return REGISTRY[name]
-    except KeyError:
-        raise KeyError(
-            f"no stencil named {name!r}; registered: {sorted(REGISTRY)}"
-        ) from None
 
 
 def all_specs() -> Dict[str, StencilSpec]:

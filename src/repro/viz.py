@@ -5,14 +5,13 @@ their shared implementation, usable on any 2-D array:
 
 * :func:`render_field` — signed fields, density ramp, UPPERCASE for
   positive values (the mountain-wave examples);
-* :func:`render_map` — non-negative fields (precipitation maps);
-* :func:`field_stats` — one-line summary string.
+* :func:`render_map` — non-negative fields (precipitation maps).
 """
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["render_field", "render_map", "field_stats"]
+__all__ = ["render_field", "render_map"]
 
 _RAMP = " .:-=+*#%@"
 
@@ -67,11 +66,3 @@ def render_map(field: np.ndarray, *, ramp: str = _RAMP) -> str:
         "".join(ramp[idx[i, j]] for i in range(f.shape[0]))
         for j in range(f.shape[1] - 1, -1, -1)
     )
-
-
-def field_stats(name: str, field: np.ndarray, unit: str = "") -> str:
-    """``name: min .. max (mean m, rms r) unit`` one-liner."""
-    f = np.asarray(field, dtype=np.float64)
-    return (f"{name}: {f.min():.4g} .. {f.max():.4g} "
-            f"(mean {f.mean():.4g}, rms {np.sqrt((f ** 2).mean()):.4g})"
-            + (f" {unit}" if unit else ""))

@@ -22,7 +22,7 @@ from ..core.grid import Grid, make_grid
 from ..core.model import AsucaModel, ModelConfig
 from ..core.reference import ReferenceState, make_reference_state
 from ..core.rk3 import DynamicsConfig
-from ..core.state import State, state_from_reference
+from ..core.state import State
 from .sounding import constant_stability_sounding
 
 __all__ = ["ShearLayerCase", "make_shear_layer_case"]
@@ -35,10 +35,6 @@ class ShearLayerCase:
     model: AsucaModel
     state: State
     richardson: float
-
-    def run(self, n_steps: int) -> State:
-        self.state = self.model.run(self.state, n_steps)
-        return self.state
 
     def perturbation_ke(self) -> float:
         """Domain-mean kinetic energy of (w, u - <u>_xy) [J/kg-ish]."""

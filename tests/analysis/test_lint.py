@@ -1,10 +1,12 @@
-"""Unit tests of the asuca-lint pass: the AST rules (LINT01/LINT02), the
-declaration-driven stencil halo check (LINT03), and the run over the repo."""
+"""Unit tests of the asuca-lint pass: the AST rule (LINT01), the
+declaration-driven launch check (LINT02) and stencil halo check (LINT03),
+and the run over the repo."""
 import dataclasses
 import textwrap
 from pathlib import Path
 
-from repro.analysis import lint_paths, lint_stencils
+from repro.analysis import lint_launches, lint_paths, lint_stencils
+from repro.gpu.asuca_kernels import KERNEL_TABLE
 
 REPO_SRC = Path(__file__).parents[2] / "src" / "repro"
 
@@ -95,43 +97,31 @@ def test_inline_suppression_moves_finding_to_suppressed(tmp_path):
 
 
 # ------------------------------------------------------------------ LINT02
-def test_oversized_block_is_flagged(tmp_path):
-    p = _write(tmp_path, "m.py", """
-        from repro.gpu.kernel import LaunchConfig
-        cfg = LaunchConfig(block=(64, 32, 1))
-    """)
-    findings, _ = _lint(p)
+def _perturbed(block, name="advection", **spec_fields):
+    """A copy of the kernel table whose ``name`` entry declares ``block``."""
+    decl = KERNEL_TABLE[name]
+    spec = dataclasses.replace(decl.spec, launch=block, **spec_fields)
+    return {**KERNEL_TABLE, name: dataclasses.replace(decl, spec=spec)}
+
+
+def test_oversized_block_is_flagged():
+    findings, _ = lint_launches(_perturbed((64, 32, 1)))
     assert [f.code for f in findings] == ["LINT02"]
-    assert "2048" in findings[0].message
+    assert "2048" in findings[0].message and "advection" in findings[0].message
+    # anchored at the @stencil declaration the table entry is priced from
+    origin = KERNEL_TABLE["advection"].spec.origin
+    assert (findings[0].file, findings[0].line) == origin
 
 
-def test_low_occupancy_block_is_flagged(tmp_path):
-    p = _write(tmp_path, "m.py", """
-        from repro.gpu.kernel import LaunchConfig
-        cfg = LaunchConfig(block=(8, 1, 1))
-    """)
-    findings, _ = _lint(p)
+def test_low_occupancy_block_is_flagged():
+    findings, _ = lint_launches(_perturbed((8, 1, 1)))
     assert [f.code for f in findings] == ["LINT02"]
     assert "occupancy" in findings[0].message
 
 
-def test_paper_block_is_clean(tmp_path):
-    p = _write(tmp_path, "m.py", """
-        from repro.gpu.kernel import LaunchConfig
-        cfg = LaunchConfig(block=(64, 4, 1))
-    """)
-    findings, _ = _lint(p)
-    assert findings == []
-
-
-def test_non_literal_block_is_ignored(tmp_path):
-    p = _write(tmp_path, "m.py", """
-        from repro.gpu.kernel import LaunchConfig
-        def make(bx):
-            return LaunchConfig(block=(bx, 4, 1))
-    """)
-    findings, _ = _lint(p)
-    assert findings == []
+def test_paper_block_is_clean():
+    assert lint_launches(_perturbed((64, 4, 1))) == ([], [])
+    assert lint_launches() == ([], [])
 
 
 # ------------------------------------------------------------------ LINT03
@@ -185,11 +175,13 @@ def test_repo_stencil_declarations_are_honest():
 
 
 def test_inline_suppression_covers_lint02(tmp_path):
-    p = _write(tmp_path, "m.py", """
-        from repro.gpu.kernel import LaunchConfig
-        cfg = LaunchConfig(block=(64, 32, 1))  # sanitizer: allow[LINT02] stress fixture
+    p = _write(tmp_path, "decl.py", """
+        @stencil(launch=(64, 32, 1))  # sanitizer: allow[LINT02] stress fixture
+        def k(phi, grid):
+            return phi
     """)
-    findings, suppressed = _lint(p)
+    findings, suppressed = lint_launches(
+        _perturbed((64, 32, 1), origin=(str(p), 2)))
     assert findings == []
     assert [f.code for f in suppressed] == ["LINT02"]
 

@@ -7,7 +7,6 @@ import pytest
 
 from repro.analysis.dataflow import graph_findings
 from repro.analysis.stepgraph import (
-    PROGNOSTIC_FIELDS,
     build_graph_for_function,
     build_step_graph,
     exchange_default_axes,
@@ -81,23 +80,6 @@ def test_graph_notes_name_only_known_opaque_calls():
         assert not any("multigpu.py" in n and "exchange" in n
                        for n in g.notes)
         assert not any("apply_sliced" in n for n in g.notes)
-
-
-def test_edges_reference_valid_nodes():
-    g = build_step_graph("single")
-    n = len(g.nodes)
-    edges = g.edges()
-    assert edges, "the step graph must have def/use chains"
-    for w, r, name in edges:
-        assert 0 <= w < r < n
-        assert name in PROGNOSTIC_FIELDS or ":" in name
-
-
-def test_summary_mentions_counts():
-    g = build_step_graph("single")
-    head = g.summary().splitlines()[0]
-    assert f"{len(g.kernels())} kernel" in head
-    assert f"{len(g.exchanges())} exchange" in head
 
 
 # -------------------------------------------------------- fixture harness

@@ -103,12 +103,6 @@ def test_coordinates(small_grid):
     assert xu[g.halo + g.nx] == pytest.approx(g.nx * g.dx)
 
 
-def test_field_bytes(small_grid):
-    g = small_grid
-    assert g.field_bytes(np.float32) == g.nx * g.ny * g.nz * 4
-    assert g.field_bytes(np.float64) == 2 * g.field_bytes(np.float32)
-
-
 def test_stretched_levels_helper():
     from repro.core.grid import stretched_levels
 

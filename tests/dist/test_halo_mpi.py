@@ -51,13 +51,6 @@ class TestSimComm:
         with pytest.raises(ValueError):
             comm.post(0, 5, "t", np.zeros(1))
 
-    def test_allreduce(self):
-        comm = SimComm(3)
-        assert comm.allreduce_sum([1.0, 2.0, 3.0]) == 6.0
-        assert comm.allreduce_max([1.0, 5.0, 3.0]) == 5.0
-        with pytest.raises(ValueError):
-            comm.allreduce_sum([1.0])
-
 
 # ------------------------------------------------------- halo vs periodic
 def _random_states_and_machinery(px, py, seed=0):

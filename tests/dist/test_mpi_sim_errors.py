@@ -37,14 +37,6 @@ def test_out_of_range_ranks_raise():
         comm.post(0, -1, "t", buf)
 
 
-def test_allreduce_needs_one_value_per_rank():
-    comm = SimComm(3)
-    with pytest.raises(ValueError):
-        comm.allreduce_sum([1.0, 2.0])
-    with pytest.raises(ValueError):
-        comm.allreduce_max([1.0])
-
-
 def test_by_pair_typed_and_per_pair_report():
     comm = SimComm(3)
     comm.post(0, 1, "a", np.zeros(4))

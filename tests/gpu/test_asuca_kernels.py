@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from repro.gpu.asuca_kernels import ASUCA_KERNELS, bind, measure_kernel_times
-from repro.gpu.device import GPUDevice
+from repro.gpu.coalescing import ArrayOrder
 from repro.gpu.spec import Precision, TESLA_S1070
 from repro.stencil import native
 from repro.workloads.shear_layer import make_shear_layer_case
@@ -19,30 +19,15 @@ def test_bound_kernels_execute(setup):
     g, ref, _ = setup
     kernels = bind(g, ref)
     assert set(kernels) == set(ASUCA_KERNELS)
-    dev = GPUDevice(TESLA_S1070)
     rho_hat = ref.rho_c * g.jac[:, :, None]
-    result, op = kernels["coord_transform"].launch(
-        dev, g.n_interior_cells, args=(rho_hat,)
-    )
+    result = kernels["coord_transform"].fn(rho_hat)
     np.testing.assert_allclose(result, ref.rho_c)  # J = 1: identity here
-    assert op.duration > 0
-    # EOS kernel: physical result through the launch path
-    result, _ = kernels["eos_pressure"].launch(
-        dev, g.n_interior_cells, args=(ref.rhotheta_c * g.jac[:, :, None],)
-    )
+    duration, _, _ = kernels["coord_transform"].price(
+        g.n_interior_cells, TESLA_S1070, Precision.SINGLE, ArrayOrder.XZY)
+    assert duration > 0
+    # EOS kernel: the physical result of the bound reference
+    result = kernels["eos_pressure"].fn(ref.rhotheta_c * g.jac[:, :, None])
     np.testing.assert_allclose(result, ref.p_c, rtol=1e-10)
-
-
-def test_launch_matches_direct_call(setup):
-    """The launch path is the same arithmetic as calling the function."""
-    g, ref, state = setup
-    kernels = bind(g, ref)
-    dev = GPUDevice(TESLA_S1070)
-    direct = kernels["pgf_x"].fn(state.rhotheta)
-    launched, _ = kernels["pgf_x"].launch(dev, g.n_interior_cells,
-                                          args=(state.rhotheta,))
-    np.testing.assert_array_equal(direct, launched)
-    assert direct.shape == g.shape_u
 
 
 def test_measured_ranking_matches_model(setup):

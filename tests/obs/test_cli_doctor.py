@@ -83,6 +83,29 @@ def test_doctor_regress_gate(tmp_path, capsys):
                  "--tolerance", "nonsense"]) == 2
 
 
+def test_doctor_regress_json(tmp_path, capsys):
+    """``--json`` carries the same verdict as the text report: every
+    drift with its path, kind, both values and the tolerance it broke."""
+    base = {"makespan_s": 1.0, "jobs": 3, "schema_version": 1}
+    (tmp_path / "base.json").write_text(json.dumps(base))
+    (tmp_path / "slow.json").write_text(json.dumps(
+        dict(base, makespan_s=1.1, jobs=4)))
+    args = ["doctor", "--baseline", str(tmp_path / "base.json"),
+            "--regress", str(tmp_path / "slow.json"), "--json"]
+    assert main([*args, "--tolerance", "jobs=ignore"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["ok"] is False and doc["schema_version"] == 1
+    assert doc["rel_tol"] == 0.05 and doc["compared"] == 1
+    [drift] = doc["drifts"]
+    assert drift["path"] == "makespan_s" and drift["kind"] == "drift"
+    assert (drift["baseline"], drift["current"]) == (1.0, 1.1)
+    assert drift["rel_change"] == pytest.approx(0.1)
+    assert drift["tolerance"] == 0.05
+    assert main([*args[:-1], "--tolerance", "*=0.5", "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["ok"] is True and doc["drifts"] == [] and doc["compared"] == 2
+
+
 ROOFLINE_FAST = ["doctor", "--roofline", "--steps", "1"]
 
 

@@ -120,6 +120,21 @@ class TestExperiment:
             np.testing.assert_array_equal(resumed.state.get(name),
                                           ref.state.get(name), err_msg=name)
 
+    def test_gpu_resume_at_the_target_step_keeps_the_restored_fields(
+            self, tmp_path):
+        """A gpu-backend run stages its state on the device and downloads
+        it at the end.  Resumed at its target step, no step refreshes the
+        staged copies, so the restore itself must: the result is the
+        checkpoint's fields, not the initial state's."""
+        base = dict(backend="gpu", checkpoint_every=2,
+                    checkpoint_dir=str(tmp_path), **_SMALL)
+        ref = Experiment(RunSpec(steps=2, **base)).run()
+        resumed = Experiment(RunSpec(steps=2, resume=True, **base)).run()
+        assert resumed.resumed_from == 2
+        for name in ref.state.prognostic_names():
+            np.testing.assert_array_equal(resumed.state.get(name),
+                                          ref.state.get(name), err_msg=name)
+
     @pytest.mark.parametrize("damage, restored_from", [
         ("flip", 2), ("truncate", 2), ("marker", 3), ("all", 0)])
     def test_crash_with_damaged_newest_archive_still_recovers(

@@ -22,12 +22,6 @@ class TestRetryPolicy:
                         backoff_max=5e-3)
         assert p.backoff(10) == 5e-3
 
-    def test_schedule_lists_every_attempt(self):
-        p = RetryPolicy(max_retries=3)
-        sched = p.schedule()
-        assert len(sched) == 3
-        assert sched == [p.backoff(k) for k in range(3)]
-
     def test_validation(self):
         with pytest.raises(ValueError):
             RetryPolicy(max_retries=-1)

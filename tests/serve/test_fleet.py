@@ -62,6 +62,5 @@ def test_peak_in_use_tracks_high_water_mark():
 def test_named_machines_and_device_spec_strings():
     assert GpuFleet.tsubame12().n_gpus == 528
     assert GpuFleet.tsubame12().spec is TESLA_S1070
-    assert GpuFleet.tsubame20().spec is FERMI_M2050
     assert GpuFleet(2, "m2050").spec is FERMI_M2050
     assert "4x" in GpuFleet(4).name

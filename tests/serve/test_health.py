@@ -83,7 +83,7 @@ def test_slo_alert_fires_and_rearms():
     assert mon.observe("queue_depth", 6.0, t=2.0) == []      # edge-triggered
     assert mon.observe("queue_depth", 1.0, t=3.0) == []      # recovery
     assert len(mon.observe("queue_depth", 9.0, t=4.0)) == 1  # re-armed
-    assert mon.breached and len(mon.alerts) == 2
+    assert len(mon.alerts) == 2
 
 
 # ------------------------------------------------------- service wiring

@@ -126,6 +126,45 @@ def test_oversized_gang_is_rejected_by_admission_control():
     assert "needs 4 GPUs" in svc.jobs[0].error
 
 
+def test_a_blown_up_run_fails_frees_its_gpus_and_is_never_cached(monkeypatch):
+    """A served run that raises (here: a NaN planted in the first case
+    built, so the first long step's check raises NumericalBlowup) ends
+    FAILED with the error, releases its GPUs, never enters the result
+    cache, and the same spec submitted again is computed afresh."""
+    import repro.api
+    from repro.core.state import NumericalBlowup
+
+    make_case, planted = repro.api.make_case, []
+
+    def make_case_once_with_nan(*args, **kwargs):
+        case = make_case(*args, **kwargs)
+        if not planted:
+            planted.append(case)
+            case.grid.interior(case.state.rhotheta)[0, 0, 0] = np.nan
+        return case
+
+    monkeypatch.setattr(repro.api, "make_case", make_case_once_with_nan)
+    spec = RunSpec(**SMALL)
+    svc = ForecastService(GpuFleet(4))
+    done = []
+    svc.on_job_done = lambda job: done.append(
+        (job.state, job.spec_hash in svc.cache, svc.fleet.in_use))
+    rep = svc.run([Submission(t=0.0, spec=spec),
+                   Submission(t=100.0, spec=spec)])
+    failed, again = svc.jobs
+    assert failed.state is JobState.FAILED and failed.result is None
+    assert failed.error.startswith(NumericalBlowup.__name__)
+    assert "non-finite values" in failed.error and "long step 1" in failed.error
+    assert rep.n_failed == 1 and rep.jobs[0]["state"] == "failed"
+    # at its end the failed job holds no GPU and no cache entry
+    assert done[0] == (JobState.FAILED, False, 0)
+    # so the resubmission is no cache hit: it runs, and succeeds
+    assert again.state is JobState.DONE and again.attempts == 1
+    assert rep.cache_hits == 0 and len(planted) == 1
+    assert again.result.state.rhotheta.tobytes() == (
+        Experiment(spec).prepare().run().state.rhotheta.tobytes())
+
+
 # ------------------------------------------------------------ policy
 def test_sjf_p95_wait_not_worse_than_fifo_on_mixed_sizes():
     workload = poisson_workload(50, seed=0)

@@ -99,7 +99,7 @@ def test_fault_plan_is_semantic():
 def test_run_result_carries_the_spec_hash():
     spec = RunSpec(workload="warm-bubble", nx=16, ny=16, nz=8, steps=1)
     result = Experiment(spec).prepare().run()
-    assert result.spec_hash == spec.spec_hash()
+    assert result.spec.spec_hash() == spec.spec_hash()
 
 
 # --------------------------------------------------------- parse_ranks

@@ -33,7 +33,7 @@ def test_result_cache_hits_across_backends():
     cache = ResultCache(8)
     fused_spec = RunSpec(stencil_backend="fused", **_SMALL)
     result = Experiment(fused_spec).run()
-    cache.put(result.spec_hash, result)
+    cache.put(result.spec.spec_hash(), result)
 
     ref_spec = RunSpec(stencil_backend="reference", **_SMALL)
     hit = cache.get(ref_spec.spec_hash())

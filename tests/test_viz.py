@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from repro.viz import field_stats, render_field, render_map
+from repro.viz import render_field, render_map
 
 
 def test_render_field_shape_and_case():
@@ -40,9 +40,3 @@ def test_render_map():
     assert lines[-1][2] == "@"  # j=0 is the last row
     with pytest.raises(ValueError):
         render_map(-f - 1.0)
-
-
-def test_field_stats():
-    s = field_stats("w", np.array([[1.0, -1.0]]), "m/s")
-    assert s.startswith("w: -1 .. 1")
-    assert "m/s" in s
