@@ -19,8 +19,7 @@ writes, and halo widths.  Five passes interpret that sequence:
   value is overwritten, on an always-reached branch, before any read.
 * ``LINT07`` **fusion legality** — every ``register_fused``
   implementation must match its declaration: the reference signature
-  plus the leading ``plans``, no stores into read-only roles, and no
-  plan scratch escaping through a ``return``.
+  plus the leading ``plans``, and no stores into read-only roles.
 * ``LINT08`` **precision flow** — under ``dtype_policy='preserve'``
   (the paper's single-precision design point, Sec. IV) neither the
   reference kernel nor an unguarded backend implementation may upcast:
@@ -270,52 +269,6 @@ def _stored_names(tree: ast.AST) -> dict[str, int]:
     return out
 
 
-#: ``Plan.scratch`` and the slab views built on it (``_Sweep.box``)
-_SCRATCH_ACCESSORS = {"scratch", "box"}
-_VIEW_MAKERS = {"reshape", "view", "moveaxis", "transpose", "swapaxes"}
-
-
-def _scratch_returns(tree: ast.AST) -> list[int]:
-    """Lines returning plan scratch: a ``.scratch()``/``.box()`` view or
-    the ``.arena`` itself, traced through slicing, view-making calls,
-    ``out=`` results and simple aliasing assignments."""
-    names: set[str] = set()
-
-    def is_scratch(expr: ast.expr) -> bool:
-        if isinstance(expr, ast.Name):
-            return expr.id in names
-        if isinstance(expr, ast.Subscript):
-            return is_scratch(expr.value)
-        if isinstance(expr, ast.Attribute):
-            return expr.attr == "arena" or (expr.attr == "T"
-                                            and is_scratch(expr.value))
-        if isinstance(expr, (ast.GeneratorExp, ast.ListComp)):
-            return is_scratch(expr.elt)
-        if isinstance(expr, ast.Call):
-            f = expr.func
-            if isinstance(f, ast.Attribute) and (
-                    f.attr in _SCRATCH_ACCESSORS
-                    or f.attr in _VIEW_MAKERS and (
-                        is_scratch(f.value)
-                        or any(is_scratch(a) for a in expr.args))):
-                return True
-            return any(k.arg == "out" and is_scratch(k.value)
-                       for k in expr.keywords)
-        return False
-
-    lines: list[int] = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Assign) and is_scratch(node.value):
-            for t in node.targets:
-                for n in (t.elts if isinstance(t, ast.Tuple) else [t]):
-                    if isinstance(n, ast.Name):
-                        names.add(n.id)
-        if (isinstance(node, ast.Return) and node.value is not None
-                and is_scratch(node.value)):
-            lines.append(node.lineno)
-    return lines
-
-
 def fusion_findings(
     specs: Mapping[str, Any] | None = None,
     fused: Mapping[str, Callable[..., Any]] | None = None,
@@ -372,13 +325,6 @@ def fusion_findings(
                 emit(f"fused impl of '{name}' writes into "
                      f"'{role}', declared read-only by its spec",
                      at=stored[role])
-        for lineno in _scratch_returns(tree):
-            emit(f"fused impl of '{name}' returns plan scratch — "
-                 f"the next kernel overwrites the arena and the "
-                 f"caller would alias recycled memory",
-                 at=lineno,
-                 suggestion="write the result into a fresh array "
-                            "before returning")
     return findings
 
 

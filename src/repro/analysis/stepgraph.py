@@ -946,8 +946,8 @@ def _core_inline_map(b: _Builder) -> None:
         "slow_tendencies": (of(rk3), "slow_tendencies"),
         "substep": (of(acoustic), "AcousticStepper._substep_impl"),
         "_substep_impl": (of(acoustic), "AcousticStepper._substep_impl"),
-        # the declared semantics of a substep: the compiled body is this
-        # chain's byte-identical twin and opaque to an AST walk
+        # the declared semantics of a substep: the compiled body answers
+        # to this chain, its oracle, and is opaque to an AST walk
         "_substep_numpy": (of(acoustic), "AcousticStepper._substep_numpy"),
         "finish": (of(acoustic), "AcousticStepper.finish"),
         "build_context": (of(acoustic), "build_context"),

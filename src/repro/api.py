@@ -147,7 +147,7 @@ class RunSpec:
     ice: bool = False
     #: stencil executor backend ('reference' / 'fused', or
     #: 'auto' = the process default, i.e. $REPRO_STENCIL_BACKEND or
-    #: 'fused', the planned path) — fused is byte-identical to the
+    #: 'fused', the compiled path) — fused is byte-identical to the
     #: reference oracle, so this never enters the spec hash (see
     #: _NON_SEMANTIC_FIELDS)
     stencil_backend: str = "auto"
@@ -226,7 +226,7 @@ class RunSpec:
         # computed fields are bit-identical with or without it
         "counters", "counter_every",
         # the fused executor is bit-identical to the reference (enforced
-        # by tests/stencil/test_planned_identity.py), so the backend choice
+        # by tests/stencil), so the backend choice
         # does not change what a run computes — a cached result from one
         # backend is valid for all of them
         "stencil_backend",

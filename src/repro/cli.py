@@ -90,9 +90,9 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--stencil-backend", default="auto",
                      choices=["auto", "reference", "fused"],
                      help="stencil executor backend (docs/STENCILS.md): "
-                          "'fused' runs the planned slab-blocked "
-                          "bodies, byte-identical to the textbook "
-                          "'reference' oracle; 'auto' follows "
+                          "'fused' runs the compiled bodies where a "
+                          "library is loaded, byte-identical to the "
+                          "textbook 'reference' oracle; 'auto' follows "
                           "$REPRO_STENCIL_BACKEND, else 'fused'")
     run.add_argument("--history", type=str, default=None,
                      help="write snapshots to this .npz")

@@ -33,12 +33,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .. import constants as c
-from .advection import MetricFlux
+from .advection import MetricFlux, contravariant_mass_flux_w
 from .grid import Grid
 from ..obs.trace import span
 from ..stencil import native
 from ..stencil.plan import Recent
-from .helmholtz import HelmholtzOperator, helmholtz_brackets
+from .helmholtz import (HelmholtzOperator, helmholtz_brackets,
+                        helmholtz_solve)
 from .pressure import eos_pressure, linearization_coefficient
 from .reference import ReferenceState
 from .state import State
@@ -573,25 +574,20 @@ class AcousticStepper:
 
 def native_check(lib) -> str:
     """What differs between ``lib``'s compiled acoustic bodies and their
-    NumPy twins ("" when nothing does): the terrain metric flux (``rhow``
-    given and ``None``; float64 and float32 momenta); the Thomas solve for
-    ``beta < 1`` and ``beta == 1`` on 81 columns (two blocks, a multiple of
-    no vector width) with signed zeros, infinities and NaN in the right-hand
-    side; then, flat grid and terrain, the linearization of
-    :func:`build_context` with the Helmholtz brackets, the operator and its
-    Thomas factors, and two substeps (the first has no damping history) of
-    one stage."""
+    oracles ("" when nothing does): the terrain metric flux against
+    :func:`~repro.core.advection.contravariant_mass_flux_w` (``rhow`` given
+    and ``None``; float64 and float32 momenta); the Thomas solve against
+    :func:`~repro.core.helmholtz.helmholtz_solve` for ``beta < 1`` and
+    ``beta == 1`` on 81 columns (two blocks, a multiple of no vector width)
+    with signed zeros, infinities and NaN in the right-hand side; then,
+    flat grid and terrain, against the NumPy that is their oracle: the
+    linearization of :func:`build_context` with the Helmholtz brackets, the
+    operator and its Thomas factors, and two substeps (the first has no
+    damping history) of one stage."""
     from ..stencil.dycore import _factor, _helmholtz_solve
     from ..stencil.executor import StencilExecutor, use_executor
     from ..stencil.plan import PlanCache
     from .grid import make_grid
-
-    def both(fn, *args):
-        runs = []
-        for use in (lib, None):
-            with native.using(use):
-                runs.append(fn(*args))
-        return native.same(*runs)
 
     def hill(x, y):
         return 40.0 + 30.0 * np.sin(x / 90.0 + y)
@@ -603,7 +599,10 @@ def native_check(lib) -> str:
         rhou, rhov, rhow = (wave(s, k, 3.0).astype(dtype) for s, k in (
             (g.shape_u, 0.7), (g.shape_v, 1.9), (g.shape_w, 2.9)))
         for w in (rhow, None):
-            if not both(flux, rhou, rhov, w):
+            with native.using(lib):
+                got = flux(rhou, rhov, w)
+            if not native.same(got, contravariant_mass_flux_w(
+                    rhou, rhov, np.zeros_like(rhow) if w is None else w, g)):
                 return (f"metric flux, {np.dtype(dtype).name} momenta, rhow "
                         f"{'None' if w is None else 'given'}")
     plans = PlanCache()
@@ -614,8 +613,10 @@ def native_check(lib) -> str:
         cols = rhs.reshape(-1, g.nz - 1)
         cols[0], cols[1, ::2], cols[2, 1] = 0.0, -0.0, np.inf
         cols[3, 2], cols[4, 0], cols[5, 3] = -np.inf, np.nan, -0.0
-        with np.errstate(all="ignore"):
-            if not both(_helmholtz_solve, plans, op, rhs):
+        with np.errstate(all="ignore"), native.using(lib):
+            got = _helmholtz_solve(plans, op, rhs)
+            if got is NotImplemented or not native.same(
+                    got, helmholtz_solve.reference(op, rhs)):
                 return f"thomas solve, beta {beta}"
 
     for terrain in (None, hill):

@@ -167,36 +167,17 @@ class _MetricArgs(ctypes.Structure):
 class MetricFlux:
     """:func:`contravariant_mass_flux_w` on one grid, byte for byte: one
     compiled call where a verified library is loaded (csrc/acoustic.c,
-    ``acoustic_metric_flux``), else the ``out=`` chain below, its twin and
-    load-time reference.  For the chain everything the grid alone decides
-    is done once: the 2-D metric arrays are broadcast to contiguous 3-D
-    operands (against a stride-0 operand a ufunc runs one short inner loop
-    per column) and the temporaries are allocated here.  Float64 like the
+    ``acoustic_metric_flux``), else that oracle.  Float64 like the
     metrics, so float32 momenta are rounded where the oracle rounds them:
-    on the store into the result."""
+    after the ``rhow`` division and on the store into the result."""
 
     def __init__(self, grid: Grid):
         self.grid = grid
         nxh, nyh, nz = grid.shape_c
-
-        def deep(a: np.ndarray, n: int) -> np.ndarray:
-            return np.ascontiguousarray(
-                np.broadcast_to(a[:, :, None], a.shape + (n,)))
-
-        self.jac = deep(grid.jac, nz - 1)
         # the compiled body's operands: 2-D metrics and four short rows
         metrics = dict(jac=grid.jac, decay_f=grid.decay_f,
                        rows=np.empty(4 * (nyh + 1) * (nz + 1)))
         if not grid.is_flat():
-            self.jac_u, self.dzsdx_u = deep(grid.jac_u, nz), deep(grid.dzsdx_u, nz)
-            self.jac_v, self.dzsdy_v = deep(grid.jac_v, nz), deep(grid.dzsdy_v, nz)
-            self.decay_f = np.ascontiguousarray(np.broadcast_to(
-                grid.decay_f[1:-1], (nxh, nyh, nz - 1)))
-            self._u, self._v = np.empty(grid.shape_u), np.empty(grid.shape_v)
-            self._c = np.empty(grid.shape_c), np.empty(grid.shape_c)
-            # interior-face-shaped scratch on the second cell buffer
-            self._k = self._c[1].reshape(-1)[:self.jac.size].reshape(
-                self.jac.shape)
             metrics.update(jac_u=grid.jac_u, jac_v=grid.jac_v,
                            dzsdx_u=grid.dzsdx_u, dzsdy_v=grid.dzsdy_v)
         #: the compiled body's grid operands, else ``None`` and
@@ -239,26 +220,9 @@ class MetricFlux:
                                 *ptrs, out.ctypes.data)
                 return out
             native.unbound("metric fluxes", ptrs)
-        out = np.zeros(g.shape_w, dtype=dtype)
-        mid = out[:, :, 1:-1]
-        if rhow is not None:
-            np.divide(rhow[:, :, 1:-1], self.jac, out=mid)
-        if not g.is_flat():
-            ax, ay, (ax_c, ay_c), k = self._u, self._v, self._c, self._k
-            np.divide(rhou, self.jac_u, out=ax)
-            np.multiply(ax, self.dzsdx_u, out=ax)
-            np.add(ax[1:], ax[:-1], out=ax_c)
-            np.multiply(0.5, ax_c, out=ax_c)
-            np.divide(rhov, self.jac_v, out=ay)
-            np.multiply(ay, self.dzsdy_v, out=ay)
-            np.add(ay[:, 1:], ay[:, :-1], out=ay_c)
-            np.multiply(0.5, ay_c, out=ay_c)
-            horiz = np.add(ax_c, ay_c, out=ax_c)
-            np.add(horiz[:, :, 1:], horiz[:, :, :-1], out=k)
-            np.multiply(0.5, k, out=k)
-            np.multiply(k, self.decay_f, out=k)
-            np.subtract(mid, k, out=mid)
-        return out
+        if rhow is None:
+            rhow = np.zeros(g.shape_w, dtype)
+        return contravariant_mass_flux_w(rhou, rhov, rhow, g)
 
 
 def mass_divergence(

@@ -343,7 +343,7 @@ def _cells(*fields: str):
     return lambda s: (tuple(s.get(f) for f in fields), float(s.rho.size))
 
 
-def _faces(face: str):
+def _per_face(face: str):
     """``rhotheta`` in, counts normalized per face of the ``face`` field
     the kernel writes."""
     return lambda s: ((s.rhotheta,), float(s.get(face).size))
@@ -404,12 +404,12 @@ KERNEL_TABLE: dict[str, KernelDecl] = _table(
         "pgf_x", "short", cost=KernelCostModel(14.0, 5.0, 1.0),
         fig5="(2) pressure gradient (x)", fig9=("Momentum (x)",),
         launches=lambda s: s.nsub,
-        reference=_pgf_x, measure=_faces("rhou")),
+        reference=_pgf_x, measure=_per_face("rhou")),
     KernelDecl(
         "pgf_y", "short", cost=KernelCostModel(14.0, 5.0, 1.0),
         fig9=("Momentum (y)",),
         launches=lambda s: s.nsub,
-        reference=_pgf_y, measure=_faces("rhov")),
+        reference=_pgf_y, measure=_per_face("rhov")),
     KernelDecl(
         "momentum_update", "short", cost=KernelCostModel(10.0, 4.0, 1.0),
         fig9=("Momentum (x)", "Momentum (y)"),

@@ -180,11 +180,11 @@ void acoustic_update(const acoustic_args *restrict a)
         }
 }
 
-/* ---- G rho u^3 at the w faces: repro.core.advection.MetricFlux's out=
- * chain, one x row at a time.  The metrics are float64; the momenta are
- * float64 or (f32) float32, widened row by row, and a float32 result is
- * rounded where the chain's out= rounds it: after the rhow division and on
- * the store.  jac_u == NULL on a flat grid (no metric term), rhow == NULL
+/* ---- G rho u^3 at the w faces: repro.core.advection's
+ * contravariant_mass_flux_w, reached from MetricFlux, one x row at a time.
+ * The metrics are float64; the momenta are float64 or (f32) float32,
+ * widened row by row, and a float32 result is rounded where the oracle
+ * rounds it: after the rhow division and on the store.  jac_u == NULL on a flat grid (no metric term), rhow == NULL
  * for the metric part alone (an all +0.0 rhow).  The struct is
  * repro.core.advection._MetricArgs. */
 typedef struct {
@@ -271,12 +271,14 @@ void acoustic_metric_flux(const metric_args *restrict a, int f32,
     }
 }
 
-/* ---- the Thomas solve of repro.stencil.dycore._helmholtz_solve, marching
- * in k with the columns innermost: ncol columns of n unknowns, the
- * forward-elimination factors sub / cp / den k-leading (n x ncol), rhs
- * column-leading (ncol x n), w the (ncol x n + 2) result with zero end
- * faces.  Blocks of bc columns are transposed into dp (n x bc) and back;
- * the divisions are kept (a reciprocal would round twice).  Not cloned:
+/* ---- the Thomas solve of repro.core.tridiag.thomas_solve (the oracle of
+ * helmholtz_solve; reached from repro.stencil.dycore._helmholtz_solve),
+ * marching in k with the columns innermost: ncol columns of n unknowns,
+ * its forward-elimination factors sub / cp / den, computed once per
+ * operator, k-leading (n x ncol), rhs column-leading (ncol x n), w the
+ * (ncol x n + 2) result with zero end faces.  Blocks of bc columns are
+ * transposed into dp (n x bc) and back; the divisions are kept (a
+ * reciprocal would round twice).  Not cloned:
  * 2916 columns x 23 levels read 178 us plain and 193-197 us with the
  * three clones (the divider does as many elements per cycle at any width). */
 void acoustic_thomas(long ncol, long n, long bc, const double *restrict sub,

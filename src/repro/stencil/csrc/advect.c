@@ -5,10 +5,12 @@
  * fabsf, behind a prelude that defines KERNEL (exported, and cloned per
  * ISA where the compiler can).
  *
- * Every expression mirrors one NumPy ufunc call of the planned body in
- * repro/stencil/dycore.py, in the same order on the same operands, so the
- * result is the same bytes (docs/STENCILS.md "Compiled bodies"): no
- * contraction, no reassociation, and NumPy's own answers for
+ * Every expression mirrors one NumPy ufunc call of the oracle in
+ * repro/core/advection.py (limited_face_flux, advect_scalar / u / v / w,
+ * and repro/core/limiter.py's koren), in the same order on the operands
+ * the oracle's where() keeps, so the result is the same bytes
+ * (docs/STENCILS.md "Compiled bodies"): no contraction, no reassociation,
+ * and NumPy's own answers for
  *   minimum(a, b)   t = a < b ? a : b;  a != a ? a : t     (two selects)
  *   maximum(0, x)   0 > x ? 0 : x
  *   sign(x)         1, -1, +0 for either zero, x itself for a NaN
@@ -22,8 +24,9 @@ static inline REAL F(minimum)(REAL a, REAL b)
 }
 
 /* out[i] = fa[i] * phi_face for the n faces between p[i] and p[i + s]:
- * the flux sign picks the stencil (a, b, c) or (d, c, b), then
- * base + 0.5 * koren(base - up, down - base). */
+ * the flux sign picks the stencil (a, b, c) or (d, c, b) first, then
+ * base + 0.5 * koren(base - up, down - base) runs once -- the select the
+ * oracle's where() makes after evaluating both, exact for every operand. */
 KERNEL void F(faces)(const REAL *restrict p, long s, const REAL *restrict fa,
                      REAL *restrict out, long n)
 {
@@ -92,7 +95,7 @@ FILL F(fill_levels)(REAL *restrict dst, const REAL *restrict a,
 #undef FILL
 #ifndef REPRO_VARIANTS
 #define REPRO_VARIANTS
-enum { SCALAR, U, V, W };   /* repro.stencil.dycore passes 0..3 */
+enum { SCALAR, U, V, W };   /* repro.stencil.dycore._VARIANTS' order */
 #endif
 
 /* -div(F p) of one staggered field p of shape (n0, n1, n2) on rows

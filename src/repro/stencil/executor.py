@@ -4,15 +4,17 @@ Two backends, selected by :class:`~repro.api.RunSpec`\\ 's
 ``stencil_backend`` (or ``repro run --stencil-backend``, or the
 ``REPRO_STENCIL_BACKEND`` environment variable for whole-suite runs):
 
-* ``fused`` — the default: route through the registered *planned*
-  implementation (:mod:`repro.stencil.dycore`): slab-blocked, unit-stride
-  ``out=`` chains on the per-shape plan's small scratch arena
-  (:mod:`repro.stencil.plan`).  Byte-identical to the reference by
-  construction and by test (tests/stencil); where a verified library
-  is loaded (:mod:`repro.stencil.native`) most of them are one compiled
-  call, and the warm rain and the halo fill, which have no planned twin,
-  are served too.  Measured end to end by ``python3 bench/run.py``;
-  docs/STENCILS.md "Measured" has the numbers, by workload.
+* ``fused`` — the default: route through the registered fused entry
+  point (:mod:`repro.stencil.dycore`, :mod:`repro.stencil.kessler`).
+  Where a verified library is loaded (:mod:`repro.stencil.native`) the
+  advection, the Helmholtz solve (both on the per-shape scratch of
+  :mod:`repro.stencil.plan`), the warm rain and the halo fill are one
+  compiled call each; without one they return ``NotImplemented`` and the
+  reference runs.  The diffusion family and the EOS, which have
+  no C body, are planned ``out=`` chains.  Byte-identical to the
+  reference either way (tests/stencil).  Measured end to end by
+  ``python3 bench/run.py``; docs/STENCILS.md "Measured" has the numbers,
+  by workload.
 * ``reference`` — call the decorated textbook NumPy kernel directly: the
   test oracle, and the body the FLOP counters measure.
 
@@ -59,7 +61,7 @@ def default_backend() -> str:
 
 class StencilExecutor:
     """Dispatches :class:`~repro.stencil.spec.StencilFunction` calls to
-    one backend, with per-kernel call statistics.  The planned kernels
+    one backend, with per-kernel call statistics.  The fused entry points
     take the plan cache (per-thread items) as their first argument."""
 
     def __init__(self, backend: str = "reference"):

@@ -12,9 +12,9 @@ alignment or chunking, so those passes stay NumPy's, written with
 ``es(T)`` three times on the saturation adjustment's ``T``; the same bits
 are read once here, so a step takes two ``exp`` passes instead of four.
 
-There is no planned NumPy twin: the oracle is the load-time reference and
-the body that runs without a library (the executor counts it as a
-reference dispatch).
+Like every compiled body, it has one NumPy text, the oracle: the
+load-time reference and the body that runs without a library (the
+executor counts it as a reference dispatch).
 """
 from __future__ import annotations
 
@@ -52,7 +52,7 @@ def _kessler_step(plans, state, ref, dt, cfg=None):
     lib = native.kernels(np.float64)
     fields = [state.rho, state.rhotheta, *map(state.q.get, _FIELDS[2:])]
     # a float32 state or the FLOP-counting subclass runs the oracle's own
-    # ufunc calls (as the planned kernels decline them)
+    # ufunc calls (as the other fused entry points decline them)
     if lib is None or not all(type(a) is np.ndarray and a.dtype == np.float64
                               for a in fields):
         return NotImplemented

@@ -9,14 +9,15 @@ fill) become one shared object per *(sources, flags, compiler, machine)*
 hash in the user's cache directory, loaded through :mod:`ctypes`; the
 compiler is identified by its resolved path, ``st_mtime_ns`` and
 ``st_size``, so a warm load runs no process.  It is used only after every
-kernel in it has reproduced its NumPy twin byte for byte on a fixed
-battery (the ``native_check`` of :mod:`repro.stencil.dycore`,
+kernel in it has reproduced its oracle byte for byte on a fixed battery
+(the ``native_check`` of :mod:`repro.stencil.dycore`,
 :mod:`repro.core.acoustic` and :mod:`repro.stencil.kessler`); every other
 outcome is one of four typed, counted reasons and ends on the NumPy
-bodies — never on a different field.  A loaded library whose body cannot
-take one call's operands is a per-call fact, not a fifth outcome: that
-call runs the NumPy body and :func:`unbound` counts it, by reason.
-docs/STENCILS.md "Compiled bodies".
+bodies — never on a different field.  A compiled kernel has one NumPy
+text, its oracle, and that is what runs without a library.  A loaded library
+whose body cannot take one call's operands is a per-call fact, not a
+fifth outcome: that call runs the oracle and :func:`unbound` counts it,
+by reason.  docs/STENCILS.md "Compiled bodies".
 """
 from __future__ import annotations
 
@@ -337,7 +338,7 @@ def library() -> Native:
 @contextlib.contextmanager
 def using(lib: Native | None):
     """Inside the block :func:`kernels` answers from ``lib`` (``None``: the
-    NumPy bodies): how the self-check and the tests run both side by side."""
+    oracles): how the self-check and the tests run both side by side."""
     token = _FORCED.set(lib)
     try:
         yield lib

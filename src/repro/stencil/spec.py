@@ -48,7 +48,7 @@ __all__ = [
 #: every declared stencil, keyed by spec name
 REGISTRY: Dict[str, "StencilFunction"] = {}
 
-#: fused (planned) implementations, keyed by spec name.  An impl takes
+#: fused implementations, keyed by spec name.  An impl takes
 #: ``(plans, *args, **kwargs)`` — the executor's per-(shape, dtype) plan
 #: cache first — and may return ``NotImplemented``
 #: to fall back to the reference path for argument combinations it does

@@ -45,13 +45,6 @@ def blend_fused_suppressed(plans, phi):  # sanitizer: allow[LINT07] shim binds g
     return 0.5 * (phi[2:] + phi[:-2])
 
 
-def blend_fused_escapes(plans, phi, grid):
-    t = plans(phi.shape, phi.dtype).scratch(0, phi.size).reshape(phi.shape)
-    np.add(phi, phi, out=t)
-    return t   # BUG: the arena is overwritten by the next kernel
-
-
 #: the planted-bug lines the tests pin (1-based)
 LINE_BAD_SIGNATURE = 21
 LINE_UPCAST = 33
-LINE_ESCAPE = 51

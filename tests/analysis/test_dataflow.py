@@ -108,14 +108,6 @@ def test_lint07_matching_impls_are_clean():
         fused={"blend": bb.blend_fused_ok}) == []
 
 
-def test_lint07_escaping_scratch_fires_exactly_once():
-    found = fusion_findings(
-        specs=backend_specs(),
-        fused={"blend": bb.blend_fused_escapes})
-    assert [(f.code, f.line) for f in found] == [("LINT07", bb.LINE_ESCAPE)]
-    assert "scratch" in found[0].message
-
-
 def test_lint07_unknown_name_is_flagged():
     found = fusion_findings(specs=backend_specs(),
                             fused={"ghost": bb.blend_fused_ok})

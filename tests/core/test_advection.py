@@ -197,10 +197,10 @@ def test_contravariant_flux_terrain(terrain_grid):
 @pytest.mark.parametrize("terrain", [False, True])
 def test_metric_flux_is_the_oracle_byte_for_byte(g, terrain_grid, terrain,
                                                  dtype):
-    """The integrator's bound form (operands broadcast once, ``out=``
-    chain) against the textbook function: same bytes and dtype, signed
-    zeros included, with ``rhow`` given and with the all-zero ``rhow`` it
-    stands for when omitted."""
+    """The integrator's bound form (compiled where a library is loaded)
+    against the textbook function: same bytes and dtype, signed zeros
+    included, with ``rhow`` given and with the all-zero ``rhow`` it stands
+    for when omitted."""
     grid = terrain_grid if terrain else g
     r = np.random.default_rng(4)
     rhou = r.normal(size=grid.shape_u).astype(dtype)

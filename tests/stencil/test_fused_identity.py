@@ -1,12 +1,11 @@
-"""The planned (``fused``) backend's core contract: bit-identical
-results.
+"""The ``fused`` backend's core contract: bit-identical results.
 
-The planned implementations change where temporaries live and in which
-order slices, shifts and selects are applied — never an arithmetic op or
-its operands — so every prognostic field of a fused run must equal the
-reference run bit for bit (``np.array_equal``, no tolerance; the
-byte-level suite is tests/stencil/test_planned_identity.py).
-Checked on both tier-1 workloads end-to-end through the run facade.
+The compiled and planned bodies change where temporaries live and in
+which order slices, shifts and selects are applied — never an arithmetic
+op or its operands — so every prognostic field of a fused run must equal
+the reference run bit for bit (``np.array_equal``, no tolerance; the
+byte-level suite is tests/stencil/test_native.py).  Checked on both
+tier-1 workloads end-to-end through the run facade.
 """
 import numpy as np
 import pytest

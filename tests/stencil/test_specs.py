@@ -11,6 +11,7 @@ from repro.stencil import (
     active_executor,
     default_backend,
     load_dycore_specs,
+    native,
     use_executor,
 )
 from repro.stencil.spec import StencilFunction, stencil
@@ -103,13 +104,15 @@ def test_fused_dispatch_counts_and_falls_back():
     fy = r.normal(size=(g.nxh, g.nyh + 1, g.nz))
     fz = r.normal(size=(g.nxh, g.nyh, g.nz + 1))
 
+    lib = native.kernels(np.float64)        # loaded and checked first
     ex = StencilExecutor("fused")
     with use_executor(ex):
         out_fused = advect_scalar(phi, fx, fy, fz, g)
-        # a non-Koren limiter is outside the fused plan: falls back
+        # a non-Koren limiter has no fused body: falls back
         out_minmod = advect_scalar(phi, fx, fy, fz, g, limiter=minmod)
-    assert ex.accelerated >= 1 and ex.fallbacks >= 1
-    assert ex.calls["advect_scalar"] == 2
+    # without a library the Koren call declines too (its oracle runs)
+    assert ex.accelerated == (lib is not None)
+    assert ex.fallbacks >= 1 and ex.calls["advect_scalar"] == 2
     np.testing.assert_array_equal(
         out_fused, advect_scalar.reference(phi, fx, fy, fz, g))
     np.testing.assert_array_equal(
@@ -121,7 +124,7 @@ def test_fused_dispatch_counts_and_falls_back():
 def test_fused_impls_cover_the_hot_dycore():
     load_dycore_specs()
     for name in ("advect_scalar", "advect_u", "advect_v", "advect_w",
-                 "limited_face_flux", "horizontal_laplacian_c",
+                 "horizontal_laplacian_c",
                  "hyperdiffusion_c", "vertical_diffusion_c",
                  "eos_pressure", "helmholtz_solve"):
         assert name in FUSED_IMPLS, name
@@ -130,30 +133,20 @@ def test_fused_impls_cover_the_hot_dycore():
 # --------------------------------------------------------------- plan
 def test_plan_cache_builds_once_and_stays_bounded():
     """One plan per (shape, dtype), a bounded number of them, and an
-    arena that is a function of the slab, never of the field."""
-    from repro.stencil.plan import BLOCK_BYTES, NBUF, Plan, PlanCache
+    arena of advect.c's five rows or one Thomas block: a function of the
+    row, never of the field's x extent."""
+    from repro.stencil.plan import THOMAS_BLOCK, PlanCache
 
     cache = PlanCache(maxsize=2)
     f8 = np.dtype("f8")
     a = cache((52, 52, 24), f8)
     assert cache((52, 52, 24), f8) is a and cache.built == 1
-    assert a.arena.nbytes <= Plan.arena_bound((52, 52, 24), f8)
-    assert cache.nbytes() == a.arena.nbytes
-    # a 25x larger field costs the same arena up to row rounding ...
-    big = cache((260, 260, 24), f8)
-    assert big.arena.nbytes <= Plan.arena_bound((260, 260, 24), f8)
-    assert big.arena.nbytes < 0.05 * 260 * 260 * 24 * 8 * NBUF
-    assert a.rows * 53 * 25 * 8 <= BLOCK_BYTES
+    assert a.arena.size == 5 * 53 * 25 and cache.nbytes() == a.arena.nbytes
+    # a 25x larger field costs the same arena ...
+    assert cache((1300, 52, 24), f8).arena.size == a.arena.size
     # ... and the cache never holds more than maxsize shapes
     cache((20, 20, 12), f8)
     assert cache.built == 3 and len(cache.items) == 2
     assert cache((52, 52, 24), f8) is not a          # evicted, rebuilt
-    # scratch views alias the arena, same bytes as floats or as bits
-    v = a.scratch(3, 16)
-    assert np.shares_memory(v, a.arena)
-    bits, floats = a.sweep_views(16)[3], a.sweep_views(16)[8]
-    assert bits.dtype == np.int64 and np.shares_memory(bits, v)
-    assert floats.dtype == np.float64 and np.shares_memory(floats, v)
-    # a field smaller than a block gets a field-sized slab, not a block
-    small = PlanCache()((20, 20, 8), f8)
-    assert small.rows == 21 and small.arena.nbytes < 0.5 * a.arena.nbytes
+    # a narrow tall column is sized by its Thomas block
+    assert PlanCache()((5, 5, 40), f8).arena.size == THOMAS_BLOCK * 39

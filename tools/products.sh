@@ -27,7 +27,7 @@ grep -q 'native\[loaded\]' "$out/native-present.txt"
 CC=/bin/false python -c "from repro.stencil import native; print(native.library().report())" > "$out/native-absent.txt"
 grep -q 'native\[no-compiler\]' "$out/native-absent.txt"
 
-step "default smoke run takes the planned path and prints the executor report"
+step "default smoke run takes the fused path and prints the executor report"
 repro run shear-layer --nx 16 --ny 16 --nz 12 --steps 3 > "$out/shear.txt"
 grep -q 'stencil\[fused\]' "$out/shear.txt"
 step "a dry run reports the seven species it did not transport; an ice-on run completes"
