@@ -28,6 +28,7 @@ consistency property the tests assert.
 from __future__ import annotations
 
 import ctypes
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,7 +38,7 @@ from .advection import MetricFlux, contravariant_mass_flux_w
 from .grid import Grid
 from ..obs.trace import span
 from ..stencil import native
-from ..stencil.plan import Recent
+from ..stencil.plan import THOMAS_BLOCK, Recent
 from .helmholtz import (HelmholtzOperator, helmholtz_brackets,
                         helmholtz_solve)
 from .pressure import eos_pressure, linearization_coefficient
@@ -45,8 +46,8 @@ from .reference import ReferenceState
 from .state import State
 
 __all__ = ["AcousticContext", "AcousticGeometry", "SlowForcing",
-           "AcousticScratch", "AcousticStepper", "build_context",
-           "interior_scratch", "ACOUSTIC_FIELDS"]
+           "AcousticScratch", "SubstepBinding", "AcousticStepper",
+           "build_context", "interior_scratch", "ACOUSTIC_FIELDS"]
 
 
 class AcousticGeometry:
@@ -85,8 +86,8 @@ class SlowForcing:
     r_v: np.ndarray
     r_w: np.ndarray          # tendency of rhow (interior w faces valid)
     r_theta: np.ndarray      # tendency of rhotheta (interior cells valid)
-    fx_s: np.ndarray         # stage-state mass fluxes
-    fy_s: np.ndarray
+    fx_s: np.ndarray         # stage-state mass fluxes: the stage state's own
+    fy_s: np.ndarray         # rhou / rhov, which nothing writes in the stage
     w_s: np.ndarray          # stage-state rhow (boundary faces zero)
     m_s: np.ndarray          # stage-state metric vertical flux
 
@@ -96,10 +97,8 @@ class AcousticContext:
     """Linearization data frozen at the long-step start ``t``."""
 
     grid: Grid
-    p_t: np.ndarray              # full pressure at t
     cp_lin: np.ndarray           # p' = cp_lin * (G rho theta)'
-    pc: np.ndarray               # p_t - p_ref - cp_lin * rhotheta_t
-    rhotheta_t: np.ndarray
+    pc: np.ndarray               # p_t - p_ref - cp_lin * rhotheta at t
     rho_ref_hat: np.ndarray      # G * rho_ref (buoyancy reference)
     theta_xf: np.ndarray         # theta^t at u faces
     theta_yf: np.ndarray         # theta^t at v faces
@@ -158,10 +157,8 @@ def build_context(state: State, ref: ReferenceState, p_ref: np.ndarray,
 
     return AcousticContext(
         grid=g,
-        p_t=p_t,
         cp_lin=cp_lin,
         pc=p_t - p_ref - cp_lin * state.rhotheta,
-        rhotheta_t=state.rhotheta.copy(),
         rho_ref_hat=geom.rho_ref_hat,
         theta_xf=theta_xf,
         theta_yf=theta_yf,
@@ -193,8 +190,7 @@ def _context_native(state: State, p_t: np.ndarray, p_ref: np.ndarray,
     theta = np.empty(g.shape_c)
     lib.context(*g.shape_c, c.CP / c.CV, 0.5 * c.G, *ptrs, theta.ctypes.data,
                 *(a.ctypes.data for a in [*out.values(), *brackets]))
-    return AcousticContext(grid=g, p_t=p_t, rhotheta_t=state.rhotheta.copy(),
-                           rho_ref_hat=geom.rho_ref_hat, geom=geom,
+    return AcousticContext(grid=g, rho_ref_hat=geom.rho_ref_hat, geom=geom,
                            brackets=tuple(brackets), **out)
 
 
@@ -222,8 +218,9 @@ class AcousticScratch:
     """Every within-substep temporary for one grid shape, allocated once
     and shared by all steppers on that shape (a substep runs to
     completion, so nothing here is live between substeps; the
-    divergence-damping history ``pp`` is stepper-owned for that reason).
-    Float64 like the grid metrics every chain runs through."""
+    divergence-damping history ``pp`` and the stage's ``dws`` are the
+    stepper's for that reason).  Float64 like the grid metrics every chain
+    runs through."""
 
     def __init__(self, nx: int, ny: int, nz: int, halo: int, terrain: bool):
         def buf(shape, count):
@@ -242,6 +239,8 @@ class AcousticScratch:
                    for w in self.w]
         #: Helmholtz right-hand side; its halo columns stay zero
         self.rhs = np.zeros((nxh, nyh, nz - 1))
+        #: the compiled substep's columns and its Thomas block, in turn
+        self.col = np.empty(THOMAS_BLOCK * (nz + 1))
 
 
 #: per thread and bounded like the stencil plans: scratch owned by every
@@ -268,15 +267,71 @@ class _Args(ctypes.Structure):
     """``acoustic_args`` of stencil/csrc/acoustic.c, field for field."""
 
     _fields_ = (
-        [(n, ctypes.c_long) for n in "nxh nyh nz h nx ny".split()]
+        [(n, ctypes.c_long) for n in "nxh nyh nz h nx ny k".split()]
         + [(n, ctypes.c_double)
            for n in "dtau beta omb ratio damp dx dy grav".split()]
         + [(n, ctypes.c_void_p) for n in (
             "cp_lin pc rho_ref_hat theta_xf theta_yf theta_wf "
-            "r_u r_v r_w r_theta fx_s fy_s m_s dws sub diag sup "
-            "jac njac_u njac_v met_u met_v dz_c dz_f dzc2 m_now w_new "
-            "rho rhou rhov rhow rhotheta pp pp_prev "
-            "pp_h dppdz rho_e theta_e rhs col").split()])
+            "r_u r_v r_w r_theta fx_s fy_s m_s w_s sub diag sup fsub fcp fden "
+            "jac njac_u njac_v met_u met_v dz_c dz_f dzc2 metric "
+            "rho rhou rhov rhow rhotheta pp0 pp1 dws "
+            "pp_h dppdz rho_e theta_e rhs m_now w_new col").split()])
+
+
+class SubstepBinding:
+    """What one integrator's substeps keep between its stages on one
+    thread, bound the first time it steps there: the thread's
+    :class:`AcousticScratch` and, where a verified library takes the
+    grid's operands, the compiled substep's struct with every grid,
+    geometry, scratch and metric-flux address set, and the one call a
+    substep makes.  A stage sets only its state, context, forcing,
+    operator and its own damping pair and ``dws``
+    (:meth:`AcousticStepper._bind`), so a binding serves one stage at a
+    time.  Scratch is per thread, so a binding
+    is :meth:`current` only on the thread whose scratch it holds (ctypes
+    releases the GIL: two threads must never compute in each other's
+    temporaries)."""
+
+    def __init__(self, geom: AcousticGeometry):
+        g = geom.grid
+        self.geom = geom
+        self.lib = native.kernels(np.float64)
+        self.scratch = s = _SCRATCH(g.nx, g.ny, g.nz, g.halo, geom.has_terrain)
+        #: the struct and the call, else ``None``; ``unbound`` says why a
+        #: loaded library could not take the operands
+        self.args = self.substep = self.unbound = None
+        if self.lib is None:
+            return
+        arrays = dict(
+            rho_ref_hat=geom.rho_ref_hat, jac=g.jac, njac_u=geom.njac_u,
+            njac_v=geom.njac_v, dz_c=g.dz_c, dz_f=g.dz_f, pp_h=s.c[0],
+            dppdz=s.c[-1], rho_e=s.i[0], theta_e=s.i[3], rhs=s.rhs,
+            m_now=s.w[0], w_new=s.w[1], col=s.col)
+        if geom.has_terrain:
+            arrays.update(met_u=geom.met_u, met_v=geom.met_v, dzc2=geom.dzc2)
+        ptrs = native.pointers(np.float64, arrays,
+                               dict(rho_ref_hat=g.shape_c))
+        flux = geom.metric_flux
+        if geom.has_terrain and flux._args is None:
+            ptrs = flux._unbound
+        if isinstance(ptrs, native.Unbound):
+            self.unbound = ptrs
+            return
+        a = self.args = _Args(nxh=g.nxh, nyh=g.nyh, nz=g.nz, h=g.halo,
+                              nx=g.nx, ny=g.ny, dx=g.dx, dy=g.dy, grav=c.G)
+        for name, ptr in zip(arrays, ptrs):
+            setattr(a, name, ptr)
+        if geom.has_terrain:
+            a.metric = ctypes.addressof(flux._args)
+        self.substep = functools.partial(self.lib.substep, ctypes.byref(a))
+
+    def current(self, geom: AcousticGeometry) -> bool:
+        """Bound for ``geom``, on this thread's scratch, with the library
+        now in force."""
+        g = geom.grid
+        return (self.geom is geom and self.lib is native.kernels(np.float64)
+                and self.scratch is _SCRATCH(g.nx, g.ny, g.nz, g.halo,
+                                             geom.has_terrain))
 
 
 class AcousticStepper:
@@ -289,7 +344,10 @@ class AcousticStepper:
     caller is :meth:`repro.core.rk3.Rk3Integrator.step_phases`, which
     turns every refresh into a ``yield`` — the single-domain and the
     decomposed driver both resume that generator, which is what makes
-    the two runs bit-identical.
+    the two runs bit-identical.  It hands every stage its
+    :class:`SubstepBinding` (``binding``), which a stage replaces where
+    it is not :meth:`~SubstepBinding.current`; without one a stepper binds
+    its own.
     """
 
     def __init__(
@@ -303,6 +361,7 @@ class AcousticStepper:
         *,
         beta: float = 0.55,
         div_damp: float = 0.1,
+        binding: SubstepBinding | None = None,
     ):
         self.base = base
         self.forcing = forcing
@@ -319,65 +378,75 @@ class AcousticStepper:
         self.st.time = base.time + dts
         self.helm = ctx.helmholtz(self.dtau, beta)
         self.geom = geom = ctx.geom
-        self.pp_prev: np.ndarray | None = None
         self._done = 0
-        self.s = _SCRATCH(g.nx, g.ny, g.nz, g.halo, geom.has_terrain)
+        if binding is None or not binding.current(geom):
+            binding = SubstepBinding(geom)
+        self.binding = binding
+        self.s = binding.scratch
+        #: substep k writes _pp[k % 2] and reads _pp[(k - 1) % 2]
         self._pp = (np.empty(g.shape_c), np.empty(g.shape_c))
-        # the one stage-invariant operand the grid does not decide: the
-        # stage-flux vertical theta transport, with the substep's operations
-        sx, sy = g.isl
-        self._dws = (_dz_center_from_faces(ctx.theta_wf * forcing.w_s, g)[sx, sy]
-                     / geom.jac3[sx, sy])
-        self._lib = native.kernels(np.float64)
-        #: the compiled substep's operands, else ``None``; ``_unbound``
-        #: says why a loaded library could not take them
+        #: the stage-flux vertical theta transport (the compiled substep
+        #: evaluates it on its first call)
+        self.dws = np.empty((g.nx, g.ny, g.nz))
+        #: this stage's compiled struct, else ``None``; ``_unbound`` says
+        #: why a loaded library could not take the operands (counted once
+        #: a stage, here)
         self._args = self._unbound = None
-        if self._lib is not None:
+        if binding.lib is not None:
             bound = self._bind()
             if isinstance(bound, native.Unbound):
                 self._unbound = bound
+                native.unbound("acoustic stages", bound)
             else:
                 self._args = bound
+        if self._args is None:
+            # the one stage-invariant operand the grid does not decide
+            sx, sy = g.isl
+            self.dws = (_dz_center_from_faces(ctx.theta_wf * forcing.w_s,
+                                              g)[sx, sy] / geom.jac3[sx, sy])
+
+    @property
+    def pp_prev(self) -> np.ndarray | None:
+        """The divergence-damping history: the last substep's ``pp``."""
+        return self._pp[(self._done - 1) % 2] if self._done else None
 
     def _bind(self) -> "_Args | native.Unbound":
-        """The compiled substep's operands, or why not: every array must be
-        a contiguous float64 of this grid's shapes (C only gets addresses;
-        stepper, context and per-thread scratch keep them)."""
-        ctx, f, st, g, geom, s = (self.ctx, self.forcing, self.st, self.g,
-                                  self.geom, self.s)
+        """This stage's operands into the binding's struct: the state, the
+        linearization, the forcing, the operator with its Thomas factors,
+        the damping pair and ``dws``, every one a contiguous float64 of its
+        grid shape (C only gets addresses; stepper and context keep them);
+        or why not."""
+        b, ctx, f, st, g, helm = (self.binding, self.ctx, self.forcing,
+                                  self.st, self.g, self.helm)
+        if b.args is None:
+            return b.unbound
         staggered = (
-            (g.shape_c, dict(cp_lin=ctx.cp_lin, pc=ctx.pc, rho=st.rho,
-                             rho_ref_hat=ctx.rho_ref_hat, r_theta=f.r_theta,
-                             rhotheta=st.rhotheta, pp_h=s.c[0],
-                             dppdz=s.c[-1])),
-            (g.shape_u, dict(theta_xf=ctx.theta_xf, r_u=f.r_u, fx_s=f.fx_s,
-                             rhou=st.rhou)),
-            (g.shape_v, dict(theta_yf=ctx.theta_yf, r_v=f.r_v, fy_s=f.fy_s,
-                             rhov=st.rhov)),
-            (g.shape_w, dict(theta_wf=ctx.theta_wf, r_w=f.r_w, m_s=f.m_s,
-                             rhow=st.rhow, col=s.w[0])))
-        arrays = dict(
-            dws=self._dws, rho_e=s.i[0], theta_e=s.i[3], rhs=s.rhs,
-            jac=g.jac, njac_u=geom.njac_u, njac_v=geom.njac_v,
-            dz_c=g.dz_c, dz_f=g.dz_f)
-        if geom.has_terrain:
-            arrays.update(met_u=geom.met_u, met_v=geom.met_v, dzc2=geom.dzc2)
-        if self.beta < 1.0:             # else: no trapezoidal correction
-            arrays.update(sub=self.helm.sub, diag=self.helm.diag,
-                          sup=self.helm.sup)
-        shapes = {}
+            (g.shape_c, dict(rho=st.rho, rhotheta=st.rhotheta,
+                             cp_lin=ctx.cp_lin, pc=ctx.pc, r_theta=f.r_theta)),
+            (g.shape_u, dict(rhou=st.rhou, theta_xf=ctx.theta_xf, r_u=f.r_u,
+                             fx_s=f.fx_s)),
+            (g.shape_v, dict(rhov=st.rhov, theta_yf=ctx.theta_yf, r_v=f.r_v,
+                             fy_s=f.fy_s)),
+            (g.shape_w, dict(rhow=st.rhow, theta_wf=ctx.theta_wf, r_w=f.r_w,
+                             m_s=f.m_s, w_s=f.w_s)))
+        arrays, shapes = {}, {}
         for shape, named in staggered:
             arrays.update(named)
             shapes.update(dict.fromkeys(named, shape))
+        arrays.update(zip(("fsub", "fcp", "fden"), helm.thomas_factors()),
+                      pp0=self._pp[0], pp1=self._pp[1], dws=self.dws)
+        if self.beta < 1.0:             # else: no trapezoidal correction
+            arrays.update(sub=helm.sub, diag=helm.diag, sup=helm.sup)
         ptrs = native.pointers(np.float64, arrays, shapes)
         if isinstance(ptrs, native.Unbound):
             return ptrs
-        args = _Args(g.nxh, g.nyh, g.nz, g.halo, g.nx, g.ny, self.dtau,
-                     self.beta, 1.0 - self.beta, (1.0 - self.beta) / self.beta,
-                     self.div_damp, g.dx, g.dy, c.G)
+        a = b.args
+        a.k, a.dtau, a.beta, a.damp = 0, self.dtau, self.beta, self.div_damp
+        a.omb, a.ratio = 1.0 - self.beta, (1.0 - self.beta) / self.beta
+        a.sub = a.diag = a.sup = None
         for name, ptr in zip(arrays, ptrs):
-            setattr(args, name, ptr)
-        return args
+            setattr(a, name, ptr)
+        return a
 
     def substep(self) -> list[str]:
         """One acoustic substep; returns the field names whose halos are
@@ -407,35 +476,14 @@ class AcousticStepper:
         np.add(mom[sl], pgf, out=mom[sl])
 
     def _substep_impl(self) -> list[str]:
-        """One substep: compiled where a verified library is loaded and every
-        operand is plain float64, else the NumPy chain — the same bytes."""
+        """One substep: one call of csrc/acoustic.c's ``acoustic_substep``
+        where the stage is bound, else the NumPy chain — the same bytes."""
         if self._args is None:
-            if self._unbound is not None:
-                native.unbound("substeps", self._unbound)
             self._substep_numpy()
         else:
-            self._substep_native()
+            self.binding.substep()
         self._done += 1
         return list(ACOUSTIC_FIELDS)
-
-    def _substep_native(self) -> None:
-        """csrc/acoustic.c's three segments around the terrain metric flux
-        and the Helmholtz solve, whose compiled bodies (same file) are
-        reached through their own objects."""
-        a, lib, st = self._args, self._lib, self.st
-        pp, prev = self._pp[self._done % 2], self.pp_prev
-        a.pp = pp.ctypes.data
-        a.pp_prev = None if prev is None else prev.ctypes.data
-        lib.momentum(ctypes.byref(a))
-        if self.geom.has_terrain:
-            m_now = self.geom.metric_flux(st.rhou, st.rhov)
-            a.m_now = m_now.ctypes.data
-        lib.rhs(ctypes.byref(a))
-        with span("helmholtz_solve", cat="phase"):
-            w_new = self.helm.solve(self.s.rhs)
-        a.w_new = w_new.ctypes.data
-        lib.update(ctypes.byref(a))
-        self.pp_prev = pp
 
     def _substep_numpy(self) -> None:
         ctx, forcing, st, g, s = self.ctx, self.forcing, self.st, self.g, self.s
@@ -458,7 +506,6 @@ class AcousticStepper:
             np.add(pp, pp_h, out=pp_h)
         else:
             pp_h = pp
-        self.pp_prev = pp
 
         # (2) horizontal momentum (explicit) ---------------------------
         dppdz = None
@@ -507,7 +554,7 @@ class AcousticStepper:
         # (flat: the reference subtracts dm_p = 0.0, an exact identity)
         # explicit stage-flux vertical theta transport is inside r_theta;
         # add back the w_s part that the implicit operator will replace
-        np.add(i3, self._dws, out=i3)
+        np.add(i3, self.dws, out=i3)
         np.multiply(dtau, i3, out=i3)
         theta_e = np.add(st.rhotheta[sx, sy], i3, out=i3)
 
@@ -582,9 +629,11 @@ def native_check(lib) -> str:
     with signed zeros, infinities and NaN in the right-hand side; then,
     flat grid and terrain, against the NumPy that is their oracle: the
     linearization of :func:`build_context` with the Helmholtz brackets, the
-    operator and its Thomas factors, and two substeps (the first has no
-    damping history) of one stage."""
-    from ..stencil.dycore import _factor, _helmholtz_solve
+    operator and its Thomas factors, :meth:`State.velocities`, the stage's
+    ``dws``, two substeps (the first has no damping history) of one stage
+    and one substep of a second stage on the same binding (its operator
+    the first stage's)."""
+    from ..stencil.dycore import _helmholtz_solve
     from ..stencil.executor import StencilExecutor, use_executor
     from ..stencil.plan import PlanCache
     from .grid import make_grid
@@ -637,18 +686,27 @@ def native_check(lib) -> str:
             with native.using(use), \
                     use_executor(StencilExecutor("reference")):
                 ctx = build_context(base, None, wave(g.shape_c, 2.2), geom)
+                velocities = base.velocities()
                 stepper = AcousticStepper(base, forcing, ctx, None, 0.2, 2)
                 stepper.substep()
                 stepper.substep()
+                first = [a.copy() for a in (
+                    stepper.dws, stepper.pp_prev,
+                    *map(stepper.st.get, ACOUSTIC_FIELDS))]
+                again = AcousticStepper(stepper.st, forcing, ctx, None, 0.1,
+                                        1, binding=stepper.binding)
+                again.substep()
             helm = stepper.helm
             runs[stepper._args is None] = {
                 "linearization": (ctx.cp_lin, ctx.pc, ctx.theta_xf,
                                   ctx.theta_yf, ctx.theta_wf),
                 "Helmholtz brackets": ctx.brackets,
                 "Helmholtz operator": (helm.sup, helm.sub, helm.diag,
-                                       *_factor(helm)),
-                "acoustic substep": (*map(stepper.st.get, ACOUSTIC_FIELDS),
-                                     stepper.pp_prev)}
+                                       *helm.thomas_factors()),
+                "velocities": velocities,
+                "stage theta transport": first[:1],
+                "acoustic substep": first[1:],
+                "rebound stage": tuple(map(again.st.get, ACOUSTIC_FIELDS))}
         if len(runs) != 2:
             return f"acoustic substep, {where} grid"
         for what, got in runs[False].items():

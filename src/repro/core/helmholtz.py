@@ -101,8 +101,8 @@ class HelmholtzOperator:
 
     def _assemble_native(self, sq: float) -> "bool | None":
         """The compiled assembly: ``sup`` / ``sub`` / ``diag`` and the
-        k-leading Thomas factors of ``stencil.dycore._factor``, whether a
-        diagonal entry is <= 0; ``None`` where no library takes them."""
+        k-leading factors of :meth:`thomas_factors`, whether a diagonal
+        entry is <= 0; ``None`` where no library takes them."""
         lib = native.kernels(np.float64)
         if lib is None:
             return None
@@ -137,6 +137,29 @@ class HelmholtzOperator:
         np.add(out, tmp, out=out)
         np.multiply(self.sup, w_full[:, :, 2:], out=tmp)
         return np.add(out, tmp, out=out)
+
+    def thomas_factors(self) -> tuple:
+        """The forward-elimination factors ``(sub, cp, denom)``, k-leading
+        and contiguous: ``cp[k]`` and ``denom[k]`` never depend on the
+        right-hand side, so every solve with this operator shares them.
+        The compiled assembly leaves them behind; else they are computed
+        here once, with the operations of ``thomas_solve``."""
+        fac = getattr(self, "_thomas_factors", None)
+        if fac is None:
+            n = self.diag.shape[-1]
+            # copies: with one unknown a column the transpose is
+            # contiguous, and ascontiguousarray would hand back (and
+            # factor) the operator's own arrays
+            sub, den, cp = (np.array(a.reshape(-1, n).T, order="C")
+                            for a in (self.sub, self.diag, self.sup))
+            np.divide(cp[0], den[0], out=cp[0])
+            t = np.empty_like(cp[0])
+            for k in range(1, n):
+                np.multiply(sub[k], cp[k - 1], out=t)
+                np.subtract(den[k], t, out=den[k])
+                np.divide(cp[k], den[k], out=cp[k])
+            fac = self._thomas_factors = (sub, cp, den)
+        return fac
 
     def solve(self, rhs_interior: np.ndarray) -> np.ndarray:
         """Solve ``A(W) = rhs`` with zero boundary faces; returns the full

@@ -18,6 +18,7 @@ from .acoustic import (
     AcousticGeometry,
     AcousticStepper,
     SlowForcing,
+    SubstepBinding,
     build_context,
 )
 from .boundary import rayleigh_coefficient
@@ -77,6 +78,7 @@ def slow_tendencies(
     rayleigh_w: np.ndarray | None = None,
     base: State | None = None,
     metric_flux: adv.MetricFlux | None = None,
+    idle: list[str] | None = None,
 ) -> tuple[SlowForcing, dict[str, np.ndarray | None]]:
     """Slow-mode forcings at the given (stage) state, plus moisture
     advection tendencies.  Requires valid halos of width >= 2.
@@ -89,6 +91,16 @@ def slow_tendencies(
     already holds (docs/STENCILS.md, "Work that is skipped exactly").
     ``metric_flux`` is the integrator's :class:`~repro.core.advection.MetricFlux`
     (built here for a caller that keeps none).
+
+    ``idle`` is the inactive set of an earlier stage of the same long step
+    (``None``: scan every species).  A species active there stays active:
+    its base field is not all ``+0.0`` (or that stage's fluxes sent it
+    down the full path, which is never wrong).  An inactive one stays
+    inactive while its stage field is still all ``+0.0``, and only that
+    field is scanned again: in a decomposed run an exchange can put a
+    neighbour's transport into its halo.  The stage fluxes in the forcing
+    are the stage state's own ``rhou`` / ``rhov``, not copies: nothing
+    writes them before the stage ends.
     """
     g = state.grid
     if metric_flux is None:
@@ -136,8 +148,11 @@ def slow_tendencies(
         r_w -= rayleigh_w[None, None, :] * state.rhow
 
     base_q = state.q if base is None else base.q
-    idle = [n for n, q_hat in state.q.items()
-            if _zero_bits(q_hat) and _zero_bits(base_q[n])]
+    if idle is None:
+        idle = [n for n, q_hat in state.q.items() if _zero_bits(q_hat) and (
+            base_q[n] is q_hat or _zero_bits(base_q[n]))]
+    else:
+        idle = [n for n in idle if _zero_bits(state.q[n])]
     # 0 * inf and 0 / 0 are NaN in the full path: it runs unless every
     # flux is finite and rho divides zero to zero
     if idle and not (np.isfinite(fx.sum() + fy.sum() + fz.sum())
@@ -158,7 +173,7 @@ def slow_tendencies(
     m_s = metric_flux(state.rhou, state.rhov)
     forcing = SlowForcing(
         r_u=r_u, r_v=r_v, r_w=r_w, r_theta=r_theta,
-        fx_s=fx.copy(), fy_s=fy.copy(), w_s=w_s, m_s=m_s,
+        fx_s=fx, fy_s=fy, w_s=w_s, m_s=m_s,
     )
     return forcing, q_tend
 
@@ -182,6 +197,9 @@ class Rk3Integrator:
         self.limiter = get_limiter(cfg.limiter)
         #: grid-only operands of the acoustic substep and the metric flux
         self.geom = AcousticGeometry(grid, ref)
+        #: the substep's operands bound on the thread that last stepped
+        #: this integrator (a stage on another thread binds afresh)
+        self.binding: SubstepBinding | None = None
         if cfg.rayleigh_depth > 0.0:
             _, ray_f = rayleigh_coefficient(grid, cfg.rayleigh_depth, cfg.rayleigh_tau)
             self.rayleigh_w: np.ndarray | None = ray_f
@@ -207,15 +225,19 @@ class Rk3Integrator:
         ctx = build_context(state, self.ref, self.p_ref, self.geom)
         cur = state
         new = state
+        idle = None
         for dts, nsub in self.stage_plan():
             forcing, q_tend = slow_tendencies(
                 cur, self.ref, self.cfg, self.limiter, self.rayleigh_w, state,
-                self.geom.metric_flux,
+                self.geom.metric_flux, idle,
             )
+            idle = [n for n, tend in q_tend.items() if tend is None]
             stepper = AcousticStepper(
                 state, forcing, ctx, self.ref, dts, nsub,
                 beta=self.cfg.beta, div_damp=self.cfg.div_damp,
+                binding=self.binding,
             )
+            self.binding = stepper.binding
             for _ in range(nsub):
                 fields = stepper.substep()
                 yield stepper.st, fields

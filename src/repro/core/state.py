@@ -29,6 +29,7 @@ from typing import Dict
 import numpy as np
 
 from .. import constants as c
+from ..stencil import native
 from .grid import Grid
 from .reference import ReferenceState
 
@@ -123,8 +124,25 @@ class State:
     def velocities(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Physical velocities (u at x faces, v at y faces, w at z faces)
         reconstructed from the G-weighted momenta.  Uses simple two-point
-        averages for face densities, one-sided at domain edges."""
+        averages for face densities, one-sided at domain edges.  One
+        compiled call (csrc/acoustic.c, ``state_velocities``) where a
+        verified library takes the float64 fields, else the NumPy below,
+        its oracle: the same bytes."""
         g = self.grid
+        lib = native.kernels(np.float64)
+        if lib is not None:
+            ptrs = native.pointers(
+                np.float64, dict(rho=self.rho, rhou=self.rhou, rhov=self.rhov,
+                                 rhow=self.rhow),
+                dict(rho=g.shape_c, rhou=g.shape_u, rhov=g.shape_v,
+                     rhow=g.shape_w))
+            if not isinstance(ptrs, native.Unbound):
+                out = (np.empty(g.shape_u), np.empty(g.shape_v),
+                       np.empty(g.shape_w))
+                lib.velocities(*g.shape_c, *ptrs,
+                               *(a.ctypes.data for a in out))
+                return out
+            native.unbound("velocities", ptrs)
         rho_u = np.empty(g.shape_u, dtype=self.dtype)
         rho_u[1:-1] = 0.5 * (self.rho[1:] + self.rho[:-1])
         rho_u[0] = self.rho[0]

@@ -199,49 +199,41 @@ class GPUDevice:
             raise ValueError("negative duration")
         if (self.fault_injector is not None and kind in ("h2d", "d2h")
                 and self.fault_injector.on_pcie(self.label)):
-            self._place(f"{name}[failed]", kind, stream, duration,
-                        flops=0.0, bytes_moved=bytes_moved, after=after,
-                        tag="pcie_retry")
-        return self._place(name, kind, stream, duration, flops=flops,
-                           bytes_moved=bytes_moved, after=after, tag=tag,
-                           accesses=accesses)
+            self._place(f"{name}[failed]", kind, stream, duration, 0.0,
+                        bytes_moved, after, "pcie_retry")
+        return self._place(name, kind, stream, duration, flops, bytes_moved,
+                           after, tag, accesses)
 
-    def _place(
-        self,
-        name: str,
-        kind: str,
-        stream: Stream,
-        duration: float,
-        *,
-        flops: float = 0.0,
-        bytes_moved: float = 0.0,
-        after: Iterable[Event] = (),
-        tag: str = "",
-        accesses: Iterable[Access] = (),
-    ) -> Op:
-        after = tuple(after)
+    def _place(self, name: str, kind: str, stream: Stream, duration: float,
+               flops: float = 0.0, bytes_moved: float = 0.0,
+               after: Iterable[Event] = (), tag: str = "",
+               accesses: Iterable[Access] = ()) -> Op:
+        # the common op has no ``after`` and no pending deps: no tuple,
+        # generator or list is built for it
+        engines = self._engines
         engine = engine_for(kind, self._n_copy)
-        start = max(
-            stream.available_at,
-            self._engines[engine],
-            *(ev.time for ev in after),
-        ) if after else max(stream.available_at, self._engines[engine])
+        start = stream.available_at
+        if engines[engine] > start:
+            start = engines[engine]
+        deps = ()
+        if after:
+            after = tuple(after)
+            for ev in after:
+                if ev.time > start:
+                    start = ev.time
+            deps = tuple(ev.op.seq for ev in after if ev.op is not None)
         end = start + duration
-        stream.available_at = end
-        self._engines[engine] = end
+        stream.available_at = engines[engine] = end
         if end > self._makespan:
             self._makespan = end
         # happens-before edges: explicit `after` provenance plus any
         # wait_event deps pending on the stream (program order is implied
         # by `stream`/`seq` and need not be recorded)
-        deps = [ev.op for ev in after if ev.op is not None]
-        deps.extend(stream._pending_deps)
-        stream._pending_deps = []
-        op = Op(name=name, kind=kind, stream=stream.sid, start=start, end=end,
-                flops=flops, bytes_moved=bytes_moved, tag=tag,
-                seq=self._seq, epoch=self._epoch,
-                deps=tuple(d.seq for d in deps),
-                accesses=tuple(accesses))
+        if stream._pending_deps:
+            deps += tuple(d.seq for d in stream._pending_deps)
+            stream._pending_deps = []
+        op = Op(name, kind, stream.sid, start, end, flops, bytes_moved, tag,
+                self._seq, self._epoch, deps, tuple(accesses))
         self._seq += 1
         stream.last_op = op
         self.timeline.append(op)

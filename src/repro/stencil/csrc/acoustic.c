@@ -1,184 +1,23 @@
-/* One HE-VI acoustic substep (repro/core/acoustic.py), as three segments
- * around two calls made from Python, each compiled here too: the terrain
- * metric flux (between momentum and rhs; acoustic_metric_flux) and the
- * Helmholtz solve (between rhs and update; acoustic_thomas).  Float64 like
- * AcousticScratch.  Every expression mirrors one ufunc call of the NumPy
- * chain in AcousticStepper._substep_numpy, in its order, so the fields
- * come out the same bytes; see advect.c for the rules.  The struct is
- * repro.core.acoustic._Args, field for field.
+/* The HE-VI acoustic step of repro/core/acoustic.py.  One substep is one
+ * call, acoustic_substep: pressure and horizontal momentum, the terrain
+ * metric flux, the explicit continuity / thermodynamics with the Helmholtz
+ * right-hand side, the Thomas solve and the implied update, so Python
+ * crosses into C once a substep.  The metric flux (MetricFlux) and the
+ * Thomas solve are entry points of their own too; once a long step come
+ * the linearization (acoustic_context) and the operator assembly
+ * (acoustic_operator).  Float64 like AcousticScratch.  Every expression
+ * mirrors one ufunc call of the NumPy oracle (AcousticStepper._substep_numpy,
+ * contravariant_mass_flux_w, thomas_solve, build_context,
+ * HelmholtzOperator), in its order, so the fields come out the same bytes;
+ * see advect.c for the rules.
  * Not cloned per ISA: these loops wait on memory, a 48x48x24 substep read
  * 1.40 / 1.49 / 1.57 ms as SSE2 / AVX2 / AVX-512, and three clones doubled
  * the build.
  */
-typedef struct {
-    long nxh, nyh, nz, h, nx, ny;
-    double dtau, beta, omb, ratio, damp, dx, dy, grav;
-    /* the linearization and the stage forcing */
-    const double *cp_lin, *pc, *rho_ref_hat, *theta_xf, *theta_yf, *theta_wf;
-    const double *r_u, *r_v, *r_w, *r_theta, *fx_s, *fy_s, *m_s, *dws;
-    /* the operator (NULL when beta == 1: no trapezoidal correction) */
-    const double *sub, *diag, *sup;
-    /* grid-only operands; met_u / met_v / dzc2 / m_now NULL on a flat grid */
-    const double *jac, *njac_u, *njac_v, *met_u, *met_v, *dz_c, *dz_f, *dzc2;
-    const double *m_now, *w_new;
-    /* the state, updated in place, and the damping history */
-    double *rho, *rhou, *rhov, *rhow, *rhotheta, *pp;
-    const double *pp_prev;
-    /* scratch: pressure with damping, its z derivative, the explicit
-     * rho / rhotheta, the Helmholtz right-hand side, four columns */
-    double *pp_h, *dppdz, *rho_e, *theta_e, *rhs, *col;
-} acoustic_args;
 
-/* (1) perturbation pressure with divergence damping, (2) the explicit
- * horizontal momentum update */
-void acoustic_momentum(const acoustic_args *restrict a)
-{
-    const long nyh = a->nyh, nz = a->nz, h = a->h, nx = a->nx, ny = a->ny;
-    const long ncell = a->nxh * nyh * nz;
-    const double dtau = a->dtau;
-    const double *pp_h = a->pp;
-
-    for (long i = 0; i < ncell; i++)
-        a->pp[i] = a->pc[i] + a->cp_lin[i] * a->rhotheta[i];
-    if (a->pp_prev && a->damp > 0.0) {
-        for (long i = 0; i < ncell; i++)
-            a->pp_h[i] = a->pp[i] + a->damp * (a->pp[i] - a->pp_prev[i]);
-        pp_h = a->pp_h;
-    }
-    if (a->dzc2) {
-        /* (1/G) d(pp)/dx3 at centres: centred, one-sided at the ends */
-        for (long c = 0; c < a->nxh * nyh; c++) {
-            const double *p = pp_h + c * nz;
-            double *d = a->dppdz + c * nz;
-            d[0] = (p[1] - p[0]) / a->dzc2[0] / a->jac[c];
-            for (long k = 1; k < nz - 1; k++)
-                d[k] = (p[k + 1] - p[k - 1]) / a->dzc2[k] / a->jac[c];
-            d[nz - 1] = (p[nz - 1] - p[nz - 2]) / a->dzc2[nz - 1] / a->jac[c];
-        }
-    }
-    /* u faces [h, h + nx] x [h, h + ny): the cell behind is one row back */
-    for (long x = 0; x <= nx; x++)
-        for (long y = 0; y < ny; y++) {
-            const long f = x * ny + y, i = ((x + h) * nyh + y + h) * nz;
-            const long b = i - nyh * nz;
-            for (long k = 0; k < nz; k++) {
-                double g = a->njac_u[f] * ((pp_h[i + k] - pp_h[b + k]) / a->dx);
-                if (a->met_u)
-                    g = g + a->met_u[f * nz + k]
-                        * (0.5 * (a->dppdz[i + k] + a->dppdz[b + k]));
-                a->rhou[i + k] = a->rhou[i + k] + dtau * (g + a->r_u[i + k]);
-            }
-        }
-    /* v faces [h, h + nx) x [h, h + ny]: rows of nyh + 1 columns, cells
-     * of nyh */
-    for (long x = 0; x < nx; x++)
-        for (long y = 0; y <= ny; y++) {
-            const long f = x * (ny + 1) + y;
-            const long i = ((x + h) * nyh + y + h) * nz, b = i - nz;
-            const long v = ((x + h) * (nyh + 1) + y + h) * nz;
-            for (long k = 0; k < nz; k++) {
-                double g = a->njac_v[f] * ((pp_h[i + k] - pp_h[b + k]) / a->dy);
-                if (a->met_v)
-                    g = g + a->met_v[f * nz + k]
-                        * (0.5 * (a->dppdz[i + k] + a->dppdz[b + k]));
-                a->rhov[v + k] = a->rhov[v + k] + dtau * (g + a->r_v[v + k]);
-            }
-        }
-}
-
-/* (3) the explicit parts of continuity and thermodynamics, (4) the
- * right-hand side of the vertical implicit solve */
-void acoustic_rhs(const acoustic_args *restrict a)
-{
-    const long nyh = a->nyh, nz = a->nz, h = a->h, nx = a->nx, ny = a->ny;
-    const long su = nyh * nz, sv = (nyh + 1) * nz;
-    const double dtau = a->dtau, beta = a->beta, omb = a->omb;
-    double *restrict pp_be = a->col, *restrict buoy = a->col + nz;
-
-    for (long x = 0; x < nx; x++)
-        for (long y = 0; y < ny; y++) {
-            const long c = (x + h) * nyh + y + h, i = c * nz;
-            const long u = i, v = ((x + h) * (nyh + 1) + y + h) * nz;
-            const long w = c * (nz + 1), n = (x * ny + y) * nz;
-            const long r = c * (nz - 1);
-            const double *mn = a->m_now ? a->m_now + w : 0;
-            for (long k = 0; k < nz; k++) {
-                double d = (a->rhou[u + su + k] - a->rhou[u + k]) / a->dx
-                    + (a->rhov[v + nz + k] - a->rhov[v + k]) / a->dy;
-                if (mn)
-                    d = d + (mn[k + 1] - mn[k]) / a->dz_c[k];
-                else
-                    d = d + 0.0;        /* the flat metric term: -0 -> +0 */
-                const double rho_e = a->rho[i + k] - dtau * d;
-
-                /* theta: perturbation fluxes relative to the stage fluxes */
-                double tx = a->theta_xf[u + su + k]
-                    * (a->rhou[u + su + k] - a->fx_s[u + su + k]);
-                tx = (tx - a->theta_xf[u + k]
-                      * (a->rhou[u + k] - a->fx_s[u + k])) / a->dx;
-                double ty = a->theta_yf[v + nz + k]
-                    * (a->rhov[v + nz + k] - a->fy_s[v + nz + k]);
-                ty = (ty - a->theta_yf[v + k]
-                      * (a->rhov[v + k] - a->fy_s[v + k])) / a->dy;
-                double t = a->r_theta[i + k] - tx - ty;
-                if (mn) {
-                    const double *ms = a->m_s + w, *th = a->theta_wf + w;
-                    t = t - (th[k + 1] * (mn[k + 1] - ms[k + 1])
-                             - th[k] * (mn[k] - ms[k])) / a->dz_c[k];
-                }
-                const double theta_e = a->rhotheta[i + k]
-                    + dtau * (t + a->dws[n + k]);
-                a->rho_e[n + k] = rho_e;
-                a->theta_e[n + k] = theta_e;
-
-                /* the beta-weighted pressure and buoyancy of the solve */
-                const double theta_be = beta * theta_e
-                    + omb * a->rhotheta[i + k];
-                pp_be[k] = a->pc[i + k] + a->cp_lin[i + k] * theta_be;
-                buoy[k] = beta * rho_e + omb * a->rho[i + k]
-                    - a->rho_ref_hat[i + k];
-            }
-            const double *rw = a->rhow + w, *fw = a->r_w + w;
-            for (long k = 0; k < nz - 1; k++) {
-                double f = -((pp_be[k + 1] - pp_be[k]) / a->dz_f[k + 1])
-                    - a->grav * (0.5 * (buoy[k + 1] + buoy[k]));
-                double rhs = rw[k + 1] + dtau * (f + fw[k + 1]);
-                if (a->diag) {
-                    /* trapezoidal correction from the known W^n */
-                    const double aw = a->sub[r + k] * rw[k]
-                        + a->diag[r + k] * rw[k + 1]
-                        + a->sup[r + k] * rw[k + 2];
-                    rhs = rhs + a->ratio * (rw[k + 1] - aw);
-                }
-                a->rhs[r + k] = rhs;
-            }
-        }
-}
-
-/* the implied vertical-flux updates of rho and rhotheta, and the new W */
-void acoustic_update(const acoustic_args *restrict a)
-{
-    const long nyh = a->nyh, nz = a->nz, h = a->h, nx = a->nx, ny = a->ny;
-    const double dtau = a->dtau, beta = a->beta, omb = a->omb;
-    double *restrict wb = a->col, *restrict tw = a->col + nz + 1;
-
-    for (long x = 0; x < nx; x++)
-        for (long y = 0; y < ny; y++) {
-            const long c = (x + h) * nyh + y + h, i = c * nz;
-            const long w = c * (nz + 1), n = (x * ny + y) * nz;
-            for (long k = 0; k <= nz; k++) {
-                wb[k] = beta * a->w_new[w + k] + omb * a->rhow[w + k];
-                tw[k] = a->theta_wf[w + k] * wb[k];
-                a->rhow[w + k] = a->w_new[w + k];
-            }
-            for (long k = 0; k < nz; k++) {
-                a->rho[i + k] = a->rho_e[n + k]
-                    - dtau * ((wb[k + 1] - wb[k]) / a->dz_c[k]) / a->jac[c];
-                a->rhotheta[i + k] = a->theta_e[n + k]
-                    - dtau * ((tw[k + 1] - tw[k]) / a->dz_c[k]) / a->jac[c];
-            }
-        }
-}
+/* columns of one Thomas block (repro.core.acoustic.THOMAS_BLOCK): its
+ * n x THOMAS_BLOCK elimination buffer stays in L1 */
+#define THOMAS_BLOCK 64
 
 /* ---- G rho u^3 at the w faces: repro.core.advection's
  * contravariant_mass_flux_w, reached from MetricFlux, one x row at a time.
@@ -272,8 +111,9 @@ void acoustic_metric_flux(const metric_args *restrict a, int f32,
 }
 
 /* ---- the Thomas solve of repro.core.tridiag.thomas_solve (the oracle of
- * helmholtz_solve; reached from repro.stencil.dycore._helmholtz_solve),
- * marching in k with the columns innermost: ncol columns of n unknowns,
+ * helmholtz_solve; acoustic_substep below solves the interior columns
+ * only), marching in k with the columns innermost: ncol columns of n
+ * unknowns,
  * its forward-elimination factors sub / cp / den, computed once per
  * operator, k-leading (n x ncol), rhs column-leading (ncol x n), w the
  * (ncol x n + 2) result with zero end faces.  Blocks of bc columns are
@@ -281,40 +121,275 @@ void acoustic_metric_flux(const metric_args *restrict a, int f32,
  * reciprocal would round twice).  Not cloned:
  * 2916 columns x 23 levels read 178 us plain and 193-197 us with the
  * three clones (the divider does as many elements per cycle at any width). */
+static void thomas_block(long ncol, long n, long bc, long c0, long nb,
+                         const double *restrict sub,
+                         const double *restrict cp,
+                         const double *restrict den,
+                         const double *restrict rhs, double *restrict w,
+                         double *restrict dp)
+{
+    for (long j = 0; j < nb; j++)
+        for (long k = 0; k < n; k++)
+            dp[k * bc + j] = rhs[(c0 + j) * n + k];
+    for (long j = 0; j < nb; j++)
+        dp[j] = dp[j] / den[c0 + j];
+    for (long k = 1; k < n; k++) {
+        double *restrict d = dp + k * bc;
+        const double *restrict dm = d - bc;
+        const double *s = sub + k * ncol + c0, *e = den + k * ncol + c0;
+        for (long j = 0; j < nb; j++)
+            d[j] = (d[j] - s[j] * dm[j]) / e[j];
+    }
+    for (long k = n - 2; k >= 0; k--) {
+        double *restrict d = dp + k * bc;
+        const double *restrict dn = d + bc;
+        const double *q = cp + k * ncol + c0;
+        for (long j = 0; j < nb; j++)
+            d[j] = d[j] - q[j] * dn[j];
+    }
+    for (long j = 0; j < nb; j++) {
+        double *o = w + (c0 + j) * (n + 2);
+        o[0] = 0.0;
+        for (long k = 0; k < n; k++)
+            o[k + 1] = dp[k * bc + j];
+        o[n + 1] = 0.0;
+    }
+}
+
 void acoustic_thomas(long ncol, long n, long bc, const double *restrict sub,
                      const double *restrict cp, const double *restrict den,
                      const double *restrict rhs, double *restrict w,
                      double *restrict dp)
 {
-    for (long c0 = 0; c0 < ncol; c0 += bc) {
-        const long nb = ncol - c0 < bc ? ncol - c0 : bc;
-        for (long j = 0; j < nb; j++)
-            for (long k = 0; k < n; k++)
-                dp[k * bc + j] = rhs[(c0 + j) * n + k];
-        for (long j = 0; j < nb; j++)
-            dp[j] = dp[j] / den[c0 + j];
-        for (long k = 1; k < n; k++) {
-            double *restrict d = dp + k * bc;
-            const double *restrict dm = d - bc;
-            const double *s = sub + k * ncol + c0, *e = den + k * ncol + c0;
-            for (long j = 0; j < nb; j++)
-                d[j] = (d[j] - s[j] * dm[j]) / e[j];
+    for (long c0 = 0; c0 < ncol; c0 += bc)
+        thomas_block(ncol, n, bc, c0, ncol - c0 < bc ? ncol - c0 : bc, sub,
+                     cp, den, rhs, w, dp);
+}
+
+/* ---- one HE-VI acoustic substep (repro.core.acoustic.AcousticStepper),
+ * one call: (1)-(2) pressure and horizontal momentum, the terrain metric
+ * flux m_now, (3)-(4) the explicit continuity / thermodynamics and the
+ * Helmholtz right-hand side, the Thomas solve into w_new, and the implied
+ * rho / rhotheta / rhow update.  The first substep of a stage (k == 0)
+ * also evaluates the stage-invariant vertical theta transport dws.  The
+ * struct is repro.core.acoustic._Args, field for field: an integrator
+ * binds its grid, geometry and scratch once per thread, a stage its
+ * state, context, forcing, operator, damping pair and dws. */
+typedef struct {
+    long nxh, nyh, nz, h, nx, ny;
+    long k;                     /* substeps taken this stage */
+    double dtau, beta, omb, ratio, damp, dx, dy, grav;
+    /* the linearization and the stage forcing */
+    const double *cp_lin, *pc, *rho_ref_hat, *theta_xf, *theta_yf, *theta_wf;
+    const double *r_u, *r_v, *r_w, *r_theta, *fx_s, *fy_s, *m_s, *w_s;
+    /* the operator (sub / diag / sup NULL when beta == 1: no trapezoidal
+     * correction) and its k-leading Thomas factors */
+    const double *sub, *diag, *sup, *fsub, *fcp, *fden;
+    /* grid-only operands; met_u / met_v / dzc2 / metric NULL on a flat
+     * grid */
+    const double *jac, *njac_u, *njac_v, *met_u, *met_v, *dz_c, *dz_f, *dzc2;
+    const metric_args *metric;
+    /* the state, updated in place */
+    double *rho, *rhou, *rhov, *rhow, *rhotheta;
+    /* the stage's damping pair (substep k writes pp0 / pp1 as k is even /
+     * odd and reads the other as its history) and dws */
+    double *pp0, *pp1, *dws;
+    /* the thread's scratch: pressure with damping, its z derivative, the
+     * explicit rho / rhotheta, the Helmholtz right-hand side (halo
+     * columns zero), m_now, w_new, and columns for the segments and the
+     * Thomas block */
+    double *pp_h, *dppdz, *rho_e, *theta_e, *rhs, *m_now, *w_new, *col;
+} acoustic_args;
+
+/* the stage-flux vertical theta transport the implicit operator replaces:
+ * (d/dx3 of theta_wf * w_s) / G at the interior cells */
+static void stage_dws(const acoustic_args *restrict a)
+{
+    const long nyh = a->nyh, nz = a->nz, h = a->h;
+    for (long x = 0; x < a->nx; x++)
+        for (long y = 0; y < a->ny; y++) {
+            const long c = (x + h) * nyh + y + h, w = c * (nz + 1);
+            const double *th = a->theta_wf + w, *ws = a->w_s + w;
+            double *d = a->dws + (x * a->ny + y) * nz;
+            for (long k = 0; k < nz; k++)
+                d[k] = (th[k + 1] * ws[k + 1] - th[k] * ws[k]) / a->dz_c[k]
+                    / a->jac[c];
         }
-        for (long k = n - 2; k >= 0; k--) {
-            double *restrict d = dp + k * bc;
-            const double *restrict dn = d + bc;
-            const double *q = cp + k * ncol + c0;
-            for (long j = 0; j < nb; j++)
-                d[j] = d[j] - q[j] * dn[j];
-        }
-        for (long j = 0; j < nb; j++) {
-            double *o = w + (c0 + j) * (n + 2);
-            o[0] = 0.0;
-            for (long k = 0; k < n; k++)
-                o[k + 1] = dp[k * bc + j];
-            o[n + 1] = 0.0;
+}
+
+/* (1) perturbation pressure with divergence damping, (2) the explicit
+ * horizontal momentum update */
+static void substep_momentum(const acoustic_args *restrict a, double *restrict pp,
+                     const double *pp_prev)
+{
+    const long nyh = a->nyh, nz = a->nz, h = a->h, nx = a->nx, ny = a->ny;
+    const long ncell = a->nxh * nyh * nz;
+    const double dtau = a->dtau;
+    const double *pp_h = pp;
+
+    for (long i = 0; i < ncell; i++)
+        pp[i] = a->pc[i] + a->cp_lin[i] * a->rhotheta[i];
+    if (pp_prev && a->damp > 0.0) {
+        for (long i = 0; i < ncell; i++)
+            a->pp_h[i] = pp[i] + a->damp * (pp[i] - pp_prev[i]);
+        pp_h = a->pp_h;
+    }
+    if (a->dzc2) {
+        /* (1/G) d(pp)/dx3 at centres: centred, one-sided at the ends */
+        for (long c = 0; c < a->nxh * nyh; c++) {
+            const double *p = pp_h + c * nz;
+            double *d = a->dppdz + c * nz;
+            d[0] = (p[1] - p[0]) / a->dzc2[0] / a->jac[c];
+            for (long k = 1; k < nz - 1; k++)
+                d[k] = (p[k + 1] - p[k - 1]) / a->dzc2[k] / a->jac[c];
+            d[nz - 1] = (p[nz - 1] - p[nz - 2]) / a->dzc2[nz - 1] / a->jac[c];
         }
     }
+    /* u faces [h, h + nx] x [h, h + ny): the cell behind is one row back */
+    for (long x = 0; x <= nx; x++)
+        for (long y = 0; y < ny; y++) {
+            const long f = x * ny + y, i = ((x + h) * nyh + y + h) * nz;
+            const long b = i - nyh * nz;
+            for (long k = 0; k < nz; k++) {
+                double g = a->njac_u[f] * ((pp_h[i + k] - pp_h[b + k]) / a->dx);
+                if (a->met_u)
+                    g = g + a->met_u[f * nz + k]
+                        * (0.5 * (a->dppdz[i + k] + a->dppdz[b + k]));
+                a->rhou[i + k] = a->rhou[i + k] + dtau * (g + a->r_u[i + k]);
+            }
+        }
+    /* v faces [h, h + nx) x [h, h + ny]: rows of nyh + 1 columns, cells
+     * of nyh */
+    for (long x = 0; x < nx; x++)
+        for (long y = 0; y <= ny; y++) {
+            const long f = x * (ny + 1) + y;
+            const long i = ((x + h) * nyh + y + h) * nz, b = i - nz;
+            const long v = ((x + h) * (nyh + 1) + y + h) * nz;
+            for (long k = 0; k < nz; k++) {
+                double g = a->njac_v[f] * ((pp_h[i + k] - pp_h[b + k]) / a->dy);
+                if (a->met_v)
+                    g = g + a->met_v[f * nz + k]
+                        * (0.5 * (a->dppdz[i + k] + a->dppdz[b + k]));
+                a->rhov[v + k] = a->rhov[v + k] + dtau * (g + a->r_v[v + k]);
+            }
+        }
+}
+
+/* (3) the explicit parts of continuity and thermodynamics, (4) the
+ * right-hand side of the vertical implicit solve */
+static void substep_rhs(const acoustic_args *restrict a)
+{
+    const long nyh = a->nyh, nz = a->nz, h = a->h, nx = a->nx, ny = a->ny;
+    const long su = nyh * nz;
+    const double dtau = a->dtau, beta = a->beta, omb = a->omb;
+    double *restrict pp_be = a->col, *restrict buoy = a->col + nz;
+    const double *m_now = a->metric ? a->m_now : 0;
+
+    for (long x = 0; x < nx; x++)
+        for (long y = 0; y < ny; y++) {
+            const long c = (x + h) * nyh + y + h, i = c * nz;
+            const long u = i, v = ((x + h) * (nyh + 1) + y + h) * nz;
+            const long w = c * (nz + 1), n = (x * ny + y) * nz;
+            const long r = c * (nz - 1);
+            const double *mn = m_now ? m_now + w : 0;
+            for (long k = 0; k < nz; k++) {
+                double d = (a->rhou[u + su + k] - a->rhou[u + k]) / a->dx
+                    + (a->rhov[v + nz + k] - a->rhov[v + k]) / a->dy;
+                if (mn)
+                    d = d + (mn[k + 1] - mn[k]) / a->dz_c[k];
+                else
+                    d = d + 0.0;        /* the flat metric term: -0 -> +0 */
+                const double rho_e = a->rho[i + k] - dtau * d;
+
+                /* theta: perturbation fluxes relative to the stage fluxes */
+                double tx = a->theta_xf[u + su + k]
+                    * (a->rhou[u + su + k] - a->fx_s[u + su + k]);
+                tx = (tx - a->theta_xf[u + k]
+                      * (a->rhou[u + k] - a->fx_s[u + k])) / a->dx;
+                double ty = a->theta_yf[v + nz + k]
+                    * (a->rhov[v + nz + k] - a->fy_s[v + nz + k]);
+                ty = (ty - a->theta_yf[v + k]
+                      * (a->rhov[v + k] - a->fy_s[v + k])) / a->dy;
+                double t = a->r_theta[i + k] - tx - ty;
+                if (mn) {
+                    const double *ms = a->m_s + w, *th = a->theta_wf + w;
+                    t = t - (th[k + 1] * (mn[k + 1] - ms[k + 1])
+                             - th[k] * (mn[k] - ms[k])) / a->dz_c[k];
+                }
+                const double theta_e = a->rhotheta[i + k]
+                    + dtau * (t + a->dws[n + k]);
+                a->rho_e[n + k] = rho_e;
+                a->theta_e[n + k] = theta_e;
+
+                /* the beta-weighted pressure and buoyancy of the solve */
+                const double theta_be = beta * theta_e
+                    + omb * a->rhotheta[i + k];
+                pp_be[k] = a->pc[i + k] + a->cp_lin[i + k] * theta_be;
+                buoy[k] = beta * rho_e + omb * a->rho[i + k]
+                    - a->rho_ref_hat[i + k];
+            }
+            const double *rw = a->rhow + w, *fw = a->r_w + w;
+            for (long k = 0; k < nz - 1; k++) {
+                double f = -((pp_be[k + 1] - pp_be[k]) / a->dz_f[k + 1])
+                    - a->grav * (0.5 * (buoy[k + 1] + buoy[k]));
+                double rhs = rw[k + 1] + dtau * (f + fw[k + 1]);
+                if (a->diag) {
+                    /* trapezoidal correction from the known W^n */
+                    const double aw = a->sub[r + k] * rw[k]
+                        + a->diag[r + k] * rw[k + 1]
+                        + a->sup[r + k] * rw[k + 2];
+                    rhs = rhs + a->ratio * (rw[k + 1] - aw);
+                }
+                a->rhs[r + k] = rhs;
+            }
+        }
+}
+
+/* the implied vertical-flux updates of rho and rhotheta, and the new W */
+static void substep_update(const acoustic_args *restrict a)
+{
+    const long nyh = a->nyh, nz = a->nz, h = a->h, nx = a->nx, ny = a->ny;
+    const double dtau = a->dtau, beta = a->beta, omb = a->omb;
+    double *restrict wb = a->col, *restrict tw = a->col + nz + 1;
+
+    for (long x = 0; x < nx; x++)
+        for (long y = 0; y < ny; y++) {
+            const long c = (x + h) * nyh + y + h, i = c * nz;
+            const long w = c * (nz + 1), n = (x * ny + y) * nz;
+            for (long k = 0; k <= nz; k++) {
+                wb[k] = beta * a->w_new[w + k] + omb * a->rhow[w + k];
+                tw[k] = a->theta_wf[w + k] * wb[k];
+                a->rhow[w + k] = a->w_new[w + k];
+            }
+            for (long k = 0; k < nz; k++) {
+                a->rho[i + k] = a->rho_e[n + k]
+                    - dtau * ((wb[k + 1] - wb[k]) / a->dz_c[k]) / a->jac[c];
+                a->rhotheta[i + k] = a->theta_e[n + k]
+                    - dtau * ((tw[k + 1] - tw[k]) / a->dz_c[k]) / a->jac[c];
+            }
+        }
+}
+
+void acoustic_substep(acoustic_args *restrict a)
+{
+    const long ncol = a->nxh * a->nyh;
+    double *pp = a->k % 2 ? a->pp1 : a->pp0;
+
+    if (a->k == 0)
+        stage_dws(a);
+    substep_momentum(a, pp, a->k == 0 ? 0 : a->k % 2 ? a->pp0 : a->pp1);
+    if (a->metric)
+        acoustic_metric_flux(a->metric, 0, a->rhou, a->rhov, 0, a->m_now);
+    substep_rhs(a);
+    /* the interior columns, a row at a time: rhow takes nothing else from
+     * w_new */
+    for (long x = a->h; x < a->h + a->nx; x++)
+        for (long y = 0; y < a->ny; y += THOMAS_BLOCK)
+            thomas_block(ncol, a->nz - 1, THOMAS_BLOCK, x * a->nyh + a->h + y,
+                         a->ny - y < THOMAS_BLOCK ? a->ny - y : THOMAS_BLOCK,
+                         a->fsub, a->fcp, a->fden, a->rhs, a->w_new, a->col);
+    substep_update(a);
+    a->k++;
 }
 
 /* ---- the linearization of repro.core.acoustic.build_context after the
@@ -389,7 +464,7 @@ void acoustic_context(long nxh, long nyh, long nz, double gamma,
 /* ---- one (dtau, beta) operator from the brackets: sup = (-s) xsup,
  * sub = (-s) xsub, diag = 1 + s ydiag with s = sq / jac per column
  * (column-leading, ncol x n), and the forward-elimination factors of
- * repro.stencil.dycore._factor, k-leading (n x ncol), a block of bc
+ * HelmholtzOperator.thomas_factors, k-leading (n x ncol), a block of bc
  * columns at a time (the transposes stay in cache).  Returns 1 when a
  * diagonal entry is <= 0 (HelmholtzOperator raises). */
 int acoustic_operator(long ncol, long n, double sq, const double *restrict jac,
@@ -399,7 +474,7 @@ int acoustic_operator(long ncol, long n, double sq, const double *restrict jac,
                       double *restrict fsub, double *restrict fcp,
                       double *restrict fden)
 {
-    const long bc = 64;
+    const long bc = THOMAS_BLOCK;
     int bad = 0;
     for (long c0 = 0; c0 < ncol; c0 += bc) {
         const long c1 = ncol - c0 < bc ? ncol : c0 + bc;
@@ -433,4 +508,37 @@ int acoustic_operator(long ncol, long n, double sq, const double *restrict jac,
         }
     }
     return bad;
+}
+
+/* ---- the velocities of repro.core.state.State.velocities: each momentum
+ * divided by the two-point mean of rho at its faces, the edge faces taking
+ * their cell's rho.  The faces of one axis: `outer` blocks of n cells of
+ * `inner` contiguous values each, n + 1 faces a block. */
+static void face_velocity(long outer, long n, long inner,
+                          const double *restrict rho,
+                          const double *restrict m, double *restrict out)
+{
+    for (long o = 0; o < outer; o++) {
+        const double *r = rho + o * n * inner;
+        const double *mo = m + o * (n + 1) * inner;
+        double *v = out + o * (n + 1) * inner;
+        for (long j = 0; j < inner; j++)
+            v[j] = mo[j] / r[j];
+        for (long f = 1; f < n; f++)
+            for (long j = 0; j < inner; j++)
+                v[f * inner + j] = mo[f * inner + j]
+                    / (0.5 * (r[f * inner + j] + r[(f - 1) * inner + j]));
+        for (long j = 0; j < inner; j++)
+            v[n * inner + j] = mo[n * inner + j] / r[(n - 1) * inner + j];
+    }
+}
+
+void state_velocities(long nxh, long nyh, long nz, const double *restrict rho,
+                      const double *restrict rhou, const double *restrict rhov,
+                      const double *restrict rhow, double *restrict u,
+                      double *restrict v, double *restrict w)
+{
+    face_velocity(1, nxh, nyh * nz, rho, rhou, u);
+    face_velocity(nxh, nyh, nz, rho, rhov, v);
+    face_velocity(nxh * nyh, nz, 1, rho, rhow, w);
 }

@@ -172,39 +172,18 @@ def _eos_pressure(plans, rhotheta_hat, grid):
     return np.multiply(c.P0, res, out=res)
 
 
-def _factor(op):
-    """Forward-elimination factors of ``op``, k-leading and contiguous
-    (``cp[k]``, ``denom[k]`` never depend on the right-hand side, and the
-    ten solves of a long step share three operators)."""
-    fac = getattr(op, "_thomas_factors", None)
-    if fac is None:
-        n = op.diag.shape[-1]
-        # copies: with one unknown a column the transpose is contiguous,
-        # and ascontiguousarray would hand back (and factor) op's own arrays
-        sub, den, cp = (np.array(a.reshape(-1, n).T, order="C")
-                        for a in (op.sub, op.diag, op.sup))
-        np.divide(cp[0], den[0], out=cp[0])
-        t = np.empty_like(cp[0])
-        for k in range(1, n):
-            np.multiply(sub[k], cp[k - 1], out=t)
-            np.subtract(den[k], t, out=den[k])
-            np.divide(cp[k], den[k], out=cp[k])
-        fac = op._thomas_factors = (sub, cp, den)
-    return fac
-
-
 @register_fused("helmholtz_solve")
 def _helmholtz_solve(plans, op, rhs_interior):
     """One compiled call (csrc/acoustic.c) where a verified library is
     loaded, else ``NotImplemented``: columns innermost over the k-leading
-    factors of :func:`_factor`, a :data:`THOMAS_BLOCK`-column block of the
-    plan's arena at a time."""
+    factors of ``op.thomas_factors()``, a :data:`THOMAS_BLOCK`-column block
+    of the plan's arena at a time."""
     rhs = rhs_interior
     lib = native.kernels(np.float64)
     if (lib is None or not _plain(rhs, op.sub, op.diag, op.sup)
             or rhs.shape != op.diag.shape):
         return NotImplemented
-    sub, cp, den = _factor(op)
+    sub, cp, den = op.thomas_factors()
     n, ncol = den.shape
     w = np.empty(rhs.shape[:2] + (op.grid.nz + 1,), rhs.dtype)
     ptrs = native.pointers(np.float64, dict(

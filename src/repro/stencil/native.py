@@ -2,10 +2,10 @@
 proved at load, never required.
 
 ``csrc/advect.c`` (the Koren sweep plus flux divergence, both float
-widths), ``csrc/acoustic.c`` (the HE-VI substep around the Helmholtz
-solve, the linearization and the operator assembly), ``csrc/kessler.c``
-(the C segments of the warm-rain body) and ``csrc/halo.c`` (the halo
-fill) become one shared object per *(sources, flags, compiler, machine)*
+widths), ``csrc/acoustic.c`` (the HE-VI substep as one call, the
+linearization, the operator assembly and the velocities of a state),
+``csrc/kessler.c`` (the C segments of the warm-rain body) and
+``csrc/halo.c`` (the halo fill) become one shared object per *(sources, flags, compiler, machine)*
 hash in the user's cache directory, loaded through :mod:`ctypes`; the
 compiler is identified by its resolved path, ``st_mtime_ns`` and
 ``st_size``, so a warm load runs no process.  It is used only after every
@@ -77,9 +77,10 @@ class Native:
     #: seconds spent compiling (0 on a cache hit) and loading + checking
     build_s: float = 0.0
     load_s: float = 0.0
-    #: ``faces`` / ``advect`` per width; f64 also has the substep's three
-    #: segments, ``metric_flux``, ``thomas``, ``context``, ``operator``,
-    #: ``kessler`` and ``halo_fill`` (byte copies: any dtype)
+    #: ``faces`` / ``advect`` per width; f64 also has the one-call
+    #: ``substep``, ``metric_flux``, ``thomas``, ``context``, ``operator``,
+    #: ``velocities``, ``kessler`` and ``halo_fill`` (byte copies: any
+    #: dtype)
     f64: SimpleNamespace | None = field(default=None, repr=False)
     f32: SimpleNamespace | None = field(default=None, repr=False)
 
@@ -116,8 +117,8 @@ class Unbound:
 
 
 def unbound(body: str, why: Unbound) -> None:
-    """Count one call of ``body`` (plural: ``"substeps"``) that ran on
-    NumPy although a library is loaded (stepping threads count too)."""
+    """Count one call of ``body`` (plural: ``"acoustic stages"``) that ran
+    on NumPy although a library is loaded (stepping threads count too)."""
     with _UNBOUND_LOCK:
         UNBOUND[body, f"{why.operand} {why.fact}"] += 1
 
@@ -257,8 +258,8 @@ def _bind(dll: ctypes.CDLL) -> dict:
             advect=fn(f"advect_{tag}", ctypes.c_int, *[_PTR] * 5,
                       *[_LONG] * 6, real, real, _PTR, _PTR))
     f64 = out["f64"]                                # acoustic.c: float64 only
-    for name in ("momentum", "rhs", "update"):
-        setattr(f64, name, fn(f"acoustic_{name}", _PTR))
+    f64.substep = fn("acoustic_substep", _PTR)
+    f64.velocities = fn("state_velocities", *[_LONG] * 3, *[_PTR] * 7)
     f64.metric_flux = fn("acoustic_metric_flux", _PTR, ctypes.c_int,
                          *[_PTR] * 4)
     f64.thomas = fn("acoustic_thomas", *[_LONG] * 3, *[_PTR] * 6)

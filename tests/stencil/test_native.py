@@ -32,6 +32,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.api import Experiment, RunSpec
+from repro.constants import WATER_SPECIES
 from repro.core import advection as adv
 from repro.core.acoustic import ACOUSTIC_FIELDS, AcousticStepper, build_context
 from repro.core.boundary import fill_halos_state
@@ -41,7 +42,8 @@ from repro.core.helmholtz import (HelmholtzOperator, helmholtz_brackets,
 from repro.core.limiter import koren, minmod
 from repro.core.pressure import eos_pressure, exner
 from repro.core.reference import make_reference_state
-from repro.core.rk3 import DynamicsConfig, slow_tendencies
+from repro.core.model import run_lockstep
+from repro.core.rk3 import DynamicsConfig, Rk3Integrator, slow_tendencies
 from repro.core.state import State, state_from_reference
 from repro.physics.kessler import KesslerConfig, kessler_step
 from repro.physics.saturation import saturation_mixing_ratio
@@ -319,16 +321,17 @@ def test_substep_compiled_equals_numpy_chain(terrain, div_damp, beta):
 def test_substep_declines_operands_it_cannot_take_by_address(monkeypatch):
     """A float32 state, a field of another grid's shape or a strided one
     runs the NumPy chain (which rounds, or raises, as it always did), and
-    says so: a typed reason naming the first operand, counted per substep
-    and printed by the executor's report."""
+    says so: a typed reason naming the first operand, counted once a stage
+    (where the stage binds) and printed by the executor's report."""
     base, forcing, ctx, ref = _stage(False, np.float32)
+    monkeypatch.setattr(native, "UNBOUND", Counter())
     stepper = AcousticStepper(base, forcing, ctx, ref, 2.0, 3)
     assert stepper._args is None
     assert str(stepper._unbound) == "unbound: rho float32"
-    monkeypatch.setattr(native, "UNBOUND", Counter())
-    stepper.substep()
-    assert native.UNBOUND == Counter({("substeps", "rho float32"): 1})
-    assert "; 1 substeps on NumPy (rho float32)" in \
+    for _ in range(3):
+        stepper.substep()
+    assert native.UNBOUND == Counter({("acoustic stages", "rho float32"): 1})
+    assert "; 1 acoustic stages on NumPy (rho float32)" in \
         StencilExecutor("fused").report()
     base, forcing, ctx, ref = _stage(False)
     forcing.r_u = forcing.r_u[:-1]
@@ -581,10 +584,8 @@ def test_halo_fill_compiled_equals_reference(nx, ny, nz, halo, periodic,
        beta=st.sampled_from([0.55, 1.0]), seed=st.integers(0, 2 ** 16))
 def test_operator_assembly_compiled_equals_numpy(nx, ny, nz, beta, seed):
     """One compiled call per (dtau, beta) from the brackets == the NumPy
-    scaling of ``HelmholtzOperator`` plus ``_factor`` (blocks of 64
-    columns and a remainder); a non-positive diagonal raises either way."""
-    from repro.stencil.dycore import _factor
-
+    scaling of ``HelmholtzOperator`` plus its ``thomas_factors`` (blocks of
+    64 columns and a remainder); a non-positive diagonal raises either way."""
     rng = np.random.default_rng(seed)
     g = make_grid(nx, ny, nz, 100.0, 100.0, 100.0 * nz)
     thf = np.abs(rng.normal(size=g.shape_w)) + 280.0
@@ -594,7 +595,7 @@ def test_operator_assembly_compiled_equals_numpy(nx, ny, nz, beta, seed):
     for lib in (LIB, None):
         with native.using(lib):
             op = HelmholtzOperator(g, thf, cp, 0.05, beta, brackets)
-            ops.append((op.sup, op.sub, op.diag, *_factor(op)))
+            ops.append((op.sup, op.sub, op.diag, *op.thomas_factors()))
     for got, want in zip(*ops):
         _same_bytes("helmholtz operator", got, want)
     for lib in (LIB, None):
@@ -617,8 +618,8 @@ def test_linearization_compiled_equals_numpy(terrain):
             ctx.helmholtz(0.5, 0.55)
             ctxs.append(ctx)
     compiled, chain = ctxs
-    for name in ("p_t", "cp_lin", "pc", "rhotheta_t", "rho_ref_hat",
-                 "theta_xf", "theta_yf", "theta_wf"):
+    for name in ("cp_lin", "pc", "rho_ref_hat", "theta_xf", "theta_yf",
+                 "theta_wf"):
         _same_bytes(name, getattr(compiled, name), getattr(chain, name))
     for got, want in zip(compiled.brackets, chain.brackets):
         _same_bytes("brackets", got, want)
@@ -646,6 +647,326 @@ def test_a_warm_bubble_step_dispatches_nothing_to_the_reference():
     assert ex.calls["kessler_step"] and ex.calls["fill_halos_state"]
     assert native.UNBOUND - before == Counter()
     assert ", 0 reference)" in ex.report()
+
+
+# ---------------- (b4) one call a substep, one binding an integrator a thread
+def _moist_case(rng, nx, ny, nz, halo, terrain):
+    """A small perturbed moist state with valid halos: vapour everywhere,
+    cloud in a few columns, vertical momentum at the interior faces."""
+    g = make_grid(nx, ny, nz, 2000.0, 2000.0, 1000.0 * nz, halo=halo,
+                  terrain=(lambda x, y: 300.0 + 200.0 * np.sin(x / 3000.0)
+                           * np.cos(y / 5000.0)) if terrain else None)
+    ref = make_reference_state(g, constant_stability_sounding())
+    st = state_from_reference(g, ref, u0=10.0, v0=-4.0)
+    st.rhotheta += st.rho * rng.uniform(-0.5, 0.5, g.shape_c)
+    st.rhow[:, :, 1:-1] += rng.normal(scale=0.2, size=g.shape_c[:2] + (nz - 1,))
+    st.q["qv"][...] = st.rho * 1e-3 * rng.random(g.shape_c)
+    st.q["qc"][:2] = st.rho[:2] * 1e-4
+    fill_halos_state(st)
+    return g, ref, eos_pressure(ref.rhotheta_c * g.jac[:, :, None], g), st
+
+
+@needs_library
+@SETTINGS
+@given(nx=st.integers(3, 7), ny=st.integers(1, 6), nz=st.integers(4, 7),
+       halo=st.sampled_from([2, 3]), terrain=st.booleans(),
+       beta=st.sampled_from([0.55, 1.0]), div_damp=st.sampled_from([0.0, 0.1]),
+       seed=st.integers(0, 2 ** 16))
+def test_rk_stages_compiled_equal_the_oracles(nx, ny, nz, halo, terrain, beta,
+                                              div_damp, seed):
+    """One long step (three whole RK stages on one integrator, so the
+    second and third rebind what the first bound): with a library ==
+    ``native.using(None)``, every field byte for byte."""
+    g, ref, p_ref, st0 = _moist_case(np.random.default_rng(seed), nx, ny, nz,
+                                     halo, terrain)
+    cfg = DynamicsConfig(dt=4.0, ns=2, beta=beta, div_damp=div_damp)
+    runs = []
+    for lib in (LIB, None):
+        with native.using(lib), use_executor(StencilExecutor("fused")):
+            rk = Rk3Integrator(g, ref, cfg, p_ref)
+            new, = run_lockstep([rk.step_phases(st0.copy())],
+                                lambda states, names: fill_halos_state(
+                                    states[0], names))
+        assert (rk.binding.substep is None) == (lib is None)
+        runs.append([new.get(n) for n in new.prognostic_names()])
+    for got, want in zip(*runs):
+        _same_bytes("rk stage", got, want)
+
+
+@needs_library
+@SETTINGS
+@given(nx=st.integers(1, 7), ny=st.integers(1, 6), nz=st.integers(2, 6),
+       halo=st.sampled_from([2, 3]), kind=st.sampled_from(KINDS),
+       dtype=st.sampled_from([np.float64, np.float32]), strided=st.booleans(),
+       seed=st.integers(0, 2 ** 16))
+def test_velocities_compiled_equal_the_oracle(nx, ny, nz, halo, kind, dtype,
+                                              strided, seed):
+    """``State.velocities`` in one compiled call == its NumPy, zero and
+    signed-zero densities included (NaN payloads exempt); a float32 or
+    strided field is declined with its reason, counted, and runs the
+    NumPy."""
+    rng = np.random.default_rng(seed)
+    g = make_grid(nx, ny, nz, 100.0, 130.0, 100.0 * nz, halo=halo)
+    rho = _fill(rng, kind, g.shape_c, dtype)
+    rhou, rhov, rhow = (_fill(rng, "normal", s, dtype)
+                        for s in (g.shape_u, g.shape_v, g.shape_w))
+    if strided:
+        rhov = _strided(rhov)
+    state = State(g, rho, rhou, rhov, rhow, rho.copy())
+    before = Counter(native.UNBOUND)
+    runs = []
+    for lib in (LIB, None):
+        with native.using(lib), np.errstate(all="ignore"):
+            runs.append(state.velocities())
+    why = ("rho float32" if dtype == np.float32 else
+           "rhov not C-contiguous" if strided else None)
+    assert native.UNBOUND - before == (
+        Counter({("velocities", why): 1}) if why else Counter())
+    for got, want in zip(*runs):
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert native.same(got, want)
+
+
+@needs_library
+@pytest.mark.parametrize("terrain", [False, True])
+def test_a_substep_is_one_ctypes_call(terrain, monkeypatch):
+    """With a library loaded a substep crosses into C once and makes no
+    ``native.pointers`` call, no executor dispatch and no inner span; a
+    stage on its integrator's binding checks its operands in one
+    ``native.pointers`` call."""
+    from repro.obs import TraceSession, use_session
+
+    base, forcing, ctx, ref = _stage(terrain)
+    calls = Counter()
+
+    def counted(name, fn):
+        return lambda *a, **k: (calls.update([name]), fn(*a, **k))[1]
+
+    for name, fn in vars(LIB.f64).items():
+        monkeypatch.setattr(LIB.f64, name, counted(name, fn))
+    monkeypatch.setattr(native, "pointers", counted("pointers",
+                                                    native.pointers))
+    ex, session = StencilExecutor("fused"), TraceSession("t")
+    with native.using(LIB), use_executor(ex), use_session(session):
+        first = AcousticStepper(base, forcing, ctx, ref, 2.0, 3)
+        # the operator's (assembled for this dtau), the integrator's, the
+        # stage's
+        assert calls == Counter({"operator": 1, "pointers": 3})
+        calls.clear()
+        stepper = AcousticStepper(base, forcing, ctx, ref, 2.0, 3,
+                                  binding=first.binding)
+        assert stepper.binding is first.binding
+        assert calls == Counter({"pointers": 1})
+        calls.clear()
+        for _ in range(3):
+            stepper.substep()
+    assert calls == Counter({"substep": 3})
+    assert sum(ex.calls.values()) == 0
+    assert [s.name for s in session.spans] == ["acoustic_substep"] * 3
+
+
+def _idle_sets(monkeypatch):
+    """Record, per RK stage and in order, the rank's grid, whether it was a
+    first stage, the inactive set the stage used and the one a scan of
+    every species would have found (``slow_tendencies`` called again
+    without the earlier stage's set)."""
+    import repro.core.rk3 as rk3
+
+    seen = []
+    slow = rk3.slow_tendencies
+
+    def recorded(*args):
+        forcing, q_tend = slow(*args)
+        full = slow(*args[:7])[1]
+        seen.append((id(args[0].grid), args[7] is None,
+                     *(sorted(n for n, t in q.items() if t is None)
+                       for q in (q_tend, full))))
+        return forcing, q_tend
+
+    monkeypatch.setattr(rk3, "slow_tendencies", recorded)
+    return seen
+
+
+@pytest.mark.parametrize("workload, extra", [
+    ("warm-bubble", {}), ("shear-layer", {"ice": True}),
+    ("vortex", {"backend": "multigpu", "ranks": (2, 2)})])
+def test_only_the_first_stage_scans_every_species(workload, extra,
+                                                  monkeypatch):
+    """An RK stage after the first scans only the species the stage before
+    found inactive, and only their stage field: the set equals a scan of
+    every species at every stage, on a warm bubble past its first rain
+    (rain and cloud planted), on the shear layer with ice and every species
+    planted (nothing is inactive) and on a 2x2 vortex with a cloud three
+    cells from a rank boundary, where an exchange puts the neighbour's
+    transport into two idle ranks' halos in the middle of a step (so the
+    earlier stage's set alone is not enough)."""
+    import repro.api as api
+
+    seen = _idle_sets(monkeypatch)
+    make_case = api.make_case
+    planted = {"warm-bubble": ("qc", "qr"), "vortex": ("qc",),
+               "shear-layer": WATER_SPECIES}[workload]
+
+    def seeded(*a, **k):
+        case = make_case(*a, **k)
+        st = case.state
+        h = st.grid.halo
+        blob = (slice(h + 2, h + 6), slice(h + 3, h + 5), slice(2, 5))
+        for name in planted:
+            st.q[name][blob] = 1e-3 * st.rho[blob]
+        return case
+
+    monkeypatch.setattr(api, "make_case", seeded)
+    spec = RunSpec(workload, nx=16, ny=16, nz=8, steps=2, **extra)
+    Experiment(spec).prepare().run()
+    assert seen and all(used == full for *_, used, full in seen)
+    later = [full for _, first, _, full in seen if not first]
+    assert len(later) == 2 * (len(seen) - len(later))
+    # skipped after a first stage, except where every species is present
+    assert any(later) == (workload != "shear-layer")
+    assert any(len(full) < len(WATER_SPECIES) for *_, full in seen)
+    # per rank, a set that shrank after the first stage of its step (the
+    # decomposed vortex: a rank whose halo received the neighbour's cloud)
+    shrank = False
+    for rank in {key for key, *_ in seen}:
+        sets = [(first, full) for key, first, _, full in seen if key == rank]
+        shrank |= any(not first and set(full) < set(sets[i - 1][1])
+                      for i, (first, full) in enumerate(sets) if i)
+    assert shrank == (workload == "vortex")
+
+
+@pytest.mark.parametrize("spec", [
+    RunSpec("warm-bubble", nx=12, ny=12, nz=8, steps=2),
+    RunSpec("real-case", nx=16, ny=16, nz=8, steps=2, backend="multigpu",
+            ranks=(2, 2))], ids=["warm-bubble", "real-case-2x2"])
+def test_the_stage_fluxes_are_the_stage_state_unwritten(spec, monkeypatch):
+    """``SlowForcing.fx_s`` / ``fy_s`` are the stage state's own ``rhou`` /
+    ``rhov``, not copies: nothing writes them from the slow tendencies to
+    the end of the stage (substeps, exchanges and ``finish`` included)."""
+    import repro.core.rk3 as rk3
+
+    slow, init, finish = (rk3.slow_tendencies, AcousticStepper.__init__,
+                          AcousticStepper.finish)
+    stages = []
+
+    def aliased(state, *args):
+        forcing, q_tend = slow(state, *args)
+        assert forcing.fx_s is state.rhou and forcing.fy_s is state.rhov
+        return forcing, q_tend
+
+    def snapshot(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        self.fluxes = [a.tobytes() for a in (self.forcing.fx_s,
+                                             self.forcing.fy_s)]
+
+    def checked(self, *args):
+        out = finish(self, *args)
+        stages.append(self.fluxes == [a.tobytes() for a in (
+            self.forcing.fx_s, self.forcing.fy_s)])
+        return out
+
+    monkeypatch.setattr(rk3, "slow_tendencies", aliased)
+    monkeypatch.setattr(AcousticStepper, "__init__", snapshot)
+    monkeypatch.setattr(AcousticStepper, "finish", checked)
+    Experiment(spec).prepare().run()
+    ranks = 4 if spec.ranks else 1
+    assert stages == [True] * (3 * spec.steps * ranks)
+
+
+def _side_by_side(*works):
+    """Run each callable in its own thread at once (a short switch
+    interval interleaves them finely); their results, or what they
+    raised, in order."""
+    import threading
+
+    out = [None] * len(works)
+
+    def run(i):
+        try:
+            out[i] = works[i]()
+        except BaseException as exc:    # reported by the caller's assertion
+            out[i] = exc
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=run, args=(i,))
+                   for i in range(len(works))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=300)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    return out
+
+
+def _advanced(spec, steps, exp=None):
+    """The prognostic bytes of ``exp`` (a fresh run of ``spec``) after
+    ``steps`` more steps."""
+    exp = exp or Experiment(spec).prepare()
+    exp.advance(steps)
+    return [np.ascontiguousarray(exp.state.get(n)).tobytes()
+            for n in exp.state.prognostic_names()]
+
+
+def test_two_integrators_prepared_together_step_apart():
+    """Two runs prepared, and stepped once, in one thread (so each
+    integrator's binding holds that thread's scratch), then stepped side by
+    side in two threads: each thread binds its own scratch, and both give
+    their serial bytes."""
+    specs = [RunSpec("warm-bubble", nx=16, ny=16, nz=8, seed=s)
+             for s in (1, 2)]
+    serial = [_advanced(spec, 4) for spec in specs]
+    exps = [Experiment(spec).prepare() for spec in specs]
+    for exp in exps:
+        exp.advance(1)
+    bound = [exp.model.integrator.binding for exp in exps]
+    assert bound[0].scratch is bound[1].scratch     # the one thread's
+    threaded = _side_by_side(*(
+        (lambda exp=exp: _advanced(None, 3, exp)) for exp in exps))
+    assert threaded == serial
+    rebound = [exp.model.integrator.binding for exp in exps]
+    assert rebound[0].scratch is not rebound[1].scratch
+    assert bound[0].scratch not in (rebound[0].scratch, rebound[1].scratch)
+
+
+def test_one_integrator_stepped_from_two_threads_in_turn():
+    """A run advanced one step at a time, alternately by two threads,
+    rebinds on every switch and gives its serial bytes."""
+    import queue
+    import threading
+
+    spec = RunSpec("real-case", nx=16, ny=16, nz=8, seed=3)
+    serial = _advanced(spec, 4)
+    exp = Experiment(spec).prepare()
+    inbox, done = [queue.Queue(), queue.Queue()], queue.Queue()
+
+    def worker(i):
+        while inbox[i].get():
+            try:
+                exp.advance(1)
+                done.put(exp.model.integrator.binding.scratch)
+            except BaseException as exc:  # reported by the assertion below
+                done.put(exc)
+
+    threads = [threading.Thread(target=worker, args=(i,)) for i in (0, 1)]
+    for t in threads:
+        t.start()
+    try:
+        scratch = []
+        for step in range(4):
+            inbox[step % 2].put(True)
+            scratch.append(done.get(timeout=300))
+    finally:
+        for box in inbox:
+            box.put(False)
+        for t in threads:
+            t.join(timeout=60)
+    assert _advanced(None, 0, exp) == serial
+    assert scratch[0] is scratch[2] and scratch[1] is scratch[3]
+    assert scratch[0] is not scratch[1]
 
 
 # ------------------------------------------------ (c) without a compiler
@@ -772,6 +1093,28 @@ def test_a_changed_step_body_is_rejected_at_load(source, body, old, new,
     sources = native.read_sources()
     assert old in sources[source]
     sources[source] = sources[source].replace(old, new)
+    lib = native.load(sources)
+    assert lib.state == "self-check-failed" and lib.detail.startswith(body)
+    assert lib.f64 is None
+
+
+@needs_library
+@pytest.mark.parametrize("body, old, new", [
+    ("stage theta transport, terrain grid",
+     "/ a->dz_c[k]\n                    / a->jac[c];",
+     "/ (a->dz_c[k] * a->jac[c]);"),
+    ("acoustic substep, terrain grid",
+     "    if (a->metric)\n        acoustic_metric_flux(a->metric, 0, a->rhou, "
+     "a->rhov, 0, a->m_now);\n", "")])
+def test_a_changed_substep_is_rejected_at_load(body, old, new, tmp_path,
+                                               monkeypatch):
+    """The one-call substep's own work is on the battery: ``dws`` divided
+    by the product of its two divisors rounds differently, and a substep
+    that skips the terrain metric flux reads a stale ``m_now``."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    sources = native.read_sources()
+    assert old in sources["acoustic.c"]
+    sources["acoustic.c"] = sources["acoustic.c"].replace(old, new)
     lib = native.load(sources)
     assert lib.state == "self-check-failed" and lib.detail.startswith(body)
     assert lib.f64 is None
