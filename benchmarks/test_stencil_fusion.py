@@ -1,25 +1,25 @@
 """Stencil fusion — the ``fused`` executor vs the reference NumPy
 kernels.
 
-The fused entry points (docs/STENCILS.md) run a compiled body where a
-verified library is loaded (the advection, the Helmholtz solve) or a
-planned ``out=`` chain (the diffusion family, the EOS), and must be
-byte-identical to the reference.  Anchors:
+A dispatched kernel with a compiled entry (docs/STENCILS.md) runs its C
+body where a verified library is loaded, byte-identical to its oracle;
+the ``reference`` executor runs every oracle.  Anchors:
 
-* per-kernel wall-clock speedup of what the executor runs on the hot
-  dycore kernels at a production-like tile (64x64x32): with a library
-  loaded the aggregate must beat 1.5x (without one the advection and the
-  solve run their oracles, and only the identity is asserted);
+* per-kernel wall-clock speedup of the dispatched kernels that have a
+  compiled entry (the scalar and the u advection) at a production-like
+  tile (64x64x32): with a library loaded the aggregate must beat 1.5x
+  (without one both sides run the oracles, and only the identity is
+  asserted);
 * byte identity of every timed kernel output (``tobytes()``);
 * the deterministic facts of a fixed end-to-end run with the compiled
   bodies held off (``native.using(None)``), so that they do not depend on
-  whether the machine has a compiler — dispatch counts, the scalar
-  transports skipped because their species is absent (docs/STENCILS.md),
-  plans built, arena bytes: the numbers ``repro doctor --regress`` gates
-  in CI, since wall-clock is too noisy to gate there (wall metrics ship
-  with the artifact but the CI gate ignores them by pattern).  The
-  end-to-end wall-clock gain is ``bench/run.py``'s to measure, not this
-  file's.
+  whether the machine has a compiler — dispatch counts (every compiled
+  entry declines, so nothing is accelerated), the scalar transports
+  skipped because their species is absent (docs/STENCILS.md), plans
+  built, arena bytes: the numbers ``repro doctor --regress`` gates in CI,
+  since wall-clock is too noisy to gate there (wall metrics ship with the
+  artifact but the CI gate ignores them by pattern).  The end-to-end
+  wall-clock gain is ``bench/run.py``'s to measure, not this file's.
 
 The numbers land in ``benchmarks/reports/BENCH_stencil_fusion.json``.
 """
@@ -30,10 +30,7 @@ import numpy as np
 from bench_json import write_bench_json
 from repro.api import Experiment, RunSpec
 from repro.core.advection import advect_scalar, advect_u
-from repro.core.diffusion import hyperdiffusion_c, vertical_diffusion_c
 from repro.core.grid import make_grid
-from repro.core.helmholtz import HelmholtzOperator
-from repro.core.pressure import eos_pressure
 from repro.perf.report import format_table
 from repro.stencil import StencilExecutor, native, use_executor
 from repro.stencil.plan import PlanCache
@@ -55,30 +52,17 @@ def _inputs():
 
 
 def _kernels():
-    from repro.core.pressure import linearization_coefficient
-
     g, phi, fx, fy, fz, u = _inputs()
-    rng = np.random.default_rng(1)
-    rt = np.abs(rng.normal(size=g.shape_c)) * 30.0 + 250.0
-    thf = np.abs(rng.normal(size=(g.nxh, g.nyh, g.nz + 1))) + 280.0
-    op = HelmholtzOperator(
-        g, thf, linearization_coefficient(eos_pressure.reference(rt, g), rt),
-        dtau=0.05, beta=0.6)
-    rhs = rng.normal(size=(g.nxh, g.nyh, g.nz - 1))
     return [
         ("advect_scalar", advect_scalar, (phi, fx, fy, fz, g)),
         ("advect_u", advect_u, (u, fx, fy, fz, g)),
-        ("hyperdiffusion_c", hyperdiffusion_c, (phi, g)),
-        ("vertical_diffusion_c", vertical_diffusion_c, (phi, g, 10.0)),
-        ("eos_pressure", eos_pressure, (rt, g)),
-        ("helmholtz_solve", lambda: op.solve(rhs), ()),
     ]
 
 
 def _time_kernel(fn, args, backend):
     ex = StencilExecutor(backend)
     with use_executor(ex):
-        out = fn(*args)                      # warm-up (and pool priming)
+        out = fn(*args)                      # warm-up (and plan priming)
         best = float("inf")
         for _ in range(ROUNDS):
             t0 = time.perf_counter()
@@ -141,5 +125,5 @@ def test_fused_kernels_speed_up_bit_identically(emit):
     assert lib is None or speedup >= MIN_SPEEDUP, (
         f"fused aggregate speedup {speedup:.2f}x below the "
         f"{MIN_SPEEDUP}x gate")
-    assert stats["accelerated"] > 0 and stats["fallbacks"] > 0
+    assert stats["accelerated"] == 0 and stats["fallbacks"] > 0
     assert stats["allocations"] == stats["reuses"] == 0

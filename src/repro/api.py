@@ -145,11 +145,10 @@ class RunSpec:
     ranks: "tuple[int, int] | str | None" = None
     precision: Any = None           #: gpu/multigpu modeled precision
     ice: bool = False
-    #: stencil executor backend ('reference' / 'fused', or
-    #: 'auto' = the process default, i.e. $REPRO_STENCIL_BACKEND or
-    #: 'fused', the compiled path) — fused is byte-identical to the
-    #: reference oracle, so this never enters the spec hash (see
-    #: _NON_SEMANTIC_FIELDS)
+    #: stencil executor backend: 'fused' (or 'auto'), the compiled bodies
+    #: where a library is loaded, else the oracles; 'reference', every
+    #: oracle — byte-identical either way, so this never enters the spec
+    #: hash (see _NON_SEMANTIC_FIELDS)
     stencil_backend: str = "auto"
     # ---------------------------------------------------- observability
     trace_path: str | None = None
@@ -195,11 +194,11 @@ class RunSpec:
             raise ValueError("steps must be >= 0")
         if self.counter_every < 1:
             raise ValueError("counter_every must be >= 1")
-        from .stencil import BACKENDS, default_backend
+        from .stencil import BACKENDS
 
         stencil_backend = self.stencil_backend
         if stencil_backend == "auto":
-            stencil_backend = default_backend()
+            stencil_backend = "fused"
         if stencil_backend not in BACKENDS:
             raise ValueError(
                 f"unknown stencil backend {self.stencil_backend!r}; "
@@ -225,7 +224,7 @@ class RunSpec:
         # counting only annotates device ops with measurements; the
         # computed fields are bit-identical with or without it
         "counters", "counter_every",
-        # the fused executor is bit-identical to the reference (enforced
+        # the compiled bodies are bit-identical to the oracles (enforced
         # by tests/stencil), so the backend choice
         # does not change what a run computes — a cached result from one
         # backend is valid for all of them

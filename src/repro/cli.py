@@ -90,10 +90,9 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--stencil-backend", default="auto",
                      choices=["auto", "reference", "fused"],
                      help="stencil executor backend (docs/STENCILS.md): "
-                          "'fused' runs the compiled bodies where a "
-                          "library is loaded, byte-identical to the "
-                          "textbook 'reference' oracle; 'auto' follows "
-                          "$REPRO_STENCIL_BACKEND, else 'fused'")
+                          "'fused' (= 'auto') runs the compiled bodies "
+                          "where a library is loaded, 'reference' every "
+                          "textbook oracle; the same bytes either way")
     run.add_argument("--history", type=str, default=None,
                      help="write snapshots to this .npz")
     run.add_argument("--history-every", type=float, default=60.0,

@@ -38,9 +38,8 @@ from .advection import MetricFlux, contravariant_mass_flux_w
 from .grid import Grid
 from ..obs.trace import span
 from ..stencil import native
-from ..stencil.plan import THOMAS_BLOCK, Recent
-from .helmholtz import (HelmholtzOperator, helmholtz_brackets,
-                        helmholtz_solve)
+from ..stencil.plan import Recent
+from .helmholtz import HelmholtzOperator, helmholtz_brackets
 from .pressure import eos_pressure, linearization_coefficient
 from .reference import ReferenceState
 from .state import State
@@ -212,6 +211,12 @@ def _dz_center_from_faces(
     """(d/dx3) of a w-face flux, at centers: (F[k+1] - F[k]) / dz_c[k]."""
     out = np.subtract(flux_w[:, :, 1:], flux_w[:, :, :-1], out=out)
     return np.divide(out, grid.dz_c[None, None, :], out=out)
+
+
+#: columns of one Thomas block of the compiled substep (csrc/acoustic.c's
+#: THOMAS_BLOCK): its n x THOMAS_BLOCK elimination buffer stays in L1 for
+#: the n of every workload here
+THOMAS_BLOCK = 64
 
 
 class AcousticScratch:
@@ -623,19 +628,15 @@ def native_check(lib) -> str:
     """What differs between ``lib``'s compiled acoustic bodies and their
     oracles ("" when nothing does): the terrain metric flux against
     :func:`~repro.core.advection.contravariant_mass_flux_w` (``rhow`` given
-    and ``None``; float64 and float32 momenta); the Thomas solve against
-    :func:`~repro.core.helmholtz.helmholtz_solve` for ``beta < 1`` and
-    ``beta == 1`` on 81 columns (two blocks, a multiple of no vector width)
-    with signed zeros, infinities and NaN in the right-hand side; then,
-    flat grid and terrain, against the NumPy that is their oracle: the
-    linearization of :func:`build_context` with the Helmholtz brackets, the
-    operator and its Thomas factors, :meth:`State.velocities`, the stage's
-    ``dws``, two substeps (the first has no damping history) of one stage
-    and one substep of a second stage on the same binding (its operator
-    the first stage's)."""
-    from ..stencil.dycore import _helmholtz_solve
+    and ``None``; float64 and float32 momenta); then, flat grid and
+    terrain, against the NumPy that is their oracle: the linearization of
+    :func:`build_context` with the Helmholtz brackets, the operator and its
+    Thomas factors, :meth:`State.velocities`, the stage's ``dws``, two
+    substeps (the first has no damping history; the Thomas block is
+    reached here, against :func:`~repro.core.tridiag.thomas_solve`) of one
+    stage and one substep of a second stage on the same binding (its
+    operator the first stage's)."""
     from ..stencil.executor import StencilExecutor, use_executor
-    from ..stencil.plan import PlanCache
     from .grid import make_grid
 
     def hill(x, y):
@@ -654,20 +655,6 @@ def native_check(lib) -> str:
                     rhou, rhov, np.zeros_like(rhow) if w is None else w, g)):
                 return (f"metric flux, {np.dtype(dtype).name} momenta, rhow "
                         f"{'None' if w is None else 'given'}")
-    plans = PlanCache()
-    for beta in (0.55, 1.0):
-        op = HelmholtzOperator(g, wave(g.shape_w, 2.6, 300.0),
-                               wave(g.shape_c, 0.9, 400.0), 0.2, beta)
-        rhs = wave(op.diag.shape, 1.7)
-        cols = rhs.reshape(-1, g.nz - 1)
-        cols[0], cols[1, ::2], cols[2, 1] = 0.0, -0.0, np.inf
-        cols[3, 2], cols[4, 0], cols[5, 3] = -np.inf, np.nan, -0.0
-        with np.errstate(all="ignore"), native.using(lib):
-            got = _helmholtz_solve(plans, op, rhs)
-            if got is NotImplemented or not native.same(
-                    got, helmholtz_solve.reference(op, rhs)):
-                return f"thomas solve, beta {beta}"
-
     for terrain in (None, hill):
         g = make_grid(3, 2, 5, 100.0, 130.0, 500.0, terrain=terrain)
         where = "terrain" if terrain else "flat"
@@ -682,9 +669,10 @@ def native_check(lib) -> str:
             *[None] * 3, wave(g.shape_c, 2.3, 2.0), *[None] * 5))
         runs = {}                       # by "took the NumPy bodies"
         for use in (lib, None):
-            # the oracle solve on both sides: no plan enters the shared cache
-            with native.using(use), \
-                    use_executor(StencilExecutor("reference")):
+            # the battery's own dispatches (the EOS, the NumPy side's
+            # solve) go to an executor of its own, uncounted; a reference
+            # one would hold ``lib`` off and compare the oracle with itself
+            with native.using(use), use_executor(StencilExecutor("fused")):
                 ctx = build_context(base, None, wave(g.shape_c, 2.2), geom)
                 velocities = base.velocities()
                 stepper = AcousticStepper(base, forcing, ctx, None, 0.2, 2)

@@ -94,9 +94,8 @@ def hyperdiffusion_c(phi: np.ndarray, grid: Grid) -> np.ndarray:
 
     Needs a valid halo of width >= 2.  Valid on interior cells.
     """
-    lap = horizontal_laplacian_c(phi, grid)
-    # the outer Laplacian needs lap in a 1-cell ring around the interior;
-    # compute it there explicitly
+    # the outer Laplacian needs the inner one on the interior and a 1-cell
+    # ring around it; compute it there explicitly
     h = grid.halo
     sx1 = slice(h - 1, h + grid.nx + 1)
     sy1 = slice(h - 1, h + grid.ny + 1)

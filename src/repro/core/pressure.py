@@ -34,9 +34,14 @@ EOS_FLOPS_PER_POINT = 6
          # measured ratios: 1.30 flops (pow weighted at 8), ~3.4x bytes
          flops_band=(0.8, 2.0), bytes_band=(1.5, 8.0))
 def eos_pressure(rhotheta_hat: np.ndarray, grid: Grid) -> np.ndarray:
-    """Full pressure from the G-weighted ``rho theta`` (paper Eq. 5)."""
-    rhotheta_phys = rhotheta_hat / grid.jac[:, :, None]
-    return c.P0 * (c.RD * rhotheta_phys / c.P0) ** (c.CP / c.CV)
+    """Full pressure from the G-weighted ``rho theta`` (paper Eq. 5):
+    ``P0 * (RD * (rhotheta_hat / G) / P0) ** (CP / CV)``, its five ufuncs
+    in that order on the one array returned (float64: the Jacobian is)."""
+    p = np.divide(rhotheta_hat, grid.jac[:, :, None])
+    np.multiply(c.RD, p, out=p)
+    np.divide(p, c.P0, out=p)
+    np.power(p, c.CP / c.CV, out=p)
+    return np.multiply(c.P0, p, out=p)
 
 
 def linearization_coefficient(p: np.ndarray, rhotheta_hat: np.ndarray) -> np.ndarray:

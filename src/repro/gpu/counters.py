@@ -122,8 +122,9 @@ class CountingHook:
         c = self.counter
         f0, r0, w0 = c.flops, c.elements_read, c.elements_written
         # always measure the *reference* implementation: counts are shape
-        # functions of the kernel, and the fused backend's pooled plain-
-        # ndarray temporaries would escape the CountingArray accounting
+        # functions of the kernel, and a compiled body's arithmetic would
+        # escape the CountingArray accounting (the reference executor holds
+        # every compiled body off)
         with use_executor(_reference_executor()):
             kernel.fn(*(c.wrap(a) if isinstance(a, np.ndarray) else a
                         for a in call_args))

@@ -15,7 +15,6 @@ from .executor import (
     BACKENDS,
     StencilExecutor,
     active_executor,
-    default_backend,
     use_executor,
 )
 from . import native
@@ -41,7 +40,6 @@ __all__ = [
     "StencilSpec",
     "active_executor",
     "all_specs",
-    "default_backend",
     "load_dycore_specs",
     "native",
     "register_fused",
@@ -70,7 +68,7 @@ def load_dycore_specs() -> Dict[str, StencilSpec]:
 
     for mod in _DYCORE_MODULES:
         importlib.import_module(mod)
-    # the fused implementations ride along so callers see full coverage
+    # the compiled entries ride along so callers see full coverage
     from . import dycore  # noqa: F401
 
     return all_specs()

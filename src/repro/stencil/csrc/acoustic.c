@@ -2,21 +2,23 @@
  * call, acoustic_substep: pressure and horizontal momentum, the terrain
  * metric flux, the explicit continuity / thermodynamics with the Helmholtz
  * right-hand side, the Thomas solve and the implied update, so Python
- * crosses into C once a substep.  The metric flux (MetricFlux) and the
- * Thomas solve are entry points of their own too; once a long step come
- * the linearization (acoustic_context) and the operator assembly
- * (acoustic_operator).  Float64 like AcousticScratch.  Every expression
- * mirrors one ufunc call of the NumPy oracle (AcousticStepper._substep_numpy,
- * contravariant_mass_flux_w, thomas_solve, build_context,
- * HelmholtzOperator), in its order, so the fields come out the same bytes;
- * see advect.c for the rules.
+ * crosses into C once a substep.  The metric flux (MetricFlux) is an entry
+ * point of its own too; once a long step come the linearization
+ * (acoustic_context) and the operator assembly (acoustic_operator), and
+ * state_velocities whenever State.velocities is asked.  Float64 like
+ * AcousticScratch.  Every expression mirrors one ufunc call of the NumPy
+ * oracle (AcousticStepper._substep_numpy, contravariant_mass_flux_w,
+ * thomas_solve, build_context, HelmholtzOperator, State.velocities), in
+ * its order, so the fields come out the same bytes; see advect.c for the
+ * rules.
  * Not cloned per ISA: these loops wait on memory, a 48x48x24 substep read
  * 1.40 / 1.49 / 1.57 ms as SSE2 / AVX2 / AVX-512, and three clones doubled
  * the build.
  */
 
-/* columns of one Thomas block (repro.core.acoustic.THOMAS_BLOCK): its
- * n x THOMAS_BLOCK elimination buffer stays in L1 */
+/* columns of one Thomas block (repro.core.acoustic.THOMAS_BLOCK, which
+ * sizes AcousticScratch.col): its n x THOMAS_BLOCK elimination buffer
+ * stays in L1 */
 #define THOMAS_BLOCK 64
 
 /* ---- G rho u^3 at the w faces: repro.core.advection's
@@ -110,15 +112,14 @@ void acoustic_metric_flux(const metric_args *restrict a, int f32,
     }
 }
 
-/* ---- the Thomas solve of repro.core.tridiag.thomas_solve (the oracle of
- * helmholtz_solve; acoustic_substep below solves the interior columns
- * only), marching in k with the columns innermost: ncol columns of n
- * unknowns,
+/* ---- the Thomas solve of repro.core.tridiag.thomas_solve for nb columns
+ * from c0 (acoustic_substep below solves the interior columns only),
+ * marching in k with the columns innermost: ncol columns of n unknowns,
  * its forward-elimination factors sub / cp / den, computed once per
  * operator, k-leading (n x ncol), rhs column-leading (ncol x n), w the
- * (ncol x n + 2) result with zero end faces.  Blocks of bc columns are
- * transposed into dp (n x bc) and back; the divisions are kept (a
- * reciprocal would round twice).  Not cloned:
+ * (ncol x n + 2) result with zero end faces.  The block is transposed
+ * into dp (n x bc) and back; the divisions are kept (a reciprocal would
+ * round twice).  Not cloned:
  * 2916 columns x 23 levels read 178 us plain and 193-197 us with the
  * three clones (the divider does as many elements per cycle at any width). */
 static void thomas_block(long ncol, long n, long bc, long c0, long nb,
@@ -154,16 +155,6 @@ static void thomas_block(long ncol, long n, long bc, long c0, long nb,
             o[k + 1] = dp[k * bc + j];
         o[n + 1] = 0.0;
     }
-}
-
-void acoustic_thomas(long ncol, long n, long bc, const double *restrict sub,
-                     const double *restrict cp, const double *restrict den,
-                     const double *restrict rhs, double *restrict w,
-                     double *restrict dp)
-{
-    for (long c0 = 0; c0 < ncol; c0 += bc)
-        thomas_block(ncol, n, bc, c0, ncol - c0 < bc ? ncol - c0 : bc, sub,
-                     cp, den, rhs, w, dp);
 }
 
 /* ---- one HE-VI acoustic substep (repro.core.acoustic.AcousticStepper),

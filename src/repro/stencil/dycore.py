@@ -1,17 +1,14 @@
-"""The fused entry points of the declared dycore stencils.
+"""The compiled entries of the declared dycore stencils.
 
 Each function stands in for a reference kernel in ``repro.core`` and is
-**byte-identical** to it (``tobytes()``, signed zeros included) for every
-argument combination it accepts; for the rest it returns
-``NotImplemented`` and the executor runs the reference.  Two kinds:
-
-* *compiled*: the Koren advection of all four staggerings and the Thomas
-  solve are one call of their C body (``csrc/advect.c``,
-  ``csrc/acoustic.c``) where a verified library is loaded, else the
-  oracle; :func:`native_check` holds the C to the oracles at load time
-  (docs/STENCILS.md "Compiled bodies").
-* *planned*: the diffusion family and the EOS, which have no C body, are
-  ``out=`` chains of the oracle's own operations.
+one call of its C body (the Koren advection of all four staggerings:
+``csrc/advect.c``; the halo fill: ``csrc/halo.c``) where a verified
+library is in force, **byte-identical** to the oracle (``tobytes()``,
+signed zeros included) for every argument combination it accepts; for the
+rest, and always without a library, it returns ``NotImplemented`` and the
+executor runs the oracle.  There is no other NumPy text of any kernel.
+:func:`native_check` holds the C to the oracles at load time
+(docs/STENCILS.md "Compiled bodies").
 """
 from __future__ import annotations
 
@@ -20,11 +17,10 @@ from dataclasses import replace
 
 import numpy as np
 
-from .. import constants as c
 from ..core.boundary import _STAGGER
 from ..core.limiter import koren
 from . import native
-from .plan import THOMAS_BLOCK, PlanCache
+from .plan import PlanCache
 from .spec import FUSED_IMPLS, register_fused
 
 __all__: list[str] = []
@@ -99,103 +95,6 @@ def _advect_w(plans, w, fx, fy, fz, grid, limiter=koren):
     return _advect(plans, 3, w, fx, fy, fz, grid, limiter)
 
 
-# ------------------------------------------------------------- diffusion
-# out= chains with fresh temporaries (no C body yet: ROADMAP item 8)
-def _lap_into(dest, phi, sx, sy, dx, dy):
-    """``dest = _lap_on(phi, sx, sy, dx, dy)`` with two temporaries (same
-    ``(A - 2C + B)/dx^2 + (E - 2C + F)/dy^2`` evaluation order)."""
-    x0, x1 = sx.start, sx.stop
-    y0, y1 = sy.start, sy.stop
-    c2 = np.multiply(2.0, phi[sx, sy])
-    tx = np.subtract(phi[x0 + 1 : x1 + 1, sy], c2)
-    np.add(tx, phi[x0 - 1 : x1 - 1, sy], out=tx)
-    np.divide(tx, dx ** 2, out=tx)
-    ty = np.subtract(phi[sx, y0 + 1 : y1 + 1], c2, out=c2)
-    np.add(ty, phi[sx, y0 - 1 : y1 - 1], out=ty)
-    np.divide(ty, dy ** 2, out=ty)
-    np.add(tx, ty, out=dest)
-
-
-def _hlap(phi, grid, sx, sy):
-    out = np.zeros_like(phi)
-    _lap_into(out[sx, sy], phi, sx, sy, grid.dx, grid.dy)
-    return out
-
-
-@register_fused("horizontal_laplacian_c")
-def _hlap_c(plans, phi, grid):
-    return _hlap(phi, grid, *grid.isl)
-
-
-@register_fused("hyperdiffusion_c")
-def _hyperdiffusion_c(plans, phi, grid):
-    h = grid.halo
-    sx, sy = grid.isl
-    sx1 = slice(h - 1, h + grid.nx + 1)
-    sy1 = slice(h - 1, h + grid.ny + 1)
-    out = np.zeros_like(phi)
-    # the reference's first full-interior Laplacian is dead code (the
-    # ring recomputes the interior); only the ring's values are read by
-    # the outer Laplacian, so the rest of the buffer needs no zeroing
-    ring = np.empty_like(phi)
-    _lap_into(ring[sx1, sy1], phi, sx1, sy1, grid.dx, grid.dy)
-    _lap_into(out[sx, sy], ring, sx, sy, grid.dx, grid.dy)
-    np.negative(out[sx, sy], out=out[sx, sy])
-    return out
-
-
-@register_fused("vertical_diffusion_c")
-def _vertical_diffusion_c(plans, phi, grid, kv):
-    if phi.dtype != np.float64:
-        return NotImplemented
-    kv_f = np.broadcast_to(np.asarray(kv, dtype=np.float64), (grid.nz + 1,))
-    jac = grid.jac[:, :, None]
-    flux = np.zeros(grid.shape_w)
-    t = np.subtract(phi[:, :, 1:], phi[:, :, :-1])
-    np.multiply(kv_f[None, None, 1:-1], t, out=t)
-    np.divide(t, (grid.dz_f[None, None, :] * jac)[:, :, 1:-1],
-              out=flux[:, :, 1:-1])
-    res = np.subtract(flux[:, :, 1:], flux[:, :, :-1])
-    return np.divide(res, grid.dz_c[None, None, :] * jac, out=res)
-
-
-# ------------------------------------------------------ pressure / solver
-@register_fused("eos_pressure")
-def _eos_pressure(plans, rhotheta_hat, grid):
-    if rhotheta_hat.dtype != np.float64:
-        return NotImplemented
-    # the reference's five-op chain, in place on the one array returned
-    res = np.divide(rhotheta_hat, grid.jac[:, :, None])
-    np.multiply(c.RD, res, out=res)
-    np.divide(res, c.P0, out=res)
-    np.power(res, c.CP / c.CV, out=res)
-    return np.multiply(c.P0, res, out=res)
-
-
-@register_fused("helmholtz_solve")
-def _helmholtz_solve(plans, op, rhs_interior):
-    """One compiled call (csrc/acoustic.c) where a verified library is
-    loaded, else ``NotImplemented``: columns innermost over the k-leading
-    factors of ``op.thomas_factors()``, a :data:`THOMAS_BLOCK`-column block
-    of the plan's arena at a time."""
-    rhs = rhs_interior
-    lib = native.kernels(np.float64)
-    if (lib is None or not _plain(rhs, op.sub, op.diag, op.sup)
-            or rhs.shape != op.diag.shape):
-        return NotImplemented
-    sub, cp, den = op.thomas_factors()
-    n, ncol = den.shape
-    w = np.empty(rhs.shape[:2] + (op.grid.nz + 1,), rhs.dtype)
-    ptrs = native.pointers(np.float64, dict(
-        sub=sub, cp=cp, den=den, rhs=rhs, w=w,
-        scratch=plans(op.grid.shape_c, rhs.dtype).arena))
-    if isinstance(ptrs, native.Unbound):
-        native.unbound("solves", ptrs)
-        return NotImplemented
-    lib.thomas(ncol, n, min(ncol, THOMAS_BLOCK), *ptrs)
-    return w
-
-
 # -------------------------------------------------------------- halo fill
 @register_fused("fill_halos_state")
 def _fill_halos_state(plans, state, names=None):
@@ -252,7 +151,9 @@ def native_check(lib) -> str:
                                     ("advect_u", "shape_u"),
                                     ("advect_v", "shape_v"),
                                     ("advect_w", "shape_w"))}
-    # the oracles dispatch their face fluxes: to the oracle, uncounted
+    # the oracles dispatch their face fluxes: to the oracle, uncounted (the
+    # reference executor holds the library off, so each compiled call
+    # below names ``lib`` itself)
     with np.errstate(all="ignore"), use_executor(StencilExecutor("reference")):
         for dtype, k in ((np.float64, lib.f64), (np.float32, lib.f32)):
             tiny = np.finfo(dtype).smallest_subnormal

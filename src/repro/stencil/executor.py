@@ -1,24 +1,28 @@
 """Stencil execution backends and the active-executor context.
 
+Every kernel has one NumPy text, its oracle in ``repro.core`` /
+``repro.physics``; the advection, the warm rain and the halo fill also
+have a compiled body, registered as their entry in
+:data:`~repro.stencil.spec.FUSED_IMPLS` (:mod:`repro.stencil.dycore`,
+:mod:`repro.stencil.kessler`).  Which body runs is one fact: whether a
+verified library is in force (:func:`repro.stencil.native.kernels`).
 Two backends, selected by :class:`~repro.api.RunSpec`\\ 's
-``stencil_backend`` (or ``repro run --stencil-backend``, or the
-``REPRO_STENCIL_BACKEND`` environment variable for whole-suite runs):
+``stencil_backend`` (or ``repro run --stencil-backend``):
 
-* ``fused`` — the default: route through the registered fused entry
-  point (:mod:`repro.stencil.dycore`, :mod:`repro.stencil.kessler`).
-  Where a verified library is loaded (:mod:`repro.stencil.native`) the
-  advection, the Helmholtz solve (both on the per-shape scratch of
-  :mod:`repro.stencil.plan`), the warm rain and the halo fill are one
-  compiled call each; without one they return ``NotImplemented`` and the
-  reference runs.  The diffusion family and the EOS, which have
-  no C body, are planned ``out=`` chains.  Byte-identical to the
-  reference either way (tests/stencil).  Measured end to end by
-  ``python3 bench/run.py``; docs/STENCILS.md "Measured" has the numbers,
-  by workload.
-* ``reference`` — call the decorated textbook NumPy kernel directly: the
-  test oracle, and the body the FLOP counters measure.
+* ``fused`` — the default: the compiled bodies wherever a library is
+  loaded (the advection on the per-shape scratch of
+  :mod:`repro.stencil.plan`; the acoustic substep, the linearization, the
+  operator assembly, ``State.velocities`` and the metric flux ask the
+  same question inside ``repro.core``), else the oracles.  Measured end
+  to end by ``python3 bench/run.py``; docs/STENCILS.md "Measured" has the
+  numbers, by workload.
+* ``reference`` — every oracle: :func:`use_executor` of a reference
+  executor holds the library off (``native.using(None)``) for the whole
+  block, so no compiled body runs inside it.  The test oracle, and the
+  body the FLOP counters measure.
 
-Backend choice never changes what a run computes; accordingly
+Backend choice never changes what a run computes (the compiled bodies are
+byte-identical to their oracles, tests/stencil); accordingly
 ``RunSpec.spec_hash()`` ignores it and the serve-layer result cache
 returns hits across backends.
 """
@@ -26,7 +30,6 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
-import os
 from collections import Counter
 from typing import Any, Dict
 
@@ -39,47 +42,34 @@ __all__ = [
     "StencilExecutor",
     "active_executor",
     "use_executor",
-    "default_backend",
 ]
 
 BACKENDS = ("reference", "fused")
 
-#: environment override of the default backend (used by the CI stencil
-#: job to run the whole tier-1 suite on the reference oracle)
-BACKEND_ENV = "REPRO_STENCIL_BACKEND"
-
-
-def default_backend() -> str:
-    """The process-default backend: :data:`BACKEND_ENV` or 'fused'."""
-    backend = os.environ.get(BACKEND_ENV, "fused").strip() or "fused"
-    if backend not in BACKENDS:
-        raise ValueError(
-            f"{BACKEND_ENV}={backend!r}: unknown stencil backend; choose "
-            f"one of {BACKENDS}")
-    return backend
-
 
 class StencilExecutor:
-    """Dispatches :class:`~repro.stencil.spec.StencilFunction` calls to
-    one backend, with per-kernel call statistics.  The fused entry points
-    take the plan cache (per-thread items) as their first argument."""
+    """Dispatches :class:`~repro.stencil.spec.StencilFunction` calls, with
+    per-kernel call statistics.  A kernel with a compiled entry tries it
+    first (it takes the plan cache, per-thread items, as its first
+    argument); the entry declines with ``NotImplemented`` where no library
+    is in force or its operands are not covered, and the oracle runs."""
 
     def __init__(self, backend: str = "reference"):
         if backend not in BACKENDS:
             raise ValueError(
                 f"unknown stencil backend {backend!r}; choose one of "
                 f"{BACKENDS}")
-        if backend != "reference":
-            # make sure the fused implementations are registered; without
-            # this every dispatch would silently fall back to the reference
-            from . import dycore  # noqa: F401
+        # make sure the compiled entries are registered; without this a
+        # kernel that has one would count as a kernel that has none
+        from . import dycore  # noqa: F401
         self.backend = backend
         self.plans = PLANS
         #: spec name -> dispatch count
         self.calls: Counter = Counter()
-        #: dispatches served by a fused implementation
+        #: dispatches a compiled entry served
         self.accelerated = 0
-        #: dispatches that fell back to the reference implementation
+        #: dispatches a compiled entry declined (its oracle ran); a kernel
+        #: without a compiled entry counts as neither
         self.fallbacks = 0
         #: ``advect_scalar`` calls an RK stage did not have to make
         self.skipped = 0
@@ -89,13 +79,12 @@ class StencilExecutor:
     # ---------------------------------------------------------- dispatch
     def call(self, sf: StencilFunction, args: tuple, kwargs: dict) -> Any:
         self.calls[sf.spec.name] += 1
-        if self.backend != "reference":
-            impl = FUSED_IMPLS.get(sf.spec.name)
-            if impl is not None:
-                out = impl(self.plans, *args, **kwargs)
-                if out is not NotImplemented:
-                    self.accelerated += 1
-                    return out
+        impl = FUSED_IMPLS.get(sf.spec.name)
+        if impl is not None:
+            out = impl(self.plans, *args, **kwargs)
+            if out is not NotImplemented:
+                self.accelerated += 1
+                return out
             self.fallbacks += 1
         return sf.reference(*args, **kwargs)
 
@@ -144,27 +133,29 @@ _ACTIVE: contextvars.ContextVar["StencilExecutor | None"] = \
 _DEFAULT: "StencilExecutor | None" = None
 
 
-def _default_executor() -> StencilExecutor:
-    global _DEFAULT
-    if _DEFAULT is None or _DEFAULT.backend != default_backend():
-        _DEFAULT = StencilExecutor(default_backend())
-    return _DEFAULT
-
-
 def active_executor() -> StencilExecutor:
     """The executor stencil dispatch goes through right now: the
     innermost :func:`use_executor` context, else the process default
-    (``fused`` unless :data:`BACKEND_ENV` says otherwise)."""
+    (``fused``)."""
+    global _DEFAULT
     ex = _ACTIVE.get()
-    return ex if ex is not None else _default_executor()
+    if ex is None:
+        ex = _DEFAULT = _DEFAULT or StencilExecutor("fused")
+    return ex
 
 
 @contextlib.contextmanager
 def use_executor(executor: StencilExecutor):
     """Route stencil dispatch through ``executor`` inside the block
-    (the :class:`~repro.api.Experiment` enters this around stepping)."""
+    (the :class:`~repro.api.Experiment` enters this around stepping); a
+    ``reference`` executor also holds every compiled body off
+    (``native.using(None)``) for the block."""
     token = _ACTIVE.set(executor)
     try:
-        yield executor
+        if executor.backend == "reference":
+            with native.using(None):
+                yield executor
+        else:
+            yield executor
     finally:
         _ACTIVE.reset(token)

@@ -52,7 +52,7 @@ def _kessler_step(plans, state, ref, dt, cfg=None):
     lib = native.kernels(np.float64)
     fields = [state.rho, state.rhotheta, *map(state.q.get, _FIELDS[2:])]
     # a float32 state or the FLOP-counting subclass runs the oracle's own
-    # ufunc calls (as the other fused entry points decline them)
+    # ufunc calls (as the other compiled entries decline them)
     if lib is None or not all(type(a) is np.ndarray and a.dtype == np.float64
                               for a in fields):
         return NotImplemented

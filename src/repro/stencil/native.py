@@ -14,7 +14,9 @@ kernel in it has reproduced its oracle byte for byte on a fixed battery
 :mod:`repro.core.acoustic` and :mod:`repro.stencil.kessler`); every other
 outcome is one of four typed, counted reasons and ends on the NumPy
 bodies — never on a different field.  A compiled kernel has one NumPy
-text, its oracle, and that is what runs without a library.  A loaded library
+text, its oracle, and that is what runs without a library; whether a
+compiled body runs is this one fact, :func:`kernels` (a ``reference``
+executor holds it off with :func:`using`).  A loaded library
 whose body cannot take one call's operands is a per-call fact, not a
 fifth outcome: that call runs the oracle and :func:`unbound` counts it,
 by reason.  docs/STENCILS.md "Compiled bodies".
@@ -78,7 +80,7 @@ class Native:
     build_s: float = 0.0
     load_s: float = 0.0
     #: ``faces`` / ``advect`` per width; f64 also has the one-call
-    #: ``substep``, ``metric_flux``, ``thomas``, ``context``, ``operator``,
+    #: ``substep``, ``metric_flux``, ``context``, ``operator``,
     #: ``velocities``, ``kessler`` and ``halo_fill`` (byte copies: any
     #: dtype)
     f64: SimpleNamespace | None = field(default=None, repr=False)
@@ -262,7 +264,6 @@ def _bind(dll: ctypes.CDLL) -> dict:
     f64.velocities = fn("state_velocities", *[_LONG] * 3, *[_PTR] * 7)
     f64.metric_flux = fn("acoustic_metric_flux", _PTR, ctypes.c_int,
                          *[_PTR] * 4)
-    f64.thomas = fn("acoustic_thomas", *[_LONG] * 3, *[_PTR] * 6)
     f64.context = fn("acoustic_context", *[_LONG] * 3, *[ctypes.c_double] * 2,
                      *[_PTR] * 15)
     f64.operator = fn("acoustic_operator", _LONG, _LONG, ctypes.c_double,

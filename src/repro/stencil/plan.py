@@ -1,9 +1,8 @@
 """Per-shape scratch arenas of the compiled bodies, one set per thread.
 
-A :class:`Plan` is the scratch one compiled call takes for fields of one
-``(cell shape, dtype)``: ``csrc/advect.c``'s five carried rows of the
-widest staggered row, or one :data:`THOMAS_BLOCK`-column block of the
-Thomas solve, whichever is larger.  :data:`PLANS` builds it once per
+A :class:`Plan` is the scratch one compiled advection takes for fields of
+one ``(cell shape, dtype)``: ``csrc/advect.c``'s five carried rows of the
+widest staggered row.  :data:`PLANS` builds it once per
 thread (``Experiment.prepare()`` warms it, so the cost lands in set-up)
 and keeps only the last few shapes.  Plans are shared by everything that
 runs on one thread: a compiled call runs to completion there, so no
@@ -18,21 +17,15 @@ import threading
 
 import numpy as np
 
-__all__ = ["THOMAS_BLOCK", "Plan", "PlanCache", "PLANS", "Recent"]
-
-#: columns of one compiled Thomas block (its n x THOMAS_BLOCK elimination
-#: buffer stays in L1 for the n of every workload here)
-THOMAS_BLOCK = 64
+__all__ = ["Plan", "PlanCache", "PLANS", "Recent"]
 
 
 class Plan:
-    """The compiled bodies' scratch for fields of one cell shape."""
+    """The compiled advection's scratch for fields of one cell shape."""
 
     def __init__(self, shape: tuple, dtype: np.dtype):
         # widest staggered row (v has ny + 1 columns, w has nz + 1 levels)
-        row = (shape[1] + 1) * (shape[2] + 1)
-        self.arena = np.zeros(max(5 * row, THOMAS_BLOCK * (shape[2] - 1)),
-                              dtype)
+        self.arena = np.zeros(5 * (shape[1] + 1) * (shape[2] + 1), dtype)
 
 
 class Recent:
@@ -82,5 +75,5 @@ class PlanCache(Recent):
         return sum(p.arena.nbytes for p in self.items.values())
 
 
-#: the cache every executor hands to the fused entry points
+#: the cache every executor hands to the compiled entries
 PLANS = PlanCache()

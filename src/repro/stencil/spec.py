@@ -17,13 +17,13 @@ declaration layer, in the style of fv3core's gt4py stencils
 * :func:`stencil` — the decorator; wraps a reference NumPy kernel into a
   :class:`StencilFunction` that dispatches through the active
   :class:`~repro.stencil.executor.StencilExecutor` (backend
-  ``reference`` reproduces today's behavior exactly).
+  ``reference`` is exactly a call of the wrapped function).
 * :data:`REGISTRY` — every declared stencil, keyed by name.  Downstream
   consumers (``gpu/asuca_kernels``, ``analysis`` LINT03) read shapes
   from here instead of re-deriving them from the AST.
 
-Fused implementations register separately (:func:`register_fused`) so
-the reference module never imports backend code.
+Compiled entries register separately (:func:`register_fused`) so the
+reference module never imports backend code.
 """
 from __future__ import annotations
 
@@ -48,11 +48,11 @@ __all__ = [
 #: every declared stencil, keyed by spec name
 REGISTRY: Dict[str, "StencilFunction"] = {}
 
-#: fused implementations, keyed by spec name.  An impl takes
-#: ``(plans, *args, **kwargs)`` — the executor's per-(shape, dtype) plan
-#: cache first — and may return ``NotImplemented``
-#: to fall back to the reference path for argument combinations it does
-#: not cover (non-default limiters, mixed dtypes, tiny grids).
+#: compiled entries, keyed by spec name: one call of a C body each.  An
+#: entry takes ``(plans, *args, **kwargs)`` — the executor's per-(shape,
+#: dtype) plan cache first — and returns ``NotImplemented`` to fall back
+#: to the reference path without a library and for argument combinations
+#: it does not cover (non-default limiters, mixed dtypes, tiny grids).
 FUSED_IMPLS: Dict[str, Callable[..., Any]] = {}
 
 
@@ -127,9 +127,10 @@ class StencilFunction:
     """A declared kernel: the reference implementation plus dispatch.
 
     Calling a :class:`StencilFunction` routes through the active
-    executor; under the default ``reference`` backend that is exactly a
-    call of the wrapped function, so decorating a kernel changes nothing
-    for existing callers.
+    executor; for a kernel without a compiled entry, and under the
+    ``reference`` backend for every kernel, that is exactly a call of the
+    wrapped function, so decorating a kernel changes nothing for existing
+    callers.
     """
 
     def __init__(self, spec: StencilSpec, reference: Callable[..., Any]):
@@ -204,9 +205,9 @@ def stencil(
 
 
 def register_fused(name: str) -> Callable[[Callable[..., Any]], Callable[..., Any]]:
-    """Attach a fused implementation to the named spec.
+    """Attach a compiled entry to the named spec.
 
-    The impl receives ``(plans, *args, **kwargs)`` and must be
+    The entry receives ``(plans, *args, **kwargs)`` and must be
     *bit-identical* to the reference for every argument combination it
     accepts (return ``NotImplemented`` for the rest) — the identity
     tests in tests/stencil enforce this on the tier-1 workloads.

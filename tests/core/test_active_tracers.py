@@ -30,7 +30,7 @@ from repro.core.model import AsucaModel, ModelConfig, run_lockstep
 from repro.core.reference import make_reference_state
 from repro.core.rk3 import DynamicsConfig, Rk3Integrator, slow_tendencies
 from repro.core.state import zero_bits
-from repro.stencil import StencilExecutor, default_backend, use_executor
+from repro.stencil import StencilExecutor, use_executor
 from repro.workloads.sounding import constant_stability_sounding
 
 SETTINGS = settings(max_examples=40, deadline=None)
@@ -83,7 +83,7 @@ def _long_step(model, st, *, full=False):
 
     rk = Rk3Integrator(model.grid, model.ref, model.config.dynamics,
                        model.p_ref)
-    ex = StencilExecutor(default_backend())
+    ex = StencilExecutor("fused")
     with use_executor(ex), (_full_path() if full else nullcontext()):
         new, = run_lockstep([rk.step_phases(st.copy())], refresh)
     return new, ex

@@ -176,7 +176,8 @@ def test_planted_nan_is_one_typed_blowup_under_every_body():
     """The compiled bodies raise no floating-point warnings, so
     ``State.validate()`` is the tripwire: a NaN planted mid-run is the
     same :class:`NumericalBlowup` — field, long step, model time — under
-    the compiled bodies, the planned NumPy bodies and the oracle."""
+    the compiled bodies, the oracles without a library and the
+    ``reference`` backend (every oracle with a library loaded)."""
     import contextlib
 
     from repro.api import Experiment, RunSpec
@@ -184,12 +185,12 @@ def test_planted_nan_is_one_typed_blowup_under_every_body():
     from repro.stencil import native
 
     seen = {}
-    for mode in ("compiled", "planned", "reference"):
+    for mode in ("compiled", "no library", "reference"):
         spec = RunSpec("warm-bubble", nx=12, ny=12, nz=8, steps=5,
                        stencil_backend="reference" if mode == "reference"
                        else "auto")
-        bodies = (contextlib.nullcontext() if mode == "compiled"
-                  else native.using(None))
+        bodies = (native.using(None) if mode == "no library"
+                  else contextlib.nullcontext())
         with bodies, np.errstate(all="ignore"):
             exp = Experiment(spec).prepare()
             exp.advance(2)

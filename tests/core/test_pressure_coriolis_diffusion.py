@@ -32,6 +32,30 @@ def test_eos_monotone(small_grid):
     assert np.all(eos_pressure(r2, small_grid) > eos_pressure(r1, small_grid))
 
 
+@settings(max_examples=40, deadline=None)
+@given(nx=st.integers(1, 9), ny=st.integers(1, 7), nz=st.integers(2, 6),
+       terrain=st.booleans(), dtype=st.sampled_from([np.float64, np.float32]),
+       seed=st.integers(0, 2 ** 16))
+def test_eos_chain_is_the_textbook_expression(nx, ny, nz, terrain, dtype,
+                                              seed):
+    """The in-place EOS does the formula's five ufuncs in its order: the
+    same bytes as the expression, a float32 ``rhotheta_hat`` (widened by
+    the float64 Jacobian) and non-finite or non-positive cells included."""
+    from repro.core.grid import make_grid
+
+    rng = np.random.default_rng(seed)
+    g = make_grid(nx, ny, nz, 100.0, 130.0, 500.0 * nz, terrain=(
+        lambda x, y: 60.0 + 40.0 * np.sin(x / 700.0)) if terrain else None)
+    rt = (np.abs(rng.normal(size=g.shape_c)) * 30.0 + 250.0).astype(dtype)
+    rt.flat[rng.integers(0, rt.size, 3)] = rng.choice(
+        [0.0, -0.0, -1.0, np.inf, np.nan], 3)
+    with np.errstate(all="ignore"):
+        got = eos_pressure(rt, g)
+        want = c.P0 * (c.RD * (rt / g.jac[:, :, None]) / c.P0) ** (c.CP / c.CV)
+    assert got.dtype == want.dtype == np.float64
+    assert got.tobytes() == want.tobytes()
+
+
 @settings(max_examples=30, deadline=None)
 @given(rt=st.floats(min_value=50.0, max_value=800.0))
 def test_linearization_is_derivative(rt):

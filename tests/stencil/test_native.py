@@ -37,8 +37,7 @@ from repro.core import advection as adv
 from repro.core.acoustic import ACOUSTIC_FIELDS, AcousticStepper, build_context
 from repro.core.boundary import fill_halos_state
 from repro.core.grid import make_grid
-from repro.core.helmholtz import (HelmholtzOperator, helmholtz_brackets,
-                                  helmholtz_solve)
+from repro.core.helmholtz import HelmholtzOperator, helmholtz_brackets
 from repro.core.limiter import koren, minmod
 from repro.core.pressure import eos_pressure, exner
 from repro.core.reference import make_reference_state
@@ -346,7 +345,7 @@ def test_substep_declines_operands_it_cannot_take_by_address(monkeypatch):
         assert AcousticStepper(base, forcing, ctx, ref, 2.0, 3)._unbound is None
 
 
-# ---------------- (b2) the metric flux and the Thomas solve against the oracle
+# ----------------------------------- (b2) the metric flux against the oracle
 def _hill(x, y):
     return 200.0 + 150.0 * np.sin(x / 700.0) * np.cos(y / 900.0)
 
@@ -385,41 +384,6 @@ def test_metric_flux_compiled_equals_oracle(nx, ny, nz, halo, terrain, dtype,
         rhou, rhov, rhow if rhow_given else np.zeros(g.shape_w, dtype), g)
     for got in runs:
         _same_bytes("metric_flux", got, oracle)
-
-
-def _operator(rng, nx, ny, nz, beta):
-    g = make_grid(nx, ny, nz, 100.0, 100.0, 100.0 * nz)
-    return HelmholtzOperator(
-        g, np.abs(rng.normal(size=g.shape_w)) + 280.0,
-        np.abs(rng.normal(size=g.shape_c)) * 50.0 + 350.0, 0.05, beta)
-
-
-@needs_library
-@SETTINGS
-@given(nx=st.integers(1, 12), ny=st.integers(1, 9), nz=st.integers(2, 12),
-       beta=st.sampled_from([0.55, 1.0]), kind=st.sampled_from(KINDS),
-       bad=st.sampled_from([None, np.nan, np.inf, -np.inf]),
-       seed=st.integers(0, 2 ** 16))
-def test_thomas_solve_compiled_equals_oracle(nx, ny, nz, beta, kind, bad,
-                                             seed):
-    """Columns innermost over any column count (blocks of 64 and a
-    remainder, a multiple of no vector width), both off-centerings, signed
-    zeros and non-finite right-hand sides; NaN payloads exempt.  The
-    second solve of an operator reuses its factors."""
-    rng = np.random.default_rng(seed)
-    with native.using(LIB):
-        op = _operator(rng, nx, ny, nz, beta)
-    for _ in range(2):
-        rhs = _fill(rng, kind, op.diag.shape, np.float64)
-        if bad is not None:
-            rhs.flat[rng.integers(0, rhs.size, size=3)] = bad
-        with np.errstate(all="ignore"):
-            compiled = _compiled("helmholtz_solve", op, rhs)
-            oracle = _oracle(helmholtz_solve, op, rhs)
-        assert np.array_equal(np.isnan(compiled), np.isnan(oracle))
-        _same_bytes("helmholtz_solve",
-                    np.where(np.isnan(compiled), 0.0, compiled),
-                    np.where(np.isnan(oracle), 0.0, oracle))
 
 
 @needs_library
@@ -647,6 +611,38 @@ def test_a_warm_bubble_step_dispatches_nothing_to_the_reference():
     assert ex.calls["kessler_step"] and ex.calls["fill_halos_state"]
     assert native.UNBOUND - before == Counter()
     assert ", 0 reference)" in ex.report()
+
+
+@needs_library
+@pytest.mark.parametrize("workload", ["warm-bubble", "real-case"])
+def test_the_reference_backend_calls_nothing_in_the_library(workload,
+                                                            monkeypatch):
+    """``stencil_backend="reference"`` means every oracle: with a library
+    loaded, a long step (the substep, the linearization, the operator, the
+    velocities, the terrain metric flux, the warm rain and the halo fills
+    included) makes no call into it, and ends on the bytes of the fused
+    step, which calls it."""
+    calls = Counter()
+
+    def counted(name, fn):
+        return lambda *a, **k: (calls.update([name]), fn(*a, **k))[1]
+
+    for width in ("f64", "f32"):
+        kernels = getattr(LIB, width)
+        for name, fn in vars(kernels).items():
+            monkeypatch.setattr(kernels, name, counted(name, fn))
+    fields = {}
+    for backend in ("reference", "fused"):
+        with native.using(LIB):
+            exp = Experiment(RunSpec(workload, nx=12, ny=10, nz=8, steps=1,
+                                     stencil_backend=backend)).prepare()
+            calls.clear()
+            exp.advance(1)
+        fields[backend] = [exp.state.get(n).tobytes()
+                           for n in exp.state.prognostic_names()]
+        assert (sum(calls.values()) == 0) == (backend == "reference"), calls
+    assert exp.executor.fallbacks == 0 and exp.executor.accelerated > 0
+    assert fields["reference"] == fields["fused"]
 
 
 # ---------------- (b4) one call a substep, one binding an integrator a thread
@@ -1060,13 +1056,15 @@ def test_swapped_minimum_is_rejected_at_load(tmp_path, monkeypatch):
 def test_a_reordered_acoustic_body_is_rejected_at_load(body, old, new,
                                                        tmp_path, monkeypatch):
     """Dividing before multiplying, or by a reciprocal, rounds differently:
-    the load-time battery reaches both new bodies on their own."""
+    the load-time battery reaches the metric flux on its own and the
+    Thomas block through the substep that solves with it."""
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
     sources = native.read_sources()
     assert old in sources["acoustic.c"]
     sources["acoustic.c"] = sources["acoustic.c"].replace(old, new)
     lib = native.load(sources)
-    assert lib.state == "self-check-failed" and lib.detail.startswith(body)
+    detail = {"thomas solve": "acoustic substep, flat grid"}.get(body, body)
+    assert lib.state == "self-check-failed" and lib.detail.startswith(detail)
     assert lib.f64 is None
 
 

@@ -9,7 +9,6 @@ from repro.stencil import (
     FUSED_IMPLS,
     StencilExecutor,
     active_executor,
-    default_backend,
     load_dycore_specs,
     native,
     use_executor,
@@ -71,23 +70,21 @@ def test_backend_validation_and_numba_gating():
             RunSpec(stencil_backend=unknown).normalized()
 
 
-def test_default_backend_follows_environment(monkeypatch):
-    monkeypatch.delenv("REPRO_STENCIL_BACKEND", raising=False)
-    assert default_backend() == "fused"        # the planned path
-    assert RunSpec().normalized().stencil_backend == "fused"
-    monkeypatch.setenv("REPRO_STENCIL_BACKEND", "reference")
-    assert default_backend() == "reference"
-    monkeypatch.setenv("REPRO_STENCIL_BACKEND", "gpu")
-    with pytest.raises(ValueError, match="REPRO_STENCIL_BACKEND"):
-        default_backend()
-
-
 def test_use_executor_scopes_dispatch():
-    ex = StencilExecutor("fused")
-    assert active_executor() is not ex
-    with use_executor(ex):
-        assert active_executor() is ex
-    assert active_executor() is not ex
+    """``auto`` is ``fused``; a reference executor holds every compiled
+    body off for exactly its block."""
+    assert RunSpec().normalized().stencil_backend == "fused"
+    assert active_executor().backend == "fused"
+    lib = native.kernels(np.float64)
+    for backend in BACKENDS:
+        ex = StencilExecutor(backend)
+        assert active_executor() is not ex
+        with use_executor(ex):
+            assert active_executor() is ex
+            assert native.kernels(np.float64) is (
+                None if backend == "reference" else lib)
+        assert active_executor() is not ex
+        assert native.kernels(np.float64) is lib
 
 
 def test_fused_dispatch_counts_and_falls_back():
@@ -122,20 +119,50 @@ def test_fused_dispatch_counts_and_falls_back():
 
 
 def test_fused_impls_cover_the_hot_dycore():
+    """The compiled entries are exactly the dispatched kernels with a C
+    body; every other kernel has one text, its oracle."""
     load_dycore_specs()
-    for name in ("advect_scalar", "advect_u", "advect_v", "advect_w",
-                 "horizontal_laplacian_c",
-                 "hyperdiffusion_c", "vertical_diffusion_c",
-                 "eos_pressure", "helmholtz_solve"):
-        assert name in FUSED_IMPLS, name
+    assert sorted(FUSED_IMPLS) == [
+        "advect_scalar", "advect_u", "advect_v", "advect_w",
+        "fill_halos_state", "kessler_step"]
+
+
+def test_without_a_library_every_compiled_entry_declines():
+    """Under ``native.using(None)`` every ``FUSED_IMPLS`` entry hands the
+    call back (``NotImplemented``) and touches nothing, so a kernel's only
+    NumPy text, its oracle, runs."""
+    from repro.core.grid import make_grid
+    from repro.core.state import State
+    from repro.stencil.plan import PlanCache
+
+    load_dycore_specs()
+    g = make_grid(nx=6, ny=5, nz=5, dx=100.0, dy=130.0, ztop=500.0)
+    r = np.random.default_rng(7)
+    cell, u, v, w = (1.0 + r.random(s) for s in (
+        g.shape_c, g.shape_u, g.shape_v, g.shape_w))
+    st = State(g, cell, u, v, w, 300.0 * cell,
+               {n: 1e-3 * r.random(g.shape_c) for n in ("qv", "qc", "qr")})
+    before = [st.get(n).copy() for n in st.prognostic_names()]
+    args = {name: (r.normal(size=getattr(g, shape)), u, v, w, g)
+            for name, shape in (("advect_scalar", "shape_c"),
+                                ("advect_u", "shape_u"),
+                                ("advect_v", "shape_v"),
+                                ("advect_w", "shape_w"))}
+    args.update(fill_halos_state=(st,), kessler_step=(st, None, 10.0))
+    assert set(args) == set(FUSED_IMPLS)
+    with native.using(None):
+        for name, impl in FUSED_IMPLS.items():
+            assert impl(PlanCache(), *args[name]) is NotImplemented, name
+    for old, name in zip(before, st.prognostic_names()):
+        assert st.get(name).tobytes() == old.tobytes(), name
 
 
 # --------------------------------------------------------------- plan
 def test_plan_cache_builds_once_and_stays_bounded():
     """One plan per (shape, dtype), a bounded number of them, and an
-    arena of advect.c's five rows or one Thomas block: a function of the
-    row, never of the field's x extent."""
-    from repro.stencil.plan import THOMAS_BLOCK, PlanCache
+    arena of advect.c's five rows: a function of the row, never of the
+    field's x extent."""
+    from repro.stencil.plan import PlanCache
 
     cache = PlanCache(maxsize=2)
     f8 = np.dtype("f8")
@@ -148,5 +175,5 @@ def test_plan_cache_builds_once_and_stays_bounded():
     cache((20, 20, 12), f8)
     assert cache.built == 3 and len(cache.items) == 2
     assert cache((52, 52, 24), f8) is not a          # evicted, rebuilt
-    # a narrow tall column is sized by its Thomas block
-    assert PlanCache()((5, 5, 40), f8).arena.size == THOMAS_BLOCK * 39
+    # a narrow tall column too: the Thomas block is the substep's scratch
+    assert PlanCache()((5, 5, 40), f8).arena.size == 5 * 6 * 41
