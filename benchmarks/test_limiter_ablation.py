@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.core import advection as adv
-from repro.core.boundary import fill_halo_x, fill_halo_y
+from repro.core.boundary import fill_table
 from repro.core.grid import make_grid
 from repro.core.limiter import LIMITERS
 from repro.perf.report import format_table
@@ -28,8 +28,7 @@ def _one_revolution(limiter_name: str):
     phi = 1.0 + np.exp(-0.5 * ((x[:, None, None] - 32.0) / 5.0) ** 2) * np.ones(g.shape_c)
 
     def fill(arr):
-        fill_halo_x(arr, g, False)
-        fill_halo_y(arr, g, False)
+        fill_table(g, ["rho"], [arr]).copy([arr])
 
     fill(phi)
     fx = np.ones(g.shape_u)

@@ -1,19 +1,25 @@
-"""Boundary conditions: periodic halo fills, open (zero-gradient) edges,
-the kinematic surface condition, and relaxation (Davies) lateral boundaries.
+"""Boundary conditions: halo refreshes, the kinematic surface condition,
+Rayleigh damping and relaxation (Davies) lateral boundaries.
 
 The paper's mountain-wave benchmark uses periodic lateral boundaries
 (Sec. IV-B); the real-data run uses externally supplied boundary data with
 relaxation.  Vertically the model has a rigid free-slip lid and the
 kinematic terrain condition ``u^3 = 0`` at the surface.
 
-Halo filling is *the* single-domain stand-in for the multi-GPU halo
-exchange: the distributed driver replaces these fills with
-:mod:`repro.dist.halo` exchanges plus physical-edge conditions, and the
-equivalence tests assert both paths produce identical interiors.
+Every halo refresh, single-domain or decomposed, is one :class:`Strips`
+table of byte copies (:func:`strip_table`) in the paper's geometry (Sec. V,
+Figs. 6 and 8): x strips, then y strips spanning the x halos just filled
+(corners in two hops); a neighbour's interior strip, or at an open edge the
+zero gradient.  The single-domain fill is the table of a 1x1 topology whose
+periodic axes wrap onto the rank itself; ``csrc/halo.c`` runs a table in
+one compiled call and :meth:`Strips.copy` is its oracle.
 """
 from __future__ import annotations
 
 import copy
+import functools
+import math
+from dataclasses import dataclass, field
 from typing import Iterable
 
 import numpy as np
@@ -23,62 +29,152 @@ from .grid import Grid
 from .state import State
 
 __all__ = [
-    "fill_halo_x",
-    "fill_halo_y",
+    "STAGGER",
+    "Strips",
+    "strip_table",
+    "fill_table",
     "fill_halos_state",
     "apply_kinematic_surface",
     "rayleigh_coefficient",
     "RelaxationBC",
 ]
 
-
-def fill_halo_x(arr: np.ndarray, grid: Grid, staggered: bool) -> None:
-    """Fill the x halo in place.  ``staggered`` is True for u-located
-    fields (one extra face along x).  Periodic wrap or zero-gradient copy
-    depending on ``grid.periodic_x``."""
-    h, nx = grid.halo, grid.nx
-    if grid.periodic_x:
-        if staggered:
-            arr[:h] = arr[nx : nx + h]
-            arr[h + nx + 1 :] = arr[h + 1 : 2 * h + 1]
-            # the two images of the seam face must agree exactly
-            arr[h + nx] = arr[h]
-        else:
-            arr[:h] = arr[nx : nx + h]
-            arr[h + nx :] = arr[h : 2 * h]
-    else:
-        edge_lo = arr[h : h + 1]
-        edge_hi = arr[h + nx : h + nx + 1] if staggered else arr[h + nx - 1 : h + nx]
-        arr[:h] = edge_lo
-        if staggered:
-            arr[h + nx + 1 :] = edge_hi
-        else:
-            arr[h + nx :] = edge_hi
+#: (staggered along x, staggered along y) of the face-staggered fields; a
+#: staggered axis has one more face than cells.  Every other field (the
+#: water species) sits on cell centres.
+STAGGER: dict[str, tuple[bool, bool]] = {
+    "rho": (False, False),
+    "rhou": (True, False),
+    "rhov": (False, True),
+    "rhow": (False, False),
+    "rhotheta": (False, False),
+}
+_CENTRED = (False, False)
 
 
-def fill_halo_y(arr: np.ndarray, grid: Grid, staggered: bool) -> None:
-    """Fill the y halo in place (mirror of :func:`fill_halo_x`)."""
-    h, ny = grid.halo, grid.ny
-    if grid.periodic_y:
-        if staggered:
-            arr[:, :h] = arr[:, ny : ny + h]
-            arr[:, h + ny + 1 :] = arr[:, h + 1 : 2 * h + 1]
-            arr[:, h + ny] = arr[:, h]
-        else:
-            arr[:, :h] = arr[:, ny : ny + h]
-            arr[:, h + ny :] = arr[:, h : 2 * h]
-    else:
-        edge_lo = arr[:, h : h + 1]
-        edge_hi = arr[:, h + ny : h + ny + 1] if staggered else arr[:, h + ny - 1 : h + ny]
-        arr[:, :h] = edge_lo
-        if staggered:
-            arr[:, h + ny + 1 :] = edge_hi
-        else:
-            arr[:, h + ny :] = edge_hi
+@dataclass(eq=False)
+class Strips:
+    """One halo refresh as a table of byte copies over a flat field list.
+
+    Field slot ``f * ranks + r`` is field ``f`` of rank ``r``, laid out as
+    ``layout[slot] = (shape, itemsize)`` (C order).  A row of ``rows``
+    reads ``(dst, src, nbytes, dst offset, src offset, outer count, dst
+    outer stride, src outer stride, inner count, dst inner stride, src
+    inner stride)`` and copies ``nbytes`` for every (outer, inner) pair,
+    rows in order, each copy a ``memmove``.  A broadcast (the open edge's
+    zero gradient) is a row whose src inner stride is 0.
+
+    ``messages`` holds, per neighbour strip in row order, ``(src rank, dst
+    rank, tag, nbytes)`` with ``tag = (field, axis, "+" | "-")``: the
+    direction the data travels.
+    """
+
+    rows: np.ndarray
+    layout: tuple
+    messages: tuple
+    #: the compiled runner's binding (:func:`repro.stencil.dycore.run_strips`):
+    #: weak references to the fields it last ran over, and their addresses
+    bound: tuple | None = field(default=None, repr=False)
+
+    def copy(self, fields: list) -> None:
+        """The oracle: every row as one NumPy assignment between byte views
+        (NumPy reads an overlapping source first, as ``memmove`` does)."""
+        if [(a.shape, a.itemsize) for a in fields] != list(self.layout):
+            raise ValueError("fields do not match the strip table's layout")
+        work = [np.ascontiguousarray(a) for a in fields]
+        for dst, src, n, do, so, no, dso, sso, ni, dsi, ssi in \
+                self.rows.tolist():
+            # a view past its buffer's end raises: no row reads or writes
+            # outside its field
+            np.ndarray((no, ni, n), np.uint8, work[dst], do,
+                       (dso, dsi, 1))[...] = np.ndarray(
+                (no, ni, n), np.uint8, work[src], so, (sso, ssi, 1))
+        for a, w in zip(fields, work):
+            if not np.may_share_memory(w, a):   # a was not C-contiguous
+                a[...] = w
 
 
-_STAGGER = {"rho": (False, False), "rhou": (True, False), "rhov": (False, True),
-            "rhow": (False, False), "rhotheta": (False, False)}
+def strip_table(extents, neighbours, names, layout, axes, h: int) -> Strips:
+    """The strip table of one refresh of ``names`` along ``axes``.
+
+    ``extents[r]`` is rank ``r``'s interior ``(nx, ny)`` and
+    ``neighbours[r][axis]`` its ``(low, high)`` neighbour ranks along that
+    axis (``None``: an open edge).  Rows run x before y, then field by
+    field; within one (axis, field) every receive (by receiver, low side
+    first) before every open-edge fill, then the seam row of a rank that
+    is its own periodic neighbour on a staggered axis (``arr[h + n] =
+    arr[h]``: the two images of the seam face agree exactly)."""
+    n_ranks = len(extents)
+    if len(layout) != len(names) * n_ranks:
+        raise ValueError(f"{len(layout)} fields for {len(names)} names on "
+                         f"{n_ranks} ranks")
+    for slot, (shape, _) in enumerate(layout):
+        name, (nx, ny) = names[slot // n_ranks], extents[slot % n_ranks]
+        sx, sy = STAGGER.get(name, _CENTRED)
+        if tuple(shape[:2]) != (nx + 2 * h + sx, ny + 2 * h + sy):
+            raise ValueError(f"{name} on rank {slot % n_ranks}: shape "
+                             f"{shape} is not its grid's")
+
+    def geometry(f, r, axis):
+        """slot, outer count, outer stride and bytes of one cell along
+        ``axis`` of field ``f`` on rank ``r``"""
+        shape, itemsize = layout[f * n_ranks + r]
+        unit = math.prod(shape[axis + 1:]) * itemsize
+        return (f * n_ranks + r, math.prod(shape[:axis]), shape[axis] * unit,
+                unit)
+
+    rows, messages = [], []
+    for axis in sorted(axes):
+        for f, name in enumerate(names):
+            e = int(STAGGER.get(name, _CENTRED)[axis])
+            receives, fills = [], []
+            for r in range(n_ranks):
+                dst, outer, dstride, unit = geometry(f, r, axis)
+                n = extents[r][axis]
+                lo, hi = neighbours[r][axis]
+                for side, nb in ((0, lo), (h + n + e, hi)):
+                    if nb is None:
+                        # zero gradient from the last interior cell
+                        # (staggered: the boundary face itself)
+                        edge = h if side == 0 else h + n + e - 1
+                        fills.append((dst, dst, unit, side * unit,
+                                      edge * unit, outer, dstride, dstride,
+                                      h, unit, 0))
+                        continue
+                    src, src_outer, sstride, src_unit = geometry(f, nb, axis)
+                    if (src_outer, src_unit) != (outer, unit):
+                        raise ValueError(f"{name}: ranks {nb} and {r} do "
+                                         f"not share an edge along {axis}")
+                    # toward +axis, the sender's last h interior cells
+                    # fill the low halo; toward -axis its first h (faces
+                    # [h+1, 2h+1) when staggered) fill the high halo
+                    start = extents[nb][axis] if side == 0 else h + e
+                    receives.append((dst, src, h * unit, side * unit,
+                                     start * unit, outer, dstride, sstride,
+                                     1, 0, 0))
+                    messages.append((nb, r, (name, axis, "-" if side else "+"),
+                                     outer * h * unit))
+                if e and lo == hi == r:
+                    fills.append((dst, dst, unit, (h + n) * unit, h * unit,
+                                  outer, dstride, dstride, 1, 0, 0))
+            rows += receives + fills
+    return Strips(np.array(rows, dtype="l").reshape(-1, 11), tuple(layout),
+                  tuple(messages))
+
+
+@functools.lru_cache(maxsize=256)
+def _fill_strips(nx, ny, h, periodic, names, layout) -> Strips:
+    wrap = tuple((0, 0) if p else (None, None) for p in periodic)
+    return strip_table([(nx, ny)], [wrap], names, layout, (0, 1), h)
+
+
+def fill_table(grid: Grid, names, fields) -> Strips:
+    """The single-domain fill of ``fields`` (named ``names``): the strip
+    table of a 1x1 topology, whose periodic axes wrap onto the rank itself
+    (cached per grid shape, names and layout)."""
+    return _fill_strips(grid.nx, grid.ny, grid.halo,
+                        (grid.periodic_x, grid.periodic_y), tuple(names),
+                        tuple([(a.shape, a.itemsize) for a in fields]))
 
 
 @stencil(reads=("prognostics",), writes=("prognostics",), halo=0,
@@ -87,13 +183,11 @@ _STAGGER = {"rho": (False, False), "rhou": (True, False), "rhov": (False, True),
          flops_band=(1.5, 4.5), bytes_band=(2.0, 8.0),
          probe=False)
 def fill_halos_state(state: State, names: Iterable[str] | None = None) -> None:
-    """Fill halos of the named prognostic fields (all when ``None``)."""
-    g = state.grid
-    for name in names if names is not None else state.prognostic_names():
-        sx, sy = _STAGGER.get(name, (False, False))
-        arr = state.get(name)
-        fill_halo_x(arr, g, staggered=sx)
-        fill_halo_y(arr, g, staggered=sy)
+    """Fill halos of the named prognostic fields (all when ``None``):
+    periodic wrap or open zero-gradient per axis, as ``grid`` says."""
+    names = state.prognostic_names() if names is None else list(names)
+    fields = [state.get(name) for name in names]
+    fill_table(state.grid, names, fields).copy(fields)
 
 
 def apply_kinematic_surface(state: State) -> None:

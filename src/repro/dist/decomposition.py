@@ -117,6 +117,13 @@ class Topology:
             return self.neighbor(sub, direction, 0)
         return self.neighbor(sub, 0, direction)
 
+    def neighbours(self, sub: Subdomain) -> tuple:
+        """``((x low, x high), (y low, y high))`` neighbour ranks of
+        ``sub``, ``None`` at an open edge: what a strip table
+        (:func:`repro.core.boundary.strip_table`) needs of the topology."""
+        return tuple((self.axis_neighbor(sub, axis, -1),
+                      self.axis_neighbor(sub, axis, +1)) for axis in (0, 1))
+
 
 def decompose(
     nx: int, ny: int, px: int, py: int, *, min_cells: int = 3

@@ -1,62 +1,69 @@
 """Halo exchange between subdomains (paper Figs. 6 and 8).
 
-Two lockstep phases per exchange:
+An exchange point (one refresh of some fields along some axes on every
+rank) is one :class:`~repro.core.boundary.Strips` table, built once per
+(names, axes) from the :class:`~repro.dist.decomposition.Topology` and run
+in one call (:func:`repro.stencil.dycore.run_strips`): the single-domain
+fill's own geometry, corners carried in two hops (Fig. 8), so a decomposed
+run reproduces the single-domain arithmetic bit for bit.
 
-1. **x phase** — east/west strips of width ``halo``, spanning the full y
-   extent of the local array;
-2. **y phase** — north/south strips spanning the full x extent
-   *including the x halos just filled*, which transports the corner
-   values exactly as the paper's "copy corner values on CPU" trick does
-   (Fig. 8): after both phases every diagonal halo corner holds the
-   diagonal neighbor's data.
-
-The strip geometry mirrors :mod:`repro.core.boundary`'s periodic fills
-(including the staggered-face offsets), so a decomposed run reproduces the
-single-domain arithmetic bit for bit — asserted by
-tests/dist/test_multigpu_equivalence.py.  Whether an edge rank wraps or
-applies the open (zero-gradient) fill is decided per axis by the
-:class:`~repro.dist.decomposition.Topology` built from the global grid's
-periodicity flags — the single place that choice lives.
-
-Every directed message goes through :meth:`HaloExchanger._collect`, which
-recovers from the imperfect transport of a fault-injected
-:class:`~repro.dist.mpi_sim.SimComm` under a
-:class:`~repro.resilience.retry.RetryPolicy`: lost and corrupted frames
-are retransmitted by the sender after an exponential backoff, delayed
-frames are waited out (or charged a timeout when too late), and the
-modeled recovery time is accumulated in :class:`RetryStats` so the
-distributed timeline reflects it.
+Each neighbour strip is one message of the modeled transport.  A
+retransmission re-reads the sender's interior, which no strip of the same
+exchange point writes, so faults (a
+:class:`~repro.resilience.faults.FaultInjector` on the
+:class:`~repro.dist.mpi_sim.SimComm`) change only the accounting, computed
+under the :class:`~repro.resilience.retry.RetryPolicy` before any byte
+moves and in a message-passing run's order (per axis and field: every
+message posted, by sender, then received, by receiver): a lost or corrupt
+frame is retransmitted after a backoff, a late one waited out or timed out.
+A fault that outlasts the policy raises
+:class:`~repro.resilience.retry.RetryExhaustedError` before the copy.
 """
 from __future__ import annotations
 
-import numpy as np
+import time
 
+from ..core.boundary import strip_table
 from ..core.state import State
 from ..obs.trace import active_session
+from ..resilience.faults import FaultKind
 from ..resilience.retry import (
     HaloMessageError,
+    MessageCorruptError,
     MessageDelayedError,
+    MessageLostError,
     RetryExhaustedError,
     RetryPolicy,
     RetryStats,
 )
+from ..stencil.dycore import run_strips
 from .decomposition import Subdomain, Topology
 from .mpi_sim import SimComm
 
-__all__ = ["HaloExchanger", "STAGGER"]
-
-#: (staggered_x, staggered_y) per prognostic field
-STAGGER: dict[str, tuple[bool, bool]] = {
-    "rho": (False, False),
-    "rhou": (True, False),
-    "rhov": (False, True),
-    "rhow": (False, False),
-    "rhotheta": (False, False),
-}
+__all__ = ["HaloExchanger"]
 
 
-def _stagger_of(name: str) -> tuple[bool, bool]:
-    return STAGGER.get(name, (False, False))
+class _Point:
+    """One exchange point: its strip table, the labels of its field slots,
+    its messages per (axis, field) in post and receive order, and what a
+    clean run of it sends."""
+
+    __slots__ = ("strips", "labels", "groups", "sent", "pairs")
+
+    def __init__(self, strips, labels: list[str]):
+        self.strips, self.labels = strips, labels
+        groups: dict = {}
+        for msg in strips.messages:                 # receive order
+            groups.setdefault(msg[2][:2], []).append(msg)
+        # post order: by sender, toward +axis first
+        self.groups = [(sorted(recvs, key=lambda m: (m[0], m[2][2] != "+")),
+                        recvs) for recvs in groups.values()]
+        self.sent = [(*msg, True) for posts, _ in self.groups for msg in posts]
+        pairs: dict = {}
+        for src, dst, _, nbytes, _ in self.sent:
+            n, total = pairs.get((src, dst), (0, 0))
+            pairs[src, dst] = (n + 1, total + nbytes)
+        self.pairs = [(pair, n, total) for pair, (n, total) in pairs.items()]
 
 
 class HaloExchanger:
@@ -90,8 +97,12 @@ class HaloExchanger:
         self.stats = RetryStats()
         if [sub.rank for sub in subdomains] != list(range(len(subdomains))):
             raise ValueError("subdomains must be listed in rank order")
-        #: (axis, staggered, halo) -> the compiled exchange
-        self._schedules: dict[tuple[int, bool, int], tuple] = {}
+        if len(subdomains) != comm.n_ranks:
+            raise ValueError(f"{len(subdomains)} subdomains on a "
+                             f"{comm.n_ranks}-rank transport: rank out of "
+                             "range")
+        #: (names, axes) -> the exchange point
+        self._points: dict[tuple, _Point] = {}
 
     # ------------------------------------------------------------ public
     def exchange(self, states: list[State], names: list[str] | None,
@@ -105,91 +116,66 @@ class HaloExchanger:
         """
         if names is None:
             names = states[0].prognostic_names()
-        h = states[0].grid.halo
-        for axis in sorted(axes):
-            for name in names:
-                key = (axis, _stagger_of(name)[axis], h)
-                schedule = self._schedules.get(key)
-                if schedule is None:
-                    schedule = self._schedules[key] = self._compile(*key)
-                self._run(schedule, [st.get(name) for st in states],
-                          name, axis)
-
-    # ---------------------------------------------------------- schedule
-    def _compile(self, axis: int, stag: bool, h: int) -> tuple:
-        """Everything about one exchange that the fields do not decide:
-        ``(posts, recvs, fills)``.  ``posts`` holds one ``(src, dst,
-        direction, send index, recv index)`` per directed message in post
-        order (by sender, ``+`` first) and ``recvs`` the same tuples in
-        collect order (by receiver, from the low side first); ``fills``
-        holds ``(rank, target index, edge index)`` per open edge."""
-        def along(lo: int, hi: int) -> tuple:
-            return (slice(None),) * axis + (slice(lo, hi),)
-
-        e = int(stag)       # a staggered axis has one more face than cells
-        nb = {(sub.rank, d): self.topology.axis_neighbor(sub, axis, d)
-              for sub in self.subs for d in (-1, +1)}
-        n = {sub.rank: sub.nx if axis == 0 else sub.ny for sub in self.subs}
-        posts, recvs, fills = [], [], []
-        for sub in self.subs:
-            r = sub.rank
-            if nb[r, +1] is not None:
-                # data travelling toward +axis fills the neighbor's low
-                # halo: the last h interior cells/faces (indices [n, n+h))
-                posts.append((r, nb[r, +1], "+", along(n[r], n[r] + h),
-                              along(0, h)))
-            if nb[r, -1] is not None:
-                # toward -axis fills the neighbor's high halo: the first h
-                # interior cells (staggered: faces [h+1, 2h+1))
-                dst = nb[r, -1]
-                posts.append((r, dst, "-", along(h + e, 2 * h + e),
-                              along(h + n[dst] + e, None)))
-        by_key = {msg[:3]: msg for msg in posts}
-        for sub in self.subs:
-            r = sub.rank
-            if nb[r, -1] is not None:
-                recvs.append(by_key[nb[r, -1], r, "+"])
+        fields = [st.get(name) for name in names for st in states]
+        layout = tuple([(a.shape, a.itemsize) for a in fields])
+        key = (tuple(names), tuple(axes))
+        point = self._points.get(key)
+        if point is None or point.strips.layout != layout:
+            point = self._points[key] = _Point(
+                strip_table([(sub.nx, sub.ny) for sub in self.subs],
+                            [self.topology.neighbours(sub)
+                             for sub in self.subs],
+                            key[0], layout, axes, states[0].grid.halo),
+                [f"{name}@{sub.rank}" for name in names for sub in self.subs])
+        sent: list = []
+        t_start = time.perf_counter()
+        try:
+            if self.comm.faults is None:
+                self.comm.stats.add(point.pairs)
+                sent = point.sent
             else:
-                fills.append((r, along(0, h), along(h, h + 1)))
-            if nb[r, +1] is not None:
-                recvs.append(by_key[nb[r, +1], r, "-"])
-            else:
-                # zero-gradient from the last interior cell (staggered:
-                # from the boundary face itself)
-                fills.append((r, along(h + n[r] + e, None),
-                              along(h + n[r] + e - 1, h + n[r] + e)))
-        return posts, recvs, fills
-
-    def _run(self, schedule: tuple, arrs: list[np.ndarray], name: str,
-             axis: int) -> None:
-        posts, recvs, fills = schedule
-        tags = {"+": (name, axis, "+"), "-": (name, axis, "-")}
-        post = self.comm.post
-        for src, dst, sign, send, _ in posts:
-            post(src, dst, tags[sign], arrs[src][send])
-        for src, dst, sign, send, recv in recvs:
-            arrs[dst][recv] = self._collect(src, dst, tags[sign],
-                                            arrs[src], send)
-        for rank, target, edge in fills:
-            arrs[rank][target] = arrs[rank][edge]
+                self._account(point, sent)
+            run_strips(point.strips, fields, point.labels, "halo exchanges")
+        finally:
+            self.comm.log(sent, t_start, time.perf_counter())
 
     # ------------------------------------------------- faulty transport
-    def _collect(self, src: int, dst: int, tag: object, arr: np.ndarray,
-                 send: tuple) -> np.ndarray:
-        """Receive one message, recovering from transport faults under
-        the retry policy (a lost or corrupted frame is posted again from
-        the sender's ``arr[send]``); raises
+    def _account(self, point: _Point, sent: list) -> None:
+        """What the transport faults of one exchange point cost, in a
+        message-passing run's order; every transmission is appended to
+        ``sent`` as ``[src, dst, tag, nbytes, delivered]``."""
+        for posts, receives in point.groups:
+            frames = {msg: self._send(msg, sent) for msg in posts}
+            for msg in receives:
+                self._receive(msg, frames, sent)
+
+    def _send(self, msg: tuple, sent: list) -> tuple:
+        """One transmission of ``msg``: its traffic, its record, and the
+        fault that hits it (None: none does)."""
+        src, dst, tag, nbytes = msg
+        self.comm.stats.record(src, dst, nbytes)
+        entry = [src, dst, tag, nbytes, False]
+        sent.append(entry)
+        return entry, self.comm.faults.on_message(src, dst)
+
+    def _receive(self, msg: tuple, frames: dict, sent: list) -> None:
+        """Receive one message, recovering from its faults under the retry
+        policy (a lost or corrupt frame is sent again from the sender's
+        interior); raises
         :class:`~repro.resilience.retry.RetryExhaustedError` when the
         fault outlasts the policy."""
         policy = self.retry
         attempt = 0
         while True:
-            try:
-                return self.comm.collect(src, dst, tag)
-            except MessageDelayedError as err:
+            entry, fault = frames[msg]
+            if fault is None:
+                entry[4] = True
+                return
+            err = _error(fault, *msg[:3])
+            if isinstance(err, MessageDelayedError):
+                frames[msg] = entry, None       # late, not lost: it arrives
                 if err.delay <= policy.timeout:
-                    # late but within the timeout: wait it out (the data
-                    # is in the mailbox; the next collect returns it)
+                    # late but within the timeout: wait it out
                     self.stats.waits += 1
                     self.stats.wait_s += err.delay
                     self.stats.count("delay")
@@ -199,12 +185,12 @@ class HaloExchanger:
                 self.stats.timeouts += 1
                 backoff = policy.timeout + policy.backoff(attempt)
                 attempt = self._charge_retry(err, attempt, backoff, "timeout")
-            except HaloMessageError as err:
+            else:
                 # lost or corrupt: the sender must retransmit
                 backoff = policy.backoff(attempt)
                 attempt = self._charge_retry(err, attempt, backoff,
                                              type(err).__name__)
-                self.comm.post(src, dst, tag, arr[send])
+                frames[msg] = self._send(msg, sent)
                 self.stats.retransmits += 1
 
     def _charge_retry(self, err: HaloMessageError, attempt: int,
@@ -235,3 +221,18 @@ class HaloExchanger:
         sess.record_instant(
             f"halo_{'retry' if retried else 'wait'}", cat="resilience",
             args={"src": err.src, "dst": err.dst, "tag": str(err.tag)})
+
+
+def _error(fault, src: int, dst: int, tag: object) -> HaloMessageError:
+    """The typed error a receiver meets for a frame hit by ``fault``."""
+    where = f"message {tag!r} from rank {src} to rank {dst}"
+    if fault.kind is FaultKind.DROP:
+        return MessageLostError(f"{where} was lost in flight",
+                                src=src, dst=dst, tag=tag)
+    if fault.kind is FaultKind.CORRUPT:
+        return MessageCorruptError(
+            f"{where} failed its checksum; frame discarded",
+            src=src, dst=dst, tag=tag)
+    delay = fault.magnitude or 1e-3
+    return MessageDelayedError(f"{where} is {delay * 1e3:.2f} ms late",
+                               src=src, dst=dst, tag=tag, delay=delay)

@@ -1,47 +1,28 @@
-"""In-process SPMD message passing — the MPI substitute.
+"""In-process SPMD communication: the MPI substitute's accounting.
 
-All ranks live in one Python process and execute phases in lockstep, so
-"MPI" reduces to a deterministic mailbox: each rank posts typed messages
-(`post`), and after every rank has posted, each rank collects what was
-addressed to it (`collect`).  Buffers are copied on post, mirroring real
-MPI semantics (the sender may immediately reuse its buffer).
+All ranks live in one Python process and exchange halos in lockstep, so
+nothing is ever in flight: :class:`~repro.dist.halo.HaloExchanger` copies
+every strip of an exchange point in one call over its strip table.  What
+the communicator keeps is what a real transport would report: traffic
+statistics (message count and bytes per rank pair), which the performance
+model and the Fig. 9/11 benchmarks consume, and, while a
+:class:`repro.obs.trace.TraceSession` is active, one :class:`MessageRecord`
+per transmission, stamped with its exchange point's start and end (the log
+keeps one entry per exchange point and makes the records when it is read);
+the comm collector turns the log into flow arrows between rank tracks.
+With no session active nothing is logged (tracing stays zero-cost).
 
-The communicator also keeps traffic statistics (message count and bytes
-per rank pair) that the performance model and the Fig. 9/11 benchmarks
-consume — the functional path and the timing path see the exact same
-messages.  While a :class:`repro.obs.trace.TraceSession` is active, each
-post/collect pair is additionally logged as a :class:`MessageRecord`
-with wall-clock stamps; the comm collector turns the log into flow
-arrows between rank tracks.  With no session active, nothing is logged
-(tracing stays zero-cost).
-
-With a :class:`~repro.resilience.faults.FaultInjector` attached, the
-transport becomes imperfect: a posted message can be dropped (collect
-raises :class:`~repro.resilience.retry.MessageLostError`), corrupted
-(bytes are flipped in flight; the receiver detects the CRC mismatch and
-raises :class:`~repro.resilience.retry.MessageCorruptError`, discarding
-the frame), or delayed (the first collect raises
-:class:`~repro.resilience.retry.MessageDelayedError`; the data stays in
-the mailbox).  :class:`~repro.dist.halo.HaloExchanger` recovers from all
-three under its :class:`~repro.resilience.retry.RetryPolicy`.  With no
-injector, the transport is perfect and behaves exactly as before.
+A :class:`~repro.resilience.faults.FaultInjector` attached as ``faults``
+makes the modeled transport imperfect (drop / corrupt / delay); the
+exchanger computes what each fault costs (retries, retransmissions, waits,
+their traffic and their records) before any byte moves.
 """
 from __future__ import annotations
 
-import time
-import zlib
 from collections import defaultdict
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from ..obs.trace import _SESSIONS
-from ..resilience.faults import FaultKind
-from ..resilience.retry import (
-    MessageCorruptError,
-    MessageDelayedError,
-    MessageLostError,
-)
 
 __all__ = ["SimComm", "TrafficStats", "MessageRecord"]
 
@@ -60,6 +41,14 @@ class TrafficStats:
         self.bytes_total += nbytes
         self.by_pair[(src, dst)] += nbytes
 
+    def add(self, pairs) -> None:
+        """Record many messages at once: ``((src, dst), messages, bytes)``
+        per rank pair, in the order the pairs first occur."""
+        for pair, messages, nbytes in pairs:
+            self.messages += messages
+            self.bytes_total += nbytes
+            self.by_pair[pair] += nbytes
+
     def per_pair_report(self) -> str:
         """Sorted text table of bytes per (src, dst) rank pair — consumed
         by the comm collector and the trace summary exporter."""
@@ -77,10 +66,11 @@ class TrafficStats:
         self.by_pair.clear()
 
 
-@dataclass
+@dataclass(slots=True)
 class MessageRecord:
-    """One posted message, for telemetry (only logged while a trace
-    session is active)."""
+    """One transmission, for telemetry (only logged while a trace session
+    is active): stamped with its exchange point's start and, when it was
+    delivered, its end."""
 
     seq: int
     src: int
@@ -92,10 +82,11 @@ class MessageRecord:
 
 
 class SimComm:
-    """Mailbox communicator for ``n_ranks`` in-process ranks.
+    """The transport of ``n_ranks`` in-process ranks, as accounting.
 
     ``fault_injector`` (a :class:`~repro.resilience.faults.FaultInjector`
-    or None) makes the transport imperfect — see the module docstring.
+    or None) makes the modeled transport imperfect — see the module
+    docstring.
     """
 
     def __init__(self, n_ranks: int, *, fault_injector=None):
@@ -103,94 +94,27 @@ class SimComm:
             raise ValueError("need at least one rank")
         self.n_ranks = n_ranks
         self.faults = fault_injector
-        self._mail: dict[tuple[int, int, object], np.ndarray] = {}
-        #: key -> CRC32 of the payload as sent (kept only under injection)
-        self._crc: dict[tuple[int, int, object], int] = {}
-        #: key -> lateness [s] of a delayed message, not yet waited out
-        self._late: dict[tuple[int, int, object], float] = {}
-        #: keys whose payload was dropped in flight
-        self._lost: set[tuple[int, int, object]] = set()
         self.stats = TrafficStats()
-        self.message_log: list[MessageRecord] = []
-        self._inflight: dict[tuple[int, int, object], MessageRecord] = {}
-        self._seq = 0
+        self._log: list[MessageRecord] = []
+        #: exchange points logged but not yet expanded into records
+        self._points: list[tuple] = []
 
-    # ------------------------------------------------------------- p2p
-    def post(self, src: int, dst: int, tag: object, buf: np.ndarray) -> None:
-        """Non-blocking send analogue; the buffer is copied immediately."""
-        n = self.n_ranks
-        if not (0 <= src < n and 0 <= dst < n):
-            raise ValueError(f"rank {dst if 0 <= src < n else src} out of "
-                             f"range [0, {n})")
-        key = (src, dst, tag)
-        if key in self._mail:
-            raise RuntimeError(f"duplicate message {key} — missing collect?")
-        data = np.array(buf, copy=True)
-        self.stats.record(src, dst, buf.nbytes)
+    def log(self, sent, t_start: float, t_end: float) -> None:
+        """Log one exchange point's transmissions, ``(src, dst, tag,
+        nbytes, delivered)`` each, while a trace session is active: posted
+        at ``t_start``, collected at ``t_end`` where delivered."""
         if _SESSIONS:
-            rec = MessageRecord(self._seq, src, dst, tag, buf.nbytes,
-                                time.perf_counter())
-            self._seq += 1
-            self.message_log.append(rec)
-            self._inflight[key] = rec
-        if self.faults is not None:
-            ev = self.faults.on_message(src, dst)
-            if ev is not None:
-                if ev.kind is FaultKind.DROP:
-                    self._lost.add(key)
-                    return                      # nothing reaches the mailbox
-                if ev.kind is FaultKind.CORRUPT:
-                    self._crc[key] = zlib.crc32(data.tobytes())
-                    _flip_bytes(data)
-                elif ev.kind is FaultKind.DELAY:
-                    self._late[key] = ev.magnitude or 1e-3
-        self._mail[key] = data
+            self._points.append((sent, t_start, t_end))
 
-    def collect(self, src: int, dst: int, tag: object) -> np.ndarray:
-        """Matching receive; raises if the message was never posted.
-
-        Under fault injection the receive can fail with a typed,
-        recoverable :class:`~repro.resilience.retry.HaloMessageError`
-        (lost / corrupt / delayed) — see the module docstring.
-        """
-        key = (src, dst, tag)
-        if key in self._lost:
-            self._lost.discard(key)
-            raise MessageLostError(
-                f"message {tag!r} from rank {src} to rank {dst} was lost "
-                "in flight", src=src, dst=dst, tag=tag)
-        if key in self._late:
-            delay = self._late.pop(key)
-            raise MessageDelayedError(
-                f"message {tag!r} from rank {src} to rank {dst} is "
-                f"{delay * 1e3:.2f} ms late", src=src, dst=dst, tag=tag,
-                delay=delay)
-        try:
-            data = self._mail.pop(key)
-        except KeyError:
-            raise RuntimeError(
-                f"rank {dst} expected message {tag!r} from rank {src}, "
-                "but nothing was posted — lockstep ordering bug"
-            ) from None
-        crc = self._crc.pop(key, None)
-        if crc is not None and zlib.crc32(data.tobytes()) != crc:
-            raise MessageCorruptError(
-                f"message {tag!r} from rank {src} to rank {dst} failed "
-                "its checksum; frame discarded", src=src, dst=dst, tag=tag)
-        rec = self._inflight.pop(key, None)
-        if rec is not None:
-            rec.t_collect = time.perf_counter()
-        return data
-
-    def pending(self) -> int:
-        """Number of posted-but-uncollected messages (0 after a clean
-        exchange — asserted by the tests)."""
-        return len(self._mail)
-
-
-def _flip_bytes(data: np.ndarray) -> None:
-    """Deterministically corrupt a payload in place (first byte and a
-    mid-buffer byte XORed) so the CRC check is guaranteed to trip."""
-    raw = data.view(np.uint8).reshape(-1)
-    raw[0] ^= 0xFF
-    raw[raw.size // 2] ^= 0xFF
+    @property
+    def message_log(self) -> list[MessageRecord]:
+        """Every logged transmission as a :class:`MessageRecord`, in
+        order; an exchange point's records are made when first read."""
+        log = self._log
+        for sent, t_start, t_end in self._points:
+            log += [MessageRecord(seq, src, dst, tag, nbytes, t_start,
+                                  t_end if delivered else None)
+                    for seq, (src, dst, tag, nbytes, delivered)
+                    in enumerate(sent, len(log))]
+        self._points.clear()
+        return log

@@ -11,7 +11,7 @@ density and potential temperature inside the short time step, moisture
 once per stage).  Nothing of the step itself is written here.
 
 Because local geometry/reference arrays are *slices* of the global ones
-and the halo strips mirror the single-domain periodic fills, a decomposed
+and the halo strips are the single-domain fill's own strip table, a decomposed
 run reproduces the single-domain interior bit for bit
 (tests/dist/test_multigpu_equivalence.py) — the distributed analogue of
 the paper's "results agree within machine round-off" claim.
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.boundary import RelaxationBC
+from ..core.boundary import STAGGER, RelaxationBC
 from ..core.grid import Grid
 from ..core.model import AsucaModel, ModelConfig, run_lockstep
 from ..core.reference import ReferenceState
@@ -30,7 +30,7 @@ from ..gpu.runtime import charge_step, price_step
 from ..obs.trace import span
 from ..resilience.faults import RankCrash
 from .decomposition import Subdomain, Topology, decompose, make_subgrid
-from .halo import STAGGER, HaloExchanger
+from .halo import HaloExchanger
 from .mpi_sim import SimComm
 
 __all__ = ["MultiGpuAsuca"]
@@ -53,14 +53,11 @@ def _slice_ref(ref: ReferenceState, sub: Subdomain, halo: int) -> ReferenceState
     )
 
 
-def _field_slices(sub: Subdomain, halo: int, stag: tuple[bool, bool]):
-    h = halo
-    ex = 1 if stag[0] else 0
-    ey = 1 if stag[1] else 0
-    return (
-        slice(sub.x0, sub.x0 + sub.nx + 2 * h + ex),
-        slice(sub.y0, sub.y0 + sub.ny + 2 * h + ey),
-    )
+def _field_slices(sub: Subdomain, halo: int, name: str):
+    """The global window of a rank's halo-inclusive ``name`` array."""
+    sx, sy = STAGGER.get(name, (False, False))
+    return (slice(sub.x0, sub.x0 + sub.nx + 2 * halo + sx),
+            slice(sub.y0, sub.y0 + sub.ny + 2 * halo + sy))
 
 
 class MultiGpuAsuca:
@@ -209,13 +206,10 @@ class MultiGpuAsuca:
         h = self.global_grid.halo
         states = []
         for sub, rank in zip(self.subs, self.ranks):
-            kw = {}
-            for name in ("rho", "rhou", "rhov", "rhow", "rhotheta"):
-                stag = STAGGER[name]
-                sx, sy = _field_slices(sub, h, stag)
-                kw[name] = global_state.get(name)[sx, sy].copy()
-            sxc, syc = _field_slices(sub, h, (False, False))
-            q = {k: v[sxc, syc].copy() for k, v in global_state.q.items()}
+            kw = {name: global_state.get(name)[_field_slices(sub, h, name)]
+                  .copy() for name in STAGGER}
+            q = {k: v[_field_slices(sub, h, k)].copy()
+                 for k, v in global_state.q.items()}
             states.append(State(grid=rank.grid, q=q, time=global_state.time, **kw))
         return states
 
@@ -236,15 +230,11 @@ class MultiGpuAsuca:
         )
         for sub, st in zip(self.subs, states):
             for name in st.prognostic_names():
-                stag = STAGGER.get(name, (False, False))
-                loc = st.get(name)
-                glob = out.get(name)
-                ex = 1 if stag[0] else 0
-                ey = 1 if stag[1] else 0
-                glob[
-                    h + sub.x0 : h + sub.x0 + sub.nx + ex,
-                    h + sub.y0 : h + sub.y0 + sub.ny + ey,
-                ] = loc[h : h + sub.nx + ex, h : h + sub.ny + ey]
+                sx, sy = STAGGER.get(name, (False, False))
+                out.get(name)[
+                    h + sub.x0 : h + sub.x0 + sub.nx + sx,
+                    h + sub.y0 : h + sub.y0 + sub.ny + sy,
+                ] = st.get(name)[h : h + sub.nx + sx, h : h + sub.ny + sy]
         # per-rank diagnostics: accumulated precipitation (interior-sized)
         if any(st.precip_accum is not None for st in states):
             acc = np.zeros((g.nx, g.ny), dtype=states[0].dtype)

@@ -9,9 +9,10 @@ signal sources of the reproduction flow:
 * **device ops** — the virtual-clock op timelines of
   :class:`repro.gpu.device.GPUDevice`, ingested after a run by
   :meth:`TraceSession.collect_device`;
-* **messages** — :class:`repro.dist.mpi_sim.SimComm` post/collect pairs,
-  ingested by :meth:`TraceSession.collect_comm` as flow (arrow) records
-  between rank tracks.
+* **messages** — :class:`repro.dist.mpi_sim.SimComm`'s message log (one
+  record per transmission, stamped per exchange point), ingested by
+  :meth:`TraceSession.collect_comm` as flow (arrow) records between rank
+  tracks.
 
 Records are kept in a neutral in-memory form with **one codec**:
 :data:`RECORD_TYPES` names every record type once, :func:`to_event` /

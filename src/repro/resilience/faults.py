@@ -10,7 +10,8 @@ spec (``drop@1,corrupt@2:0>1,crash@3:r2``), or drawn from a seeded RNG
 A :class:`FaultInjector` consumes a plan at runtime.  It is plugged into
 
 * :class:`~repro.dist.mpi_sim.SimComm` — message faults (drop / corrupt
-  / delay) fire on :meth:`~repro.dist.mpi_sim.SimComm.post`;
+  / delay) fire as :class:`~repro.dist.halo.HaloExchanger` accounts for
+  each transmission of an exchange point, before it copies a byte;
 * :class:`~repro.gpu.device.GPUDevice` — transient PCIe copy failures
   fire on H2D/D2H :meth:`~repro.gpu.device.GPUDevice.schedule`;
 * :class:`~repro.dist.multigpu.MultiGpuAsuca` / the
@@ -43,7 +44,7 @@ class FaultKind(str, enum.Enum):
     CRASH = "crash"        #: rank dies at the top of the step
 
 
-#: message-transport kinds (fire in SimComm.post)
+#: message-transport kinds (fire at a message's post, in HaloExchanger)
 _MESSAGE_KINDS = (FaultKind.DROP, FaultKind.CORRUPT, FaultKind.DELAY)
 
 #: default lateness of a DELAY event when magnitude is not given [s]
@@ -238,7 +239,7 @@ class FaultInjector:
 
     def on_message(self, src: int, dst: int) -> FaultEvent | None:
         """Message fault matching the current step and rank pair, if any
-        (consumed); called by ``SimComm.post``."""
+        (consumed); asked once per transmission by ``HaloExchanger``."""
         ev = self._take(lambda e: e.kind in _MESSAGE_KINDS
                         and e.step == self.step
                         and (e.src is None or e.src == src)

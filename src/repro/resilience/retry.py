@@ -1,10 +1,11 @@
 """Retry policy and typed transport errors for halo exchanges.
 
 A real MPI stack retransmits lost frames below the application; our
-in-process transport surfaces failures as typed exceptions instead, and
-:class:`~repro.dist.halo.HaloExchanger` recovers from them under a
+modeled transport names each failure with a typed error instead, and
+:class:`~repro.dist.halo.HaloExchanger` accounts for the recovery under a
 :class:`RetryPolicy` — bounded retries with exponential backoff, plus a
-delay timeout deciding when a late message counts as lost.
+delay timeout deciding when a late message counts as lost — before it
+copies any byte of the exchange point.
 
 All backoff/wait durations are *modeled* seconds: they are accumulated in
 :class:`RetryStats` and charged to the virtual device timelines by
@@ -12,7 +13,7 @@ All backoff/wait durations are *modeled* seconds: they are accumulated in
 weak-scaling numbers reflect the recovery cost rather than the (tiny)
 wall-clock cost of an in-process retry loop.
 
-Stdlib-only: :mod:`repro.dist.mpi_sim` imports the error types from here,
+Stdlib-only: :mod:`repro.dist.halo` imports the error types from here,
 so this module must not import anything from ``repro.dist``.
 """
 from __future__ import annotations
@@ -113,13 +114,13 @@ class MessageLostError(HaloMessageError):
 
 
 class MessageCorruptError(HaloMessageError):
-    """Payload checksum mismatch; the frame was discarded on receipt and
-    the sender must retransmit."""
+    """The frame failed its (modeled) checksum and was discarded on
+    receipt; the sender must retransmit."""
 
 
 class MessageDelayedError(HaloMessageError):
-    """The message is late by ``delay`` modeled seconds; it is still in
-    the mailbox and a subsequent collect will return it."""
+    """The message is late by ``delay`` modeled seconds; it arrives, so
+    waiting (or a timeout) is all it costs."""
 
     def __init__(self, msg: str, *, src: int, dst: int, tag: object,
                  delay: float):

@@ -2,7 +2,8 @@
 
 Each function stands in for a reference kernel in ``repro.core`` and is
 one call of its C body (the Koren advection of all four staggerings:
-``csrc/advect.c``; the halo fill: ``csrc/halo.c``) where a verified
+``csrc/advect.c``; the halo fill: ``csrc/halo.c``'s strip runner, which
+:func:`run_strips` also runs for the decomposed exchange) where a verified
 library is in force, **byte-identical** to the oracle (``tobytes()``,
 signed zeros included) for every argument combination it accepts; for the
 rest, and always without a library, it returns ``NotImplemented`` and the
@@ -12,12 +13,13 @@ executor runs the oracle.  There is no other NumPy text of any kernel.
 """
 from __future__ import annotations
 
-import ctypes
+import operator
+import weakref
 from dataclasses import replace
 
 import numpy as np
 
-from ..core.boundary import _STAGGER
+from ..core.boundary import STAGGER, fill_table
 from ..core.limiter import koren
 from . import native
 from .plan import PlanCache
@@ -95,37 +97,56 @@ def _advect_w(plans, w, fx, fy, fz, grid, limiter=koren):
     return _advect(plans, 3, w, fx, fy, fz, grid, limiter)
 
 
-# -------------------------------------------------------------- halo fill
+# ------------------------------------------------------------ halo strips
+def run_strips(strips, fields: list, labels: list, body: str) -> None:
+    """Run one strip table (:class:`~repro.core.boundary.Strips`) over
+    ``fields`` (named ``labels``, in slot order): one compiled call
+    (csrc/halo.c) where a library is loaded and takes every field, else
+    the oracle, ``strips.copy``."""
+    if _strips(strips, fields, labels, body) is NotImplemented:
+        strips.copy(fields)
+
+
+def _strips(strips, fields: list, labels: list, body: str):
+    lib = native.kernels(np.float64)
+    if lib is None:
+        return NotImplemented
+    # the fields of the last call, while they are the same objects, keep
+    # their addresses (a refresh inside one stage meets the same arrays)
+    bound = strips.bound
+    if bound is None or not all(map(operator.is_, fields,
+                                    map(weakref.ref.__call__, bound[0]))):
+        ptrs = native.pointers(fields[0].dtype if fields else np.float64,
+                               dict(zip(labels, fields)))
+        if isinstance(ptrs, native.Unbound):
+            native.unbound(body, ptrs)
+            return NotImplemented
+        bound = strips.bound = (list(map(weakref.ref, fields)),
+                                np.array(ptrs, dtype=np.uintp))
+    lib.halo_strips(len(strips.rows), native.address(strips.rows),
+                    native.address(bound[1]))
+    return None
+
+
 @register_fused("fill_halos_state")
 def _fill_halos_state(plans, state, names=None):
-    """One compiled call per refresh (csrc/halo.c) where a library is
-    loaded, else the reference fill."""
-    lib = native.kernels(np.float64)
-    if lib is None or not isinstance(names, (list, tuple, type(None))):
+    """One compiled call per refresh where a library is loaded, else the
+    reference fill: the strip table of a 1x1 topology."""
+    if (native.kernels(np.float64) is None
+            or not isinstance(names, (list, tuple, type(None)))):
         return NotImplemented
-    g = state.grid
-    nxh, nyh = g.nxh, g.nyh
-    arrays, shapes, desc = {}, {}, []
+    arrays = {}
     for name in state.prognostic_names() if names is None else names:
         a = state.q.get(name)
-        if a is None and name in _STAGGER:
+        if a is None and name in STAGGER:
             a = getattr(state, name)
-        # a subclass (the FLOP counter) must see the reference's copies
+        # a subclass (the FLOP counter) must see the oracle's copies
         if type(a) is not np.ndarray:
             return NotImplemented
-        sx, sy = _STAGGER.get(name, (False, False))
-        arrays[name], shapes[name] = a, (nxh + sx, nyh + sy) + a.shape[2:]
-        # rows, columns, bytes of one (x, y) column, staggering
-        desc += (*a.shape[:2], a.strides[1], sx, sy)
-    ptrs = native.pointers(next(iter(arrays.values())).dtype if arrays
-                           else np.float64, arrays, shapes)
-    if isinstance(ptrs, native.Unbound):
-        native.unbound("halo fills", ptrs)
-        return NotImplemented
-    lib.halo_fill(len(ptrs), (ctypes.c_void_p * len(ptrs))(*ptrs),
-                  (ctypes.c_long * len(desc))(*desc), g.halo, g.nx, g.ny,
-                  g.periodic_x, g.periodic_y)
-    return None
+        arrays[name] = a
+    names, fields = list(arrays), list(arrays.values())
+    return _strips(fill_table(state.grid, names, fields), fields, names,
+                   "halo fills")
 
 
 # ------------------------------------------------- compiled-body self-check
@@ -136,7 +157,8 @@ def native_check(lib) -> str:
     along axis 0, every four-cell stencil of signed zeros, ones, 3.25,
     infinities, NaN and a subnormal under fluxes of both signs; the four
     advections on a grid of plateaus whose spacings are of that width; then
-    the halo fill against the reference fill."""
+    the halo strip runner against its oracle: the single-domain fill, and a
+    2 x 2 open and a 3 x 1 periodic exchange point."""
     from ..core import advection as adv
     from ..core.grid import make_grid
     from .executor import StencilExecutor, use_executor
@@ -185,7 +207,7 @@ def native_check(lib) -> str:
                     return f"{name}_{phi.dtype.name}"
     # the halo fill: 3 x 2 columns under a halo of 3 (overlapping copies),
     # periodic x with open y and the reverse, every staggering
-    from ..core.boundary import fill_halos_state
+    from ..core.boundary import fill_halos_state, strip_table
     from ..core.state import State
 
     for px in (True, False):
@@ -203,6 +225,34 @@ def native_check(lib) -> str:
             runs.append([st.get(n) for n in st.prognostic_names()])
         if not all(map(native.same, *runs)):
             return f"halo fill, periodic {'x' if px else 'y'}"
+    # two exchange points (rank: interior, (x, y) neighbours, None at an
+    # open edge): 2 x 2 ranks with open edges, and 3 x 1 periodic ranks,
+    # each its own y neighbour (the seam row)
+    names = ("rho", "rhou", "rhov")
+    for case, ranks in (
+            ("2 x 2 open", [((4, 3), ((None, 2), (None, 1))),
+                            ((4, 3), ((None, 3), (0, None))),
+                            ((3, 3), ((0, None), (None, 3))),
+                            ((3, 3), ((1, None), (2, None)))]),
+            ("3 x 1 periodic", [((4, 3), ((2, 1), (0, 0))),
+                                ((3, 3), ((0, 2), (1, 1))),
+                                ((3, 3), ((1, 0), (2, 2)))])):
+        fields = {f"{name}@{r}": native.wave(
+            (nx + 6 + (name == "rhou"), ny + 6 + (name == "rhov"), 2),
+            0.1 + 0.3 * r)
+            for name in names for r, ((nx, ny), _) in enumerate(ranks)}
+        strips = strip_table([n for n, _ in ranks], [nb for _, nb in ranks],
+                             names, [(a.shape, a.itemsize)
+                                     for a in fields.values()], (0, 1), 3)
+        got = {k: a.copy() for k, a in fields.items()}
+        with native.using(lib):
+            if _strips(strips, list(got.values()), list(got),
+                       "halo strips") is NotImplemented:
+                return f"halo strips, {case}"
+        want = [a.copy() for a in fields.values()]
+        strips.copy(want)
+        if not all(map(native.same, got.values(), want)):
+            return f"halo strips, {case}"
     return ""
 
 

@@ -5,8 +5,9 @@ proved at load, never required.
 widths), ``csrc/acoustic.c`` (the HE-VI substep as one call, the
 linearization, the operator assembly and the velocities of a state),
 ``csrc/kessler.c`` (the C segments of the warm-rain body) and
-``csrc/halo.c`` (the halo fill) become one shared object per *(sources, flags, compiler, machine)*
-hash in the user's cache directory, loaded through :mod:`ctypes`; the
+``csrc/halo.c`` (the halo strip runner) become one shared object per
+*(sources, flags, compiler, machine)* hash in the user's cache directory,
+loaded through :mod:`ctypes`; the
 compiler is identified by its resolved path, ``st_mtime_ns`` and
 ``st_size``, so a warm load runs no process.  It is used only after every
 kernel in it has reproduced its oracle byte for byte on a fixed battery
@@ -43,7 +44,8 @@ from types import SimpleNamespace
 import numpy as np
 
 __all__ = ["FLAGS", "CLONES", "STATES", "Native", "Unbound", "load",
-           "library", "kernels", "pointers", "same", "unbound", "using"]
+           "library", "kernels", "address", "pointers", "same", "unbound",
+           "using"]
 
 #: value-preserving only: no contraction, no reassociation, no -march (the
 #: cache may be shared between hosts; the clones pick the ISA at load time)
@@ -62,6 +64,7 @@ UNBOUND: Counter = Counter()
 _UNBOUND_LOCK = threading.Lock()
 
 _PTR, _LONG = ctypes.c_void_p, ctypes.c_long
+_FROM_BUFFER, _ADDRESSOF = ctypes.c_char.from_buffer, ctypes.addressof
 
 
 class _Unavailable(Exception):
@@ -81,7 +84,7 @@ class Native:
     load_s: float = 0.0
     #: ``faces`` / ``advect`` per width; f64 also has the one-call
     #: ``substep``, ``metric_flux``, ``context``, ``operator``,
-    #: ``velocities``, ``kessler`` and ``halo_fill`` (byte copies: any
+    #: ``velocities``, ``kessler`` and ``halo_strips`` (byte copies: any
     #: dtype)
     f64: SimpleNamespace | None = field(default=None, repr=False)
     f32: SimpleNamespace | None = field(default=None, repr=False)
@@ -271,7 +274,7 @@ def _bind(dll: ctypes.CDLL) -> dict:
     f64.kessler = fn("kessler", _PTR, ctypes.c_int, restype=ctypes.c_double)
     f64.pack = fn("kessler_pack", _PTR, _LONG, _PTR, restype=_LONG)
     f64.unpack = fn("kessler_unpack", _PTR, _LONG, _PTR, _LONG, _PTR)
-    f64.halo_fill = fn("halo_fill", _LONG, _PTR, _PTR, *[_LONG] * 5)
+    f64.halo_strips = fn("halo_strips", _LONG, _PTR, _PTR)
     dll.repro_clones.restype = ctypes.c_char_p
     out["clones"] = tuple(dll.repro_clones().decode().split(","))
     return out
@@ -387,4 +390,15 @@ def pointers(dtype, arrays: dict, shapes: dict | None = None
             return Unbound(name, f"shape {a.shape}")
         if not a.flags.c_contiguous:
             return Unbound(name, "not C-contiguous")
-    return [a.ctypes.data for a in arrays.values()]
+    # address() inline: one Python call fewer per operand
+    return [_ADDRESSOF(_FROM_BUFFER(a)) if a.flags.writeable and a.size
+            else a.ctypes.data for a in arrays.values()]
+
+
+def address(a: np.ndarray) -> int:
+    """The data address of a C-contiguous array: through
+    ``ctypes.c_char.from_buffer`` (≈ 0.7 µs) where it is writable and not
+    empty, else ``a.ctypes.data`` (≈ 2.3 µs)."""
+    if a.flags.writeable and a.size:
+        return _ADDRESSOF(_FROM_BUFFER(a))
+    return a.ctypes.data

@@ -4,24 +4,25 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import advection as adv
-from repro.core.boundary import fill_halo_x, fill_halo_y
+from repro.core.boundary import fill_table
 from repro.core.grid import make_grid
 from repro.core.limiter import koren
 
 
+def _fill(arr, g, name):
+    fill_table(g, [name], [arr]).copy([arr])
+
+
 def _fill_c(arr, g):
-    fill_halo_x(arr, g, staggered=False)
-    fill_halo_y(arr, g, staggered=False)
+    _fill(arr, g, "rho")
 
 
 def _fill_u(arr, g):
-    fill_halo_x(arr, g, staggered=True)
-    fill_halo_y(arr, g, staggered=False)
+    _fill(arr, g, "rhou")
 
 
 def _fill_v(arr, g):
-    fill_halo_x(arr, g, staggered=False)
-    fill_halo_y(arr, g, staggered=True)
+    _fill(arr, g, "rhov")
 
 
 @pytest.fixture

@@ -5,9 +5,8 @@ import pytest
 from repro.core.boundary import (
     RelaxationBC,
     apply_kinematic_surface,
-    fill_halo_x,
-    fill_halo_y,
     fill_halos_state,
+    fill_table,
     rayleigh_coefficient,
 )
 from repro.core.grid import make_grid, bell_mountain
@@ -16,11 +15,16 @@ from repro.core.state import state_from_reference
 from repro.workloads.sounding import constant_stability_sounding
 
 
+def _fill(arr, g, name):
+    """The single-domain fill of one array, staggered as ``name`` is."""
+    fill_table(g, [name], [arr]).copy([arr])
+
+
 def test_periodic_fill_centered(small_grid):
     g = small_grid
     r = np.random.default_rng(0)
     arr = r.normal(size=g.shape_c)
-    fill_halo_x(arr, g, staggered=False)
+    _fill(arr, g, "rho")
     h, nx = g.halo, g.nx
     np.testing.assert_array_equal(arr[:h], arr[nx : nx + h])
     np.testing.assert_array_equal(arr[nx + h :], arr[h : 2 * h])
@@ -30,7 +34,7 @@ def test_periodic_fill_staggered_seam(small_grid):
     g = small_grid
     r = np.random.default_rng(1)
     arr = r.normal(size=g.shape_u)
-    fill_halo_x(arr, g, staggered=True)
+    _fill(arr, g, "rhou")
     h, nx = g.halo, g.nx
     # the two images of the seam face agree exactly
     np.testing.assert_array_equal(arr[h + nx], arr[h])
@@ -41,7 +45,7 @@ def test_periodic_fill_staggered_seam(small_grid):
 def test_open_fill_zero_gradient():
     g = make_grid(8, 8, 4, 100.0, 100.0, 4000.0, periodic_x=False, periodic_y=True)
     arr = np.arange(np.prod(g.shape_c), dtype=float).reshape(g.shape_c)
-    fill_halo_x(arr, g, staggered=False)
+    _fill(arr, g, "rho")
     h = g.halo
     np.testing.assert_array_equal(arr[0], arr[h])
     np.testing.assert_array_equal(arr[-1], arr[h + g.nx - 1])

@@ -9,7 +9,7 @@ from repro.core import (
     make_grid,
     make_reference_state,
 )
-from repro.core.boundary import fill_halo_x, fill_halo_y
+from repro.core.boundary import fill_table
 from repro.core.diffusion import (
     hyperdiffusion_c,
     surface_drag_tendency,
@@ -19,8 +19,7 @@ from repro.workloads.sounding import constant_stability_sounding
 
 
 def _fill(arr, g):
-    fill_halo_x(arr, g, False)
-    fill_halo_y(arr, g, False)
+    fill_table(g, ["rho"], [arr]).copy([arr])
 
 
 def test_hyperdiffusion_kills_checkerboard(small_grid):

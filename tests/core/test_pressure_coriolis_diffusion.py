@@ -162,12 +162,11 @@ def test_diffusion_damps_extrema(small_grid):
     g = small_grid
     r = np.random.default_rng(2)
     phi = r.normal(size=g.shape_c)
-    from repro.core.boundary import fill_halo_x, fill_halo_y
+    from repro.core.boundary import fill_table
 
     var0 = g.interior(phi).var()
     for _ in range(10):
-        fill_halo_x(phi, g, False)
-        fill_halo_y(phi, g, False)
+        fill_table(g, ["rho"], [phi]).copy([phi])
         lap = horizontal_laplacian_c(phi, g)
         sx, sy = g.isl
         phi[sx, sy] += 0.2 * g.dx ** 2 * lap[sx, sy] / 4.0

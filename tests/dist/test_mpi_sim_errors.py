@@ -1,12 +1,25 @@
-"""Error paths and telemetry of the simulated communicator — previously
-unexercised (duplicate post, collect of a never-posted message,
-out-of-range ranks), plus the typed per-pair stats and the
-session-gated message log."""
-import numpy as np
+"""Error paths and telemetry of the simulated transport: a communicator
+needs ranks and an exchanger needs one subdomain per rank, plus the typed
+per-pair stats and the session-gated message log of an exchange."""
 import pytest
 
+from repro.core.grid import make_grid
+from repro.core.reference import make_reference_state
+from repro.core.state import state_from_reference
+from repro.dist.decomposition import Topology, decompose
+from repro.dist.halo import HaloExchanger
 from repro.dist.mpi_sim import SimComm
+from repro.dist.multigpu import MultiGpuAsuca
 from repro.obs import TraceSession, use_session
+from repro.workloads.sounding import constant_stability_sounding
+
+
+def _machine(px, py, periodic):
+    g = make_grid(nx=12, ny=9, nz=4, dx=500.0, dy=500.0, ztop=4000.0,
+                  periodic_x=periodic, periodic_y=periodic)
+    ref = make_reference_state(g, constant_stability_sounding())
+    machine = MultiGpuAsuca(g, ref, px, py)
+    return g, machine, machine.scatter_state(state_from_reference(g, ref))
 
 
 def test_needs_at_least_one_rank():
@@ -14,57 +27,44 @@ def test_needs_at_least_one_rank():
         SimComm(0)
 
 
-def test_duplicate_post_raises():
-    comm = SimComm(2)
-    buf = np.zeros(4)
-    comm.post(0, 1, "halo", buf)
-    with pytest.raises(RuntimeError, match="duplicate message"):
-        comm.post(0, 1, "halo", buf)
-
-
-def test_collect_never_posted_raises():
-    comm = SimComm(2)
-    with pytest.raises(RuntimeError, match="nothing was posted"):
-        comm.collect(0, 1, "missing")
-
-
 def test_out_of_range_ranks_raise():
-    comm = SimComm(2)
-    buf = np.zeros(4)
-    with pytest.raises(ValueError, match="out of range"):
-        comm.post(2, 0, "t", buf)
-    with pytest.raises(ValueError, match="out of range"):
-        comm.post(0, -1, "t", buf)
+    subs = decompose(12, 9, 2, 2)
+    topo = Topology(2, 2, True, True)
+    for n_ranks in (2, 5):
+        with pytest.raises(ValueError, match="out of range"):
+            HaloExchanger(SimComm(n_ranks), subs, topo)
 
 
 def test_by_pair_typed_and_per_pair_report():
-    comm = SimComm(3)
-    comm.post(0, 1, "a", np.zeros(4))
-    comm.post(1, 2, "b", np.zeros(8))
-    comm.collect(0, 1, "a")
-    comm.collect(1, 2, "b")
-    stats = comm.stats
+    """3 x 1 open ranks: x strips between neighbours only, no y strips."""
+    g, machine, states = _machine(3, 1, periodic=False)
+    machine.exchange_all(states, ["rho"])
+    stats = machine.comm.stats
     assert all(isinstance(k, tuple) and len(k) == 2
                and all(isinstance(r, int) for r in k)
                for k in stats.by_pair)
-    assert stats.by_pair[(0, 1)] == 32
-    assert stats.by_pair[(1, 2)] == 64
+    strip = g.halo * (g.ny + 2 * g.halo) * g.nz * 8
+    assert stats.by_pair == {(0, 1): strip, (1, 0): strip, (1, 2): strip,
+                             (2, 1): strip}
     rep = stats.per_pair_report()
-    assert "0 -> 1: 32 B" in rep
-    assert "1 -> 2: 64 B" in rep
+    assert f"0 -> 1: {strip:,} B" in rep
+    assert f"2 -> 1: {strip:,} B" in rep
     assert SimComm(2).stats.per_pair_report() == "(no traffic)"
 
 
 def test_message_log_gated_on_active_session():
-    comm = SimComm(2)
-    comm.post(0, 1, "quiet", np.zeros(4))
-    comm.collect(0, 1, "quiet")
+    _, machine, states = _machine(3, 1, periodic=False)
+    comm = machine.comm
+    machine.exchange_all(states, ["rho"])
     assert comm.message_log == []  # zero-cost when not tracing
 
     with use_session(TraceSession("t")):
-        comm.post(0, 1, "loud", np.zeros(4))
-        comm.collect(0, 1, "loud")
-    assert len(comm.message_log) == 1
-    rec = comm.message_log[0]
-    assert (rec.src, rec.dst, rec.tag, rec.nbytes) == (0, 1, "loud", 32)
-    assert rec.t_collect is not None and rec.t_collect >= rec.t_post
+        machine.exchange_all(states, ["rho"])
+    log = comm.message_log
+    # posted by sender, toward +x first; one exchange point, one stamp pair
+    assert [(r.seq, r.src, r.dst, r.tag) for r in log] == [
+        (0, 0, 1, ("rho", 0, "+")), (1, 1, 2, ("rho", 0, "+")),
+        (2, 1, 0, ("rho", 0, "-")), (3, 2, 1, ("rho", 0, "-"))]
+    assert {r.nbytes for r in log} == {comm.stats.bytes_total // 8}
+    assert len({(r.t_post, r.t_collect) for r in log}) == 1
+    assert log[0].t_collect is not None and log[0].t_collect >= log[0].t_post

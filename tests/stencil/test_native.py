@@ -1078,15 +1078,18 @@ def test_a_reordered_acoustic_body_is_rejected_at_load(body, old, new,
     ("kessler.c", "kessler step", "const double tb = rt[k] * pi - a->tb;",
      "const double tb = rt[k] * (pi - a->tb / rt[k]);"),
     ("kessler.c", "kessler step", "nan |= vt != vt;", ""),
-    ("halo.c", "halo fill",
-     "memmove(a + (h + n) * unit, a + h * unit, unit);", "")])
+    ("halo.c", "halo fill", "memmove(dst + i * d[6] + j * d[9],",
+     "memmove(dst + i * d[6],"),
+    ("halo.c", "halo strips", "const char *src = fields[d[1]] + d[4];",
+     "const char *src = fields[d[0]] + d[4];")])
 def test_a_changed_step_body_is_rejected_at_load(source, body, old, new,
                                                  tmp_path, monkeypatch):
     """Another order of operations rounds differently, a fall speed whose
-    NaN is dropped lets the rain fall in more sub-steps, and a staggered
-    halo without its seam copy differs at the seam: the load-time battery
-    reaches the operator, the linearization, the warm rain and the halo
-    fill each on its own."""
+    NaN is dropped lets the rain fall in more sub-steps, a zero-gradient
+    edge that forgets its inner stride fills one halo cell, and a strip
+    read from the receiving rank's own field is not its neighbour's: the
+    load-time battery reaches the operator, the linearization, the warm
+    rain, the halo fill and the decomposed exchange each on its own."""
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
     sources = native.read_sources()
     assert old in sources[source]

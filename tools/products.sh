@@ -72,6 +72,28 @@ z = zipfile.ZipFile(sorted(glob.glob(sys.argv[1] + "/ckpt-*.npz"))[-1])
 assert z.testzip() is None, z.infolist()
 assert all(i.compress_type == zipfile.ZIP_STORED for i in z.infolist()), z.infolist()
 PY
+step "transport faults are accounting: a recovered 2x2 real case gathers the fault-free fields, with and without a compiler"
+for cc in present absent; do
+  cc_env=(); if [ "$cc" = absent ]; then cc_env=(CC=/bin/false); fi
+  env "${cc_env[@]}" python - > "$out/faults-$cc.txt" <<'PY'
+import hashlib
+from repro.api import Experiment, RunSpec
+from repro.resilience.faults import FaultPlan
+
+def run(faults):
+    res = Experiment(RunSpec("real-case", nx=16, ny=16, nz=8, steps=3,
+                             ranks=(2, 2), faults=faults)).prepare().run()
+    digest = hashlib.sha256()
+    for name in res.state.prognostic_names():
+        digest.update(res.state.get(name).tobytes())
+    return digest.hexdigest(), res.retry_stats
+
+clean, _ = run(None)
+faulty, stats = run(FaultPlan.parse("drop@1,corrupt@1,delay@1"))
+print("fields", clean, faulty, "retries", stats.retries)
+assert faulty == clean and stats.retries > 0, (clean, faulty, stats)
+PY
+done
 
 # ---------------------------------------------------------------- analysis
 step "asuca-lint, the dataflow pass with its SARIF export, sanitized smoke runs"
