@@ -16,14 +16,10 @@ finding format:
   and occupancy-valid launch configurations (AST), plus probe-verified
   stencil halo declarations (LINT03 runs each kernel against its
   ``@stencil`` declaration instead of guessing from slices);
-* **dataflow** (:mod:`repro.analysis.dataflow` over the step graph of
-  :mod:`repro.analysis.stepgraph`) — whole-program def/use analysis of
-  the model step loop: stale-halo reads per topology axis (LINT04),
-  read-before-first-write (LINT05), dead stores (LINT06),
-  fused-implementation drift from the ``@stencil`` declaration
-  (LINT07), and float64 upcasts in dtype-preserving paths (LINT08),
-  gated by inline allow-comments and the checked-in
-  ``analysis/baseline.json``.
+* **dataflow** (:mod:`repro.analysis.dataflow`) — stale-halo reads and
+  dead dispatches found by running the real drivers under differential
+  halo poisoning (:mod:`repro.analysis.poison`), fusion drift and float64
+  upcasts found by reading; gated by allow-comments and a baseline file.
 
 ``repro analyze`` (the CLI) runs them all and can export the combined
 report as SARIF 2.1.0 (:mod:`repro.analysis.sarif`);
@@ -37,7 +33,7 @@ from .driver import (
     sanitized_gpu_smoke,
     sanitized_multigpu_smoke,
 )
-from .dataflow import dataflow_pass, graph_findings
+from .dataflow import dataflow_pass
 from .lint import lint_launches, lint_paths, lint_stencils
 from .memcheck import MemcheckTracker, memcheck_session
 from .racecheck import (
@@ -47,13 +43,11 @@ from .racecheck import (
     racecheck_ops,
 )
 from .sarif import to_sarif, write_sarif
-from .stepgraph import StepGraph, build_step_graph
 
 __all__ = [
     "CODES", "Finding", "Report", "codes_table",
     "lint_launches", "lint_pass", "lint_paths", "lint_stencils",
-    "dataflow_pass", "graph_findings",
-    "StepGraph", "build_step_graph",
+    "dataflow_pass",
     "racecheck_overlap_methods", "run_all",
     "sanitized_gpu_smoke", "sanitized_multigpu_smoke",
     "MemcheckTracker", "memcheck_session",

@@ -1,34 +1,10 @@
-"""Whole-program dataflow passes over the step graph (LINT04–LINT08).
-
-The step graph (:mod:`repro.analysis.stepgraph`) linearizes one model
-step — kernel invocations, halo exchanges, and the derivations between
-them — trusting the ``@stencil`` declarations for per-kernel reads,
-writes, and halo widths.  Five passes interpret that sequence:
-
-* ``LINT04`` **stale-halo read** — simulate per-axis halo staleness
-  through the step: an interior write (kernel, physics, subscript store)
-  dirties a field's halos on both topology axes; an exchange cleans the
-  axes it covers; a ``halo > 0`` kernel that then reads a still-dirty
-  field (directly or through a derived temporary) consumes a neighbor's
-  stale cells.  The sequence is simulated twice so staleness that
-  survives a whole step is caught at the *next* step's first reader —
-  the cyclic case a one-pass scan misses.
-* ``LINT05`` **read before first write** — a local consumed before any
-  binding on the walked path (collected during graph construction).
-* ``LINT06`` **dead store** — a killing definition (full rebind) whose
-  value is overwritten, on an always-reached branch, before any read.
-* ``LINT07`` **fusion legality** — every ``register_fused``
-  implementation must match its declaration: the reference signature
-  plus the leading ``plans``, and no stores into read-only roles.
-* ``LINT08`` **precision flow** — under ``dtype_policy='preserve'``
-  (the paper's single-precision design point, Sec. IV) neither the
-  reference kernel nor an unguarded backend implementation may upcast:
-  float64 allocations, ``dtype=np.float64``, ``.astype(np.float64)``.
-
-Suppression is the shared inline convention
+"""The dataflow pass: stale-halo reads (LINT04) and dead dispatches
+(LINT06) found by running (:mod:`repro.analysis.poison`); compiled entries
+that drift from their declaration (LINT07) or upcast under
+``dtype_policy='preserve'`` (LINT08, the paper's single-precision design
+point) found by reading.  Suppression is the shared inline convention
 (``# sanitizer: allow[LINTnn] why``) plus a checked-in *baseline* file
-(:data:`DEFAULT_BASELINE`) for findings that cannot carry an inline
-comment; stale baseline entries are reported as ``SUPP01`` warnings.
+(:data:`DEFAULT_BASELINE`); a stale baseline entry is a ``SUPP01`` warning.
 """
 from __future__ import annotations
 
@@ -38,178 +14,18 @@ import json
 import textwrap
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Callable, Mapping
 
 from .findings import Finding, origin_suppressed
-from .stepgraph import (
-    PROGNOSTIC_FIELDS,
-    Node,
-    StepGraph,
-    build_step_graph,
-)
 
 __all__ = [
     "DEFAULT_BASELINE", "BaselineEntry", "load_baseline", "apply_baseline",
-    "stale_halo_findings", "read_before_write_findings",
-    "dead_store_findings", "fusion_findings", "precision_findings",
-    "dataflow_pass",
+    "fusion_findings", "precision_findings", "dataflow_pass",
 ]
 
 #: the repo's checked-in baseline file (empty suppression list while the
 #: tree is clean — the schema is exercised by the tests)
 DEFAULT_BASELINE = Path(__file__).resolve().parent / "baseline.json"
-
-_AXIS_NAMES = {0: "x", 1: "y"}
-
-
-def _axis_label(axes: Iterable[int]) -> str:
-    return "/".join(_AXIS_NAMES.get(a, str(a)) for a in sorted(axes))
-
-
-def _is_field(name: str) -> bool:
-    """Tokens are scoped (``fn#3:x``); bare names are state fields."""
-    return ":" not in name
-
-
-# ------------------------------------------------------------------ LINT04
-def stale_halo_findings(graph: StepGraph) -> list[Finding]:
-    """Per-axis stale-halo simulation over the doubled step sequence."""
-    nodes = graph.nodes
-    doubled = list(nodes) + list(nodes)
-    stale: dict[str, set[int]] = {}
-    writer: dict[str, tuple[str, int]] = {}
-    seen: set[tuple[str, int, str]] = set()
-    findings: list[Finding] = []
-
-    for i, node in enumerate(doubled):
-        steady = i >= len(nodes)
-        if node.kind == "exchange":
-            covered = (node.exch_fields if node.exch_fields is not None
-                       else tuple(PROGNOSTIC_FIELDS))
-            for f in covered:
-                axes = stale.get(f)
-                if axes:
-                    axes.difference_update(node.axes)
-            continue
-        # reads are consumed before this node's writes land
-        if node.halo > 0:
-            for name in sorted(node.reads | node.fields):
-                axes = stale.get(name)
-                if not axes:
-                    continue
-                if not steady:
-                    continue  # warm-up pass: only establish steady state
-                display = name.split(":")[-1]
-                key = (node.file, node.line, display)
-                if key in seen:
-                    continue
-                seen.add(key)
-                src = writer.get(name)
-                where = f" (written at {src[0]}:{src[1]})" if src else ""
-                findings.append(Finding(
-                    code="LINT04",
-                    message=(f"kernel '{node.name}' (halo {node.halo}) "
-                             f"reads '{display}' whose "
-                             f"{_axis_label(axes)}-axis halos are stale"
-                             f"{where} — no exchange since the last "
-                             f"interior write"),
-                    file=node.file, line=node.line,
-                    suggestion="exchange the field (on the stale axes) "
-                               "before this kernel, or declare halo=0 if "
-                               "the kernel is pointwise",
-                ))
-        # taint: a derived value inherits the staleness of its inputs
-        taint: set[int] = set()
-        for r in node.reads | node.fields:
-            taint |= stale.get(r, set())
-        for w in node.writes:
-            if _is_field(w):
-                stale[w] = {0, 1}  # interior write dirties both axes
-                writer[w] = (node.file, node.line)
-            else:
-                stale[w] = set(taint)
-                if taint:
-                    writer[w] = (node.file, node.line)
-    return findings
-
-
-# ------------------------------------------------------------------ LINT05
-def read_before_write_findings(graph: StepGraph) -> list[Finding]:
-    findings = []
-    for name, file, line in graph.use_before_def:
-        findings.append(Finding(
-            code="LINT05",
-            message=(f"'{name}' is read before any write on the step "
-                     f"path — at step entry its value is undefined"),
-            file=file, line=line,
-            suggestion="initialize the value before the step loop or "
-                       "define it earlier in the sequence",
-        ))
-    return findings
-
-
-# ------------------------------------------------------------------ LINT06
-def _always_reaches(killer: Node, definition: Node) -> bool:
-    """True when the killer executes whenever the definition does: its
-    branch context is a prefix of the definition's."""
-    kb, db = killer.branch, definition.branch
-    return kb == db[:len(kb)]
-
-
-def _live_via_backedge(node: Node, token: str,
-                       nodes: list[Node]) -> bool:
-    """A definition inside a loop body is live when any node of the same
-    loop reads it — the walker unrolls loops once, so a loop-carried
-    value's consumer appears *earlier* in the linearized body."""
-    prefixes = [node.branch[:i + 1]
-                for i, seg in enumerate(node.branch)
-                if seg.startswith("loop@")]
-    if not prefixes:
-        return False
-    for other in nodes:
-        if token not in other.reads:
-            continue
-        for p in prefixes:
-            if other.branch[:len(p)] == p:
-                return True
-    return False
-
-
-def dead_store_findings(graph: StepGraph) -> list[Finding]:
-    nodes = graph.nodes
-    doubled = list(nodes) + list(nodes)
-    seen: set[tuple[str, int, str]] = set()
-    findings: list[Finding] = []
-    for i, node in enumerate(nodes):
-        for t in sorted(node.kills & node.writes):
-            verdict: tuple[str, int] | None = None
-            for later in doubled[i + 1:]:
-                if t in later.reads:
-                    break
-                if t in later.kills and _always_reaches(later, node):
-                    verdict = (later.file, later.line)
-                    break
-            else:
-                continue  # never overwritten: not a dead store
-            if verdict is None:
-                continue
-            if _live_via_backedge(node, t, nodes):
-                continue
-            display = t.split(":")[-1]
-            key = (node.file, node.line, display)
-            if key in seen:
-                continue
-            seen.add(key)
-            findings.append(Finding(
-                code="LINT06",
-                message=(f"dead store: '{display}' written here is "
-                         f"overwritten at {verdict[0]}:{verdict[1]} "
-                         f"before any read"),
-                file=node.file, line=node.line,
-                suggestion="drop the first write, or read it before the "
-                           "overwrite if the value was meant to be used",
-            ))
-    return findings
 
 
 # ------------------------------------------------------------------ LINT07
@@ -503,39 +319,26 @@ def apply_baseline(
 
 # --------------------------------------------------------------- the pass
 def _registry() -> dict[str, Any]:
-    from .stepgraph import _default_registry
+    from ..stencil import load_dycore_specs
+    from ..stencil.spec import REGISTRY
 
-    return _default_registry()
-
-
-def graph_findings(graph: StepGraph) -> list[Finding]:
-    """All per-graph passes (LINT04/05/06) on one step graph."""
-    return (stale_halo_findings(graph)
-            + read_before_write_findings(graph)
-            + dead_store_findings(graph))
+    load_dycore_specs()
+    return dict(REGISTRY)
 
 
 def dataflow_pass(
-    *,
-    registry: Mapping[str, Any] | None = None,
-    baseline: str | Path | None = None,
-) -> tuple[list[Finding], list[Finding], list[str]]:
-    """Run the full dataflow analysis; returns
-    ``(findings, suppressed, notes)``.
+    *, baseline: str | Path | None = None,
+) -> tuple[list[Finding], list[Finding]]:
+    """Run the full dataflow analysis; returns ``(findings, suppressed)``.
 
-    The graph passes run over the decomposed driver's step graph: both
-    drivers resume the same long-step body, and the single-domain one
-    only adds a fill to it, so whatever is stale there is stale here.
-
-    ``baseline`` is a path to the checked-in baseline file
-    (:data:`DEFAULT_BASELINE` when None; pass ``"none"`` to disable).
-    Inline ``# sanitizer: allow[...]`` comments are honored first, the
-    baseline second.
+    ``baseline`` is a path to a baseline file (:data:`DEFAULT_BASELINE`
+    when None; pass ``"none"`` to disable).  Inline
+    ``# sanitizer: allow[...]`` comments are honored first, the baseline
+    second.
     """
-    graph = build_step_graph("multigpu", registry=registry)
-    notes = list(graph.notes)
-    raw = (graph_findings(graph) + fusion_findings(specs=registry)
-           + precision_findings(specs=registry))
+    from .poison import poison_findings
+
+    raw = poison_findings() + fusion_findings() + precision_findings()
 
     findings: list[Finding] = []
     suppressed: list[Finding] = []
@@ -547,10 +350,8 @@ def dataflow_pass(
 
     if baseline != "none":
         path = DEFAULT_BASELINE if baseline is None else Path(baseline)
-        if Path(path).exists():
-            entries_ = load_baseline(path)
-            findings, base_supp, stale = apply_baseline(
-                findings, entries_, baseline_path=path)
-            suppressed.extend(base_supp)
-            findings.extend(stale)
-    return findings, suppressed, notes
+        findings, base_supp, stale = apply_baseline(
+            findings, load_baseline(path), baseline_path=path)
+        suppressed.extend(base_supp)
+        findings.extend(stale)
+    return findings, suppressed

@@ -12,10 +12,8 @@ real entry points.
 * :func:`sanitized_multigpu_smoke` — a decomposed run with per-rank
   virtual devices, each rank's timeline racechecked and the rank devices
   memchecked;
-* the whole-program dataflow pass
-  (:func:`repro.analysis.dataflow.dataflow_pass`) — the step graph built
-  from the model loop checked for stale halos, liveness, fusion drift,
-  and precision leaks (LINT04..LINT08);
+* :func:`repro.analysis.dataflow.dataflow_pass` — the real drivers under
+  differential halo poisoning, and the compiled entries read (LINT04..08);
 * :func:`run_all` — everything above folded into one :class:`Report`.
 
 The smoke helpers accept ``seed=...`` fault seeds so the test suite (and
@@ -156,21 +154,18 @@ def run_all(
     """Every pass, one report — the engine behind ``repro analyze``.
 
     ``baseline`` forwards to the dataflow pass (None = the checked-in
-    ``analysis/baseline.json``; ``"none"`` disables it).  The report
-    grows a ``notes`` attribute carrying the step-graph walker's
-    conservative-assumption notes.
+    ``analysis/baseline.json``; ``"none"`` disables it).
     """
     from .dataflow import dataflow_pass
 
     report = Report()
-    notes: list[str] = []
     if lint:
         root = Path(src_root) if src_root else Path(__file__).parents[1]
         found, suppressed = lint_pass(root)
         report.extend(found, passname="asuca-lint")
         report.suppressed.extend(suppressed)
     if dataflow:
-        found, suppressed, notes = dataflow_pass(baseline=baseline)
+        found, suppressed = dataflow_pass(baseline=baseline)
         report.extend(found, passname="dataflow")
         report.suppressed.extend(suppressed)
     if racecheck:
@@ -194,7 +189,6 @@ def run_all(
         root = Path(src_root) if src_root else Path(__file__).parents[1]
         report.extend(stale_suppressions([root], report, ran),
                       passname="suppressions")
-    report.notes = notes
     if session is not None:
         report.to_session(session)
     return report

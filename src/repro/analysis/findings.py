@@ -68,13 +68,10 @@ CODES: dict[str, CodeInfo] = {
                        "asuca-lint", "static"),
     "LINT03": CodeInfo("stencil reads wider than the declared halo",
                        "asuca-lint", "static"),
-    "LINT04": CodeInfo("stale-halo read: halo>0 kernel consumes a field "
-                       "written since the last exchange on that axis",
-                       "dataflow", "static"),
-    "LINT05": CodeInfo("read before first write in the step sequence",
-                       "dataflow", "static"),
-    "LINT06": CodeInfo("dead store: value overwritten before any read",
-                       "dataflow", "static"),
+    "LINT04": CodeInfo("stale-halo read: different poison in stale halos "
+                       "changes an interior byte", "dataflow", "static"),
+    "LINT06": CodeInfo("dead dispatch: poisoned outputs leave the returned "
+                       "state unchanged", "dataflow", "static"),
     "LINT07": CodeInfo("fused implementation drifts from its "
                        "stencil declaration", "dataflow", "static"),
     "LINT08": CodeInfo("float64 upcast in a dtype-preserving stencil path",
@@ -267,8 +264,6 @@ class Report:
     suppressed: list[Finding] = field(default_factory=list)
     #: pass names that ran, in order (e.g. ['asuca-lint', 'racecheck'])
     passes: list[str] = field(default_factory=list)
-    #: conservative-assumption notes from the dataflow step-graph walker
-    notes: list[str] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -298,7 +293,6 @@ class Report:
             "passes": self.passes,
             "findings": [f.as_dict() for f in self.findings],
             "suppressed": [f.as_dict() for f in self.suppressed],
-            "notes": self.notes,
             "ok": self.ok,
         }, indent=indent)
 

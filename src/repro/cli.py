@@ -175,9 +175,10 @@ def build_parser() -> argparse.ArgumentParser:
                     help="run the sanitized single-GPU and multi-GPU "
                          "smoke runs (memcheck + racecheck)")
     an.add_argument("--dataflow", action="store_true",
-                    help="run the whole-program dataflow pass (stale "
-                         "halos, liveness, fusion drift, precision flow) "
-                         "over the model step graph")
+                    help="run the dataflow pass: the real drivers under "
+                         "differential halo poisoning (stale halos, dead "
+                         "dispatches), plus fusion drift and precision "
+                         "flow")
     an.add_argument("--baseline", type=str, default=None, metavar="FILE",
                     help="dataflow baseline file (default the checked-in "
                          "analysis/baseline.json; 'none' disables it)")
@@ -576,6 +577,8 @@ def _cmd_bench(args) -> int:
 # ------------------------------------------------------------------ analyze
 def _cmd_analyze(args) -> int:
     """Drive :func:`repro.analysis.run_all` and gate on its findings."""
+    from pathlib import Path
+
     from .analysis import codes_table, run_all, write_sarif
     from .api import parse_ranks
 
@@ -590,6 +593,11 @@ def _cmd_analyze(args) -> int:
     if not (sel_lint or sel_race or sel_smoke or sel_flow):
         sel_lint = sel_race = sel_smoke = sel_flow = True
     px, py = parse_ranks(args.ranks)
+    if args.baseline not in (None, "none") and \
+            not Path(args.baseline).is_file():
+        print(f"analyze: baseline file {args.baseline} does not exist",
+              file=sys.stderr)
+        return 2
 
     session = None
     if args.trace:
@@ -610,13 +618,9 @@ def _cmd_analyze(args) -> int:
         print(f"trace: {write_chrome_trace(session, args.trace)}",
               file=sys.stderr)
     if args.sarif:
-        from pathlib import Path
-
         path = write_sarif(report, args.sarif,
                            root=Path(__file__).resolve().parents[2])
         print(f"sarif: {path}", file=sys.stderr)
-    for note in report.notes:
-        print(f"note: {note}", file=sys.stderr)
     print(report.as_json() if args.json else report.text())
     return report.exit_status()
 

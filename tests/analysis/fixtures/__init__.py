@@ -1,6 +1,7 @@
-"""Seeded-bug fixtures for the dataflow analyzer.
+"""Seeded-bug fixtures for the dataflow pass's source-reading checks.
 
-Each module plants exactly one bug per check (LINT04..LINT08) at a known
-``file:line``; tests/analysis/test_dataflow.py asserts each fires exactly
-once at that location — the analyzer's own regression harness.
+``backend_bugs`` plants exactly one bug per check (LINT07, LINT08) at a
+known ``file:line``; tests/analysis/test_dataflow.py asserts each fires
+exactly once at that location.  The running checks (LINT04, LINT06) plant
+theirs as patched drivers in the tests themselves.
 """

@@ -25,7 +25,7 @@ def make_report():
     ], passname="dataflow")
     inline = Finding(code="LINT06", message="dead store",
                      file="/repo/src/y.py", line=3)
-    external = Finding(code="LINT05", message="read before write",
+    external = Finding(code="LINT07", message="fused impl drift",
                        file="/repo/src/z.py", line=9)
     external._suppressed_via = "baseline"
     r.suppressed += [inline, external]
@@ -77,8 +77,8 @@ def test_suppressed_findings_are_marked_not_dropped():
     results = doc["runs"][0]["results"]
     lint06 = next(r for r in results if r["ruleId"] == "LINT06")
     assert lint06["suppressions"][0]["kind"] == "inSource"
-    lint05 = next(r for r in results if r["ruleId"] == "LINT05")
-    assert lint05["suppressions"][0]["kind"] == "external"
+    lint07 = next(r for r in results if r["ruleId"] == "LINT07")
+    assert lint07["suppressions"][0]["kind"] == "external"
     live = [r for r in results if "suppressions" not in r]
     assert {r["ruleId"] for r in live} == {"LINT04", "RACE01", "SUPP01"}
 

@@ -103,6 +103,17 @@ repro analyze --racecheck --smoke --ranks 2x2 --steps 2
 step "the racecheck gate has teeth: a schedule minus its corner edge must fail"
 fires repro analyze --racecheck --seed-hazard missing-event > "$out/racecheck-seeded.txt"
 grep -q RACE01 "$out/racecheck-seeded.txt"
+step "the stale-halo gate has teeth: a 2x2 driver whose substep drops rhov must give exactly one LINT04"
+python - > "$out/dataflow-seeded.txt" <<'PY'
+from repro.analysis.poison import Config, poison_findings
+from repro.core.acoustic import AcousticStepper
+
+substep = AcousticStepper.substep
+AcousticStepper.substep = lambda self: [n for n in substep(self) if n != "rhov"]
+found = poison_findings([Config((2, 2), (False, False))])
+print("\n".join(f.text() for f in found))
+assert [f.code for f in found] == ["LINT04"], found
+PY
 step "the sanitizer stays clean: every pass"
 repro analyze
 

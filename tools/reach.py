@@ -47,6 +47,7 @@ REASONS = {
     "measure": "a measuring helper of a behavioural test",
     "bench": "bench/ uses it",
     "abstract": "an abstract base method, overridden by every subclass",
+    "hook": "the interpreter calls it as a trace hook, which no recorder sees",
 }
 CLASSES = ("products", "tests only", "nothing")
 
