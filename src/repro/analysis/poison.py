@@ -4,8 +4,9 @@ Each :data:`MATRIX` configuration runs a real driver for two long steps,
 twice, with different poison in every stale halo ring: an interior byte
 that differs between the runs, or a run that raises, is a stale-halo read.
 A dispatch site whose outputs can be poisoned without changing the
-returned state is dead.  docs/ANALYSIS.md has the rules; paths that do not
-run are not checked.
+returned state is dead.  The runs that locate a finding take the oracles,
+whose dispatches name the kernel.  docs/ANALYSIS.md has the rules; paths
+that do not run are not checked.
 """
 from __future__ import annotations
 
@@ -28,6 +29,7 @@ from ..core.state import State
 from ..dist.decomposition import Topology, decompose
 from ..dist.multigpu import MultiGpuAsuca
 from ..physics.surface import SurfaceConfig
+from ..stencil import native
 from ..stencil.executor import StencilExecutor, use_executor
 from ..stencil.spec import REGISTRY
 from ..workloads.icnoise import apply_ic_noise
@@ -288,13 +290,16 @@ def stale_findings(cfg: Config) -> list[Finding]:
     runs = _pair(cfg, (0, 1))
     if runs is None:
         return []
-    by_axis = {axis: _pair(cfg, (axis,)) for axis in (0, 1)}
-    axes = [axis for axis, found in by_axis.items() if found] or [0, 1]
-    a, b = by_axis[axes[0]] or runs
-    where = _where(a, b, "dispatch")
-    if where is None:
-        a, b = _pair(cfg, axes, locate=True) or (a, b)
-        where = _where(a, b, "line")
+    # the locating runs take the oracles: a compiled RK stage is one call,
+    # so it makes no dispatch whose output could name the kernel
+    with native.using(None):
+        by_axis = {axis: _pair(cfg, (axis,)) for axis in (0, 1)}
+        axes = [axis for axis, found in by_axis.items() if found] or [0, 1]
+        a, b = by_axis[axes[0]] or _pair(cfg, (0, 1)) or runs
+        where = _where(a, b, "dispatch")
+        if where is None:
+            a, b = _pair(cfg, axes, locate=True) or (a, b)
+            where = _where(a, b, "line")
     error = a.error or b.error
     if where is None:   # nothing differs before the raise: locate that
         where = ("line", *(traceback.extract_tb(error.__traceback__)[-1][:2]

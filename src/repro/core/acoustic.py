@@ -38,7 +38,7 @@ from .advection import MetricFlux, contravariant_mass_flux_w
 from .grid import Grid
 from ..obs.trace import span
 from ..stencil import native
-from ..stencil.plan import Recent
+from ..stencil.plan import PlanCache, Recent
 from .helmholtz import HelmholtzOperator, helmholtz_brackets
 from .pressure import eos_pressure, linearization_coefficient
 from .reference import ReferenceState
@@ -46,7 +46,8 @@ from .state import State
 
 __all__ = ["AcousticContext", "AcousticGeometry", "SlowForcing",
            "AcousticScratch", "SubstepBinding", "AcousticStepper",
-           "build_context", "interior_scratch", "ACOUSTIC_FIELDS"]
+           "build_context", "interior_scratch", "thread_scratch",
+           "ACOUSTIC_FIELDS"]
 
 
 class AcousticGeometry:
@@ -224,8 +225,9 @@ class AcousticScratch:
     and shared by all steppers on that shape (a substep runs to
     completion, so nothing here is live between substeps; the
     divergence-damping history ``pp`` and the stage's ``dws`` are the
-    stepper's for that reason).  Float64 like the grid metrics every chain
-    runs through."""
+    stepper's for that reason), and the compiled slow stage's
+    (:class:`~repro.core.rk3.StageBinding`: it runs before a stage's first
+    substep).  Float64 like the grid metrics every chain runs through."""
 
     def __init__(self, nx: int, ny: int, nz: int, halo: int, terrain: bool):
         def buf(shape, count):
@@ -246,12 +248,23 @@ class AcousticScratch:
         self.rhs = np.zeros((nxh, nyh, nz - 1))
         #: the compiled substep's columns and its Thomas block, in turn
         self.col = np.empty(THOMAS_BLOCK * (nz + 1))
+        #: the slow stage's velocities at the u and v faces (its w, fz and
+        #: theta or q / rho go on w[0], w[1] and c[0]) and advection rows
+        self.u = np.empty((nxh + 1, nyh, nz))
+        self.v = np.empty((nxh, nyh + 1, nz))
+        self.arena = np.zeros(5 * (nyh + 1) * (nz + 1))
 
 
 #: per thread and bounded like the stencil plans: scratch owned by every
 #: integrator would linger in each finished Experiment until the collector
 #: runs
 _SCRATCH = Recent(AcousticScratch)
+
+
+def thread_scratch(geom: AcousticGeometry) -> AcousticScratch:
+    """This thread's :class:`AcousticScratch` for ``geom``'s grid."""
+    g = geom.grid
+    return _SCRATCH(g.nx, g.ny, g.nz, g.halo, geom.has_terrain)
 
 
 def interior_scratch(grid: Grid) -> list[np.ndarray]:
@@ -301,7 +314,7 @@ class SubstepBinding:
         g = geom.grid
         self.geom = geom
         self.lib = native.kernels(np.float64)
-        self.scratch = s = _SCRATCH(g.nx, g.ny, g.nz, g.halo, geom.has_terrain)
+        self.scratch = s = thread_scratch(geom)
         #: the struct and the call, else ``None``; ``unbound`` says why a
         #: loaded library could not take the operands
         self.args = self.substep = self.unbound = None
@@ -333,10 +346,8 @@ class SubstepBinding:
     def current(self, geom: AcousticGeometry) -> bool:
         """Bound for ``geom``, on this thread's scratch, with the library
         now in force."""
-        g = geom.grid
         return (self.geom is geom and self.lib is native.kernels(np.float64)
-                and self.scratch is _SCRATCH(g.nx, g.ny, g.nz, g.halo,
-                                             geom.has_terrain))
+                and self.scratch is thread_scratch(geom))
 
 
 class AcousticStepper:
@@ -635,9 +646,16 @@ def native_check(lib) -> str:
     substeps (the first has no damping history; the Thomas block is
     reached here, against :func:`~repro.core.tridiag.thomas_solve`) of one
     stage and one substep of a second stage on the same binding (its
-    operator the first stage's)."""
+    operator the first stage's); and the slow stage against
+    :func:`~repro.core.rk3.slow_tendencies`' NumPy text, a first stage
+    flat with the sponge and a later one on terrain with Coriolis, over
+    an active species, an idle one and one whose only nonzero byte is a
+    lone ``-0.0``."""
     from ..stencil.executor import StencilExecutor, use_executor
+    from .boundary import rayleigh_coefficient
     from .grid import make_grid
+    from .limiter import koren
+    from .rk3 import DynamicsConfig, StageBinding, slow_tendencies
 
     def hill(x, y):
         return 40.0 + 30.0 * np.sin(x / 90.0 + y)
@@ -700,4 +718,33 @@ def native_check(lib) -> str:
         for what, got in runs[False].items():
             if not all(map(native.same, got, runs[True][what])):
                 return f"{what}, {where} grid"
+        # the slow stage: flat with the sponge, terrain with Coriolis
+        lone = np.zeros(g.shape_c)
+        lone[4, 3, 2] = -0.0
+        base.q = {"qv": wave(g.shape_c, 0.9, 0.01), "qc": np.zeros(g.shape_c),
+                  "qr": lone}
+        cfg = DynamicsConfig(coriolis_f=1e-4 if terrain else 0.0)
+        sponge = None if terrain else rayleigh_coefficient(g, 600.0, 60.0)[1]
+        # the NumPy text runs on the bodies proved above (their oracles
+        # would cost 10 ms here), its advections on plans of its own (the
+        # process's plans are the runs')
+        text = StencilExecutor("fused")
+        text.plans = PlanCache()
+        idle = ["qc", "qr"] if terrain else None     # a later stage, a first
+        with native.using(lib), use_executor(text):
+            binding = StageBinding(geom)
+            (forcing, q_tend), (want, q_want) = (slow_tendencies(
+                base, None, cfg, koren, sponge, None, geom.metric_flux, idle,
+                b) for b in (binding, None))
+        if binding.args is None or not all(map(
+                native.same, _forcing(forcing), _forcing(want))) \
+                or [t is None for t in q_tend.values()] != [
+                    t is None for t in q_want.values()] \
+                or not all(t is None or native.same(t, q_want[n])
+                           for n, t in q_tend.items()):
+            return f"slow stage, {where} grid"
     return ""
+
+
+def _forcing(f: SlowForcing) -> tuple:
+    return (f.r_u, f.r_v, f.r_w, f.r_theta, f.fx_s, f.fy_s, f.w_s, f.m_s)

@@ -3,11 +3,15 @@
 The long time step (paper Fig. 1) evaluates the slow tendencies — advection
 of momentum, density-weighted potential temperature and water substances,
 Coriolis force, diffusion, sponge damping — three times (RK3 stages dt/3,
-dt/2, dt), and inside each stage integrates the fast modes acoustically
-from the long-step start (:mod:`repro.core.acoustic`).
+dt/2, dt; one compiled call a stage where a library is loaded,
+:class:`StageBinding`), and inside each stage integrates the fast modes
+acoustically from the long-step start (:mod:`repro.core.acoustic`).
 """
 from __future__ import annotations
 
+import ctypes
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +24,7 @@ from .acoustic import (
     SlowForcing,
     SubstepBinding,
     build_context,
+    thread_scratch,
 )
 from .boundary import rayleigh_coefficient
 from .coriolis import coriolis_tendencies
@@ -34,12 +39,14 @@ from .diffusion import (
 )
 from .grid import Grid
 from ..obs.trace import span
+from ..stencil import native
 from ..stencil.executor import active_executor
-from .limiter import Limiter, get_limiter
+from .limiter import Limiter, get_limiter, koren
 from .reference import ReferenceState
 from .state import State, zero_bits as _zero_bits
 
-__all__ = ["DynamicsConfig", "Rk3Integrator", "slow_tendencies"]
+__all__ = ["DynamicsConfig", "Rk3Integrator", "StageBinding",
+           "slow_tendencies"]
 
 
 @dataclass
@@ -67,7 +74,178 @@ class DynamicsConfig:
             raise ValueError("ns must be >= 1")
         if not 0.5 <= self.beta <= 1.0:
             raise ValueError("beta must be in [0.5, 1]")
+        # a bad damping coefficient would end in a NumericalBlowup blamed
+        # on a field; the compiled stage takes the sponge and f as given
+        for name in ("div_damp", "kdiff_h", "kdiff4_h", "kdiff_v", "drag_cd",
+                     "rayleigh_depth"):
+            value = getattr(self, name)
+            if not 0.0 <= value < float("inf"):
+                raise ValueError(f"{name} must be >= 0 and finite, got "
+                                 f"{value!r}")
+        if not self.rayleigh_tau > 0.0:
+            raise ValueError(f"rayleigh_tau must be > 0, got "
+                             f"{self.rayleigh_tau!r}")
+        if not math.isfinite(self.coriolis_f):
+            raise ValueError(f"coriolis_f must be finite, got "
+                             f"{self.coriolis_f!r}")
         get_limiter(self.limiter)  # validate early
+
+
+#: the species one compiled stage takes (csrc/acoustic.c's STAGE_MAXQ)
+STAGE_MAXQ = 8
+
+
+class _StageArgs(ctypes.Structure):
+    """``stage_args`` of stencil/csrc/acoustic.c, field for field."""
+
+    _fields_ = (
+        [(n, ctypes.c_long) for n in "nxh nyh nz h nx ny nq first".split()]
+        + [(n, ctypes.c_double) for n in "dx dy f".split()]
+        + [(n, ctypes.c_void_p) for n in (
+            "dz_c dz_f ray metric rho rhou rhov rhow rhotheta "
+            "r_u r_v r_w r_theta w_s m_s q idle u v w phi fz arena").split()])
+
+
+class StageBinding:
+    """What one integrator's RK stages keep on one thread, bound the first
+    time a stage runs there: where a verified library takes the grid, the
+    compiled ``slow_stage`` struct with every grid, metric-flux, sponge
+    and scratch address set (the thread's
+    :class:`~repro.core.acoustic.AcousticScratch`), and the one call a
+    stage makes (:meth:`run`).  A stage sets only its state, its species
+    and its fresh outputs.  It declines (a counted :class:`native.Unbound`
+    of ``"slow stages"``, and :func:`slow_tendencies`' NumPy text runs) for
+    a grid with ``nz < 4`` or ``halo < 2``, a non-Koren limiter,
+    diffusion or drag configured, more than :data:`STAGE_MAXQ` species,
+    and operands that are not contiguous float64 ndarrays of their shape.
+    :meth:`current` only on the thread whose scratch it holds, like
+    :class:`SubstepBinding`."""
+
+    def __init__(self, geom: AcousticGeometry):
+        g = geom.grid
+        self.geom = geom
+        self.lib = native.kernels(np.float64)
+        self.scratch = s = thread_scratch(geom)
+        #: the struct, else ``None``; ``unbound`` says why a loaded
+        #: library could not take the grid
+        self.args = self.unbound = None
+        if self.lib is None:
+            return
+        flux = geom.metric_flux
+        ptrs = (native.Unbound("nz", f"{g.nz} < 4") if g.nz < 4 else
+                native.Unbound("halo", f"{g.halo} < 2") if g.halo < 2 else
+                flux._unbound or native.pointers(np.float64, dict(
+                    dz_c=g.dz_c, dz_f=g.dz_f, u=s.u, v=s.v, w=s.w[0],
+                    phi=s.c[0], fz=s.w[1], arena=s.arena)))
+        if isinstance(ptrs, native.Unbound):
+            self.unbound = ptrs
+            return
+        #: the sponge the struct holds (checked against each call's)
+        self.rayleigh_w = None
+        #: the species' addresses (stage, base, tendency) and idle flags
+        self.table = np.zeros(3 * STAGE_MAXQ, np.uintp)
+        self.idle = np.zeros(STAGE_MAXQ, np.int64)
+        self.shapes = dict(rho=g.shape_c, rhou=g.shape_u, rhov=g.shape_v,
+                           rhow=g.shape_w, rhotheta=g.shape_c)
+        #: a stage's outputs (r_u r_v r_w r_theta w_s m_s), then one
+        #: tendency per species, are views of one fresh allocation a stage
+        #: (thirteen arrays read slower, for 6.6 MB less peak RSS at
+        #: 48x48x24): (start, end, shape) of each, in float64 elements
+        shapes = (g.shape_u, g.shape_v, g.shape_w, g.shape_c, g.shape_w,
+                  g.shape_w, *[g.shape_c] * STAGE_MAXQ)
+        ends = np.cumsum([0, *map(math.prod, shapes)]).tolist()
+        self.layout = list(zip(ends, ends[1:], shapes))
+        self.args = a = _StageArgs(
+            nxh=g.nxh, nyh=g.nyh, nz=g.nz, h=g.halo, nx=g.nx, ny=g.ny,
+            dx=g.dx, dy=g.dy, metric=ctypes.addressof(flux._args),
+            q=native.address(self.table), idle=native.address(self.idle))
+        for name, ptr in zip("dz_c dz_f u v w phi fz arena".split(), ptrs):
+            setattr(a, name, ptr)
+        self.call = functools.partial(self.lib.slow_stage, ctypes.byref(a))
+
+    def current(self, geom: AcousticGeometry) -> bool:
+        """Bound for ``geom``, on this thread's scratch, with the library
+        now in force."""
+        return (self.geom is geom and self.lib is native.kernels(np.float64)
+                and self.scratch is thread_scratch(geom))
+
+    def _config(self, cfg, limiter, rayleigh_w) -> "native.Unbound | None":
+        """Why the stage cannot run this configuration, else ``None`` (the
+        sponge and ``f`` set into the struct)."""
+        if limiter is not koren:
+            return native.Unbound("limiter", limiter.__name__)
+        if cfg.kdiff_h > 0.0 or cfg.kdiff4_h > 0.0 or cfg.kdiff_v > 0.0:
+            return native.Unbound("diffusion", "configured")
+        if cfg.drag_cd > 0.0:
+            return native.Unbound("drag", "configured")
+        if rayleigh_w is not self.rayleigh_w:
+            ptr = None
+            if rayleigh_w is not None:
+                ptr = native.pointers(np.float64, dict(rayleigh_w=rayleigh_w),
+                                      dict(rayleigh_w=(self.geom.grid.nz + 1,)))
+                if isinstance(ptr, native.Unbound):
+                    return ptr
+                ptr, = ptr
+            self.args.ray, self.rayleigh_w = ptr, rayleigh_w
+        self.args.f = cfg.coriolis_f
+        return None
+
+    def run(self, state: State, base: State | None, idle: list | None, cfg,
+            limiter, rayleigh_w
+            ) -> "tuple[SlowForcing, dict] | native.Unbound":
+        """:func:`slow_tendencies`' result in one call, crediting the active
+        executor with the advections it ran (compiled dispatches) and the
+        transports it skipped; or why not."""
+        why = self.unbound or self._config(cfg, limiter, rayleigh_w)
+        if why is not None:
+            return why
+        q = state.q
+        names = list(q)
+        nq = len(names)
+        if nq > STAGE_MAXQ:
+            return native.Unbound("q", f"{nq} species")
+        first = idle is None
+        base_q = q if base is None or not first else base.q
+        named = dict(rho=state.rho, rhou=state.rhou, rhov=state.rhov,
+                     rhow=state.rhow, rhotheta=state.rhotheta, **q)
+        if base_q is not q:
+            named.update((f"base {n}", base_q[n]) for n in names)
+        shapes = self.shapes
+        if not shapes.keys() >= named.keys():
+            shapes.update(dict.fromkeys(named.keys() - shapes.keys(),
+                                        self.geom.grid.shape_c))
+        ptrs = native.pointers(np.float64, named, shapes)
+        if isinstance(ptrs, native.Unbound):
+            return ptrs
+        layout = self.layout[:6 + nq]
+        block = np.empty(layout[-1][1])
+        at = native.address(block)
+        addresses = [at + 8 * lo for lo, _, _ in layout]
+        species = ptrs[5:5 + nq]
+        self.table[:3 * nq] = [*species, *(ptrs[5 + nq:] or species),
+                               *addresses[6:]]
+        self.idle[:nq] = [1] * nq if first else [n in idle for n in names]
+        a = self.args
+        a.rho, a.rhou, a.rhov, a.rhow, a.rhotheta = ptrs[:5]
+        a.r_u, a.r_v, a.r_w, a.r_theta, a.w_s, a.m_s = addresses[:6]
+        a.nq, a.first = nq, first
+        if self.call():
+            return native.Unbound("fluxes", "past the exact sum test")
+        skipped = dict(zip(names, self.idle[:nq].tolist()))
+        idle = [n for n in (names if first else idle) if skipped[n]]
+        active = nq - len(idle)
+        ex = active_executor()
+        ex.calls.update(advect_u=1, advect_v=1, advect_w=1,
+                        advect_scalar=1 + active)
+        ex.accelerated += 4 + active
+        ex.skip_transports(idle)
+        r_u, r_v, r_w, r_theta, w_s, m_s = (
+            block[lo:hi].reshape(shape) for lo, hi, shape in layout[:6])
+        forcing = SlowForcing(r_u, r_v, r_w, r_theta, state.rhou,
+                              state.rhov, w_s, m_s)
+        return forcing, {n: None if skipped[n] else
+                         block[lo:hi].reshape(shape)
+                         for n, (lo, hi, shape) in zip(names, layout[6:])}
 
 
 def slow_tendencies(
@@ -79,9 +257,15 @@ def slow_tendencies(
     base: State | None = None,
     metric_flux: adv.MetricFlux | None = None,
     idle: list[str] | None = None,
+    binding: StageBinding | None = None,
 ) -> tuple[SlowForcing, dict[str, np.ndarray | None]]:
     """Slow-mode forcings at the given (stage) state, plus moisture
-    advection tendencies.  Requires valid halos of width >= 2.
+    advection tendencies.  Requires valid halos of width >= 2.  One call of
+    csrc/acoustic.c's ``slow_stage`` where the integrator's
+    :class:`StageBinding` (``binding``) takes the stage, else the NumPy
+    below, its oracle: the same bytes, the same counts.  One
+    ``slow_tendencies`` phase span a stage, carrying ``active=``; the
+    NumPy text's own phases nest in it.
 
     ``base`` is the state the stage adds the tendencies to
     (:class:`AcousticStepper`'s; the stage state itself by default).  A
@@ -102,6 +286,24 @@ def slow_tendencies(
     are the stage state's own ``rhou`` / ``rhov``, not copies: nothing
     writes them before the stage ends.
     """
+    with span("slow_tendencies", cat="phase") as attrs:
+        out = None
+        if binding is not None and binding.lib is not None:
+            out = binding.run(state, base, idle, cfg, limiter, rayleigh_w)
+            if isinstance(out, native.Unbound):
+                native.unbound("slow stages", out)
+                out = None
+        if out is None:
+            out = _slow_numpy(state, ref, cfg, limiter, rayleigh_w, base,
+                              metric_flux, idle)
+        attrs["active"] = " ".join(n for n, t in out[1].items()
+                                   if t is not None)
+        return out
+
+
+def _slow_numpy(state, ref, cfg, limiter, rayleigh_w, base, metric_flux,
+                idle):
+    """:func:`slow_tendencies`' NumPy text (its oracle)."""
     g = state.grid
     if metric_flux is None:
         metric_flux = adv.MetricFlux(g)
@@ -197,9 +399,11 @@ class Rk3Integrator:
         self.limiter = get_limiter(cfg.limiter)
         #: grid-only operands of the acoustic substep and the metric flux
         self.geom = AcousticGeometry(grid, ref)
-        #: the substep's operands bound on the thread that last stepped
-        #: this integrator (a stage on another thread binds afresh)
+        #: the substep's and the slow stage's operands bound on the thread
+        #: that last stepped this integrator (a stage on another thread
+        #: binds afresh)
         self.binding: SubstepBinding | None = None
+        self.stage: StageBinding | None = None
         if cfg.rayleigh_depth > 0.0:
             _, ray_f = rayleigh_coefficient(grid, cfg.rayleigh_depth, cfg.rayleigh_tau)
             self.rayleigh_w: np.ndarray | None = ray_f
@@ -227,9 +431,11 @@ class Rk3Integrator:
         new = state
         idle = None
         for dts, nsub in self.stage_plan():
+            if self.stage is None or not self.stage.current(self.geom):
+                self.stage = StageBinding(self.geom)
             forcing, q_tend = slow_tendencies(
                 cur, self.ref, self.cfg, self.limiter, self.rayleigh_w, state,
-                self.geom.metric_flux, idle,
+                self.geom.metric_flux, idle, self.stage,
             )
             idle = [n for n, tend in q_tend.items() if tend is None]
             stepper = AcousticStepper(

@@ -439,14 +439,15 @@ def active_session() -> TraceSession | None:
 def span(name: str, *, cat: str = "host", pid: str = "host",
          tid: str = "main", **attrs):
     """Record the enclosed block as a span on the innermost active
-    session (a no-op — one list check — when none is active)."""
+    session (a no-op — one list check — when none is active).  The block
+    receives ``attrs``, the span's attributes, and may add to them."""
     if not _SESSIONS:
-        yield
+        yield attrs
         return
     session = _SESSIONS[-1]
     t0 = time.perf_counter()
     try:
-        yield
+        yield attrs
     finally:
         t1 = time.perf_counter()
         session.record_span(name, t0 - session.epoch, t1 - t0,

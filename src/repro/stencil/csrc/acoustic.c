@@ -2,15 +2,16 @@
  * call, acoustic_substep: pressure and horizontal momentum, the terrain
  * metric flux, the explicit continuity / thermodynamics with the Helmholtz
  * right-hand side, the Thomas solve and the implied update, so Python
- * crosses into C once a substep.  The metric flux (MetricFlux) is an entry
- * point of its own too; once a long step come the linearization
+ * crosses into C once a substep.  An RK stage's slow tendencies are one
+ * call too, slow_stage (repro/core/rk3.py).  The metric flux (MetricFlux)
+ * is an entry point of its own; once a long step come the linearization
  * (acoustic_context) and the operator assembly (acoustic_operator), and
  * state_velocities whenever State.velocities is asked.  Float64 like
  * AcousticScratch.  Every expression mirrors one ufunc call of the NumPy
  * oracle (AcousticStepper._substep_numpy, contravariant_mass_flux_w,
- * thomas_solve, build_context, HelmholtzOperator, State.velocities), in
- * its order, so the fields come out the same bytes; see advect.c for the
- * rules.
+ * thomas_solve, build_context, HelmholtzOperator, State.velocities,
+ * slow_tendencies), in its order, so the fields come out the same bytes;
+ * see advect.c for the rules.
  * Not cloned per ISA: these loops wait on memory, a 48x48x24 substep read
  * 1.40 / 1.49 / 1.57 ms as SSE2 / AVX2 / AVX-512, and three clones doubled
  * the build.
@@ -532,4 +533,186 @@ void state_velocities(long nxh, long nyh, long nz, const double *restrict rho,
     face_velocity(1, nxh, nyh * nz, rho, rhou, u);
     face_velocity(nxh, nyh, nz, rho, rhov, v);
     face_velocity(nxh * nyh, nz, 1, rho, rhow, w);
+}
+
+/* ---- one RK stage's slow tendencies (repro.core.rk3.slow_tendencies,
+ * StageBinding): the velocities, the metric flux fz, the inactive-species
+ * decision, the four advections of advect.c, the f-plane Coriolis force,
+ * the Rayleigh sponge on r_w, one advection per active species, w_s and
+ * the metric part m_s, so Python crosses into C once a stage.  The struct
+ * is repro.core.rk3._StageArgs, field for field: an integrator binds its
+ * grid, sponge and scratch once per thread, a stage its state, species
+ * and fresh outputs.  Float64, Koren, no diffusion or drag (StageBinding
+ * declines the rest). */
+#define STAGE_MAXQ 8            /* repro.core.rk3.STAGE_MAXQ */
+enum { ADV_SCALAR, ADV_U, ADV_V, ADV_W };   /* advect.c's variants */
+
+void advect_f64(int variant, const double *p, const double *fx,
+                const double *fy, const double *fz, double *out, long nyh,
+                long nz, long x0, long x1, long y0, long y1, double dx,
+                double dy, const double *dz, double *scratch);
+
+typedef struct {
+    long nxh, nyh, nz, h, nx, ny;
+    long nq;                    /* species this stage sees */
+    long first;                 /* no earlier stage: scan the base too */
+    double dx, dy;
+    double f;                   /* the f-plane parameter, 0: no Coriolis */
+    const double *dz_c, *dz_f;
+    const double *ray;          /* the sponge at w levels, NULL: none */
+    const metric_args *metric;
+    /* the stage state */
+    const double *rho, *rhou, *rhov, *rhow, *rhotheta;
+    /* the forcing, written whole */
+    double *r_u, *r_v, *r_w, *r_theta, *w_s, *m_s;
+    /* 3 nq addresses: the stage fields, the base fields, the tendencies */
+    double **q;
+    /* per species: in, 1 where it may be inactive; out, 1 where it was
+     * (its tendency is left unwritten) */
+    long *idle;
+    /* the thread's scratch: the velocities, theta or q / rho, fz and the
+     * advection's rows */
+    double *u, *v, *w, *phi, *fz, *arena;
+} stage_args;
+
+/* every byte of p[0, n) is zero (rk3's zero_bits: -0.0 is not) */
+static int zero_bits(const double *p, long n)
+{
+    unsigned long long acc = 0;
+    for (long i = 0; i < n; i++) {
+        unsigned long long b;
+        memcpy(&b, p + i, sizeof b);
+        acc |= b;
+    }
+    return acc == 0;
+}
+
+/* the oracle's guard on a skipped transport, isfinite(fx.sum() +
+ * fy.sum() + fz.sum()) and rho.min() > 0: 1 or 0, and -1 where every flux
+ * is finite but their magnitudes sum past 2^1021, so that whether NumPy's
+ * sum overflows is not decided here (below that bound no partial sum in
+ * any order can reach DBL_MAX) */
+static int stage_exact(const stage_args *restrict a)
+{
+    const long nc = a->nxh * a->nyh * a->nz;
+    const long n[3] = {nc + a->nyh * a->nz, nc + a->nxh * a->nz,
+                       nc + a->nxh * a->nyh};
+    const double *f[3] = {a->rhou, a->rhov, a->fz};
+    double s = 0.0;
+
+    for (int j = 0; j < 3; j++)
+        for (long i = 0; i < n[j]; i++) {
+            if (!isfinite(f[j][i]))
+                return 0;
+            s += fabs(f[j][i]);
+        }
+    for (long i = 0; i < nc; i++)
+        if (!(a->rho[i] > 0.0))
+            return 0;
+    return s < 0x1p1021 ? 1 : -1;
+}
+
+/* out = zeros, then advect.c's -div(F p) on the interior of one
+ * staggering (u faces run to h + nx inclusive, v faces to h + ny) */
+static void stage_advect(const stage_args *restrict a, int variant,
+                         const double *p, double *out, long n)
+{
+    memset(out, 0, n * sizeof *out);
+    advect_f64(variant, p, a->rhou, a->rhov, a->fz, out, a->nyh, a->nz,
+               a->h, a->h + a->nx + (variant == ADV_U), a->h,
+               a->h + a->ny + (variant == ADV_V), a->dx, a->dy,
+               variant == ADV_W ? a->dz_f : a->dz_c, a->arena);
+}
+
+/* repro.core.coriolis.coriolis_tendencies added to r_u and r_v: rhov
+ * averaged to the u faces 1..nxh-1 and rhou to the v faces 1..nyh-1 over
+ * four points, left to right; the edge faces add the oracle's +0.0 */
+static void stage_coriolis(const stage_args *restrict a)
+{
+    const long nxh = a->nxh, nyh = a->nyh, nz = a->nz;
+    const double f = a->f, nfv = -(0.5 * (f + f));
+    const double *ru = a->rhou, *rv = a->rhov;
+
+    for (long x = 0; x <= nxh; x++)
+        for (long j = 0; j < nyh; j++) {
+            double *o = a->r_u + (x * nyh + j) * nz;
+            if (x == 0 || x == nxh) {
+                for (long k = 0; k < nz; k++)
+                    o[k] = o[k] + 0.0;
+                continue;
+            }
+            const double *e = rv + (x * (nyh + 1) + j) * nz;
+            const double *w = e - (nyh + 1) * nz;
+            for (long k = 0; k < nz; k++)
+                o[k] = o[k] + f * (0.25 * (((e[k] + e[nz + k]) + w[k])
+                                           + w[nz + k]));
+        }
+    for (long x = 0; x < nxh; x++)
+        for (long j = 0; j <= nyh; j++) {
+            double *o = a->r_v + (x * (nyh + 1) + j) * nz;
+            if (j == 0 || j == nyh) {
+                for (long k = 0; k < nz; k++)
+                    o[k] = o[k] + 0.0;
+                continue;
+            }
+            const double *n = ru + (x * nyh + j) * nz, *s = n - nz;
+            const double *ne = n + nyh * nz, *se = s + nyh * nz;
+            for (long k = 0; k < nz; k++)
+                o[k] = o[k] + nfv * (0.25 * (((n[k] + ne[k]) + s[k])
+                                             + se[k]));
+        }
+}
+
+/* 0, or 1 where the guard could not be decided (nothing but scratch
+ * written: the caller runs the oracle) */
+int slow_stage(stage_args *restrict a)
+{
+    const long nxh = a->nxh, nyh = a->nyh, nz = a->nz, nq = a->nq;
+    const long nc = nxh * nyh * nz, nw = nc + nxh * nyh;
+    double **q = a->q;
+    long any = 0;
+
+    state_velocities(nxh, nyh, nz, a->rho, a->rhou, a->rhov, a->rhow, a->u,
+                     a->v, a->w);
+    acoustic_metric_flux(a->metric, 0, a->rhou, a->rhov, a->rhow, a->fz);
+    /* docs/STENCILS.md "Work that is skipped exactly" */
+    for (long n = 0; n < nq; n++) {
+        a->idle[n] = a->idle[n] && zero_bits(q[n], nc)
+            && (!a->first || q[nq + n] == q[n] || zero_bits(q[nq + n], nc));
+        any |= a->idle[n];
+    }
+    if (any) {
+        const int exact = stage_exact(a);
+        if (exact < 0)
+            return 1;
+        if (!exact)
+            for (long n = 0; n < nq; n++)
+                a->idle[n] = 0;
+    }
+    stage_advect(a, ADV_U, a->u, a->r_u, nc + nyh * nz);
+    stage_advect(a, ADV_V, a->v, a->r_v, nc + nxh * nz);
+    stage_advect(a, ADV_W, a->w, a->r_w, nw);
+    for (long i = 0; i < nc; i++)
+        a->phi[i] = a->rhotheta[i] / a->rho[i];
+    stage_advect(a, ADV_SCALAR, a->phi, a->r_theta, nc);
+    if (a->f != 0.0)
+        stage_coriolis(a);
+    if (a->ray)
+        for (long c = 0; c < nxh * nyh; c++)
+            for (long k = 0; k <= nz; k++) {
+                const long i = c * (nz + 1) + k;
+                a->r_w[i] = a->r_w[i] - a->ray[k] * a->rhow[i];
+            }
+    for (long n = 0; n < nq; n++) {
+        if (a->idle[n])
+            continue;
+        for (long i = 0; i < nc; i++)
+            a->phi[i] = q[n][i] / a->rho[i];
+        stage_advect(a, ADV_SCALAR, a->phi, q[2 * nq + n], nc);
+    }
+    memcpy(a->w_s, a->rhow, nw * sizeof *a->w_s);
+    for (long c = 0; c < nxh * nyh; c++)
+        a->w_s[c * (nz + 1)] = a->w_s[c * (nz + 1) + nz] = 0.0;
+    acoustic_metric_flux(a->metric, 0, a->rhou, a->rhov, 0, a->m_s);
+    return 0;
 }

@@ -2,8 +2,9 @@
 proved at load, never required.
 
 ``csrc/advect.c`` (the Koren sweep plus flux divergence, both float
-widths), ``csrc/acoustic.c`` (the HE-VI substep as one call, the
-linearization, the operator assembly and the velocities of a state),
+widths), ``csrc/acoustic.c`` (the HE-VI substep as one call, an RK
+stage's slow tendencies as one call, the linearization, the operator
+assembly and the velocities of a state),
 ``csrc/kessler.c`` (the C segments of the warm-rain body) and
 ``csrc/halo.c`` (the halo strip runner) become one shared object per
 *(sources, flags, compiler, machine)* hash in the user's cache directory,
@@ -83,9 +84,9 @@ class Native:
     build_s: float = 0.0
     load_s: float = 0.0
     #: ``faces`` / ``advect`` per width; f64 also has the one-call
-    #: ``substep``, ``metric_flux``, ``context``, ``operator``,
-    #: ``velocities``, ``kessler`` and ``halo_strips`` (byte copies: any
-    #: dtype)
+    #: ``substep`` and ``slow_stage``, ``metric_flux``, ``context``,
+    #: ``operator``, ``velocities``, ``kessler`` and ``halo_strips`` (byte
+    #: copies: any dtype)
     f64: SimpleNamespace | None = field(default=None, repr=False)
     f32: SimpleNamespace | None = field(default=None, repr=False)
 
@@ -122,7 +123,7 @@ class Unbound:
 
 
 def unbound(body: str, why: Unbound) -> None:
-    """Count one call of ``body`` (plural: ``"acoustic stages"``) that ran
+    """Count one call of ``body`` (plural: ``"slow stages"``) that ran
     on NumPy although a library is loaded (stepping threads count too)."""
     with _UNBOUND_LOCK:
         UNBOUND[body, f"{why.operand} {why.fact}"] += 1
@@ -264,6 +265,7 @@ def _bind(dll: ctypes.CDLL) -> dict:
                       *[_LONG] * 6, real, real, _PTR, _PTR))
     f64 = out["f64"]                                # acoustic.c: float64 only
     f64.substep = fn("acoustic_substep", _PTR)
+    f64.slow_stage = fn("slow_stage", _PTR, restype=ctypes.c_int)
     f64.velocities = fn("state_velocities", *[_LONG] * 3, *[_PTR] * 7)
     f64.metric_flux = fn("acoustic_metric_flux", _PTR, ctypes.c_int,
                          *[_PTR] * 4)

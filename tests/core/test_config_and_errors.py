@@ -23,6 +23,30 @@ def test_dynamics_config_validation():
         DynamicsConfig(limiter="nope")
 
 
+@pytest.mark.parametrize("field, value", [
+    ("rayleigh_tau", 0.0), ("rayleigh_tau", -60.0), ("rayleigh_tau", np.nan),
+    ("rayleigh_depth", -1.0), ("rayleigh_depth", np.inf),
+    ("div_damp", -0.1), ("kdiff_h", -1.0), ("kdiff4_h", -1.0),
+    ("kdiff_v", np.nan), ("drag_cd", -1e-3), ("coriolis_f", np.nan),
+    ("coriolis_f", np.inf)])
+def test_a_bad_damping_config_is_a_typed_error_naming_the_field(field,
+                                                                value):
+    """A sponge with tau = 0 is a field of NaN and inf rates, and a negative
+    damping or diffusion coefficient grows what it should damp: each would
+    end in a NumericalBlowup blamed on a field, long after the config was
+    accepted; a bad config is rejected at construction instead."""
+    kwargs = {field: value}
+    if field == "rayleigh_tau":
+        kwargs["rayleigh_depth"] = 1000.0
+    with pytest.raises(ValueError, match=field):
+        DynamicsConfig(**kwargs)
+
+
+def test_the_edges_of_the_valid_damping_config_are_accepted():
+    DynamicsConfig(rayleigh_depth=0.0, rayleigh_tau=np.inf, div_damp=0.0,
+                   coriolis_f=-1e-4)
+
+
 def test_stage_plan_structure():
     g = make_grid(8, 8, 6, 1000.0, 1000.0, 6000.0)
     ref = make_reference_state(g, constant_stability_sounding())

@@ -64,13 +64,17 @@ def test_model_phases_recorded():
         with use_session(s), native.using(lib):
             case.run(3)
         totals = span_totals(_phases(s))
-        # a compiled substep is one C call with no inner span
-        numpy_substep = lib is None or lib.f64 is None
-        for phase in ("advect_momentum", "advect_theta", "advect_moisture",
-                      "acoustic_substep", "physics_warm_rain",
-                      *["helmholtz_solve"] * numpy_substep):
+        # a compiled substep and a compiled stage are one C call each with
+        # no inner span; the NumPy text's phases nest in theirs
+        numpy_bodies = lib is None or lib.f64 is None
+        inner = ("helmholtz_solve", "advect_momentum", "advect_theta",
+                 "advect_moisture")
+        for phase in ("slow_tendencies", "acoustic_substep",
+                      "physics_warm_rain", *inner * numpy_bodies):
             assert totals[phase][0] > 0, phase
-        assert ("helmholtz_solve" in totals) == numpy_substep
+        for phase in inner:
+            assert (phase in totals) == numpy_bodies, phase
+        assert totals["slow_tendencies"][0] == 3 * 3
         # the long-step container is a span, but not a phase
         assert "dynamics_rk3" not in totals
         assert "dynamics_rk3" in span_totals(s.spans)

@@ -18,6 +18,7 @@ Where no C compiler exists only the tests that need a library skip, with
 the loader's own reason; the others (``CC=/nonexistent`` runs, the cache
 trust rules, the packaged sources) run everywhere.
 """
+import functools
 import hashlib
 import os
 import stat
@@ -26,6 +27,7 @@ import sys
 import textwrap
 from collections import Counter
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -34,15 +36,17 @@ from hypothesis import given, settings, strategies as st
 from repro.api import Experiment, RunSpec
 from repro.constants import WATER_SPECIES
 from repro.core import advection as adv
-from repro.core.acoustic import ACOUSTIC_FIELDS, AcousticStepper, build_context
-from repro.core.boundary import fill_halos_state
-from repro.core.grid import make_grid
+from repro.core.acoustic import (ACOUSTIC_FIELDS, AcousticGeometry,
+                                 AcousticStepper, build_context)
+from repro.core.boundary import fill_halos_state, rayleigh_coefficient
+from repro.core.grid import Grid, make_grid
 from repro.core.helmholtz import HelmholtzOperator, helmholtz_brackets
 from repro.core.limiter import koren, minmod
 from repro.core.pressure import eos_pressure, exner
 from repro.core.reference import make_reference_state
 from repro.core.model import run_lockstep
-from repro.core.rk3 import DynamicsConfig, Rk3Integrator, slow_tendencies
+from repro.core.rk3 import (DynamicsConfig, Rk3Integrator, StageBinding,
+                            slow_tendencies)
 from repro.core.state import State, state_from_reference
 from repro.physics.kessler import KesslerConfig, kessler_step
 from repro.physics.saturation import saturation_mixing_ratio
@@ -723,6 +727,215 @@ def test_velocities_compiled_equal_the_oracle(nx, ny, nz, halo, kind, dtype,
         assert native.same(got, want)
 
 
+# ------------------------------------- (b5) one call a stage, its declines
+@functools.cache
+def _rank_grid():
+    """A rank of a 2x2 real-case decomposition: a subgrid whose metrics
+    are slices of the global ones (strided views once, which every
+    compiled body declined without a word)."""
+    from repro.dist.decomposition import decompose, make_subgrid
+    from repro.workloads.real_case import make_real_case
+
+    g = make_real_case(nx=12, ny=10, nz=6).grid
+    return make_subgrid(g, decompose(g.nx, g.ny, 2, 2, min_cells=g.halo)[3])
+
+
+def _slow_state(rng, g, zeroed=(), lone=None, bad=None):
+    """A stage state on ``g``: every species present, those in ``zeroed``
+    all ``+0.0`` except (``lone``) one ``-0.0`` in the first of them, in
+    the interior, the halo or a halo corner; ``bad`` puts a NaN or an inf
+    in ``rhou`` or a zero in ``rho``."""
+    h = g.halo
+    rho = 1.0 + 0.1 * rng.random(g.shape_c)
+    q = {n: np.zeros(g.shape_c) if n in zeroed else
+         rho * 1e-3 * rng.random(g.shape_c) for n in WATER_SPECIES}
+    if lone and zeroed:
+        at = {"interior": (h, h, 1), "halo": (0, h, 1),
+              "corner": (0, 0, 0)}[lone]
+        q[next(n for n in WATER_SPECIES if n in zeroed)][at] = -0.0
+    st = State(g, rho, rng.normal(size=g.shape_u), rng.normal(size=g.shape_v),
+               rng.normal(size=g.shape_w),
+               rho * (300.0 + rng.random(g.shape_c)), q)
+    if bad in ("nan", "inf"):
+        st.rhou.flat[rng.integers(st.rhou.size)] = float(bad)
+    elif bad == "rho0":
+        st.rho.flat[rng.integers(st.rho.size)] = 0.0
+    return st
+
+
+def _stage_runs(st, cfg, limiter=koren, sponge=None, base=None, idle=None,
+                geom=None, ref=None):
+    """(result, executor) of the stage with a binding and a library, then of
+    the NumPy text on the oracles, each on an executor of its own."""
+    geom = geom or AcousticGeometry(st.grid, SimpleNamespace(
+        rho_c=np.ones(st.grid.shape_c)))
+    runs = []
+    for lib in (LIB, None):
+        ex = StencilExecutor("fused")
+        with native.using(lib), use_executor(ex), np.errstate(all="ignore"):
+            binding = StageBinding(geom)
+            out = slow_tendencies(st, ref, cfg, limiter, sponge, base,
+                                  geom.metric_flux,
+                                  None if idle is None else list(idle),
+                                  binding)
+        runs.append((out, ex, binding))
+    return runs
+
+
+def _assert_same_stage(got, want):
+    (forcing, q_tend), (f_want, q_want) = got, want
+    for name in ("r_u", "r_v", "r_w", "r_theta", "fx_s", "fy_s", "w_s",
+                 "m_s"):
+        a, b = getattr(forcing, name), getattr(f_want, name)
+        assert a.shape == b.shape and a.dtype == b.dtype, name
+        assert native.same(a, b), name
+    assert list(q_tend) == list(q_want)
+    for name, tend in q_tend.items():
+        assert (tend is None) == (q_want[name] is None), name
+        assert tend is None or native.same(tend, q_want[name]), name
+
+
+@needs_library
+@SETTINGS
+@given(kind=st.sampled_from(["flat", "terrain", "rank"]),
+       nx=st.integers(1, 6), ny=st.integers(1, 5), nz=st.integers(4, 6),
+       periodic=st.booleans(), halo=st.sampled_from([2, 3]),
+       coriolis=st.booleans(), sponge=st.booleans(),
+       zeroed=st.sets(st.sampled_from(WATER_SPECIES)),
+       lone=st.sampled_from([None, "interior", "halo", "corner"]),
+       bad=st.sampled_from([None, None, "nan", "inf", "rho0"]),
+       stage=st.sampled_from(["first", "base", "dirty base", "later"]),
+       seed=st.integers(0, 2 ** 16))
+def test_slow_stage_compiled_equals_oracle(kind, nx, ny, nz, periodic, halo,
+                                           coriolis, sponge, zeroed, lone,
+                                           bad, stage, seed):
+    """One compiled ``slow_stage`` == the NumPy text on the oracles: every
+    forcing field and species tendency byte for byte (NaN payloads
+    exempt), the same skipped set and the same dispatch counts, on flat,
+    terrain and rank grids, periodic or open, any subset of species zeroed
+    with or without a lone ``-0.0``; a NaN or inf flux or a zero density
+    takes the full path.  Nothing is declined."""
+    rng = np.random.default_rng(seed)
+    if kind == "rank":
+        g = _rank_grid()
+    else:
+        g = make_grid(nx, ny, nz, 100.0, 130.0, 400.0 * nz, halo=halo,
+                      periodic_x=periodic, periodic_y=not periodic,
+                      terrain=_hill if kind == "terrain" else None)
+    st0 = _slow_state(rng, g, zeroed, lone, bad)
+    base = None
+    if stage != "first":
+        base = st0.copy()
+        if stage == "dirty base" and zeroed:
+            base.q[sorted(zeroed)[0]][g.halo, g.halo, 0] = 1e-6
+    idle = [n for n in WATER_SPECIES if n in zeroed] \
+        if stage == "later" else None
+    cfg = DynamicsConfig(coriolis_f=1e-4 if coriolis else 0.0)
+    ray = rayleigh_coefficient(g, 0.4 * g.ztop, 60.0)[1] if sponge else None
+    before = Counter(native.UNBOUND)
+    (got, ex, binding), (want, ex_want, _) = _stage_runs(
+        st0, cfg, sponge=ray, base=base, idle=idle)
+    assert binding.args is not None
+    assert native.UNBOUND - before == Counter()
+    _assert_same_stage(got, want)
+    # (the oracles' own face-flux dispatches aside)
+    assert ex.calls == Counter({k: n for k, n in ex_want.calls.items()
+                                if k.startswith("advect")})
+    assert (ex.skipped, ex.inactive) == (ex_want.skipped, ex_want.inactive)
+    if bad:
+        assert ex.skipped == 0
+        assert all(t is not None for t in got[1].values())
+
+
+def _halo_one_grid():
+    """A halo-1 grid (make_grid refuses one): a halo-2 grid's metrics
+    without their outer ring."""
+    g = make_grid(4, 3, 5, 100.0, 130.0, 500.0, halo=2)
+    c = (slice(1, -1), slice(1, -1))
+    return Grid(nx=4, ny=3, nz=5, dx=g.dx, dy=g.dy, ztop=g.ztop, halo=1,
+                z_f=g.z_f, z_c=g.z_c, dz_c=g.dz_c, dz_f=g.dz_f,
+                **{n: getattr(g, n)[c] for n in (
+                    "zs", "jac", "jac_u", "jac_v", "dzsdx_u", "dzsdy_v")})
+
+
+class _Sub(np.ndarray):
+    pass
+
+
+@needs_library
+@pytest.mark.parametrize("why", [
+    "rho float32", "rho a _Sub", "limiter minmod", "nz 3 < 4", "halo 1 < 2",
+    "diffusion configured", "drag configured",
+    "fluxes past the exact sum test"])
+def test_the_slow_stage_declines_what_it_does_not_take(why):
+    """Each reason the stage declines is counted once, as one ``"slow
+    stages"`` :class:`native.Unbound`, and the NumPy text runs: the
+    oracle's bytes (a halo-1 grid: the oracle's error).  Fluxes whose
+    magnitudes sum past 2^1021 are finite, but whether NumPy's sum of them
+    overflows is the oracle's to say."""
+    rng = np.random.default_rng(7)
+    g = (make_grid(4, 3, 3, 100.0, 130.0, 900.0) if why.startswith("nz") else
+         _halo_one_grid() if why.startswith("halo") else
+         make_grid(4, 3, 5, 100.0, 130.0, 500.0, terrain=_hill))
+    st0 = _slow_state(rng, g, zeroed={"qr", "qh"})
+    if why == "rho float32":
+        for name in st0.prognostic_names():
+            st0.set(name, st0.get(name).astype(np.float32))
+    if why == "rho a _Sub":
+        st0.rho = st0.rho.view(_Sub)
+    if why.startswith("fluxes"):
+        st0.rhou *= 1e306
+    ref = make_reference_state(g, constant_stability_sounding())
+    cfg = DynamicsConfig(kdiff_h=50.0 if why.startswith("diffusion") else 0.0,
+                         drag_cd=1e-3 if why.startswith("drag") else 0.0)
+    limiter = minmod if why.startswith("limiter") else koren
+    before = Counter(native.UNBOUND)
+    if why.startswith("halo"):
+        with pytest.raises(ValueError, match="broadcast"):
+            _stage_runs(st0, cfg, limiter, ref=ref)
+    else:
+        (got, *_), (want, *_) = _stage_runs(st0, cfg, limiter, ref=ref)
+        _assert_same_stage(got, want)
+    declined = native.UNBOUND - before          # the text's bodies count too
+    assert {k: n for k, n in declined.items() if k[0] == "slow stages"} == {
+        ("slow stages", why): 1}
+
+
+@needs_library
+def test_a_stage_is_one_ctypes_call(monkeypatch):
+    """With a library loaded an RK stage's slow tendencies cross into C
+    once, check their operands with one ``native.pointers`` call, dispatch
+    nothing through the executor (it is credited instead) and record one
+    phase span."""
+    from repro.obs import TraceSession, use_session
+
+    base, _, ctx, ref = _stage(True)
+    geom = ctx.geom
+    calls = Counter()
+
+    def counted(name, fn):
+        return lambda *a, **k: (calls.update([name]), fn(*a, **k))[1]
+
+    monkeypatch.setattr(LIB.f64, "slow_stage",
+                        counted("slow_stage", LIB.f64.slow_stage))
+    monkeypatch.setattr(native, "pointers", counted("pointers",
+                                                    native.pointers))
+    monkeypatch.setattr(StencilExecutor, "call",
+                        lambda *a: pytest.fail("dispatched"))
+    ex, session = StencilExecutor("fused"), TraceSession("t")
+    with native.using(LIB), use_executor(ex), use_session(session):
+        binding = StageBinding(geom)
+        calls.clear()
+        slow_tendencies(base, ref, DynamicsConfig(), koren, None, None,
+                        geom.metric_flux, None, binding)
+    assert calls == Counter({"slow_stage": 1, "pointers": 1})
+    # a dry state: theta's transport runs, every species' is skipped
+    assert ex.calls == Counter(advect_u=1, advect_v=1, advect_w=1,
+                               advect_scalar=1)
+    assert ex.skipped == len(base.q) == 7 and ex.accelerated == 4
+    assert [s.name for s in session.spans] == ["slow_tendencies"]
+
+
 @needs_library
 @pytest.mark.parametrize("terrain", [False, True])
 def test_a_substep_is_one_ctypes_call(terrain, monkeypatch):
@@ -1118,6 +1331,26 @@ def test_a_changed_substep_is_rejected_at_load(body, old, new, tmp_path,
     sources["acoustic.c"] = sources["acoustic.c"].replace(old, new)
     lib = native.load(sources)
     assert lib.state == "self-check-failed" and lib.detail.startswith(body)
+    assert lib.f64 is None
+
+
+@needs_library
+@pytest.mark.parametrize("body, old, new", [
+    ("slow stage, terrain grid", "(((e[k] + e[nz + k]) + w[k])",
+     "(((e[k] + w[k]) + e[nz + k])"),
+    ("slow stage, flat grid", "        acc |= b;\n", "        acc |= b << 1;\n")])
+def test_a_changed_slow_stage_is_rejected_at_load(body, old, new, tmp_path,
+                                                  monkeypatch):
+    """The one-call stage's own work is on the battery: Coriolis averaged
+    in another order rounds differently, and a zero test that ignores the
+    sign bit skips the transport of a species whose only nonzero byte is a
+    lone ``-0.0``."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    sources = native.read_sources()
+    assert sources["acoustic.c"].count(old) == 1
+    sources["acoustic.c"] = sources["acoustic.c"].replace(old, new)
+    lib = native.load(sources)
+    assert lib.state == "self-check-failed" and lib.detail == body
     assert lib.f64 is None
 
 

@@ -35,15 +35,22 @@ repro run vortex --nx 16 --ny 16 --nz 8 --steps 3 > "$out/vortex-dry.txt"
 grep -q 'inactive: qv qc qr qi qs qg qh' "$out/vortex-dry.txt"
 repro run shear-layer --nx 16 --ny 16 --nz 12 --ice --steps 3 > /dev/null
 
-step "every rank of a decomposed terrain run on the compiled substep; every substep on NumPy without a compiler"
+step "the bench shapes on the compiled bodies (a decomposed terrain run, a warm bubble on cpu, a vortex): no declined call; every body on NumPy without a compiler"
+shapes=("decomp real-case --backend multigpu --ranks 2x2 --nx 32 --ny 32 --nz 16"
+        "bubble warm-bubble --backend cpu --nx 24 --ny 24 --nz 12"
+        "vortex vortex --nx 24 --ny 24 --nz 12")
 for cc in present absent; do
   cc_env=(); state=loaded
   if [ "$cc" = absent ]; then cc_env=(CC=/bin/false); state=no-compiler; fi
-  env "${cc_env[@]}" python -m repro run real-case --backend multigpu --ranks 2x2 \
-    --nx 32 --ny 32 --nz 16 --steps 2 > "$out/decomp-$cc.txt"
-  # a loaded library's declined calls end the line with "; N substeps on NumPy (reason)"
-  if grep ' on NumPy (' "$out/decomp-$cc.txt"; then exit 1; fi
-  grep -q "native\[$state\]" "$out/decomp-$cc.txt"
+  for shape in "${shapes[@]}"; do
+    read -r name args <<< "$shape"
+    # shellcheck disable=SC2086  # args is a word list
+    env "${cc_env[@]}" python -m repro run $args --steps 2 > "$out/$name-$cc.txt"
+    # a loaded library's declined calls end the line with
+    # "; N slow stages on NumPy (reason)", per body and reason
+    if grep ' on NumPy (' "$out/$name-$cc.txt"; then exit 1; fi
+    grep -q "native\[$state\]" "$out/$name-$cc.txt"
+  done
 done
 
 step "the native stats line of a run: no reference dispatch with a library, the warm rain and the halo fills without one"
