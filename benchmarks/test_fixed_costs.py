@@ -182,7 +182,7 @@ def test_fixed_costs(benchmark, emit, monkeypatch):
     step_ms = 1e3 * (time.perf_counter() - t0) / steps
     messages = (exp.machine.comm.stats.messages - messages) / steps
     ops = (sum(len(d.timeline) for d in exp.machine.devices) - ops) / steps
-    schedules = len(exp.machine.exchanger._points)      # one strip table each
+    tables = len(exp.machine.exchanger._points)     # one per exchange point
     exchange_ms = 1e3 * totals["exchange_all"] / steps
     charge_ms = 1e3 * totals["_charge_devices"] / steps
 
@@ -211,7 +211,7 @@ def test_fixed_costs(benchmark, emit, monkeypatch):
         f"    heavy modules loaded        {', '.join(loaded_heavy) or 'none'}",
         f"  decomp_2x2 long step          {step_ms:7.1f} ms",
         f"    exchange_all                {exchange_ms:7.2f} ms   "
-        f"{messages:.0f} messages, {schedules} compiled schedules",
+        f"{messages:.0f} messages, {tables} strip tables",
         f"    _charge_devices             {charge_ms:7.2f} ms   "
         f"{ops:.0f} scheduled ops",
         f"  metric flux, 16x16x16 terrain tile (bytes equal: {same})",
@@ -224,5 +224,5 @@ def test_fixed_costs(benchmark, emit, monkeypatch):
 
     assert not loaded_heavy
     assert declaring_ms < numpy_ms
-    assert (messages, ops, schedules) == (704, 856, 4)
+    assert (messages, ops, tables) == (704, 856, 4)
     assert same

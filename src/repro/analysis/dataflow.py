@@ -119,17 +119,11 @@ def fusion_findings(
         ref = _reference_of(entry)
         ref_params = _impl_params(ref) if ref is not None else None
         impl_params = _impl_params(impl)
-        if ref_params is not None and impl_params is not None:
-            expected = ["plans"] + ref_params
-            if not impl_params or impl_params[0] != "plans":
-                emit(f"fused impl of '{name}' must take the plan "
-                     f"cache as its first parameter "
-                     f"(got {tuple(impl_params)})")
-            elif impl_params != expected:
-                emit(f"fused impl of '{name}' signature "
-                     f"{tuple(impl_params)} does not match the "
-                     f"reference {tuple(expected)} — callers "
-                     f"dispatch by the declared signature")
+        if (ref_params is not None and impl_params is not None
+                and impl_params != ref_params):
+            emit(f"fused impl of '{name}' signature {tuple(impl_params)} "
+                 f"does not match the reference {tuple(ref_params)} — "
+                 f"callers dispatch by the declared signature")
         parsed = _impl_tree(impl)
         if parsed is None:
             continue

@@ -319,7 +319,7 @@ class RunResult:
     recovered_from: list = field(default_factory=list)
     halo_messages: int = 0
     halo_bytes: int = 0
-    #: stencil executor dispatch/arena stats (StencilExecutor.stats())
+    #: stencil executor dispatch stats (StencilExecutor.stats())
     stencil_stats: dict | None = None
     #: per-step point-product series recorded by the workload case (the
     #: vortex case's track: time, center, max wind), when it records one
@@ -447,12 +447,6 @@ class Experiment:
             self._initial = self.state.copy()
         else:
             self._initial = self.state.copy()
-
-        if self.executor.backend != "reference":
-            # build (or find) the per-shape plans now, so that their cost
-            # is part of set-up and not of the first step
-            for g in self._grids():
-                self.executor.plans(g.shape_c, self.state.rho.dtype)
 
         if spec.resume:
             # newest readable archive; FileNotFoundError when there is

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,7 +39,6 @@ from .advection import MetricFlux, contravariant_mass_flux_w
 from .grid import Grid
 from ..obs.trace import span
 from ..stencil import native
-from ..stencil.plan import PlanCache, Recent
 from .helmholtz import HelmholtzOperator, helmholtz_brackets
 from .pressure import eos_pressure, linearization_coefficient
 from .reference import ReferenceState
@@ -172,7 +172,7 @@ def _context_native(state: State, p_t: np.ndarray, p_ref: np.ndarray,
     """:func:`build_context`'s linearization and the Helmholtz brackets in
     one call of csrc/acoustic.c's ``acoustic_context``; ``None`` where no
     verified library takes the operands (a float32 state: counted)."""
-    lib = native.kernels(np.float64)
+    lib = native.kernels()
     if lib is None:
         return None
     g = state.grid
@@ -255,9 +255,41 @@ class AcousticScratch:
         self.arena = np.zeros(5 * (nyh + 1) * (nz + 1))
 
 
-#: per thread and bounded like the stencil plans: scratch owned by every
-#: integrator would linger in each finished Experiment until the collector
-#: runs
+class Recent:
+    """``cache(*key)`` -> ``build(*key)``, built on first use *by the
+    calling thread*: what is cached is scratch memory, which two threads
+    must not share (ctypes releases the GIL around a call, and two runs
+    stepped side by side would compute in each other's temporaries).
+    Only the ``maxsize`` keys a thread built most recently are kept, so
+    what is cached never grows with the number of shapes a process has
+    seen."""
+
+    def __init__(self, build, maxsize: int = 8):
+        self.build = build
+        self.maxsize = maxsize
+        self._local = threading.local()
+
+    @property
+    def items(self) -> dict:
+        """The calling thread's items, oldest first."""
+        try:
+            return self._local.items
+        except AttributeError:
+            items = self._local.items = {}
+            return items
+
+    def __call__(self, *key):
+        items = self.items
+        item = items.get(key)
+        if item is None:
+            if len(items) >= self.maxsize:
+                del items[next(iter(items))]
+            item = items[key] = self.build(*key)
+        return item
+
+
+#: per thread and bounded: scratch owned by every integrator would linger
+#: in each finished Experiment until the collector runs
 _SCRATCH = Recent(AcousticScratch)
 
 
@@ -313,7 +345,7 @@ class SubstepBinding:
     def __init__(self, geom: AcousticGeometry):
         g = geom.grid
         self.geom = geom
-        self.lib = native.kernels(np.float64)
+        self.lib = native.kernels()
         self.scratch = s = thread_scratch(geom)
         #: the struct and the call, else ``None``; ``unbound`` says why a
         #: loaded library could not take the operands
@@ -346,7 +378,7 @@ class SubstepBinding:
     def current(self, geom: AcousticGeometry) -> bool:
         """Bound for ``geom``, on this thread's scratch, with the library
         now in force."""
-        return (self.geom is geom and self.lib is native.kernels(np.float64)
+        return (self.geom is geom and self.lib is native.kernels()
                 and self.scratch is thread_scratch(geom))
 
 
@@ -647,10 +679,12 @@ def native_check(lib) -> str:
     reached here, against :func:`~repro.core.tridiag.thomas_solve`) of one
     stage and one substep of a second stage on the same binding (its
     operator the first stage's); and the slow stage against
-    :func:`~repro.core.rk3.slow_tendencies`' NumPy text, a first stage
-    flat with the sponge and a later one on terrain with Coriolis, over
-    an active species, an idle one and one whose only nonzero byte is a
-    lone ``-0.0``."""
+    :func:`~repro.core.rk3.slow_tendencies`' NumPy text (on the bodies
+    proved before it and the advections' oracles), a first stage flat
+    with the sponge and a later one on terrain with Coriolis, over an
+    active species, an idle one and one whose only nonzero byte is a lone
+    ``-0.0``: the advection's only check, as ``slow_stage`` is its only
+    caller."""
     from ..stencil.executor import StencilExecutor, use_executor
     from .boundary import rayleigh_coefficient
     from .grid import make_grid
@@ -726,10 +760,8 @@ def native_check(lib) -> str:
         cfg = DynamicsConfig(coriolis_f=1e-4 if terrain else 0.0)
         sponge = None if terrain else rayleigh_coefficient(g, 600.0, 60.0)[1]
         # the NumPy text runs on the bodies proved above (their oracles
-        # would cost 10 ms here), its advections on plans of its own (the
-        # process's plans are the runs')
+        # would cost 10 ms here) and on the advections' oracles
         text = StencilExecutor("fused")
-        text.plans = PlanCache()
         idle = ["qc", "qr"] if terrain else None     # a later stage, a first
         with native.using(lib), use_executor(text):
             binding = StageBinding(geom)

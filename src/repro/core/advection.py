@@ -211,7 +211,7 @@ class MetricFlux:
         ``rhow`` (the metric part alone), which need not be divided."""
         g = self.grid
         dtype = rhou.dtype if rhow is None else rhow.dtype
-        lib = native.kernels(np.float64)
+        lib = native.kernels()
         if lib is not None:
             ptrs = self._momenta(rhou, rhov, rhow, dtype)
             if not isinstance(ptrs, native.Unbound):

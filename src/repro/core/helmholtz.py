@@ -103,7 +103,7 @@ class HelmholtzOperator:
         """The compiled assembly: ``sup`` / ``sub`` / ``diag`` and the
         k-leading factors of :meth:`thomas_factors`, whether a diagonal
         entry is <= 0; ``None`` where no library takes them."""
-        lib = native.kernels(np.float64)
+        lib = native.kernels()
         if lib is None:
             return None
         g = self.grid

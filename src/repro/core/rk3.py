@@ -124,7 +124,7 @@ class StageBinding:
     def __init__(self, geom: AcousticGeometry):
         g = geom.grid
         self.geom = geom
-        self.lib = native.kernels(np.float64)
+        self.lib = native.kernels()
         self.scratch = s = thread_scratch(geom)
         #: the struct, else ``None``; ``unbound`` says why a loaded
         #: library could not take the grid
@@ -166,7 +166,7 @@ class StageBinding:
     def current(self, geom: AcousticGeometry) -> bool:
         """Bound for ``geom``, on this thread's scratch, with the library
         now in force."""
-        return (self.geom is geom and self.lib is native.kernels(np.float64)
+        return (self.geom is geom and self.lib is native.kernels()
                 and self.scratch is thread_scratch(geom))
 
     def _config(self, cfg, limiter, rayleigh_w) -> "native.Unbound | None":

@@ -129,7 +129,7 @@ class State:
         verified library takes the float64 fields, else the NumPy below,
         its oracle: the same bytes."""
         g = self.grid
-        lib = native.kernels(np.float64)
+        lib = native.kernels()
         if lib is not None:
             ptrs = native.pointers(
                 np.float64, dict(rho=self.rho, rhou=self.rhou, rhov=self.rhov,

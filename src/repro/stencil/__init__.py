@@ -1,4 +1,4 @@
-"""repro.stencil — the declarative stencil layer (ROADMAP item 1).
+"""repro.stencil — the declarative stencil layer.
 
 Kernels in ``core/`` and ``physics/`` declare their shapes with
 :func:`~repro.stencil.spec.stencil` and dispatch through the active
@@ -18,7 +18,6 @@ from .executor import (
     use_executor,
 )
 from . import native
-from .plan import PLANS, Plan
 from .spec import (
     FUSED_IMPLS,
     REGISTRY,
@@ -32,8 +31,6 @@ from .spec import (
 __all__ = [
     "BACKENDS",
     "FUSED_IMPLS",
-    "PLANS",
-    "Plan",
     "REGISTRY",
     "StencilExecutor",
     "StencilFunction",

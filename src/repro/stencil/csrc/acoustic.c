@@ -11,7 +11,8 @@
  * oracle (AcousticStepper._substep_numpy, contravariant_mass_flux_w,
  * thomas_solve, build_context, HelmholtzOperator, State.velocities,
  * slow_tendencies), in its order, so the fields come out the same bytes;
- * see advect.c for the rules.
+ * see advect.c for the rules.  slow_stage is the advection's only caller,
+ * so the load-time check of the slow stage is the advection's check.
  * Not cloned per ISA: these loops wait on memory, a 48x48x24 substep read
  * 1.40 / 1.49 / 1.57 ms as SSE2 / AVX2 / AVX-512, and three clones doubled
  * the build.

@@ -1,9 +1,11 @@
-/* Koren-limited flux-form advection, one width per inclusion.
+/* Koren-limited flux-form advection.
  *
- * repro/stencil/native.py compiles this text twice in one translation
- * unit, with REAL = double / float, F(x) = x_f64 / x_f32 and ABS = fabs /
- * fabsf, behind a prelude that defines KERNEL (exported, and cloned per
- * ISA where the compiler can).
+ * repro/stencil/native.py compiles this text once, in a translation unit
+ * of its own, with REAL = double, F(x) = x_f64 and ABS = fabs, behind a
+ * prelude that defines KERNEL (exported, and cloned per ISA where the
+ * compiler can).  Its one caller is acoustic.c's slow_stage (advect_f64);
+ * faces_f64 and advect_f64 are bound to be checked alone.  The width stays a
+ * macro: a float32 build is one more inclusion.
  *
  * Every expression mirrors one NumPy ufunc call of the oracle in
  * repro/core/advection.py (limited_face_flux, advect_scalar / u / v / w,
@@ -95,7 +97,7 @@ FILL F(fill_levels)(REAL *restrict dst, const REAL *restrict a,
 #undef FILL
 #ifndef REPRO_VARIANTS
 #define REPRO_VARIANTS
-enum { SCALAR, U, V, W };   /* repro.stencil.dycore._VARIANTS' order */
+enum { SCALAR, U, V, W };   /* acoustic.c's ADV_SCALAR .. ADV_W */
 #endif
 
 /* -div(F p) of one staggered field p of shape (n0, n1, n2) on rows

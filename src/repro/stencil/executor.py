@@ -1,17 +1,20 @@
 """Stencil execution backends and the active-executor context.
 
 Every kernel has one NumPy text, its oracle in ``repro.core`` /
-``repro.physics``; the advection, the warm rain and the halo fill also
-have a compiled body, registered as their entry in
-:data:`~repro.stencil.spec.FUSED_IMPLS` (:mod:`repro.stencil.dycore`,
-:mod:`repro.stencil.kessler`).  Which body runs is one fact: whether a
-verified library is in force (:func:`repro.stencil.native.kernels`).
+``repro.physics``; the warm rain and the halo fill also have a compiled
+body, registered as their entry in
+:data:`~repro.stencil.spec.FUSED_IMPLS` (:mod:`repro.stencil.kessler`,
+:mod:`repro.stencil.dycore`), and the advection's runs inside an RK
+stage's one compiled call (:class:`~repro.core.rk3.StageBinding`, which
+credits the executor with the advections it ran).  Which body runs is
+one fact: whether a verified library is in force
+(:func:`repro.stencil.native.kernels`).
 Two backends, selected by :class:`~repro.api.RunSpec`\\ 's
 ``stencil_backend`` (or ``repro run --stencil-backend``):
 
 * ``fused`` — the default: the compiled bodies wherever a library is
-  loaded (the advection on the per-shape scratch of
-  :mod:`repro.stencil.plan`; the acoustic substep, the linearization, the
+  loaded (the warm rain and the halo fill through their entries; an RK
+  stage's slow tendencies, the acoustic substep, the linearization, the
   operator assembly, ``State.velocities`` and the metric flux ask the
   same question inside ``repro.core``), else the oracles.  Measured end
   to end by ``python3 bench/run.py``; docs/STENCILS.md "Measured" has the
@@ -34,7 +37,6 @@ from collections import Counter
 from typing import Any, Dict
 
 from . import native
-from .plan import PLANS
 from .spec import FUSED_IMPLS, StencilFunction
 
 __all__ = [
@@ -50,9 +52,8 @@ BACKENDS = ("reference", "fused")
 class StencilExecutor:
     """Dispatches :class:`~repro.stencil.spec.StencilFunction` calls, with
     per-kernel call statistics.  A kernel with a compiled entry tries it
-    first (it takes the plan cache, per-thread items, as its first
-    argument); the entry declines with ``NotImplemented`` where no library
-    is in force or its operands are not covered, and the oracle runs."""
+    first; the entry declines with ``NotImplemented`` where no library is
+    in force or its operands are not covered, and the oracle runs."""
 
     def __init__(self, backend: str = "reference"):
         if backend not in BACKENDS:
@@ -63,7 +64,6 @@ class StencilExecutor:
         # kernel that has one would count as a kernel that has none
         from . import dycore  # noqa: F401
         self.backend = backend
-        self.plans = PLANS
         #: spec name -> dispatch count
         self.calls: Counter = Counter()
         #: dispatches a compiled entry served
@@ -81,7 +81,7 @@ class StencilExecutor:
         self.calls[sf.spec.name] += 1
         impl = FUSED_IMPLS.get(sf.spec.name)
         if impl is not None:
-            out = impl(self.plans, *args, **kwargs)
+            out = impl(*args, **kwargs)
             if out is not NotImplemented:
                 self.accelerated += 1
                 return out
@@ -104,12 +104,9 @@ class StencilExecutor:
             "fallbacks": self.fallbacks,
             "skipped": self.skipped,
             "inactive": list(self.inactive),
-            # nothing is taken per call any more: the only scratch is the
-            # plans' arenas, bound at build time
+            # nothing is taken per call: the scratch is bound per thread
             "allocations": 0.0,
             "reuses": 0.0,
-            "reuse_fraction": 0.0,
-            "bytes_allocated": float(self.plans.nbytes()),
             # the compiled bodies: state, hash, ISA clones, cold-build s
             "native": native.library().stats(),
         }
@@ -117,9 +114,7 @@ class StencilExecutor:
     def report(self) -> str:
         s = self.stats()
         text = (f"stencil[{self.backend}]: {s['dispatches']} dispatches "
-                f"({s['accelerated']} fused, {s['fallbacks']} reference), "
-                f"{self.plans.built} plan(s), arena "
-                f"{s['bytes_allocated'] / 1024:.0f} KiB")
+                f"({s['accelerated']} fused, {s['fallbacks']} reference)")
         if self.skipped:
             total = self.skipped + self.calls["advect_scalar"]
             text += (f"; {self.skipped} of {total} scalar transports skipped "

@@ -48,8 +48,8 @@ class _Args(ctypes.Structure):
 
 
 @register_fused("kessler_step")
-def _kessler_step(plans, state, ref, dt, cfg=None):
-    lib = native.kernels(np.float64)
+def _kessler_step(state, ref, dt, cfg=None):
+    lib = native.kernels()
     fields = [state.rho, state.rhotheta, *map(state.q.get, _FIELDS[2:])]
     # a float32 state or the FLOP-counting subclass runs the oracle's own
     # ufunc calls (as the other compiled entries decline them)
@@ -161,7 +161,7 @@ def native_check(lib) -> str:
                        (300.0 + 10.0 * wave(shape, 0.41)) * rho,
                        {k: v.copy() for k, v in q.items()})
             with native.using(lib), np.errstate(all="ignore"):
-                precip = (_kessler_step(None, st, None, 5.0, cfg) if compiled
+                precip = (_kessler_step(st, None, 5.0, cfg) if compiled
                           else kessler_step.reference(st, None, 5.0, cfg))
             runs.append([*map(st.get, _FIELDS), precip, st.precip_accum])
         for name, got, want in zip(names, *runs):

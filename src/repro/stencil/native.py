@@ -1,16 +1,16 @@
 """Compiled bodies of the run path's loops: built once per machine,
 proved at load, never required.
 
-``csrc/advect.c`` (the Koren sweep plus flux divergence, both float
-widths), ``csrc/acoustic.c`` (the HE-VI substep as one call, an RK
+``csrc/advect.c`` (the Koren sweep plus flux divergence, run by the slow
+stage), ``csrc/acoustic.c`` (the HE-VI substep as one call, an RK
 stage's slow tendencies as one call, the linearization, the operator
 assembly and the velocities of a state),
 ``csrc/kessler.c`` (the C segments of the warm-rain body) and
 ``csrc/halo.c`` (the halo strip runner) become one shared object per
-*(sources, flags, compiler, machine)* hash in the user's cache directory,
-loaded through :mod:`ctypes`; the
-compiler is identified by its resolved path, ``st_mtime_ns`` and
-``st_size``, so a warm load runs no process.  It is used only after every
+*(translation units, flags, compiler, machine)* hash in the user's cache
+directory, loaded through :mod:`ctypes`; the compiler is identified by
+its resolved path, ``st_mtime_ns`` and ``st_size``, so a warm load runs
+no process.  It is used only after every
 kernel in it has reproduced its oracle byte for byte on a fixed battery
 (the ``native_check`` of :mod:`repro.stencil.dycore`,
 :mod:`repro.core.acoustic` and :mod:`repro.stencil.kessler`); every other
@@ -83,12 +83,12 @@ class Native:
     #: seconds spent compiling (0 on a cache hit) and loading + checking
     build_s: float = 0.0
     load_s: float = 0.0
-    #: ``faces`` / ``advect`` per width; f64 also has the one-call
+    #: the float64 entries: the face sweep ``faces`` and one field's
+    #: advection ``advect`` (bound to be checked alone), the one-call
     #: ``substep`` and ``slow_stage``, ``metric_flux``, ``context``,
     #: ``operator``, ``velocities``, ``kessler`` and ``halo_strips`` (byte
     #: copies: any dtype)
     f64: SimpleNamespace | None = field(default=None, repr=False)
-    f32: SimpleNamespace | None = field(default=None, repr=False)
 
     def stats(self) -> dict:
         unbound: dict = {}
@@ -174,19 +174,15 @@ def read_sources() -> dict:
 
 
 def _units(sources: dict, clones: tuple) -> tuple:
-    """Two translation units, compiled side by side: ``advect.c`` once per
-    float width with every ``KERNEL`` cloned per ISA, and the float64-only
-    sources (0.63 and 0.77 s alone, 1.06 s as one unit)."""
+    """Two translation units, compiled side by side: ``advect.c`` in
+    float64 with every ``KERNEL`` cloned per ISA, and the other sources."""
     targets = ",".join(f'"{c}"' for c in clones)
     kernel = f"__attribute__((target_clones({targets})))" if clones else ""
-    widths = "".join(
-        f"#define REAL {real}\n#define F(x) x##_{tag}\n#define ABS {fabs}\n"
-        f"{sources['advect.c']}\n#undef REAL\n#undef F\n#undef ABS\n"
-        for real, tag, fabs in (("double", "f64", "fabs"),
-                                ("float", "f32", "fabsf")))
     return (f"#include <math.h>\n#define KERNEL {kernel}\n"
             f'const char *repro_clones(void) {{ return "'
-            f'{",".join(clones) or "default"}"; }}\n' + widths,
+            f'{",".join(clones) or "default"}"; }}\n'
+            f"#define REAL double\n#define F(x) x##_f64\n#define ABS fabs\n"
+            + sources["advect.c"],
             "#include <math.h>\n#include <string.h>\n"
             + "".join(sources[n] for n in SOURCES[1:]))
 
@@ -257,13 +253,10 @@ def _bind(dll: ctypes.CDLL) -> dict:
         f.argtypes, f.restype = argtypes, restype
         return f
 
-    out = {}
-    for tag, real in (("f64", ctypes.c_double), ("f32", ctypes.c_float)):
-        out[tag] = SimpleNamespace(
-            faces=fn(f"faces_{tag}", _PTR, _LONG, _PTR, _PTR, _LONG),
-            advect=fn(f"advect_{tag}", ctypes.c_int, *[_PTR] * 5,
-                      *[_LONG] * 6, real, real, _PTR, _PTR))
-    f64 = out["f64"]                                # acoustic.c: float64 only
+    f64 = SimpleNamespace(faces=fn("faces_f64", _PTR, _LONG, _PTR, _PTR,
+                                   _LONG))
+    f64.advect = fn("advect_f64", ctypes.c_int, *[_PTR] * 5, *[_LONG] * 6,
+                    *[ctypes.c_double] * 2, _PTR, _PTR)
     f64.substep = fn("acoustic_substep", _PTR)
     f64.slow_stage = fn("slow_stage", _PTR, restype=ctypes.c_int)
     f64.velocities = fn("state_velocities", *[_LONG] * 3, *[_PTR] * 7)
@@ -278,14 +271,16 @@ def _bind(dll: ctypes.CDLL) -> dict:
     f64.unpack = fn("kessler_unpack", _PTR, _LONG, _PTR, _LONG, _PTR)
     f64.halo_strips = fn("halo_strips", _LONG, _PTR, _PTR)
     dll.repro_clones.restype = ctypes.c_char_p
-    out["clones"] = tuple(dll.repro_clones().decode().split(","))
-    return out
+    return {"f64": f64,
+            "clones": tuple(dll.repro_clones().decode().split(","))}
 
 
 def _find_build_check(lib: Native, sources: dict) -> None:
     cc, identity = _compiler()
+    # what is compiled, not what it is composed of: the units of both
+    # builds, so that an edit to their composition is a new library
     lib.hash = hashlib.sha256("\0".join(
-        [*(sources[n] for n in SOURCES), *FLAGS, *CLONES, identity,
+        [*_units(sources, CLONES), *_units(sources, ()), *FLAGS, identity,
          platform.machine()]).encode()).hexdigest()[:16]
     directory = cache_dir()
     if directory is None:
@@ -324,7 +319,7 @@ def load(sources: dict | None = None) -> Native:
         _find_build_check(lib, sources or read_sources())
     except _Unavailable as why:
         lib.state, lib.detail = why.args
-        lib.f64 = lib.f32 = None
+        lib.f64 = None
     COUNTS[lib.state] += 1
     lib.load_s = time.perf_counter() - t0 - lib.build_s
     return lib
@@ -353,12 +348,12 @@ def using(lib: Native | None):
         _FORCED.reset(token)
 
 
-def kernels(dtype) -> SimpleNamespace | None:
-    """The verified compiled kernels for ``dtype``, else ``None``: *the*
+def kernels() -> SimpleNamespace | None:
+    """The verified compiled kernels (float64), else ``None``: *the*
     question a body asks before it takes its compiled branch."""
     lib = _FORCED.get()
-    lib = library() if lib is _UNSET else lib   # not loaded: f64 = f32 = None
-    return lib and {"d": lib.f64, "f": lib.f32}.get(np.dtype(dtype).char)
+    lib = library() if lib is _UNSET else lib   # not loaded: f64 = None
+    return lib and lib.f64
 
 
 def wave(shape, k: float, mean: float = 0.0) -> np.ndarray:

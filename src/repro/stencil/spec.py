@@ -49,10 +49,10 @@ __all__ = [
 REGISTRY: Dict[str, "StencilFunction"] = {}
 
 #: compiled entries, keyed by spec name: one call of a C body each.  An
-#: entry takes ``(plans, *args, **kwargs)`` — the executor's per-(shape,
-#: dtype) plan cache first — and returns ``NotImplemented`` to fall back
-#: to the reference path without a library and for argument combinations
-#: it does not cover (non-default limiters, mixed dtypes, tiny grids).
+#: entry takes the reference's own ``(*args, **kwargs)`` and returns
+#: ``NotImplemented`` to fall back to the reference path without a
+#: library and for arguments it does not cover (a float32 state, an
+#: ndarray subclass, a strided field).
 FUSED_IMPLS: Dict[str, Callable[..., Any]] = {}
 
 
@@ -207,7 +207,7 @@ def stencil(
 def register_fused(name: str) -> Callable[[Callable[..., Any]], Callable[..., Any]]:
     """Attach a compiled entry to the named spec.
 
-    The entry receives ``(plans, *args, **kwargs)`` and must be
+    The entry receives the reference's ``(*args, **kwargs)`` and must be
     *bit-identical* to the reference for every argument combination it
     accepts (return ``NotImplemented`` for the rest) — the identity
     tests in tests/stencil enforce this on the tier-1 workloads.

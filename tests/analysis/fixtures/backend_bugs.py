@@ -18,30 +18,30 @@ def blend_ref(phi, grid):
     return out
 
 
-def blend_fused_bad_signature(plans, phi):
+def blend_fused_bad_signature(phi):
     """BUG: drops the reference's ``grid`` parameter."""
     return 0.5 * (phi[2:] + phi[:-2])
 
 
-def blend_fused_ok(plans, phi, grid):
+def blend_fused_ok(phi, grid):
     out = np.zeros_like(phi)
     out[1:-1] = 0.5 * (phi[2:] + phi[:-2])
     return out
 
 
-def blend_fused_upcast(plans, phi, grid):
+def blend_fused_upcast(phi, grid):
     acc = np.zeros(phi.shape)   # BUG: float64 regardless of phi.dtype
     acc[1:-1] = 0.5 * (phi[2:] + phi[:-2])
     return acc
 
 
-def blend_fused_upcast_suppressed(plans, phi, grid):
+def blend_fused_upcast_suppressed(phi, grid):
     acc = np.zeros(phi.shape)  # sanitizer: allow[LINT08] diag path, f64 wanted
     acc[1:-1] = 0.5 * (phi[2:] + phi[:-2])
     return acc
 
 
-def blend_fused_suppressed(plans, phi):  # sanitizer: allow[LINT07] shim binds grid
+def blend_fused_suppressed(phi):  # sanitizer: allow[LINT07] shim binds grid
     return 0.5 * (phi[2:] + phi[:-2])
 
 

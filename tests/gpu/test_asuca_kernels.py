@@ -36,15 +36,14 @@ def test_measured_ranking_matches_model(setup):
     1-flop coordinate transform is the fastest per launch and the
     advection stencil the slowest of the streaming kernels."""
     g, ref, state = setup
-    wall = measure_kernel_times(g, ref, state)          # what ships
-    assert set(wall) == set(ASUCA_KERNELS)
-    assert wall["coord_transform"] < wall["advection"]
-    # the bandwidth argument is about the NumPy kernels: a compiled
-    # advection keeps its temporaries in registers and lands beside pgf_x
-    with native.using(None):
-        wall = measure_kernel_times(g, ref, state)
-    assert wall["coord_transform"] < wall["advection"]
-    assert wall["pgf_x"] < wall["advection"]
+    # the table's advection is the NumPy oracle with or without a library
+    # (its C body runs only inside the compiled slow stage)
+    for lib in (native.library(), None):
+        with native.using(lib):
+            wall = measure_kernel_times(g, ref, state)
+        assert set(wall) == set(ASUCA_KERNELS)
+        assert wall["coord_transform"] < wall["advection"]
+        assert wall["pgf_x"] < wall["advection"]
     # and the model agrees on that ordering
     model = {
         name: ASUCA_KERNELS[name].duration(

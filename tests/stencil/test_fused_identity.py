@@ -34,10 +34,9 @@ def test_fused_run_is_bit_identical(workload):
         assert np.array_equal(ref.state.q[q], fused.state.q[q]), q
 
     # the fused run genuinely took the compiled path where there is one
-    lib = native.kernels(np.float64)
+    lib = native.kernels()
     assert exp_fused.executor.backend == "fused"
     assert (fused.stencil_stats["accelerated"] > 0) == (lib is not None)
-    assert fused.stencil_stats["bytes_allocated"] > 0      # the plan's arena
     # ... and the reference run never took a compiled body
     assert exp_ref.executor.accelerated == 0
     # nothing is taken per call: the pool counters of the old layer read 0

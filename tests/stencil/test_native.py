@@ -6,9 +6,8 @@ typed reason.
 more — the same *bytes* as their textbook oracles in ``repro.core`` — so
 everything here compares ``tobytes()``.  Inputs are drawn to hit what a
 select-first, flat, row-carrying body could get wrong: the ``nz = 4``
-minimum, all three axes, both float widths, non-contiguous inputs,
-constant fields (``sign(0)``), signed zeros in field and flux, and
-single-signed fluxes.  NaN/inf inputs must give non-finite output at the
+minimum, all three axes, non-contiguous inputs, constant fields
+(``sign(0)``), signed zeros in field and flux, and single-signed fluxes.  NaN/inf inputs must give non-finite output at the
 same positions and the same bytes everywhere else; NaN *payload* bits are
 exempt (IEEE leaves them to the implementation, and a select before the
 arithmetic may propagate a different operand's payload than one after
@@ -21,6 +20,7 @@ trust rules, the packaged sources) run everywhere.
 import functools
 import hashlib
 import os
+import shutil
 import stat
 import subprocess
 import sys
@@ -52,7 +52,6 @@ from repro.physics.kessler import KesslerConfig, kessler_step
 from repro.physics.saturation import saturation_mixing_ratio
 from repro.stencil import (StencilExecutor, load_dycore_specs, native,
                            use_executor)
-from repro.stencil.plan import PlanCache
 from repro.stencil.spec import FUSED_IMPLS
 from repro.workloads.sounding import constant_stability_sounding
 
@@ -68,8 +67,6 @@ _ORACLE = StencilExecutor("reference")
 #: how a field or a flux is filled
 KINDS = ("normal", "constant", "signed_zeros", "positive", "negative",
          "plateaus")
-_FIELD_SHAPE = {"advect_scalar": "shape_c", "advect_u": "shape_u",
-                "advect_v": "shape_v", "advect_w": "shape_w"}
 
 
 def _fill(rng, kind, shape, dtype):
@@ -104,22 +101,6 @@ def _same_bytes(name, got, want):
         np.ascontiguousarray(want).tobytes(), name
 
 
-def _advect_case(rng, nx, ny, nz, halo, kinds, dtype=np.float64):
-    g = make_grid(nx=nx, ny=ny, nz=nz, dx=100.0, dy=130.0, ztop=90.0 * nz,
-                  halo=halo)
-    fx, fy, fz = (_fill(rng, kinds[1], s, dtype)
-                  for s in (g.shape_u, g.shape_v, g.shape_w))
-    return g, fx, fy, fz
-
-
-def _compiled(name, *args):
-    """One fused entry point with the library loaded: its compiled body."""
-    with native.using(LIB):
-        out = FUSED_IMPLS[name](PlanCache(), *args)
-    assert out is not NotImplemented, name
-    return out
-
-
 @needs_library
 def test_a_compiler_means_a_loaded_library():
     assert LIB.state == "loaded", LIB.report()
@@ -127,65 +108,7 @@ def test_a_compiler_means_a_loaded_library():
     assert native.COUNTS["loaded"] >= 1
 
 
-@needs_library
-def test_planned_entry_points_take_the_compiled_branch(monkeypatch):
-    """What the identity tests below compare *is* the compiled body, and
-    without a library the entry point hands the call to the oracle."""
-    taken = []
-    monkeypatch.setattr(LIB.f64, "advect", lambda *a: taken.append(a[0]))
-    rng = np.random.default_rng(0)
-    g, fx, fy, fz = _advect_case(rng, 6, 5, 5, 2, ("normal", "normal"))
-    phi = rng.normal(size=g.shape_c)
-    for name, variant in (("advect_scalar", 0), ("advect_w", 3)):
-        field = rng.normal(size=getattr(g, _FIELD_SHAPE[name]))
-        with native.using(LIB):
-            FUSED_IMPLS[name](PlanCache(), field, fx, fy, fz, g)
-        assert taken[-1] == variant
-    with native.using(None):
-        assert FUSED_IMPLS["advect_scalar"](PlanCache(), phi, fx, fy, fz,
-                                            g) is NotImplemented
-    assert len(taken) == 2
-
-
-# ------------------------------------------- (a) advection against the oracle
-@needs_library
-@SETTINGS
-@given(nx=st.integers(3, 11), ny=st.integers(1, 9), nz=st.integers(4, 9),
-       halo=st.sampled_from([2, 3]), name=st.sampled_from(sorted(_FIELD_SHAPE)),
-       kinds=st.tuples(st.sampled_from(KINDS), st.sampled_from(KINDS)),
-       strided=st.booleans(), seed=st.integers(0, 2 ** 16))
-def test_advect_compiled_equals_oracle(nx, ny, nz, halo, name, kinds, strided,
-                                       seed):
-    rng = np.random.default_rng(seed)
-    g, fx, fy, fz = _advect_case(rng, nx, ny, nz, halo, kinds)
-    phi = _fill(rng, kinds[0], getattr(g, _FIELD_SHAPE[name]), np.float64)
-    if strided:
-        phi, fx, fz = _strided(phi), _strided(fx), _strided(fz)
-    _same_bytes(name, _compiled(name, phi, fx, fy, fz, g),
-                _oracle(getattr(adv, name), phi, fx, fy, fz, g))
-
-
-@needs_library
-@SETTINGS
-@given(nx=st.integers(3, 9), ny=st.integers(1, 7), nz=st.integers(4, 7),
-       name=st.sampled_from(sorted(_FIELD_SHAPE)),
-       kinds=st.tuples(st.sampled_from(KINDS), st.sampled_from(KINDS)),
-       seed=st.integers(0, 2 ** 16))
-def test_advect_float32_compiled_equals_oracle(nx, ny, nz, name, kinds, seed):
-    """The grid's metrics are float64, so no run reaches the float32
-    advection yet (ROADMAP item 5 will); on a grid whose spacings are
-    float32 it is the oracle's float32 arithmetic, byte for byte."""
-    rng = np.random.default_rng(seed)
-    g, fx, fy, fz = _advect_case(rng, nx, ny, nz, 2, kinds, np.float32)
-    g32 = replace(g, dz_c=g.dz_c.astype(np.float32),
-                  dz_f=g.dz_f.astype(np.float32))
-    phi = _fill(rng, kinds[0], getattr(g, _FIELD_SHAPE[name]), np.float32)
-    compiled = _compiled(name, phi, fx, fy, fz, g32)
-    assert compiled.dtype == np.float32
-    _same_bytes(name, compiled,
-                _oracle(getattr(adv, name), phi, fx, fy, fz, g32))
-
-
+# ------------------------------------ (a) the face sweep against the oracle
 def _face_sweep(phi, flux, axis):
     """``limited_face_flux`` by advect.c's face sweep alone: the field and
     its fluxes turned to put ``axis`` first, made contiguous, and swept
@@ -194,8 +117,7 @@ def _face_sweep(phi, flux, axis):
     fa = np.ascontiguousarray(np.moveaxis(flux, axis, 0)[1:-1])
     out = np.empty(fa.shape, p.dtype)
     row = p[0].size
-    kernels = LIB.f64 if p.dtype == np.float64 else LIB.f32
-    kernels.faces(p[1:].ctypes.data, row, fa.ctypes.data, out.ctypes.data,
+    LIB.f64.faces(p[1:].ctypes.data, row, fa.ctypes.data, out.ctypes.data,
                   out.size)
     return np.moveaxis(out, 0, axis)
 
@@ -204,20 +126,19 @@ def _face_sweep(phi, flux, axis):
 @SETTINGS
 @given(n0=st.integers(4, 13), n1=st.integers(4, 11), n2=st.integers(4, 9),
        axis=st.sampled_from([0, 1, 2, -1]),
-       dtype=st.sampled_from([np.float32, np.float64]),
        kinds=st.tuples(st.sampled_from(KINDS), st.sampled_from(KINDS)),
        bad=st.sampled_from([None, np.nan, np.inf, -np.inf]),
        where=st.sampled_from(["phi", "flux"]), strided=st.booleans(),
        seed=st.integers(0, 2 ** 16))
-def test_face_sweep_compiled_equals_oracle(n0, n1, n2, axis, dtype, kinds,
-                                           bad, where, strided, seed):
-    """Along every axis, both widths, non-finite cells or fluxes included
-    (infinities keep their sign; only NaN payloads are exempt)."""
+def test_face_sweep_compiled_equals_oracle(n0, n1, n2, axis, kinds, bad,
+                                           where, strided, seed):
+    """Along every axis, non-finite cells or fluxes included (infinities
+    keep their sign; only NaN payloads are exempt)."""
     rng = np.random.default_rng(seed)
     shape = [n0, n1, n2]
-    phi = _fill(rng, kinds[0], shape, dtype)
+    phi = _fill(rng, kinds[0], shape, np.float64)
     shape[axis] -= 1
-    flux = _fill(rng, kinds[1], shape, dtype)
+    flux = _fill(rng, kinds[1], shape, np.float64)
     if bad is not None:
         target = phi if where == "phi" else flux
         target.flat[rng.integers(0, target.size, size=5)] = bad
@@ -230,55 +151,52 @@ def test_face_sweep_compiled_equals_oracle(n0, n1, n2, axis, dtype, kinds,
     assert native.same(got, want)
 
 
+#: advect.c's variants, in its order: the advected field's shape and its
+#: interior slices, as grid attributes
+_VARIANTS = {"advect_scalar": ("shape_c", "isl"),
+             "advect_u": ("shape_u", "isl_u"),
+             "advect_v": ("shape_v", "isl_v"),
+             "advect_w": ("shape_w", "isl")}
+
+
+def _advect(name, p, fx, fy, fz, g):
+    """``-div(F p)`` of one staggered field by advect.c's advection alone,
+    on contiguous copies, as the slow stage calls it: zeros, then the
+    interior of the field's staggering."""
+    shape, isl = _VARIANTS[name]
+    p, fx, fy, fz = map(np.ascontiguousarray, (p, fx, fy, fz))
+    out = np.zeros(p.shape)
+    dz = g.dz_f if shape == "shape_w" else g.dz_c
+    arena = np.zeros(5 * (g.nyh + 1) * (g.nz + 1))
+    xsl, ysl = getattr(g, isl)
+    LIB.f64.advect(list(_VARIANTS).index(name),
+                   *(a.ctypes.data for a in (p, fx, fy, fz, out)),
+                   *g.shape_c[1:], xsl.start, xsl.stop, ysl.start, ysl.stop,
+                   g.dx, g.dy, dz.ctypes.data, arena.ctypes.data)
+    return out
+
+
 @needs_library
 @SETTINGS
-@given(name=st.sampled_from(sorted(_FIELD_SHAPE)),
-       bad=st.sampled_from([np.nan, np.inf, -np.inf]),
-       where=st.sampled_from(["phi", "fx", "fz"]), seed=st.integers(0, 2 ** 16))
-def test_nonfinite_inputs_land_where_the_oracle_puts_them(name, bad, where,
-                                                          seed):
+@given(nx=st.integers(3, 11), ny=st.integers(1, 9), nz=st.integers(4, 9),
+       halo=st.sampled_from([2, 3]), name=st.sampled_from(sorted(_VARIANTS)),
+       kinds=st.tuples(st.sampled_from(KINDS), st.sampled_from(KINDS)),
+       strided=st.booleans(), seed=st.integers(0, 2 ** 16))
+def test_advect_compiled_equals_oracle(nx, ny, nz, halo, name, kinds, strided,
+                                       seed):
+    """Each of the four advections (the slow stage's only compiled
+    advection) == its oracle byte for byte, for fields and fluxes of every
+    kind; the oracle also sees them as strided views."""
     rng = np.random.default_rng(seed)
-    g, fx, fy, fz = _advect_case(rng, 7, 6, 5, 2, ("normal", "normal"))
-    phi = rng.normal(size=getattr(g, _FIELD_SHAPE[name]))
-    target = {"phi": phi, "fx": fx, "fz": fz}[where]
-    target.flat[rng.integers(0, target.size, size=5)] = bad
-    with np.errstate(all="ignore"):
-        compiled = _compiled(name, phi, fx, fy, fz, g)
-        oracle = _oracle(getattr(adv, name), phi, fx, fy, fz, g)
-    assert np.array_equal(np.isnan(compiled), np.isnan(oracle))
-    # infinities keep their sign; only NaN payloads are exempt
-    _same_bytes(name, np.where(np.isnan(compiled), 0.0, compiled),
-                np.where(np.isnan(oracle), 0.0, oracle))
-
-
-@needs_library
-def test_compiled_advection_declines_what_it_does_not_cover():
-    """Non-Koren limiters, mixed dtypes, ndarray subclasses and nz < 4 go
-    to the oracle (``NotImplemented``), never to a guess, and are not
-    counted as declined operands."""
-    rng = np.random.default_rng(0)
-    g, fx, fy, fz = _advect_case(rng, 6, 5, 5, 2, ("normal", "normal"))
-    phi = rng.normal(size=g.shape_c)
-    run = FUSED_IMPLS["advect_scalar"]
-    cache = PlanCache()
-    before = Counter(native.UNBOUND)
-
-    class Sub(np.ndarray):
-        pass
-
-    g3, fx3, fy3, fz3 = _advect_case(rng, 6, 5, 3, 2, ("normal", "normal"))
-    with native.using(LIB):
-        assert run(cache, phi, fx, fy, fz, g) is not NotImplemented
-        assert run(cache, phi, fx, fy, fz, g, limiter=minmod) is NotImplemented
-        # float32 fields against the float64 grid metrics are a mixed call
-        f32 = [a.astype(np.float32) for a in (phi, fx, fy, fz)]
-        assert run(cache, *f32, g) is NotImplemented
-        assert run(cache, phi.astype(np.float32), fx, fy, fz,
-                   g) is NotImplemented
-        assert run(cache, phi.view(Sub), fx, fy, fz, g) is NotImplemented
-        assert run(cache, rng.normal(size=g3.shape_c), fx3, fy3, fz3,
-                   g3) is NotImplemented
-    assert native.UNBOUND - before == Counter()
+    g = make_grid(nx=nx, ny=ny, nz=nz, dx=100.0, dy=130.0, ztop=90.0 * nz,
+                  halo=halo)
+    fx, fy, fz = (_fill(rng, kinds[1], s, np.float64)
+                  for s in (g.shape_u, g.shape_v, g.shape_w))
+    phi = _fill(rng, kinds[0], getattr(g, _VARIANTS[name][0]), np.float64)
+    got = _advect(name, phi, fx, fy, fz, g)
+    if strided:
+        phi, fx, fz = _strided(phi), _strided(fx), _strided(fz)
+    _same_bytes(name, got, _oracle(getattr(adv, name), phi, fx, fy, fz, g))
 
 
 # --------------------------------------------- (b) the acoustic substep
@@ -483,7 +401,7 @@ def test_kessler_compiled_equals_oracle(nx, ny, nz, terrain, nan, flags, seed):
         state = State(g, rho.copy(), g.zeros_u(), g.zeros_v(), g.zeros_w(),
                       rhotheta.copy(), {k: v.copy() for k, v in q.items()})
         with native.using(LIB), np.errstate(all="ignore"):
-            precip = (body(PlanCache(), state, None, 10.0, cfg) if body
+            precip = (body(state, None, 10.0, cfg) if body
                       else _oracle(kessler_step, state, None, 10.0, cfg))
         assert precip is not NotImplemented
         runs.append([*map(state.get, ("rho", "rhotheta", "qv", "qc", "qr")),
@@ -504,11 +422,11 @@ def test_kessler_declines_what_it_cannot_take(monkeypatch):
         state = State(g, rho.astype(np.float32), None, None, None,
                       rhotheta.astype(np.float32),
                       {k: v.astype(np.float32) for k, v in q.items()})
-        assert impl(PlanCache(), state, None, 10.0) is NotImplemented
+        assert impl(state, None, 10.0) is NotImplemented
         assert native.UNBOUND == Counter()
         state = State(g, rho, None, None, None, rhotheta,
                       dict(q, qc=_strided(q["qc"])))
-        assert impl(PlanCache(), state, None, 10.0) is NotImplemented
+        assert impl(state, None, 10.0) is NotImplemented
     assert native.UNBOUND == Counter(
         {("warm-rain steps", "qc not C-contiguous"): 1})
 
@@ -538,7 +456,7 @@ def test_halo_fill_compiled_equals_reference(nx, ny, nz, halo, periodic,
         state = State(g, *(a.copy() for a in arrays[:5]),
                       {"qv": arrays[5].copy(), "qr": arrays[6].copy()})
         with native.using(LIB):
-            out = (body(PlanCache(), state, names) if body
+            out = (body(state, names) if body
                    else _oracle(fill_halos_state, state, names))
         assert out is None
         runs.append([state.get(n) for n in state.prognostic_names()])
@@ -631,10 +549,8 @@ def test_the_reference_backend_calls_nothing_in_the_library(workload,
     def counted(name, fn):
         return lambda *a, **k: (calls.update([name]), fn(*a, **k))[1]
 
-    for width in ("f64", "f32"):
-        kernels = getattr(LIB, width)
-        for name, fn in vars(kernels).items():
-            monkeypatch.setattr(kernels, name, counted(name, fn))
+    for name, fn in vars(LIB.f64).items():
+        monkeypatch.setattr(LIB.f64, name, counted(name, fn))
     fields = {}
     for backend in ("reference", "fused"):
         with native.using(LIB):
@@ -740,22 +656,38 @@ def _rank_grid():
     return make_subgrid(g, decompose(g.nx, g.ny, 2, 2, min_cells=g.halo)[3])
 
 
-def _slow_state(rng, g, zeroed=(), lone=None, bad=None):
+def _slow_state(rng, g, zeroed=(), lone=None, bad=None, kinds=None):
     """A stage state on ``g``: every species present, those in ``zeroed``
     all ``+0.0`` except (``lone``) one ``-0.0`` in the first of them, in
     the interior, the halo or a halo corner; ``bad`` puts a NaN or an inf
-    in ``rhou`` or a zero in ``rho``."""
+    in ``rhou`` or a zero in ``rho``.  ``kinds`` (two of :data:`KINDS`)
+    fills the advected scalars (theta and each ``q / rho``) and the
+    momenta over a density of powers of two, which divides them exactly."""
     h = g.halo
-    rho = 1.0 + 0.1 * rng.random(g.shape_c)
-    q = {n: np.zeros(g.shape_c) if n in zeroed else
-         rho * 1e-3 * rng.random(g.shape_c) for n in WATER_SPECIES}
+    if kinds is None:
+        rho = 1.0 + 0.1 * rng.random(g.shape_c)
+
+        def scalar(mean, scale):
+            return mean + scale * rng.random(g.shape_c)
+
+        def momentum(shape):
+            return rng.normal(size=shape)
+    else:
+        rho = 2.0 ** rng.integers(-1, 2, g.shape_c)
+
+        def scalar(mean, scale):
+            return _fill(rng, kinds[0], g.shape_c, np.float64)
+
+        def momentum(shape):
+            return _fill(rng, kinds[1], shape, np.float64)
+    q = {n: np.zeros(g.shape_c) if n in zeroed else rho * scalar(0.0, 1e-3)
+         for n in WATER_SPECIES}
     if lone and zeroed:
         at = {"interior": (h, h, 1), "halo": (0, h, 1),
               "corner": (0, 0, 0)}[lone]
         q[next(n for n in WATER_SPECIES if n in zeroed)][at] = -0.0
-    st = State(g, rho, rng.normal(size=g.shape_u), rng.normal(size=g.shape_v),
-               rng.normal(size=g.shape_w),
-               rho * (300.0 + rng.random(g.shape_c)), q)
+    st = State(g, rho, momentum(g.shape_u), momentum(g.shape_v),
+               momentum(g.shape_w), rho * scalar(300.0, 1.0), q)
     if bad in ("nan", "inf"):
         st.rhou.flat[rng.integers(st.rhou.size)] = float(bad)
     elif bad == "rho0":
@@ -797,9 +729,35 @@ def _assert_same_stage(got, want):
 
 @needs_library
 @SETTINGS
+@given(bad=st.sampled_from([np.nan, np.inf, -np.inf]),
+       where=st.sampled_from(["rhotheta", "qv", "rhov", "rhow"]),
+       terrain=st.booleans(), seed=st.integers(0, 2 ** 16))
+def test_nonfinite_inputs_land_where_the_oracle_puts_them(bad, where,
+                                                          terrain, seed):
+    """NaN and infinities in an advected field (theta, a species, a
+    velocity, whose momentum is a flux too) end where the oracles put
+    them, with the oracles' bytes everywhere else (NaN payloads exempt),
+    and the stage still takes them in one call."""
+    rng = np.random.default_rng(seed)
+    g = make_grid(7, 6, 5, 100.0, 130.0, 2000.0,
+                  terrain=_hill if terrain else None)
+    st0 = _slow_state(rng, g, zeroed={"qr"})
+    target = st0.get(where)
+    target.flat[rng.integers(0, target.size, size=5)] = bad
+    before = Counter(native.UNBOUND)
+    (got, _, binding), (want, *_) = _stage_runs(st0, DynamicsConfig())
+    assert binding.args is not None
+    assert native.UNBOUND - before == Counter()
+    _assert_same_stage(got, want)
+
+
+@needs_library
+@SETTINGS
 @given(kind=st.sampled_from(["flat", "terrain", "rank"]),
-       nx=st.integers(1, 6), ny=st.integers(1, 5), nz=st.integers(4, 6),
+       nx=st.integers(1, 11), ny=st.integers(1, 9), nz=st.integers(4, 9),
        periodic=st.booleans(), halo=st.sampled_from([2, 3]),
+       kinds=st.none() | st.tuples(st.sampled_from(KINDS),
+                                   st.sampled_from(KINDS)),
        coriolis=st.booleans(), sponge=st.booleans(),
        zeroed=st.sets(st.sampled_from(WATER_SPECIES)),
        lone=st.sampled_from([None, "interior", "halo", "corner"]),
@@ -807,14 +765,17 @@ def _assert_same_stage(got, want):
        stage=st.sampled_from(["first", "base", "dirty base", "later"]),
        seed=st.integers(0, 2 ** 16))
 def test_slow_stage_compiled_equals_oracle(kind, nx, ny, nz, periodic, halo,
-                                           coriolis, sponge, zeroed, lone,
-                                           bad, stage, seed):
+                                           kinds, coriolis, sponge, zeroed,
+                                           lone, bad, stage, seed):
     """One compiled ``slow_stage`` == the NumPy text on the oracles: every
     forcing field and species tendency byte for byte (NaN payloads
     exempt), the same skipped set and the same dispatch counts, on flat,
-    terrain and rank grids, periodic or open, any subset of species zeroed
-    with or without a lone ``-0.0``; a NaN or inf flux or a zero density
-    takes the full path.  Nothing is declined."""
+    terrain and rank grids, periodic or open, fields and fluxes of every
+    kind (constant, plateaus, signed zeros, single-signed), any subset of
+    species zeroed with or without a lone ``-0.0``; a NaN or inf flux or a
+    zero density takes the full path.  Nothing is declined.  The stage is
+    the advection's only compiled caller, so this is the advection's
+    identity test."""
     rng = np.random.default_rng(seed)
     if kind == "rank":
         g = _rank_grid()
@@ -822,7 +783,7 @@ def test_slow_stage_compiled_equals_oracle(kind, nx, ny, nz, periodic, halo,
         g = make_grid(nx, ny, nz, 100.0, 130.0, 400.0 * nz, halo=halo,
                       periodic_x=periodic, periodic_y=not periodic,
                       terrain=_hill if kind == "terrain" else None)
-    st0 = _slow_state(rng, g, zeroed, lone, bad)
+    st0 = _slow_state(rng, g, zeroed, lone, bad, kinds)
     base = None
     if stage != "first":
         base = st0.copy()
@@ -864,7 +825,8 @@ class _Sub(np.ndarray):
 
 @needs_library
 @pytest.mark.parametrize("why", [
-    "rho float32", "rho a _Sub", "limiter minmod", "nz 3 < 4", "halo 1 < 2",
+    "rho float32", "rho a _Sub", "rhov not C-contiguous", "limiter minmod",
+    "nz 3 < 4", "halo 1 < 2",
     "diffusion configured", "drag configured",
     "fluxes past the exact sum test"])
 def test_the_slow_stage_declines_what_it_does_not_take(why):
@@ -883,6 +845,8 @@ def test_the_slow_stage_declines_what_it_does_not_take(why):
             st0.set(name, st0.get(name).astype(np.float32))
     if why == "rho a _Sub":
         st0.rho = st0.rho.view(_Sub)
+    if why == "rhov not C-contiguous":
+        st0.rhov = _strided(st0.rhov)
     if why.startswith("fluxes"):
         st0.rhou *= 1e306
     ref = make_reference_state(g, constant_stability_sounding())
@@ -1257,7 +1221,7 @@ def test_swapped_minimum_is_rejected_at_load(tmp_path, monkeypatch):
     assert lib.f64 is None and lib.hash != LIB.hash
     assert native.COUNTS["self-check-failed"] == before + 1
     with native.using(lib):                     # a rejected library is no library
-        assert native.kernels(np.float64) is None
+        assert native.kernels() is None
 
 
 @needs_library
@@ -1355,16 +1319,41 @@ def test_a_changed_slow_stage_is_rejected_at_load(body, old, new, tmp_path,
 
 
 @needs_library
-@pytest.mark.parametrize("width", ["f64", "f32"])
-def test_the_self_check_reaches_the_advection_of_both_widths(width,
-                                                             monkeypatch):
-    """No run has float32 grid metrics yet, so the load-time battery is
-    the float32 advection's only traffic: it must be on it."""
-    from repro.stencil import dycore
+def test_the_self_check_reaches_the_advection_through_the_slow_stage(
+        tmp_path, monkeypatch):
+    """The advection has no entry of its own: the slow stage is its one
+    caller, and the battery's slow stage its check.  A y divergence
+    divided term by term rounds differently."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    sources = native.read_sources()
+    old = "o[i] = o[i] - (fyb[i] - fyb[i - n2]) / dy;"
+    assert sources["advect.c"].count(old) == 1
+    sources["advect.c"] = sources["advect.c"].replace(
+        old, "o[i] = o[i] - fyb[i] / dy + fyb[i - n2] / dy;")
+    lib = native.load(sources)
+    assert lib.state == "self-check-failed"
+    assert lib.detail == "slow stage, flat grid" and lib.f64 is None
 
-    assert dycore.native_check(LIB) == ""
-    monkeypatch.setattr(getattr(LIB, width), "advect", lambda *a: None)
-    assert dycore.native_check(LIB) == f"advect_scalar_float{width[1:]}"
+
+@needs_library
+def test_the_library_hash_is_the_units_compiled(tmp_path, monkeypatch):
+    """The cache key hashes the translation units handed to the compiler,
+    not only the sources they are made of: an edit to how ``_units``
+    composes them is a fresh build, never the old library found under the
+    old name."""
+    shipped = os.path.join(native.cache_dir(), f"native-{LIB.hash}.so")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    os.makedirs(tmp_path / "repro-asuca", mode=0o700)
+    shutil.copy2(shipped, tmp_path / "repro-asuca")
+    found = native.load()
+    assert (found.state, found.hash, found.build_s) == ("loaded", LIB.hash, 0)
+    units = native._units
+    monkeypatch.setattr(native, "_units", lambda sources, clones: tuple(
+        unit + "#define REPRO_EDITED 1\n" for unit in units(sources, clones)))
+    lib = native.load()
+    assert lib.state == "loaded" and lib.hash != LIB.hash and lib.build_s > 0
+    assert sorted(os.listdir(tmp_path / "repro-asuca")) == sorted(
+        f"native-{h}.so" for h in (LIB.hash, lib.hash))
 
 
 @needs_library

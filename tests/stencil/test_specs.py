@@ -75,46 +75,60 @@ def test_use_executor_scopes_dispatch():
     body off for exactly its block."""
     assert RunSpec().normalized().stencil_backend == "fused"
     assert active_executor().backend == "fused"
-    lib = native.kernels(np.float64)
+    lib = native.kernels()
     for backend in BACKENDS:
         ex = StencilExecutor(backend)
         assert active_executor() is not ex
         with use_executor(ex):
             assert active_executor() is ex
-            assert native.kernels(np.float64) is (
+            assert native.kernels() is (
                 None if backend == "reference" else lib)
         assert active_executor() is not ex
-        assert native.kernels(np.float64) is lib
+        assert native.kernels() is lib
 
 
 def test_fused_dispatch_counts_and_falls_back():
-    """A fused impl that declines (NotImplemented) falls back to the
-    reference and the stats show it."""
+    """A compiled entry that declines (NotImplemented) falls back to the
+    reference and the stats show it; a kernel without an entry counts as
+    neither."""
     from repro.core.advection import advect_scalar
     from repro.core.grid import make_grid
-    from repro.core.limiter import minmod
+    from repro.core.state import State
+    from repro.physics.kessler import kessler_step
 
     g = make_grid(nx=8, ny=8, nz=6, dx=100.0, dy=100.0, ztop=600.0)
     r = np.random.default_rng(3)
+    rho = 1.0 + 0.1 * r.random(g.shape_c)
+
+    def moist(dtype):
+        return State(g, rho.astype(dtype), None, None, None,
+                     (300.0 * rho).astype(dtype),
+                     {n: (1e-3 * rho).astype(dtype) for n in ("qv", "qc",
+                                                              "qr")})
+
     phi = r.normal(size=(g.nxh, g.nyh, g.nz))
     fx = r.normal(size=(g.nxh + 1, g.nyh, g.nz))
     fy = r.normal(size=(g.nxh, g.nyh + 1, g.nz))
     fz = r.normal(size=(g.nxh, g.nyh, g.nz + 1))
 
-    lib = native.kernels(np.float64)        # loaded and checked first
+    lib = native.kernels()                  # loaded and checked first
     ex = StencilExecutor("fused")
+    states = [moist(np.float64), moist(np.float32)]
     with use_executor(ex):
-        out_fused = advect_scalar(phi, fx, fy, fz, g)
-        # a non-Koren limiter has no fused body: falls back
-        out_minmod = advect_scalar(phi, fx, fy, fz, g, limiter=minmod)
-    # without a library the Koren call declines too (its oracle runs)
+        out = advect_scalar(phi, fx, fy, fz, g)
+        # a float64 state takes the compiled warm rain where a library is
+        # loaded; a float32 one is declined: its oracle runs
+        for st in states:
+            kessler_step(st, None, 10.0)
+    assert (ex.calls["advect_scalar"], ex.calls["kessler_step"]) == (1, 2)
     assert ex.accelerated == (lib is not None)
-    assert ex.fallbacks >= 1 and ex.calls["advect_scalar"] == 2
+    assert ex.fallbacks == 2 - ex.accelerated
     np.testing.assert_array_equal(
-        out_fused, advect_scalar.reference(phi, fx, fy, fz, g))
-    np.testing.assert_array_equal(
-        out_minmod, advect_scalar.reference(phi, fx, fy, fz, g,
-                                            limiter=minmod))
+        out, advect_scalar.reference(phi, fx, fy, fz, g))
+    want = moist(np.float32)
+    kessler_step.reference(want, None, 10.0)
+    for name in ("rho", "rhotheta", "qv", "qc", "qr"):
+        assert states[1].get(name).tobytes() == want.get(name).tobytes()
     assert "fused" in ex.report()
 
 
@@ -122,9 +136,7 @@ def test_fused_impls_cover_the_hot_dycore():
     """The compiled entries are exactly the dispatched kernels with a C
     body; every other kernel has one text, its oracle."""
     load_dycore_specs()
-    assert sorted(FUSED_IMPLS) == [
-        "advect_scalar", "advect_u", "advect_v", "advect_w",
-        "fill_halos_state", "kessler_step"]
+    assert sorted(FUSED_IMPLS) == ["fill_halos_state", "kessler_step"]
 
 
 def test_without_a_library_every_compiled_entry_declines():
@@ -133,7 +145,6 @@ def test_without_a_library_every_compiled_entry_declines():
     NumPy text, its oracle, runs."""
     from repro.core.grid import make_grid
     from repro.core.state import State
-    from repro.stencil.plan import PlanCache
 
     load_dycore_specs()
     g = make_grid(nx=6, ny=5, nz=5, dx=100.0, dy=130.0, ztop=500.0)
@@ -143,37 +154,40 @@ def test_without_a_library_every_compiled_entry_declines():
     st = State(g, cell, u, v, w, 300.0 * cell,
                {n: 1e-3 * r.random(g.shape_c) for n in ("qv", "qc", "qr")})
     before = [st.get(n).copy() for n in st.prognostic_names()]
-    args = {name: (r.normal(size=getattr(g, shape)), u, v, w, g)
-            for name, shape in (("advect_scalar", "shape_c"),
-                                ("advect_u", "shape_u"),
-                                ("advect_v", "shape_v"),
-                                ("advect_w", "shape_w"))}
-    args.update(fill_halos_state=(st,), kessler_step=(st, None, 10.0))
+    args = dict(fill_halos_state=(st,), kessler_step=(st, None, 10.0))
     assert set(args) == set(FUSED_IMPLS)
     with native.using(None):
         for name, impl in FUSED_IMPLS.items():
-            assert impl(PlanCache(), *args[name]) is NotImplemented, name
+            assert impl(*args[name]) is NotImplemented, name
     for old, name in zip(before, st.prognostic_names()):
         assert st.get(name).tobytes() == old.tobytes(), name
 
 
-# --------------------------------------------------------------- plan
-def test_plan_cache_builds_once_and_stays_bounded():
-    """One plan per (shape, dtype), a bounded number of them, and an
-    arena of advect.c's five rows: a function of the row, never of the
+# ------------------------------------------------------------ scratch
+def test_thread_scratch_is_built_once_and_stays_bounded():
+    """One :class:`AcousticScratch` per grid shape and thread, a bounded
+    number of them, and advection rows of advect.c's five carried rows of
+    the widest staggered row: a function of the row, never of the
     field's x extent."""
-    from repro.stencil.plan import PlanCache
+    import threading
 
-    cache = PlanCache(maxsize=2)
-    f8 = np.dtype("f8")
-    a = cache((52, 52, 24), f8)
-    assert cache((52, 52, 24), f8) is a and cache.built == 1
-    assert a.arena.size == 5 * 53 * 25 and cache.nbytes() == a.arena.nbytes
-    # a 25x larger field costs the same arena ...
-    assert cache((1300, 52, 24), f8).arena.size == a.arena.size
+    from repro.core.acoustic import _SCRATCH, AcousticScratch, Recent
+
+    cache = Recent(AcousticScratch, maxsize=2)
+    a = cache(48, 48, 24, 2, False)
+    assert cache(48, 48, 24, 2, False) is a and len(cache.items) == 1
+    assert a.arena.size == 5 * 53 * 25
+    # a 25x larger field costs the same rows ...
+    assert cache(1296, 48, 24, 2, False).arena.size == a.arena.size
     # ... and the cache never holds more than maxsize shapes
-    cache((20, 20, 12), f8)
-    assert cache.built == 3 and len(cache.items) == 2
-    assert cache((52, 52, 24), f8) is not a          # evicted, rebuilt
-    # a narrow tall column too: the Thomas block is the substep's scratch
-    assert PlanCache()((5, 5, 40), f8).arena.size == 5 * 6 * 41
+    cache(16, 16, 12, 2, False)
+    assert len(cache.items) == 2
+    assert cache(48, 48, 24, 2, False) is not a          # evicted, rebuilt
+    # another thread builds its own: scratch two threads share is a race
+    other = []
+    worker = threading.Thread(target=lambda: other.append(
+        _SCRATCH(4, 4, 4, 2, False)))
+    worker.start()
+    worker.join()
+    assert other[0] is not _SCRATCH(4, 4, 4, 2, False)
+    assert _SCRATCH.maxsize == 8
