@@ -168,6 +168,16 @@ repro doctor --ranks 2x2 --min-hidden 0.05 > /dev/null
 step "trace diagnosis of a 2x2 dycore smoke trace"
 repro trace warm-bubble --nx 16 --ny 16 --nz 8 --steps 2 --ranks 2x2 -o "$out/smoke-trace.json" > /dev/null
 repro doctor --trace "$out/smoke-trace.json" > /dev/null
+step "the smoke trace's device ops (host spans excluded) are the pinned ones"
+python - "$out/smoke-trace.json" <<'PY'
+import hashlib, json, sys
+h = hashlib.sha256()
+for e in json.load(open(sys.argv[1]))["traceEvents"]:
+    if e.get("ph") == "X" and e.get("cat") in ("kernel", "h2d", "d2h", "mpi"):
+        h.update(json.dumps(e, sort_keys=True).encode())
+pinned = "cce8da30f8d7fb7f93773100e061d5fc9bed74065e62d21bbb391866d7c211d6"
+assert h.hexdigest() == pinned, h.hexdigest()
+PY
 step "live roofline: a counted 2x2 smoke, then doctor --roofline on it and on a fresh run"
 repro run shear-layer --nx 16 --ny 16 --nz 12 --steps 2 --ranks 2x2 --counters \
   --trace-jsonl "$out/counted.jsonl" > /dev/null
