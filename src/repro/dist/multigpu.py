@@ -142,7 +142,7 @@ class MultiGpuAsuca:
         ]
         schedule = step_schedule(ns or self.config.dynamics.ns,
                                  include_ice=self.config.ice_enabled)
-        #: per-rank priced launches of one long step
+        #: per-rank priced launch tables of one long step
         self._dev_launches = [
             price_step(schedule, sub.nx * sub.ny * self.global_grid.nz,
                        device.spec, precision=precision,

@@ -5,9 +5,9 @@ trusting the per-point costs of the kernel table
 (:mod:`repro.gpu.asuca_kernels`), a :class:`CountingHook` runs every bound
 reference kernel once per sampled step with its field arguments wrapped
 in :class:`~repro.perf.counting.CountingArray`\\ s — the pure-Python
-equivalent of the paper's PAPI counters (Sec. IV-B) — and annotates that
-step's device ops with the measured per-point counts scaled to each
-launch's size (:attr:`~repro.gpu.device.Op.measured`).
+equivalent of the paper's PAPI counters (Sec. IV-B) — and that step's
+device ops carry the measured per-point counts scaled to each launch's
+size (:attr:`~repro.gpu.device.Op.measured`).
 
 The hook never touches the run's numerics or the modeled timeline: it
 measures on *copies/views* of the state via the table's reference
@@ -68,23 +68,24 @@ class MeasuredKernel:
 
 
 class CountingHook:
-    """Measures per-point FLOP/element counts of the ASUCA kernels and
-    annotates device ops with them.
+    """Measures per-point FLOP/element counts of the ASUCA kernels for
+    the device ops of the steps it samples.
 
     Lifecycle per step, as :func:`repro.gpu.runtime.charge_step` drives
     it::
 
-        sampled = hook.begin_step(step_index, state)   # measures if due
-        for name, ..., n_points, duration, ... in launches:
-            op = device.schedule(name, "kernel", ...)
-            if sampled:
-                hook.annotate(op, name, n_points)
+        measured = None
+        if hook.begin_step(step_index, state):      # measures if due
+            measured = []
+            for name, _, count, n_points, *_ in table.rows:
+                measured += [hook.annotate(name, n_points, count)] * count
+        device.place_run(stream, table, measured=measured)
 
     ``begin_step`` runs every accounting kernel once on (copies of) the
     live state fields under a :class:`~repro.perf.counting.FlopCounter`,
     yielding per-point counts; ``annotate`` scales them to the launch
-    size and precision and stores the result on the op.  Steps where
-    ``step_index % sample_every != 0`` are skipped entirely.
+    size and precision and returns the dict the launches' ops carry.
+    Steps where ``step_index % sample_every != 0`` are skipped entirely.
     """
 
     def __init__(self, grid, ref, *, precision: Precision = Precision.SINGLE,
@@ -138,26 +139,31 @@ class CountingHook:
         mk.update_per_point(pp["flops"], pp["reads"], pp["writes"])
 
     # -------------------------------------------------------- annotation
-    def annotate(self, op, name: str, n_points: float) -> None:
-        """Attach measured counts (scaled to this launch) to a device op."""
+    def annotate(self, name: str, n_points: float,
+                 launches: int = 1) -> dict | None:
+        """The measured counts of one launch of ``name`` over
+        ``n_points`` (the :attr:`~repro.gpu.device.Op.measured` of each
+        of ``launches`` such launches, credited to the run's totals), or
+        None for a kernel this step did not measure.  The dict is shared
+        by those launches' ops; read it, do not change it."""
         pp = self._per_point.get(name)
         if pp is None:
-            return
+            return None
         itemsize = self.precision.itemsize
         flops = pp["flops"] * n_points
         bytes_read = pp["reads"] * n_points * itemsize
         bytes_written = pp["writes"] * n_points * itemsize
         traffic = bytes_read + bytes_written
-        op.measured = {
+        mk = self.measured.setdefault(name, MeasuredKernel(name))
+        mk.launches += launches
+        mk.points += launches * float(n_points)
+        return {
             "flops": flops,
             "bytes_read": bytes_read,
             "bytes_written": bytes_written,
             "intensity": flops / traffic if traffic > 0 else 0.0,
             "points": float(n_points),
         }
-        mk = self.measured.setdefault(name, MeasuredKernel(name))
-        mk.launches += 1
-        mk.points += float(n_points)
 
     # --------------------------------------------------------- reporting
     def per_point(self, name: str) -> dict[str, float] | None:

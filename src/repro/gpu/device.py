@@ -13,7 +13,10 @@ Sec. 2).  Work is submitted in host order exactly like the CUDA runtime:
 
 The recorded timeline is what the Fig. 9 / Fig. 11 benchmarks read out.
 Functional results are produced by really executing the wrapped NumPy
-functions; the clock is purely virtual.
+functions; the clock is purely virtual.  A long step's kernel launches
+are one entry of it (:meth:`GPUDevice.place_run`): a priced
+:class:`LaunchTable` stamped at its first start, whose ops the
+:class:`Timeline` makes when they are read.
 
 Every op also records the *happens-before* facts of its submission — the
 explicit event/`after` dependencies it was given, its position in stream
@@ -25,13 +28,21 @@ conflicting accesses with no ordering edge (the virtual machine's
 """
 from __future__ import annotations
 
+import math
+import operator
+from array import array
+from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
+
+import numpy as np
 
 from ..optimeline import engine_for
 from .spec import DeviceSpec, TESLA_S1070
 
-__all__ = ["Access", "Op", "Event", "Stream", "GPUDevice"]
+__all__ = ["Access", "Op", "Event", "Stream", "LaunchTable", "Timeline",
+           "GPUDevice"]
 
 
 @dataclass(frozen=True)
@@ -81,9 +92,9 @@ class Op:
     deps: tuple[int, ...] = ()
     #: memory regions this op declared (empty = opaque to racecheck)
     accesses: tuple[Access, ...] = ()
-    #: measured FLOP/byte counts of this launch (None = not instrumented).
-    #: Filled by the counting hook (:mod:`repro.gpu.counters`) or a
-    #: ``counter=`` launch; keys: ``flops``, ``bytes_read``,
+    #: measured FLOP/byte counts of this launch (None = not instrumented),
+    #: from the counting hook (:mod:`repro.gpu.counters`) on a sampled
+    #: step's launches; keys: ``flops``, ``bytes_read``,
     #: ``bytes_written``, ``intensity`` [flop/B], ``points``.  Unlike
     #: :attr:`flops`/:attr:`bytes_moved` (the analytic cost model) these
     #: come from actually running the kernel under instrumented arrays.
@@ -131,6 +142,159 @@ class Stream:
             self._pending_deps.append(event.op)
 
 
+def _check_duration(what: str, duration: float) -> None:
+    # NaN fails both comparisons; an infinite op would end the clock
+    if not 0.0 <= duration < math.inf:
+        raise ValueError(f"{what}: duration {duration!r} is not a finite, "
+                         f"non-negative time")
+
+
+class LaunchTable:
+    """A fixed sequence of kernel launches, priced once.
+
+    ``rows`` are ``(name, tag, launches, n_points, duration, flops,
+    bytes moved)`` in launch order (what
+    :func:`repro.gpu.runtime.price_step` makes); a row stands for
+    ``launches`` identical launches over ``n_points`` points.  The
+    per-launch columns are expanded here, once, for
+    :meth:`GPUDevice.place_run` and for the ops a :class:`Timeline`
+    makes when it is read.  A duration that is negative or not finite is
+    rejected, naming its kernel.
+    """
+
+    def __init__(self, rows: Iterable[tuple]):
+        self.rows = tuple(rows)
+        names, tags, flops, nbytes, durations = [], [], [], [], []
+        for name, tag, count, _, duration, fl, by in self.rows:
+            _check_duration(f"kernel {name!r}", duration)
+            names += [name] * count
+            tags += [tag] * count
+            flops += [fl] * count
+            nbytes += [by] * count
+            durations += [duration] * count
+        self.names = tuple(names)
+        self.tags = tuple(tags)
+        self.flops = tuple(flops)
+        self.bytes_moved = tuple(nbytes)
+        self.durations = np.array(durations, dtype=np.float64)
+
+    def __len__(self) -> int:
+        return len(self.names)
+
+
+class _Run:
+    """One :meth:`GPUDevice.place_run`: a table's launches back to back
+    on one stream from ``start``, numbered from ``seq``.  ``deps`` are
+    the first launch's; ``measured`` is one entry per launch, or None."""
+
+    __slots__ = ("table", "stream", "start", "seq", "epoch", "deps",
+                 "measured")
+
+    def __init__(self, table, stream, start, seq, epoch, deps, measured):
+        self.table = table
+        self.stream = stream
+        self.start = start
+        self.seq = seq
+        self.epoch = epoch
+        self.deps = deps
+        self.measured = measured
+
+    def __len__(self) -> int:
+        return len(self.table)
+
+    def times(self) -> list[float]:
+        """``[start, end_0, end_1, ...]``: each end is the previous one
+        plus the launch's duration, added in order exactly as
+        :meth:`GPUDevice.schedule` adds them one op at a time (never a
+        start plus a precomputed offset, which would round differently)."""
+        buf = np.empty(len(self.table) + 1)
+        buf[0] = self.start
+        buf[1:] = self.table.durations
+        return np.add.accumulate(buf, out=buf).tolist()
+
+    def ops(self, lo: int, hi: int,
+            times: list[float] | None = None) -> list[Op]:
+        """The run's ops ``lo`` to ``hi``, made now."""
+        if times is None:
+            times = self.times()
+        t, m = self.table, self.measured
+        return [Op(t.names[i], "kernel", self.stream, times[i], times[i + 1],
+                   t.flops[i], t.bytes_moved[i], t.tags[i], self.seq + i,
+                   self.epoch, self.deps if i == 0 else (), (),
+                   None if m is None else m[i])
+                for i in range(lo, hi)]
+
+
+class Timeline(Sequence):
+    """A device's ops in submission order: a read-only sequence of
+    :class:`Op`.
+
+    Each entry is an op placed by :meth:`GPUDevice.schedule` or a run
+    placed by :meth:`GPUDevice.place_run`, whose ops are made, in one
+    place (:meth:`_Run.ops`), each time they are read — equal field for
+    field to what placing them one by one gives.  ``len`` is O(1);
+    indexing, slicing and iteration make the run ops they return.
+    """
+
+    __slots__ = ("_entries", "_firsts", "_len")
+
+    def __init__(self):
+        self._entries: list[Op | _Run] = []
+        self._firsts = array("q")   #: index of each entry's first op
+        self._len = 0
+
+    def _add(self, entry: "Op | _Run", n: int = 1) -> None:
+        self._entries.append(entry)
+        self._firsts.append(self._len)
+        self._len += n
+
+    def _clear(self) -> None:
+        self._entries.clear()
+        del self._firsts[:]
+        self._len = 0
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __iter__(self) -> Iterator[Op]:
+        for e in self._entries:
+            if isinstance(e, Op):
+                yield e
+            else:
+                yield from e.ops(0, len(e))
+
+    def _span(self, lo: int, hi: int) -> list[Op]:
+        """Ops ``lo`` to ``hi`` (``0 <= lo <= hi <= len``)."""
+        out: list[Op] = []
+        k = bisect_right(self._firsts, lo) - 1
+        while lo < hi:
+            e, first = self._entries[k], self._firsts[k]
+            if isinstance(e, Op):
+                out.append(e)
+                lo += 1
+            else:
+                end = min(hi, first + len(e))
+                out += e.ops(lo - first, end - first)
+                lo = end
+            k += 1
+        return out
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            r = range(*i.indices(self._len))
+            if not r:
+                return []
+            lo = min(r[0], r[-1])
+            span = self._span(lo, max(r[0], r[-1]) + 1)
+            return [span[j - lo] for j in r]
+        n = i = operator.index(i)
+        if i < 0:
+            i += self._len
+        if not 0 <= i < self._len:
+            raise IndexError(f"timeline index {n} out of range")
+        return self._span(i, i + 1)[0]
+
+
 class GPUDevice:
     """One virtual GPU (or CPU core) with a simulated clock.
 
@@ -155,7 +319,7 @@ class GPUDevice:
             self._engines[f"copy{i}"] = 0.0
         self._n_copy = copy_engines
         self.streams: list[Stream] = []
-        self.timeline: list[Op] = []
+        self.timeline = Timeline()
         self.allocated_bytes = 0
         #: optional lifecycle hook (duck-typed; see
         #: :class:`repro.analysis.memcheck.MemcheckTracker`) notified by
@@ -195,8 +359,7 @@ class GPUDevice:
         serializes behind it on the DMA engine, so the retry shows up in
         the timeline and in the copy-time aggregates.
         """
-        if duration < 0:
-            raise ValueError("negative duration")
+        _check_duration(f"op {name!r}", duration)
         if (self.fault_injector is not None and kind in ("h2d", "d2h")
                 and self.fault_injector.on_pcie(self.label)):
             self._place(f"{name}[failed]", kind, stream, duration, 0.0,
@@ -236,8 +399,41 @@ class GPUDevice:
                 self._seq, self._epoch, deps, tuple(accesses))
         self._seq += 1
         stream.last_op = op
-        self.timeline.append(op)
+        self.timeline._add(op)
         return op
+
+    def place_run(self, stream: Stream, table: LaunchTable, *,
+                  measured: list | None = None) -> None:
+        """Place ``table``'s kernel launches back to back on ``stream``
+        as one timeline entry — the same ops, clock and happens-before
+        facts as scheduling them one by one: the first starts where
+        :meth:`schedule` would start it and carries the stream's pending
+        :meth:`Stream.wait_event` deps; each later one starts at the end
+        of the one before.  ``measured`` (one dict or None per launch)
+        is the ops' :attr:`Op.measured`.  Kernels never fail, so the
+        fault injector is not consulted; an empty table places nothing."""
+        n = len(table)
+        if n == 0:
+            return
+        engines = self._engines
+        engine = engine_for("kernel", self._n_copy)
+        start = stream.available_at
+        if engines[engine] > start:
+            start = engines[engine]
+        deps = ()
+        if stream._pending_deps:
+            deps = tuple(d.seq for d in stream._pending_deps)
+            stream._pending_deps = []
+        run = _Run(table, stream.sid, start, self._seq, self._epoch, deps,
+                   measured)
+        times = run.times()
+        end = times[-1]
+        stream.available_at = engines[engine] = end
+        if end > self._makespan:
+            self._makespan = end
+        self._seq += n
+        stream.last_op = run.ops(n - 1, n, times)[0]
+        self.timeline._add(run, n)
 
     # ------------------------------------------------------------- clock
     def synchronize(self) -> float:
@@ -260,7 +456,7 @@ class GPUDevice:
 
     def reset(self) -> None:
         """Clear the timeline and rewind the clock (memory stays)."""
-        self.timeline.clear()
+        self.timeline._clear()
         for s in self.streams:
             s.available_at = 0.0
             s.last_op = None

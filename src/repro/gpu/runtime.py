@@ -23,7 +23,7 @@ from ..core.model import AsucaModel
 from ..core.state import State
 from .asuca_kernels import DEFAULT_NS, step_schedule
 from .coalescing import ArrayOrder
-from .device import GPUDevice
+from .device import GPUDevice, LaunchTable
 from .kernel import Kernel
 from .memory import DeviceArray
 from .spec import DeviceSpec, Precision, TESLA_S1070
@@ -33,32 +33,34 @@ __all__ = ["GpuAsucaRunner", "charge_step", "price_step"]
 
 def price_step(schedule: list[tuple[Kernel, int]], n_points: float,
                spec: DeviceSpec, *, precision: Precision,
-               order: ArrayOrder) -> list[tuple]:
-    """Price one long step's launches once: ``(name, tag, launches per
+               order: ArrayOrder) -> LaunchTable:
+    """Price one long step's launches once: a
+    :class:`~repro.gpu.device.LaunchTable` of ``(name, tag, launches per
     step, n_points, duration, flops, bytes moved)`` per kernel of
     ``schedule`` (:func:`~repro.gpu.asuca_kernels.step_schedule`) on a
     device of ``spec``.  None of it depends on the data, so a driver
-    calls this when it attaches its devices, not every step."""
-    return [(kernel.name, kernel.tag, count, n_points,
-             *kernel.price(n_points, spec, precision, order))
-            for kernel, count in schedule]
+    calls this when it attaches its devices, not every step; a priced
+    duration that is negative or not finite raises ValueError naming its
+    kernel."""
+    return LaunchTable((kernel.name, kernel.tag, count, n_points,
+                        *kernel.price(n_points, spec, precision, order))
+                       for kernel, count in schedule)
 
 
-def charge_step(device: GPUDevice, launches: list[tuple], *, hook=None,
+def charge_step(device: GPUDevice, table: LaunchTable, *, hook=None,
                 step_index: int = 0, state: State | None = None) -> None:
     """Place one long step's modeled kernel launches (:func:`price_step`,
-    priced for ``device.spec``) on ``device``'s timeline.
+    priced for ``device.spec``) on ``device``'s default stream as one
+    run (:meth:`~repro.gpu.device.GPUDevice.place_run`).
     A :class:`~repro.gpu.counters.CountingHook` as ``hook`` measures the
-    kernels against ``state`` on the steps it samples and annotates
-    those launches with the measured counts."""
-    sampled = hook is not None and hook.begin_step(step_index, state)
-    schedule, stream = device.schedule, device.default_stream
-    for name, tag, count, n_points, duration, flops, bytes_moved in launches:
-        for _ in range(count):
-            op = schedule(name, "kernel", stream, duration, flops=flops,
-                          bytes_moved=bytes_moved, tag=tag)
-            if sampled:
-                hook.annotate(op, name, n_points)
+    kernels against ``state`` on the steps it samples, and those steps'
+    launches carry the measured counts."""
+    measured = None
+    if hook is not None and hook.begin_step(step_index, state):
+        measured = []
+        for name, _, count, n_points, *_ in table.rows:
+            measured += [hook.annotate(name, n_points, count)] * count
+    device.place_run(device.default_stream, table, measured=measured)
 
 
 class GpuAsucaRunner:

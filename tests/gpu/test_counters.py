@@ -45,13 +45,7 @@ def test_hook_annotate_scales_to_launch():
     case = _case()
     hook = CountingHook(case.model.grid, case.model.ref)
     hook.begin_step(0, case.state)
-
-    class _Op:
-        measured = None
-
-    op = _Op()
-    hook.annotate(op, "advection", 1000)
-    m = op.measured
+    m = hook.annotate("advection", 1000)
     pp = hook.per_point("advection")
     assert m["flops"] == pytest.approx(pp["flops"] * 1000)
     assert m["bytes_read"] == pytest.approx(pp["reads"] * 1000 * 4)  # SP
@@ -60,10 +54,11 @@ def test_hook_annotate_scales_to_launch():
     assert m["points"] == 1000.0
     mk = hook.measured["advection"]
     assert isinstance(mk, MeasuredKernel) and mk.launches == 1
+    # one call stands for a row of identical launches
+    assert hook.annotate("advection", 1000, 3) == m
+    assert (mk.launches, mk.points) == (4, 4000.0)
     # a kernel the hook never measured stays unannotated
-    op2 = _Op()
-    hook.annotate(op2, "no_such_kernel", 10)
-    assert op2.measured is None
+    assert hook.annotate("no_such_kernel", 10) is None
 
 
 # ------------------------------------------------------------- runner
