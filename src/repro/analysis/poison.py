@@ -253,8 +253,13 @@ class _Run(StencilExecutor):
             exchange, step = driver.exchange_all, driver.step
             driver.exchange_all = lambda sts, names=None, **kw: self.refresh(
                 lambda: exchange(sts, names, **kw), sts, names)
-        out, tracer, copy = [], sys.gettrace(), State.copy
+        out, tracer = [], sys.gettrace()
+        copy, assign = State.copy, State.assign
+        # a copy, or a stage state filled from its base, inherits the
+        # source's refresh record
         State.copy = lambda st: self.copied(copy, st)
+        State.assign = lambda dst, src: self.copied(
+            lambda st: assign(dst, st), src)
         sys.settrace(self.trace)
         try:
             with use_executor(self), np.errstate(all="ignore"):
@@ -268,7 +273,7 @@ class _Run(StencilExecutor):
             self.error = exc
         finally:
             sys.settrace(tracer)
-            State.copy = copy
+            State.copy, State.assign = copy, assign
         return out
 
 

@@ -597,6 +597,9 @@ class Experiment:
 
     def _finish(self, wall: float) -> RunResult:
         state = self.gather()
+        for model in (self.machine.ranks if self.machine is not None
+                      else [self.model]):
+            model.integrator.release()
         if self.case is not None:
             self.case.state = state
         if self.runner is not None:

@@ -33,11 +33,13 @@ EOS_FLOPS_PER_POINT = 6
          flops=20, loads=2, stores=1,
          # measured ratios: 1.30 flops (pow weighted at 8), ~3.4x bytes
          flops_band=(0.8, 2.0), bytes_band=(1.5, 8.0))
-def eos_pressure(rhotheta_hat: np.ndarray, grid: Grid) -> np.ndarray:
+def eos_pressure(rhotheta_hat: np.ndarray, grid: Grid,
+                 out: np.ndarray | None = None) -> np.ndarray:
     """Full pressure from the G-weighted ``rho theta`` (paper Eq. 5):
     ``P0 * (RD * (rhotheta_hat / G) / P0) ** (CP / CV)``, its five ufuncs
-    in that order on the one array returned (float64: the Jacobian is)."""
-    p = np.divide(rhotheta_hat, grid.jac[:, :, None])
+    in that order on the one array returned (float64: the Jacobian is),
+    ``out`` when given."""
+    p = np.divide(rhotheta_hat, grid.jac[:, :, None], out=out)
     np.multiply(c.RD, p, out=p)
     np.divide(p, c.P0, out=p)
     np.power(p, c.CP / c.CV, out=p)

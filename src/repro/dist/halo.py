@@ -1,9 +1,11 @@
 """Halo exchange between subdomains (paper Figs. 6 and 8).
 
 An exchange point (one refresh of some fields along some axes on every
-rank) is one :class:`~repro.core.boundary.Strips` table, built once per
-(names, axes) from the :class:`~repro.dist.decomposition.Topology` and run
-in one call (:func:`repro.stencil.dycore.run_strips`): the single-domain
+rank) is one :class:`~repro.core.boundary.Strips` table over the ranks'
+state blocks, built once per (names, axes, layouts) from the
+:class:`~repro.dist.decomposition.Topology` and run in one call
+(:func:`repro.stencil.dycore.run_strips`) that binds one base address a
+rank: the single-domain
 fill's own geometry, corners carried in two hops (Fig. 8), so a decomposed
 run reproduces the single-domain arithmetic bit for bit.
 
@@ -44,14 +46,14 @@ __all__ = ["HaloExchanger"]
 
 
 class _Point:
-    """One exchange point: its strip table, the labels of its field slots,
-    its messages per (axis, field) in post and receive order, and what a
-    clean run of it sends."""
+    """One exchange point: its strip table over the rank blocks, the rank
+    layouts it was built for, its messages per (axis, field) in post and
+    receive order, and what a clean run of it sends."""
 
-    __slots__ = ("strips", "labels", "groups", "sent", "pairs")
+    __slots__ = ("strips", "layouts", "groups", "sent", "pairs")
 
-    def __init__(self, strips, labels: list[str]):
-        self.strips, self.labels = strips, labels
+    def __init__(self, strips, layouts: tuple):
+        self.strips, self.layouts = strips, layouts
         groups: dict = {}
         for msg in strips.messages:                 # receive order
             groups.setdefault(msg[2][:2], []).append(msg)
@@ -116,17 +118,18 @@ class HaloExchanger:
         """
         if names is None:
             names = states[0].prognostic_names()
-        fields = [st.get(name) for name in names for st in states]
-        layout = tuple([(a.shape, a.itemsize) for a in fields])
+        layouts = tuple([st.layout for st in states])
         key = (tuple(names), tuple(axes))
         point = self._points.get(key)
-        if point is None or point.strips.layout != layout:
+        if point is None or point.layouts != layouts:
+            fields = [(st.get(name).shape, st.dtype.itemsize)
+                      for name in names for st in states]
             point = self._points[key] = _Point(
                 strip_table([(sub.nx, sub.ny) for sub in self.subs],
                             [self.topology.neighbours(sub)
                              for sub in self.subs],
-                            key[0], layout, axes, states[0].grid.halo),
-                [f"{name}@{sub.rank}" for name in names for sub in self.subs])
+                            key[0], fields, axes, states[0].grid.halo
+                            ).in_blocks(key[0], layouts), layouts)
         sent: list = []
         t_start = time.perf_counter()
         try:
@@ -135,7 +138,8 @@ class HaloExchanger:
                 sent = point.sent
             else:
                 self._account(point, sent)
-            run_strips(point.strips, fields, point.labels, "halo exchanges")
+            run_strips(point.strips, [st.block for st in states],
+                       [st.address for st in states])
         finally:
             self.comm.log(sent, t_start, time.perf_counter())
 

@@ -24,7 +24,7 @@ from ..core.boundary import STAGGER, RelaxationBC
 from ..core.grid import Grid
 from ..core.model import AsucaModel, ModelConfig, run_lockstep
 from ..core.reference import ReferenceState
-from ..core.state import State
+from ..core.state import State, zeros_state
 from ..gpu.asuca_kernels import step_schedule
 from ..gpu.runtime import charge_step, price_step
 from ..obs.trace import span
@@ -206,11 +206,12 @@ class MultiGpuAsuca:
         h = self.global_grid.halo
         states = []
         for sub, rank in zip(self.subs, self.ranks):
-            kw = {name: global_state.get(name)[_field_slices(sub, h, name)]
-                  .copy() for name in STAGGER}
-            q = {k: v[_field_slices(sub, h, k)].copy()
-                 for k, v in global_state.q.items()}
-            states.append(State(grid=rank.grid, q=q, time=global_state.time, **kw))
+            st = zeros_state(rank.grid, global_state.dtype, global_state.q)
+            st.time = global_state.time
+            for name in st.prognostic_names():
+                st.get(name)[...] = global_state.get(name)[
+                    _field_slices(sub, h, name)]
+            states.append(st)
         return states
 
     def gather_state(self, states: list[State]) -> State:
@@ -218,16 +219,8 @@ class MultiGpuAsuca:
         global halos are refilled by the caller if needed)."""
         g = self.global_grid
         h = g.halo
-        out = State(
-            grid=g,
-            rho=g.zeros_c(states[0].dtype),
-            rhou=g.zeros_u(states[0].dtype),
-            rhov=g.zeros_v(states[0].dtype),
-            rhow=g.zeros_w(states[0].dtype),
-            rhotheta=g.zeros_c(states[0].dtype),
-            q={k: g.zeros_c(states[0].dtype) for k in states[0].q},
-            time=states[0].time,
-        )
+        out = zeros_state(g, states[0].dtype, states[0].q)
+        out.time = states[0].time
         for sub, st in zip(self.subs, states):
             for name in st.prognostic_names():
                 sx, sy = STAGGER.get(name, (False, False))
@@ -237,12 +230,11 @@ class MultiGpuAsuca:
                 ] = st.get(name)[h : h + sub.nx + sx, h : h + sub.ny + sy]
         # per-rank diagnostics: accumulated precipitation (interior-sized)
         if any(st.precip_accum is not None for st in states):
-            acc = np.zeros((g.nx, g.ny), dtype=states[0].dtype)
+            out.precip_accum = np.zeros((g.nx, g.ny), dtype=states[0].dtype)
             for sub, st in zip(self.subs, states):
                 if st.precip_accum is not None:
-                    acc[sub.x0 : sub.x0 + sub.nx,
-                        sub.y0 : sub.y0 + sub.ny] = st.precip_accum
-            out.precip_accum = acc
+                    out.precip_accum[sub.x0 : sub.x0 + sub.nx,
+                                     sub.y0 : sub.y0 + sub.ny] = st.precip_accum
         return out
 
     # ---------------------------------------------------------------- step

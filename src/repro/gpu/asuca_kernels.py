@@ -326,12 +326,14 @@ def _microphysics(step, config, species: tuple[str, ...]):
     branches are active (the production intent of the kernel); the input
     arrays are copied so measurement never mutates the live run state."""
     def fn(t: _Terms, rho, rt):
-        rho = rho.copy()
         q = {"qv": 0.02 * rho, "qc": 2e-3 * rho, "qr": 1e-3 * rho}
         q.update({name: 5e-4 * rho for name in species})
-        g = t.grid
-        st = State(grid=g, rho=rho, rhou=g.zeros_u(), rhov=g.zeros_v(),
-                   rhow=g.zeros_w(), rhotheta=rt.copy(), q=q)
+        st = State(t.grid, rho, rhotheta=rt, q=q)
+        counter = getattr(rho, "_counter", None)
+        if counter is not None:
+            # the oracle's ufuncs count on the state's own bytes
+            for name in ("rho", "rhotheta", *q):
+                st.set(name, counter.wrap(st.get(name)))
         step(st, t.ref, 5.0, config)
         return st.get("rhotheta")
     return fn

@@ -227,9 +227,7 @@ def cold_rain_step(
         vt = np.minimum(vt, 0.9 * float(g.dz_c.min()) / dt)
         snowfall = _sediment_species(state.q["qs"], state.rho, g, dt, vt)
 
-    accum = state.precip_accum
-    if accum is None:
-        accum = np.zeros((g.nx, g.ny), dtype=state.rho.dtype)
-        state.precip_accum = accum
-    accum += snowfall * dt
+    if state.precip_accum is None:
+        state.precip_accum = np.zeros((g.nx, g.ny), dtype=state.rho.dtype)
+    state.precip_accum += snowfall * dt
     return snowfall

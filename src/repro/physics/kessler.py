@@ -131,9 +131,7 @@ def kessler_step(
     state.q["qc"][sx, sy] = np.maximum(qc, 0.0) * rho
     state.q["qr"][sx, sy] = np.maximum(qr, 0.0) * rho
 
-    accum = getattr(state, "precip_accum", None)
-    if accum is None:
-        accum = np.zeros((g.nx, g.ny), dtype=state.rho.dtype)
-        state.precip_accum = accum  # type: ignore[attr-defined]
-    accum += precip * dt
+    if state.precip_accum is None:
+        state.precip_accum = np.zeros((g.nx, g.ny), dtype=state.rho.dtype)
+    state.precip_accum += precip * dt
     return precip

@@ -16,13 +16,11 @@ sweep and the strip runner to their oracles at load time
 """
 from __future__ import annotations
 
-import operator
-import weakref
 from dataclasses import replace
 
 import numpy as np
 
-from ..core.boundary import STAGGER, fill_table
+from ..core.boundary import state_table
 from . import native
 from .spec import register_fused
 
@@ -30,31 +28,24 @@ __all__: list[str] = []
 
 
 # ------------------------------------------------------------ halo strips
-def run_strips(strips, fields: list, labels: list, body: str) -> None:
+def run_strips(strips, blocks: list, addresses: list) -> None:
     """Run one strip table (:class:`~repro.core.boundary.Strips`) over
-    ``fields`` (named ``labels``, in slot order): one compiled call
-    (csrc/halo.c) where a library is loaded and takes every field, else
-    the oracle, ``strips.copy``."""
-    if _strips(strips, fields, labels, body) is NotImplemented:
-        strips.copy(fields)
+    ``blocks`` (its slots, at ``addresses``): one compiled call
+    (csrc/halo.c) where a library is loaded, else the oracle,
+    ``strips.copy``."""
+    if _strips(strips, addresses) is NotImplemented:
+        strips.copy(blocks)
 
 
-def _strips(strips, fields: list, labels: list, body: str):
+def _strips(strips, addresses: list):
     lib = native.kernels()
     if lib is None:
         return NotImplemented
-    # the fields of the last call, while they are the same objects, keep
-    # their addresses (a refresh inside one stage meets the same arrays)
+    # the slots of the last call keep their C array (a refresh inside one
+    # stage meets the same blocks)
     bound = strips.bound
-    if bound is None or not all(map(operator.is_, fields,
-                                    map(weakref.ref.__call__, bound[0]))):
-        ptrs = native.pointers(fields[0].dtype if fields else np.float64,
-                               dict(zip(labels, fields)))
-        if isinstance(ptrs, native.Unbound):
-            native.unbound(body, ptrs)
-            return NotImplemented
-        bound = strips.bound = (list(map(weakref.ref, fields)),
-                                np.array(ptrs, dtype=np.uintp))
+    if bound is None or bound[0] != addresses:
+        bound = strips.bound = (addresses, np.array(addresses, np.uintp))
     lib.halo_strips(len(strips.rows), native.address(strips.rows),
                     native.address(bound[1]))
     return None
@@ -63,22 +54,12 @@ def _strips(strips, fields: list, labels: list, body: str):
 @register_fused("fill_halos_state")
 def _fill_halos_state(state, names=None):
     """One compiled call per refresh where a library is loaded, else the
-    reference fill: the strip table of a 1x1 topology."""
+    reference fill: the strip table of a 1x1 topology over the state's
+    block."""
     if (native.kernels() is None
             or not isinstance(names, (list, tuple, type(None)))):
         return NotImplemented
-    arrays = {}
-    for name in state.prognostic_names() if names is None else names:
-        a = state.q.get(name)
-        if a is None and name in STAGGER:
-            a = getattr(state, name)
-        # a subclass (the FLOP counter) must see the oracle's copies
-        if type(a) is not np.ndarray:
-            return NotImplemented
-        arrays[name] = a
-    names, fields = list(arrays), list(arrays.values())
-    return _strips(fill_table(state.grid, names, fields), fields, names,
-                   "halo fills")
+    return _strips(state_table(state, names), [state.address])
 
 
 # ------------------------------------------------- compiled-body self-check
@@ -152,8 +133,8 @@ def native_check(lib) -> str:
                                      for a in fields.values()], (0, 1), 3)
         got = {k: a.copy() for k, a in fields.items()}
         with native.using(lib):
-            if _strips(strips, list(got.values()), list(got),
-                       "halo strips") is NotImplemented:
+            if _strips(strips, [a.ctypes.data for a in got.values()]
+                       ) is NotImplemented:
                 return f"halo strips, {case}"
         want = [a.copy() for a in fields.values()]
         strips.copy(want)

@@ -34,12 +34,15 @@ def test_copy_is_deep(small_state):
 
 
 def test_get_set_roundtrip(small_state):
-    arr = np.full_like(small_state.q["qc"], 3.0)
-    small_state.set("qc", arr)
-    assert small_state.get("qc") is arr
-    arr2 = np.full_like(small_state.rhou, 2.0)
-    small_state.set("rhou", arr2)
-    assert small_state.get("rhou") is arr2
+    """``set`` writes into the field's view of the block: ``get`` returns
+    the same view, now holding the values, never the array passed."""
+    for name, value in (("qc", 3.0), ("rhou", 2.0)):
+        view = small_state.get(name)
+        arr = np.full_like(view, value)
+        small_state.set(name, arr)
+        assert small_state.get(name) is view and view is not arr
+        assert np.shares_memory(view, small_state.block)
+        np.testing.assert_array_equal(view, value)
 
 
 def test_prognostic_names(small_state):
