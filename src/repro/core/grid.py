@@ -170,19 +170,6 @@ class Grid:
         sx, sy = self.isl
         return arr[sx, sy]
 
-    # --------------------------------------------------------- allocation
-    def zeros_c(self, dtype=np.float64) -> np.ndarray:
-        return np.zeros(self.shape_c, dtype=dtype)
-
-    def zeros_u(self, dtype=np.float64) -> np.ndarray:
-        return np.zeros(self.shape_u, dtype=dtype)
-
-    def zeros_v(self, dtype=np.float64) -> np.ndarray:
-        return np.zeros(self.shape_v, dtype=dtype)
-
-    def zeros_w(self, dtype=np.float64) -> np.ndarray:
-        return np.zeros(self.shape_w, dtype=dtype)
-
     # --------------------------------------------------------- coordinates
     def x_c(self) -> np.ndarray:
         """x of cell centers, halo included; interior starts at dx/2."""
