@@ -942,8 +942,13 @@ def _cmd_doctor(args) -> int:
         report.require_min_hidden(args.min_hidden)
     print(report.as_json() if args.json else report.text())
     if not args.json:   # host health: which body this box's hot loops run
+        from .api import Experiment, RunSpec
         from .stencil import native
 
+        # two steps of a tiny case: a long step's compiled crossings,
+        # recorded and replayed (repro.core.program)
+        Experiment(RunSpec("warm-bubble", nx=8, ny=8, nz=6, steps=2)
+                   ).prepare().run()
         print(f"\nhost kernels: {native.library().report()}")
     return report.exit_status()
 

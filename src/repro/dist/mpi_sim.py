@@ -22,7 +22,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field
 
-from ..obs.trace import _SESSIONS
+from ..obs.trace import _SESSIONS, CAPTURE
 
 __all__ = ["SimComm", "TrafficStats", "MessageRecord"]
 
@@ -102,7 +102,13 @@ class SimComm:
     def log(self, sent, t_start: float, t_end: float) -> None:
         """Log one exchange point's transmissions, ``(src, dst, tag,
         nbytes, delivered)`` each, while a trace session is active: posted
-        at ``t_start``, collected at ``t_end`` where delivered."""
+        at ``t_start``, collected at ``t_end`` where delivered.  A long
+        step being captured learns the point (its replay logs it again,
+        and credits its traffic: every transmission in ``sent`` was
+        recorded in :attr:`stats`)."""
+        rec = CAPTURE.get()
+        if rec is not None:
+            rec.log(self, sent)
         if _SESSIONS:
             self._points.append((sent, t_start, t_end))
 

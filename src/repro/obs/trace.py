@@ -25,11 +25,13 @@ Chrome Trace Format as a view of that stream) and every reader
 This module is **stdlib-only by design**: the dynamical core imports
 :func:`span` from it, so it must not import anything from the package
 that could cycle back into ``repro.core``.  Tracing is zero-cost when no
-session is active — :func:`span` does one empty-list check and yields.
+session is active — :func:`span` reads one context variable
+(:data:`CAPTURE`), does one empty-list check and yields.
 """
 from __future__ import annotations
 
 import contextlib
+import contextvars
 import time
 from dataclasses import dataclass, field, fields
 from typing import Any
@@ -50,12 +52,14 @@ __all__ = [
     "use_session",
     "active_session",
     "span",
+    "CAPTURE",
 ]
 
 
-@dataclass
+@dataclass(slots=True)
 class SpanRecord:
-    """One completed host span (a Chrome-trace 'X' complete event)."""
+    """One completed host span (a Chrome-trace 'X' complete event);
+    slotted, as a live session keeps every one of a run."""
 
     name: str
     ts: float                 #: seconds since the session epoch
@@ -435,21 +439,34 @@ def active_session() -> TraceSession | None:
     return _SESSIONS[-1] if _SESSIONS else None
 
 
+#: the recorder of a long step being captured on this thread
+#: (:class:`repro.core.program.Recorder`), else None: it learns every span
+#: the step opens, so that a replay can rebuild them from its stamps
+CAPTURE: contextvars.ContextVar = contextvars.ContextVar("repro_capture",
+                                                         default=None)
+
+
 @contextlib.contextmanager
 def span(name: str, *, cat: str = "host", pid: str = "host",
          tid: str = "main", **attrs):
     """Record the enclosed block as a span on the innermost active
-    session (a no-op — one list check — when none is active).  The block
-    receives ``attrs``, the span's attributes, and may add to them."""
-    if not _SESSIONS:
+    session (a no-op — one list check — when none is active and no step
+    is being captured).  The block receives ``attrs``, the span's
+    attributes, and may add to them."""
+    rec = CAPTURE.get()
+    if not _SESSIONS and rec is None:
         yield attrs
         return
-    session = _SESSIONS[-1]
+    session = _SESSIONS[-1] if _SESSIONS else None
+    first = rec.mark() if rec is not None else 0
     t0 = time.perf_counter()
     try:
         yield attrs
     finally:
         t1 = time.perf_counter()
-        session.record_span(name, t0 - session.epoch, t1 - t0,
-                            pid=pid, tid=tid, cat=cat,
-                            args=attrs if attrs else None)
+        if session is not None:
+            session.record_span(name, t0 - session.epoch, t1 - t0,
+                                pid=pid, tid=tid, cat=cat,
+                                args=attrs if attrs else None)
+        if rec is not None:
+            rec.span(name, cat, pid, tid, attrs, first)

@@ -14,6 +14,10 @@ and verifies a CRC-32 per member.  An array whose bytes are all zero
 (:func:`~repro.core.state.zero_bits`: a lone ``-0.0`` keeps the array) is
 not stored; the manifest lists it under ``zeros`` as ``[key, shape,
 dtype]``.  Format 1 (deflated, no ``zeros``) reads through the same code.
+The species are stored sorted by name and read back in the model's order
+(:data:`~repro.constants.WATER_SPECIES`, then any other by name), so a
+restored state has the layout of a state the model made: the run goes
+on with its stage state and its captured step (:mod:`repro.core.program`).
 
 A manager writes the ``identity`` of its run's initial-value problem into
 the manifest (:meth:`repro.api.RunSpec.problem_hash`) and refuses, with
@@ -40,6 +44,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..constants import WATER_SPECIES
 from ..core.grid import Grid
 from ..core.state import State, zero_bits
 from ..obs.trace import active_session, span
@@ -145,7 +150,9 @@ def read_states(path: "str | os.PathLike", grids: list[Grid], *,
                 arrays = {key: z[key] for key in z.files if key != "manifest"}
             for key, shape, dtype in manifest.get("zeros", ()):
                 arrays[key] = np.zeros(shape, dtype)
-            species = [str(s) for s in arrays["species"]]
+            species = sorted(map(str, arrays["species"]), key=lambda n: (
+                WATER_SPECIES.index(n) if n in WATER_SPECIES
+                else len(WATER_SPECIES), n))
             ranks = [{name: arrays[f"r{r}/{name}"]
                       for name in (*_FIELD_SHAPES, *species)}
                      for r in range(int(manifest["n_ranks"]))]

@@ -219,6 +219,11 @@ class FaultInjector:
         self.fired: list[tuple[int, FaultKind, str]] = []
         self.counts: dict[str, int] = {}
 
+    @property
+    def transport(self) -> bool:
+        """Whether the plan holds a message fault (drop, corrupt, delay)."""
+        return any(ev.kind in _MESSAGE_KINDS for ev in self.plan.events)
+
     # ---------------------------------------------------------- stepping
     def begin_step(self, step: int) -> None:
         self.step = step

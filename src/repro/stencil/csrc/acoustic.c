@@ -717,3 +717,36 @@ int slow_stage(stage_args *restrict a)
     acoustic_metric_flux(a->metric, 0, a->rhou, a->rhov, 0, a->m_s);
     return 0;
 }
+
+/* ---- the moisture finish of AcousticStepper.finish: every species the
+ * stage left active (idle[n] == 0: the slow stage's flags, so that the
+ * skip is decided here) takes q = base + dts * tend on the interior
+ * cells, in the oracle's two ufunc calls; an idle species keeps the
+ * base's +0.0.  The struct is repro.core.rk3._MoistureArgs. */
+typedef struct {
+    long nxh, nyh, nz, h, nx, ny, nq;
+    double dts;
+    const long *idle;
+    double *q[STAGE_MAXQ];
+    const double *base[STAGE_MAXQ], *tend[STAGE_MAXQ];
+} moisture_args;
+
+void moisture_finish(const moisture_args *restrict a)
+{
+    const long nz = a->nz, nyh = a->nyh;
+
+    for (long n = 0; n < a->nq; n++) {
+        if (a->idle[n])
+            continue;
+        for (long x = a->h; x < a->h + a->nx; x++)
+            for (long y = a->h; y < a->h + a->ny; y++) {
+                const long i = (x * nyh + y) * nz;
+                double *restrict q = a->q[n] + i;
+                const double *b = a->base[n] + i, *t = a->tend[n] + i;
+                for (long k = 0; k < nz; k++) {
+                    const double dq = a->dts * t[k];
+                    q[k] = b[k] + dq;
+                }
+            }
+    }
+}

@@ -35,6 +35,7 @@ Defaults are CFL-safe by construction: the advective Courant number
 """
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -277,16 +278,22 @@ def make_vortex_case(
 
     # wrap the model step so every long step drops a track point; keyed
     # by model time, so a crash-recovery replay overwrites rather than
-    # duplicates
-    orig_step = model.step
+    # duplicates.  The wrapper holds the case (which holds the model)
+    # weakly: a model whose attribute reached back to it would be a cycle,
+    # its grid and buffers freed only when the collector next runs
+    held, stepped = weakref.ref(case), weakref.ref(model)
 
     def _recording_step(st: State) -> State:
-        new = orig_step(st)
-        case.track[float(new.time)] = (
-            *_pressure_centroid(new, model),
-            _interior_max_wind(new),
-            float(model.pressure_perturbation(new)[grid.isl][:, :, 0].min()),
-        )
+        model = stepped()
+        new = AsucaModel.step(model, st)
+        case = held()
+        if case is not None:
+            case.track[float(new.time)] = (
+                *_pressure_centroid(new, model),
+                _interior_max_wind(new),
+                float(model.pressure_perturbation(new)[grid.isl][:, :, 0]
+                      .min()),
+            )
         return new
 
     model.step = _recording_step

@@ -204,12 +204,13 @@ def _allocations():
                          ids=["single-domain", "2x2"])
 def test_a_warm_long_step_allocates_one_block_a_rank(spec, monkeypatch,
                                                     capsys):
-    """With a compiler a warm long step makes one NumPy allocation of
-    >= 1 KiB a rank, its base block (the step's only NumPy block still
-    alive after it: the integrator keeps it as a stage state and returns
-    the block it replaces), and calls neither ``native.pointers`` nor
-    ``State.copy``.  Without one the oracles allocate: the count is
-    reported, not gated."""
+    """With a compiler a warm long step, a replayed one (its dynamics one
+    call of the recorded program, whose stamps are preallocated), makes
+    one NumPy allocation of >= 1 KiB a rank, its base block (the step's
+    only NumPy block still alive after it: the integrator keeps it as a
+    stage state and returns the block it replaces), and calls neither
+    ``native.pointers`` nor ``State.copy``.  Without one the oracles
+    allocate: the count is reported, not gated."""
     exp = Experiment(spec).prepare()
     exp.advance(2)
     calls = Counter()
@@ -218,6 +219,7 @@ def test_a_warm_long_step_allocates_one_block_a_rank(spec, monkeypatch,
         monkeypatch.setattr(owner, name, lambda *a, _n=name, _f=fn, **k: (
             calls.update([_n]), _f(*a, **k))[1])
     ranks = len(_states(exp))
+    replayed = native.PROGRAMS["replayed"]
     tracemalloc.start()
     try:
         with _allocations() as sizes:
@@ -226,6 +228,8 @@ def test_a_warm_long_step_allocates_one_block_a_rank(spec, monkeypatch,
             [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)])
     finally:
         tracemalloc.stop()
+    # the measured step replays the program its first step recorded
+    assert native.PROGRAMS["replayed"] - replayed == int(COMPILED)
     blocks = sorted(st.block.nbytes for st in _states(exp))
     if not COMPILED:
         with capsys.disabled():
@@ -249,13 +253,20 @@ def test_a_warm_long_step_allocates_one_block_a_rank(spec, monkeypatch,
 ], ids=["dycore_cpu", "decomp_2x2", "serve_16x16x8", "ensemble_vortex"])
 def test_warm_steps_decline_nothing(spec):
     """The benchmark's specs, a library loaded: warm steps count no
-    ``native.Unbound`` (every compiled body took its call), and every
-    field stays an exact C-contiguous float64 view of its state's block."""
+    ``native.Unbound`` (every compiled body took its call), the first
+    step records a program and the next two replay it (no ``programs``
+    decline), and every field stays an exact C-contiguous float64 view
+    of its state's block."""
+    first = (Counter(native.UNBOUND), Counter(native.PROGRAMS))
     exp = Experiment(spec).prepare()
     exp.advance(1)
     before = Counter(native.UNBOUND)
     exp.advance(2)
     assert native.UNBOUND - before == Counter()
+    assert not any(body == "programs"
+                   for body, _ in native.UNBOUND - first[0])
+    programs = Counter(native.PROGRAMS) - first[1]
+    assert (programs["recorded"], programs["replayed"]) == (1, 2)
     for st in _states(exp):
         assert isinstance(st.pointers(), list)
         for name in st.prognostic_names():
@@ -275,7 +286,9 @@ def test_a_held_state_is_never_written_again(spec):
     exp.advance(1)
     held = list(_states(exp))
     snapshot = [_bytes(st) for st in held]
+    replayed = native.PROGRAMS["replayed"]
     exp.advance(3)
+    assert native.PROGRAMS["replayed"] - replayed == 3 * COMPILED
     assert all(a is not b for a, b in zip(held, _states(exp)))
     assert [_bytes(st) for st in held] == snapshot
 
@@ -283,7 +296,8 @@ def test_a_held_state_is_never_written_again(spec):
 def test_results_cache_hits_and_contributions_keep_their_bytes(monkeypatch):
     """A ``RunResult.state``, a ``ResultCache`` hit and an ensemble
     member's contribution keep their bytes across later jobs on the same
-    thread."""
+    thread (each job records a program and replays its later steps), and
+    a finished member holds no program."""
     first = Experiment(SERVE_16).prepare().run()
     kept = _bytes(first.state)
     Experiment(RunSpec("warm-bubble", nx=16, ny=16, nz=8, seed=5)
@@ -310,10 +324,22 @@ def test_results_cache_hits_and_contributions_keep_their_bytes(monkeypatch):
         held.append((c, {k: v.copy() for k, v in c.fields.items()}))
         return c
 
+    finished = []
+    finish = Experiment._finish
+
+    def finishing(self, wall):
+        finished.append(self)
+        return finish(self, wall)
+
     monkeypatch.setattr(ensemble_runner, "member_contribution", keep)
+    monkeypatch.setattr(Experiment, "_finish", finishing)
+    replayed = native.PROGRAMS["replayed"]
     EnsembleRunner(EnsembleSpec(base=RunSpec("vortex", nx=16, ny=16, nz=8,
                                              steps=2), members=3, seed=1),
                    fleet=2).run()
+    assert native.PROGRAMS["replayed"] - replayed == 3 * COMPILED
+    assert len(finished) == 3
+    assert all(exp.model.integrator.program is None for exp in finished)
     assert len(held) == 3
     for c, fields in held:
         assert all(np.array_equal(c.fields[k], v) for k, v in fields.items())

@@ -268,7 +268,8 @@ def test_generated_round_trip_is_bit_identical(tmp_path_factory, zeroed,
     assert ckpt.rng_state == (rng.bit_generator.state if with_rng else None)
     elided = {key for key, _, _ in ckpt.meta["zeros"]}
     for r, (st, back) in enumerate(zip(states, ckpt.states)):
-        assert list(back.q) == sorted(st.q)
+        # stored sorted, restored in the model's order: the saved layout
+        assert back.layout is st.layout
         assert {n for n in st.q if f"r{r}/{n}" in elided} == zeroed
         assert (f"r{r}/precip_accum" in elided) == (precip == "zero")
         pairs = [(st.get(n), back.get(n)) for n in st.prognostic_names()]
