@@ -946,8 +946,12 @@ def _cmd_doctor(args) -> int:
         from .stencil import native
 
         # two steps of a tiny case: a long step's compiled crossings,
-        # recorded and replayed (repro.core.program)
+        # recorded and replayed (repro.core.program); then three traced
+        # steps on 2x2 ranks, whose replays' team walk is measured
         Experiment(RunSpec("warm-bubble", nx=8, ny=8, nz=6, steps=2)
+                   ).prepare().run()
+        Experiment(RunSpec("warm-bubble", nx=16, ny=16, nz=6, steps=3,
+                           backend="multigpu", ranks=(2, 2), metrics=True)
                    ).prepare().run()
         print(f"\nhost kernels: {native.library().report()}")
     return report.exit_status()

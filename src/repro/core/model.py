@@ -94,11 +94,15 @@ def run_lockstep(
         while True:
             points: list[tuple[State, list[str] | None]] = []
             done: list[State] = []
-            for gen in steps:
+            for rank, gen in enumerate(steps):
+                if rec is not None:     # its rows are this rank's
+                    rec.rank = rank
                 try:
                     points.append(next(gen))
                 except StopIteration as stop:
                     done.append(stop.value)
+            if rec is not None:
+                rec.rank = -1
             if points and done:
                 raise RuntimeError("ranks desynchronized at an exchange point")
             if done:

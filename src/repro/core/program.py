@@ -34,9 +34,18 @@ credited) and the generators run the window instead, from the EOS on
 (the walk may have passed a flux copy over its memory): a step never
 writes its input, and the base is read-only inside the window.
 
+A program of several ranks is walked by a team of C threads
+(:func:`team_size`: the CPUs of the affinity mask, at most one a rank).
+Every row carries the rank whose generator made it; between two exchange
+rows each rank's rows are contiguous, one run, and the runs of a segment
+go side by side, each worker in a scratch of its own (a row's scratch
+addresses are relocated on its copy), worker 0 running the exchange row.
+A row of one rank that points into another's blocks makes the program
+walk alone, counting ``native.unbound("team", why)`` a step.
+
 A program is keyed on the library, the rank set, each rank's layout,
-thread scratch, limiter and dynamics config.  A step the key or the
-driver excludes runs the generator and counts one
+every team worker's thread scratch, limiter and dynamics config.  A step
+the key or the driver excludes runs the generator and counts one
 ``native.unbound("programs", why)``.  docs/STENCILS.md "Programs".
 """
 from __future__ import annotations
@@ -45,6 +54,7 @@ import array
 import bisect
 import ctypes
 import functools
+import os
 import struct
 from collections import Counter
 
@@ -92,7 +102,11 @@ class _Header(ctypes.Structure):
     """``program_header`` of stencil/csrc/program.c, field for field."""
 
     _fields_ = ([(n, ctypes.c_long) for n in ("nrow", "nreloc")]
-                + [(n, ctypes.c_void_p) for n in ("rows", "relocs", "arena")])
+                + [(n, ctypes.c_void_p) for n in ("rows", "relocs", "arena")]
+                + [(n, ctypes.c_long) for n in ("nrank", "nrun", "nseg")]
+                + [(n, ctypes.c_void_p) for n in ("runs", "segs", "srelocs")]
+                + [(n, ctypes.c_long) for n in ("nslot", "team")]
+                + [("sbases", ctypes.c_void_p)])
 
 
 @functools.cache
@@ -126,14 +140,16 @@ def _format(argtypes: tuple) -> tuple:
 
 class _Chunk:
     """A stretch of the arena: ``words`` (a snapshot, bytes of 8-byte
-    words), ``mask`` (a byte a word, 1 for an address), and ``refs``
+    words), ``mask`` (a byte a word, 1 for an address), ``refs``
     (``None`` or word -> (chunk, word): an address of the program's
-    own)."""
+    own), and the ``rank`` whose generator made it (-1: an exchange
+    point's, or shared)."""
 
-    __slots__ = ("words", "mask", "refs", "at")
+    __slots__ = ("words", "mask", "refs", "at", "rank")
 
-    def __init__(self, words, mask, refs=None):
+    def __init__(self, words, mask, refs=None, rank=-1):
         self.words, self.mask, self.refs, self.at = words, mask, refs, 0
+        self.rank = rank
 
 
 class Recorder:
@@ -141,10 +157,13 @@ class Recorder:
     calls and the copies), the spans around them, the exchange points'
     messages, the slow stages' idle flags.  ``why`` is set where a site
     could not take its operands (a NumPy body ran): nothing is recorded
-    after it."""
+    after it.  ``rank``: the rank whose generator the driver is resuming
+    (:func:`~repro.core.model.run_lockstep` sets it; -1 at an exchange
+    point), which every row it records belongs to."""
 
     def __init__(self, windows: list, lib):
         self.lib = lib
+        self.rank = -1
         self.integrators = [w.integrator for w in windows]
         self.layouts = [w.base.layout for w in windows]
         #: (address, bytes) of each block a row's address is relocated
@@ -182,8 +201,8 @@ class Recorder:
         if self.why is None:
             self.why = why
 
-    def _chunk(self, words, mask, refs=None) -> _Chunk:
-        chunk = _Chunk(words, mask, refs)
+    def _chunk(self, words, mask, refs=None, rank=None) -> _Chunk:
+        chunk = _Chunk(words, mask, refs, self.rank if rank is None else rank)
         self.chunks.append(chunk)
         return chunk
 
@@ -191,7 +210,8 @@ class Recorder:
         """A chunk of ``words`` that every row with the same words reads."""
         chunk = self.shared.get((words, mask))
         if chunk is None:
-            chunk = self.shared[words, mask] = self._chunk(words, mask)
+            chunk = self.shared[words, mask] = self._chunk(words, mask,
+                                                           rank=-1)
         return chunk
 
     def row(self, entry: str, words, mask, refs=None) -> None:
@@ -337,44 +357,94 @@ class StepProgram:
         for chunk in rec.chunks:
             for w, (target, tw) in (chunk.refs or {}).items():
                 word[chunk.at + w] = origin + 8 * (target.at + tw)
-        # every other address word inside a step's block: (arena byte,
-        # block, offset), in a flat array (no object a word)
-        blocks = sorted((lo, lo + size, b)
-                        for b, (lo, size) in enumerate(rec.blocks))
-        starts = [lo for lo, _, _ in blocks]
-        relocs, block_of = array.array("q"), {}
-        for chunk in rec.chunks:
+        # every other address word inside a step's block, (arena byte,
+        # block, offset), relocated once a replay; or inside the scratch
+        # the window computed in, (row byte, slot, offset), relocated on
+        # the row's copy where a team's worker w > 0 runs it: flat arrays
+        # (no object a word), one pass over the address words
+        nrank, nblock = len(rec.integrators), len(rec.blocks)
+        teams = list({id(k[2][0]): k[2] for k in self.key[1:]}.values())
+        width = len(teams[0])
+        # per worker, its scratch arrays slot for slot and their addresses
+        # (a team of one computes in the window's scratch: none to move)
+        slots = [[a for scratch in teams for a in scratch[w].arrays()]
+                 for w in range(width)] if width > 1 else [[]]
+        bases = [[native.address(a) for a in arrays] for arrays in slots]
+        spans = sorted([(lo, lo + size, b)
+                        for b, (lo, size) in enumerate(rec.blocks)]
+                       + [(lo, lo + a.nbytes, nblock + s) for s, (lo, a)
+                          in enumerate(zip(bases[0], slots[0]))])
+        starts = [lo for lo, _, _ in spans]
+        # the rows' chunks first, in row order: a row's scratch relocations
+        # are srelocs[first[i]:first[i + 1]]
+        rows = [chunk for _, chunk in rec.rows]
+        own = set(map(id, rows))
+        relocs, srelocs, first, found = (array.array("q"), array.array("q"),
+                                         [], {})
+        #: why a team may not walk this program (it walks alone)
+        self.team_why = None
+        for chunk in rows + [c for c in rec.chunks if id(c) not in own]:
+            first.append(len(srelocs) // 3)
             refs, values = chunk.refs or {}, memoryview(chunk.words).cast("Q")
+            at, rank = 8 * chunk.at, chunk.rank
             for w in _words(chunk.mask):
                 value = values[w]
                 if not value or w in refs:
                     continue
-                block = block_of.get(value, False)
-                if block is False:
-                    lo, hi, b = blocks[max(bisect.bisect_right(starts, value)
-                                           - 1, 0)]
-                    block = block_of[value] = ((b, lo) if lo <= value < hi
-                                               else None)
-                if block is not None:
-                    relocs.extend((8 * (chunk.at + w), block[0],
-                                   value - block[1]))
+                hit = found.get(value, False)
+                if hit is False:
+                    lo, hi, b = spans[max(bisect.bisect_right(starts, value)
+                                          - 1, 0)]
+                    hit = found[value] = ((b, value - lo) if lo <= value < hi
+                                          else None)
+                if hit is None:
+                    continue
+                b, off = hit
+                if b < nblock:
+                    relocs.extend((at + 8 * w, b, off))
+                    if rank >= 0 and b % nrank != rank:
+                        self.team_why = self.team_why or native.Unbound(
+                            "address", f"of rank {b % nrank} in rank "
+                            f"{rank}'s row")
+                elif rank < 0:          # an exchange's: worker 0 runs it
+                    continue
+                elif id(chunk) in own:
+                    srelocs.extend((8 * w, b - nblock, off))
+                else:
+                    self.team_why = self.team_why or native.Unbound(
+                        "scratch", "outside a row's arguments")
+        first.append(len(srelocs) // 3)
         # the rest lie in what the integrators hold now that the window
         # ran: kept here, as an integrator may later swap an attribute
         # for another (tests/core/test_program.py walks these for every
         # such address)
         self.keep = [(it.ctx, tuple(it.ctx._helm.values()), it.stage,
                       it.binding, it.geom, it.fluxes, it.p_ref, it.rayleigh_w,
-                      it.grid, thread_scratch(it.grid))
-                     for it in rec.integrators]
-        self.rows = np.array([(entry, 8 * chunk.at, len(chunk.words))
-                              for entry, chunk in rec.rows], np.int64)
+                      it.grid, k[2])
+                     for it, k in zip(rec.integrators, self.key[1:])]
+        self.rows = np.array([(entry, 8 * chunk.at, len(chunk.words),
+                               chunk.rank, first[i], first[i + 1] - first[i])
+                              for i, (entry, chunk) in enumerate(rec.rows)],
+                             np.int64)
         self.relocs = np.frombuffer(relocs, np.int64).reshape(-1, 3)
+        self.srelocs = np.frombuffer(srelocs, np.int64).reshape(-1, 3)
         self.nrow = len(self.rows)
-        self.header = _Header(self.nrow, len(self.relocs),
-                              self.rows.ctypes.data, self.relocs.ctypes.data,
-                              origin)
+        self.runs, self.segs = self._segments(rows if width > 1 else [])
+        #: each worker's scratch addresses, slot for slot (worker 0's are
+        #: the window's, already in the arena)
+        self.sbases = np.array(bases, np.uintp)
+        #: the key's team, and the team a replay walks on
+        self.width = width
+        self.team = 1 if self.team_why else width
+        self.header = _Header(
+            self.nrow, len(self.relocs), self.rows.ctypes.data,
+            self.relocs.ctypes.data, origin, nrank, len(self.runs),
+            len(self.segs), self.runs.ctypes.data, self.segs.ctypes.data,
+            self.srelocs.ctypes.data, self.sbases.shape[1], self.team,
+            self.sbases.ctypes.data)
         self.bases = np.zeros(len(rec.blocks), np.uintp)
-        self.stamps = np.empty(2 * self.nrow)
+        #: the walker's stamps, made by the first traced replay
+        self.stamps = None
         self.run = functools.partial(lib.run_program,
                                      ctypes.byref(self.header),
                                      self.bases.ctypes.data)
@@ -404,6 +474,31 @@ class StepProgram:
                                 in pairs.items()])
                         for comm, pairs in traffic.values()]
 
+    def _segments(self, rows: list) -> tuple:
+        """The runs (first row, end row, rank: one rank's contiguous
+        rows) and the segments (first run, end run, the exchange row that
+        ends it or -1) of the rows' chunks: a team runs a segment's runs
+        side by side, then worker 0 its exchange row.  A rank with two
+        runs in one segment walks alone (its order would not hold)."""
+        runs, segs, seen, start = [], [], set(), 0
+        for i, chunk in enumerate(rows):
+            if chunk.rank < 0:
+                segs.append((start, len(runs), i))
+                seen.clear()
+                start = len(runs)
+            elif runs and runs[-1][1] == i and runs[-1][2] == chunk.rank:
+                runs[-1][1] = i + 1
+            else:
+                if chunk.rank in seen:
+                    self.team_why = self.team_why or native.Unbound(
+                        "rank", f"{chunk.rank} split in a segment")
+                seen.add(chunk.rank)
+                runs.append([i, i + 1, chunk.rank])
+        if start < len(runs):
+            segs.append((start, len(runs), -1))
+        return (np.array(runs, np.int64).reshape(-1, 3),
+                np.array(segs, np.int64).reshape(-1, 3))
+
     def replay(self, windows: list) -> bool:
         """Run the table over this step's blocks and credit it; False (and
         nothing credited) where a row returned nonzero."""
@@ -412,6 +507,10 @@ class StepProgram:
                          + [w.integrator.stage_state.address
                             for w in windows])
         sess = active_session()
+        if sess is not None and self.stamps is None:
+            self.stamps = np.empty(2 * self.nrow)
+        if self.team_why is not None and self.width > 1:
+            native.unbound("team", self.team_why)
         if self.run(None if sess is None else self.stamps.ctypes.data):
             return False
         ex = active_executor()
@@ -427,21 +526,31 @@ class StepProgram:
         ex.accelerated += active
         for comm, pairs in self.traffic:
             comm.stats.add(pairs)
-        native.count_programs(replayed=1, rows=self.nrow)
+        native.count_programs(replayed=1, rows=self.nrow, team=self.team)
         if sess is not None:
             self._events(sess, actives)
         return True
 
     def _events(self, sess, actives: list) -> None:
-        """The window's spans and message log, from the walker's stamps."""
+        """The window's spans and message log, from the walker's stamps.
+        A team's rows end out of order: a span ends with the last of its
+        rows to end, and the walk's speedup (its rows' seconds over its
+        wall seconds) is counted."""
         t = self.stamps.tolist()
+        ends = t[1::2]
+        if self.team > 1:
+            starts = t[::2]
+            native.count_programs(
+                busy_s=sum(e - b for b, e in zip(starts, ends)),
+                wall_s=max(ends) - min(starts))
         for name, cat, pid, tid, attrs, first, last, stage in self.spans:
             if stage is not None:
                 names, _ = self.stages[stage]
                 attrs = {**attrs, "active": " ".join(
                     n for n in names if n not in actives[stage])}
+            end = max(ends[first:last]) if self.team > 1 else ends[last - 1]
             sess.record_span(name, t[2 * first] - sess.epoch,
-                             t[2 * last - 1] - t[2 * first], pid=pid,
+                             end - t[2 * first], pid=pid,
                              tid=tid, cat=cat, args=dict(attrs) or None)
         for comm, sent, row in self.logs:
             comm.log(sent, t[2 * row], t[2 * row + 1])
@@ -450,9 +559,26 @@ class StepProgram:
 _KEY = ("ranks", "layout", "thread", "limiter", "config")
 
 
+def team_size(ranks: int) -> int:
+    """The threads a replay of a program over ``ranks`` ranks walks on:
+    one a CPU of this process's affinity mask, at most one a rank (no
+    knob: ``taskset -c 0`` walks alone)."""
+    if ranks < 2:
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:      # a platform without affinity masks
+        cpus = os.cpu_count() or 1
+    return min(cpus, ranks)
+
+
 def _key(lib, integrators: list, layouts: list) -> tuple:
-    return (lib, *[(it, lay, thread_scratch(it.grid), it.limiter,
-                    *vars(it.cfg).values())
+    """The program's key: per rank, its integrator and layout, the
+    scratch each worker of the team computes in, its limiter and
+    config."""
+    team = range(team_size(len(integrators)))
+    return (lib, *[(it, lay, tuple(thread_scratch(it.grid, w) for w in team),
+                    it.limiter, *vars(it.cfg).values())
                    for it, lay in zip(integrators, layouts)])
 
 

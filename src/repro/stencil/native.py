@@ -49,13 +49,13 @@ import numpy as np
 from ..obs.trace import CAPTURE
 
 __all__ = ["FLAGS", "CLONES", "STATES", "Native", "Unbound", "Recorded",
-           "load", "count_programs",
+           "load", "count_programs", "walk_speedup",
            "library", "kernels", "address", "pointers", "same", "unbound",
            "using"]
 
 #: value-preserving only: no contraction, no reassociation, no -march (the
 #: cache may be shared between hosts; the clones pick the ISA at load time)
-FLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off",
+FLAGS = ("-O3", "-fPIC", "-shared", "-pthread", "-ffp-contract=off",
          "-fno-trapping-math", "-fno-math-errno")
 CLONES = ("avx512f", "avx2", "default")
 SOURCES = ("advect.c", "acoustic.c", "kessler.c", "halo.c", "program.c")
@@ -70,8 +70,10 @@ UNBOUND: Counter = Counter()
 _UNBOUND_LOCK = threading.Lock()
 #: this process's captured long steps (:mod:`repro.core.program`):
 #: ``recorded`` programs, ``replayed`` windows and the ``rows`` they ran,
-#: and the windows a program's generator ran (recording it, or after an
-#: aborted replay) with the compiled ``calls`` they made
+#: the windows a program's generator ran (recording it, or after an
+#: aborted replay) with the compiled ``calls`` they made, the widest
+#: ``team`` a replay walked on, and the traced team walks' row seconds
+#: (``busy_s``, summed over the workers) and wall seconds (``wall_s``)
 PROGRAMS: Counter = Counter()
 
 _PTR, _LONG = ctypes.c_void_p, ctypes.c_long
@@ -109,7 +111,8 @@ class Native:
                 "hash": self.hash, "clones": list(self.clones),
                 "build_s": round(self.build_s, 3), "unbound": unbound,
                 "programs": {k: PROGRAMS[k] for k in (
-                    "recorded", "replayed", "rows", "generator", "calls")}}
+                    "recorded", "replayed", "rows", "generator", "calls",
+                    "team")}}
 
     def report(self) -> str:
         text = f"native[{self.state}]"
@@ -120,8 +123,13 @@ class Native:
         text += f" ({self.detail})" if self.detail else ""
         if PROGRAMS["generator"]:
             text += (f"; programs: {PROGRAMS['recorded']} recorded, "
-                     f"{PROGRAMS['replayed']} replayed; compiled crossings "
-                     f"a dynamics window: "
+                     f"{PROGRAMS['replayed']} replayed")
+            if PROGRAMS["team"]:
+                text += f", widest team {PROGRAMS['team']}"
+            if PROGRAMS["wall_s"]:
+                text += (f", team walk {walk_speedup():.2f}x measured (rows'"
+                         f" seconds over wall seconds)")
+            text += ("; compiled crossings a dynamics window: "
                      f"{PROGRAMS['calls'] / PROGRAMS['generator']:.0f} "
                      f"recording, 1 replayed")
         return "; ".join([text] + [f"{n} {body} on NumPy ({why})" for
@@ -160,10 +168,21 @@ class Recorded:
         return self.fn(*args)
 
 
-def count_programs(**counts: int) -> None:
-    """Add ``counts`` to :data:`PROGRAMS` (stepping threads count too)."""
+def count_programs(team: int = 0, **counts) -> None:
+    """Add ``counts`` to :data:`PROGRAMS` (stepping threads count too);
+    ``team``: a replay's, kept where it is the widest yet."""
     with _UNBOUND_LOCK:
         PROGRAMS.update(counts)
+        if team > PROGRAMS["team"]:
+            PROGRAMS["team"] = team
+
+
+def walk_speedup() -> float | None:
+    """The traced team walks' measured speedup: the seconds their rows ran,
+    summed over the workers, over their wall seconds (None: no traced
+    walk on a team)."""
+    return (PROGRAMS["busy_s"] / PROGRAMS["wall_s"] if PROGRAMS["wall_s"]
+            else None)
 
 
 def unbound(body: str, why: Unbound) -> None:
@@ -222,7 +241,8 @@ def read_sources() -> dict:
 
 def _units(sources: dict, clones: tuple) -> tuple:
     """Two translation units, compiled side by side: ``advect.c`` in
-    float64 with every ``KERNEL`` cloned per ISA, and the other sources."""
+    float64 with every ``KERNEL`` cloned per ISA, and the other sources
+    (with the GNU extensions the walker places its team's threads by)."""
     targets = ",".join(f'"{c}"' for c in clones)
     kernel = f"__attribute__((target_clones({targets})))" if clones else ""
     return (f"#include <math.h>\n#define KERNEL {kernel}\n"
@@ -230,7 +250,7 @@ def _units(sources: dict, clones: tuple) -> tuple:
             f'{",".join(clones) or "default"}"; }}\n'
             f"#define REAL double\n#define F(x) x##_f64\n#define ABS fabs\n"
             + sources["advect.c"],
-            "#include <math.h>\n#include <string.h>\n"
+            "#define _GNU_SOURCE\n#include <math.h>\n#include <string.h>\n"
             + "".join(sources[n] for n in SOURCES[1:]))
 
 
