@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import ctypes
 import functools
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,8 +45,7 @@ from .state import State
 
 __all__ = ["AcousticContext", "AcousticGeometry", "SlowForcing",
            "AcousticScratch", "SubstepBinding", "AcousticStepper",
-           "build_context", "finish_numpy", "thread_scratch",
-           "ACOUSTIC_FIELDS"]
+           "build_context", "finish_numpy", "ACOUSTIC_FIELDS"]
 
 
 class AcousticGeometry:
@@ -55,7 +53,10 @@ class AcousticGeometry:
     decides, evaluated with the substep's own operations: the interior face
     slices, the negated face Jacobians, the terrain metric products, the
     metric mass flux and the buoyancy reference ``G rho_ref``.  One per
-    :class:`~repro.core.rk3.Rk3Integrator`, not one per stage."""
+    :class:`~repro.core.rk3.Rk3Integrator`, not one per stage; it holds
+    the integrator's :attr:`scratch`."""
+
+    _scratch: "AcousticScratch | None" = None
 
     def __init__(self, grid: Grid, ref: ReferenceState):
         g = self.grid = grid
@@ -76,6 +77,16 @@ class AcousticGeometry:
             self.met_v = (g.jac_v[sv][:, :, None] * g.dzsdy_v[sv][:, :, None]
                           * g.decay_c[None, None, :])
         self.metric_flux = MetricFlux(g)
+
+    @property
+    def scratch(self) -> "AcousticScratch":
+        """The integrator's :class:`AcousticScratch`, made on first use and
+        dropped by :meth:`~repro.core.rk3.Rk3Integrator.release`: one
+        integrator steps on one thread at a time, so two runs stepped side
+        by side never compute in each other's temporaries."""
+        if self._scratch is None:
+            self._scratch = AcousticScratch(self.grid)
+        return self._scratch
 
 
 @dataclass
@@ -152,7 +163,7 @@ def build_context(state: State, ref: ReferenceState, p_ref: np.ndarray,
                   into: AcousticContext | None = None,
                   p_t: np.ndarray | None = None) -> AcousticContext:
     """Precompute the acoustic linearization at the long-step start:
-    after the EOS (into this thread's scratch; ``p_t``: already there),
+    after the EOS (into the geometry's scratch; ``p_t``: already there),
     one compiled pass where a verified library is loaded, else the NumPy
     below — the same bytes.  ``geom`` is the integrator's
     :class:`AcousticGeometry` (built here for a caller that keeps none);
@@ -160,7 +171,7 @@ def build_context(state: State, ref: ReferenceState, p_ref: np.ndarray,
     the compiled pass refills instead of allocating."""
     g = state.grid
     geom = geom or AcousticGeometry(g, ref)
-    scratch = thread_scratch(g)
+    scratch = geom.scratch
     if p_t is None:
         p_t = eos_pressure(state.rhotheta, g, out=scratch.c[0])
     ctx = _context_native(state, p_t, p_ref, geom, scratch.c[1], into)
@@ -268,19 +279,20 @@ THOMAS_BLOCK = 64
 
 
 class AcousticScratch:
-    """Every within-substep temporary for one grid shape, allocated once
-    and shared by all steppers on that shape (a substep runs to
+    """Every within-substep temporary of one integrator's grid, allocated
+    once and shared by its steppers (a substep runs to
     completion, so nothing here is live between substeps; the
     divergence-damping history ``pp`` and the stage's ``dws`` are the
     :class:`SubstepBinding`'s for that reason), and the compiled slow stage's
     (:class:`~repro.core.rk3.StageBinding`: it runs before a stage's first
     substep).  Float64 like the grid metrics every chain runs through."""
 
-    def __init__(self, nx: int, ny: int, nz: int, halo: int, terrain: bool):
+    def __init__(self, grid: Grid):
         def buf(shape, count):
             return [np.empty(shape) for _ in range(count)]
 
-        nxh, nyh = nx + 2 * halo, ny + 2 * halo
+        nx, ny, nz, terrain = grid.nx, grid.ny, grid.nz, not grid.is_flat()
+        nxh, nyh = grid.nxh, grid.nyh
         self.c = buf((nxh, nyh, nz), 3 if terrain else 2)  # cell-shaped
         self.gu = buf((nx + 1, ny, nz), 1 + terrain)      # interior u faces
         self.gv = buf((nx, ny + 1, nz), 1 + terrain)      # interior v faces
@@ -304,69 +316,9 @@ class AcousticScratch:
         self.precip = np.empty((2, nx, ny))
 
     def arrays(self) -> list:
-        """Every array of the scratch's own memory (no view), in an order
-        that two scratches of one shape share, array for array."""
+        """Every array of the scratch's own memory (no view)."""
         return [*self.c, *self.gu, *self.gv, *self.i, *self.k, *self.w,
                 self.rhs, self.col, self.u, self.v, self.arena, self.precip]
-
-
-class Recent:
-    """``cache(*key)`` -> ``build(*key)``, built on first use *by the
-    calling thread*: what is cached is scratch memory, which two threads
-    must not share (ctypes releases the GIL around a call, and two runs
-    stepped side by side would compute in each other's temporaries).
-    Only the ``maxsize`` keys a thread built most recently are kept, so
-    what is cached never grows with the number of shapes a process has
-    seen."""
-
-    def __init__(self, build, maxsize: int = 8):
-        self.build = build
-        self.maxsize = maxsize
-        self._local = threading.local()
-
-    @property
-    def items(self) -> dict:
-        """The calling thread's items, oldest first."""
-        try:
-            return self._local.items
-        except AttributeError:
-            items = self._local.items = {}
-            return items
-
-    def __call__(self, *key):
-        items = self.items
-        item = items.get(key)
-        if item is None:
-            if len(items) >= self.maxsize:
-                del items[next(iter(items))]
-            item = items[key] = self.build(*key)
-        return item
-
-
-#: per thread and bounded: scratch owned by every integrator would linger
-#: in each finished Experiment until the collector runs
-_SCRATCH = Recent(AcousticScratch)
-#: worker w > 0 of a replay's team -> its own such cache, bounded apart:
-#: a worker's scratch, built when a program is keyed, must never evict
-#: the scratch the program was recorded in
-_WORKERS: dict = {}
-
-
-def thread_scratch(grid: Grid, worker: int = 0) -> AcousticScratch:
-    """This thread's :class:`AcousticScratch` for ``grid``'s shape.  Its
-    five interior-cell buffers and its precipitation pair are free outside
-    a substep, so the warm rain's compiled body (run after the last
-    substep of a long step) borrows them instead of holding 40 bytes a
-    cell of its own.  ``worker`` > 0: the one that worker of a captured
-    step's team computes in where this thread replays the step
-    (:mod:`repro.core.program`)."""
-    key = (grid.nx, grid.ny, grid.nz, grid.halo, not grid.is_flat())
-    if not worker:
-        return _SCRATCH(*key)
-    cache = _WORKERS.get(worker)
-    if cache is None:
-        cache = _WORKERS.setdefault(worker, Recent(AcousticScratch))
-    return cache(*key)
 
 
 #: prognostic fields refreshed after every acoustic substep — the
@@ -390,8 +342,8 @@ class _Args(ctypes.Structure):
 
 
 class SubstepBinding:
-    """What one integrator's substeps keep between its stages on one
-    thread, bound the first time it steps there: the thread's
+    """What one integrator's substeps keep between its stages, bound the
+    first time it steps: its geometry's
     :class:`AcousticScratch` and, where a verified library takes the
     grid's operands, the compiled substep's struct with every grid,
     geometry, scratch, metric-flux, damping-pair and ``dws`` address set,
@@ -400,16 +352,13 @@ class SubstepBinding:
     stage sets only scalars and the addresses of its state, context,
     forcing and operator, each taken once per block
     (:meth:`AcousticStepper._bind`), so a binding serves one stage at a
-    time.  Scratch is per thread, so a binding
-    is :meth:`current` only on the thread whose scratch it holds (ctypes
-    releases the GIL: two threads must never compute in each other's
-    temporaries)."""
+    time."""
 
     def __init__(self, geom: AcousticGeometry):
         g = geom.grid
         self.geom = geom
         self.lib = native.kernels()
-        self.scratch = s = thread_scratch(g)
+        self.scratch = s = geom.scratch
         #: substep k writes pp[k % 2] and reads pp[(k - 1) % 2]; the
         #: stage-flux vertical theta transport
         self.pp = (np.empty(g.shape_c), np.empty(g.shape_c))
@@ -444,10 +393,8 @@ class SubstepBinding:
         self.substep = functools.partial(self.lib.substep, ctypes.byref(a))
 
     def current(self, geom: AcousticGeometry) -> bool:
-        """Bound for ``geom``, on this thread's scratch, with the library
-        now in force."""
-        return (self.geom is geom and self.lib is native.kernels()
-                and self.scratch is thread_scratch(geom.grid))
+        """Bound for ``geom``, with the library now in force."""
+        return self.geom is geom and self.lib is native.kernels()
 
 
 class AcousticStepper:

@@ -178,7 +178,8 @@ class AsucaModel:
         dt = cfg.dynamics.dt
         if cfg.physics_enabled:
             with span("physics_warm_rain", cat="phase"):
-                kessler_step(new, self.ref, dt, cfg.kessler)
+                kessler_step(new, self.ref, dt, cfg.kessler,
+                             self.integrator.geom.scratch)
             fields = ["rhotheta", "qv", "qc", "qr", "rho"]
             if cfg.ice_enabled:
                 with span("physics_cold_rain", cat="phase"):

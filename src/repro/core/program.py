@@ -34,17 +34,17 @@ credited) and the generators run the window instead, from the EOS on
 (the walk may have passed a flux copy over its memory): a step never
 writes its input, and the base is read-only inside the window.
 
-A program of several ranks is walked by a team of C threads
-(:func:`team_size`: the CPUs of the affinity mask, at most one a rank).
-Every row carries the rank whose generator made it; between two exchange
-rows each rank's rows are contiguous, one run, and the runs of a segment
-go side by side, each worker in a scratch of its own (a row's scratch
-addresses are relocated on its copy), worker 0 running the exchange row.
-A row of one rank that points into another's blocks makes the program
-walk alone, counting ``native.unbound("team", why)`` a step.
+Every program is walked by a team of C threads (:func:`team_size`: the
+CPUs of the affinity mask, at most one a rank; a team of one starts no
+thread).  Every row carries the rank whose generator made it; between
+two exchange rows each rank's rows are contiguous, one run, and the runs
+of a segment go side by side, each in its rank's own scratch (its
+integrator's), worker 0 running the exchange row.  A row of one rank
+that points into another's blocks or scratch makes the program walk
+alone, counting ``native.unbound("team", why)`` a step.
 
 A program is keyed on the library, the rank set, each rank's layout,
-every team worker's thread scratch, limiter and dynamics config.  A step
+limiter and dynamics config.  A step
 the key or the driver excludes runs the generator and counts one
 ``native.unbound("programs", why)``.  docs/STENCILS.md "Programs".
 """
@@ -63,7 +63,6 @@ import numpy as np
 from ..obs.trace import CAPTURE, active_session
 from ..stencil import native
 from ..stencil.executor import active_executor
-from .acoustic import thread_scratch
 
 __all__ = ["ENTRIES", "END", "Window", "Recorder", "StepProgram", "enter",
            "leave"]
@@ -104,9 +103,8 @@ class _Header(ctypes.Structure):
     _fields_ = ([(n, ctypes.c_long) for n in ("nrow", "nreloc")]
                 + [(n, ctypes.c_void_p) for n in ("rows", "relocs", "arena")]
                 + [(n, ctypes.c_long) for n in ("nrank", "nrun", "nseg")]
-                + [(n, ctypes.c_void_p) for n in ("runs", "segs", "srelocs")]
-                + [(n, ctypes.c_long) for n in ("nslot", "team")]
-                + [("sbases", ctypes.c_void_p)])
+                + [(n, ctypes.c_void_p) for n in ("runs", "segs", "taken")]
+                + [("team", ctypes.c_long)])
 
 
 @functools.cache
@@ -249,12 +247,12 @@ class Recorder:
         program (the slots are relocated)."""
         table = ctypes.string_at(rows, 8 * _STRIP_WORDS * nrow)
         longs = memoryview(table).cast("q")
-        nslot = max([*longs[::_STRIP_WORDS], *longs[1::_STRIP_WORDS]],
-                    default=-1) + 1
+        used = max([*longs[::_STRIP_WORDS], *longs[1::_STRIP_WORDS]],
+                   default=-1) + 1
         self.row("halo_strips", struct.pack("<3q", nrow, 0, 0), bytes(3), {
             1: (self._shared(table, bytes(_STRIP_WORDS * nrow)), 0),
-            2: (self._shared(ctypes.string_at(slots, 8 * nslot),
-                             b"\1" * nslot), 0)})
+            2: (self._shared(ctypes.string_at(slots, 8 * used),
+                             b"\1" * used), 0)})
 
     def copy(self, dst: np.ndarray, src: np.ndarray) -> None:
         self.row("copy", struct.pack("<QQq", native.address(dst),
@@ -310,8 +308,7 @@ class Recorder:
 
     # ------------------------------------------------------------- freeze
     def freeze(self) -> "StepProgram | Declined":
-        """The program, keyed once the window ran (its thread scratch is
-        the one the stages took), or the key's decline."""
+        """The program, or the key's decline."""
         self.key = _key(self.lib, self.integrators, self.layouts)
         if self.why is None and active_executor() is not self.executor:
             self.why = native.Unbound("executor", "changed")
@@ -358,35 +355,23 @@ class StepProgram:
             for w, (target, tw) in (chunk.refs or {}).items():
                 word[chunk.at + w] = origin + 8 * (target.at + tw)
         # every other address word inside a step's block, (arena byte,
-        # block, offset), relocated once a replay; or inside the scratch
-        # the window computed in, (row byte, slot, offset), relocated on
-        # the row's copy where a team's worker w > 0 runs it: flat arrays
-        # (no object a word), one pass over the address words
-        nrank, nblock = len(rec.integrators), len(rec.blocks)
-        teams = list({id(k[2][0]): k[2] for k in self.key[1:]}.values())
-        width = len(teams[0])
-        # per worker, its scratch arrays slot for slot and their addresses
-        # (a team of one computes in the window's scratch: none to move)
-        slots = [[a for scratch in teams for a in scratch[w].arrays()]
-                 for w in range(width)] if width > 1 else [[]]
-        bases = [[native.address(a) for a in arrays] for arrays in slots]
+        # block, offset), relocated once a replay: flat arrays (no object a
+        # word), one pass over the address words.  A span of rank r's
+        # scratch is tagged -1 - r: its words stay as recorded, and a team
+        # worker computes in the scratch of the rank whose run it takes
+        nrank = len(rec.integrators)
         spans = sorted([(lo, lo + size, b)
                         for b, (lo, size) in enumerate(rec.blocks)]
-                       + [(lo, lo + a.nbytes, nblock + s) for s, (lo, a)
-                          in enumerate(zip(bases[0], slots[0]))])
+                       + [(native.address(a), native.address(a) + a.nbytes,
+                           -1 - r) for r, it in enumerate(rec.integrators)
+                          for a in it.geom.scratch.arrays()])
         starts = [lo for lo, _, _ in spans]
-        # the rows' chunks first, in row order: a row's scratch relocations
-        # are srelocs[first[i]:first[i + 1]]
-        rows = [chunk for _, chunk in rec.rows]
-        own = set(map(id, rows))
-        relocs, srelocs, first, found = (array.array("q"), array.array("q"),
-                                         [], {})
-        #: why a team may not walk this program (it walks alone)
+        relocs, found = array.array("q"), {}
+        #: why a team may not walk this program (it walks alone): a rank's
+        #: chunk points only into its own blocks and its own scratch
         self.team_why = None
-        for chunk in rows + [c for c in rec.chunks if id(c) not in own]:
-            first.append(len(srelocs) // 3)
+        for chunk in rec.chunks:
             refs, values = chunk.refs or {}, memoryview(chunk.words).cast("Q")
-            at, rank = 8 * chunk.at, chunk.rank
             for w in _words(chunk.mask):
                 value = values[w]
                 if not value or w in refs:
@@ -400,48 +385,36 @@ class StepProgram:
                 if hit is None:
                     continue
                 b, off = hit
-                if b < nblock:
-                    relocs.extend((at + 8 * w, b, off))
-                    if rank >= 0 and b % nrank != rank:
-                        self.team_why = self.team_why or native.Unbound(
-                            "address", f"of rank {b % nrank} in rank "
-                            f"{rank}'s row")
-                elif rank < 0:          # an exchange's: worker 0 runs it
-                    continue
-                elif id(chunk) in own:
-                    srelocs.extend((8 * w, b - nblock, off))
-                else:
+                if b >= 0:
+                    relocs.extend((8 * (chunk.at + w), b, off))
+                owner = b % nrank if b >= 0 else -1 - b
+                if chunk.rank >= 0 and owner != chunk.rank:
                     self.team_why = self.team_why or native.Unbound(
-                        "scratch", "outside a row's arguments")
-        first.append(len(srelocs) // 3)
+                        "address", f"of rank {owner} in rank "
+                        f"{chunk.rank}'s row")
         # the rest lie in what the integrators hold now that the window
         # ran: kept here, as an integrator may later swap an attribute
         # for another (tests/core/test_program.py walks these for every
         # such address)
         self.keep = [(it.ctx, tuple(it.ctx._helm.values()), it.stage,
-                      it.binding, it.geom, it.fluxes, it.p_ref, it.rayleigh_w,
-                      it.grid, k[2])
-                     for it, k in zip(rec.integrators, self.key[1:])]
-        self.rows = np.array([(entry, 8 * chunk.at, len(chunk.words),
-                               chunk.rank, first[i], first[i + 1] - first[i])
-                              for i, (entry, chunk) in enumerate(rec.rows)],
-                             np.int64)
+                      it.binding, it.geom, it.geom.scratch, it.fluxes,
+                      it.p_ref, it.rayleigh_w, it.grid)
+                     for it in rec.integrators]
+        self.rows = np.array([(entry, 8 * chunk.at, len(chunk.words))
+                              for entry, chunk in rec.rows], np.int64)
         self.relocs = np.frombuffer(relocs, np.int64).reshape(-1, 3)
-        self.srelocs = np.frombuffer(srelocs, np.int64).reshape(-1, 3)
         self.nrow = len(self.rows)
-        self.runs, self.segs = self._segments(rows if width > 1 else [])
-        #: each worker's scratch addresses, slot for slot (worker 0's are
-        #: the window's, already in the arena)
-        self.sbases = np.array(bases, np.uintp)
-        #: the key's team, and the team a replay walks on
-        self.width = width
-        self.team = 1 if self.team_why else width
+        self.runs, self.segs = self._segments([c for _, c in rec.rows])
+        #: a flag a run, which each walk zeroes
+        self.taken = np.zeros(len(self.runs), np.int8)
+        #: the team a replay walks on: one thread a CPU, at most one a rank
+        self.width = team_size(nrank)
+        self.team = 1 if self.team_why else self.width
         self.header = _Header(
             self.nrow, len(self.relocs), self.rows.ctypes.data,
             self.relocs.ctypes.data, origin, nrank, len(self.runs),
             len(self.segs), self.runs.ctypes.data, self.segs.ctypes.data,
-            self.srelocs.ctypes.data, self.sbases.shape[1], self.team,
-            self.sbases.ctypes.data)
+            self.taken.ctypes.data, self.team)
         self.bases = np.zeros(len(rec.blocks), np.uintp)
         #: the walker's stamps, made by the first traced replay
         self.stamps = None
@@ -478,8 +451,9 @@ class StepProgram:
         """The runs (first row, end row, rank: one rank's contiguous
         rows) and the segments (first run, end run, the exchange row that
         ends it or -1) of the rows' chunks: a team runs a segment's runs
-        side by side, then worker 0 its exchange row.  A rank with two
-        runs in one segment walks alone (its order would not hold)."""
+        side by side, then worker 0 its exchange row (a team of one runs
+        every row in table order).  A rank with two runs in one segment
+        walks alone (its order would not hold)."""
         runs, segs, seen, start = [], [], set(), 0
         for i, chunk in enumerate(rows):
             if chunk.rank < 0:
@@ -534,7 +508,7 @@ class StepProgram:
     def _events(self, sess, actives: list) -> None:
         """The window's spans and message log, from the walker's stamps.
         A team's rows end out of order: a span ends with the last of its
-        rows to end, and the walk's speedup (its rows' seconds over its
+        rows to end, and a team walk's speedup (its rows' seconds over its
         wall seconds) is counted."""
         t = self.stamps.tolist()
         ends = t[1::2]
@@ -548,15 +522,14 @@ class StepProgram:
                 names, _ = self.stages[stage]
                 attrs = {**attrs, "active": " ".join(
                     n for n in names if n not in actives[stage])}
-            end = max(ends[first:last]) if self.team > 1 else ends[last - 1]
             sess.record_span(name, t[2 * first] - sess.epoch,
-                             end - t[2 * first], pid=pid,
+                             max(ends[first:last]) - t[2 * first], pid=pid,
                              tid=tid, cat=cat, args=dict(attrs) or None)
         for comm, sent, row in self.logs:
             comm.log(sent, t[2 * row], t[2 * row + 1])
 
 
-_KEY = ("ranks", "layout", "thread", "limiter", "config")
+_KEY = ("ranks", "layout", "limiter", "config")
 
 
 def team_size(ranks: int) -> int:
@@ -573,12 +546,9 @@ def team_size(ranks: int) -> int:
 
 
 def _key(lib, integrators: list, layouts: list) -> tuple:
-    """The program's key: per rank, its integrator and layout, the
-    scratch each worker of the team computes in, its limiter and
-    config."""
-    team = range(team_size(len(integrators)))
-    return (lib, *[(it, lay, tuple(thread_scratch(it.grid, w) for w in team),
-                    it.limiter, *vars(it.cfg).values())
+    """The program's key: per rank, its integrator and layout, its
+    limiter and config."""
+    return (lib, *[(it, lay, it.limiter, *vars(it.cfg).values())
                    for it, lay in zip(integrators, layouts)])
 
 

@@ -24,7 +24,6 @@ from .acoustic import (
     SlowForcing,
     SubstepBinding,
     build_context,
-    thread_scratch,
 )
 from .boundary import rayleigh_coefficient
 from .coriolis import coriolis_tendencies
@@ -129,10 +128,10 @@ def stage_declines(cfg, limiter) -> "native.Unbound | None":
 
 
 class StageBinding:
-    """What one integrator's RK stages keep on one thread, bound the first
-    time a stage runs there: where a verified library takes the grid, the
+    """What one integrator's RK stages keep, bound the first time a stage
+    runs: where a verified library takes the grid, the
     compiled ``slow_stage`` struct with every grid, metric-flux, sponge
-    and scratch address set (the thread's
+    and scratch address set (its geometry's
     :class:`~repro.core.acoustic.AcousticScratch`), the stage's output
     block, and the one call a stage makes (:meth:`run`).  A stage sets
     only scalars, its species and which state and base blocks are in play
@@ -141,14 +140,13 @@ class StageBinding:
     :func:`slow_tendencies`' NumPy text runs) for a grid with ``nz < 4`` or
     ``halo < 2``, a non-Koren limiter, diffusion or drag configured, more
     than :data:`STAGE_MAXQ` species, and a state that is not float64 or
-    holds a field as a wrapper.  :meth:`current` only on the thread whose
-    scratch it holds, like :class:`SubstepBinding`."""
+    holds a field as a wrapper."""
 
     def __init__(self, geom: AcousticGeometry):
         g = geom.grid
         self.geom = geom
         self.lib = native.kernels()
-        self.scratch = s = thread_scratch(g)
+        s = geom.scratch
         #: the struct, else ``None``; ``unbound`` says why a loaded
         #: library could not take the grid
         self.args = self.unbound = None
@@ -192,10 +190,8 @@ class StageBinding:
         self.moist.tend[:] = self.addresses[6:]
 
     def current(self, geom: AcousticGeometry) -> bool:
-        """Bound for ``geom``, on this thread's scratch, with the library
-        now in force."""
-        return (self.geom is geom and self.lib is native.kernels()
-                and self.scratch is thread_scratch(geom.grid))
+        """Bound for ``geom``, with the library now in force."""
+        return self.geom is geom and self.lib is native.kernels()
 
     def _config(self, cfg, limiter, rayleigh_w) -> "native.Unbound | None":
         """Why the stage cannot run this configuration, else ``None`` (the
@@ -436,11 +432,10 @@ class Rk3Integrator:
         self.cfg = cfg
         self.p_ref = p_ref
         self.limiter = get_limiter(cfg.limiter)
-        #: grid-only operands of the acoustic substep and the metric flux
+        #: grid-only operands of the acoustic substep and the metric flux,
+        #: and the integrator's scratch
         self.geom = AcousticGeometry(grid, ref)
-        #: the substep's and the slow stage's operands bound on the thread
-        #: that last stepped this integrator (a stage on another thread
-        #: binds afresh)
+        #: the substep's and the slow stage's bound operands
         self.binding: SubstepBinding | None = None
         self.stage: StageBinding | None = None
         #: what every step rewrites: the linearization (refilled in place
@@ -464,7 +459,7 @@ class Rk3Integrator:
         finished run's integrator must not hold its buffers until the
         collector frees the run."""
         self.ctx = self.stage_state = self.binding = self.stage = None
-        self.program = self.p_t = None
+        self.program = self.p_t = self.geom._scratch = None
         self.fluxes = ()
 
     def declines(self, lay) -> "native.Unbound | None":

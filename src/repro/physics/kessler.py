@@ -63,10 +63,13 @@ def kessler_step(
     ref: ReferenceState,
     dt: float,
     cfg: KesslerConfig | None = None,
+    scratch=None,
 ) -> np.ndarray:
     """Apply one warm-rain physics step in place; returns the surface
     precipitation rate [kg m^-2 s^-1] on interior cells and accumulates
-    ``state.precip_accum`` [kg m^-2 == mm]."""
+    ``state.precip_accum`` [kg m^-2 == mm].  ``scratch``: the integrator's
+    :class:`~repro.core.acoustic.AcousticScratch`, which the compiled body
+    computes in (this text allocates its own)."""
     cfg = cfg or KesslerConfig()
     g = state.grid
     sx, sy = g.isl

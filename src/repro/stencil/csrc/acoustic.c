@@ -166,8 +166,8 @@ static void thomas_block(long ncol, long n, long bc, long c0, long nb,
  * rho / rhotheta / rhow update.  The first substep of a stage (k == 0)
  * also evaluates the stage-invariant vertical theta transport dws.  The
  * struct is repro.core.acoustic._Args, field for field: an integrator
- * binds its grid, geometry and scratch once per thread, a stage its
- * state, context, forcing, operator, damping pair and dws. */
+ * binds its grid, geometry and scratch once, a stage its state,
+ * context, forcing, operator, damping pair and dws. */
 typedef struct {
     long nxh, nyh, nz, h, nx, ny;
     long k;                     /* substeps taken this stage */
@@ -187,8 +187,8 @@ typedef struct {
     /* the stage's damping pair (substep k writes pp0 / pp1 as k is even /
      * odd and reads the other as its history) and dws */
     double *pp0, *pp1, *dws;
-    /* the thread's scratch: pressure with damping, its z derivative, the
-     * explicit rho / rhotheta, the Helmholtz right-hand side (halo
+    /* the integrator's scratch: pressure with damping, its z derivative,
+     * the explicit rho / rhotheta, the Helmholtz right-hand side (halo
      * columns zero), m_now, w_new, and columns for the segments and the
      * Thomas block */
     double *pp_h, *dppdz, *rho_e, *theta_e, *rhs, *m_now, *w_new, *col;
@@ -542,8 +542,8 @@ void state_velocities(long nxh, long nyh, long nz, const double *restrict rho,
  * the Rayleigh sponge on r_w, one advection per active species, w_s and
  * the metric part m_s, so Python crosses into C once a stage.  The struct
  * is repro.core.rk3._StageArgs, field for field: an integrator binds its
- * grid, sponge and scratch once per thread, a stage its state, species
- * and fresh outputs.  Float64, Koren, no diffusion or drag (StageBinding
+ * grid, sponge and scratch once, a stage its state, species and
+ * fresh outputs.  Float64, Koren, no diffusion or drag (StageBinding
  * declines the rest). */
 #define STAGE_MAXQ 8            /* repro.core.rk3.STAGE_MAXQ */
 enum { ADV_SCALAR, ADV_U, ADV_V, ADV_W };   /* advect.c's variants */
@@ -571,7 +571,7 @@ typedef struct {
     /* per species: in, 1 where it may be inactive; out, 1 where it was
      * (its tendency is left unwritten) */
     long *idle;
-    /* the thread's scratch: the velocities, theta or q / rho, fz and the
+    /* the integrator's scratch: the velocities, theta or q / rho, fz and the
      * advection's rows */
     double *u, *v, *w, *phi, *fz, *arena;
 } stage_args;

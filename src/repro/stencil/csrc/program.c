@@ -2,38 +2,35 @@
  * table of rows, recorded once from the generator and replayed in one
  * call with the GIL released.  Every row is an entry, the arena offset of
  * its arguments (a struct, or the words of a call's positional
- * arguments), their size, its rank (-1: an exchange point's) and its
- * scratch relocations.  A replay writes each relocated address (a step's
- * block base plus an offset), then runs the rows, each on a copy of its
- * arguments: a body may advance its struct (acoustic_args.k), and the
- * arena stays as recorded.  A row that returns nonzero stops the walk:
- * run_program returns its index + 1, else 0.  With `stamps`, the
+ * arguments) and their size.  A replay writes each relocated address (a
+ * step's block base plus an offset), then runs the rows, each on a copy
+ * of its arguments: a body may advance its struct (acoustic_args.k), and
+ * the arena stays as recorded.  A row that returns nonzero stops the
+ * walk: run_program returns its index + 1, else 0.  With `stamps`, the
  * CLOCK_MONOTONIC time (time.perf_counter's clock) before and after each
  * row, in seconds, written by whichever worker ran it.
  *
- * A team of `team` > 1 threads walks a multi-rank table: the rows between
- * two exchange rows (a segment) are each rank's contiguous rows (its
- * runs), which touch only that rank's blocks and the scratch the worker
- * running them computes in (worker w > 0 relocates the row's scratch
- * words on its copy, against its own scratch).  Each worker runs the runs
- * of its own block of ranks first, then takes any run not yet taken (one
- * atomic flag a run); worker 0, the caller, runs the exchange row once
- * every run of the segment is done and then opens the next segment; a
- * waiting worker spins a few microseconds, then yields its CPU each
- * turn.  Workers 1.. are threads made for this call and joined before it
- * returns.  A nonzero row ends its run: no run is taken after it, the
- * runs in flight finish, and what ran is a prefix of each rank's rows. */
+ * A team of `team` threads walks the table: the rows between two
+ * exchange rows (a segment) are each rank's contiguous rows (its runs),
+ * which touch only that rank's blocks and its own scratch.  Each worker
+ * runs the runs of its own block of ranks first, then takes any run not
+ * yet taken (one atomic flag a run, the program's, zeroed each walk);
+ * worker 0, the caller, runs the exchange row once every run of the
+ * segment is done and then opens the next segment; a waiting worker
+ * spins a few microseconds, then yields its CPU each turn.  Workers 1..
+ * are threads made for this call and joined before it returns (a team of
+ * one makes none, and runs every row in table order).  A nonzero row
+ * ends its run: no run is taken after it, the runs in flight finish, and
+ * what ran is a prefix of each rank's rows. */
 #include <pthread.h>
 #include <sched.h>
 #include <stdatomic.h>
-#include <stdlib.h>
 #include <time.h>
 
 /* the largest row's arguments (repro.core.program.ROW_BYTES) */
 #define PROGRAM_ROW_WORDS 512
-/* the longs of a row: entry, arena offset, bytes, rank, first scratch
- * relocation, their count */
-#define PROGRAM_ROW_LONGS 6
+/* the longs of a row: entry, arena offset, bytes */
+#define PROGRAM_ROW_LONGS 3
 /* the loads a waiting worker spins on before it yields its CPU each turn
  * (a few microseconds).  No `pause`: under a hypervisor's pause-loop
  * exiting, a pause loop handed the waiting vCPU away and the walk's p95
@@ -110,9 +107,8 @@ typedef struct {
     long nrank, nrun, nseg;
     const long *runs;           /* first row, end row, rank */
     const long *segs;           /* first run, end run, exchange row or -1 */
-    const long *srelocs;        /* argument byte, scratch slot, offset */
-    long nslot, team;
-    const unsigned long *sbases;    /* team x nslot scratch addresses */
+    atomic_char *taken;         /* a flag a run */
+    long team;
 } program_header;
 
 static double monotonic(void)
@@ -122,22 +118,14 @@ static double monotonic(void)
     return (double)(t.tv_sec * 1000000000LL + t.tv_nsec) / 1e9;
 }
 
-/* row i on `worker`'s copy of its arguments */
-static int run_row(const program_header *p, long i, long worker, word *args,
+/* row i on a worker's copy of its arguments */
+static int run_row(const program_header *p, long i, word *args,
                    double *stamps)
 {
     const long *row = p->rows + PROGRAM_ROW_LONGS * i;
     if (stamps)
         stamps[2 * i] = monotonic();
     memcpy(args, p->arena + row[1], row[2]);
-    if (worker) {
-        const unsigned long *base = p->sbases + worker * p->nslot;
-        for (const long *s = p->srelocs + 3 * row[4];
-             s < p->srelocs + 3 * (row[4] + row[5]); s += 3) {
-            const unsigned long at = base[s[1]] + s[2];
-            memcpy((char *)args + s[0], &at, sizeof at);
-        }
-    }
     const int rc = program_rows[row[0]](args);
     if (stamps)
         stamps[2 * i + 1] = monotonic();
@@ -151,7 +139,6 @@ typedef struct {
     atomic_long open;           /* segments opened */
     atomic_long finished;       /* runs finished, over every segment */
     atomic_long failed;         /* the first failing row + 1, else 0 */
-    atomic_char *taken;         /* a flag a run */
 } team_walk;
 
 typedef struct {
@@ -185,11 +172,11 @@ static void run_segment(team_walk *t, long s, long w, word *args)
                 continue;
             if (atomic_load_explicit(&t->failed, memory_order_relaxed))
                 return;
-            if (atomic_load_explicit(&t->taken[r], memory_order_relaxed)
-                || atomic_exchange(&t->taken[r], 1))
+            if (atomic_load_explicit(&p->taken[r], memory_order_relaxed)
+                || atomic_exchange(&p->taken[r], 1))
                 continue;
             for (long i = run[0]; i < run[1]; i++)
-                if (run_row(p, i, w, args, t->stamps)) {
+                if (run_row(p, i, args, t->stamps)) {
                     long none = 0;
                     atomic_compare_exchange_strong(&t->failed, &none, i + 1);
                     break;
@@ -244,12 +231,11 @@ static long team_run(const program_header *p, double *stamps)
     atomic_init(&t.open, 1);
     atomic_init(&t.finished, 0);
     atomic_init(&t.failed, 0);
-    t.taken = calloc(p->nrun ? p->nrun : 1, sizeof *t.taken);
+    for (long r = 0; r < p->nrun; r++)
+        atomic_store_explicit(&p->taken[r], 0, memory_order_relaxed);
     team_worker members[p->team];
     pthread_t threads[p->team];
     int started[p->team];
-    if (!t.taken)
-        return -1;
     for (long w = 1; w < p->team; w++) {
         pthread_attr_t attr;
         pthread_attr_init(&attr);
@@ -266,7 +252,7 @@ static long team_run(const program_header *p, double *stamps)
         run_segment(&t, s, 0, args);
         if (!await_count(&t, &t.finished, seg[1]))
             break;
-        if (seg[2] >= 0 && run_row(p, seg[2], 0, args, stamps)) {
+        if (seg[2] >= 0 && run_row(p, seg[2], args, stamps)) {
             atomic_store(&t.failed, seg[2] + 1);
             break;
         }
@@ -275,7 +261,6 @@ static long team_run(const program_header *p, double *stamps)
     for (long w = 1; w < p->team; w++)
         if (started[w])
             pthread_join(threads[w], NULL);
-    free(t.taken);
     return atomic_load(&t.failed);
 }
 
@@ -286,14 +271,5 @@ long run_program(const program_header *p, const unsigned long *bases,
         const unsigned long at = bases[r[1]] + r[2];
         memcpy(p->arena + r[0], &at, sizeof at);
     }
-    if (p->team > 1) {
-        const long rc = team_run(p, stamps);
-        if (rc >= 0)
-            return rc;
-    }
-    word args[PROGRAM_ROW_WORDS];
-    for (long i = 0; i < p->nrow; i++)
-        if (run_row(p, i, 0, args, stamps))
-            return i + 1;
-    return 0;
+    return team_run(p, stamps);
 }

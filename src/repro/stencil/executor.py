@@ -104,7 +104,7 @@ class StencilExecutor:
             "fallbacks": self.fallbacks,
             "skipped": self.skipped,
             "inactive": list(self.inactive),
-            # nothing is taken per call: the scratch is bound per thread
+            # nothing is taken per call: the scratch is the integrator's
             "allocations": 0.0,
             "reuses": 0.0,
             # the compiled bodies: state, hash, ISA clones, cold-build s

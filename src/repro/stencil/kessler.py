@@ -1,8 +1,9 @@
 """The compiled warm-rain body: :func:`repro.physics.kessler.kessler_step`
 (with its sedimentation) as the C segments of ``csrc/kessler.c`` and,
 between them, the scheme's every ``exp`` and ``pow`` as NumPy ufuncs,
-all on the five interior buffers of
-:func:`repro.core.acoustic.thread_scratch`.
+all on the five interior buffers of the integrator's
+:class:`~repro.core.acoustic.AcousticScratch` (the model hands it over;
+a caller without one gets a fresh one).
 
 NumPy's float64 ``exp`` and ``pow`` are SIMD routines whose results differ
 from libm's (on an AVX-512 host 917 of 20 000 ``exp`` arguments, 992-1113
@@ -11,8 +12,8 @@ alignment or chunking, so those passes stay NumPy's, written with
 ``out=`` into that scratch, and the C does the arithmetic.  The oracle evaluates
 ``es(T)`` three times on the saturation adjustment's ``T``; the same bits
 are read once here, so a step takes two ``exp`` passes instead of four.
-The precipitation it returns is this thread's scratch too (copy it to
-keep it past the thread's next warm-rain step).
+The precipitation it returns is that scratch too (copy it to keep it
+past the integrator's next step).
 
 Like every compiled body, it has one NumPy text, the oracle: the
 load-time reference and the body that runs without a library (the
@@ -25,7 +26,7 @@ import ctypes
 import numpy as np
 
 from .. import constants as c
-from ..core.acoustic import thread_scratch
+from ..core.acoustic import AcousticScratch
 from ..physics import saturation as sat, sedimentation as sed
 from ..physics.kessler import KesslerConfig
 from . import native
@@ -50,7 +51,7 @@ class _Args(ctypes.Structure):
 
 
 @register_fused("kessler_step")
-def _kessler_step(state, ref, dt, cfg=None):
+def _kessler_step(state, ref, dt, cfg=None, scratch=None):
     lib = native.kernels()
     # a float32 state, one without the warm species, or a FLOP-counting
     # wrapper of a field runs the oracle's own ufunc calls (as the other
@@ -61,7 +62,7 @@ def _kessler_step(state, ref, dt, cfg=None):
         return NotImplemented
     cfg = cfg or KesslerConfig()
     g = state.grid
-    s = thread_scratch(g)
+    s = scratch or AcousticScratch(g)
     b, (precip, precip_dt) = [a.reshape(-1) for a in s.i], s.precip
     precip[...] = 0.0
     names = state.layout.names

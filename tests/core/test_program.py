@@ -17,7 +17,6 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.api import Experiment, RunSpec
 from repro.core import acoustic, program
-from repro.core.acoustic import thread_scratch
 from repro.core.boundary import RelaxationBC
 from repro.core.grid import bell_mountain, make_grid
 from repro.core.model import AsucaModel, ModelConfig
@@ -245,23 +244,16 @@ def test_every_window_entry_reports_its_calls():
     assert not isinstance(lib.run_program, native.Recorded)
 
 
-def _held(roots) -> list:
-    """``(address, end)`` of every array's memory and every ctypes struct
-    or array reachable from ``roots`` through the package's objects,
-    tuples, lists and dicts."""
-    out, seen, todo = [], set(), list(roots)
+def _reach(roots) -> list:
+    """Every object reachable from ``roots`` through the package's
+    objects, tuples, lists and dicts."""
+    seen, todo = {}, list(roots)
     while todo:
         obj = todo.pop()
         if obj is None or id(obj) in seen:
             continue
-        seen.add(id(obj))
-        if isinstance(obj, np.ndarray):
-            at = obj.__array_interface__["data"][0]
-            out.append((at, at + obj.nbytes))
-        elif isinstance(obj, (ctypes.Structure, ctypes.Array)):
-            at = ctypes.addressof(obj)
-            out.append((at, at + ctypes.sizeof(obj)))
-        elif isinstance(obj, (tuple, list)):
+        seen[id(obj)] = obj
+        if isinstance(obj, (tuple, list)):
             todo.extend(obj)
         elif isinstance(obj, dict):
             todo.extend(obj.values())
@@ -269,6 +261,20 @@ def _held(roots) -> list:
             todo.extend(getattr(obj, "__dict__", {}).values())
             todo.extend(getattr(obj, name, None) for cls in type(obj).__mro__
                         for name in getattr(cls, "__slots__", ()))
+    return list(seen.values())
+
+
+def _held(roots) -> list:
+    """``(address, end)`` of every array's memory and every ctypes struct
+    or array reachable from ``roots``."""
+    out = []
+    for obj in _reach(roots):
+        if isinstance(obj, np.ndarray):
+            at = obj.__array_interface__["data"][0]
+            out.append((at, at + obj.nbytes))
+        elif isinstance(obj, (ctypes.Structure, ctypes.Array)):
+            at = ctypes.addressof(obj)
+            out.append((at, at + ctypes.sizeof(obj)))
     return out
 
 
@@ -328,70 +334,66 @@ def _inside(value: int, arrays) -> bool:
 
 @pytest.mark.skipif(not COMPILED, reason="needs the compiled bodies")
 @pytest.mark.parametrize("ranks", [(2, 2), (3, 1)])
-def test_every_scratch_word_relocates_into_a_worker_scratch_of_the_key(
+def test_every_scratch_address_of_a_rank_lies_in_its_own_scratch(
         ranks, monkeypatch):
-    """Every address word of a rank's row that lies in the scratch the
-    window computed in has a scratch relocation, and it lands, for every
-    worker of the team, inside that worker's scratch for the rank's shape,
-    which the program's key holds (worker 0's: the word as recorded)."""
-    _, _, prog, rec = _recorded(monkeypatch, ranks=ranks)
+    """Every address word of rank r's rows that lies in a rank's scratch
+    lies in rank r's, its integrator's, which the program keeps: a team
+    worker computes in the scratch of the rank whose run it takes."""
+    driver, _, prog, rec = _recorded(monkeypatch, ranks=ranks)
     assert prog.team == 2 and prog.team_why is None
+    scratch = [it.geom.scratch for it in _integrators(driver)]
+    assert len(set(map(id, scratch))) == len(scratch)
+    for rank, kept in enumerate(prog.keep):
+        assert any(obj is scratch[rank] for obj in kept)
     words = prog.arena.view(np.uint64).tolist()
-    keyed = [k[2] for k in prog.key[1:]]
-    assert all(len(team) == 2 for team in keyed)
-    relocated = 0
-    for i, (_, chunk) in enumerate(rec.rows):
-        entry, at, _, rank, first, count = prog.rows[i].tolist()
-        assert rank == chunk.rank
-        srel = {b: (slot, off) for b, slot, off
-                in prog.srelocs[first:first + count].tolist()}
+    found = Counter()
+    for _, chunk in rec.rows:
         for w, m in enumerate(chunk.mask):
             value = words[chunk.at + w]
-            if not m or rank < 0 or not _inside(
-                    value, keyed[rank][0].arrays()):
-                continue
-            slot, off = srel.pop(8 * w)
-            for worker, scratch in enumerate(keyed[rank]):
-                moved = int(prog.sbases[worker, slot]) + off
-                assert _inside(moved, scratch.arrays())
-                assert worker or moved == value
-            relocated += 1
-        assert srel == {}
-    assert relocated > 50
+            if m and chunk.rank >= 0 and any(_inside(value, s.arrays())
+                                             for s in scratch):
+                assert _inside(value, scratch[chunk.rank].arrays())
+                found[chunk.rank] += 1
+    assert sorted(found) == list(range(len(scratch)))
+    assert min(found.values()) > 50
 
 
 @pytest.mark.skipif(not COMPILED, reason="needs the compiled bodies")
 def test_a_cross_rank_address_walks_alone_and_declines_team_once_a_step(
         monkeypatch):
-    """A row of rank 1 that points into rank 0's stage state (a planted
-    zero-byte copy): the program walks on a team of 1, counting one
-    ``team`` decline a replayed step, and steps as the generator does."""
+    """A row of rank 1 that points into rank 0's stage state, and one that
+    points into rank 0's scratch (each a planted zero-byte copy): the
+    program walks on a team of 1, counting one ``team`` decline a
+    replayed step, and steps as the generator does."""
     freeze = program.Recorder.freeze
-
-    def planted(self):
-        self.rank = 1
-        self.copy(self.integrators[1].stage_state.block[:0],
-                  self.integrators[0].stage_state.block[:0])
-        self.rank = -1
-        return freeze(self)
-
-    monkeypatch.setattr(program.Recorder, "freeze", planted)
     want, want_counts, _, _ = _run(dict(ranks=(2, 2)), STEPS, False,
                                    generator=True)
-    got, counts, _, programs = _run(dict(ranks=(2, 2)), STEPS, False, team=2)
-    assert got == want
-    why = "address of rank 0 in rank 1's row"
-    assert counts["unbound"].pop(("team", why)) == STEPS - 1
-    assert counts == want_counts
-    assert programs["replayed"] == STEPS - 1
+    for into in ("block", "scratch"):
+        def planted(self, into=into):
+            other = self.integrators[0]
+            self.rank = 1
+            self.copy(self.integrators[1].stage_state.block[:0],
+                      (other.stage_state.block if into == "block"
+                       else other.geom.scratch.col)[:0])
+            self.rank = -1
+            return freeze(self)
+
+        monkeypatch.setattr(program.Recorder, "freeze", planted)
+        got, counts, _, programs = _run(dict(ranks=(2, 2)), STEPS, False,
+                                        team=2)
+        assert got == want, into
+        why = "address of rank 0 in rank 1's row"
+        assert counts["unbound"].pop(("team", why)) == STEPS - 1, into
+        assert counts == want_counts, into
+        assert programs["replayed"] == STEPS - 1, into
 
 
 @pytest.mark.skipif(not COMPILED, reason="needs the compiled bodies")
 def test_a_replay_outlives_what_the_integrators_drop():
     """The program keeps what its rows point at: integrators that drop
-    their context and their stage and substep bindings after the
-    recording, the freed memory then reused, replay byte for byte as the
-    generator runs."""
+    their context, their stage and substep bindings and their scratch
+    after the recording, the freed memory then reused, replay byte for
+    byte as the generator runs."""
     params = dict(ranks=(2, 2))
     want, _, _, _ = _run(params, STEPS, False, generator=True)
     driver, states = _build(**params)
@@ -402,7 +404,7 @@ def test_a_replay_outlives_what_the_integrators_drop():
             got.append(_bytes(states))
             if k == 0:
                 for it in _integrators(driver):
-                    it.ctx = it.stage = it.binding = None
+                    it.ctx = it.stage = it.binding = it.geom._scratch = None
                 gc.collect()
                 litter = [np.full(2 ** e, np.nan) for e in range(4, 16)
                           for _ in range(8)]
@@ -525,27 +527,53 @@ def test_what_the_key_excludes_declines_once_a_step(params, why):
 
 
 @pytest.mark.skipif(not COMPILED, reason="needs the compiled bodies")
-def test_a_thread_change_declines_and_records_again():
-    """A program is keyed on the thread's scratch: a step on another
-    thread counts one decline and records there; the next step on that
-    thread replays."""
+def test_a_thread_change_replays():
+    """A program holds nothing of a thread: a 2x2 run stepped in turn from
+    two threads records once, replays every later step with no decline,
+    and gives the bytes of a run stepped on one thread."""
+    want, _, _, _ = _run(dict(ranks=(2, 2)), STEPS, False)
     driver, states = _build(ranks=(2, 2))
     before = (Counter(native.UNBOUND), Counter(native.PROGRAMS))
-    states = _step(driver, states)                      # records here
-    box = [states]
+    got, box = [], [states]
 
-    def steps(k):
-        for _ in range(k):
-            box[0] = _step(driver, box[0])
+    def step():
+        box[0] = _step(driver, box[0])
+        got.append(_bytes(box[0]))
 
-    for k in (1, 2):                                    # decline, replay
-        t = threading.Thread(target=steps, args=(k,))
-        t.start()
-        t.join()
-    unbound = Counter(native.UNBOUND) - before[0]
-    assert unbound == Counter({("programs", "thread changed"): 2})
+    for k in range(STEPS):
+        if k % 2:
+            t = threading.Thread(target=step)
+            t.start()
+            t.join()
+        else:
+            step()
+    assert got == want
+    assert Counter(native.UNBOUND) - before[0] == Counter()
     programs = Counter(native.PROGRAMS) - before[1]
-    assert (programs["recorded"], programs["replayed"]) == (3, 1)
+    assert (programs["recorded"], programs["replayed"]) == (1, STEPS - 1)
+
+
+@pytest.mark.skipif(not COMPILED, reason="needs the compiled bodies")
+def test_a_layout_change_declines_once_and_records_again():
+    """A step on a state of another layout (one species fewer) is outside
+    the program's key: it counts one ``layout changed`` decline and
+    records there; the next step replays."""
+    from repro.core.state import State
+
+    driver, states = _build()
+    for _ in range(2):
+        states = _step(driver, states)
+    st = states[0]
+    q = {name: field for name, field in st.q.items() if name != "qh"}
+    narrower = State(st.grid, st.rho, st.rhou, st.rhov, st.rhow,
+                     st.rhotheta, q, time=st.time,
+                     precip_accum=st.precip_accum)
+    before = (Counter(native.UNBOUND), Counter(native.PROGRAMS))
+    _step(driver, _step(driver, [narrower]))
+    unbound = Counter(native.UNBOUND) - before[0]
+    assert unbound == Counter({("programs", "layout changed"): 1})
+    programs = Counter(native.PROGRAMS) - before[1]
+    assert (programs["recorded"], programs["replayed"]) == (1, 1)
 
 
 @pytest.mark.skipif(not COMPILED, reason="needs the compiled bodies")
@@ -577,31 +605,10 @@ def test_the_team_follows_the_affinity_mask(monkeypatch):
     prog = _integrators(driver)[0].program
     if COMPILED:
         assert prog.team == min(cpus, 4) and prog.team_why is None
-        assert len(prog.sbases) == prog.team
         if cpus == 1:
             assert prog.header.team == 1
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     assert program.team_size(4) == 1
-
-
-@pytest.mark.skipif(not COMPILED, reason="needs the compiled bodies")
-def test_a_full_scratch_cache_keeps_a_team_program(monkeypatch):
-    """The per-thread scratch cache full, the window's scratch its oldest
-    entry: the team's worker scratch, built when the program is keyed,
-    evicts an entry no step uses, so the program replays (no ``thread
-    changed`` decline, no second recording)."""
-    monkeypatch.setattr(program, "team_size", lambda ranks: 2)
-    driver, states = _build(ranks=(2, 2))
-    grid = _integrators(driver)[0].grid
-    thread_scratch(grid)
-    for k in range(acoustic._SCRATCH.maxsize - 1):
-        acoustic._SCRATCH(3 + k, 3, 4, 2, False)
-    before = (Counter(native.UNBOUND), Counter(native.PROGRAMS))
-    for _ in range(3):
-        states = _step(driver, states)
-    assert Counter(native.UNBOUND) - before[0] == Counter()
-    programs = Counter(native.PROGRAMS) - before[1]
-    assert (programs["recorded"], programs["replayed"]) == (1, 2)
 
 
 @pytest.mark.skipif(not COMPILED, reason="needs the compiled bodies")
@@ -627,6 +634,9 @@ def test_the_stamps_are_made_by_the_first_traced_replay(monkeypatch):
 
 
 def test_release_drops_the_program():
+    """``release()`` drops the program; after ``Experiment.run`` no
+    integrator of the run, single-domain or 2x2, holds a program or an
+    :class:`~repro.core.acoustic.AcousticScratch`."""
     driver, states = _build()
     for _ in range(2):
         states = _step(driver, states)
@@ -634,6 +644,22 @@ def test_release_drops_the_program():
     assert (integrator.program is not None) == COMPILED
     integrator.release()
     assert integrator.program is None
+    for spec in (RunSpec("warm-bubble", nx=8, ny=8, nz=6, steps=2),
+                 RunSpec("real-case", nx=16, ny=16, nz=8, steps=2,
+                         backend="multigpu", ranks=(2, 2))):
+        exp = Experiment(spec).prepare()
+        exp.advance(1)
+        ranks = exp.machine.ranks if exp.machine else [exp.model]
+        integrators = [model.integrator for model in ranks]
+
+        def scratch():
+            return [obj for obj in _reach(integrators)
+                    if isinstance(obj, acoustic.AcousticScratch)]
+
+        assert len(scratch()) == len(integrators)
+        exp.run()
+        assert scratch() == []
+        assert all(it.program is None for it in integrators)
 
 
 def test_without_a_library_nothing_is_recorded(monkeypatch):

@@ -574,7 +574,7 @@ def test_the_reference_backend_calls_nothing_in_the_library(workload,
     assert fields["reference"] == fields["fused"]
 
 
-# ---------------- (b4) one call a substep, one binding an integrator a thread
+# ---------------- (b4) one call a substep, one binding an integrator
 def _moist_case(rng, nx, ny, nz, halo, terrain):
     """A small perturbed moist state with valid halos: vapour everywhere,
     cloud in a few columns, vertical momentum at the interior faces."""
@@ -1096,10 +1096,9 @@ def _advanced(spec, steps, exp=None):
 
 
 def test_two_integrators_prepared_together_step_apart():
-    """Two runs prepared, and stepped once, in one thread (so each
-    integrator's binding holds that thread's scratch), then stepped side by
-    side in two threads: each thread binds its own scratch, and both give
-    their serial bytes."""
+    """Two runs prepared, and stepped once, in one thread, then stepped
+    side by side in two threads: each integrator computes in its own
+    scratch, neither rebinds, and both give their serial bytes."""
     specs = [RunSpec("warm-bubble", nx=16, ny=16, nz=8, seed=s)
              for s in (1, 2)]
     serial = [_advanced(spec, 4) for spec in specs]
@@ -1107,18 +1106,18 @@ def test_two_integrators_prepared_together_step_apart():
     for exp in exps:
         exp.advance(1)
     bound = [exp.model.integrator.binding for exp in exps]
-    assert bound[0].scratch is bound[1].scratch     # the one thread's
+    assert bound[0].scratch is not bound[1].scratch
+    for exp, binding in zip(exps, bound):
+        assert binding.scratch is exp.model.integrator.geom.scratch
     threaded = _side_by_side(*(
         (lambda exp=exp: _advanced(None, 3, exp)) for exp in exps))
     assert threaded == serial
-    rebound = [exp.model.integrator.binding for exp in exps]
-    assert rebound[0].scratch is not rebound[1].scratch
-    assert bound[0].scratch not in (rebound[0].scratch, rebound[1].scratch)
+    assert [exp.model.integrator.binding for exp in exps] == bound
 
 
 def test_one_integrator_stepped_from_two_threads_in_turn():
     """A run advanced one step at a time, alternately by two threads,
-    rebinds on every switch and gives its serial bytes."""
+    keeps its one binding and scratch and gives its serial bytes."""
     import queue
     import threading
 
@@ -1131,7 +1130,7 @@ def test_one_integrator_stepped_from_two_threads_in_turn():
         while inbox[i].get():
             try:
                 exp.advance(1)
-                done.put(exp.model.integrator.binding.scratch)
+                done.put(exp.model.integrator.binding)
             except BaseException as exc:  # reported by the assertion below
                 done.put(exc)
 
@@ -1139,18 +1138,18 @@ def test_one_integrator_stepped_from_two_threads_in_turn():
     for t in threads:
         t.start()
     try:
-        scratch = []
+        bound = []
         for step in range(4):
             inbox[step % 2].put(True)
-            scratch.append(done.get(timeout=300))
+            bound.append(done.get(timeout=300))
     finally:
         for box in inbox:
             box.put(False)
         for t in threads:
             t.join(timeout=60)
     assert _advanced(None, 0, exp) == serial
-    assert scratch[0] is scratch[2] and scratch[1] is scratch[3]
-    assert scratch[0] is not scratch[1]
+    assert all(binding is bound[0] for binding in bound)
+    assert bound[0].scratch is exp.model.integrator.geom.scratch
 
 
 # ------------------------------------------------ (c) without a compiler

@@ -48,7 +48,7 @@ def test_auto_equals_reference_on_every_backend(workload):
 
 
 def test_two_threads_equal_their_serial_runs():
-    """The compiled bodies' scratch is per thread: two runs
+    """Each rank computes in its integrator's scratch: two runs
     advanced side by side do not compute in each other's temporaries
     (they did: a non-finite ``rho``, or finite garbage)."""
     specs = [RunSpec("vortex", nx=24, ny=24, nz=12, steps=5, seed=s)

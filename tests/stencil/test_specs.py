@@ -164,30 +164,17 @@ def test_without_a_library_every_compiled_entry_declines():
 
 
 # ------------------------------------------------------------ scratch
-def test_thread_scratch_is_built_once_and_stays_bounded():
-    """One :class:`AcousticScratch` per grid shape and thread, a bounded
-    number of them, and advection rows of advect.c's five carried rows of
+def test_the_scratch_advection_rows_do_not_grow_with_x():
+    """An :class:`AcousticScratch` holds advect.c's five carried rows of
     the widest staggered row: a function of the row, never of the
     field's x extent."""
-    import threading
+    from repro.core.acoustic import AcousticScratch
+    from repro.core.grid import make_grid
 
-    from repro.core.acoustic import _SCRATCH, AcousticScratch, Recent
+    def arena(nx):
+        grid = make_grid(nx, 48, 24, 100.0, 100.0, 2400.0, halo=2)
+        return AcousticScratch(grid).arena.size
 
-    cache = Recent(AcousticScratch, maxsize=2)
-    a = cache(48, 48, 24, 2, False)
-    assert cache(48, 48, 24, 2, False) is a and len(cache.items) == 1
-    assert a.arena.size == 5 * 53 * 25
-    # a 25x larger field costs the same rows ...
-    assert cache(1296, 48, 24, 2, False).arena.size == a.arena.size
-    # ... and the cache never holds more than maxsize shapes
-    cache(16, 16, 12, 2, False)
-    assert len(cache.items) == 2
-    assert cache(48, 48, 24, 2, False) is not a          # evicted, rebuilt
-    # another thread builds its own: scratch two threads share is a race
-    other = []
-    worker = threading.Thread(target=lambda: other.append(
-        _SCRATCH(4, 4, 4, 2, False)))
-    worker.start()
-    worker.join()
-    assert other[0] is not _SCRATCH(4, 4, 4, 2, False)
-    assert _SCRATCH.maxsize == 8
+    assert arena(48) == 5 * 53 * 25
+    # a 25x larger field costs the same rows
+    assert arena(1296) == arena(48)
