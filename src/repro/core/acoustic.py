@@ -122,9 +122,6 @@ class AcousticContext:
     #: use where the compiled linearization did not build them)
     brackets: tuple | None = field(default=None, repr=False)
     _helm: dict = field(default_factory=dict, repr=False)
-    #: the operators of the previous refill, whose arrays the next
-    #: assembly of the same ``(dtau, beta)`` writes into
-    _spare: dict = field(default_factory=dict, repr=False)
     #: the addresses of the five linearization fields (:meth:`pointers`)
     _ptrs: "list | None" = field(default=None, repr=False)
 
@@ -140,12 +137,12 @@ class AcousticContext:
                                                    self.cp_lin)
             self._helm[key] = HelmholtzOperator(
                 self.grid, self.theta_wf, self.cp_lin, dtau, beta,
-                self.brackets, reuse=self._spare.pop(key, None))
+                self.brackets)
         return self._helm[key]
 
     def pointers(self) -> "list | native.Unbound":
         """The addresses of ``cp_lin pc theta_xf theta_yf theta_wf``, taken
-        once per context (a refilled context keeps its arrays)."""
+        once per context."""
         if self._ptrs is None:
             g = self.grid
             self._ptrs = native.pointers(
@@ -160,21 +157,18 @@ class AcousticContext:
 
 def build_context(state: State, ref: ReferenceState, p_ref: np.ndarray,
                   geom: AcousticGeometry | None = None,
-                  into: AcousticContext | None = None,
                   p_t: np.ndarray | None = None) -> AcousticContext:
     """Precompute the acoustic linearization at the long-step start:
     after the EOS (into the geometry's scratch; ``p_t``: already there),
     one compiled pass where a verified library is loaded, else the NumPy
     below — the same bytes.  ``geom`` is the integrator's
-    :class:`AcousticGeometry` (built here for a caller that keeps none);
-    ``into`` a context of an earlier step whose arrays (and operators)
-    the compiled pass refills instead of allocating."""
+    :class:`AcousticGeometry` (built here for a caller that keeps none)."""
     g = state.grid
     geom = geom or AcousticGeometry(g, ref)
     scratch = geom.scratch
     if p_t is None:
         p_t = eos_pressure(state.rhotheta, g, out=scratch.c[0])
-    ctx = _context_native(state, p_t, p_ref, geom, scratch.c[1], into)
+    ctx = _context_native(state, p_t, p_ref, geom, scratch.c[1])
     if ctx is not None:
         return ctx
     cp_lin = linearization_coefficient(p_t, state.rhotheta)
@@ -208,14 +202,12 @@ def build_context(state: State, ref: ReferenceState, p_ref: np.ndarray,
 
 
 def _context_native(state: State, p_t: np.ndarray, p_ref: np.ndarray,
-                    geom: AcousticGeometry, theta: np.ndarray,
-                    into: AcousticContext | None
+                    geom: AcousticGeometry, theta: np.ndarray
                     ) -> AcousticContext | None:
     """:func:`build_context`'s linearization and the Helmholtz brackets in
     one call of csrc/acoustic.c's ``acoustic_context`` (``theta``: a
-    scratch field), into ``into``'s arrays where it has compiled ones;
-    ``None`` where no verified library takes the operands (a float32
-    state: counted)."""
+    scratch field); ``None`` where no verified library takes the operands
+    (a float32 state: counted)."""
     lib = native.kernels()
     if lib is None:
         return None
@@ -225,24 +217,18 @@ def _context_native(state: State, p_t: np.ndarray, p_ref: np.ndarray,
         native.unbound("contexts", ptrs)
         return None
     rho, rhotheta = ptrs[0], ptrs[4]
-    ctx = into if into is not None and into.brackets is not None else None
-    if ctx is None:
-        # a refilled context meets the p_ref it was made with: the
-        # integrator's
-        why = native.pointers(np.float64, dict(p_ref=p_ref),
-                              dict(p_ref=g.shape_c))
-        if isinstance(why, native.Unbound):
-            native.unbound("contexts", why)
-            return None
-        ctx = AcousticContext(
-            grid=g, rho_ref_hat=geom.rho_ref_hat, geom=geom,
-            brackets=tuple(np.empty(g.shape_c[:2] + (g.nz - 1,))
-                           for _ in range(3)),
-            cp_lin=np.empty(g.shape_c), pc=np.empty(g.shape_c),
-            theta_xf=np.empty(g.shape_u), theta_yf=np.empty(g.shape_v),
-            theta_wf=np.empty(g.shape_w))
-    else:
-        ctx._spare, ctx._helm = ctx._helm, {}
+    why = native.pointers(np.float64, dict(p_ref=p_ref),
+                          dict(p_ref=g.shape_c))
+    if isinstance(why, native.Unbound):
+        native.unbound("contexts", why)
+        return None
+    ctx = AcousticContext(
+        grid=g, rho_ref_hat=geom.rho_ref_hat, geom=geom,
+        brackets=tuple(np.empty(g.shape_c[:2] + (g.nz - 1,))
+                       for _ in range(3)),
+        cp_lin=np.empty(g.shape_c), pc=np.empty(g.shape_c),
+        theta_xf=np.empty(g.shape_u), theta_yf=np.empty(g.shape_v),
+        theta_wf=np.empty(g.shape_w))
     # the rest are float64 fields of the grid's shape: the EOS's, the grid's,
     # the scratch's, the context's
     lib.context(*g.shape_c, c.CP / c.CV, 0.5 * c.G, rho, rhotheta, *(
@@ -513,7 +499,6 @@ class AcousticStepper:
                 fcp=fcp, fden=fden))
             if isinstance(op, native.Unbound):
                 return op
-            op = dict(zip(("sup", "sub", "diag", "fsub", "fcp", "fden"), op))
         a = b.args
         a.k, a.dtau, a.beta, a.damp = 0, self.dtau, self.beta, self.div_damp
         a.omb, a.ratio = 1.0 - self.beta, (1.0 - self.beta) / self.beta
@@ -521,10 +506,10 @@ class AcousticStepper:
         a.cp_lin, a.pc, a.theta_xf, a.theta_yf, a.theta_wf = lin
         (a.r_u, a.r_v, a.r_w, a.r_theta, a.fx_s, a.fy_s, a.w_s,
          a.m_s) = forcing
-        a.fsub, a.fcp, a.fden = op["fsub"], op["fcp"], op["fden"]
+        a.fsub, a.fcp, a.fden = op[3:]
         a.sub = a.diag = a.sup = None
         if self.beta < 1.0:             # else: no trapezoidal correction
-            a.sub, a.diag, a.sup = op["sub"], op["diag"], op["sup"]
+            a.sup, a.sub, a.diag = op[:3]
         return a
 
     def substep(self) -> list[str]:

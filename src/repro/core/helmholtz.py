@@ -79,11 +79,9 @@ class HelmholtzOperator:
     dtau: float
     beta: float
     brackets: tuple | None = field(default=None, repr=False)
-    #: an operator of the same shape whose arrays the compiled assembly
-    #: overwrites (it is spent: an acoustic context's previous refill)
-    reuse: "HelmholtzOperator | None" = field(default=None, repr=False)
-    #: the compiled assembly's six arrays by name, and their addresses
-    addresses: dict | None = field(default=None, repr=False)
+    #: the addresses of the compiled assembly's six arrays: ``sup sub diag``
+    #: and the Thomas factors ``fsub fcp fden``
+    addresses: list | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         g = self.grid
@@ -114,31 +112,17 @@ class HelmholtzOperator:
         g = self.grid
         shape = self.brackets[0].shape
         n = shape[-1]
-        old = self.reuse if getattr(self.reuse, "addresses", None) else None
-        if old is not None:
-            out = [old.sup, old.sub, old.diag]
-            factors = list(old._thomas_factors)
-        else:
-            out = [np.empty(shape) for _ in range(3)]
-            factors = [np.empty((n, g.nxh * g.nyh)) for _ in range(3)]
-        self.reuse = None
-        if old is not None and old._inputs[0] is self.brackets:
-            self._inputs, addresses = old._inputs, old.addresses.values()
-        else:
-            ptrs = native.pointers(
-                np.float64, dict(jac=g.jac, xsup=self.brackets[0],
-                                 xsub=self.brackets[1],
-                                 ydiag=self.brackets[2]),
-                dict(jac=shape[:2], xsup=shape, xsub=shape, ydiag=shape))
-            if isinstance(ptrs, native.Unbound):
-                native.unbound("operators", ptrs)
-                return None
-            self._inputs = (self.brackets, ptrs)
-            addresses = [a.ctypes.data for a in out + factors]
-        self.addresses = dict(zip(("sup", "sub", "diag", "fsub", "fcp",
-                                   "fden"), addresses))
-        bad = lib.operator(g.nxh * g.nyh, n, sq, *self._inputs[1],
-                           *addresses)
+        ptrs = native.pointers(
+            np.float64, dict(jac=g.jac, xsup=self.brackets[0],
+                             xsub=self.brackets[1], ydiag=self.brackets[2]),
+            dict(jac=shape[:2], xsup=shape, xsub=shape, ydiag=shape))
+        if isinstance(ptrs, native.Unbound):
+            native.unbound("operators", ptrs)
+            return None
+        out = [np.empty(shape) for _ in range(3)]
+        factors = [np.empty((n, g.nxh * g.nyh)) for _ in range(3)]
+        self.addresses = [a.ctypes.data for a in out + factors]
+        bad = lib.operator(g.nxh * g.nyh, n, sq, *ptrs, *self.addresses)
         self.sup, self.sub, self.diag = out
         fsub, fcp, fden = factors
         self._thomas_factors = (fsub, fcp, fden)

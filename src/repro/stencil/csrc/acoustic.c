@@ -542,9 +542,9 @@ void state_velocities(long nxh, long nyh, long nz, const double *restrict rho,
  * the Rayleigh sponge on r_w, one advection per active species, w_s and
  * the metric part m_s, so Python crosses into C once a stage.  The struct
  * is repro.core.rk3._StageArgs, field for field: an integrator binds its
- * grid, sponge and scratch once, a stage its state, species and
- * fresh outputs.  Float64, Koren, no diffusion or drag (StageBinding
- * declines the rest). */
+ * grid, sponge and scratch once, a stage its state, species table and
+ * flag rows (a first one takes every species as a candidate).  Float64,
+ * Koren, no diffusion or drag (StageBinding declines the rest). */
 #define STAGE_MAXQ 8            /* repro.core.rk3.STAGE_MAXQ */
 enum { ADV_SCALAR, ADV_U, ADV_V, ADV_W };   /* advect.c's variants */
 
@@ -566,14 +566,15 @@ typedef struct {
     const double *rho, *rhou, *rhov, *rhow, *rhotheta;
     /* the forcing, written whole */
     double *r_u, *r_v, *r_w, *r_theta, *w_s, *m_s;
-    /* 3 nq addresses: the stage fields, the base fields, the tendencies */
-    double **q;
-    /* per species: in, 1 where it may be inactive; out, 1 where it was
-     * (its tendency is left unwritten) */
+    /* per species, 1 where the stage before (prev) or this one (idle, its
+     * tendency left unwritten) found it inactive */
+    const long *prev;
     long *idle;
     /* the integrator's scratch: the velocities, theta or q / rho, fz and the
      * advection's rows */
     double *u, *v, *w, *phi, *fz, *arena;
+    /* 3 nq addresses: the stage fields, the base fields, the tendencies */
+    double *q[3 * STAGE_MAXQ];
 } stage_args;
 
 /* every byte of p[0, n) is zero (rk3's zero_bits: -0.0 is not) */
@@ -670,7 +671,7 @@ int slow_stage(stage_args *restrict a)
 {
     const long nxh = a->nxh, nyh = a->nyh, nz = a->nz, nq = a->nq;
     const long nc = nxh * nyh * nz, nw = nc + nxh * nyh;
-    double **q = a->q;
+    double *const *q = a->q;
     long any = 0;
 
     state_velocities(nxh, nyh, nz, a->rho, a->rhou, a->rhov, a->rhow, a->u,
@@ -678,7 +679,7 @@ int slow_stage(stage_args *restrict a)
     acoustic_metric_flux(a->metric, 0, a->rhou, a->rhov, a->rhow, a->fz);
     /* docs/STENCILS.md "Work that is skipped exactly" */
     for (long n = 0; n < nq; n++) {
-        a->idle[n] = a->idle[n] && zero_bits(q[n], nc)
+        a->idle[n] = (a->first || a->prev[n]) && zero_bits(q[n], nc)
             && (!a->first || q[nq + n] == q[n] || zero_bits(q[nq + n], nc));
         any |= a->idle[n];
     }

@@ -1,14 +1,15 @@
 /* The walker of repro/core/program.py: the dynamics of a long step as a
  * table of rows, recorded once from the generator and replayed in one
- * call with the GIL released.  Every row is an entry, the arena offset of
- * its arguments (a struct, or the words of a call's positional
- * arguments) and their size.  A replay writes each relocated address (a
- * step's block base plus an offset), then runs the rows, each on a copy
- * of its arguments: a body may advance its struct (acoustic_args.k), and
- * the arena stays as recorded.  A row that returns nonzero stops the
- * walk: run_program returns its index + 1, else 0.  With `stamps`, the
- * CLOCK_MONOTONIC time (time.perf_counter's clock) before and after each
- * row, in seconds, written by whichever worker ran it.
+ * call with the GIL released.  Every row is one call the generator made:
+ * an entry, the arena offset of its arguments (a struct, or the words of
+ * a call's positional arguments) and their size.  A replay writes each
+ * relocated address (a step's block base plus an offset), then runs the
+ * rows, each on a copy of its arguments: a body may advance its struct
+ * (acoustic_args.k), and the arena stays as recorded.  A row that
+ * returns nonzero stops the walk: run_program returns its index + 1,
+ * else 0.  With `stamps`, the CLOCK_MONOTONIC time (time.perf_counter's
+ * clock) before and after each row, in seconds, written by whichever
+ * worker ran it.
  *
  * A team of `team` threads walks the table: the rows between two
  * exchange rows (a segment) are each rank's contiguous rows (its runs),

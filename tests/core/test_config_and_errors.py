@@ -1,4 +1,6 @@
 """Configuration validation and failure-path tests across modules."""
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -45,6 +47,16 @@ def test_a_bad_damping_config_is_a_typed_error_naming_the_field(field,
 def test_the_edges_of_the_valid_damping_config_are_accepted():
     DynamicsConfig(rayleigh_depth=0.0, rayleigh_tau=np.inf, div_damp=0.0,
                    coriolis_f=-1e-4)
+
+
+def test_a_dynamics_config_is_frozen():
+    """A config cannot drift after an integrator (and its captured step)
+    took it: assigning a field raises; ``replace`` makes another."""
+    cfg = DynamicsConfig(dt=6.0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.dt = 3.0
+    assert cfg.dt == 6.0
+    assert dataclasses.replace(cfg, dt=3.0).dt == 3.0
 
 
 def test_stage_plan_structure():

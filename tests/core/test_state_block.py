@@ -255,8 +255,9 @@ def test_warm_steps_decline_nothing(spec):
     """The benchmark's specs, a library loaded: warm steps count no
     ``native.Unbound`` (every compiled body took its call), the first
     step records a program and the next two replay it (no ``programs``
-    decline), and every field stays an exact C-contiguous float64 view
-    of its state's block."""
+    decline, and the generator runs one window, the recording one: no
+    later step builds a context), and every field stays an exact
+    C-contiguous float64 view of its state's block."""
     first = (Counter(native.UNBOUND), Counter(native.PROGRAMS))
     exp = Experiment(spec).prepare()
     exp.advance(1)
@@ -267,6 +268,7 @@ def test_warm_steps_decline_nothing(spec):
                    for body, _ in native.UNBOUND - first[0])
     programs = Counter(native.PROGRAMS) - first[1]
     assert (programs["recorded"], programs["replayed"]) == (1, 2)
+    assert programs["generator"] == 1
     for st in _states(exp):
         assert isinstance(st.pointers(), list)
         for name in st.prognostic_names():

@@ -945,6 +945,50 @@ def test_a_substep_is_one_ctypes_call(terrain, monkeypatch):
     assert [s.name for s in session.spans] == ["acoustic_substep"] * 3
 
 
+@needs_library
+def test_a_later_stage_reads_the_flags_the_stage_before_decided():
+    """On one binding: a first stage runs compiled, then a first stage
+    whose fluxes of 1e306 the compiled guard sends to the NumPy text (its
+    sum overflows, so every species is active there, though the compiled
+    scan had flagged ``qr`` and ``qh``), then a later stage compiled.
+    The later stage takes the NumPy stage's inactive set, not the flags
+    the binding holds: its bytes and sets equal the NumPy text's."""
+    rng = np.random.default_rng(11)
+    g = make_grid(6, 5, 5, 100.0, 130.0, 500.0, terrain=_hill)
+    geom = AcousticGeometry(g, SimpleNamespace(rho_c=np.ones(g.shape_c)))
+    cfg = DynamicsConfig()
+    zeroed = {"qr", "qh"}
+    states = [_slow_state(rng, g, zeroed) for _ in range(3)]
+    states[1].rhou[...] = 1e306
+    before = Counter(native.UNBOUND)
+    with native.using(LIB), use_executor(StencilExecutor("fused")), \
+            np.errstate(all="ignore"):
+        binding = StageBinding(geom)
+        slow_tendencies(states[0], None, cfg, koren, None, None,
+                        geom.metric_flux, None, binding, 0)
+        _, q_numpy = slow_tendencies(states[1], None, cfg, koren, None, None,
+                                     geom.metric_flux, None, binding, 0)
+        names = list(states[1].q)
+        assert {n for n, f in zip(names, binding.idle[0]) if f} == zeroed
+        idle = [n for n, t in q_numpy.items() if t is None]
+        assert idle == []
+        runs = []
+        for b in (binding, None):
+            ex = StencilExecutor("fused")
+            with use_executor(ex):
+                out = slow_tendencies(states[2], None, cfg, koren, None, None,
+                                      geom.metric_flux, list(idle), b, 1)
+            runs.append((out, ex))
+    declined = native.UNBOUND - before
+    assert declined == Counter({
+        ("slow stages", "fluxes past the exact sum test"): 1})
+    (got, ex), (want, ex_want) = runs
+    _assert_same_stage(got, want)
+    assert all(t is not None for t in got[1].values())
+    assert (ex.skipped, ex.inactive) == (ex_want.skipped, ex_want.inactive)
+    assert not binding.idle[1, :len(names)].any()
+
+
 def _idle_sets(monkeypatch):
     """Record, per RK stage and in order, the rank's grid, whether it was a
     first stage, the inactive set the stage used and the one a scan of
