@@ -38,6 +38,7 @@ from .advection import MetricFlux, contravariant_mass_flux_w
 from .grid import Grid
 from ..obs.trace import span
 from ..stencil import native
+from ..stencil.executor import active_executor
 from .helmholtz import HelmholtzOperator, helmholtz_brackets
 from .pressure import eos_pressure, linearization_coefficient
 from .reference import ReferenceState
@@ -156,21 +157,18 @@ class AcousticContext:
 
 
 def build_context(state: State, ref: ReferenceState, p_ref: np.ndarray,
-                  geom: AcousticGeometry | None = None,
-                  p_t: np.ndarray | None = None) -> AcousticContext:
-    """Precompute the acoustic linearization at the long-step start:
-    after the EOS (into the geometry's scratch; ``p_t``: already there),
-    one compiled pass where a verified library is loaded, else the NumPy
-    below — the same bytes.  ``geom`` is the integrator's
+                  geom: AcousticGeometry | None = None) -> AcousticContext:
+    """Precompute the acoustic linearization at the long-step start, from
+    the EOS pressure (into the geometry's scratch): one compiled pass, the
+    EOS included, where a verified library is loaded, else the EOS and
+    the NumPy below — the same bytes.  ``geom`` is the integrator's
     :class:`AcousticGeometry` (built here for a caller that keeps none)."""
     g = state.grid
     geom = geom or AcousticGeometry(g, ref)
-    scratch = geom.scratch
-    if p_t is None:
-        p_t = eos_pressure(state.rhotheta, g, out=scratch.c[0])
-    ctx = _context_native(state, p_t, p_ref, geom, scratch.c[1])
+    ctx = _context_native(state, p_ref, geom)
     if ctx is not None:
         return ctx
+    p_t = eos_pressure(state.rhotheta, g, out=geom.scratch.c[0])
     cp_lin = linearization_coefficient(p_t, state.rhotheta)
     theta = state.rhotheta / state.rho
 
@@ -201,13 +199,13 @@ def build_context(state: State, ref: ReferenceState, p_ref: np.ndarray,
     )
 
 
-def _context_native(state: State, p_t: np.ndarray, p_ref: np.ndarray,
-                    geom: AcousticGeometry, theta: np.ndarray
+def _context_native(state: State, p_ref: np.ndarray, geom: AcousticGeometry
                     ) -> AcousticContext | None:
-    """:func:`build_context`'s linearization and the Helmholtz brackets in
-    one call of csrc/acoustic.c's ``acoustic_context`` (``theta``: a
-    scratch field); ``None`` where no verified library takes the operands
-    (a float32 state: counted)."""
+    """:func:`build_context`'s EOS, linearization and Helmholtz brackets in
+    one call of csrc/acoustic.c's ``acoustic_context`` (the pressure and
+    ``theta`` into scratch fields), credited as the one ``eos_pressure``
+    dispatch the NumPy text makes; ``None`` where no verified library
+    takes the operands (a float32 state: counted)."""
     lib = native.kernels()
     if lib is None:
         return None
@@ -229,12 +227,16 @@ def _context_native(state: State, p_t: np.ndarray, p_ref: np.ndarray,
         cp_lin=np.empty(g.shape_c), pc=np.empty(g.shape_c),
         theta_xf=np.empty(g.shape_u), theta_yf=np.empty(g.shape_v),
         theta_wf=np.empty(g.shape_w))
-    # the rest are float64 fields of the grid's shape: the EOS's, the grid's,
-    # the scratch's, the context's
-    lib.context(*g.shape_c, c.CP / c.CV, 0.5 * c.G, rho, rhotheta, *(
-        a.ctypes.data for a in (p_t, p_ref, g.dz_c, g.dz_f, theta, ctx.cp_lin,
-                                ctx.pc, ctx.theta_xf, ctx.theta_yf,
-                                ctx.theta_wf, *ctx.brackets)))
+    # the rest are float64 fields of the grid's shape: the grid's, the
+    # scratch's, the context's
+    p_t, theta = geom.scratch.c[:2]
+    lib.context(*g.shape_c, c.CP / c.CV, 0.5 * c.G, c.RD, c.P0,
+                native.address(g.jac), rho, rhotheta, *(
+                    a.ctypes.data for a in (
+                        p_t, p_ref, g.dz_c, g.dz_f, theta, ctx.cp_lin, ctx.pc,
+                        ctx.theta_xf, ctx.theta_yf, ctx.theta_wf,
+                        *ctx.brackets)))
+    active_executor().calls["eos_pressure"] += 1
     return ctx
 
 
@@ -703,10 +705,10 @@ def native_check(lib) -> str:
     oracles ("" when nothing does): the terrain metric flux against
     :func:`~repro.core.advection.contravariant_mass_flux_w` (``rhow`` given
     and ``None``; float64 and float32 momenta); then, flat grid and
-    terrain, against the NumPy that is their oracle: the linearization of
-    :func:`build_context` with the Helmholtz brackets, the operator and its
-    Thomas factors, :meth:`State.velocities`, the stage's ``dws``, two
-    substeps (the first has no damping history; the Thomas block is
+    terrain, against the NumPy that is their oracle: the EOS and the
+    linearization of :func:`build_context` with the Helmholtz brackets, the
+    operator and its Thomas factors, :meth:`State.velocities`, the stage's
+    ``dws``, two substeps (the first has no damping history; the Thomas block is
     reached here, against :func:`~repro.core.tridiag.thomas_solve`) of one
     stage and one substep of a second stage on the same binding (its
     operator the first stage's); and the slow stage against
@@ -757,6 +759,7 @@ def native_check(lib) -> str:
             # one would hold ``lib`` off and compare the oracle with itself
             with native.using(use), use_executor(StencilExecutor("fused")):
                 ctx = build_context(base, None, wave(g.shape_c, 2.2), geom)
+                pressure = geom.scratch.c[0].copy()
                 velocities = base.velocities()
                 stepper = AcousticStepper(base, forcing, ctx, None, 0.2, 2)
                 stepper.substep()
@@ -769,6 +772,7 @@ def native_check(lib) -> str:
                 again.substep()
             helm = stepper.helm
             runs[stepper._args is None] = {
+                "EOS pressure": (pressure,),
                 "linearization": (ctx.cp_lin, ctx.pc, ctx.theta_xf,
                                   ctx.theta_yf, ctx.theta_wf),
                 "Helmholtz brackets": ctx.brackets,

@@ -2,8 +2,8 @@
 compiled calls and replayed in one C call (``csrc/program.c``).
 
 Every long step yields a :class:`Window` where its dynamics begin (after
-the first halo refresh and the EOS) and :data:`END` where they end (after
-the last stage's moisture exchange).  :func:`~repro.core.model.run_lockstep`
+the first halo refresh) and :data:`END` where they end (after the last
+stage's moisture exchange).  :func:`~repro.core.model.run_lockstep`
 answers the window with :func:`enter`: on a driver's first step, with a
 verified library, it runs the generators unchanged under a
 :class:`Recorder` (:data:`~repro.obs.trace.CAPTURE`).  Every compiled
@@ -11,14 +11,14 @@ entry a window calls is a :class:`~repro.stencil.native.Recorded` that
 reports its call, so the rows come rank after rank in lockstep order
 with nothing to forget at the call sites: the context, each rank's slow
 stages, operator assemblies, substeps, the exchange points' strip
-runners and the moisture finishes.  One kind of row has a hook of its
-own in :mod:`repro.core.rk3`: the stage-state and flux copies (NumPy
-copies).  Every row is one call the window made.  :func:`leave` freezes
-what it saw into a :class:`StepProgram`, kept by the first rank's
-integrator.  Later steps replay it: one ``run_program`` call with the
-GIL released, then one ledger credits the executor, the traffic and,
-with a trace session on, the spans and message log from the walker's
-stamps.
+runners and the moisture finishes (the context row computes the EOS
+pressure it reads).  One kind of row has a hook of its own in
+:mod:`repro.core.rk3`: the stage-state and flux copies (NumPy copies).
+Every row is one call the window made.  :func:`leave` freezes what it
+saw into a :class:`StepProgram`, kept by the first rank's integrator.
+Later steps replay it: one ``run_program`` call with the GIL released,
+then one ledger credits the executor, the traffic and, with a trace
+session on, the spans and message log from the walker's stamps.
 
 A row's arguments are a snapshot of its struct (or of its positional
 arguments, as 8-byte words); an address inside a step's blocks (the
@@ -28,13 +28,11 @@ is part of its struct, so its addresses are relocated too.  A strip
 table and its slot addresses are copied into the program.  Every other
 address lies in what the ranks' integrators held when the window ended
 (their context and operators, bindings with the stages' idle flags,
-geometry, flux copies, scratch with the EOS pressure the context
-reads), which the program keeps.  The walker runs each row on a copy
-of its arguments, so the arena stays as recorded.  A row that returns
-nonzero aborts the replay (nothing is credited) and the generators run
-the window instead, after the EOS is taken again (the walk may have
-passed the scratch over it): a step never writes its input, and the
-base is read-only inside the window.
+geometry, flux copies, scratch), which the program keeps.  The walker
+runs each row on a copy of its arguments, so the arena stays as
+recorded.  A row that returns nonzero aborts the replay (nothing is
+credited) and the generators run the window instead: a step never
+writes its input, and the base is read-only inside the window.
 
 Every program is walked by a team of C threads (:func:`team_size`: the
 CPUs of the affinity mask, at most one a rank; a team of one starts no
@@ -46,8 +44,7 @@ that points into another's blocks or scratch makes the program walk
 alone, counting ``native.unbound("team", why)`` a step.
 
 A program is keyed on the library, the rank set and each rank's layout
-(a :class:`~repro.core.rk3.DynamicsConfig` is frozen), and a rank's
-scratch is the kept one (else its EOS went elsewhere).  A step outside
+(a :class:`~repro.core.rk3.DynamicsConfig` is frozen).  A step outside
 the key or excluded by the driver runs the generator and counts one
 ``native.unbound("programs", why)``.  docs/STENCILS.md "Programs".
 """
@@ -89,15 +86,15 @@ END = object()
 class Window:
     """What a long step yields where its dynamics begin: its integrator,
     its input state and the base (already refreshed); and, once the
-    driver resumes it, whether the program ``replayed`` the window or a
-    replay ``aborted`` (attributes, not a sent value: a wrapper that
-    resumes a generator with ``next`` keeps them)."""
+    driver resumes it, whether the program ``replayed`` the window (an
+    attribute, not a sent value: a wrapper that resumes a generator with
+    ``next`` keeps it)."""
 
-    __slots__ = ("integrator", "state", "base", "replayed", "aborted")
+    __slots__ = ("integrator", "state", "base", "replayed")
 
     def __init__(self, integrator, state, base):
         self.integrator, self.state, self.base = integrator, state, base
-        self.replayed = self.aborted = False
+        self.replayed = False
 
 
 class _Header(ctypes.Structure):
@@ -353,9 +350,6 @@ class StepProgram:
                       it.binding, it.geom, it.geom.scratch, it.fluxes,
                       it.p_ref, it.rayleigh_w, it.grid)
                      for it in rec.integrators]
-        #: each rank's scratch (by id: kept above, so never reused), where
-        #: a step's EOS writes the pressure the context row reads
-        self.scratch = [id(it.geom.scratch) for it in rec.integrators]
         self.rows = np.array([(entry, 8 * chunk.at, len(chunk.words))
                               for entry, chunk in rec.rows], np.int64)
         self.relocs = np.frombuffer(relocs, np.int64).reshape(-1, 3)
@@ -544,11 +538,6 @@ def enter(windows: list, why: "native.Unbound | None"
                    [w.base.layout for w in windows])
         if prog.key != key:
             changed = _changed(prog.key, key)
-        elif prog.why is None and prog.scratch != [
-                id(w.integrator.geom.scratch) for w in windows]:
-            # this step's EOS went into a scratch the rows do not read
-            changed = native.Unbound("scratch", "changed")
-        if changed is not None:
             head.program = prog = None
     if prog is not None:
         if prog.why is not None:
@@ -556,7 +545,7 @@ def enter(windows: list, why: "native.Unbound | None"
         else:
             replayed = prog.replay(windows)
             for w in windows:
-                w.replayed, w.aborted = replayed, not replayed
+                w.replayed = replayed
             if not replayed:    # the generators run the window again
                 native.count_programs(generator=1, calls=1 + prog.nrow)
         return None

@@ -6,8 +6,9 @@ Coriolis force, diffusion, sponge damping — three times (RK3 stages dt/3,
 dt/2, dt; one compiled call a stage where a library is loaded,
 :class:`StageBinding`), and inside each stage integrates the fast modes
 acoustically from the long-step start (:mod:`repro.core.acoustic`).
-A stage's call passes all it reads, so a captured step
-(:mod:`repro.core.program`) needs one hook here: the NumPy copies.
+A stage's call passes all it reads, and the context's computes the EOS
+pressure it reads, so a captured step (:mod:`repro.core.program`) needs
+one hook here: the NumPy copies.
 """
 from __future__ import annotations
 
@@ -41,7 +42,6 @@ from .diffusion import (
 from .grid import Grid
 from ..obs.trace import CAPTURE, span
 from .program import END, Window
-from .pressure import eos_pressure
 from ..stencil import native
 from ..stencil.executor import active_executor
 from .limiter import Limiter, get_limiter, koren
@@ -502,10 +502,9 @@ class Rk3Integrator:
         exchange points, which is what lets
         :func:`repro.core.model.run_lockstep` drive all ranks together.
         It also yields ``(base, Window)`` where the dynamics begin (after
-        the first refresh and the EOS) and ``(state, END)`` where they
-        end: the driver marks the window replayed where the captured
-        program ran over it (:mod:`repro.core.program`), else the stages
-        run here.
+        the first refresh) and ``(state, END)`` where they end: the
+        driver marks the window replayed where the captured program ran
+        over it (:mod:`repro.core.program`), else the stages run here.
 
         A step allocates one block: its base, a copy of ``state`` whose
         halos the first exchange point refreshes (``state``, which a
@@ -524,29 +523,23 @@ class Rk3Integrator:
                            np.empty_like(state.rhov))
         base = State.of(state.grid, lay, np.empty(lay.size, lay.dtype))
         yield base.assign(state), None  # make sure every halo is valid
-        # the EOS pressure (float64) into the integrator's scratch, where
-        # the context reads it
-        p_t = eos_pressure(base.rhotheta, self.grid,
-                           out=self.geom.scratch.c[0])
         window = Window(self, state, base)
         yield base, window
         if window.replayed:
             cur = self.stage_state
             cur.time, cur._precip = base.time + self.cfg.dt, base._precip
         else:
-            if window.aborted:  # the walk may have reused the EOS's scratch
-                eos_pressure.reference(base.rhotheta, self.grid, out=p_t)
-            cur = yield from self._stages(base, p_t)
+            cur = yield from self._stages(base)
         self.stage_state = base
         if self.cfg.check_finite:
             cur.validate(step=round(cur.time / self.cfg.dt))
         return cur
 
-    def _stages(self, base: State, p_t: np.ndarray):
-        """The dynamics of one long step from its refreshed ``base`` (its
-        EOS pressure ``p_t``), into the stage state, which is returned."""
-        ctx = self.ctx = build_context(base, self.ref, self.p_ref, self.geom,
-                                       p_t=p_t)
+    def _stages(self, base: State):
+        """The dynamics of one long step from its refreshed ``base``, its
+        EOS and linearization first, into the stage state, which is
+        returned."""
+        ctx = self.ctx = build_context(base, self.ref, self.p_ref, self.geom)
         cur = base
         idle = None
         for s, (dts, nsub) in enumerate(self.stage_plan()):

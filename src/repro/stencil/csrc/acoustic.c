@@ -4,9 +4,10 @@
  * right-hand side, the Thomas solve and the implied update, so Python
  * crosses into C once a substep.  An RK stage's slow tendencies are one
  * call too, slow_stage (repro/core/rk3.py).  The metric flux (MetricFlux)
- * is an entry point of its own; once a long step come the linearization
- * (acoustic_context) and the operator assembly (acoustic_operator), and
- * state_velocities whenever State.velocities is asked.  Float64 like
+ * is an entry point of its own; once a long step come the EOS with the
+ * linearization (acoustic_context) and the operator assembly
+ * (acoustic_operator), and state_velocities whenever State.velocities is
+ * asked.  Float64 like
  * AcousticScratch.  Every expression mirrors one ufunc call of the NumPy
  * oracle (AcousticStepper._substep_numpy, contravariant_mass_flux_w,
  * thomas_solve, build_context, HelmholtzOperator, State.velocities,
@@ -385,15 +386,17 @@ void acoustic_substep(acoustic_args *restrict a)
     a->k++;
 }
 
-/* ---- the linearization of repro.core.acoustic.build_context after the
- * EOS pow (p_t): cp_lin, pc and theta = rhotheta / rho at the u / v / w
- * faces (two-point means, the edge faces copy their cell; theta is
- * scratch), and the three dtau-independent brackets of
- * repro.core.helmholtz.HelmholtzOperator (xsup, xsub, ydiag: (nxh, nyh,
- * nz - 1)), all halo-inclusive. */
+/* ---- repro.core.acoustic.build_context: the EOS of
+ * repro.core.pressure.eos_pressure into p_t (its five operations in
+ * order, the pow NumPy's loop), then the linearization: cp_lin, pc and
+ * theta = rhotheta / rho at the u / v / w faces (two-point means, the
+ * edge faces copy their cell; theta is scratch), and the three
+ * dtau-independent brackets of repro.core.helmholtz.HelmholtzOperator
+ * (xsup, xsub, ydiag: (nxh, nyh, nz - 1)), all halo-inclusive. */
 void acoustic_context(long nxh, long nyh, long nz, double gamma,
-                      double half_g, const double *restrict rho,
-                      const double *restrict rt, const double *restrict p_t,
+                      double half_g, double rd, double p0,
+                      const double *restrict jac, const double *restrict rho,
+                      const double *restrict rt, double *restrict p_t,
                       const double *restrict p_ref,
                       const double *restrict dz_c,
                       const double *restrict dz_f, double *restrict theta,
@@ -409,7 +412,12 @@ void acoustic_context(long nxh, long nyh, long nz, double gamma,
         inv_dzf[k] = 1.0 / dz_f[k];
         inv_dzc[k] = 1.0 / dz_c[k];
     }
+    for (long c = 0; c < nxh * nyh; c++)
+        for (long k = c * nz; k < (c + 1) * nz; k++)
+            p_t[k] = (rd * (rt[k] / jac[c])) / p0;
+    ufunc_pow(p_t, gamma, p_t, ncell);
     for (long i = 0; i < ncell; i++) {
+        p_t[i] = p0 * p_t[i];
         theta[i] = rt[i] / rho[i];
         cp_lin[i] = (gamma * p_t[i]) / rt[i];
         pc[i] = (p_t[i] - p_ref[i]) - cp_lin[i] * rt[i];

@@ -1,13 +1,12 @@
 /* Kessler warm rain (repro/physics/kessler.py) with its rain
- * sedimentation (repro/physics/sedimentation.py), as the eight segments of
- * one hybrid body: repro/stencil/kessler.py runs them in order and, between
- * them, every exp and pow of the scheme as a NumPy ufunc with out= into the
- * scratch b0..b4.  NumPy's float64 exp and pow are SIMD routines whose
- * results differ from libm's (917 of 20 000 exp arguments on an AVX-512
- * host), so no segment calls libm except sqrt, which is correctly rounded
- * on both sides.  Every expression mirrors one ufunc call of the oracle,
- * in its order, with NumPy's maximum / minimum (a NaN in the first operand
- * wins, else the comparison; two selects, the form gcc vectorises).
+ * sedimentation (repro/physics/sedimentation.py), as one call: kessler_step
+ * runs the sedimentation's CFL loop, then the microphysics, as eight
+ * column segments over the scratch b0..b4 and, between them, every exp
+ * and pow of the scheme through NumPy's own loop (loops.c).  No segment
+ * calls libm except sqrt, which is correctly rounded on both sides.
+ * Every expression mirrors one ufunc call of the oracle, in its order,
+ * with NumPy's maximum / minimum (a NaN in the first operand wins, else
+ * the comparison; two selects, the form gcc vectorises).
  *
  * The fields are halo-inclusive (nxh, nyh, nz) and updated in place on
  * the interior; from segment (3) to segment (7) the interior holds the
@@ -20,12 +19,14 @@ typedef struct {
     long sedimented, evaporation, saturation;
     /* the scheme's constants, as the oracle's modules hold them */
     double dt, k1, qc0, k2, rd, p0, lv, cp, eps, lv_cp;
-    double es0, ta, t00, tb, tetens_num, vt_coef, rho_sfc;
-    /* one sedimentation sub-step: dt_sub and dt_sub / dt */
-    double dt_sub, frac;
+    double es0, ta, t00, tb, tetens_num, vt_coef, vt_exp, rho_sfc;
+    double max_cfl, dz_min;         /* the CFL loop's, as the oracle's */
+    double gamma, kappa;            /* the EOS's and the Exner pow's */
     const double *jac, *dz_c;
     double *rho, *rhotheta, *qv, *qc, *qr, *precip;
     double *b0, *b1, *b2, *b3, *b4;
+    /* one sedimentation sub-step, set by the CFL loop: dt_sub, dt_sub / dt */
+    double dt_sub, frac;
 } kessler_args;
 
 static inline double kmax(double a, double b)
@@ -167,7 +168,7 @@ column(const kessler_args *a, int seg, double jac, double *restrict rho,
 }
 
 /* segment seg over every interior column */
-double kessler(const kessler_args *a, int seg)
+static double segment(const kessler_args *a, int seg)
 {
     double vmax = 0.0;
     int nan = 0;
@@ -187,32 +188,62 @@ double kessler(const kessler_args *a, int seg)
     return nan ? NAN : vmax;
 }
 
-/* ---- the pow bases of segments (0), (3) and (4) are mostly +0.0 (no
- * rain), where NumPy's pow is three times slower than on a positive
- * base, and +0.0 ** y is +0.0 for every y > 0: repro.stencil.kessler packs
- * the other entries (bits not +0.0: -0.0 and NaN are packed too) to the
- * front of a buffer, raises those, and unpacks. */
-static inline int packed(double b)
-{
-    unsigned long long u;
-    memcpy(&u, &b, sizeof u);
-    return u != 0;
-}
-
-long kessler_pack(const double *restrict b, long n, double *restrict p)
+/* dst = b ** y over n cells (dst may be b).  The bases are mostly +0.0
+ * (no rain), where NumPy's pow is three times slower than on a positive
+ * base, and +0.0 ** y is +0.0 for every y > 0: only the other entries
+ * (bits not +0.0: -0.0 and NaN too) are raised, packed to the front of
+ * p, then unpacked backwards. */
+static void powers(const double *b, long n, double *p, double y, double *dst)
 {
     long m = 0;
     for (long i = 0; i < n; i++)
-        if (packed(b[i]))
+        if (b[i] != 0.0 || signbit(b[i]))
             p[m++] = b[i];
-    return m;
+    ufunc_pow(p, y, p, m);
+    for (long i = n - 1; i >= 0; i--)
+        dst[i] = b[i] != 0.0 || signbit(b[i]) ? p[--m] : 0.0;
 }
 
-/* dst[i] = the next of the m packed powers where b[i] was packed, else
- * +0.0; backwards, so that p may be the front of dst and dst may be b */
-void kessler_unpack(const double *b, long n, const double *p, long m,
-                    double *dst)
+/* one warm-rain step: precip is the sedimentation's surface rate */
+void kessler_step(kessler_args *a)
 {
-    for (long i = n - 1; i >= 0; i--)
-        dst[i] = packed(b[i]) ? p[--m] : 0.0;
+    const long n = a->nx * a->ny * a->nz;
+    double remaining = a->dt;
+
+    memset(a->precip, 0, sizeof *a->precip * a->nx * a->ny);
+    /* the oracle's CFL loop, its floats included: Python's
+     * min(remaining, x) keeps remaining where x is NaN */
+    for (int it = 0; a->sedimented && it < 64; it++) {
+        segment(a, 0);
+        powers(a->b1, n, a->b4, a->vt_exp, a->b1);
+        const double vmax = segment(a, 1);
+        if (vmax <= 0.0)
+            break;
+        const double x = (a->max_cfl * a->dz_min) / vmax;
+        a->dt_sub = x < remaining ? x : remaining;
+        a->frac = a->dt_sub / a->dt;
+        segment(a, 2);
+        remaining -= a->dt_sub;
+        if (remaining <= 1e-12)
+            break;
+    }
+    segment(a, 3);
+    ufunc_pow(a->b0, a->gamma, a->b0, n);
+    powers(a->b1, n, a->b4, 0.875, a->b1);
+    segment(a, 4);
+    ufunc_pow(a->b2, a->kappa, a->b2, n);
+    if (a->evaporation) {
+        powers(a->b1, n, a->b4, 0.2046, a->b3);
+        powers(a->b1, n, a->b4, 0.525, a->b1);
+    }
+    if (a->evaporation || a->saturation) {
+        segment(a, 5);
+        ufunc_exp(a->b4, a->b4, n);
+    }
+    if (a->evaporation) {
+        segment(a, 6);
+        if (a->saturation)
+            ufunc_exp(a->b4, a->b4, n);
+    }
+    segment(a, 7);
 }

@@ -47,10 +47,10 @@ typedef union {
 static int row_context(void *args)
 {
     const word *w = args;
-    acoustic_context(w[0].l, w[1].l, w[2].l, w[3].d, w[4].d, w[5].p, w[6].p,
+    acoustic_context(w[0].l, w[1].l, w[2].l, w[3].d, w[4].d, w[5].d, w[6].d,
                      w[7].p, w[8].p, w[9].p, w[10].p, w[11].p, w[12].p,
                      w[13].p, w[14].p, w[15].p, w[16].p, w[17].p, w[18].p,
-                     w[19].p);
+                     w[19].p, w[20].p, w[21].p, w[22].p);
     return 0;
 }
 

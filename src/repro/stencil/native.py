@@ -2,28 +2,30 @@
 proved at load, never required.
 
 ``csrc/advect.c`` (the Koren sweep plus flux divergence, run by the slow
-stage), ``csrc/acoustic.c`` (the HE-VI substep as one call, an RK
-stage's slow tendencies as one call, the linearization, the operator
-assembly and the velocities of a state),
-``csrc/kessler.c`` (the C segments of the warm-rain body),
-``csrc/halo.c`` (the halo strip runner) and ``csrc/program.c`` (the
-walker of a captured long step, :mod:`repro.core.program`) become one
-shared object per
-*(translation units, flags, compiler, machine)* hash in the user's cache
-directory, loaded through :mod:`ctypes`; the compiler is identified by
-its resolved path, ``st_mtime_ns`` and ``st_size``, so a warm load runs
-no process.  It is used only after every
-kernel in it has reproduced its oracle byte for byte on a fixed battery
-(the ``native_check`` of :mod:`repro.stencil.dycore`,
-:mod:`repro.core.acoustic` and :mod:`repro.stencil.kessler`); every other
-outcome is one of four typed, counted reasons and ends on the NumPy
-bodies — never on a different field.  A compiled kernel has one NumPy
-text, its oracle, and that is what runs without a library; whether a
-compiled body runs is this one fact, :func:`kernels` (a ``reference``
-executor holds it off with :func:`using`).  A loaded library
-whose body cannot take one call's operands is a per-call fact, not a
-fifth outcome: that call runs the oracle and :func:`unbound` counts it,
-by reason.  docs/STENCILS.md "Compiled bodies".
+stage), ``csrc/loops.c`` (NumPy's own ``exp`` and ``power`` loops, taken
+from the ufunc objects at load: the bodies' only ``exp`` / ``pow``),
+``csrc/acoustic.c`` (the HE-VI substep as one call, an RK stage's slow
+tendencies as one call, the EOS with the linearization, the operator
+assembly and the velocities of a state), ``csrc/kessler.c`` (the
+warm-rain step as one call), ``csrc/halo.c`` (the halo strip runner) and
+``csrc/program.c`` (the walker of a captured long step,
+:mod:`repro.core.program`) become one shared object per *(translation
+units, flags, NumPy and Python header directories, NumPy version,
+compiler, machine)* hash in the user's cache directory, loaded through
+:mod:`ctypes`; the compiler is identified by its resolved path,
+``st_mtime_ns`` and ``st_size``, so a warm load runs no process.  It is
+used only after every kernel in it has reproduced its oracle byte for
+byte on a fixed battery (the ``native_check`` of
+:mod:`repro.stencil.dycore`, :mod:`repro.core.acoustic` and
+:mod:`repro.stencil.kessler`); every other outcome is one of four typed,
+counted reasons and ends on the NumPy bodies — never on a different
+field.  A compiled kernel has one NumPy text, its oracle, and that is
+what runs without a library; whether a compiled body runs is this one
+fact, :func:`kernels` (a ``reference`` executor holds it off with
+:func:`using`).  A loaded library whose body cannot take one call's
+operands is a per-call fact, not a fifth outcome: that call runs the
+oracle and :func:`unbound` counts it, by reason.  docs/STENCILS.md
+"Compiled bodies".
 """
 from __future__ import annotations
 
@@ -58,7 +60,8 @@ __all__ = ["FLAGS", "CLONES", "STATES", "Native", "Unbound", "Recorded",
 FLAGS = ("-O3", "-fPIC", "-shared", "-pthread", "-ffp-contract=off",
          "-fno-trapping-math", "-fno-math-errno")
 CLONES = ("avx512f", "avx2", "default")
-SOURCES = ("advect.c", "acoustic.c", "kessler.c", "halo.c", "program.c")
+SOURCES = ("advect.c", "loops.c", "acoustic.c", "kessler.c", "halo.c",
+           "program.c")
 STATES = ("loaded", "no-compiler", "build-failed", "cache-unwritable",
           "self-check-failed")
 #: how every :func:`load` of this process ended, by state
@@ -241,17 +244,24 @@ def read_sources() -> dict:
 
 def _units(sources: dict, clones: tuple) -> tuple:
     """Two translation units, compiled side by side: ``advect.c`` in
-    float64 with every ``KERNEL`` cloned per ISA, and the other sources
-    (with the GNU extensions the walker places its team's threads by)."""
+    float64 with every ``KERNEL`` cloned per ISA, and the other sources,
+    ``loops.c`` first (its headers open the unit)."""
     targets = ",".join(f'"{c}"' for c in clones)
     kernel = f"__attribute__((target_clones({targets})))" if clones else ""
     return (f"#include <math.h>\n#define KERNEL {kernel}\n"
             f'const char *repro_clones(void) {{ return "'
             f'{",".join(clones) or "default"}"; }}\n'
             f"#define REAL double\n#define F(x) x##_f64\n#define ABS fabs\n"
-            + sources["advect.c"],
-            "#define _GNU_SOURCE\n#include <math.h>\n#include <string.h>\n"
-            + "".join(sources[n] for n in SOURCES[1:]))
+            + sources["advect.c"], "".join(sources[n] for n in SOURCES[1:]))
+
+
+def _includes() -> tuple:
+    """The ``-I`` flags of NumPy's and Python's header directories, which
+    ``loops.c`` includes (found without a process)."""
+    import sysconfig        # 1 ms: only when a library is loaded
+
+    return (f"-I{np.get_include()}",
+            f"-I{sysconfig.get_config_var('INCLUDEPY')}")
 
 
 def _trusted(path: str, kind=stat.S_ISREG) -> bool:
@@ -294,8 +304,8 @@ def _build(cc: list, sources: dict, path: str) -> None:
         for clones in (CLONES, ()):
             for name, text in zip(names, _units(sources, clones)):
                 Path(name + ".c").write_text(text, "utf-8")
-            status, out = _spawn(*([*cc, *FLAGS, "-c", n + ".c", "-o",
-                                    n + ".o"] for n in names))
+            status, out = _spawn(*([*cc, *FLAGS, *_includes(), "-c",
+                                    n + ".c", "-o", n + ".o"] for n in names))
             if status == 0:
                 status, out = _spawn([*cc, *FLAGS, *(n + ".o" for n in names),
                                       "-o", tmp, "-lm"])
@@ -335,16 +345,17 @@ def _bind(dll: ctypes.CDLL) -> dict:
     f64.metric_flux = fn("acoustic_metric_flux", _PTR, ctypes.c_int,
                          *[_PTR] * 4)
     f64.context = row("acoustic_context", *[_LONG] * 3,
-                      *[ctypes.c_double] * 2, *[_PTR] * 15)
+                      *[ctypes.c_double] * 4, *[_PTR] * 16)
     f64.operator = row("acoustic_operator", _LONG, _LONG, ctypes.c_double,
                        *[_PTR] * 10, restype=ctypes.c_int)
-    f64.kessler = fn("kessler", _PTR, ctypes.c_int, restype=ctypes.c_double)
-    f64.pack = fn("kessler_pack", _PTR, _LONG, _PTR, restype=_LONG)
-    f64.unpack = fn("kessler_unpack", _PTR, _LONG, _PTR, _LONG, _PTR)
+    f64.kessler = fn("kessler_step", _PTR)
     f64.halo_strips = row("halo_strips", _LONG, _PTR, _PTR)
     f64.moisture = row("moisture_finish", _PTR)
     f64.run_program = fn("run_program", _PTR, _PTR, _PTR, restype=_LONG)
     dll.repro_clones.restype = ctypes.c_char_p
+    ufuncs = (np.exp, np.power)
+    dll.repro_loops((_PTR * 2)(*map(id, ufuncs)), (_LONG * 2)(*(
+        u.types.index(t) for u, t in zip(ufuncs, ("d->d", "dd->d")))))
     return {"f64": f64,
             "clones": tuple(dll.repro_clones().decode().split(","))}
 
@@ -352,9 +363,11 @@ def _bind(dll: ctypes.CDLL) -> dict:
 def _find_build_check(lib: Native, sources: dict) -> None:
     cc, identity = _compiler()
     # what is compiled, not what it is composed of: the units of both
-    # builds, so that an edit to their composition is a new library
+    # builds, so that an edit to their composition is a new library; and
+    # the NumPy whose headers and loops it takes
     lib.hash = hashlib.sha256("\0".join(
-        [*_units(sources, CLONES), *_units(sources, ()), *FLAGS, identity,
+        [*_units(sources, CLONES), *_units(sources, ()), *FLAGS,
+         *_includes(), np.__version__, identity,
          platform.machine()]).encode()).hexdigest()[:16]
     directory = cache_dir()
     if directory is None:
@@ -372,7 +385,8 @@ def _find_build_check(lib: Native, sources: dict) -> None:
             lib.build_s = time.perf_counter() - t0
     try:
         vars(lib).update(_bind(ctypes.CDLL(path)))
-    except (OSError, AttributeError) as exc:
+    # ValueError: numpy.exp or numpy.power without an all-double loop
+    except (OSError, AttributeError, ValueError) as exc:
         raise _Unavailable("build-failed", str(exc)) from None
     from ..core import acoustic
     from . import dycore, kessler

@@ -431,11 +431,11 @@ def test_a_cross_rank_address_walks_alone_and_declines_team_once_a_step(
 @pytest.mark.skipif(not COMPILED, reason="needs the compiled bodies")
 def test_a_replay_outlives_what_the_integrators_drop():
     """The program keeps what its rows point at: integrators that drop
-    their context and their stage and substep bindings after the
-    recording, the freed memory then reused, replay byte for byte as the
-    generator runs.  A scratch dropped after that replay is where the
-    next step's EOS goes, not the one the rows read: that step records
-    again (one ``scratch changed`` decline), and the last one replays."""
+    their context, their stage and substep bindings and their scratch
+    after the recording, the freed memory then reused, replay byte for
+    byte as the generator runs, with no decline and no second recording
+    (the context row writes the EOS pressure it reads into the kept
+    scratch; the warm rain computes in the integrator's new one)."""
     params = dict(ranks=(2, 2))
     want, _, _, _ = _run(params, STEPS, False, generator=True)
     driver, states = _build(**params)
@@ -448,20 +448,48 @@ def test_a_replay_outlives_what_the_integrators_drop():
             its = _integrators(driver)
             if k == 0:
                 for it in its:
-                    it.ctx = it.stage = it.binding = None
-            if k == 1:
+                    it.ctx = it.stage = it.binding = it.geom._scratch = None
+            else:
                 assert all(it.binding is None for it in its)
-                for it in its:
-                    it.geom._scratch = None
             gc.collect()
             litter += [np.full(2 ** e, np.nan) for e in range(4, 16)
                        for _ in range(8)]
     assert got == want
-    assert Counter(native.UNBOUND) - before[0] == {
-        ("programs", "scratch changed"): 1}
+    assert Counter(native.UNBOUND) == before[0]
     programs = Counter(native.PROGRAMS) - before[1]
-    assert programs["recorded"] == 2
-    assert programs["replayed"] == STEPS - 2
+    assert programs["recorded"] == 1
+    assert programs["replayed"] == STEPS - 1
+
+
+@pytest.mark.skipif(not COMPILED, reason="needs the compiled bodies")
+def test_the_eos_is_inside_the_window(monkeypatch):
+    """The context row computes the EOS pressure it reads: after a
+    driver's first step no Python EOS runs, and every step, recorded or
+    replayed, counts what the generator counts, one ``eos_pressure``
+    dispatch a rank included, as the Python EOS counted it."""
+    from repro.core.pressure import eos_pressure
+
+    def per_step(generator):
+        driver, states = _build(ranks=(2, 2))
+        ex, steps = StencilExecutor("fused"), []
+        with use_executor(ex), monkeypatch.context() as m:
+            if generator:
+                m.setattr(program, "enter", lambda windows, why: None)
+            for k in range(STEPS):
+                before = (Counter(ex.calls), ex.accelerated, ex.fallbacks)
+                states = _step(driver, states)
+                steps.append((Counter(ex.calls) - before[0],
+                              ex.accelerated - before[1],
+                              ex.fallbacks - before[2]))
+                if k == 0 and not generator:
+                    m.setattr(eos_pressure, "reference", lambda *a, **kw:
+                              pytest.fail("a Python EOS ran"))
+        return steps
+
+    replayed = per_step(False)
+    assert replayed == per_step(True)
+    assert all(calls["eos_pressure"] == 4 and fallbacks == 0
+               for calls, _, fallbacks in replayed)
 
 
 # ------------------------------------------------------------ aborts

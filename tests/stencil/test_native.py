@@ -31,7 +31,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.api import Experiment, RunSpec
 from repro.constants import WATER_SPECIES
@@ -50,6 +50,7 @@ from repro.core.rk3 import (DynamicsConfig, Rk3Integrator, StageBinding,
 from repro.core.state import State, state_from_reference
 from repro.physics.kessler import KesslerConfig, kessler_step
 from repro.physics.saturation import saturation_mixing_ratio
+from repro.physics.sedimentation import MAX_CFL, terminal_velocity
 from repro.stencil import (StencilExecutor, load_dycore_specs, native,
                            use_executor)
 from repro.stencil.spec import FUSED_IMPLS
@@ -361,12 +362,12 @@ def test_every_rank_runs_the_compiled_substep(workload, ranks, monkeypatch):
 
 
 # ------- (b3) warm rain, the halo fill, the linearization and the operator
-def _rain_case(rng, nx, ny, nz, terrain, nan):
-    """A warm-rain state whose rain falls in several sub-steps (40 m
-    levels): sub- and super-saturated vapor, cloud water at and around the
-    autoconversion threshold, rain in about half the cells, signed zeros,
-    and (``nan``) one NaN cell of that field."""
-    ztop = 40.0 * nz
+def _rain_case(rng, nx, ny, nz, terrain, nan, dz=40.0):
+    """A warm-rain state whose rain falls in several sub-steps (on levels
+    ``dz`` = 40 m apart): sub- and super-saturated vapor, cloud water at and
+    around the autoconversion threshold, rain in about half the cells,
+    signed zeros, and (``nan``) one NaN cell of that field."""
+    ztop = dz * nz
     g = make_grid(nx, ny, nz, 500.0, 500.0, ztop, terrain=(
         lambda x, y: 0.05 * ztop * (1.0 + np.sin(x / 700.0 + y / 900.0)))
         if terrain else None)
@@ -389,32 +390,79 @@ def _rain_case(rng, nx, ny, nz, terrain, nan):
     return g, rho, rhotheta, q
 
 
+#: how the sedimentation's CFL loop ends: after a few sub-steps (40 m
+#: levels), on its cap of 64 sub-steps (centimetre levels), or on
+#: ``remaining <= 1e-12`` with 5e-13 s left after one sub-step
+ENDS = ("steps", "cap", "remainder")
+
+
 @needs_library
 @SETTINGS
 @given(nx=st.integers(1, 7), ny=st.integers(1, 5), nz=st.integers(2, 9),
        terrain=st.booleans(), nan=st.sampled_from([None, "rho", "qv", "qr"]),
        flags=st.tuples(st.booleans(), st.booleans(), st.booleans()),
-       seed=st.integers(0, 2 ** 16))
-def test_kessler_compiled_equals_oracle(nx, ny, nz, terrain, nan, flags, seed):
-    """The hybrid body (C segments, NumPy exp / pow) == the oracle, every
+       seed=st.integers(0, 2 ** 16), end=st.sampled_from(ENDS))
+@example(nx=4, ny=3, nz=6, terrain=True, nan=None, flags=(True, True, True),
+         seed=11, end="cap")
+@example(nx=4, ny=3, nz=6, terrain=True, nan=None, flags=(True, True, True),
+         seed=12, end="remainder")
+@example(nx=4, ny=3, nz=6, terrain=False, nan="qr", flags=(True, True, True),
+         seed=13, end="steps")          # a NaN fall speed ends the loop
+def test_kessler_compiled_equals_oracle(nx, ny, nz, terrain, nan, flags, seed,
+                                        end):
+    """The one-call body (NumPy's own exp / pow loops) == the oracle, every
     field byte for byte (halos too; NaN payloads exempt), the precipitation
-    and its accumulation included, whichever processes are switched on."""
+    and its accumulation included, whichever processes are switched on and
+    wherever the CFL loop ends."""
     rng = np.random.default_rng(seed)
-    g, rho, rhotheta, q = _rain_case(rng, nx, ny, nz, terrain, nan)
+    g, rho, rhotheta, q = _rain_case(rng, nx, ny, nz, terrain, nan,
+                                     0.01 if end == "cap" else 40.0)
     cfg = KesslerConfig(sedimentation=flags[0], evaporation=flags[1],
                         saturation_adjust=flags[2])
+    dt = 10.0
+    if end == "remainder":      # the first sub-step's, plus 5e-13 s
+        sx, sy = g.isl
+        jac = g.jac[sx, sy][:, :, None]
+        x = MAX_CFL * float(g.dz_c.min()) / float(terminal_velocity(
+            np.maximum(q["qr"][sx, sy], 0.0) / jac, rho[sx, sy] / jac).max())
+        dt = x + 5e-13 if 0.0 < x < dt else dt
     runs = []
     for body in (FUSED_IMPLS["kessler_step"], None):
         state = State(g, rho.copy(), None, None, None,
                       rhotheta.copy(), {k: v.copy() for k, v in q.items()})
         with native.using(LIB), np.errstate(all="ignore"):
-            precip = (body(state, None, 10.0, cfg) if body
-                      else _oracle(kessler_step, state, None, 10.0, cfg))
+            precip = (body(state, None, dt, cfg) if body
+                      else _oracle(kessler_step, state, None, dt, cfg))
         assert precip is not NotImplemented
         runs.append([*map(state.get, ("rho", "rhotheta", "qv", "qc", "qr")),
                      precip, state.precip_accum])
     for got, want in zip(*runs):
         assert native.same(got, want)
+
+
+@needs_library
+def test_the_warm_rain_is_one_call(monkeypatch):
+    """With a library a warm-rain step crosses into C once: the CFL loop
+    and every ``exp`` and ``pow`` run there, on NumPy's own loops, and no
+    ``np.power`` or ``np.exp`` runs from Python (here the rain falls in
+    several sub-steps)."""
+    rng = np.random.default_rng(5)
+    g, rho, rhotheta, q = _rain_case(rng, 5, 4, 6, True, None)
+    state = State(g, rho, None, None, None, rhotheta, q)
+    calls = Counter()
+
+    def counted(name, fn):
+        return lambda *a, **k: (calls.update([name]), fn(*a, **k))[1]
+
+    for name, fn in vars(LIB.f64).items():
+        monkeypatch.setattr(LIB.f64, name, counted(name, fn))
+    ex = StencilExecutor("fused")
+    with native.using(LIB), use_executor(ex), monkeypatch.context() as m:
+        for name in ("power", "exp"):
+            m.setattr(np, name, counted(f"np.{name}", getattr(np, name)))
+        kessler_step(state, None, 10.0)
+    assert calls == Counter({"kessler": 1})
+    assert ex.calls == Counter(kessler_step=1) and ex.accelerated == 1
 
 
 @needs_library
@@ -1408,6 +1456,16 @@ def test_the_library_hash_is_the_units_compiled(tmp_path, monkeypatch):
     assert lib.state == "loaded" and lib.hash != LIB.hash and lib.build_s > 0
     assert sorted(os.listdir(tmp_path / "repro-asuca")) == sorted(
         f"native-{h}.so" for h in (LIB.hash, lib.hash))
+
+
+@needs_library
+def test_the_library_hash_covers_the_numpy_it_calls(tmp_path, monkeypatch):
+    """The bodies call NumPy's own loops and include its headers: another
+    NumPy version is another library, built afresh."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    monkeypatch.setattr(np, "__version__", np.__version__ + "+other")
+    lib = native.load()
+    assert lib.state == "loaded" and lib.hash != LIB.hash and lib.build_s > 0
 
 
 @needs_library

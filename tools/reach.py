@@ -14,7 +14,9 @@ is reached by the *products*, by the *tests only*, or by *nothing*.
 A def that the products do not reach stays only for a reason, written in
 its row of the map (:data:`REASONS`).  Regeneration carries each row's
 reason over; the run fails if a product command or a test fails, or if a
-def that no product reaches has no reason.
+def that no product reaches has no reason.  The map's own tests
+(:data:`MAP_TESTS`) run once the map is written, not with the recorded
+suite, which would read the map of the run before.
 
 The hook installs both ``sys.settrace`` and ``sys.setprofile``: the host
 benchmark's worker replaces the profile hook while it counts calls, and
@@ -36,6 +38,8 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 MAP = ROOT / "docs" / "REACH.md"
 PRODUCTS = ROOT / "tools" / "products.sh"
+#: the tier-1 file that checks the map itself
+MAP_TESTS = "tests/test_reach_map.py"
 
 #: why a def that no product reaches may stay (the first word of its
 #: reason cell; the rest of the cell says where)
@@ -230,9 +234,11 @@ def main() -> int:
         cache = tmp / "cache"
         rc_products = run_recorded(["bash", str(PRODUCTS)],
                                    tmp / "products", hook, cache)
+        # the map's own checks read the map this run writes: they run
+        # after it, unrecorded (they call nothing in src/repro)
         rc_tests = run_recorded([sys.executable, "-m", "pytest", "-q",
-                                 "-p", "no:cacheprovider"],
-                                tmp / "tests", hook, cache)
+                                 "-p", "no:cacheprovider", "--deselect",
+                                 MAP_TESTS], tmp / "tests", hook, cache)
         by_products = reached(tmp / "products")
         by_tests = reached(tmp / "tests")
 
@@ -254,9 +260,14 @@ def main() -> int:
         print(f"reach: {c}: {len(picked)} defs, "
               f"{sum(defs[n] for n in picked)} lines", file=sys.stderr)
     print(f"reach: wrote {MAP.relative_to(ROOT)}", file=sys.stderr)
-    if rc_products or rc_tests:
-        print(f"reach: products exit {rc_products}, tier-1 exit {rc_tests}",
-              file=sys.stderr)
+    rc_map = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         MAP_TESTS], cwd=ROOT, env=dict(os.environ, PYTHONPATH=os.pathsep.join(
+             filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    ).returncode
+    if rc_products or rc_tests or rc_map:
+        print(f"reach: products exit {rc_products}, tier-1 exit {rc_tests}, "
+              f"{MAP_TESTS} exit {rc_map}", file=sys.stderr)
         return 1
     return 1 if missing else 0
 
