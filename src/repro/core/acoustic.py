@@ -230,12 +230,15 @@ def _context_native(state: State, p_ref: np.ndarray, geom: AcousticGeometry
     # the rest are float64 fields of the grid's shape: the grid's, the
     # scratch's, the context's
     p_t, theta = geom.scratch.c[:2]
-    lib.context(*g.shape_c, c.CP / c.CV, 0.5 * c.G, c.RD, c.P0,
-                native.address(g.jac), rho, rhotheta, *(
-                    a.ctypes.data for a in (
-                        p_t, p_ref, g.dz_c, g.dz_f, theta, ctx.cp_lin, ctx.pc,
-                        ctx.theta_xf, ctx.theta_yf, ctx.theta_wf,
-                        *ctx.brackets)))
+    xsup, xsub, ydiag = ctx.brackets
+    lib.context(ctypes.byref(lib.context_args(
+        nxh=g.nxh, nyh=g.nyh, nz=g.nz, gamma=c.CP / c.CV, half_g=0.5 * c.G,
+        rd=c.RD, p0=c.P0, rho=rho, rt=rhotheta, **{
+            name: a.ctypes.data for name, a in dict(
+                jac=g.jac, p_t=p_t, p_ref=p_ref, dz_c=g.dz_c, dz_f=g.dz_f,
+                theta=theta, cp_lin=ctx.cp_lin, pc=ctx.pc, xf=ctx.theta_xf,
+                yf=ctx.theta_yf, wf=ctx.theta_wf, xsup=xsup, xsub=xsub,
+                ydiag=ydiag).items()})))
     active_executor().calls["eos_pressure"] += 1
     return ctx
 
@@ -314,21 +317,6 @@ class AcousticScratch:
 ACOUSTIC_FIELDS = ["rho", "rhou", "rhov", "rhow", "rhotheta"]
 
 
-class _Args(ctypes.Structure):
-    """``acoustic_args`` of stencil/csrc/acoustic.c, field for field."""
-
-    _fields_ = (
-        [(n, ctypes.c_long) for n in "nxh nyh nz h nx ny k".split()]
-        + [(n, ctypes.c_double)
-           for n in "dtau beta omb ratio damp dx dy grav".split()]
-        + [(n, ctypes.c_void_p) for n in (
-            "cp_lin pc rho_ref_hat theta_xf theta_yf theta_wf "
-            "r_u r_v r_w r_theta fx_s fy_s m_s w_s sub diag sup fsub fcp fden "
-            "jac njac_u njac_v met_u met_v dz_c dz_f dzc2 metric "
-            "rho rhou rhov rhow rhotheta pp0 pp1 dws "
-            "pp_h dppdz rho_e theta_e rhs m_now w_new col").split()])
-
-
 class SubstepBinding:
     """What one integrator's substeps keep between its stages, bound the
     first time it steps: its geometry's
@@ -366,18 +354,17 @@ class SubstepBinding:
             arrays.update(met_u=geom.met_u, met_v=geom.met_v, dzc2=geom.dzc2)
         ptrs = native.pointers(np.float64, arrays,
                                dict(rho_ref_hat=g.shape_c))
-        flux = geom.metric_flux
-        if geom.has_terrain and flux._args is None:
-            ptrs = flux._unbound
+        metric = geom.metric_flux.args(self.lib)
+        if geom.has_terrain and metric is None:
+            ptrs = geom.metric_flux._unbound
         if isinstance(ptrs, native.Unbound):
             self.unbound = ptrs
             return
-        a = self.args = _Args(nxh=g.nxh, nyh=g.nyh, nz=g.nz, h=g.halo,
-                              nx=g.nx, ny=g.ny, dx=g.dx, dy=g.dy, grav=c.G)
-        for name, ptr in zip(arrays, ptrs):
-            setattr(a, name, ptr)
+        a = self.args = self.lib.acoustic_args(
+            nxh=g.nxh, nyh=g.nyh, nz=g.nz, h=g.halo, nx=g.nx, ny=g.ny,
+            dx=g.dx, dy=g.dy, grav=c.G, **dict(zip(arrays, ptrs)))
         if geom.has_terrain:
-            a.metric = ctypes.addressof(flux._args)
+            a.metric = ctypes.addressof(metric)
         self.substep = functools.partial(self.lib.substep, ctypes.byref(a))
 
     def current(self, geom: AcousticGeometry) -> bool:
@@ -466,7 +453,7 @@ class AcousticStepper:
         """The divergence-damping history: the last substep's ``pp``."""
         return self._pp[(self._done - 1) % 2] if self._done else None
 
-    def _bind(self) -> "_Args | native.Unbound":
+    def _bind(self) -> "ctypes.Structure | native.Unbound":
         """This stage's operands into the binding's struct: the state, the
         linearization, the forcing and the operator with its Thomas
         factors, every address taken once per block (the state's

@@ -156,14 +156,6 @@ def contravariant_mass_flux_w(
     return out
 
 
-class _MetricArgs(ctypes.Structure):
-    """``metric_args`` of stencil/csrc/acoustic.c, field for field."""
-
-    _fields_ = ([(n, ctypes.c_long) for n in ("nxh", "nyh", "nz")]
-                + [(n, ctypes.c_void_p) for n in (
-                    "jac jac_u jac_v dzsdx_u dzsdy_v decay_f rows").split()])
-
-
 class MetricFlux:
     """:func:`contravariant_mass_flux_w` on one grid, byte for byte: one
     compiled call where a verified library is loaded (csrc/acoustic.c,
@@ -180,20 +172,30 @@ class MetricFlux:
         if not grid.is_flat():
             metrics.update(jac_u=grid.jac_u, jac_v=grid.jac_v,
                            dzsdx_u=grid.dzsdx_u, dzsdy_v=grid.dzsdy_v)
-        #: the compiled body's grid operands, else ``None`` and
-        #: ``_unbound`` says why a library could not take them
-        self._args = self._unbound = None
+        #: the compiled body's grid operands by field name, else ``None``
+        #: and ``_unbound`` says why a library could not take them; their
+        #: struct in each library's layout
+        self._fields = self._unbound = None
+        self._structs: dict = {}
         bound = native.pointers(np.float64, metrics)
         if isinstance(bound, native.Unbound):
             self._unbound = bound
         else:
-            self._args = _MetricArgs(nxh, nyh, nz, **dict(zip(metrics, bound)))
+            self._fields = dict(zip(metrics, bound), nxh=nxh, nyh=nyh, nz=nz)
             self._rows = metrics["rows"]
+
+    def args(self, lib):
+        """The grid's ``metric_args`` in ``lib``'s layout (kept: a substep's
+        or slow stage's struct points into it), else ``None``."""
+        cls = lib.metric_args
+        if self._fields is not None and cls not in self._structs:
+            self._structs[cls] = cls(**self._fields)
+        return self._structs.get(cls)
 
     def _momenta(self, rhou, rhov, rhow, dtype) -> "list | native.Unbound":
         """Addresses of the momenta (``None`` for an absent ``rhow``), or
         why the compiled body cannot take them."""
-        if self._args is None:
+        if self._fields is None:
             return self._unbound
         g, named = self.grid, dict(rhou=rhou, rhov=rhov)
         if rhow is not None:
@@ -216,7 +218,8 @@ class MetricFlux:
             ptrs = self._momenta(rhou, rhov, rhow, dtype)
             if not isinstance(ptrs, native.Unbound):
                 out = np.empty(g.shape_w, dtype)
-                lib.metric_flux(ctypes.byref(self._args), dtype == np.float32,
+                lib.metric_flux(ctypes.byref(self.args(lib)),
+                                dtype == np.float32,
                                 *ptrs, out.ctypes.data)
                 return out
             native.unbound("metric fluxes", ptrs)

@@ -74,7 +74,8 @@ class Strips:
     layout: tuple
     messages: tuple
     #: the compiled runner's binding (:func:`repro.stencil.dycore.run_strips`):
-    #: the slot addresses it last ran over, and them as a C array
+    #: the library's ``strips_args`` layout and the slot addresses it last
+    #: ran over, them as a C array, and the struct over it by reference
     bound: tuple | None = field(default=None, repr=False)
 
     def in_blocks(self, names, layouts) -> "Strips":

@@ -19,6 +19,7 @@ equivalent.
 """
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -112,17 +113,20 @@ class HelmholtzOperator:
         g = self.grid
         shape = self.brackets[0].shape
         n = shape[-1]
-        ptrs = native.pointers(
-            np.float64, dict(jac=g.jac, xsup=self.brackets[0],
-                             xsub=self.brackets[1], ydiag=self.brackets[2]),
-            dict(jac=shape[:2], xsup=shape, xsub=shape, ydiag=shape))
+        operands = dict(jac=g.jac, xsup=self.brackets[0],
+                        xsub=self.brackets[1], ydiag=self.brackets[2])
+        ptrs = native.pointers(np.float64, operands, dict(
+            jac=shape[:2], xsup=shape, xsub=shape, ydiag=shape))
         if isinstance(ptrs, native.Unbound):
             native.unbound("operators", ptrs)
             return None
         out = [np.empty(shape) for _ in range(3)]
         factors = [np.empty((n, g.nxh * g.nyh)) for _ in range(3)]
         self.addresses = [a.ctypes.data for a in out + factors]
-        bad = lib.operator(g.nxh * g.nyh, n, sq, *ptrs, *self.addresses)
+        bad = lib.operator(ctypes.byref(lib.operator_args(
+            ncol=g.nxh * g.nyh, n=n, sq=sq, **dict(zip(operands, ptrs)),
+            **dict(zip(("sup", "sub", "diag", "fsub", "fcp", "fden"),
+                       self.addresses)))))
         self.sup, self.sub, self.diag = out
         fsub, fcp, fden = factors
         self._thomas_factors = (fsub, fcp, fden)

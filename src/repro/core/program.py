@@ -13,23 +13,27 @@ with nothing to forget at the call sites: the context, each rank's slow
 stages, operator assemblies, substeps, the exchange points' strip
 runners and the moisture finishes (the context row computes the EOS
 pressure it reads).  One kind of row has a hook of its own in
-:mod:`repro.core.rk3`: the stage-state and flux copies (NumPy copies).
-Every row is one call the window made.  :func:`leave` freezes what it
-saw into a :class:`StepProgram`, kept by the first rank's integrator.
-Later steps replay it: one ``run_program`` call with the GIL released,
-then one ledger credits the executor, the traffic and, with a trace
-session on, the spans and message log from the walker's stamps.
+:mod:`repro.core.rk3`: the stage-state and flux copies (NumPy copies,
+replayed by ``program_copy``).  Every row is one call the window made,
+``int entry(void *)`` over one struct: the entry's address, the arena
+offset of the struct's snapshot and its size.  The recorder keeps each
+row's entry name, by which the ledger and the message log tell rows
+apart.  :func:`leave` freezes what it saw into a :class:`StepProgram`,
+kept by the first rank's integrator.  Later steps replay it: one
+``run_program`` call with the GIL released, then one ledger credits the
+executor, the traffic and, with a trace session on, the spans and
+message log from the walker's stamps.
 
-A row's arguments are a snapshot of its struct (or of its positional
-arguments, as 8-byte words); an address inside a step's blocks (the
-input state, the base, the stage state, per rank) is stored as
-(role, offset) and relocated each replay: a slow stage's species table
-is part of its struct, so its addresses are relocated too.  A strip
-table and its slot addresses are copied into the program.  Every other
-address lies in what the ranks' integrators held when the window ended
-(their context and operators, bindings with the stages' idle flags,
-geometry, flux copies, scratch), which the program keeps.  The walker
-runs each row on a copy of its arguments, so the arena stays as
+A row's struct is in the library's layout, read from its C text
+(:func:`repro.stencil.native.layouts`).  An address inside a step's
+blocks (the input state, the base, the stage state, per rank) is stored
+as (role, offset) and relocated each replay: a slow stage's species
+table is part of its struct, so its addresses are relocated too.  A
+strip table and its slot addresses are copied into the program.  Every
+other address lies in what the ranks' integrators held when the window
+ended (their context and operators, bindings with the stages' idle
+flags, geometry, flux copies, scratch), which the program keeps.  The
+walker runs each row on a copy of its struct, so the arena stays as
 recorded.  A row that returns nonzero aborts the replay (nothing is
 credited) and the generators run the window instead: a step never
 writes its input, and the base is read-only inside the window.
@@ -55,7 +59,6 @@ import bisect
 import ctypes
 import functools
 import os
-import struct
 from collections import Counter
 
 import numpy as np
@@ -64,21 +67,11 @@ from ..obs.trace import CAPTURE, active_session
 from ..stencil import native
 from ..stencil.executor import active_executor
 
-__all__ = ["ENTRIES", "END", "Window", "Recorder", "StepProgram", "enter",
+__all__ = ["END", "Window", "Recorder", "StepProgram", "enter",
            "leave"]
 
-#: the rows' entries (a :class:`~repro.stencil.native.Recorded` entry's
-#: name, or ``copy``), in the order of csrc/program.c's table
-ENTRIES = ("acoustic_context", "slow_stage", "acoustic_operator", "copy",
-           "acoustic_substep", "halo_strips", "moisture_finish")
-_ENTRY = {name: i for i, name in enumerate(ENTRIES)}
-#: a struct passed by reference (``ctypes.byref``)
-_BYREF = type(ctypes.byref(ctypes.c_long()))
-_CODES = {ctypes.c_long: "q", ctypes.c_double: "d", ctypes.c_void_p: "Q"}
 #: the longs of a strip table's row (csrc/halo.c)
 _STRIP_WORDS = 11
-#: the largest row's arguments (csrc/program.c ``PROGRAM_ROW_WORDS``)
-ROW_BYTES = 4096
 #: what a long step yields where its dynamics end
 END = object()
 
@@ -95,16 +88,6 @@ class Window:
     def __init__(self, integrator, state, base):
         self.integrator, self.state, self.base = integrator, state, base
         self.replayed = False
-
-
-class _Header(ctypes.Structure):
-    """``program_header`` of stencil/csrc/program.c, field for field."""
-
-    _fields_ = ([(n, ctypes.c_long) for n in ("nrow", "nreloc")]
-                + [(n, ctypes.c_void_p) for n in ("rows", "relocs", "arena")]
-                + [(n, ctypes.c_long) for n in ("nrank", "nrun", "nseg")]
-                + [(n, ctypes.c_void_p) for n in ("runs", "segs", "taken")]
-                + [("team", ctypes.c_long)])
 
 
 @functools.cache
@@ -126,14 +109,6 @@ def address_mask(cls) -> bytes:
 def _words(mask: bytes) -> tuple:
     """The address words of ``mask``."""
     return tuple(w for w, m in enumerate(mask) if m)
-
-
-@functools.cache
-def _format(argtypes: tuple) -> tuple:
-    """The ``struct`` format of an entry's positional arguments (one word
-    each) and its address mask."""
-    fmt = "".join(_CODES[kind] for kind in argtypes)
-    return "<" + fmt, bytes(code == "Q" for code in fmt)
 
 
 class _Chunk:
@@ -200,43 +175,40 @@ class Recorder:
             self.chunks.append(chunk)
         return chunk
 
-    def row(self, entry: str, words, mask, refs=None) -> None:
+    def row(self, name: str, address: int, obj, refs=None) -> None:
+        """A call of the entry at ``address`` over the struct ``obj``."""
         if self.why is not None:
             return
-        if len(words) > ROW_BYTES:
-            return self.decline(native.Unbound(entry, f"{len(words)} bytes"))
-        chunk = _Chunk(words, mask, refs, self.rank)
+        words = bytes(obj)
+        if len(words) > self.lib.ROW_BYTES:
+            return self.decline(native.Unbound(name, f"{len(words)} bytes"))
+        chunk = _Chunk(words, address_mask(type(obj)), refs, self.rank)
         self.chunks.append(chunk)
-        self.rows.append((_ENTRY[entry], chunk))
+        self.rows.append((name, address, chunk))
 
-    def entry(self, entry: native.Recorded, args: tuple) -> None:
-        """A call of a recorded entry, snapshot before it runs: one struct
-        by reference, else its positional words."""
-        if self.why is not None:
-            return
-        if entry.name == "halo_strips":
-            return self._strips(*args)
-        if len(args) == 1 and type(args[0]) is _BYREF:
-            obj = args[0]._obj
-            return self.row(entry.name, bytes(obj), address_mask(type(obj)))
-        fmt, mask = _format(entry.fn.argtypes)
-        self.row(entry.name, struct.pack(fmt, *args), mask)
+    def entry(self, entry: native.Recorded, obj) -> None:
+        """A call of a recorded entry over its struct."""
+        if self.why is None:
+            self.row(entry.name, entry.address, obj, self._strips(obj)
+                     if entry.name == "halo_strips" else None)
 
-    def _strips(self, nrow: int, rows: int, slots: int) -> None:
-        """A strip table over its slots' addresses: both copied into the
-        program (the slots are relocated)."""
-        table = ctypes.string_at(rows, 8 * _STRIP_WORDS * nrow)
+    def _strips(self, obj) -> dict:
+        """The refs of a strip table's row: the table and its slots'
+        addresses, both copied into the program (the slots are
+        relocated)."""
+        table = ctypes.string_at(obj.rows, 8 * _STRIP_WORDS * obj.nrow)
         longs = memoryview(table).cast("q")
         used = max([*longs[::_STRIP_WORDS], *longs[1::_STRIP_WORDS]],
                    default=-1) + 1
-        self.row("halo_strips", struct.pack("<3q", nrow, 0, 0), bytes(3), {
-            1: self._shared(table, bytes(_STRIP_WORDS * nrow)),
-            2: self._shared(ctypes.string_at(slots, 8 * used), b"\1" * used)})
+        cls = type(obj)
+        return {cls.rows.offset // 8: self._shared(
+                    table, bytes(_STRIP_WORDS * obj.nrow)),
+                cls.fields.offset // 8: self._shared(
+                    ctypes.string_at(obj.fields, 8 * used), b"\1" * used)}
 
     def copy(self, dst: np.ndarray, src: np.ndarray) -> None:
-        self.row("copy", struct.pack("<QQq", native.address(dst),
-                                     native.address(src), dst.nbytes),
-                 b"\1\1\0")
+        self.row("copy", self.lib.copy_address, self.lib.copy_args(
+            dst=native.address(dst), src=native.address(src), n=dst.nbytes))
 
     def span(self, name, cat, pid, tid, attrs, first) -> None:
         """A span closed around rows ``first`` onward; one around no row
@@ -252,7 +224,7 @@ class Recorder:
         """An exchange point's messages: its strip table is the last row."""
         if self.why is not None:
             return
-        if not self.rows or self.rows[-1][0] != _ENTRY["halo_strips"]:
+        if not self.rows or self.rows[-1][0] != "halo_strips":
             return self.decline(native.Unbound("exchange", "no strip table"))
         self.logs.append((comm, sent, len(self.rows) - 1))
 
@@ -350,21 +322,23 @@ class StepProgram:
                       it.binding, it.geom, it.geom.scratch, it.fluxes,
                       it.p_ref, it.rayleigh_w, it.grid)
                      for it in rec.integrators]
-        self.rows = np.array([(entry, 8 * chunk.at, len(chunk.words))
-                              for entry, chunk in rec.rows], np.int64)
+        self.rows = np.array([(address, 8 * chunk.at, len(chunk.words))
+                              for _, address, chunk in rec.rows], np.int64)
         self.relocs = np.frombuffer(relocs, np.int64).reshape(-1, 3)
         self.nrow = len(self.rows)
-        self.runs, self.segs = self._segments([c for _, c in rec.rows])
+        self.runs, self.segs = self._segments([c for *_, c in rec.rows])
         #: a flag a run, which each walk zeroes
         self.taken = np.zeros(len(self.runs), np.int8)
         #: the team a replay walks on: one thread a CPU, at most one a rank
         self.width = team_size(nrank)
         self.team = 1 if self.team_why else self.width
-        self.header = _Header(
-            self.nrow, len(self.relocs), self.rows.ctypes.data,
-            self.relocs.ctypes.data, origin, nrank, len(self.runs),
-            len(self.segs), self.runs.ctypes.data, self.segs.ctypes.data,
-            self.taken.ctypes.data, self.team)
+        self.header = lib.program_header(
+            nrow=self.nrow, nreloc=len(self.relocs),
+            rows=self.rows.ctypes.data, relocs=self.relocs.ctypes.data,
+            arena=origin, nrank=nrank, nrun=len(self.runs),
+            nseg=len(self.segs), runs=self.runs.ctypes.data,
+            segs=self.segs.ctypes.data, taken=self.taken.ctypes.data,
+            team=self.team)
         self.bases = np.zeros(len(rec.blocks), np.uintp)
         #: the walker's stamps, made by the first traced replay
         self.stamps = None
@@ -376,8 +350,8 @@ class StepProgram:
         # stage wrote (its rank's binding says which), in slow-stage row
         # order
         stage_of, self.stages = {}, []
-        for i, (entry, chunk) in enumerate(rec.rows):
-            if entry == _ENTRY["slow_stage"]:
+        for i, (name, _, chunk) in enumerate(rec.rows):
+            if name == "slow_stage":
                 names = rec.layouts[chunk.rank].names[5:]
                 stage_of[i] = len(self.stages)
                 self.stages.append((names, rec.integrators[

@@ -95,31 +95,6 @@ class DynamicsConfig:
         get_limiter(self.limiter)  # validate early
 
 
-#: the species one compiled stage takes (csrc/acoustic.c's STAGE_MAXQ)
-STAGE_MAXQ = 8
-
-
-class _StageArgs(ctypes.Structure):
-    """``stage_args`` of stencil/csrc/acoustic.c, field for field."""
-
-    _fields_ = (
-        [(n, ctypes.c_long) for n in "nxh nyh nz h nx ny nq first".split()]
-        + [(n, ctypes.c_double) for n in "dx dy f".split()]
-        + [(n, ctypes.c_void_p) for n in (
-            "dz_c dz_f ray metric rho rhou rhov rhow rhotheta r_u r_v r_w "
-            "r_theta w_s m_s prev idle u v w phi fz arena").split()]
-        + [("q", ctypes.c_void_p * (3 * STAGE_MAXQ))])
-
-
-class _MoistureArgs(ctypes.Structure):
-    """``moisture_args`` of stencil/csrc/acoustic.c, field for field."""
-
-    _fields_ = ([(n, ctypes.c_long) for n in "nxh nyh nz h nx ny nq".split()]
-                + [("dts", ctypes.c_double), ("idle", ctypes.c_void_p)]
-                + [(n, ctypes.c_void_p * STAGE_MAXQ)
-                   for n in ("q", "base", "tend")])
-
-
 def stage_declines(cfg, limiter) -> "native.Unbound | None":
     """Why the compiled stage cannot run this configuration, else None."""
     if limiter is not koren:
@@ -145,8 +120,8 @@ class StageBinding:
     counted :class:`native.Unbound` of ``"slow stages"``, and
     :func:`slow_tendencies`' NumPy text runs) for a grid with ``nz < 4`` or
     ``halo < 2``, a non-Koren limiter, diffusion or drag configured, more
-    than :data:`STAGE_MAXQ` species, and a state that is not float64 or
-    holds a field as a wrapper."""
+    than ``STAGE_MAXQ`` species (csrc/acoustic.c), and a state that is not
+    float64 or holds a field as a wrapper."""
 
     def __init__(self, geom: AcousticGeometry):
         g = geom.grid
@@ -159,11 +134,11 @@ class StageBinding:
         if self.lib is None:
             return
         flux = geom.metric_flux
+        grid = dict(dz_c=g.dz_c, dz_f=g.dz_f, u=s.u, v=s.v, w=s.w[0],
+                    phi=s.c[0], fz=s.w[1], arena=s.arena)
         ptrs = (native.Unbound("nz", f"{g.nz} < 4") if g.nz < 4 else
                 native.Unbound("halo", f"{g.halo} < 2") if g.halo < 2 else
-                flux._unbound or native.pointers(np.float64, dict(
-                    dz_c=g.dz_c, dz_f=g.dz_f, u=s.u, v=s.v, w=s.w[0],
-                    phi=s.c[0], fz=s.w[1], arena=s.arena)))
+                flux._unbound or native.pointers(np.float64, grid))
         if isinstance(ptrs, native.Unbound):
             self.unbound = ptrs
             return
@@ -172,27 +147,27 @@ class StageBinding:
         #: the idle flags of each RK stage: stage s reads row s - 1 (a
         #: later stage's candidates) and writes row s, which its moisture
         #: finish reads
-        self.idle = np.zeros((3, STAGE_MAXQ), np.int64)
+        maxq = self.lib.STAGE_MAXQ
+        self.idle = np.zeros((3, maxq), np.int64)
         self.rows = [native.address(row) for row in self.idle]
         #: the outputs (r_u r_v r_w r_theta w_s m_s), then a tendency slot
         #: per species: views of one block the binding keeps
         shapes = (g.shape_u, g.shape_v, g.shape_w, g.shape_c, g.shape_w,
-                  g.shape_w, *[g.shape_c] * STAGE_MAXQ)
+                  g.shape_w, *[g.shape_c] * maxq)
         ends = np.cumsum([0, *map(math.prod, shapes)]).tolist()
         out = np.empty(ends[-1])
         self.views = [out[lo:hi].reshape(shape)
                       for lo, hi, shape in zip(ends, ends[1:], shapes)]
         self.addresses = [native.address(out) + 8 * lo for lo in ends[:-1]]
-        self.args = a = _StageArgs(
+        self.args = a = self.lib.stage_args(
             nxh=g.nxh, nyh=g.nyh, nz=g.nz, h=g.halo, nx=g.nx, ny=g.ny,
-            dx=g.dx, dy=g.dy, metric=ctypes.addressof(flux._args))
-        for name, ptr in zip("dz_c dz_f u v w phi fz arena".split(), ptrs):
-            setattr(a, name, ptr)
+            dx=g.dx, dy=g.dy, metric=ctypes.addressof(flux.args(self.lib)),
+            **dict(zip(grid, ptrs)))
         a.r_u, a.r_v, a.r_w, a.r_theta, a.w_s, a.m_s = self.addresses[:6]
         self.call = functools.partial(self.lib.slow_stage, ctypes.byref(a))
         #: the moisture finish's struct: the tendency slots are set once
-        self.moist = _MoistureArgs(nxh=g.nxh, nyh=g.nyh, nz=g.nz, h=g.halo,
-                                   nx=g.nx, ny=g.ny)
+        self.moist = self.lib.moisture_args(
+            nxh=g.nxh, nyh=g.nyh, nz=g.nz, h=g.halo, nx=g.nx, ny=g.ny)
         self.moist.tend[:] = self.addresses[6:]
 
     def current(self, geom: AcousticGeometry) -> bool:
@@ -229,8 +204,8 @@ class StageBinding:
         if why is not None:
             return why
         names = list(state.q)
-        nq = len(names)
-        if nq > STAGE_MAXQ:
+        nq, maxq = len(names), self.lib.STAGE_MAXQ
+        if nq > maxq:
             return native.Unbound("q", f"{nq} species")
         g = self.geom.grid
         if state.layout.shapes[:4] != (g.shape_c, g.shape_u, g.shape_v,
@@ -253,7 +228,7 @@ class StageBinding:
             self.idle[stage - 1, :nq] = [n in idle for n in names]
         a = self.args
         a.q[:] = (*species, *bases, *self.addresses[6:6 + nq],
-                  *[0] * (3 * (STAGE_MAXQ - nq)))
+                  *[0] * (3 * (maxq - nq)))
         a.rho, a.rhou, a.rhov, a.rhow, a.rhotheta = ptrs[:5]
         a.nq, a.first = nq, first
         a.prev, a.idle = self.rows[stage - 1], self.rows[stage]
@@ -278,7 +253,7 @@ class StageBinding:
 
     def written(self, args: bytes) -> np.ndarray:
         """The flag row a stage wrote, from its struct's snapshot."""
-        idle = _StageArgs.from_buffer_copy(args).idle
+        idle = type(self.args).from_buffer_copy(args).idle
         return self.idle[self.rows.index(idle)]
 
     def finish(self, st: State, base: State, dts: float, nq: int) -> bool:
@@ -483,7 +458,7 @@ class Rk3Integrator:
         compiled stage would decline, decided before anything runs."""
         if lay.dtype != np.float64:
             return native.Unbound("rho", lay.dtype.name)
-        if len(lay.names) - 5 > STAGE_MAXQ:
+        if len(lay.names) - 5 > native.kernels().STAGE_MAXQ:
             return native.Unbound("q", f"{len(lay.names) - 5} species")
         return stage_declines(self.cfg, self.limiter)
 

@@ -7,8 +7,9 @@
  * is an entry point of its own; once a long step come the EOS with the
  * linearization (acoustic_context) and the operator assembly
  * (acoustic_operator), and state_velocities whenever State.velocities is
- * asked.  Float64 like
- * AcousticScratch.  Every expression mirrors one ufunc call of the NumPy
+ * asked.  An entry a captured step replays (repro/core/program.py) is
+ * `int entry(void *)` over one struct.  Float64 like AcousticScratch.
+ * Every expression mirrors one ufunc call of the NumPy
  * oracle (AcousticStepper._substep_numpy, contravariant_mass_flux_w,
  * thomas_solve, build_context, HelmholtzOperator, State.velocities,
  * slow_tendencies), in its order, so the fields come out the same bytes;
@@ -28,9 +29,9 @@
  * contravariant_mass_flux_w, reached from MetricFlux, one x row at a time.
  * The metrics are float64; the momenta are float64 or (f32) float32,
  * widened row by row, and a float32 result is rounded where the oracle
- * rounds it: after the rhow division and on the store.  jac_u == NULL on a flat grid (no metric term), rhow == NULL
- * for the metric part alone (an all +0.0 rhow).  The struct is
- * repro.core.advection._MetricArgs. */
+ * rounds it: after the rhow division and on the store.  jac_u == NULL on
+ * a flat grid (no metric term), rhow == NULL for the metric part alone
+ * (an all +0.0 rhow). */
 typedef struct {
     long nxh, nyh, nz;
     const double *jac, *jac_u, *jac_v, *dzsdx_u, *dzsdy_v, *decay_f;
@@ -165,10 +166,9 @@ static void thomas_block(long ncol, long n, long bc, long c0, long nb,
  * flux m_now, (3)-(4) the explicit continuity / thermodynamics and the
  * Helmholtz right-hand side, the Thomas solve into w_new, and the implied
  * rho / rhotheta / rhow update.  The first substep of a stage (k == 0)
- * also evaluates the stage-invariant vertical theta transport dws.  The
- * struct is repro.core.acoustic._Args, field for field: an integrator
- * binds its grid, geometry and scratch once, a stage its state,
- * context, forcing, operator, damping pair and dws. */
+ * also evaluates the stage-invariant vertical theta transport dws.  An
+ * integrator binds its grid, geometry and scratch once, a stage its
+ * state, context, forcing, operator, damping pair and dws. */
 typedef struct {
     long nxh, nyh, nz, h, nx, ny;
     long k;                     /* substeps taken this stage */
@@ -364,7 +364,7 @@ static void substep_update(const acoustic_args *restrict a)
         }
 }
 
-void acoustic_substep(acoustic_args *restrict a)
+int acoustic_substep(acoustic_args *restrict a)
 {
     const long ncol = a->nxh * a->nyh;
     double *pp = a->k % 2 ? a->pp1 : a->pp0;
@@ -384,6 +384,7 @@ void acoustic_substep(acoustic_args *restrict a)
                          a->fsub, a->fcp, a->fden, a->rhs, a->w_new, a->col);
     substep_update(a);
     a->k++;
+    return 0;
 }
 
 /* ---- repro.core.acoustic.build_context: the EOS of
@@ -393,7 +394,14 @@ void acoustic_substep(acoustic_args *restrict a)
  * edge faces copy their cell; theta is scratch), and the three
  * dtau-independent brackets of repro.core.helmholtz.HelmholtzOperator
  * (xsup, xsub, ydiag: (nxh, nyh, nz - 1)), all halo-inclusive. */
-void acoustic_context(long nxh, long nyh, long nz, double gamma,
+typedef struct {
+    long nxh, nyh, nz;
+    double gamma, half_g, rd, p0;
+    const double *jac, *rho, *rt, *p_ref, *dz_c, *dz_f;
+    double *p_t, *theta, *cp_lin, *pc, *xf, *yf, *wf, *xsup, *xsub, *ydiag;
+} context_args;
+
+static void context(long nxh, long nyh, long nz, double gamma,
                       double half_g, double rd, double p0,
                       const double *restrict jac, const double *restrict rho,
                       const double *restrict rt, double *restrict p_t,
@@ -462,13 +470,28 @@ void acoustic_context(long nxh, long nyh, long nz, double gamma,
     }
 }
 
+int acoustic_context(const context_args *a)
+{
+    context(a->nxh, a->nyh, a->nz, a->gamma, a->half_g, a->rd, a->p0, a->jac,
+            a->rho, a->rt, a->p_t, a->p_ref, a->dz_c, a->dz_f, a->theta,
+            a->cp_lin, a->pc, a->xf, a->yf, a->wf, a->xsup, a->xsub, a->ydiag);
+    return 0;
+}
+
 /* ---- one (dtau, beta) operator from the brackets: sup = (-s) xsup,
  * sub = (-s) xsub, diag = 1 + s ydiag with s = sq / jac per column
  * (column-leading, ncol x n), and the forward-elimination factors of
  * HelmholtzOperator.thomas_factors, k-leading (n x ncol), a block of bc
  * columns at a time (the transposes stay in cache).  Returns 1 when a
  * diagonal entry is <= 0 (HelmholtzOperator raises). */
-int acoustic_operator(long ncol, long n, double sq, const double *restrict jac,
+typedef struct {
+    long ncol, n;
+    double sq;
+    const double *jac, *xsup, *xsub, *ydiag;
+    double *sup, *sub, *diag, *fsub, *fcp, *fden;
+} operator_args;
+
+static int assemble(long ncol, long n, double sq, const double *restrict jac,
                       const double *restrict xsup, const double *restrict xsub,
                       const double *restrict ydiag, double *restrict sup,
                       double *restrict sub, double *restrict diag,
@@ -511,6 +534,12 @@ int acoustic_operator(long ncol, long n, double sq, const double *restrict jac,
     return bad;
 }
 
+int acoustic_operator(const operator_args *a)
+{
+    return assemble(a->ncol, a->n, a->sq, a->jac, a->xsup, a->xsub, a->ydiag,
+                    a->sup, a->sub, a->diag, a->fsub, a->fcp, a->fden);
+}
+
 /* ---- the velocities of repro.core.state.State.velocities: each momentum
  * divided by the two-point mean of rho at its faces, the edge faces taking
  * their cell's rho.  The faces of one axis: `outer` blocks of n cells of
@@ -548,12 +577,12 @@ void state_velocities(long nxh, long nyh, long nz, const double *restrict rho,
  * StageBinding): the velocities, the metric flux fz, the inactive-species
  * decision, the four advections of advect.c, the f-plane Coriolis force,
  * the Rayleigh sponge on r_w, one advection per active species, w_s and
- * the metric part m_s, so Python crosses into C once a stage.  The struct
- * is repro.core.rk3._StageArgs, field for field: an integrator binds its
- * grid, sponge and scratch once, a stage its state, species table and
- * flag rows (a first one takes every species as a candidate).  Float64,
- * Koren, no diffusion or drag (StageBinding declines the rest). */
-#define STAGE_MAXQ 8            /* repro.core.rk3.STAGE_MAXQ */
+ * the metric part m_s, so Python crosses into C once a stage.  An
+ * integrator binds its grid, sponge and scratch once, a stage its state,
+ * species table and flag rows (a first one takes every species as a
+ * candidate).  Float64, Koren, no diffusion or drag (StageBinding
+ * declines the rest). */
+#define STAGE_MAXQ 8            /* read by repro.stencil.native */
 enum { ADV_SCALAR, ADV_U, ADV_V, ADV_W };   /* advect.c's variants */
 
 void advect_f64(int variant, const double *p, const double *fx,
@@ -731,7 +760,7 @@ int slow_stage(stage_args *restrict a)
  * stage left active (idle[n] == 0: the slow stage's flags, so that the
  * skip is decided here) takes q = base + dts * tend on the interior
  * cells, in the oracle's two ufunc calls; an idle species keeps the
- * base's +0.0.  The struct is repro.core.rk3._MoistureArgs. */
+ * base's +0.0. */
 typedef struct {
     long nxh, nyh, nz, h, nx, ny, nq;
     double dts;
@@ -740,7 +769,7 @@ typedef struct {
     const double *base[STAGE_MAXQ], *tend[STAGE_MAXQ];
 } moisture_args;
 
-void moisture_finish(const moisture_args *restrict a)
+int moisture_finish(const moisture_args *restrict a)
 {
     const long nz = a->nz, nyh = a->nyh;
 
@@ -758,4 +787,5 @@ void moisture_finish(const moisture_args *restrict a)
                 }
             }
     }
+    return 0;
 }

@@ -6,9 +6,16 @@
  * run in order and each copy is one memmove: NumPy reads an overlapping
  * source first, which is what memmove does.
  */
-void halo_strips(long nrow, const long *rows, char *const *fields)
+typedef struct {
+    long nrow;
+    const long *rows;
+    char *const *fields;        /* the slots' addresses */
+} strips_args;
+
+int halo_strips(const strips_args *a)
 {
-    for (const long *d = rows; d < rows + 11 * nrow; d += 11) {
+    char *const *fields = a->fields;
+    for (const long *d = a->rows; d < a->rows + 11 * a->nrow; d += 11) {
         char *dst = fields[d[0]] + d[3];
         const char *src = fields[d[1]] + d[4];
         for (long i = 0; i < d[5]; i++)
@@ -16,4 +23,5 @@ void halo_strips(long nrow, const long *rows, char *const *fields)
                 memmove(dst + i * d[6] + j * d[9],
                         src + i * d[7] + j * d[10], d[2]);
     }
+    return 0;
 }

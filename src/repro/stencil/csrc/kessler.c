@@ -11,8 +11,7 @@
  * The fields are halo-inclusive (nxh, nyh, nz) and updated in place on
  * the interior; from segment (3) to segment (7) the interior holds the
  * mixing ratios q / rho and theta instead of the G rho-weighted values.
- * Scratch is interior-shaped (nx, ny, nz).  The struct is
- * repro.stencil.kessler._Args, field for field.
+ * Scratch is interior-shaped (nx, ny, nz).
  */
 typedef struct {
     long nyh, nz, h, nx, ny;

@@ -1,8 +1,9 @@
 /* The walker of repro/core/program.py: the dynamics of a long step as a
  * table of rows, recorded once from the generator and replayed in one
  * call with the GIL released.  Every row is one call the generator made:
- * an entry, the arena offset of its arguments (a struct, or the words of
- * a call's positional arguments) and their size.  A replay writes each
+ * the address of its entry, `int entry(void *)` (a Recorded entry of
+ * repro.stencil.native, or program_copy for a NumPy copy), the arena
+ * offset of its struct and the struct's size.  A replay writes each
  * relocated address (a step's block base plus an offset), then runs the
  * rows, each on a copy of its arguments: a body may advance its struct
  * (acoustic_args.k), and the arena stays as recorded.  A row that
@@ -28,9 +29,9 @@
 #include <stdatomic.h>
 #include <time.h>
 
-/* the largest row's arguments (repro.core.program.ROW_BYTES) */
+/* the largest row's arguments, in longs (read by repro.stencil.native) */
 #define PROGRAM_ROW_WORDS 512
-/* the longs of a row: entry, arena offset, bytes */
+/* the longs of a row: entry address, arena offset, bytes */
 #define PROGRAM_ROW_LONGS 3
 /* the loads a waiting worker spins on before it yields its CPU each turn
  * (a few microseconds).  No `pause`: under a hypervisor's pause-loop
@@ -38,68 +39,19 @@
  * rose to the one-thread walk's (EXPERIMENTS.md "A team walk") */
 #define PROGRAM_SPINS 4096
 
-typedef union {
-    long l;
-    double d;
-    void *p;
-} word;
+/* a copy row: the NumPy copies of a window (stage state, fluxes) */
+typedef struct {
+    void *dst;
+    const void *src;
+    long n;
+} copy_args;
 
-static int row_context(void *args)
+int program_copy(const copy_args *a)
 {
-    const word *w = args;
-    acoustic_context(w[0].l, w[1].l, w[2].l, w[3].d, w[4].d, w[5].d, w[6].d,
-                     w[7].p, w[8].p, w[9].p, w[10].p, w[11].p, w[12].p,
-                     w[13].p, w[14].p, w[15].p, w[16].p, w[17].p, w[18].p,
-                     w[19].p, w[20].p, w[21].p, w[22].p);
+    memcpy(a->dst, a->src, a->n);
     return 0;
 }
 
-static int row_stage(void *args)
-{
-    return slow_stage(args);
-}
-
-static int row_operator(void *args)
-{
-    const word *w = args;
-    return acoustic_operator(w[0].l, w[1].l, w[2].d, w[3].p, w[4].p, w[5].p,
-                             w[6].p, w[7].p, w[8].p, w[9].p, w[10].p,
-                             w[11].p, w[12].p);
-}
-
-static int row_copy(void *args)
-{
-    const word *w = args;
-    memcpy(w[0].p, w[1].p, w[2].l);
-    return 0;
-}
-
-static int row_substep(void *args)
-{
-    acoustic_substep(args);
-    return 0;
-}
-
-static int row_strips(void *args)
-{
-    const word *w = args;
-    halo_strips(w[0].l, w[1].p, w[2].p);
-    return 0;
-}
-
-static int row_moisture(void *args)
-{
-    moisture_finish(args);
-    return 0;
-}
-
-/* in the order of repro.core.program.ENTRIES */
-static int (*const program_rows[])(void *) = {
-    row_context, row_stage, row_operator, row_copy, row_substep, row_strips,
-    row_moisture,
-};
-
-/* repro.core.program._Header */
 typedef struct {
     long nrow, nreloc;
     const long *rows;           /* PROGRAM_ROW_LONGS a row */
@@ -120,36 +72,37 @@ static double monotonic(void)
 }
 
 /* row i on a worker's copy of its arguments */
-static int run_row(const program_header *p, long i, word *args,
+static int run_row(const program_header *p, long i, long *args,
                    double *stamps)
 {
     const long *row = p->rows + PROGRAM_ROW_LONGS * i;
     if (stamps)
         stamps[2 * i] = monotonic();
     memcpy(args, p->arena + row[1], row[2]);
-    const int rc = program_rows[row[0]](args);
+    const int rc = ((int (*)(void *))row[0])(args);
     if (stamps)
         stamps[2 * i + 1] = monotonic();
     return rc;
 }
 
-/* one team walk: what its workers share */
-typedef struct {
+/* one team walk: what its workers share (tagged, not a typedef: no Python
+ * caller fills it) */
+struct team_walk {
     const program_header *p;
     double *stamps;
     atomic_long open;           /* segments opened */
     atomic_long finished;       /* runs finished, over every segment */
     atomic_long failed;         /* the first failing row + 1, else 0 */
-} team_walk;
+};
 
-typedef struct {
-    team_walk *t;
+struct team_worker {
+    struct team_walk *t;
     long worker;
-} team_worker;
+};
 
 /* wait until *v >= at_least; 0 where the walk failed (a failing run sets
  * `failed` before it counts itself finished) */
-static int await_count(team_walk *t, atomic_long *v, long at_least)
+static int await_count(struct team_walk *t, atomic_long *v, long at_least)
 {
     for (long spin = 0;
          atomic_load_explicit(v, memory_order_acquire) < at_least; spin++) {
@@ -162,7 +115,7 @@ static int await_count(team_walk *t, atomic_long *v, long at_least)
 }
 
 /* take and run segment s's runs: those of worker w's ranks, then any */
-static void run_segment(team_walk *t, long s, long w, word *args)
+static void run_segment(struct team_walk *t, long s, long w, long *args)
 {
     const program_header *p = t->p;
     const long *seg = p->segs + 3 * s;
@@ -188,9 +141,9 @@ static void run_segment(team_walk *t, long s, long w, word *args)
 
 static void *team_member(void *arg)
 {
-    const team_worker *m = arg;
-    team_walk *t = m->t;
-    word args[PROGRAM_ROW_WORDS];
+    const struct team_worker *m = arg;
+    struct team_walk *t = m->t;
+    long args[PROGRAM_ROW_WORDS];
     for (long s = 0; s < t->p->nseg; s++) {
         if (!await_count(t, &t->open, s + 1))
             break;
@@ -228,26 +181,26 @@ static void place_apart(pthread_attr_t *attr, long w)
 /* worker 0: the caller, which also runs the exchange rows */
 static long team_run(const program_header *p, double *stamps)
 {
-    team_walk t = {.p = p, .stamps = stamps};
+    struct team_walk t = {.p = p, .stamps = stamps};
     atomic_init(&t.open, 1);
     atomic_init(&t.finished, 0);
     atomic_init(&t.failed, 0);
     for (long r = 0; r < p->nrun; r++)
         atomic_store_explicit(&p->taken[r], 0, memory_order_relaxed);
-    team_worker members[p->team];
+    struct team_worker members[p->team];
     pthread_t threads[p->team];
     int started[p->team];
     for (long w = 1; w < p->team; w++) {
         pthread_attr_t attr;
         pthread_attr_init(&attr);
         place_apart(&attr, w);
-        members[w] = (team_worker){&t, w};
+        members[w] = (struct team_worker){&t, w};
         /* a worker that cannot start leaves its runs to be taken */
         started[w] = !pthread_create(&threads[w], &attr, team_member,
                                      &members[w]);
         pthread_attr_destroy(&attr);
     }
-    word args[PROGRAM_ROW_WORDS];
+    long args[PROGRAM_ROW_WORDS];
     for (long s = 0; s < p->nseg; s++) {
         const long *seg = p->segs + 3 * s;
         run_segment(&t, s, 0, args);

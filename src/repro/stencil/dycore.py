@@ -16,6 +16,7 @@ sweep and the strip runner to their oracles at load time
 """
 from __future__ import annotations
 
+import ctypes
 from dataclasses import replace
 
 import numpy as np
@@ -41,13 +42,15 @@ def _strips(strips, addresses: list):
     lib = native.kernels()
     if lib is None:
         return NotImplemented
-    # the slots of the last call keep their C array (a refresh inside one
-    # stage meets the same blocks)
-    bound = strips.bound
-    if bound is None or bound[0] != addresses:
-        bound = strips.bound = (addresses, np.array(addresses, np.uintp))
-    lib.halo_strips(len(strips.rows), native.address(strips.rows),
-                    native.address(bound[1]))
+    # the slots of the last call keep their C array and struct (a refresh
+    # inside one stage meets the same blocks)
+    key, bound = (lib.strips_args, addresses), strips.bound
+    if bound is None or bound[0] != key:
+        slots = np.array(addresses, np.uintp)
+        bound = strips.bound = (key, slots, ctypes.byref(lib.strips_args(
+            nrow=len(strips.rows), rows=native.address(strips.rows),
+            fields=native.address(slots))))
+    lib.halo_strips(bound[2])
     return None
 
 

@@ -28,20 +28,6 @@ __all__: list[str] = []
 _FIELDS = ("rho", "rhotheta", "qv", "qc", "qr")
 
 
-class _Args(ctypes.Structure):
-    """``kessler_args`` of csrc/kessler.c, field for field."""
-
-    _fields_ = (
-        [(n, ctypes.c_long) for n in (
-            "nyh nz h nx ny sedimented evaporation saturation").split()]
-        + [(n, ctypes.c_double) for n in (
-            "dt k1 qc0 k2 rd p0 lv cp eps lv_cp es0 ta t00 tb tetens_num "
-            "vt_coef vt_exp rho_sfc max_cfl dz_min gamma kappa").split()]
-        + [(n, ctypes.c_void_p) for n in (
-            "jac dz_c rho rhotheta qv qc qr precip b0 b1 b2 b3 b4").split()]
-        + [("dt_sub", ctypes.c_double), ("frac", ctypes.c_double)])
-
-
 @register_fused("kessler_step")
 def _kessler_step(state, ref, dt, cfg=None, scratch=None):
     lib = native.kernels()
@@ -54,15 +40,20 @@ def _kessler_step(state, ref, dt, cfg=None, scratch=None):
     cfg, g = cfg or KesslerConfig(), state.grid
     s = scratch or AcousticScratch(g)
     names, (precip, precip_dt) = state.layout.names, s.precip
-    lib.kessler(ctypes.byref(_Args(
-        g.nyh, g.nz, g.halo, g.nx, g.ny, cfg.sedimentation, cfg.evaporation,
-        cfg.saturation_adjust, dt, cfg.autoconv_rate, cfg.autoconv_threshold,
-        cfg.accretion_rate, c.RD, c.P0, c.LV, c.CP, c.RD / c.RV, c.LV / c.CP,
-        sat._ES0, sat._A, sat._T00, sat._B, sat._A * (sat._T00 - sat._B),
-        sed._VT_COEF, sed._VT_EXP, sed._RHO_SFC, sed.MAX_CFL,
-        float(g.dz_c.min()), c.CP / c.CV, c.KAPPA, native.address(g.jac),
-        native.address(g.dz_c), *(ptrs[names.index(n)] for n in _FIELDS),
-        precip.ctypes.data, *(b.ctypes.data for b in s.i))))
+    lib.kessler(ctypes.byref(lib.kessler_args(
+        nyh=g.nyh, nz=g.nz, h=g.halo, nx=g.nx, ny=g.ny,
+        sedimented=cfg.sedimentation, evaporation=cfg.evaporation,
+        saturation=cfg.saturation_adjust, dt=dt, k1=cfg.autoconv_rate,
+        qc0=cfg.autoconv_threshold, k2=cfg.accretion_rate, rd=c.RD, p0=c.P0,
+        lv=c.LV, cp=c.CP, eps=c.RD / c.RV, lv_cp=c.LV / c.CP, es0=sat._ES0,
+        ta=sat._A, t00=sat._T00, tb=sat._B,
+        tetens_num=sat._A * (sat._T00 - sat._B), vt_coef=sed._VT_COEF,
+        vt_exp=sed._VT_EXP, rho_sfc=sed._RHO_SFC, max_cfl=sed.MAX_CFL,
+        dz_min=float(g.dz_c.min()), gamma=c.CP / c.CV, kappa=c.KAPPA,
+        jac=native.address(g.jac), dz_c=native.address(g.dz_c),
+        **{n: ptrs[names.index(n)] for n in _FIELDS},
+        **{f"b{k}": b.ctypes.data for k, b in enumerate(s.i)},
+        precip=precip.ctypes.data)))
     if state.precip_accum is None:
         state.precip_accum = np.zeros((g.nx, g.ny))
     np.multiply(precip, dt, out=precip_dt)

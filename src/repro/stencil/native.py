@@ -24,8 +24,11 @@ what runs without a library; whether a compiled body runs is this one
 fact, :func:`kernels` (a ``reference`` executor holds it off with
 :func:`using`).  A loaded library whose body cannot take one call's
 operands is a per-call fact, not a fifth outcome: that call runs the
-oracle and :func:`unbound` counts it, by reason.  docs/STENCILS.md
-"Compiled bodies".
+oracle and :func:`unbound` counts it, by reason.  What a compiled call
+takes is declared once, in the C: every ``typedef struct`` of the
+sources is read at load as that library's ctypes layout
+(:func:`layouts`), and every call site fills its struct by field name.
+docs/STENCILS.md "Compiled bodies".
 """
 from __future__ import annotations
 
@@ -37,6 +40,7 @@ import hashlib
 import math
 import os
 import platform
+import re
 import shutil
 import stat
 import threading
@@ -51,7 +55,7 @@ import numpy as np
 from ..obs.trace import CAPTURE
 
 __all__ = ["FLAGS", "CLONES", "STATES", "Native", "Unbound", "Recorded",
-           "load", "count_programs", "walk_speedup",
+           "layouts", "load", "count_programs", "walk_speedup",
            "library", "kernels", "address", "pointers", "same", "unbound",
            "using"]
 
@@ -103,7 +107,9 @@ class Native:
     #: ``substep`` and ``slow_stage``, ``metric_flux``, ``context``,
     #: ``operator``, ``velocities``, ``kessler``, ``moisture`` (the stage's
     #: moisture finish), ``halo_strips`` (byte copies: any dtype) and
-    #: ``run_program`` (a captured step's walker)
+    #: ``run_program`` (a captured step's walker); ``copy_address`` (a
+    #: copy row's entry); the structs by their C names (``stage_args``,
+    #: ...), ``STAGE_MAXQ`` and ``ROW_BYTES``, read from the sources
     f64: SimpleNamespace | None = field(default=None, repr=False)
 
     def stats(self) -> dict:
@@ -154,21 +160,23 @@ class Unbound:
 
 class Recorded:
     """A compiled entry a long step's dynamics call (a row of a captured
-    step, :mod:`repro.core.program`): the ctypes function ``fn``, whose
-    call on a thread that is capturing a step (:data:`CAPTURE` set) is
-    reported to that step's recorder before it runs.  Its arguments are
-    the words of ``fn.argtypes`` or one struct by reference."""
+    step, :mod:`repro.core.program`): the ctypes function ``fn`` of C
+    signature ``int entry(void *)`` at ``address``, called with one struct
+    by reference; a call on a thread that is capturing a step
+    (:data:`CAPTURE` set) is reported to that step's recorder before it
+    runs."""
 
-    __slots__ = ("name", "fn")
+    __slots__ = ("name", "fn", "address")
 
     def __init__(self, name: str, fn):
         self.name, self.fn = name, fn
+        self.address = ctypes.cast(fn, _PTR).value
 
-    def __call__(self, *args):
+    def __call__(self, ref):
         rec = CAPTURE.get()
         if rec is not None:
-            rec.entry(self, args)
-        return self.fn(*args)
+            rec.entry(self, ref._obj)
+        return self.fn(ref)
 
 
 def count_programs(team: int = 0, **counts) -> None:
@@ -323,34 +331,80 @@ def _build(cc: list, sources: dict, path: str) -> None:
                 os.unlink(leftover)
 
 
+# ---------------------------------------------------------------- layouts
+# (no leading anchor or word boundary: each scans 64 KB of C at load, and
+# a literal first keeps it to a tenth of a millisecond)
+_COMMENT = re.compile(r"/\*[^*]*\*+(?:[^/*][^*]*\*+)*/")
+_DEFINE = re.compile(r"#define[ \t]+(\w+)[ \t]+(\d+)[ \t]*$", re.M)
+_TYPEDEF = re.compile(r"typedef\s+struct\s*\{([^{}]*)\}\s*(\w+)\s*;")
+#: ``[const] type`` and its declarators: stars (each maybe ``const``), a
+#: name and at most one array length
+_DECLARATION = re.compile(r"\s*(?:const\s+)?(\w+)\s+([^;]+)")
+_DECLARATOR = re.compile(
+    r"\s*((?:\*\s*(?:const\b\s*)?)*)(\w+)\s*(?:\[([^\]]*)\])?\s*")
+_SCALARS = {"long": ctypes.c_long, "int": ctypes.c_int,
+            "double": ctypes.c_double}
+
+
+def layouts(sources: dict) -> tuple:
+    """``(structs, defines)``: each ``typedef struct { ... } name;`` of
+    ``sources`` as a ``ctypes.Structure``, and the integer ``#define``
+    constants.  A field is a ``long``, ``int``, ``double``, pointer
+    (``atomic_char *`` too) or array of pointers sized by a product of
+    integers and constants; any other ends the load ``build-failed``,
+    naming its struct.  A struct only C fills is declared with a tag
+    instead."""
+    text = _COMMENT.sub(" ", "\n".join(sources.values()))
+    defines = {name: int(value) for name, value in _DEFINE.findall(text)}
+    structs = {}
+    for body, name in _TYPEDEF.findall(text):
+        fields = []
+        for decl in body.split(";")[:-1]:
+            m = _DECLARATION.fullmatch(decl)
+            for d in map(_DECLARATOR.fullmatch, m[2].split(",") if m
+                         else [""]):
+                kind = d and (_PTR if d[1] else _SCALARS.get(m[1]))
+                if d and d[3] is not None:      # an array of pointers
+                    n = 0
+                    with contextlib.suppress(ValueError):
+                        n = math.prod(int(defines.get(f.strip(), f))
+                                      for f in d[3].split("*"))
+                    kind = d[1] and n > 0 and _PTR * n
+                if not kind:
+                    raise _Unavailable("build-failed", f"struct {name}: cannot"
+                                       f" read '{' '.join(decl.split())}'")
+                fields.append((d[2], kind))
+        structs[name] = type(name, (ctypes.Structure,), {"_fields_": fields})
+    return structs, defines
+
+
 # ------------------------------------------------------------------- load
-def _bind(dll: ctypes.CDLL) -> dict:
+def _bind(dll: ctypes.CDLL, structs: dict, defines: dict) -> dict:
     def fn(name, *argtypes, restype=None):
         f = getattr(dll, name)
         f.argtypes, f.restype = argtypes, restype
         return f
 
-    def row(name, *argtypes, restype=None):
+    def row(name):
         """An entry a captured step's window calls: every call there is
-        one of its rows."""
-        return Recorded(name, fn(name, *argtypes, restype=restype))
+        one of its rows, ``int entry(void *)`` over one struct."""
+        return Recorded(name, fn(name, _PTR, restype=ctypes.c_int))
 
-    f64 = SimpleNamespace(faces=fn("faces_f64", _PTR, _LONG, _PTR, _PTR,
-                                   _LONG))
+    f64 = SimpleNamespace(**structs, STAGE_MAXQ=defines["STAGE_MAXQ"],
+                          ROW_BYTES=8 * defines["PROGRAM_ROW_WORDS"])
+    f64.faces = fn("faces_f64", _PTR, _LONG, _PTR, _PTR, _LONG)
     f64.advect = fn("advect_f64", ctypes.c_int, *[_PTR] * 5, *[_LONG] * 6,
                     *[ctypes.c_double] * 2, _PTR, _PTR)
-    f64.substep = row("acoustic_substep", _PTR)
-    f64.slow_stage = row("slow_stage", _PTR, restype=ctypes.c_int)
+    (f64.substep, f64.slow_stage, f64.context, f64.operator,
+     f64.halo_strips, f64.moisture) = map(row, (
+        "acoustic_substep", "slow_stage", "acoustic_context",
+        "acoustic_operator", "halo_strips", "moisture_finish"))
     f64.velocities = fn("state_velocities", *[_LONG] * 3, *[_PTR] * 7)
     f64.metric_flux = fn("acoustic_metric_flux", _PTR, ctypes.c_int,
                          *[_PTR] * 4)
-    f64.context = row("acoustic_context", *[_LONG] * 3,
-                      *[ctypes.c_double] * 4, *[_PTR] * 16)
-    f64.operator = row("acoustic_operator", _LONG, _LONG, ctypes.c_double,
-                       *[_PTR] * 10, restype=ctypes.c_int)
     f64.kessler = fn("kessler_step", _PTR)
-    f64.halo_strips = row("halo_strips", _LONG, _PTR, _PTR)
-    f64.moisture = row("moisture_finish", _PTR)
+    # a copy row's entry: called by the walker alone
+    f64.copy_address = ctypes.cast(dll.program_copy, _PTR).value
     f64.run_program = fn("run_program", _PTR, _PTR, _PTR, restype=_LONG)
     dll.repro_clones.restype = ctypes.c_char_p
     ufuncs = (np.exp, np.power)
@@ -369,6 +423,7 @@ def _find_build_check(lib: Native, sources: dict) -> None:
         [*_units(sources, CLONES), *_units(sources, ()), *FLAGS,
          *_includes(), np.__version__, identity,
          platform.machine()]).encode()).hexdigest()[:16]
+    structs, defines = layouts(sources)
     directory = cache_dir()
     if directory is None:
         raise _Unavailable("cache-unwritable", "no private cache directory")
@@ -384,9 +439,10 @@ def _find_build_check(lib: Native, sources: dict) -> None:
         finally:
             lib.build_s = time.perf_counter() - t0
     try:
-        vars(lib).update(_bind(ctypes.CDLL(path)))
-    # ValueError: numpy.exp or numpy.power without an all-double loop
-    except (OSError, AttributeError, ValueError) as exc:
+        vars(lib).update(_bind(ctypes.CDLL(path), structs, defines))
+    # ValueError: numpy.exp or numpy.power without an all-double loop;
+    # KeyError: a constant the sources no longer define
+    except (OSError, AttributeError, ValueError, KeyError) as exc:
         raise _Unavailable("build-failed", str(exc)) from None
     from ..core import acoustic
     from . import dycore, kessler

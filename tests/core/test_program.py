@@ -230,18 +230,51 @@ def test_a_wrapper_that_resumes_with_next_keeps_the_replay(monkeypatch):
     assert programs["replayed"] == (STEPS - 1 if COMPILED else 0)
 
 
-def test_every_window_entry_reports_its_calls():
+def test_every_window_entry_reports_its_calls(monkeypatch):
     """The recording is behind ``native``: every compiled entry a window
     calls is a :class:`native.Recorded`, so a call site cannot forget
-    to record (``copy`` rows are the NumPy copies, hooked in rk3)."""
+    to record (``copy`` rows are the NumPy copies, hooked in rk3): the
+    entry names the recorder keeps are the library's recorded entries."""
     lib = native.kernels()
     if lib is None:
         assert not COMPILED
         return
     recorded = {e.name for e in vars(lib).values()
                 if isinstance(e, native.Recorded)}
-    assert recorded == set(program.ENTRIES) - {"copy"}
+    *_, rec = _recorded(monkeypatch)
+    assert {name for name, _, _ in rec.rows} == recorded | {"copy"}
     assert not isinstance(lib.run_program, native.Recorded)
+
+
+def test_every_recorded_entry_takes_one_struct_and_returns_int():
+    """A row is ``int entry(void *)``: every recorded entry's ctypes
+    function takes one pointer and returns a C int."""
+    lib = native.kernels()
+    if lib is None:
+        assert not COMPILED
+        return
+    entries = [e for e in vars(lib).values() if isinstance(e, native.Recorded)]
+    assert len(entries) == 6
+    for e in entries:
+        assert e.fn.argtypes == (ctypes.c_void_p,), e.name
+        assert e.fn.restype is ctypes.c_int, e.name
+
+
+@pytest.mark.skipif(not COMPILED, reason="needs the compiled bodies")
+def test_every_row_address_is_a_recorded_entry_or_the_copy(monkeypatch):
+    """A row stores its entry's function address: one of the loaded
+    library's recorded entries (the one its name says) or
+    ``program_copy`` for a copy row."""
+    lib = native.kernels()
+    *_, prog, rec = _recorded(monkeypatch)
+    entries = {e.name: e.address for e in vars(lib).values()
+               if isinstance(e, native.Recorded)}
+    entries["copy"] = lib.copy_address
+    assert [address for _, address, _ in rec.rows] == \
+        [entries[name] for name, _, _ in rec.rows]
+    assert prog.rows[:, 0].tolist() == [address for _, address, _
+                                        in rec.rows]
+    assert set(prog.rows[:, 0].tolist()) == set(entries.values())
 
 
 @pytest.mark.skipif(not COMPILED, reason="needs the compiled bodies")
@@ -275,12 +308,12 @@ def test_every_row_is_a_call_the_window_made(spec, nrow, monkeypatch):
     exp = Experiment(spec).prepare()
     exp.advance(1)
     (rec,) = recorders
-    assert [program.ENTRIES[entry] for entry, _ in rec.rows] == made
+    assert [name for name, _, _ in rec.rows] == made
     assert len(made) == nrow
-    assert {program.ENTRIES[entry] for entry, chunk in rec.rows
+    assert {name for name, _, chunk in rec.rows
             if chunk.refs} == {"halo_strips"}
-    assert all(chunk.refs for entry, chunk in rec.rows
-               if program.ENTRIES[entry] == "halo_strips")
+    assert all(chunk.refs for name, _, chunk in rec.rows
+               if name == "halo_strips")
     exp.run()
 
 
@@ -387,7 +420,7 @@ def test_every_scratch_address_of_a_rank_lies_in_its_own_scratch(
         assert any(obj is scratch[rank] for obj in kept)
     words = prog.arena.view(np.uint64).tolist()
     found = Counter()
-    for _, chunk in rec.rows:
+    for *_, chunk in rec.rows:
         for w, m in enumerate(chunk.mask):
             value = words[chunk.at + w]
             if m and chunk.rank >= 0 and any(_inside(value, s.arrays())
