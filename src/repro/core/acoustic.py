@@ -99,7 +99,7 @@ class SlowForcing:
     r_w: np.ndarray          # tendency of rhow (interior w faces valid)
     r_theta: np.ndarray      # tendency of rhotheta (interior cells valid)
     fx_s: np.ndarray         # stage-state mass fluxes: the stage state's
-    fy_s: np.ndarray         # rhou / rhov (or the integrator's copies)
+    fy_s: np.ndarray         # rhou / rhov (copies where it is refilled)
     w_s: np.ndarray          # stage-state rhow (boundary faces zero)
     m_s: np.ndarray          # stage-state metric vertical flux
     #: the eight addresses, in field order, where the compiled stage
@@ -263,12 +263,6 @@ def _dz_center_from_faces(
     return np.divide(out, grid.dz_c[None, None, :], out=out)
 
 
-#: columns of one Thomas block of the compiled substep (csrc/acoustic.c's
-#: THOMAS_BLOCK): its n x THOMAS_BLOCK elimination buffer stays in L1 for
-#: the n of every workload here
-THOMAS_BLOCK = 64
-
-
 class AcousticScratch:
     """Every within-substep temporary of one integrator's grid, allocated
     once and shared by its steppers (a substep runs to
@@ -296,8 +290,6 @@ class AcousticScratch:
                    for w in self.w]
         #: Helmholtz right-hand side; its halo columns stay zero
         self.rhs = np.zeros((nxh, nyh, nz - 1))
-        #: the compiled substep's columns and its Thomas block, in turn
-        self.col = np.empty(THOMAS_BLOCK * (nz + 1))
         #: the slow stage's velocities at the u and v faces (its w, fz and
         #: theta or q / rho go on w[0], w[1] and c[0]) and advection rows
         self.u = np.empty((nxh + 1, nyh, nz))
@@ -309,7 +301,7 @@ class AcousticScratch:
     def arrays(self) -> list:
         """Every array of the scratch's own memory (no view)."""
         return [*self.c, *self.gu, *self.gv, *self.i, *self.k, *self.w,
-                self.rhs, self.col, self.u, self.v, self.arena, self.precip]
+                self.rhs, self.u, self.v, self.arena, self.precip]
 
 
 #: prognostic fields refreshed after every acoustic substep — the
@@ -344,11 +336,13 @@ class SubstepBinding:
         self.args = self.substep = self.unbound = None
         if self.lib is None:
             return
+        #: the compiled substep's columns and its Thomas block, in turn
+        self.col = np.empty(self.lib.THOMAS_BLOCK * (g.nz + 1))
         arrays = dict(
             rho_ref_hat=geom.rho_ref_hat, jac=g.jac, njac_u=geom.njac_u,
             njac_v=geom.njac_v, dz_c=g.dz_c, dz_f=g.dz_f, pp_h=s.c[0],
             dppdz=s.c[-1], rho_e=s.i[0], theta_e=s.i[3], rhs=s.rhs,
-            m_now=s.w[0], w_new=s.w[1], col=s.col, pp0=self.pp[0],
+            m_now=s.w[0], w_new=s.w[1], col=self.col, pp0=self.pp[0],
             pp1=self.pp[1], dws=self.dws)
         if geom.has_terrain:
             arrays.update(met_u=geom.met_u, met_v=geom.met_v, dzc2=geom.dzc2)
@@ -704,7 +698,8 @@ def native_check(lib) -> str:
     with the sponge and a later one on terrain with Coriolis, over an
     active species, an idle one and one whose only nonzero byte is a lone
     ``-0.0``: the advection's only check, as ``slow_stage`` is its only
-    caller."""
+    caller; each refills a stage state from the base (the later one the
+    state it read, its fluxes moved out first)."""
     from ..stencil.executor import StencilExecutor, use_executor
     from .boundary import rayleigh_coefficient
     from .grid import make_grid
@@ -779,20 +774,29 @@ def native_check(lib) -> str:
         lone[4, 3, 2] = -0.0
         base = State(g, *map(base.get, ACOUSTIC_FIELDS),
                      {"qv": wave(g.shape_c, 0.9, 0.01),
-                      "qc": np.zeros(g.shape_c), "qr": lone})
+                      "qc": np.zeros(g.shape_c), "qr": lone},
+                     precip_accum=wave((g.nx, g.ny), 0.8, 1.0))
         cfg = DynamicsConfig(coriolis_f=1e-4 if terrain else 0.0)
         sponge = None if terrain else rayleigh_coefficient(g, 600.0, 60.0)[1]
         # the NumPy text runs on the bodies proved above (their oracles
         # would cost 10 ms here) and on the advections' oracles
         text = StencilExecutor("fused")
         idle = ["qc", "qr"] if terrain else None     # a later stage, a first
+        # the stage states set up: a later stage reads its own
+        into = [State.of(g, base.layout, base.block * 0.75) for _ in range(2)]
+        read = into[0].copy() if terrain else base
         with native.using(lib), use_executor(text):
             binding = StageBinding(geom)
             (forcing, q_tend), (want, q_want) = (slow_tendencies(
-                base, None, cfg, koren, sponge, None, geom.metric_flux, idle,
-                b) for b in (binding, None))
-        if binding.args is None or not all(map(
-                native.same, _forcing(forcing), _forcing(want))) \
+                st if terrain else base, None, cfg, koren, sponge, base,
+                geom.metric_flux, idle, b, into=st)
+                for b, st in zip((binding, None), into))
+        # the forcing, the refilled blocks, and the fluxes against the
+        # bytes they held before the refill
+        pairs = [*zip(_forcing(forcing), _forcing(want)),
+                 (into[0].block, into[1].block),
+                 (forcing.fx_s, read.rhou), (forcing.fy_s, read.rhov)]
+        if binding.args is None or not all(native.same(*p) for p in pairs) \
                 or [t is None for t in q_tend.values()] != [
                     t is None for t in q_want.values()] \
                 or not all(t is None or native.same(t, q_want[n])

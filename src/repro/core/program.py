@@ -12,13 +12,12 @@ reports its call, so the rows come rank after rank in lockstep order
 with nothing to forget at the call sites: the context, each rank's slow
 stages, operator assemblies, substeps, the exchange points' strip
 runners and the moisture finishes (the context row computes the EOS
-pressure it reads).  One kind of row has a hook of its own in
-:mod:`repro.core.rk3`: the stage-state and flux copies (NumPy copies,
-replayed by ``program_copy``).  Every row is one call the window made,
-``int entry(void *)`` over one struct: the entry's address, the arena
-offset of the struct's snapshot and its size.  The recorder keeps each
-row's entry name, by which the ledger and the message log tell rows
-apart.  :func:`leave` freezes what it saw into a :class:`StepProgram`,
+pressure it reads; each slow stage's row also moves its fluxes out and
+refills the stage state from the base).  Every row is one call the
+window made, ``int entry(void *)`` over one struct: the entry's address,
+the arena offset of the struct's snapshot and its size.  The recorder
+keeps each row's entry name, by which the ledger and the message log
+tell rows apart.  :func:`leave` freezes what it saw into a :class:`StepProgram`,
 kept by the first rank's integrator.  Later steps replay it: one
 ``run_program`` call with the GIL released, then one ledger credits the
 executor, the traffic and, with a trace session on, the spans and
@@ -32,7 +31,7 @@ table is part of its struct, so its addresses are relocated too.  A
 strip table and its slot addresses are copied into the program.  Every
 other address lies in what the ranks' integrators held when the window
 ended (their context and operators, bindings with the stages' idle
-flags, geometry, flux copies, scratch), which the program keeps.  The
+flags and flux copies, geometry, scratch), which the program keeps.  The
 walker runs each row on a copy of its struct, so the arena stays as
 recorded.  A row that returns nonzero aborts the replay (nothing is
 credited) and the generators run the window instead: a step never
@@ -70,8 +69,6 @@ from ..stencil.executor import active_executor
 __all__ = ["END", "Window", "Recorder", "StepProgram", "enter",
            "leave"]
 
-#: the longs of a strip table's row (csrc/halo.c)
-_STRIP_WORDS = 11
 #: what a long step yields where its dynamics end
 END = object()
 
@@ -126,7 +123,7 @@ class _Chunk:
 
 class Recorder:
     """What one window reports, in order: rows (the compiled entries'
-    calls and the copies), the spans around them, the exchange points'
+    calls), the spans around them, the exchange points'
     messages.  ``why`` is set where a site could not take its operands (a
     NumPy body ran): nothing is recorded after it.  ``rank``: the rank
     whose generator the driver is resuming
@@ -175,40 +172,32 @@ class Recorder:
             self.chunks.append(chunk)
         return chunk
 
-    def row(self, name: str, address: int, obj, refs=None) -> None:
-        """A call of the entry at ``address`` over the struct ``obj``."""
+    def entry(self, entry: native.Recorded, obj) -> None:
+        """A call of a recorded entry over its struct ``obj``."""
         if self.why is not None:
             return
         words = bytes(obj)
-        if len(words) > self.lib.ROW_BYTES:
-            return self.decline(native.Unbound(name, f"{len(words)} bytes"))
-        chunk = _Chunk(words, address_mask(type(obj)), refs, self.rank)
+        if len(words) > 8 * self.lib.PROGRAM_ROW_WORDS:
+            return self.decline(native.Unbound(entry.name,
+                                               f"{len(words)} bytes"))
+        chunk = _Chunk(words, address_mask(type(obj)), self._strips(obj)
+                       if entry.name == "halo_strips" else None, self.rank)
         self.chunks.append(chunk)
-        self.rows.append((name, address, chunk))
-
-    def entry(self, entry: native.Recorded, obj) -> None:
-        """A call of a recorded entry over its struct."""
-        if self.why is None:
-            self.row(entry.name, entry.address, obj, self._strips(obj)
-                     if entry.name == "halo_strips" else None)
+        self.rows.append((entry.name, entry.address, chunk))
 
     def _strips(self, obj) -> dict:
         """The refs of a strip table's row: the table and its slots'
         addresses, both copied into the program (the slots are
         relocated)."""
-        table = ctypes.string_at(obj.rows, 8 * _STRIP_WORDS * obj.nrow)
+        n = self.lib.STRIP_LONGS
+        table = ctypes.string_at(obj.rows, 8 * n * obj.nrow)
         longs = memoryview(table).cast("q")
-        used = max([*longs[::_STRIP_WORDS], *longs[1::_STRIP_WORDS]],
-                   default=-1) + 1
+        used = max([*longs[::n], *longs[1::n]], default=-1) + 1
         cls = type(obj)
         return {cls.rows.offset // 8: self._shared(
-                    table, bytes(_STRIP_WORDS * obj.nrow)),
+                    table, bytes(n * obj.nrow)),
                 cls.fields.offset // 8: self._shared(
                     ctypes.string_at(obj.fields, 8 * used), b"\1" * used)}
-
-    def copy(self, dst: np.ndarray, src: np.ndarray) -> None:
-        self.row("copy", self.lib.copy_address, self.lib.copy_args(
-            dst=native.address(dst), src=native.address(src), n=dst.nbytes))
 
     def span(self, name, cat, pid, tid, attrs, first) -> None:
         """A span closed around rows ``first`` onward; one around no row
@@ -319,8 +308,8 @@ class StepProgram:
         # for another (tests/core/test_program.py walks these for every
         # such address)
         self.keep = [(it.ctx, tuple(it.ctx._helm.values()), it.stage,
-                      it.binding, it.geom, it.geom.scratch, it.fluxes,
-                      it.p_ref, it.rayleigh_w, it.grid)
+                      it.binding, it.geom, it.geom.scratch, it.p_ref,
+                      it.rayleigh_w, it.grid)
                      for it in rec.integrators]
         self.rows = np.array([(address, 8 * chunk.at, len(chunk.words))
                               for _, address, chunk in rec.rows], np.int64)

@@ -6,9 +6,9 @@ Coriolis force, diffusion, sponge damping — three times (RK3 stages dt/3,
 dt/2, dt; one compiled call a stage where a library is loaded,
 :class:`StageBinding`), and inside each stage integrates the fast modes
 acoustically from the long-step start (:mod:`repro.core.acoustic`).
-A stage's call passes all it reads, and the context's computes the EOS
-pressure it reads, so a captured step (:mod:`repro.core.program`) needs
-one hook here: the NumPy copies.
+A stage's call passes all it reads and sets the stage state up, and the
+context's computes the EOS pressure it reads, so a captured step
+(:mod:`repro.core.program`) needs no hook here.
 """
 from __future__ import annotations
 
@@ -40,7 +40,7 @@ from .diffusion import (
     vertical_diffusion_c,
 )
 from .grid import Grid
-from ..obs.trace import CAPTURE, span
+from ..obs.trace import span
 from .program import END, Window
 from ..stencil import native
 from ..stencil.executor import active_executor
@@ -112,11 +112,11 @@ class StageBinding:
     compiled ``slow_stage`` struct with every grid, metric-flux, sponge
     and scratch address set (its geometry's
     :class:`~repro.core.acoustic.AcousticScratch`), the stage's output
-    block, a row of idle flags per RK stage, and the one call a stage
-    makes (:meth:`run`).  A stage sets only scalars, its species table
-    (which state and base blocks are in play, their
-    :meth:`~repro.core.state.State.pointers`) and which flag rows it reads
-    and writes.  It declines (a
+    block (a later stage's flux copies too), a row of idle flags per RK
+    stage, and the one call a stage makes (:meth:`run`).  A stage sets
+    only scalars, its species table (which state and base blocks are in
+    play, their :meth:`~repro.core.state.State.pointers`), which flag rows
+    it reads and writes, and the blocks it refills.  It declines (a
     counted :class:`native.Unbound` of ``"slow stages"``, and
     :func:`slow_tendencies`' NumPy text runs) for a grid with ``nz < 4`` or
     ``halo < 2``, a non-Koren limiter, diffusion or drag configured, more
@@ -150,10 +150,11 @@ class StageBinding:
         maxq = self.lib.STAGE_MAXQ
         self.idle = np.zeros((3, maxq), np.int64)
         self.rows = [native.address(row) for row in self.idle]
-        #: the outputs (r_u r_v r_w r_theta w_s m_s), then a tendency slot
-        #: per species: views of one block the binding keeps
+        #: the outputs (r_u r_v r_w r_theta w_s m_s), the moved fluxes
+        #: (fx_s fy_s), then a tendency slot per species: views of one
+        #: block the binding keeps
         shapes = (g.shape_u, g.shape_v, g.shape_w, g.shape_c, g.shape_w,
-                  g.shape_w, *[g.shape_c] * maxq)
+                  g.shape_w, g.shape_u, g.shape_v, *[g.shape_c] * maxq)
         ends = np.cumsum([0, *map(math.prod, shapes)]).tolist()
         out = np.empty(ends[-1])
         self.views = [out[lo:hi].reshape(shape)
@@ -168,7 +169,7 @@ class StageBinding:
         #: the moisture finish's struct: the tendency slots are set once
         self.moist = self.lib.moisture_args(
             nxh=g.nxh, nyh=g.nyh, nz=g.nz, h=g.halo, nx=g.nx, ny=g.ny)
-        self.moist.tend[:] = self.addresses[6:]
+        self.moist.tend[:] = self.addresses[8:]
 
     def current(self, geom: AcousticGeometry) -> bool:
         """Bound for ``geom``, with the library now in force."""
@@ -192,14 +193,15 @@ class StageBinding:
         self.args.f = cfg.coriolis_f
         return None
 
-    def run(self, state: State, base: State | None, idle: list | None, cfg,
-            limiter, rayleigh_w, stage: int
+    def run(self, state: State, base: State, idle: list | None, cfg,
+            limiter, rayleigh_w, stage: int, into: State | None
             ) -> "tuple[SlowForcing, dict] | native.Unbound":
         """:func:`slow_tendencies`' result in one call, crediting the active
         executor with the advections it ran (compiled dispatches) and the
-        transports it skipped; or why not.  A later stage's candidates
-        (``idle``) are written into row ``stage - 1`` first: the stage
-        before may have run the NumPy text."""
+        transports it skipped, ``into`` refilled from ``base``; or why
+        not.  A later stage's candidates (``idle``) are written into row
+        ``stage - 1`` first: the stage before may have run the NumPy
+        text."""
         why = self.unbound or self._config(cfg, limiter, rayleigh_w)
         if why is not None:
             return why
@@ -214,27 +216,32 @@ class StageBinding:
         ptrs = state.pointers()
         if isinstance(ptrs, native.Unbound):
             return ptrs
+        if base.layout is not state.layout or (
+                into is not None and into.layout is not state.layout):
+            return native.Unbound("base", "of another layout")
+        bases = base.pointers()
+        if isinstance(bases, native.Unbound):
+            return native.Unbound(f"base {bases.operand}", bases.fact)
         first = idle is None
-        species = ptrs[5:5 + nq]
-        bases = species
-        if base is not None and base is not state and first:
-            if base.layout is not state.layout:
-                return native.Unbound("base", "of another layout")
-            bases = base.pointers()
-            if isinstance(bases, native.Unbound):
-                return native.Unbound(f"base {bases.operand}", bases.fact)
-            bases = bases[5:5 + nq]
         if not first:
             self.idle[stage - 1, :nq] = [n in idle for n in names]
         a = self.args
-        a.q[:] = (*species, *bases, *self.addresses[6:6 + nq],
+        at = self.addresses
+        a.q[:] = (*ptrs[5:5 + nq], *bases[5:5 + nq], *at[8:8 + nq],
                   *[0] * (3 * (maxq - nq)))
         a.rho, a.rhou, a.rhov, a.rhow, a.rhotheta = ptrs[:5]
         a.nq, a.first = nq, first
         a.prev, a.idle = self.rows[stage - 1], self.rows[stage]
+        # a stage that refills the state it reads moves its fluxes out
+        moved = into is state
+        a.fx_s, a.fy_s = at[6:8] if moved else (None, None)
+        a.stage = None if into is None else into.address
+        a.base, a.bytes = base.address, base.block.nbytes
         self.moist.idle = a.idle
         if self.call():
             return native.Unbound("fluxes", "past the exact sum test")
+        if into is not None:
+            into.time, into._precip = base.time, base._precip
         skipped = dict(zip(names, self.idle[stage, :nq].tolist()))
         idle = [n for n in (names if first else idle) if skipped[n]]
         active = nq - len(idle)
@@ -243,13 +250,12 @@ class StageBinding:
                         advect_scalar=1 + active)
         ex.accelerated += 4 + active
         ex.skip_transports(idle)
-        r_u, r_v, r_w, r_theta, w_s, m_s = self.views[:6]
-        at = self.addresses
-        forcing = SlowForcing(r_u, r_v, r_w, r_theta, state.rhou,
-                              state.rhov, w_s, m_s,
-                              [*at[:4], *ptrs[1:3], *at[4:6]])
+        v = self.views
+        fluxes = v[6:8] if moved else [state.rhou, state.rhov]
+        forcing = SlowForcing(*v[:4], *fluxes, *v[4:6], [
+            *at[:4], *(at[6:8] if moved else ptrs[1:3]), *at[4:6]])
         return forcing, {n: None if skipped[n] else view
-                         for n, view in zip(names, self.views[6:])}
+                         for n, view in zip(names, v[8:])}
 
     def written(self, args: bytes) -> np.ndarray:
         """The flag row a stage wrote, from its struct's snapshot."""
@@ -283,6 +289,7 @@ def slow_tendencies(
     idle: list[str] | None = None,
     binding: StageBinding | None = None,
     stage: int = 0,
+    into: State | None = None,
 ) -> tuple[SlowForcing, dict[str, np.ndarray | None]]:
     """Slow-mode forcings at the given (stage) state, plus moisture
     advection tendencies.  Requires valid halos of width >= 2.  One call of
@@ -307,29 +314,33 @@ def slow_tendencies(
     down the full path, which is never wrong).  An inactive one stays
     inactive while its stage field is still all ``+0.0``, and only that
     field is scanned again: in a decomposed run an exchange can put a
-    neighbour's transport into its halo.  The stage fluxes in the forcing
-    are the stage state's own ``rhou`` / ``rhov``, not copies: nothing
-    writes them before the stage ends.  ``stage`` is the RK stage (0, 1,
+    neighbour's transport into its halo.  ``stage`` is the RK stage (0, 1,
     2): the binding's flag row the compiled stage writes.
+
+    ``into``, the stage state, becomes a copy of ``base`` once the
+    tendencies are taken.  The forcing's stage fluxes are ``state``'s own
+    ``rhou`` / ``rhov`` (nothing writes them before the stage ends), or
+    copies from before the refill where ``into`` is ``state``.
     """
+    base = state if base is None else base
     with span("slow_tendencies", cat="phase") as attrs:
         out = None
         if binding is not None and binding.lib is not None:
             out = binding.run(state, base, idle, cfg, limiter, rayleigh_w,
-                              stage)
+                              stage, into)
             if isinstance(out, native.Unbound):
                 native.unbound("slow stages", out)
                 out = None
         if out is None:
             out = _slow_numpy(state, ref, cfg, limiter, rayleigh_w, base,
-                              metric_flux, idle)
+                              metric_flux, idle, into)
         attrs["active"] = " ".join(n for n, t in out[1].items()
                                    if t is not None)
         return out
 
 
 def _slow_numpy(state, ref, cfg, limiter, rayleigh_w, base, metric_flux,
-                idle):
+                idle, into):
     """:func:`slow_tendencies`' NumPy text (its oracle)."""
     g = state.grid
     if metric_flux is None:
@@ -376,7 +387,7 @@ def _slow_numpy(state, ref, cfg, limiter, rayleigh_w, base, metric_flux,
     if rayleigh_w is not None:
         r_w -= rayleigh_w[None, None, :] * state.rhow
 
-    base_q = state.q if base is None else base.q
+    base_q = base.q
     if idle is None:
         idle = [n for n, q_hat in state.q.items() if _zero_bits(q_hat) and (
             base_q[n] is q_hat or _zero_bits(base_q[n]))]
@@ -400,6 +411,10 @@ def _slow_numpy(state, ref, cfg, limiter, rayleigh_w, base, metric_flux,
     w_s[:, :, 0] = 0.0
     w_s[:, :, -1] = 0.0
     m_s = metric_flux(state.rhou, state.rhov)
+    if into is not None:
+        if into is state:       # the refill overwrites the fluxes
+            fx, fy = fx.copy(), fy.copy()
+        into.assign(base)
     forcing = SlowForcing(
         r_u=r_u, r_v=r_v, r_w=r_w, r_theta=r_theta,
         fx_s=fx, fy_s=fy, w_s=w_s, m_s=m_s,
@@ -431,11 +446,10 @@ class Rk3Integrator:
         self.binding: SubstepBinding | None = None
         self.stage: StageBinding | None = None
         #: what every step rewrites: the linearization (refilled in place
-        #: where the compiled context runs), the stage state of the layout
-        #: last stepped and the copies of a stage's fluxes
+        #: where the compiled context runs) and the stage state of the
+        #: layout last stepped
         self.ctx = None
         self.stage_state: State | None = None
-        self.fluxes: tuple = ()
         #: the captured window of the rank set this integrator heads
         #: (:mod:`repro.core.program`), or why its recording declined
         self.program = None
@@ -451,7 +465,6 @@ class Rk3Integrator:
         collector frees the run."""
         self.ctx = self.stage_state = self.binding = self.stage = None
         self.program = self.geom._scratch = None
-        self.fluxes = ()
 
     def declines(self, lay) -> "native.Unbound | None":
         """Why a window of ``lay`` states cannot be captured: what the
@@ -484,18 +497,16 @@ class Rk3Integrator:
         A step allocates one block: its base, a copy of ``state`` whose
         halos the first exchange point refreshes (``state``, which a
         caller may hold, is never written).  Every stage integrates into
-        the integrator's stage state (:attr:`stage_state`), filled from the
-        base by one block copy once the stage's slow tendencies are taken
-        from it (their stage fluxes copied out first).  After the last
-        stage that state is returned and the base's block takes its place,
-        so a returned state owns its memory.
+        the integrator's stage state (:attr:`stage_state`), which the
+        stage's slow tendencies refill from the base by one block copy once
+        they are taken (a later stage's fluxes moved out first).  After the
+        last stage that state is returned and the base's block takes its
+        place, so a returned state owns its memory.
         """
         lay = state.layout
         if self.stage_state is None or self.stage_state.layout is not lay:
             self.stage_state = State.of(state.grid, lay,
                                         np.zeros(lay.size, lay.dtype))
-            self.fluxes = (np.empty_like(state.rhou),
-                           np.empty_like(state.rhov))
         base = State.of(state.grid, lay, np.empty(lay.size, lay.dtype))
         yield base.assign(state), None  # make sure every halo is valid
         window = Window(self, state, base)
@@ -520,24 +531,12 @@ class Rk3Integrator:
         for s, (dts, nsub) in enumerate(self.stage_plan()):
             if self.stage is None or not self.stage.current(self.geom):
                 self.stage = StageBinding(self.geom)
+            st = self.stage_state
             forcing, q_tend = slow_tendencies(
                 cur, self.ref, self.cfg, self.limiter, self.rayleigh_w, base,
-                self.geom.metric_flux, idle, self.stage, s,
+                self.geom.metric_flux, idle, self.stage, s, st,
             )
             idle = [n for n, tend in q_tend.items() if tend is None]
-            rec = CAPTURE.get()
-            if cur is not base:
-                # the stage state is refilled below: its fluxes move out
-                for flux, src in zip(self.fluxes, (cur.rhou, cur.rhov)):
-                    np.copyto(flux, src)
-                    if rec is not None:
-                        rec.copy(flux, src)
-                forcing.fx_s, forcing.fy_s = self.fluxes
-                if forcing.ptrs:
-                    forcing.ptrs[4:6] = (a.ctypes.data for a in self.fluxes)
-            st = self.stage_state.assign(base)
-            if rec is not None:
-                rec.copy(st.block, base.block)
             stepper = AcousticStepper(
                 base, forcing, ctx, self.ref, dts, nsub,
                 beta=self.cfg.beta, div_damp=self.cfg.div_damp,

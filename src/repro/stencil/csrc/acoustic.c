@@ -20,9 +20,9 @@
  * the build.
  */
 
-/* columns of one Thomas block (repro.core.acoustic.THOMAS_BLOCK, which
- * sizes AcousticScratch.col): its n x THOMAS_BLOCK elimination buffer
- * stays in L1 */
+/* columns of one Thomas block (read by repro.stencil.native:
+ * SubstepBinding sizes its col buffer from it): its n x THOMAS_BLOCK
+ * elimination buffer stays in L1 */
 #define THOMAS_BLOCK 64
 
 /* ---- G rho u^3 at the w faces: repro.core.advection's
@@ -603,6 +603,10 @@ typedef struct {
     const double *rho, *rhou, *rhov, *rhow, *rhotheta;
     /* the forcing, written whole */
     double *r_u, *r_v, *r_w, *r_theta, *w_s, *m_s;
+    double *fx_s, *fy_s;        /* a later stage's rhou / rhov moved out */
+    void *stage;                /* refilled last from base (bytes), or NULL */
+    const void *base;
+    long bytes;
     /* per species, 1 where the stage before (prev) or this one (idle, its
      * tendency left unwritten) found it inactive */
     const long *prev;
@@ -702,8 +706,9 @@ static void stage_coriolis(const stage_args *restrict a)
         }
 }
 
-/* 0, or 1 where the guard could not be decided (nothing but scratch
- * written: the caller runs the oracle) */
+/* 0 (the stage set up last, after every read of its state), or 1 where
+ * the guard could not be decided (nothing but scratch written: the
+ * caller runs the oracle) */
 int slow_stage(stage_args *restrict a)
 {
     const long nxh = a->nxh, nyh = a->nyh, nz = a->nz, nq = a->nq;
@@ -753,6 +758,12 @@ int slow_stage(stage_args *restrict a)
     for (long c = 0; c < nxh * nyh; c++)
         a->w_s[c * (nz + 1)] = a->w_s[c * (nz + 1) + nz] = 0.0;
     acoustic_metric_flux(a->metric, 0, a->rhou, a->rhov, 0, a->m_s);
+    if (a->fx_s) {
+        memcpy(a->fx_s, a->rhou, (nc + nyh * nz) * sizeof *a->fx_s);
+        memcpy(a->fy_s, a->rhov, (nc + nxh * nz) * sizeof *a->fy_s);
+    }
+    if (a->stage)
+        memcpy(a->stage, a->base, a->bytes);
     return 0;
 }
 

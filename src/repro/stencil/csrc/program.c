@@ -2,11 +2,11 @@
  * table of rows, recorded once from the generator and replayed in one
  * call with the GIL released.  Every row is one call the generator made:
  * the address of its entry, `int entry(void *)` (a Recorded entry of
- * repro.stencil.native, or program_copy for a NumPy copy), the arena
- * offset of its struct and the struct's size.  A replay writes each
- * relocated address (a step's block base plus an offset), then runs the
- * rows, each on a copy of its arguments: a body may advance its struct
- * (acoustic_args.k), and the arena stays as recorded.  A row that
+ * repro.stencil.native), the arena offset of its struct and the struct's
+ * size.  A replay writes each relocated address (a step's block base plus
+ * an offset), then runs the rows, each on a copy of its arguments: a body
+ * may advance its struct (acoustic_args.k), and the arena stays as
+ * recorded.  A row that
  * returns nonzero stops the walk: run_program returns its index + 1,
  * else 0.  With `stamps`, the CLOCK_MONOTONIC time (time.perf_counter's
  * clock) before and after each row, in seconds, written by whichever
@@ -38,19 +38,6 @@
  * exiting, a pause loop handed the waiting vCPU away and the walk's p95
  * rose to the one-thread walk's (EXPERIMENTS.md "A team walk") */
 #define PROGRAM_SPINS 4096
-
-/* a copy row: the NumPy copies of a window (stage state, fluxes) */
-typedef struct {
-    void *dst;
-    const void *src;
-    long n;
-} copy_args;
-
-int program_copy(const copy_args *a)
-{
-    memcpy(a->dst, a->src, a->n);
-    return 0;
-}
 
 typedef struct {
     long nrow, nreloc;

@@ -107,9 +107,9 @@ class Native:
     #: ``substep`` and ``slow_stage``, ``metric_flux``, ``context``,
     #: ``operator``, ``velocities``, ``kessler``, ``moisture`` (the stage's
     #: moisture finish), ``halo_strips`` (byte copies: any dtype) and
-    #: ``run_program`` (a captured step's walker); ``copy_address`` (a
-    #: copy row's entry); the structs by their C names (``stage_args``,
-    #: ...), ``STAGE_MAXQ`` and ``ROW_BYTES``, read from the sources
+    #: ``run_program`` (a captured step's walker); the structs by their C
+    #: names (``stage_args``, ...) and the integer ``#define`` constants
+    #: (``STAGE_MAXQ``, ``THOMAS_BLOCK``, ...), read from the sources
     f64: SimpleNamespace | None = field(default=None, repr=False)
 
     def stats(self) -> dict:
@@ -390,8 +390,7 @@ def _bind(dll: ctypes.CDLL, structs: dict, defines: dict) -> dict:
         one of its rows, ``int entry(void *)`` over one struct."""
         return Recorded(name, fn(name, _PTR, restype=ctypes.c_int))
 
-    f64 = SimpleNamespace(**structs, STAGE_MAXQ=defines["STAGE_MAXQ"],
-                          ROW_BYTES=8 * defines["PROGRAM_ROW_WORDS"])
+    f64 = SimpleNamespace(**structs, **defines)
     f64.faces = fn("faces_f64", _PTR, _LONG, _PTR, _PTR, _LONG)
     f64.advect = fn("advect_f64", ctypes.c_int, *[_PTR] * 5, *[_LONG] * 6,
                     *[ctypes.c_double] * 2, _PTR, _PTR)
@@ -403,8 +402,6 @@ def _bind(dll: ctypes.CDLL, structs: dict, defines: dict) -> dict:
     f64.metric_flux = fn("acoustic_metric_flux", _PTR, ctypes.c_int,
                          *[_PTR] * 4)
     f64.kessler = fn("kessler_step", _PTR)
-    # a copy row's entry: called by the walker alone
-    f64.copy_address = ctypes.cast(dll.program_copy, _PTR).value
     f64.run_program = fn("run_program", _PTR, _PTR, _PTR, restype=_LONG)
     dll.repro_clones.restype = ctypes.c_char_p
     ufuncs = (np.exp, np.power)
@@ -440,9 +437,8 @@ def _find_build_check(lib: Native, sources: dict) -> None:
             lib.build_s = time.perf_counter() - t0
     try:
         vars(lib).update(_bind(ctypes.CDLL(path), structs, defines))
-    # ValueError: numpy.exp or numpy.power without an all-double loop;
-    # KeyError: a constant the sources no longer define
-    except (OSError, AttributeError, ValueError, KeyError) as exc:
+    # ValueError: numpy.exp or numpy.power without an all-double loop
+    except (OSError, AttributeError, ValueError) as exc:
         raise _Unavailable("build-failed", str(exc)) from None
     from ..core import acoustic
     from . import dycore, kessler

@@ -233,8 +233,8 @@ def test_a_wrapper_that_resumes_with_next_keeps_the_replay(monkeypatch):
 def test_every_window_entry_reports_its_calls(monkeypatch):
     """The recording is behind ``native``: every compiled entry a window
     calls is a :class:`native.Recorded`, so a call site cannot forget
-    to record (``copy`` rows are the NumPy copies, hooked in rk3): the
-    entry names the recorder keeps are the library's recorded entries."""
+    to record: the entry names the recorder keeps are the library's
+    recorded entries."""
     lib = native.kernels()
     if lib is None:
         assert not COMPILED
@@ -242,7 +242,7 @@ def test_every_window_entry_reports_its_calls(monkeypatch):
     recorded = {e.name for e in vars(lib).values()
                 if isinstance(e, native.Recorded)}
     *_, rec = _recorded(monkeypatch)
-    assert {name for name, _, _ in rec.rows} == recorded | {"copy"}
+    assert {name for name, _, _ in rec.rows} == recorded
     assert not isinstance(lib.run_program, native.Recorded)
 
 
@@ -261,15 +261,13 @@ def test_every_recorded_entry_takes_one_struct_and_returns_int():
 
 
 @pytest.mark.skipif(not COMPILED, reason="needs the compiled bodies")
-def test_every_row_address_is_a_recorded_entry_or_the_copy(monkeypatch):
+def test_every_row_address_is_a_recorded_entry(monkeypatch):
     """A row stores its entry's function address: one of the loaded
-    library's recorded entries (the one its name says) or
-    ``program_copy`` for a copy row."""
+    library's recorded entries, the one its name says."""
     lib = native.kernels()
     *_, prog, rec = _recorded(monkeypatch)
     entries = {e.name: e.address for e in vars(lib).values()
                if isinstance(e, native.Recorded)}
-    entries["copy"] = lib.copy_address
     assert [address for _, address, _ in rec.rows] == \
         [entries[name] for name, _, _ in rec.rows]
     assert prog.rows[:, 0].tolist() == [address for _, address, _
@@ -279,28 +277,23 @@ def test_every_row_address_is_a_recorded_entry_or_the_copy(monkeypatch):
 
 @pytest.mark.skipif(not COMPILED, reason="needs the compiled bodies")
 @pytest.mark.parametrize("spec, nrow", [
-    (RunSpec("warm-bubble", nx=16, ny=16, nz=8, steps=1), 39),
+    (RunSpec("warm-bubble", nx=16, ny=16, nz=8, steps=1), 32),
     (RunSpec("real-case", nx=16, ny=16, nz=8, steps=1, backend="multigpu",
-             ranks=(2, 2)), 117)], ids=["1x1", "2x2"])
+             ranks=(2, 2)), 89)], ids=["1x1", "2x2"])
 def test_every_row_is_a_call_the_window_made(spec, nrow, monkeypatch):
     """The recorded rows' entries are, in order, the ``native.Recorded``
-    calls and the copy hooks the window made, nothing inserted; only an
-    exchange point's strip table row points into the program's own
-    chunks."""
+    calls the window made, nothing inserted (a stage's copies run inside
+    its ``slow_stage`` row); only an exchange point's strip table row
+    points into the program's own chunks."""
     made = []
-    call, copy = native.Recorded.__call__, program.Recorder.copy
+    call = native.Recorded.__call__
 
     def called(self, *args):
         if CAPTURE.get() is not None:
             made.append(self.name)
         return call(self, *args)
 
-    def copied(self, dst, src):
-        made.append("copy")
-        copy(self, dst, src)
-
     monkeypatch.setattr(native.Recorded, "__call__", called)
-    monkeypatch.setattr(program.Recorder, "copy", copied)
     recorders = []
     init = program.StepProgram.__init__
     monkeypatch.setattr(program.StepProgram, "__init__", lambda self, rec,
@@ -435,19 +428,22 @@ def test_every_scratch_address_of_a_rank_lies_in_its_own_scratch(
 def test_a_cross_rank_address_walks_alone_and_declines_team_once_a_step(
         monkeypatch):
     """A row of rank 1 that points into rank 0's stage state, and one that
-    points into rank 0's scratch (each a planted zero-byte copy): the
-    program walks on a team of 1, counting one ``team`` decline a
-    replayed step, and steps as the generator does."""
+    points into rank 0's scratch (each a planted moisture finish of no
+    species, which writes nothing): the program walks on a team of 1,
+    counting one ``team`` decline a replayed step, and steps as the
+    generator does."""
     freeze = program.Recorder.freeze
     want, want_counts, _, _ = _run(dict(ranks=(2, 2)), STEPS, False,
                                    generator=True)
     for into in ("block", "scratch"):
         def planted(self, into=into):
             other = self.integrators[0]
+            args = self.lib.moisture_args(nq=0)
+            args.q[0] = native.address(other.stage_state.block
+                                       if into == "block"
+                                       else other.geom.scratch.rhs)
             self.rank = 1
-            self.copy(self.integrators[1].stage_state.block[:0],
-                      (other.stage_state.block if into == "block"
-                       else other.geom.scratch.col)[:0])
+            self.entry(self.lib.moisture, args)
             self.rank = -1
             return freeze(self)
 

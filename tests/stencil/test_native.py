@@ -40,7 +40,8 @@ from repro.api import Experiment, RunSpec
 from repro.constants import WATER_SPECIES
 from repro.core import advection as adv
 from repro.core.acoustic import (ACOUSTIC_FIELDS, AcousticGeometry,
-                                 AcousticStepper, build_context)
+                                 AcousticStepper, SubstepBinding,
+                                 build_context)
 from repro.core.boundary import fill_halos_state, rayleigh_coefficient
 from repro.core.grid import Grid, make_grid
 from repro.core.helmholtz import HelmholtzOperator, helmholtz_brackets
@@ -1051,19 +1052,61 @@ def test_a_later_stage_reads_the_flags_the_stage_before_decided():
     assert not binding.idle[1, :len(names)].any()
 
 
+@needs_library
+@SETTINGS
+@given(nx=st.integers(1, 8), ny=st.integers(1, 6), nz=st.integers(4, 7),
+       terrain=st.booleans(), zeroed=st.sets(st.sampled_from(WATER_SPECIES)),
+       coriolis=st.booleans(), seed=st.integers(0, 2 ** 16))
+def test_a_later_stage_sets_its_state_up_as_the_numpy_text_does(
+        nx, ny, nz, terrain, zeroed, coriolis, seed):
+    """A later stage reads the stage state it refills (``into`` is the
+    state): compiled and on the NumPy text, each on its own copy of that
+    state, the forcing's ``fx_s`` / ``fy_s`` are copies of its ``rhou`` /
+    ``rhov`` from before the refill (no view of its block), and the
+    refilled block is the base's, byte for byte between the two bodies."""
+    rng = np.random.default_rng(seed)
+    g = make_grid(nx, ny, nz, 100.0, 130.0, 400.0 * nz,
+                  terrain=_hill if terrain else None)
+    geom = AcousticGeometry(g, SimpleNamespace(rho_c=np.ones(g.shape_c)))
+    base, stage = (_slow_state(rng, g, zeroed) for _ in range(2))
+    assert stage.layout is base.layout
+    cfg = DynamicsConfig(coriolis_f=1e-4 if coriolis else 0.0)
+    before = Counter(native.UNBOUND)
+    runs = []
+    for lib in (LIB, None):
+        st_ = stage.copy()
+        with native.using(lib), use_executor(StencilExecutor("fused")):
+            binding = StageBinding(geom)
+            out = slow_tendencies(st_, None, cfg, koren, None, base,
+                                  geom.metric_flux, sorted(zeroed), binding,
+                                  1, st_)
+        runs.append((out, st_, binding))
+    (got, st_got, binding), (want, st_want, _) = runs
+    assert binding.args is not None
+    assert native.UNBOUND - before == Counter()
+    _assert_same_stage(got, want)
+    assert st_got.block.tobytes() == st_want.block.tobytes() \
+        == base.block.tobytes()
+    for (forcing, _), st_ in ((got, st_got), (want, st_want)):
+        for flux, name in ((forcing.fx_s, "rhou"), (forcing.fy_s, "rhov")):
+            assert not np.shares_memory(flux, st_.block), name
+            assert flux.tobytes() == stage.get(name).tobytes(), name
+
+
 def _idle_sets(monkeypatch):
     """Record, per RK stage and in order, the rank's grid, whether it was a
     first stage, the inactive set the stage used and the one a scan of
-    every species would have found (``slow_tendencies`` called again
-    without the earlier stage's set)."""
+    every species would have found (``slow_tendencies`` called first
+    without the earlier stage's set, and without the stage state to set
+    up: the stage's own call refills a later stage's state)."""
     import repro.core.rk3 as rk3
 
     seen = []
     slow = rk3.slow_tendencies
 
     def recorded(*args):
-        forcing, q_tend = slow(*args)
         full = slow(*args[:7])[1]
+        forcing, q_tend = slow(*args)
         seen.append((id(args[0].grid), args[7] is None,
                      *(sorted(n for n, t in q.items() if t is None)
                        for q in (q_tend, full))))
@@ -1126,9 +1169,11 @@ def test_only_the_first_stage_scans_every_species(workload, extra,
     RunSpec("real-case", nx=16, ny=16, nz=8, steps=2, backend="multigpu",
             ranks=(2, 2))], ids=["warm-bubble", "real-case-2x2"])
 def test_the_stage_fluxes_are_the_stage_state_unwritten(spec, monkeypatch):
-    """``SlowForcing.fx_s`` / ``fy_s`` are the stage state's own ``rhou`` /
-    ``rhov``, not copies: nothing writes them from the slow tendencies to
-    the end of the stage (substeps, exchanges and ``finish`` included)."""
+    """A first stage's ``SlowForcing.fx_s`` / ``fy_s`` are the base's own
+    ``rhou`` / ``rhov``, not copies; a later stage's, which refills the
+    state it read, are copies of that state's fluxes from before the
+    refill.  Nothing writes them from the slow tendencies to the end of
+    the stage (substeps, exchanges and ``finish`` included)."""
     import repro.core.rk3 as rk3
 
     slow, init, finish = (rk3.slow_tendencies, AcousticStepper.__init__,
@@ -1136,8 +1181,16 @@ def test_the_stage_fluxes_are_the_stage_state_unwritten(spec, monkeypatch):
     stages = []
 
     def aliased(state, *args):
+        base, into = args[4], args[9]
+        before = [state.rhou.tobytes(), state.rhov.tobytes()]
         forcing, q_tend = slow(state, *args)
-        assert forcing.fx_s is state.rhou and forcing.fy_s is state.rhov
+        fluxes = (forcing.fx_s, forcing.fy_s)
+        if state is base:
+            assert fluxes[0] is state.rhou and fluxes[1] is state.rhov
+        else:
+            assert state is into
+            assert not any(np.shares_memory(f, state.block) for f in fluxes)
+            assert [f.tobytes() for f in fluxes] == before
         return forcing, q_tend
 
     def snapshot(self, *args, **kwargs):
@@ -1523,6 +1576,30 @@ def test_a_library_is_bound_to_the_layouts_it_was_built_from(tmp_path,
         assert cls._fields_[-1] == ("spare", ctypes.c_long)
     assert (lib.f64.kessler_args.kappa.offset
             < lib.f64.kessler_args.gamma.offset)
+
+
+@needs_library
+def test_the_thomas_block_is_read_from_the_library(tmp_path, monkeypatch):
+    """``THOMAS_BLOCK`` is read from the C: a library built with
+    128-column blocks loads and passes its battery, and a substep binding
+    on it holds a ``col`` of ``128 * (nz + 1)`` doubles (a Python copy of
+    the constant sized that buffer, so a larger C value wrote past it)."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    sources = native.read_sources()
+    old = "#define THOMAS_BLOCK 64"
+    assert sources["acoustic.c"].count(old) == 1
+    sources["acoustic.c"] = sources["acoustic.c"].replace(
+        old, "#define THOMAS_BLOCK 128")
+    lib = native.load(sources)
+    assert lib.state == "loaded", lib.report()
+    assert (lib.f64.THOMAS_BLOCK, LIB.f64.THOMAS_BLOCK) == (128, 64)
+    g = make_grid(5, 4, 6, 100.0, 130.0, 600.0)
+    geom = AcousticGeometry(g, SimpleNamespace(rho_c=np.ones(g.shape_c)))
+    with native.using(lib):
+        binding = SubstepBinding(geom)
+    assert binding.args is not None
+    assert binding.col.dtype == np.float64
+    assert binding.col.shape == (128 * (g.nz + 1),)
 
 
 @needs_library
