@@ -34,11 +34,11 @@ from repro.core.advection import MetricFlux, contravariant_mass_flux_w
 from repro.core.grid import bell_mountain, make_grid
 
 #: modules with ``@stencil`` declarations on the import path of repro.api
-DECLARING = ("repro.core.advection", "repro.core.diffusion",
-             "repro.core.helmholtz", "repro.core.pressure",
-             "repro.core.boundary", "repro.core.coriolis",
-             "repro.physics.kessler", "repro.physics.ice",
-             "repro.physics.surface", "repro.physics.sedimentation")
+DECLARING = ("repro.core.advection", "repro.core.helmholtz",
+             "repro.core.pressure", "repro.core.boundary",
+             "repro.core.coriolis", "repro.physics.kessler",
+             "repro.physics.ice", "repro.physics.surface",
+             "repro.physics.sedimentation")
 HEAVY = ("scipy", "unittest", "numpy.testing", "numpy.f2py",
          "repro.analysis", "repro.obs.doctor.roofline")
 

@@ -72,7 +72,7 @@ def _time_stage(lib, st, ref, geom, sponge, cfg):
         binding = StageBinding(geom)
 
         def stage():
-            return slow_tendencies(st, ref, cfg, koren, sponge, None,
+            return slow_tendencies(st, cfg, koren, sponge, None,
                                    geom.metric_flux, None, binding)
 
         out = stage()                       # warm-up (and binding)

@@ -4,9 +4,9 @@ Each :data:`MATRIX` configuration runs a real driver for two long steps,
 twice, with different poison in every stale halo ring: an interior byte
 that differs between the runs, or a run that raises, is a stale-halo read.
 A dispatch site whose outputs can be poisoned without changing the
-returned state is dead.  The runs that locate a finding take the oracles,
-whose dispatches name the kernel.  docs/ANALYSIS.md has the rules; paths
-that do not run are not checked.
+returned state is dead.  The runs that locate a finding, and LINT06's,
+take the oracles, whose dispatches name the kernel.  docs/ANALYSIS.md has
+the rules; paths that do not run are not checked.
 """
 from __future__ import annotations
 
@@ -24,7 +24,7 @@ from ..core.boundary import STAGGER, RelaxationBC, strip_table
 from ..core.grid import bell_mountain, make_grid
 from ..core.model import AsucaModel, ModelConfig, run_lockstep
 from ..core.reference import make_reference_state
-from ..core.rk3 import DynamicsConfig
+from ..core.rk3 import DynamicsConfig, StageBinding
 from ..core.state import State
 from ..dist.decomposition import Topology, decompose
 from ..dist.multigpu import MultiGpuAsuca
@@ -52,8 +52,9 @@ _POISON = (0.5, 2.0)
 @dataclass(frozen=True)
 class Config:
     """A driven configuration (1x1 ranks: the single-domain driver).  All
-    are moist with terrain, every dynamics term and surface forcing; an
-    open one relaxes toward its initial state."""
+    are moist with terrain, Coriolis, a sponge and surface forcing, so the
+    compiled stages run and a captured program replays; an open one
+    relaxes toward its initial state."""
 
     ranks: tuple = (1, 1)
     periodic: tuple = (True, True)
@@ -74,8 +75,7 @@ class Config:
                                                3000.0 * py))
         ref = make_reference_state(grid, tropospheric_sounding())
         config = ModelConfig(
-            DynamicsConfig(dt=2.0, ns=4, kdiff_h=50.0, kdiff4_h=1e8,
-                           kdiff_v=5.0, coriolis_f=1e-4, drag_cd=1e-3,
+            DynamicsConfig(dt=2.0, ns=4, coriolis_f=1e-4,
                            rayleigh_depth=2000.0),
             physics_enabled=True, ice_enabled=self.ice,
             surface=SurfaceConfig(heat_flux=200.0, radiation_tau=3600.0))
@@ -190,6 +190,13 @@ class _Run(StencilExecutor):
                     self.track(new.get(name), rank, rec[3], rec[4])
         return new
 
+    def staged(self, out, base, into):
+        """A compiled stage's result: where it ran, the stage state
+        ``into`` it refilled from ``base`` inherits ``base``'s record."""
+        if into is not None and not isinstance(out, native.Unbound):
+            self.copied(lambda _: into, base)
+        return out
+
     # ------------------------------------------------------------- hooks
     def call(self, sf, args, kwargs):
         caller = sys._getframe(2)
@@ -254,12 +261,14 @@ class _Run(StencilExecutor):
             driver.exchange_all = lambda sts, names=None, **kw: self.refresh(
                 lambda: exchange(sts, names, **kw), sts, names)
         out, tracer = [], sys.gettrace()
-        copy, assign = State.copy, State.assign
-        # a copy, or a stage state filled from its base, inherits the
-        # source's refresh record
+        copy, assign, run = State.copy, State.assign, StageBinding.run
+        # a copy, or a stage state filled from its base (in NumPy or by the
+        # compiled stage), inherits the source's refresh record
         State.copy = lambda st: self.copied(copy, st)
         State.assign = lambda dst, src: self.copied(
             lambda st: assign(dst, st), src)
+        StageBinding.run = lambda b, st, base, *args: self.staged(
+            run(b, st, base, *args), base, args[-1])
         sys.settrace(self.trace)
         try:
             with use_executor(self), np.errstate(all="ignore"):
@@ -273,7 +282,7 @@ class _Run(StencilExecutor):
             self.error = exc
         finally:
             sys.settrace(tracer)
-            State.copy, State.assign = copy, assign
+            State.copy, State.assign, StageBinding.run = copy, assign, run
         return out
 
 
@@ -326,19 +335,23 @@ def stale_findings(cfg: Config) -> list[Finding]:
 
 
 def dead_findings(cfg: Config) -> list[Finding]:
-    """LINT06 of one single-domain configuration: the dead sites."""
-    base = _Run(0, axes=())
-    clean = base.drive(cfg)
+    """LINT06 of one single-domain configuration: the dead sites.  The runs
+    take the oracles: a compiled RK stage makes no dispatch, so it has no
+    site whose outputs could be poisoned."""
     found = []
-    for name, file, line in [] if base.error else base.sites:
-        run = _Run(0, axes=(), kill=(name, file, line))
-        if run.drive(cfg) == clean and run.error is None:
-            found.append(Finding(
-                code="LINT06", file=file, line=line,
-                message=(f"dead dispatch: the outputs of '{name}' can be "
-                         f"overwritten with poison without changing one "
-                         f"interior byte of the returned state ({cfg})"),
-                suggestion="drop the dispatch, or use what it returns"))
+    with native.using(None):
+        base = _Run(0, axes=())
+        clean = base.drive(cfg)
+        for name, file, line in [] if base.error else base.sites:
+            run = _Run(0, axes=(), kill=(name, file, line))
+            if run.drive(cfg) == clean and run.error is None:
+                found.append(Finding(
+                    code="LINT06", file=file, line=line,
+                    message=(f"dead dispatch: the outputs of '{name}' can "
+                             f"be overwritten with poison without changing "
+                             f"one interior byte of the returned state "
+                             f"({cfg})"),
+                    suggestion="drop the dispatch, or use what it returns"))
     return found
 
 

@@ -788,7 +788,7 @@ def native_check(lib) -> str:
         with native.using(lib), use_executor(text):
             binding = StageBinding(geom)
             (forcing, q_tend), (want, q_want) = (slow_tendencies(
-                st if terrain else base, None, cfg, koren, sponge, base,
+                st if terrain else base, cfg, koren, sponge, base,
                 geom.metric_flux, idle, b, into=st)
                 for b, st in zip((binding, None), into))
         # the forcing, the refilled blocks, and the fluxes against the

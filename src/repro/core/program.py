@@ -124,8 +124,9 @@ class _Chunk:
 class Recorder:
     """What one window reports, in order: rows (the compiled entries'
     calls), the spans around them, the exchange points'
-    messages.  ``why`` is set where a site could not take its operands (a
-    NumPy body ran): nothing is recorded after it.  ``rank``: the rank
+    messages.  ``why`` is set where the window did work no row can replay
+    (a NumPy body or a dispatched oracle ran, an exchange filled a state
+    outside the step's blocks): nothing is recorded after it.  ``rank``: the rank
     whose generator the driver is resuming
     (:func:`~repro.core.model.run_lockstep` sets it; -1 at an exchange
     point), which every row it records belongs to."""
@@ -148,7 +149,7 @@ class Recorder:
         self.logs: list = []
         self.why: native.Unbound | None = None
         ex = self.executor = active_executor()
-        self.before = (Counter(ex.calls), ex.accelerated, ex.fallbacks)
+        self.before = (Counter(ex.calls), ex.accelerated)
         self.token = CAPTURE.set(self)
 
     def close(self) -> None:
@@ -180,24 +181,30 @@ class Recorder:
         if len(words) > 8 * self.lib.PROGRAM_ROW_WORDS:
             return self.decline(native.Unbound(entry.name,
                                                f"{len(words)} bytes"))
-        chunk = _Chunk(words, address_mask(type(obj)), self._strips(obj)
-                       if entry.name == "halo_strips" else None, self.rank)
+        refs = self._strips(obj) if entry.name == "halo_strips" else None
+        if isinstance(refs, native.Unbound):
+            return self.decline(refs)
+        chunk = _Chunk(words, address_mask(type(obj)), refs, self.rank)
         self.chunks.append(chunk)
         self.rows.append((entry.name, entry.address, chunk))
 
-    def _strips(self, obj) -> dict:
+    def _strips(self, obj) -> "dict | native.Unbound":
         """The refs of a strip table's row: the table and its slots'
         addresses, both copied into the program (the slots are
-        relocated)."""
+        relocated); or why not: a slot outside the step's blocks (a
+        state a replay may find freed)."""
         n = self.lib.STRIP_LONGS
         table = ctypes.string_at(obj.rows, 8 * n * obj.nrow)
         longs = memoryview(table).cast("q")
         used = max([*longs[::n], *longs[1::n]], default=-1) + 1
+        slots = ctypes.string_at(obj.fields, 8 * used)
+        if not all(any(lo <= a < lo + size for lo, size in self.blocks)
+                   for a in memoryview(slots).cast("Q")):
+            return native.Unbound("exchange", "of a state outside the step")
         cls = type(obj)
         return {cls.rows.offset // 8: self._shared(
                     table, bytes(n * obj.nrow)),
-                cls.fields.offset // 8: self._shared(
-                    ctypes.string_at(obj.fields, 8 * used), b"\1" * used)}
+                cls.fields.offset // 8: self._shared(slots, b"\1" * used)}
 
     def span(self, name, cat, pid, tid, attrs, first) -> None:
         """A span closed around rows ``first`` onward; one around no row
@@ -223,8 +230,6 @@ class Recorder:
         self.key = _key(self.lib, self.integrators, self.layouts)
         if self.why is None and active_executor() is not self.executor:
             self.why = native.Unbound("executor", "changed")
-        if self.why is None and self.executor.fallbacks != self.before[2]:
-            self.why = native.Unbound("executor", "fell back")
         if self.why is not None or not self.rows:
             return Declined(self.key, self.why or native.Unbound(
                 "window", "no compiled call"))
@@ -351,7 +356,7 @@ class StepProgram:
         self.logs = rec.logs
         active = sum(len(names) - int(flags.sum())
                      for names, flags in self.stages)
-        ex, (calls, accelerated, _) = rec.executor, rec.before
+        ex, (calls, accelerated) = rec.executor, rec.before
         delta = Counter(ex.calls)
         delta.subtract(calls)
         delta["advect_scalar"] -= active

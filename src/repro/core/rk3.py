@@ -2,8 +2,8 @@
 
 The long time step (paper Fig. 1) evaluates the slow tendencies — advection
 of momentum, density-weighted potential temperature and water substances,
-Coriolis force, diffusion, sponge damping — three times (RK3 stages dt/3,
-dt/2, dt; one compiled call a stage where a library is loaded,
+Coriolis force, sponge damping — three times (RK3 stages dt/3, dt/2, dt;
+one compiled call a stage where a library is loaded,
 :class:`StageBinding`), and inside each stage integrates the fast modes
 acoustically from the long-step start (:mod:`repro.core.acoustic`).
 A stage's call passes all it reads and sets the stage state up, and the
@@ -30,15 +30,6 @@ from .acoustic import (
 )
 from .boundary import rayleigh_coefficient
 from .coriolis import coriolis_tendencies
-from .diffusion import (
-    horizontal_laplacian_c,
-    horizontal_laplacian_u,
-    horizontal_laplacian_v,
-    horizontal_laplacian_w,
-    hyperdiffusion_c,
-    surface_drag_tendency,
-    vertical_diffusion_c,
-)
 from .grid import Grid
 from ..obs.trace import span
 from .program import END, Window
@@ -63,10 +54,6 @@ class DynamicsConfig:
     div_damp: float = 0.1            #: forward divergence-damping weight
     limiter: str = "koren"           #: flux limiter name (paper: Koren)
     coriolis_f: float = 0.0          #: f-plane parameter [1/s]
-    kdiff_h: float = 0.0             #: horizontal diffusion of momentum/theta [m^2/s]
-    kdiff4_h: float = 0.0            #: 4th-order hyperdiffusion of theta' [m^4/s]
-    kdiff_v: float = 0.0             #: vertical diffusion of theta' [m^2/s]
-    drag_cd: float = 0.0             #: bulk surface-drag coefficient [-]
     rayleigh_depth: float = 0.0      #: sponge depth below the lid [m]
     rayleigh_tau: float = 60.0       #: sponge e-folding time at the lid [s]
     check_finite: bool = True        #: validate the state each long step
@@ -80,8 +67,7 @@ class DynamicsConfig:
             raise ValueError("beta must be in [0.5, 1]")
         # a bad damping coefficient would end in a NumericalBlowup blamed
         # on a field; the compiled stage takes the sponge and f as given
-        for name in ("div_damp", "kdiff_h", "kdiff4_h", "kdiff_v", "drag_cd",
-                     "rayleigh_depth"):
+        for name in ("div_damp", "rayleigh_depth"):
             value = getattr(self, name)
             if not 0.0 <= value < float("inf"):
                 raise ValueError(f"{name} must be >= 0 and finite, got "
@@ -95,14 +81,10 @@ class DynamicsConfig:
         get_limiter(self.limiter)  # validate early
 
 
-def stage_declines(cfg, limiter) -> "native.Unbound | None":
-    """Why the compiled stage cannot run this configuration, else None."""
+def stage_declines(limiter) -> "native.Unbound | None":
+    """Why the compiled stage cannot run this limiter, else None."""
     if limiter is not koren:
         return native.Unbound("limiter", limiter.__name__)
-    if cfg.kdiff_h > 0.0 or cfg.kdiff4_h > 0.0 or cfg.kdiff_v > 0.0:
-        return native.Unbound("diffusion", "configured")
-    if cfg.drag_cd > 0.0:
-        return native.Unbound("drag", "configured")
     return None
 
 
@@ -119,9 +101,9 @@ class StageBinding:
     it reads and writes, and the blocks it refills.  It declines (a
     counted :class:`native.Unbound` of ``"slow stages"``, and
     :func:`slow_tendencies`' NumPy text runs) for a grid with ``nz < 4`` or
-    ``halo < 2``, a non-Koren limiter, diffusion or drag configured, more
-    than ``STAGE_MAXQ`` species (csrc/acoustic.c), and a state that is not
-    float64 or holds a field as a wrapper."""
+    ``halo < 2``, a non-Koren limiter, more than ``STAGE_MAXQ`` species
+    (csrc/acoustic.c), and a state that is not float64 or holds a field as
+    a wrapper."""
 
     def __init__(self, geom: AcousticGeometry):
         g = geom.grid
@@ -178,7 +160,7 @@ class StageBinding:
     def _config(self, cfg, limiter, rayleigh_w) -> "native.Unbound | None":
         """Why the stage cannot run this configuration, else ``None`` (the
         sponge and ``f`` set into the struct)."""
-        why = stage_declines(cfg, limiter)
+        why = stage_declines(limiter)
         if why is not None:
             return why
         if rayleigh_w is not self.rayleigh_w:
@@ -280,7 +262,6 @@ class StageBinding:
 
 def slow_tendencies(
     state: State,
-    ref: ReferenceState,
     cfg: DynamicsConfig,
     limiter: Limiter,
     rayleigh_w: np.ndarray | None = None,
@@ -332,15 +313,15 @@ def slow_tendencies(
                 native.unbound("slow stages", out)
                 out = None
         if out is None:
-            out = _slow_numpy(state, ref, cfg, limiter, rayleigh_w, base,
+            out = _slow_numpy(state, cfg, limiter, rayleigh_w, base,
                               metric_flux, idle, into)
         attrs["active"] = " ".join(n for n, t in out[1].items()
                                    if t is not None)
         return out
 
 
-def _slow_numpy(state, ref, cfg, limiter, rayleigh_w, base, metric_flux,
-                idle, into):
+def _slow_numpy(state, cfg, limiter, rayleigh_w, base, metric_flux, idle,
+                into):
     """:func:`slow_tendencies`' NumPy text (its oracle)."""
     g = state.grid
     if metric_flux is None:
@@ -363,26 +344,6 @@ def _slow_numpy(state, ref, cfg, limiter, rayleigh_w, base, metric_flux,
             cu, cv = coriolis_tendencies(state.rhou, state.rhov, cfg.coriolis_f, g)
             r_u += cu
             r_v += cv
-
-    if cfg.kdiff_h > 0.0 or cfg.kdiff4_h > 0.0 or cfg.kdiff_v > 0.0:
-        jac3 = g.jac[:, :, None]
-        # diffuse the theta *perturbation* so the stratified base state
-        # is untouched
-        pert = state.rhotheta - ref.rhotheta_c * jac3
-        if cfg.kdiff_h > 0.0:
-            r_u += cfg.kdiff_h * horizontal_laplacian_u(state.rhou, g)
-            r_v += cfg.kdiff_h * horizontal_laplacian_v(state.rhov, g)
-            r_w += cfg.kdiff_h * horizontal_laplacian_w(state.rhow, g)
-            r_theta += cfg.kdiff_h * horizontal_laplacian_c(pert, g)
-        if cfg.kdiff4_h > 0.0:
-            r_theta += cfg.kdiff4_h * hyperdiffusion_c(pert, g)
-        if cfg.kdiff_v > 0.0:
-            r_theta += vertical_diffusion_c(pert, g, cfg.kdiff_v)
-
-    if cfg.drag_cd > 0.0:
-        du, dv = surface_drag_tendency(state.rhou, state.rhov, g, cfg.drag_cd)
-        r_u += du
-        r_v += dv
 
     if rayleigh_w is not None:
         r_w -= rayleigh_w[None, None, :] * state.rhow
@@ -473,7 +434,7 @@ class Rk3Integrator:
             return native.Unbound("rho", lay.dtype.name)
         if len(lay.names) - 5 > native.kernels().STAGE_MAXQ:
             return native.Unbound("q", f"{len(lay.names) - 5} species")
-        return stage_declines(self.cfg, self.limiter)
+        return stage_declines(self.limiter)
 
     def stage_plan(self) -> list[tuple[float, int]]:
         """(stage interval, substep count) pairs of the WS-RK3 scheme."""
@@ -533,7 +494,7 @@ class Rk3Integrator:
                 self.stage = StageBinding(self.geom)
             st = self.stage_state
             forcing, q_tend = slow_tendencies(
-                cur, self.ref, self.cfg, self.limiter, self.rayleigh_w, base,
+                cur, self.cfg, self.limiter, self.rayleigh_w, base,
                 self.geom.metric_flux, idle, self.stage, s, st,
             )
             idle = [n for n, tend in q_tend.items() if tend is None]

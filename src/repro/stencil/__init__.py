@@ -47,7 +47,6 @@ __all__ = [
 #: modules whose import registers the production stencil specs
 _DYCORE_MODULES = (
     "repro.core.advection",
-    "repro.core.diffusion",
     "repro.core.pressure",
     "repro.core.helmholtz",
     "repro.core.boundary",

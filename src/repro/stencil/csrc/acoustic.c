@@ -580,7 +580,7 @@ void state_velocities(long nxh, long nyh, long nz, const double *restrict rho,
  * the metric part m_s, so Python crosses into C once a stage.  An
  * integrator binds its grid, sponge and scratch once, a stage its state,
  * species table and flag rows (a first one takes every species as a
- * candidate).  Float64, Koren, no diffusion or drag (StageBinding
+ * candidate).  Float64 and the Koren limiter only (StageBinding
  * declines the rest). */
 #define STAGE_MAXQ 8            /* read by repro.stencil.native */
 enum { ADV_SCALAR, ADV_U, ADV_V, ADV_W };   /* advect.c's variants */

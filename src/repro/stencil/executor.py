@@ -36,6 +36,7 @@ import contextvars
 from collections import Counter
 from typing import Any, Dict
 
+from ..obs.trace import CAPTURE
 from . import native
 from .spec import FUSED_IMPLS, StencilFunction
 
@@ -86,6 +87,9 @@ class StencilExecutor:
                 self.accelerated += 1
                 return out
             self.fallbacks += 1
+        rec = CAPTURE.get()
+        if rec is not None:     # a replay would leave this body out
+            rec.decline(native.Unbound(sf.spec.name, "NumPy in a window"))
         return sf.reference(*args, **kwargs)
 
     def skip_transports(self, names) -> None:

@@ -137,47 +137,6 @@ HARNESSES["advect_v"] = _advect_harness("advect_v", "shape_v", "isl_v")
 HARNESSES["advect_w"] = _advect_harness("advect_w", "shape_w", "isl")
 
 
-def _lap_harness(kernel_name: str, field_shape_attr: str, interior_attr: str):
-    def harness(grid, rng):
-        q = rng.normal(size=getattr(grid, field_shape_attr))
-        kernel = REGISTRY[kernel_name].reference
-        isl = getattr(grid, interior_attr)
-
-        def run():
-            out = kernel(q, grid)
-            return np.array(out[isl[0], isl[1]])
-
-        return [q], run
-
-    return harness
-
-
-HARNESSES["horizontal_laplacian_c"] = _lap_harness(
-    "horizontal_laplacian_c", "shape_c", "isl")
-HARNESSES["horizontal_laplacian_u"] = _lap_harness(
-    "horizontal_laplacian_u", "shape_u", "isl_u")
-HARNESSES["horizontal_laplacian_v"] = _lap_harness(
-    "horizontal_laplacian_v", "shape_v", "isl_v")
-HARNESSES["horizontal_laplacian_w"] = _lap_harness(
-    "horizontal_laplacian_w", "shape_w", "isl")
-HARNESSES["hyperdiffusion_c"] = _lap_harness(
-    "hyperdiffusion_c", "shape_c", "isl")
-
-
-@register_harness("vertical_diffusion_c")
-def _vdiff_harness(grid, rng):
-    from ..core.diffusion import vertical_diffusion_c
-
-    phi = rng.normal(size=grid.shape_c)
-    sx, sy = grid.isl
-
-    def run():
-        out = vertical_diffusion_c.reference(phi, grid, 5.0)
-        return np.array(out[sx, sy])
-
-    return [phi], run
-
-
 @register_harness("eos_pressure")
 def _eos_harness(grid, rng):
     from ..core.pressure import eos_pressure

@@ -1,15 +1,18 @@
 """Differential halo poisoning over the real drivers: four stale-halo bugs
 planted as patched drivers (nothing in the source is edited) each give
 exactly one LINT04 at the right kernel and axis, the poisoned cells are
-the refresh's own strip-table destinations, and generated configurations
-of the clean tree give no finding."""
+the refresh's own strip-table destinations, every configuration runs the
+compiled stages and replays a program, and generated configurations of
+the clean tree give no finding."""
 import contextlib
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.analysis.poison import Config, _Run, poison_findings, stale_findings
+from repro.analysis.poison import (
+    MATRIX, Config, _Run, poison_findings, stale_findings)
 from repro.core.acoustic import AcousticStepper
 from repro.dist.multigpu import MultiGpuAsuca
 from repro.stencil import native
@@ -67,6 +70,20 @@ def test_poisoned_cells_are_the_strip_table_destinations():
         x_faces = np.flatnonzero(masks[0].any(axis=1))
         assert list(x_faces) == ([0, 1, 6, 7, 8] if periodic else [0, 1, 7, 8])
         assert box == (box_x, slice(2, 5))
+
+
+@pytest.mark.skipif(native.library().state != "loaded",
+                    reason="needs the compiled bodies")
+@pytest.mark.parametrize("cfg", MATRIX, ids=str)
+def test_every_matrix_configuration_runs_the_compiled_path(cfg):
+    """The pass drives what the products run: no RK stage and no window of
+    a configuration declines the compiled body, and a captured program
+    replays."""
+    unbound, replayed = Counter(native.UNBOUND), native.PROGRAMS["replayed"]
+    _Run(1).drive(cfg)
+    assert not [key for key in Counter(native.UNBOUND) - unbound
+                if key[0] in ("slow stages", "programs")]
+    assert native.PROGRAMS["replayed"] > replayed
 
 
 @settings(max_examples=4, deadline=None)

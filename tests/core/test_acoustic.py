@@ -30,7 +30,7 @@ def setup():
     p_ref = eos_pressure(rhotheta_ref_hat, g)
     ctx = build_context(st, ref, p_ref)
     cfg = DynamicsConfig(dt=4.0, ns=4)
-    forcing, q_tend = slow_tendencies(st, ref, cfg, koren)
+    forcing, q_tend = slow_tendencies(st, cfg, koren)
     return g, ref, st, ctx, forcing, q_tend
 
 

@@ -94,7 +94,7 @@ def _long_step(model, st, *, full=False):
 def _one_stage(model, stage, base):
     """Second RK stage by hand: tendencies at ``stage``, added to ``base``."""
     cfg, ref = model.config.dynamics, model.ref
-    forcing, q_tend = slow_tendencies(stage, ref, cfg,
+    forcing, q_tend = slow_tendencies(stage, cfg,
                                       model.integrator.limiter, base=base)
     stepper = AcousticStepper(base, forcing,
                               build_context(base, ref, model.p_ref),
@@ -162,7 +162,7 @@ def test_minus_zero_is_active_and_plus_zero_is_not():
     assert rk3._zero_bits(plus.astype(np.float32))
     assert not rk3._zero_bits((-plus).astype(np.float32))
     st.q["qc"][SPOTS["corner"]] = -0.0
-    _, q_tend = slow_tendencies(st, model.ref, model.config.dynamics,
+    _, q_tend = slow_tendencies(st, model.config.dynamics,
                                 model.integrator.limiter)
     assert q_tend["qc"] is not None and q_tend["qr"] is None
 

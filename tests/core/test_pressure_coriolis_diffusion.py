@@ -1,15 +1,10 @@
-"""Tests for the EOS, Coriolis and diffusion kernels."""
+"""Tests for the EOS and Coriolis kernels."""
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import constants as c
 from repro.core.coriolis import coriolis_parameter, coriolis_tendencies
-from repro.core.diffusion import (
-    horizontal_laplacian_c,
-    horizontal_laplacian_u,
-    horizontal_laplacian_v,
-)
 from repro.core.pressure import (
     eos_pressure,
     exner,
@@ -129,45 +124,3 @@ def test_coriolis_beta_plane(small_grid):
     h = small_grid.halo
     np.testing.assert_allclose(du[h + 1, h, 0], f_rows[h])
     assert du[h + 1, h + 3, 0] > du[h + 1, h, 0]
-
-
-# ----------------------------------------------------------------- diffusion
-def test_laplacian_of_linear_field_is_zero(small_grid):
-    g = small_grid
-    X = g.x_c()[:, None, None]
-    Y = g.y_c()[None, :, None]
-    phi = (2.0 * X + 3.0 * Y) * np.ones(g.shape_c)
-    lap = horizontal_laplacian_c(phi, g)
-    np.testing.assert_allclose(g.interior(lap), 0.0, atol=1e-12)
-
-
-def test_laplacian_of_quadratic(small_grid):
-    g = small_grid
-    X = g.x_c()[:, None, None]
-    phi = (X ** 2) * np.ones(g.shape_c)
-    lap = horizontal_laplacian_c(phi, g)
-    np.testing.assert_allclose(g.interior(lap), 2.0, rtol=1e-9)
-
-
-def test_laplacian_staggered_shapes(small_grid):
-    g = small_grid
-    u = np.random.default_rng(0).normal(size=g.shape_u)
-    v = np.random.default_rng(1).normal(size=g.shape_v)
-    assert horizontal_laplacian_u(u, g).shape == g.shape_u
-    assert horizontal_laplacian_v(v, g).shape == g.shape_v
-
-
-def test_diffusion_damps_extrema(small_grid):
-    """Explicit diffusion of a noisy field reduces its variance."""
-    g = small_grid
-    r = np.random.default_rng(2)
-    phi = r.normal(size=g.shape_c)
-    from repro.core.boundary import fill_table
-
-    var0 = g.interior(phi).var()
-    for _ in range(10):
-        fill_table(g, ["rho"], [phi]).copy([phi])
-        lap = horizontal_laplacian_c(phi, g)
-        sx, sy = g.isl
-        phi[sx, sy] += 0.2 * g.dx ** 2 * lap[sx, sy] / 4.0
-    assert g.interior(phi).var() < 0.5 * var0

@@ -16,9 +16,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.api import Experiment, RunSpec
-from repro.core import acoustic, program
-from repro.core.boundary import RelaxationBC
+from repro.core import acoustic, program, rk3
+from repro.core.advection import advect_scalar
+from repro.core.boundary import RelaxationBC, fill_halos_state
 from repro.core.grid import bell_mountain, make_grid
+from repro.core.limiter import koren
 from repro.core.model import AsucaModel, ModelConfig
 from repro.core.reference import make_reference_state
 from repro.core.rk3 import DynamicsConfig
@@ -618,11 +620,9 @@ def test_a_replay_that_aborts_after_its_last_row_reruns_exactly(ranks):
 @pytest.mark.skipif(not COMPILED, reason="needs the compiled bodies")
 @pytest.mark.parametrize("params, why", [
     (dict(dtype=np.float32), "rho float32"),
-    (dict(kdiff_h=50.0), "diffusion configured"),
-    (dict(drag_cd=1e-3), "drag configured"),
     (dict(ranks=(2, 2), faults=FaultInjector(FaultPlan.parse("drop@1"))),
      "faults transport planned"),
-], ids=["float32", "diffusion", "drag", "transport-faults"])
+], ids=["float32", "transport-faults"])
 def test_what_the_key_excludes_declines_once_a_step(params, why):
     driver, states = _build(**params)
     before = (Counter(native.UNBOUND), Counter(native.PROGRAMS))
@@ -632,6 +632,46 @@ def test_what_the_key_excludes_declines_once_a_step(params, why):
         states = _step(driver, states)
     assert (Counter(native.UNBOUND) - before[0])["programs", why] == 3
     assert (Counter(native.PROGRAMS) - before[1])["recorded"] == 0
+
+
+def _numpy_theta(state, forcing):
+    """An oracle dispatch (``advect_scalar`` has no compiled entry of its
+    own) added to the forcing."""
+    forcing.r_theta += 1e-3 * advect_scalar(
+        state.rhotheta / state.rho, state.rhou, state.rhov, state.rhow,
+        state.grid, koren)
+
+
+def _fill_a_copy(state, forcing):
+    """A compiled halo fill of a state made inside the window."""
+    fill_halos_state(state.copy(), ["rhotheta"])
+
+
+@pytest.mark.skipif(not COMPILED, reason="needs the compiled bodies")
+@pytest.mark.parametrize("extra, why", [
+    (_numpy_theta, "advect_scalar NumPy in a window"),
+    (_fill_a_copy, "exchange of a state outside the step"),
+], ids=["numpy-dispatch", "exchange-of-a-copy"])
+def test_work_no_row_can_replay_declines_the_recording(extra, why,
+                                                       monkeypatch):
+    """``extra`` planted after every RK stage's slow tendencies of a
+    16x16x8 run: an oracle's work is in no row, so a replay would leave it
+    out; a strip slot in a copy, which is freed before any replay, lies in
+    no block of the step.  The window records nothing, every step counts
+    one typed ``programs`` decline, and the bytes are the generator's."""
+    stage = rk3.slow_tendencies
+
+    def planted(state, *args):
+        forcing, q_tend = stage(state, *args)
+        extra(state, forcing)
+        return forcing, q_tend
+
+    monkeypatch.setattr(rk3, "slow_tendencies", planted)
+    params = dict(n=(16, 16, 8))
+    got, counts, _, programs = _run(params, 3, False)
+    assert got == _run(params, 3, False, generator=True)[0]
+    assert counts["unbound"] == Counter({("programs", why): 3})
+    assert (programs["recorded"], programs["replayed"]) == (0, 0)
 
 
 @pytest.mark.skipif(not COMPILED, reason="needs the compiled bodies")

@@ -127,17 +127,15 @@ def test_bitwise_equivalence_with_physics(surface):
 @given(
     topo=hs.sampled_from([(1, 1), (2, 1), (1, 2), (2, 2), (3, 1), (1, 3), (3, 2)]),
     physics=hs.booleans(), ice=hs.booleans(), surface=hs.booleans(),
-    relaxation=hs.booleans(), coriolis=hs.booleans(), diffusion=hs.booleans(),
+    relaxation=hs.booleans(), coriolis=hs.booleans(),
 )
 def test_generated_configurations_are_bitwise_equivalent(
-        topo, physics, ice, surface, relaxation, coriolis, diffusion):
+        topo, physics, ice, surface, relaxation, coriolis):
     """Any process grid, any mix of the step's optional terms: both
     drivers resume the one long-step body, so they cannot disagree."""
     dynamics = {}
     if coriolis:
         dynamics["coriolis_f"] = 1.0e-4
-    if diffusion:
-        dynamics.update(kdiff_h=50.0, kdiff4_h=1.0e6, kdiff_v=5.0)
     g, ref, cfg = _setup(
         sounding=tropospheric_sounding() if physics else None,
         physics=physics, ice=physics and ice,

@@ -21,10 +21,8 @@ def test_production_specs_register_and_validate():
     specs = load_dycore_specs()
     # the hot dycore + physics kernels are all declared
     for name in ("advect_scalar", "advect_u", "advect_v", "advect_w",
-                 "limited_face_flux", "horizontal_laplacian_c",
-                 "hyperdiffusion_c", "vertical_diffusion_c",
-                 "eos_pressure", "helmholtz_solve", "fill_halos_state",
-                 "kessler_step"):
+                 "limited_face_flux", "eos_pressure", "helmholtz_solve",
+                 "fill_halos_state", "kessler_step"):
         assert name in specs, name
     for spec in specs.values():
         assert spec.halo >= 0
