@@ -220,15 +220,24 @@ class _Run(StencilExecutor):
 
     def trace(self, frame, event, arg):
         """The global tracer: a local one for the generator frames
-        run_lockstep resumes, directly or through ``yield from``."""
+        run_lockstep resumes, directly or through ``yield from``, and for
+        the frames they call (a stale halo that an expression there reads
+        before a dispatch is poisoned first).  The frames those call are
+        not traced: a kernel's NumPy text may write a cell that is also a
+        refresh destination (a periodic boundary face) and read it again
+        before the refresh."""
         back = frame.f_back
         if not (self.axes or self.locate) or back is None \
-                or not frame.f_code.co_flags & inspect.CO_GENERATOR:
+                or frame.f_code.co_filename == __file__:
             return None
         if back.f_code is _LOCKSTEP:
+            if not frame.f_code.co_flags & inspect.CO_GENERATOR:
+                return None
             self.resumed += 1
             return self.line
-        return self.line if back.f_trace == self.line else None
+        traced = back.f_trace == self.line
+        return (self.line if traced and back.f_code.co_flags
+                & inspect.CO_GENERATOR else None)
 
     def line(self, frame, event, arg):
         if event in ("line", "return"):

@@ -35,11 +35,12 @@ import enum
 import hashlib
 import json
 import time
+import weakref
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable
 
 from .core.boundary import fill_halos_state
-from .core.model import StepDiagnostics
+from .core.model import StepDiagnostics, run_lockstep
 from .core.state import State
 from .obs.trace import TraceSession, span, use_session
 from .resilience.checkpoint import CheckpointError, CheckpointManager
@@ -360,10 +361,16 @@ class Experiment:
         self.case = None
         self.model = None
         self.grid = None
-        self.state: State | None = None
+        self._state: State | None = None
         self.machine = None                 #: MultiGpuAsuca (multigpu)
         self.rank_states: list[State] | None = None
         self.runner = None                  #: GpuAsucaRunner (gpu)
+        #: a large ``cpu`` run's tiles (a MultiGpuAsuca without devices),
+        #: their states and the block last gathered from them (a weak
+        #: reference); see :attr:`state`
+        self._tiles = None
+        self._tile_states: list[State] | None = None
+        self._gathered: "weakref.ref | None" = None
         self.session: TraceSession | None = None
         self.executor = None                #: StencilExecutor
         self.injector: FaultInjector | None = None
@@ -446,7 +453,23 @@ class Experiment:
             self.runner.upload(self.state)
             self._initial = self.state.copy()
         else:
-            self._initial = self.state.copy()
+            from .core import program
+
+            tiles = (program.host_tiles(self.grid)
+                     if spec.stencil_backend == "fused" else None)
+            if tiles is not None:
+                from .dist.multigpu import MultiGpuAsuca
+
+                self._tiles = MultiGpuAsuca(
+                    self.grid, self.case.ref, *tiles, self.model.config,
+                    relaxation=self.model.relaxation)
+                native.TILES["%dx%d" % tiles] += 1
+                # scattered into the tiles; they step copies of it, and a
+                # step never writes its input, so it is kept uncopied
+                initial, self._state = self._state, None
+                self.state = self._initial = initial
+            else:
+                self._initial = self.state.copy()
 
         if spec.resume:
             # newest readable archive; FileNotFoundError when there is
@@ -523,6 +546,8 @@ class Experiment:
                     raise RankCrash(rank=crashed, step=i)
             if self.runner is not None:
                 self.state = self.runner.step(self.state)
+            elif self._tiles is not None:
+                self._step_tiles()
             else:
                 self.state = self.model.step(self.state)
         self.step_index = i + 1
@@ -530,6 +555,50 @@ class Experiment:
             self.history.maybe_save(self.gather())
         if self.checkpoints is not None and self.checkpoints.due(self.step_index):
             self.checkpoints.save(self.step_index, self._live_states())
+
+    def _step_tiles(self) -> None:
+        """One long step of the tiles: :meth:`AsucaModel.step` with the
+        tiles' halo exchange as the refresh, so one program over the tile
+        integrators is recorded, then walked on the team."""
+        tiles, self._gathered = self._tiles, None
+        with span("dynamics_rk3", cat="step"):
+            self._tile_states = run_lockstep(
+                [rank.long_step(st)
+                 for rank, st in zip(tiles.ranks, self._tile_states)],
+                tiles.exchange_all)
+        # what a workload's wrapped model step records (the vortex track)
+        record = getattr(self.case, "record_track", None)
+        if record is not None:
+            record(self.state)
+
+    @property
+    def state(self) -> "State | None":
+        """The single-domain state.  A tiled run gathers it from its tiles
+        on the first read after a step: each tile's cells with the halo it
+        holds on the global edge, refilled where the model relaxes (as
+        :meth:`AsucaModel.step` does), so the block equals an untiled
+        run's, halos included.  Later reads return the same state while a
+        caller holds it; the run keeps no reference of its own, so the
+        block is freed with its last reader, not held into the next step's
+        peak.  Setting it scatters it into the tiles (a write into the
+        gathered block reaches no tile)."""
+        if self._tiles is None:
+            return self._state
+        st = self._gathered and self._gathered()
+        if st is None:
+            st = self._tiles.gather_state(self._tile_states)
+            if self.model.relaxation is not None:
+                fill_halos_state(st)
+            self._gathered = weakref.ref(st)
+        return st
+
+    @state.setter
+    def state(self, st: "State | None") -> None:
+        if self._tiles is None:
+            self._state = st
+        else:
+            self._tile_states = self._tiles.scatter_state(st)
+            self._gathered = weakref.ref(st)
 
     def _live_states(self) -> list[State]:
         return (self.rank_states if self.rank_states is not None
@@ -598,7 +667,7 @@ class Experiment:
     def _finish(self, wall: float) -> RunResult:
         state = self.gather()
         for model in (self.machine.ranks if self.machine is not None
-                      else [self.model]):
+                      else [self.model, *getattr(self._tiles, "ranks", ())]):
             model.integrator.release()
         if self.case is not None:
             self.case.state = state

@@ -692,7 +692,9 @@ def native_check(lib) -> str:
     ``dws``, two substeps (the first has no damping history; the Thomas block is
     reached here, against :func:`~repro.core.tridiag.thomas_solve`) of one
     stage and one substep of a second stage on the same binding (its
-    operator the first stage's); and the slow stage against
+    operator the first stage's); and the slow stage
+    (:meth:`~repro.core.rk3.StageBinding.run`, called directly, as is its
+    oracle: a patched ``rk3.slow_tendencies`` never runs here) against
     :func:`~repro.core.rk3.slow_tendencies`' NumPy text (on the bodies
     proved before it and the advections' oracles), a first stage flat
     with the sponge and a later one on terrain with Coriolis, over an
@@ -704,7 +706,7 @@ def native_check(lib) -> str:
     from .boundary import rayleigh_coefficient
     from .grid import make_grid
     from .limiter import koren
-    from .rk3 import DynamicsConfig, StageBinding, slow_tendencies
+    from .rk3 import DynamicsConfig, StageBinding, _slow_numpy
 
     def hill(x, y):
         return 40.0 + 30.0 * np.sin(x / 90.0 + y)
@@ -787,16 +789,20 @@ def native_check(lib) -> str:
         read = into[0].copy() if terrain else base
         with native.using(lib), use_executor(text):
             binding = StageBinding(geom)
-            (forcing, q_tend), (want, q_want) = (slow_tendencies(
-                st if terrain else base, cfg, koren, sponge, base,
-                geom.metric_flux, idle, b, into=st)
-                for b, st in zip((binding, None), into))
+            got = binding.run(into[0] if terrain else base, base, idle, cfg,
+                              koren, sponge, 0, into[0])
+            want, q_want = _slow_numpy(into[1] if terrain else base, cfg,
+                                       koren, sponge, base, geom.metric_flux,
+                                       idle, into[1])
+        if isinstance(got, native.Unbound):
+            return f"slow stage, {where} grid ({got})"
+        forcing, q_tend = got
         # the forcing, the refilled blocks, and the fluxes against the
         # bytes they held before the refill
         pairs = [*zip(_forcing(forcing), _forcing(want)),
                  (into[0].block, into[1].block),
                  (forcing.fx_s, read.rhou), (forcing.fy_s, read.rhov)]
-        if binding.args is None or not all(native.same(*p) for p in pairs) \
+        if not all(native.same(*p) for p in pairs) \
                 or [t is None for t in q_tend.values()] != [
                     t is None for t in q_want.values()] \
                 or not all(t is None or native.same(t, q_want[n])

@@ -470,6 +470,27 @@ def team_size(ranks: int) -> int:
     return min(cpus, ranks)
 
 
+#: the cells a tile must hold for a single domain to step as tiles: the
+#: smallest measured tile (40x40x20 on two) whose four-step job the team
+#: walk repays the tiles' set-up and recording step; below it a short job
+#: runs slower tiled (measured once, EXPERIMENTS.md "Host tiles")
+TILE_CELLS = 16_000
+
+
+def host_tiles(grid) -> "tuple[int, int] | None":
+    """The tiles ``(T, 1)`` a single-domain run on ``grid`` steps as: the
+    domain cut along x (the leading axis, so a tile's fields and strips
+    are contiguous; it measured as fast as a cut along y or faster) into
+    T = :func:`team_size` tiles, each at least a halo wide and holding at
+    least :data:`TILE_CELLS` cells, where a library is loaded; else
+    ``None``, one domain (no knob)."""
+    t = min(team_size(grid.nx // grid.halo),
+            grid.nx * grid.ny * grid.nz // TILE_CELLS)
+    if t < 2 or not native.kernels():
+        return None
+    return t, 1
+
+
 def _key(lib, integrators: list, layouts: list) -> tuple:
     """The program's key: the library, then per rank its integrator and
     layout."""

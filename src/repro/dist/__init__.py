@@ -1,16 +1,30 @@
 """Simulated multi-GPU cluster substrate: 2-D decomposition (Table I),
 in-process MPI, halo exchange, the three overlap optimizations, and
-cluster/interconnect models of TSUBAME 1.2 / 2.0."""
-from .decomposition import Subdomain, decompose, table1_mesh, TABLE1_CONFIGS, make_subgrid
-from .network import ClusterSpec, LinkSpec, TSUBAME_1_2, TSUBAME_2_0
-from .mpi_sim import SimComm
-from .halo import HaloExchanger
-from .multigpu import MultiGpuAsuca
-from .overlap import OverlapConfig, OverlapModel, StepTimeline, VariableBreakdown
+cluster/interconnect models of TSUBAME 1.2 / 2.0.
 
-__all__ = [
-    "Subdomain", "decompose", "table1_mesh", "TABLE1_CONFIGS", "make_subgrid",
-    "ClusterSpec", "LinkSpec", "TSUBAME_1_2", "TSUBAME_2_0",
-    "SimComm", "HaloExchanger", "MultiGpuAsuca",
-    "OverlapConfig", "OverlapModel", "StepTimeline", "VariableBreakdown",
-]
+Each name is imported from its module on first use: a run that needs
+only the lockstep driver (a single domain stepped as host tiles) does not
+pay for the cluster and overlap models."""
+import importlib
+
+#: each exported name -> the module that defines it
+_MODULES = {
+    "Subdomain": "decomposition", "decompose": "decomposition",
+    "table1_mesh": "decomposition", "TABLE1_CONFIGS": "decomposition",
+    "make_subgrid": "decomposition",
+    "ClusterSpec": "network", "LinkSpec": "network",
+    "TSUBAME_1_2": "network", "TSUBAME_2_0": "network",
+    "SimComm": "mpi_sim", "HaloExchanger": "halo",
+    "MultiGpuAsuca": "multigpu",
+    "OverlapConfig": "overlap", "OverlapModel": "overlap",
+    "StepTimeline": "overlap", "VariableBreakdown": "overlap",
+}
+
+__all__ = list(_MODULES)
+
+
+def __getattr__(name: str):
+    if name not in _MODULES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_MODULES[name]}", __name__),
+                   name)

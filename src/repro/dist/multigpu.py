@@ -25,8 +25,6 @@ from ..core.grid import Grid
 from ..core.model import AsucaModel, ModelConfig, run_lockstep
 from ..core.reference import ReferenceState
 from ..core.state import State, zeros_state
-from ..gpu.asuca_kernels import step_schedule
-from ..gpu.runtime import charge_step, price_step
 from ..obs.trace import span
 from ..resilience.faults import RankCrash
 from ..stencil import native
@@ -131,8 +129,10 @@ class MultiGpuAsuca:
         rank's timeline, so a decomposed run yields per-rank device
         tracks (kernels, H2D/D2H) alongside the message flows — the
         telemetry picture of the paper's Figs. 8/9."""
+        from ..gpu.asuca_kernels import step_schedule
         from ..gpu.coalescing import ArrayOrder
         from ..gpu.device import GPUDevice
+        from ..gpu.runtime import price_step
         from ..gpu.spec import Precision, TESLA_S1070
 
         precision = precision or Precision.SINGLE
@@ -171,6 +171,8 @@ class MultiGpuAsuca:
         counted run (``attach_devices(counters=True)``), the per-rank
         hook measures this step's kernels against the rank state and
         annotates the launches with measured counts."""
+        from ..gpu.runtime import charge_step
+
         for r, device in enumerate(self.devices):
             charge_step(
                 device, self._dev_launches[r],
@@ -216,19 +218,30 @@ class MultiGpuAsuca:
         return states
 
     def gather_state(self, states: list[State]) -> State:
-        """Assemble a global state from rank states (interiors only; the
-        global halos are refilled by the caller if needed)."""
+        """Assemble a global state from rank states: each rank's cells and
+        the halo cells it holds on the global edge.  Those are what the
+        single-domain step leaves there, so the block equals a
+        single-domain run's, halos included, except where the model
+        relaxes (the caller refills the halos, as
+        :meth:`~repro.core.model.AsucaModel.step` does)."""
         g = self.global_grid
         h = g.halo
         out = zeros_state(g, states[0].dtype, states[0].q)
         out.time = states[0].time
+
+        def window(x0, n, total, stagger):
+            # local [lo, hi) of a rank at x0: its owned cells, widened to
+            # the halo on a global edge; global index = local + x0
+            lo = 0 if x0 == 0 else h
+            hi = h + n + stagger + (h if x0 + n == total else 0)
+            return slice(lo, hi), slice(x0 + lo, x0 + hi)
+
         for sub, st in zip(self.subs, states):
             for name in st.prognostic_names():
                 sx, sy = STAGGER.get(name, (False, False))
-                out.get(name)[
-                    h + sub.x0 : h + sub.x0 + sub.nx + sx,
-                    h + sub.y0 : h + sub.y0 + sub.ny + sy,
-                ] = st.get(name)[h : h + sub.nx + sx, h : h + sub.ny + sy]
+                lx, gx = window(sub.x0, sub.nx, g.nx, sx)
+                ly, gy = window(sub.y0, sub.ny, g.ny, sy)
+                out.get(name)[gx, gy] = st.get(name)[lx, ly]
         # per-rank diagnostics: accumulated precipitation (interior-sized)
         if any(st.precip_accum is not None for st in states):
             out.precip_accum = np.zeros((g.nx, g.ny), dtype=states[0].dtype)

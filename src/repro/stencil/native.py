@@ -82,6 +82,9 @@ _UNBOUND_LOCK = threading.Lock()
 #: ``team`` a replay walked on, and the traced team walks' row seconds
 #: (``busy_s``, summed over the workers) and wall seconds (``wall_s``)
 PROGRAMS: Counter = Counter()
+#: this process's single-domain runs stepped as host tiles, by tiling
+#: (``"2x1"``; :func:`repro.core.program.host_tiles`)
+TILES: Counter = Counter()
 
 _PTR, _LONG = ctypes.c_void_p, ctypes.c_long
 _FROM_BUFFER, _ADDRESSOF = ctypes.c_char.from_buffer, ctypes.addressof
@@ -116,12 +119,15 @@ class Native:
         unbound: dict = {}
         for (body, why), n in sorted(UNBOUND.items()):
             unbound.setdefault(body, {})[why] = n
-        return {"state": self.state, "detail": self.detail,
-                "hash": self.hash, "clones": list(self.clones),
-                "build_s": round(self.build_s, 3), "unbound": unbound,
-                "programs": {k: PROGRAMS[k] for k in (
-                    "recorded", "replayed", "rows", "generator", "calls",
-                    "team")}}
+        out = {"state": self.state, "detail": self.detail,
+               "hash": self.hash, "clones": list(self.clones),
+               "build_s": round(self.build_s, 3), "unbound": unbound,
+               "programs": {k: PROGRAMS[k] for k in (
+                   "recorded", "replayed", "rows", "generator", "calls",
+                   "team")}}
+        if TILES:
+            out["tiles"] = ",".join(sorted(TILES))
+        return out
 
     def report(self) -> str:
         text = f"native[{self.state}]"
@@ -135,6 +141,8 @@ class Native:
                      f"{PROGRAMS['replayed']} replayed")
             if PROGRAMS["team"]:
                 text += f", widest team {PROGRAMS['team']}"
+            if TILES:
+                text += f", tiles {','.join(sorted(TILES))}"
             if PROGRAMS["wall_s"]:
                 text += (f", team walk {walk_speedup():.2f}x measured (rows'"
                          f" seconds over wall seconds)")

@@ -126,8 +126,9 @@ class RealCase:
 
     def snapshot(self, hours: float) -> RealCaseSnapshot:
         g = self.grid
-        # states assembled by gather_state carry empty halos; refresh them
-        # before deriving velocities
+        # a state gathered from ranks carries its ranks' halos, not the
+        # relaxed field's boundary rule; refresh them before deriving
+        # velocities
         from ..core.boundary import fill_halos_state
 
         fill_halos_state(self.state)

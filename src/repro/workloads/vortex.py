@@ -111,6 +111,15 @@ class VortexCase:
         pp = self.model.pressure_perturbation(self.state)[g.isl][:, :, 0]
         return float(pp.min())
 
+    def record_track(self, state: State) -> None:
+        """Drop the track point of the long step that made ``state``."""
+        self.track[float(state.time)] = (
+            *_pressure_centroid(state, self.model),
+            _interior_max_wind(state),
+            float(self.model.pressure_perturbation(state)[self.grid.isl]
+                  [:, :, 0].min()),
+        )
+
     def series(self) -> dict[str, list]:
         """The recorded track series in time order (the shape
         :attr:`repro.api.RunResult.series` carries)."""
@@ -288,12 +297,7 @@ def make_vortex_case(
         new = AsucaModel.step(model, st)
         case = held()
         if case is not None:
-            case.track[float(new.time)] = (
-                *_pressure_centroid(new, model),
-                _interior_max_wind(new),
-                float(model.pressure_perturbation(new)[grid.isl][:, :, 0]
-                      .min()),
-            )
+            case.record_track(new)
         return new
 
     model.step = _recording_step

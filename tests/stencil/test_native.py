@@ -1370,6 +1370,22 @@ def test_a_warm_load_runs_no_process(monkeypatch):
 
 # ------------------------------------------------------ (d) the self-check
 @needs_library
+def test_the_battery_calls_no_patchable_global():
+    """The load-time battery holds the slow stage (``StageBinding.run``)
+    to the NumPy text it names (``rk3._slow_numpy``): a plant over
+    ``rk3.slow_tendencies`` of another signature, made before the first
+    load of a fresh process, never runs inside it."""
+    probe = ("from repro.core import rk3; "
+             "rk3.slow_tendencies = lambda state: None; "
+             "from repro.stencil import native; "
+             "print(native.library().state)")
+    done = subprocess.run([sys.executable, "-c", probe], text=True,
+                          capture_output=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=SRC))
+    assert done.stdout.split() == ["loaded"], done.stderr
+
+
+@needs_library
 def test_swapped_minimum_is_rejected_at_load(tmp_path, monkeypatch):
     """``minimum(a, b)`` and ``minimum(b, a)`` differ in the sign of a zero
     and in which NaN survives: a body that is almost NumPy's must not be
@@ -1702,6 +1718,8 @@ def test_a_planted_symlink_is_not_a_cache_directory(tmp_path, monkeypatch):
 # ------------------------------------------------------- observability
 def test_executor_stats_and_report_carry_the_native_entry(monkeypatch):
     monkeypatch.setattr(native, "UNBOUND", Counter())
+    # no run of this process was tiled (a tiled one adds "tiles")
+    monkeypatch.setattr(native, "TILES", Counter())
     ex = StencilExecutor("fused")
     s = ex.stats()
     assert {"dispatches", "accelerated", "fallbacks", "allocations",
