@@ -28,8 +28,8 @@ def main() -> None:
     # ---- functional decomposition: 2 x 3 "GPUs" -----------------------
     machine = MultiGpuAsuca(g, case.ref, px=2, py=3, config=case.model.config,
                             relaxation=case.model.relaxation)
-    rank_states = machine.scatter_state(case.state)
-    machine.exchange_all(rank_states, None)
+    driver = machine.driver()
+    rank_states = driver.scatter(case.state)
 
     print(f"domain {g.nx}x{g.ny}x{g.nz} split over "
           f"{machine.px}x{machine.py} = {len(machine.ranks)} ranks")
@@ -42,7 +42,8 @@ def main() -> None:
     for _ in range(n_steps):
         single = case.model.step(single)
     machine.comm.stats.reset()
-    rank_states = machine.run(rank_states, n_steps)
+    for i in range(n_steps):
+        rank_states = driver.step(rank_states, i)
     gathered = machine.gather_state(rank_states)
 
     h = g.halo
@@ -56,8 +57,6 @@ def main() -> None:
     print(f"halo traffic: {stats.messages} messages, "
           f"{stats.bytes_total / 1e6:.1f} MB total")
 
-    from repro.core.boundary import fill_halos_state
-    fill_halos_state(gathered)  # gather fills interiors only
     u, v, w = gathered.velocities()
     print(f"vortex max wind: {np.hypot(u[g.isl_u].max(), v[g.isl_v].max()):.1f} m/s")
 

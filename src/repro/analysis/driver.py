@@ -92,10 +92,11 @@ def sanitized_gpu_smoke(
     device = GPUDevice(TESLA_S1070)
     with memcheck_session(device) as tracker:
         runner = GpuAsucaRunner(case.model, device)
-        runner.upload(case.state)
-        state = case.state
-        for _ in range(steps):
-            state = runner.step(state)
+        driver = runner.driver()
+        states = driver.scatter(case.state)
+        for i in range(steps):
+            states = driver.step(states, i)
+        state, = states
         if seed == "uaf":
             # planted fault: free the staged arrays without telling the
             # runner, then download as usual — a use-after-free
@@ -130,9 +131,10 @@ def sanitized_multigpu_smoke(
                                                None))
     devices = machine.attach_devices()
     with memcheck_session(*devices) as tracker:
-        states = machine.scatter_state(case.state)
-        machine.exchange_all(states, None)
-        machine.run(states, steps)
+        driver = machine.driver()
+        states = driver.scatter(case.state)
+        for i in range(steps):
+            states = driver.step(states, i)
         findings = tracker.finish()
     for rank, dev in enumerate(devices):
         findings.extend(racecheck_device(dev))

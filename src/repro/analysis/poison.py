@@ -67,7 +67,8 @@ class Config:
                 + ", ice" * self.ice)
 
     def build(self):
-        """A fresh driver, its initial rank states, its global grid."""
+        """A fresh :class:`~repro.core.model.Driver`, its initial rank
+        states, its global grid."""
         (px, py), (per_x, per_y) = self.ranks, self.periodic
         grid = make_grid(6 * px, 6 * py, 6, 1000.0, 1000.0, 8000.0,
                          halo=self.halo, periodic_x=per_x, periodic_y=per_y,
@@ -90,9 +91,9 @@ class Config:
         for name in ("rhou", "rhov", "rhotheta") if relax else ():
             relax.set_target(name, state.get(name).copy())
         if (px, py) == (1, 1):
-            return model, [state], grid
+            return model.driver(), [state], grid
         machine = MultiGpuAsuca(grid, ref, px, py, config, relaxation=relax)
-        return machine, machine.scatter_state(state), grid
+        return machine.driver(), machine.scatter_state(state), grid
 
 
 MATRIX = (Config(), Config(periodic=(False, False), halo=2, ice=True),
@@ -260,15 +261,9 @@ class _Run(StencilExecutor):
         self.neighbours = [topology.neighbours(sub) for sub in subs]
         #: per rank: id(array) -> [weakref, masks, box, interior, poisoned]
         self.records = [{} for _ in subs]
-        if isinstance(driver, AsucaModel):
-            fill = driver._exchange
-            driver._exchange = lambda st, names: self.refresh(
-                lambda: fill(st, names), [st], names)
-            step = lambda sts: [driver.step(sts[0])]   # noqa: E731
-        else:
-            exchange, step = driver.exchange_all, driver.step
-            driver.exchange_all = lambda sts, names=None, **kw: self.refresh(
-                lambda: exchange(sts, names, **kw), sts, names)
+        refresh = driver.refresh
+        driver.refresh = lambda sts, names: self.refresh(
+            lambda: refresh(sts, names), sts, names)
         out, tracer = [], sys.gettrace()
         copy, assign, run = State.copy, State.assign, StageBinding.run
         # a copy, or a stage state filled from its base (in NumPy or by the
@@ -282,7 +277,7 @@ class _Run(StencilExecutor):
         try:
             with use_executor(self), np.errstate(all="ignore"):
                 for _ in range(STEPS):
-                    states = step(states)
+                    states = driver.step(states)
                     out.append(self.digest(
                         a for st in states for a in [
                             *map(st.get, st.prognostic_names()),

@@ -12,12 +12,13 @@ interface:
   trace/metrics options, and resilience options (fault plan, retry
   policy, checkpoint cadence, resume).
 * :class:`Experiment` — ``prepare()`` builds the case and the chosen
-  backend (:class:`~repro.core.model.AsucaModel` directly, a
-  :class:`~repro.gpu.runtime.GpuAsucaRunner`, or a
-  :class:`~repro.dist.multigpu.MultiGpuAsuca`); ``run()`` drives the
-  step loop with checkpointing and crash recovery; ``advance()`` /
-  ``gather()`` support segmented use (benchmarks that inspect
-  intermediate states).
+  backend's :class:`~repro.core.model.Driver` (one domain, perhaps as
+  host tiles; one device through a
+  :class:`~repro.gpu.runtime.GpuAsucaRunner`; or a
+  :class:`~repro.dist.multigpu.MultiGpuAsuca` decomposition); ``run()``
+  steps every backend on the one path, with checkpointing and crash
+  recovery; ``advance()`` / ``gather()`` support segmented use
+  (benchmarks that inspect intermediate states).
 * :class:`RunResult` — the final state plus diagnostics, telemetry, and
   the resilience ledger (faults fired, retries, recoveries, recovery
   time).
@@ -39,8 +40,7 @@ import weakref
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable
 
-from .core.boundary import fill_halos_state
-from .core.model import StepDiagnostics, run_lockstep
+from .core.model import Driver, StepDiagnostics
 from .core.state import State
 from .obs.trace import TraceSession, span, use_session
 from .resilience.checkpoint import CheckpointError, CheckpointManager
@@ -361,15 +361,12 @@ class Experiment:
         self.case = None
         self.model = None
         self.grid = None
-        self._state: State | None = None
-        self.machine = None                 #: MultiGpuAsuca (multigpu)
-        self.rank_states: list[State] | None = None
-        self.runner = None                  #: GpuAsucaRunner (gpu)
-        #: a large ``cpu`` run's tiles (a MultiGpuAsuca without devices),
-        #: their states and the block last gathered from them (a weak
+        #: how every step runs (a :class:`~repro.core.model.Driver`) and
+        #: its ranks' states
+        self.driver: Driver | None = None
+        self._states: list[State] = []
+        #: the single-domain state last read or scattered (a weak
         #: reference); see :attr:`state`
-        self._tiles = None
-        self._tile_states: list[State] | None = None
         self._gathered: "weakref.ref | None" = None
         self.session: TraceSession | None = None
         self.executor = None                #: StencilExecutor
@@ -381,12 +378,13 @@ class Experiment:
         self.recovery_wall_s = 0.0
         self.resumed_from: int | None = None
         self.recovered_from: list[int] = []
-        self._initial: "State | list[State] | None" = None
+        self._initial: list[State] | None = None
         self._prepared = False
 
     # ------------------------------------------------------------ build
     def prepare(self) -> "Experiment":
-        """Build the case, the backend, and the resilience machinery."""
+        """Build the case, the backend's driver, and the resilience
+        machinery."""
         if self._prepared:
             return self
         spec = self.spec
@@ -399,7 +397,6 @@ class Experiment:
                               nz=spec.nz, dt=spec.dt, **wl_kwargs)
         self.model = self.case.model
         self.grid = self.case.grid
-        self.state = self.case.state
         if spec.ice:
             self.model.config.ice_enabled = True
             self.model.config.physics_enabled = True
@@ -422,59 +419,19 @@ class Experiment:
                 spec.checkpoint_dir, every=spec.checkpoint_every,
                 keep=spec.checkpoint_keep, identity=spec.problem_hash())
 
-        if spec.backend == "multigpu":
-            from .dist.multigpu import MultiGpuAsuca
-
-            px, py = spec.ranks
-            self.machine = MultiGpuAsuca(
-                self.grid, self.case.ref, px, py, self.model.config,
-                relaxation=getattr(self.model, "relaxation", None),
-                fault_injector=self.injector, retry=spec.retry)
-            if spec.wants_session() or spec.counters:
-                self.machine.attach_devices(
-                    precision=spec.precision,
-                    counters=spec.counters,
-                    counter_every=spec.counter_every)
-            self.rank_states = self.machine.scatter_state(self.state)
-            with self._contexts():
-                self.machine.exchange_all(self.rank_states, None)
-            self._initial = [st.copy() for st in self.rank_states]
-        elif spec.backend == "gpu":
-            from .gpu.device import GPUDevice
-            from .gpu.runtime import GpuAsucaRunner
-            from .gpu.spec import TESLA_S1070
-
-            device = GPUDevice(TESLA_S1070, fault_injector=self.injector)
-            kw = {} if spec.precision is None else {"precision": spec.precision}
-            if spec.counters:
-                kw["counters"] = True
-                kw["counter_every"] = spec.counter_every
-            self.runner = GpuAsucaRunner(self.model, device, **kw)
-            self.runner.upload(self.state)
-            self._initial = self.state.copy()
-        else:
-            from .core import program
-
-            tiles = (program.host_tiles(self.grid)
-                     if spec.stencil_backend == "fused" else None)
-            if tiles is not None:
-                from .dist.multigpu import MultiGpuAsuca
-
-                self._tiles = MultiGpuAsuca(
-                    self.grid, self.case.ref, *tiles, self.model.config,
-                    relaxation=self.model.relaxation)
-                native.TILES["%dx%d" % tiles] += 1
-                # scattered into the tiles; they step copies of it, and a
-                # step never writes its input, so it is kept uncopied
-                initial, self._state = self._state, None
-                self.state = self._initial = initial
-            else:
-                self._initial = self.state.copy()
+        self.driver = self._build_driver()
+        initial = self.case.state
+        with self._contexts():
+            self._step_to(self.driver.scatter(initial), initial)
+        # a step never writes its input: the initial states are kept as
+        # they are, and copied only by a cold restart
+        self._initial = self.rank_states
 
         if spec.resume:
             # newest readable archive; FileNotFoundError when there is
             # none, CheckpointError when every one is damaged
-            self._restore(self.checkpoints.load(self._grids()))
+            ckpt = self.checkpoints.load([st.grid for st in self.rank_states])
+            self._restore_states(ckpt.states, ckpt.step)
             self.resumed_from = self.step_index
 
         if spec.history_path:
@@ -486,10 +443,45 @@ class Experiment:
         self._prepared = True
         return self
 
-    def _grids(self):
-        if self.machine is not None:
-            return [r.grid for r in self.machine.ranks]
-        return [self.grid]
+    def _build_driver(self) -> Driver:
+        """The backend's parts: a modeled px×py decomposition, one
+        device, or one domain (stepped as host tiles where
+        :func:`~repro.core.program.host_tiles` says so)."""
+        spec, model = self.spec, self.model
+        if spec.backend == "multigpu":
+            from .dist.multigpu import MultiGpuAsuca
+
+            machine = MultiGpuAsuca(
+                self.grid, self.case.ref, *spec.ranks, model.config,
+                relaxation=model.relaxation, fault_injector=self.injector,
+                retry=spec.retry)
+            if spec.wants_session() or spec.counters:
+                machine.attach_devices(precision=spec.precision,
+                                       counters=spec.counters,
+                                       counter_every=spec.counter_every)
+            return machine.driver()
+        if spec.backend == "gpu":
+            from .gpu.device import GPUDevice
+            from .gpu.runtime import GpuAsucaRunner
+            from .gpu.spec import TESLA_S1070
+
+            kw = {} if spec.precision is None else {"precision": spec.precision}
+            return GpuAsucaRunner(
+                model, GPUDevice(TESLA_S1070, fault_injector=self.injector),
+                counters=spec.counters, counter_every=spec.counter_every,
+                **kw).driver()
+        from .core import program
+        from .stencil import native
+
+        tiles = (program.host_tiles(self.grid)
+                 if spec.stencil_backend == "fused" else None)
+        if tiles is None:
+            return model.driver()
+        from .dist.multigpu import MultiGpuAsuca
+
+        native.TILES["%dx%d" % tiles] += 1
+        return MultiGpuAsuca(self.grid, self.case.ref, *tiles, model.config,
+                             relaxation=model.relaxation).driver(modeled=False)
 
     @contextlib.contextmanager
     def _contexts(self):
@@ -511,21 +503,17 @@ class Experiment:
         if not self._prepared:
             self.prepare()
         t0 = time.perf_counter()
-        with self._contexts():
-            while self.step_index < self.spec.steps:
-                try:
-                    self._step_once()
-                except RankCrash as crash:
-                    self._recover(crash)
-        wall = time.perf_counter() - t0
-        return self._finish(wall)
+        self._advance_to(self.spec.steps)
+        return self._finish(time.perf_counter() - t0)
 
     def advance(self, n_steps: int) -> None:
         """Advance ``n_steps`` without finishing the run (segmented use);
         crash faults recover exactly as in :meth:`run`."""
+        self._advance_to(self.step_index + n_steps)
+
+    def _advance_to(self, target: int) -> None:
         if not self._prepared:
             self.prepare()
-        target = self.step_index + n_steps
         with self._contexts():
             while self.step_index < target:
                 try:
@@ -534,75 +522,61 @@ class Experiment:
                     self._recover(crash)
 
     def _step_once(self) -> None:
+        """One long step, the same on every backend: the fault plan's
+        crash, the driver's lock-step and charge, the case's track point,
+        then history and checkpoints."""
         i = self.step_index
-        if self.machine is not None:
-            # the machine owns fault stepping (incl. the crash raise)
-            self.rank_states = self.machine.step(self.rank_states)
-        else:
-            if self.injector is not None:
-                self.injector.begin_step(i)
-                crashed = self.injector.crash_rank(i)
-                if crashed is not None:
-                    raise RankCrash(rank=crashed, step=i)
-            if self.runner is not None:
-                self.state = self.runner.step(self.state)
-            elif self._tiles is not None:
-                self._step_tiles()
-            else:
-                self.state = self.model.step(self.state)
+        if self.injector is not None:
+            self.injector.begin_step(i)
+            crashed = self.injector.crash_rank(i)
+            if crashed is not None:
+                raise RankCrash(rank=crashed, step=i)
+        self._step_to(self.driver.step(self._states, i))
         self.step_index = i + 1
-        if self.history is not None:
-            self.history.maybe_save(self.gather())
-        if self.checkpoints is not None and self.checkpoints.due(self.step_index):
-            self.checkpoints.save(self.step_index, self._live_states())
-
-    def _step_tiles(self) -> None:
-        """One long step of the tiles: :meth:`AsucaModel.step` with the
-        tiles' halo exchange as the refresh, so one program over the tile
-        integrators is recorded, then walked on the team."""
-        tiles, self._gathered = self._tiles, None
-        with span("dynamics_rk3", cat="step"):
-            self._tile_states = run_lockstep(
-                [rank.long_step(st)
-                 for rank, st in zip(tiles.ranks, self._tile_states)],
-                tiles.exchange_all)
-        # what a workload's wrapped model step records (the vortex track)
         record = getattr(self.case, "record_track", None)
         if record is not None:
             record(self.state)
+        if self.history is not None:
+            self.history.maybe_save(self.gather())
+        if self.checkpoints is not None and self.checkpoints.due(self.step_index):
+            self.checkpoints.save(self.step_index, self.rank_states)
 
+    def _step_to(self, states: list[State], single: State | None = None):
+        """Make ``states`` the ranks' states; ``single``, when given, is
+        the single-domain state they were scattered from."""
+        self._states = states
+        self._gathered = None if single is None else weakref.ref(single)
+
+    # ------------------------------------------------------------ views
     @property
     def state(self) -> "State | None":
-        """The single-domain state.  A tiled run gathers it from its tiles
-        on the first read after a step: each tile's cells with the halo it
-        holds on the global edge, refilled where the model relaxes (as
-        :meth:`AsucaModel.step` does), so the block equals an untiled
-        run's, halos included.  Later reads return the same state while a
+        """The single-domain state (one rank: its state, no copy).  A run
+        of several ranks gathers it on the first read after a step: each
+        rank's cells with the halo it holds on the global edge, refilled
+        where the model relaxes, so the block equals a one-domain run's,
+        halos included.  Later reads return the same state while a
         caller holds it; the run keeps no reference of its own, so the
-        block is freed with its last reader, not held into the next step's
-        peak.  Setting it scatters it into the tiles (a write into the
-        gathered block reaches no tile)."""
-        if self._tiles is None:
-            return self._state
+        block is freed with its last reader, not held into the next
+        step's peak (a write into it reaches no rank)."""
+        if self.driver is None:
+            return None
         st = self._gathered and self._gathered()
         if st is None:
-            st = self._tiles.gather_state(self._tile_states)
-            if self.model.relaxation is not None:
-                fill_halos_state(st)
+            st = self.driver.gather(self._states)
             self._gathered = weakref.ref(st)
         return st
 
-    @state.setter
-    def state(self, st: "State | None") -> None:
-        if self._tiles is None:
-            self._state = st
-        else:
-            self._tile_states = self._tiles.scatter_state(st)
-            self._gathered = weakref.ref(st)
+    @property
+    def rank_states(self) -> "list[State] | None":
+        """The modeled ranks' states in order (one modeled domain: its
+        state): what a checkpoint holds."""
+        return self.driver and self.driver.modeled(self._states,
+                                                   lambda: self.state)
 
-    def _live_states(self) -> list[State]:
-        return (self.rank_states if self.rank_states is not None
-                else [self.state])
+    #: the modeled decomposition (a MultiGpuAsuca), or None
+    machine = property(lambda self: self.driver and self.driver.machine)
+    #: the one-device runner (a GpuAsucaRunner), or None
+    runner = property(lambda self: self.driver and self.driver.runner)
 
     # --------------------------------------------------------- recovery
     def _recover(self, crash: RankCrash) -> None:
@@ -618,15 +592,13 @@ class Experiment:
             ckpt = None
             if self.checkpoints is not None:
                 with contextlib.suppress(FileNotFoundError, CheckpointError):
-                    ckpt = self.checkpoints.load(self._grids())
+                    ckpt = self.checkpoints.load(
+                        [st.grid for st in self.rank_states])
             if ckpt is not None:
-                self._restore(ckpt)
+                self._restore_states(ckpt.states, ckpt.step)
             else:
                 # nothing to read: cold restart from the initial state
-                self._restore_states(
-                    [st.copy() for st in self._initial]
-                    if isinstance(self._initial, list)
-                    else self._initial.copy(), step=0)
+                self._restore_states([st.copy() for st in self._initial], 0)
         dt_wall = time.perf_counter() - t0
         self.recoveries += 1
         self.recovered_from.append(self.step_index)
@@ -636,52 +608,35 @@ class Experiment:
             m.counter("resilience.recoveries").inc()
             m.counter("resilience.recovery_wall_s").inc(dt_wall)
 
-    def _restore(self, ckpt) -> None:
-        states = ckpt.states if self.machine is not None else ckpt.states[0]
-        self._restore_states(states, step=ckpt.step)
-
-    def _restore_states(self, states, step: int) -> None:
-        if self.machine is not None:
-            self.rank_states = list(states)
-            self.machine.step_index = step
-        else:
-            self.state = states
-            if self.runner is not None:
-                self.runner.sync_device(self.state)
+    def _restore_states(self, modeled: list[State], step: int) -> None:
+        self._step_to(self.driver.restored(modeled))
         self.step_index = step
 
     # ----------------------------------------------------------- output
     def gather(self) -> State:
-        """The current global state (multigpu: gathered, halos refilled).
-        Also synced onto ``case.state`` so workload helper methods
-        (``snapshot``, ``perturbation_ke``, ...) see the latest fields."""
-        if self.machine is not None:
-            st = self.machine.gather_state(self.rank_states)
-            fill_halos_state(st)
-        else:
-            st = self.state
+        """The current single-domain state (:attr:`state`), also synced
+        onto ``case.state`` so workload helper methods (``snapshot``,
+        ``perturbation_ke``, ...) see the latest fields."""
+        st = self.state
         if self.case is not None:
             self.case.state = st
         return st
 
     def _finish(self, wall: float) -> RunResult:
         state = self.gather()
-        for model in (self.machine.ranks if self.machine is not None
-                      else [self.model, *getattr(self._tiles, "ranks", ())]):
+        driver, runner, machine = self.driver, self.runner, self.machine
+        for model in (self.model, *driver.ranks):
             model.integrator.release()
-        if self.case is not None:
-            self.case.state = state
-        if self.runner is not None:
-            self.runner.download(state)
-        exchanger = self.machine.exchanger if self.machine is not None else None
+        if runner is not None:
+            runner.download(state)
+        comm = getattr(machine, "comm", None)
+        exchanger = getattr(machine, "exchanger", None)
         if self.session is not None:
             sess = self.session
-            if self.machine is not None:
-                for r, device in enumerate(self.machine.devices or []):
-                    sess.collect_device(device, rank=r)
-                sess.collect_comm(self.machine.comm)
-            elif self.runner is not None:
-                sess.collect_device(self.runner.device, rank=0)
+            for r, device in enumerate(driver.devices):
+                sess.collect_device(device, rank=r)
+            if comm is not None:
+                sess.collect_comm(comm)
             m = sess.metrics
             if self.injector is not None:
                 for kind, n in self.injector.counts.items():
@@ -694,7 +649,6 @@ class Experiment:
             sess.finalize(steps=max(1, self.steps_done))
         if self.history is not None:
             self.history.close()
-        comm = self.machine.comm if self.machine is not None else None
         return RunResult(
             spec=self.spec,
             state=state,

@@ -522,9 +522,9 @@ def _cmd_run(args) -> int:
     if exp.executor is not None and exp.executor.backend != "reference":
         print(exp.executor.report())
     if exp.spec.counters:
-        hooks = ([exp.runner.counting] if exp.runner is not None
-                 else list(getattr(exp.machine, "_dev_counting", None) or []))
-        hooks = [h for h in hooks if h is not None]
+        runners = ([exp.runner] if exp.runner is not None
+                   else getattr(exp.machine, "runners", None) or [])
+        hooks = [r.counting for r in runners if r.counting is not None]
         if hooks:
             launches = sum(mk.launches for h in hooks
                            for mk in h.measured.values())

@@ -11,12 +11,15 @@ must be refreshed and never refreshes one itself.  :func:`run_lockstep`
 resumes N such generators together: :meth:`AsucaModel.step` is that loop
 with N = 1 and the grid's periodic/open fill as the refresh, and
 :mod:`repro.dist.multigpu` is the same loop over one ``AsucaModel`` per
-subdomain with the halo exchange as the refresh.
+subdomain with the halo exchange as the refresh.  A :class:`Driver` holds
+what a run's backend adds to that loop; :class:`repro.api.Experiment`
+steps every backend through one.
 """
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Callable, Generator, Sequence
+from typing import Any, Callable, Generator, Sequence
 
 import numpy as np
 
@@ -29,7 +32,7 @@ from ..physics.surface import (
     diurnal_cycle_flux,
 )
 from ..physics.kessler import KesslerConfig, kessler_step
-from ..stencil import native
+from ..stencil import active_executor, native, use_executor
 from . import program
 from .boundary import RelaxationBC, fill_halos_state
 from .grid import Grid
@@ -38,7 +41,8 @@ from .reference import ReferenceState
 from .rk3 import DynamicsConfig, Rk3Integrator
 from .state import State, state_from_reference
 
-__all__ = ["ModelConfig", "AsucaModel", "StepDiagnostics", "run_lockstep"]
+__all__ = ["ModelConfig", "AsucaModel", "StepDiagnostics", "Driver",
+           "run_lockstep"]
 
 #: a long-step generator: yields ``(state, names)`` — the state whose
 #: halos are due and the fields to refresh (``None`` = every prognostic)
@@ -120,6 +124,71 @@ def run_lockstep(
             rec.close()
 
 
+@dataclass(eq=False)
+class Driver:
+    """How a run steps on every backend: :func:`run_lockstep` over
+    ``ranks``, ``refresh`` answering their exchange points.  Backends
+    differ only in these parts: :meth:`AsucaModel.driver` (one domain),
+    :meth:`~repro.gpu.runtime.GpuAsucaRunner.driver` (one device),
+    :meth:`~repro.dist.multigpu.MultiGpuAsuca.driver` (host tiles or a
+    modeled decomposition)."""
+
+    #: one domain, T host tiles or px×py modeled ranks
+    ranks: list["AsucaModel"]
+    #: the 1×1 fill, or the topology's exchange
+    refresh: Callable[[list[State], "list[str] | None"], None]
+    #: the ranks' states from the single-domain state and back (one rank:
+    #: the identity, no copy)
+    scatter: Callable[[State], list[State]] = lambda st: [st]
+    gather: Callable[[list[State]], State] = lambda states: states[0]
+    #: ``charge(stepped, new, step_index)`` after every step: a relaxing
+    #: domain's refill, one device's launches, or every rank's launches
+    #: and halo copies
+    charge: "Callable[[list[State], list[State], int], None] | None" = None
+    #: why no step can be captured (None: it can)
+    why: "native.Unbound | None" = None
+    span: tuple[str, str] = ("dynamics_rk3", "step")
+    #: host tiles: the executor their dispatches count in, one tile's share
+    #: of them credited to the run's after every step
+    tally: Any = None
+    #: the modeled decomposition, whose rank states a checkpoint holds
+    machine: Any = None
+    #: the one-device runner
+    runner: Any = None
+
+    def step(self, states: list[State], index: int = 0) -> list[State]:
+        """One long step of every rank, then the charge."""
+        run, tally = active_executor(), self.tally
+        with span(self.span[0], cat=self.span[1]), \
+                (nullcontext() if tally is None else use_executor(tally)):
+            new = run_lockstep(
+                [rank.long_step(st) for rank, st in zip(self.ranks, states)],
+                self.refresh, self.why)
+        if tally is not None:
+            run.credit(tally, len(self.ranks))
+        if self.charge is not None:
+            self.charge(states, new, index)
+        return new
+
+    def modeled(self, states: list[State],
+                single: Callable[[], State]) -> list[State]:
+        """What a checkpoint holds: a modeled decomposition's rank states,
+        else the one modeled domain's state (``single()``)."""
+        return states if self.machine is not None else [single()]
+
+    def restored(self, modeled: list[State]) -> list[State]:
+        """The ranks' states from :meth:`modeled`'s."""
+        return (list(modeled) if self.machine is not None
+                else self.scatter(modeled[0]))
+
+    @property
+    def devices(self) -> list:
+        """The modeled devices, in rank order."""
+        if self.runner is not None:
+            return [self.runner.device]
+        return getattr(self.machine, "devices", None) or []
+
+
 class AsucaModel:
     """Non-hydrostatic model on one domain: the whole grid, or one rank's
     subdomain of it.
@@ -166,6 +235,17 @@ class AsucaModel:
         self._exchange(st, None)
         return st
 
+    def driver(self) -> Driver:
+        """This domain as a run's one rank, the 1×1 fill its refresh.  The
+        whole long step is a ``cat="step"`` container, not one of the
+        phases ``--profile`` sums; a relaxing model's result is refilled
+        after it (a returned state carries boundary-rule halos, not
+        relaxed ones)."""
+        return Driver(
+            [self], lambda states, names: self._exchange(states[0], names),
+            charge=(None if self.relaxation is None else
+                    lambda stepped, new, index: self._exchange(new[0], None)))
+
     # ------------------------------------------------------------------
     def long_step(self, state: State) -> LongStep:
         """One long time step — dynamics, then physics, surface forcing
@@ -202,17 +282,9 @@ class AsucaModel:
         return new
 
     def step(self, state: State) -> State:
-        """One long time step with the periodic/open fill as the refresh."""
-        # the whole long step: a container, so not one of the
-        # cat="phase" leaves the --profile table sums
-        with span("dynamics_rk3", cat="step"):
-            new, = run_lockstep(
-                [self.long_step(state)],
-                lambda states, names: self._exchange(states[0], names))
-        if self.relaxation is not None:
-            # a returned state carries boundary-rule halos, not relaxed ones
-            self._exchange(new, None)
-        return new
+        """One long time step with the periodic/open fill as the refresh
+        (a step of :meth:`driver`)."""
+        return self.driver().step([state])[0]
 
     def run(
         self,

@@ -96,6 +96,8 @@ class SimComm:
         self.faults = fault_injector
         self.stats = TrafficStats()
         self._log: list[MessageRecord] = []
+        #: False: keep no log (host tiles: nothing collects their comm)
+        self.logged = True
         #: exchange points logged but not yet expanded into records
         self._points: list[tuple] = []
 
@@ -106,6 +108,8 @@ class SimComm:
         step being captured learns the point (its replay logs it again,
         and credits its traffic: every transmission in ``sent`` was
         recorded in :attr:`stats`)."""
+        if not self.logged:
+            return
         rec = CAPTURE.get()
         if rec is not None:
             rec.log(self, sent)

@@ -5,7 +5,8 @@ subdomain (grid slice + reference slice + a rank-local view of the
 lateral relaxation), and all ranks advance through the same long-step
 body, :meth:`~repro.core.model.AsucaModel.long_step`, in lockstep:
 :func:`~repro.core.model.run_lockstep` pauses them at every halo-refresh
-point and this driver answers with a halo exchange — exactly the
+point and this machine's :meth:`~MultiGpuAsuca.driver` answers with a halo
+exchange — exactly the
 communication pattern of the paper's Sec. V (exchanges of momentum,
 density and potential temperature inside the short time step, moisture
 once per stage).  Nothing of the step itself is written here.
@@ -18,16 +19,17 @@ the paper's "results agree within machine round-off" claim.
 """
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
-from ..core.boundary import STAGGER, RelaxationBC
+from ..core.boundary import STAGGER, RelaxationBC, fill_halos_state
 from ..core.grid import Grid
-from ..core.model import AsucaModel, ModelConfig, run_lockstep
+from ..core.model import AsucaModel, Driver, ModelConfig
 from ..core.reference import ReferenceState
 from ..core.state import State, zeros_state
 from ..obs.trace import span
-from ..resilience.faults import RankCrash
-from ..stencil import native
+from ..stencil import StencilExecutor, active_executor, native
 from .decomposition import Subdomain, Topology, decompose, make_subgrid
 from .halo import HaloExchanger
 from .mpi_sim import SimComm
@@ -36,20 +38,10 @@ __all__ = ["MultiGpuAsuca"]
 
 
 def _slice_ref(ref: ReferenceState, sub: Subdomain, halo: int) -> ReferenceState:
-    h = halo
-    sl_x = slice(sub.x0, sub.x0 + sub.nx + 2 * h)
-    sl_y = slice(sub.y0, sub.y0 + sub.ny + 2 * h)
-    return ReferenceState(
-        theta_c=ref.theta_c[sl_x, sl_y],
-        pi_c=ref.pi_c[sl_x, sl_y],
-        p_c=ref.p_c[sl_x, sl_y],
-        rho_c=ref.rho_c[sl_x, sl_y],
-        rhotheta_c=ref.rhotheta_c[sl_x, sl_y],
-        theta_wf=ref.theta_wf[sl_x, sl_y],
-        rho_wf=ref.rho_wf[sl_x, sl_y],
-        p_wf=ref.p_wf[sl_x, sl_y],
-        cs2_c=ref.cs2_c[sl_x, sl_y],
-    )
+    window = (slice(sub.x0, sub.x0 + sub.nx + 2 * halo),
+              slice(sub.y0, sub.y0 + sub.ny + 2 * halo))
+    return ReferenceState(**{f.name: getattr(ref, f.name)[window]
+                             for f in dataclasses.fields(ref)})
 
 
 def _field_slices(sub: Subdomain, halo: int, name: str):
@@ -60,7 +52,7 @@ def _field_slices(sub: Subdomain, halo: int, name: str):
 
 
 class MultiGpuAsuca:
-    """2-D-decomposed, lockstep multi-rank driver.
+    """A 2-D decomposition of one domain into lock-stepped ranks.
 
     Parameters mirror :class:`~repro.core.model.AsucaModel`, plus the
     process-grid shape ``(px, py)``.  The per-axis open-vs-periodic edge
@@ -69,11 +61,9 @@ class MultiGpuAsuca:
     and everything else consult it rather than re-deriving the choice.
 
     ``fault_injector`` (a :class:`~repro.resilience.faults.FaultInjector`)
-    makes the transport and the ranks imperfect: message faults surface
-    through the retrying halo exchange (governed by ``retry``), and a
-    scheduled rank crash raises
-    :class:`~repro.resilience.faults.RankCrash` at the top of the step —
-    recovered by checkpoint-restart in :class:`repro.api.Experiment`.
+    makes the transport imperfect: message faults surface through the
+    retrying halo exchange (governed by ``retry``).  Its rank crashes are
+    raised and recovered by :class:`repro.api.Experiment`.
     """
 
     def __init__(
@@ -89,7 +79,6 @@ class MultiGpuAsuca:
         retry=None,
     ):
         self.global_grid = global_grid
-        self.global_ref = global_ref
         self.config = config or ModelConfig()
         #: global Davies relaxation (real-data case); each rank applies a
         #: view of it at its own offset
@@ -103,12 +92,12 @@ class MultiGpuAsuca:
         self.comm = SimComm(len(self.subs), fault_injector=fault_injector)
         self.exchanger = HaloExchanger(self.comm, self.subs, self.topology,
                                        retry=retry)
-        #: completed long steps (the fault plan and checkpoints key on it)
-        self.step_index = 0
         #: per-rank virtual GPUs (telemetry path); see :meth:`attach_devices`
         self.devices: list | None = None
-        #: exchanger recovery seconds already charged to the devices
+        #: exchanger recovery seconds and per-pair halo bytes already
+        #: charged to the devices
         self._backoff_charged = 0.0
+        self._by_pair: dict = {}
         #: one model per subdomain, in the order of :attr:`subs`
         self.ranks = [
             AsucaModel(
@@ -124,74 +113,55 @@ class MultiGpuAsuca:
                        ns: int | None = None, copy_engines: int = 1,
                        counters: bool = False, counter_every: int = 1) -> list:
         """Attach one virtual :class:`~repro.gpu.device.GPUDevice` per
-        rank.  Subsequent :meth:`step` calls charge the modeled kernel
-        launches of the long step and the halo PCIe copies to each
-        rank's timeline, so a decomposed run yields per-rank device
+        rank.  Each step of the modeled :meth:`driver` then charges the
+        modeled kernel launches of the long step and the halo PCIe copies
+        to each rank's timeline, so a decomposed run yields per-rank device
         tracks (kernels, H2D/D2H) alongside the message flows — the
         telemetry picture of the paper's Figs. 8/9."""
-        from ..gpu.asuca_kernels import step_schedule
-        from ..gpu.coalescing import ArrayOrder
         from ..gpu.device import GPUDevice
-        from ..gpu.runtime import price_step
-        from ..gpu.spec import Precision, TESLA_S1070
+        from ..gpu.runtime import GpuAsucaRunner
+        from ..gpu.spec import TESLA_S1070
 
-        precision = precision or Precision.SINGLE
-        self.devices = [
-            GPUDevice(spec or TESLA_S1070, copy_engines=copy_engines,
-                      label=f"rank{r}", fault_injector=self.faults)
-            for r in range(len(self.subs))
-        ]
-        schedule = step_schedule(ns or self.config.dynamics.ns,
-                                 include_ice=self.config.ice_enabled)
-        #: per-rank priced launch tables of one long step
-        self._dev_launches = [
-            price_step(schedule, sub.nx * sub.ny * self.global_grid.nz,
-                       device.spec, precision=precision,
-                       order=order or ArrayOrder.XZY)
-            for sub, device in zip(self.subs, self.devices)
-        ]
-        #: per-rank counting hooks (measured FLOP/byte per launch); None
-        #: when the run is not counted
-        self._dev_counting = None
-        if counters:
-            from ..gpu.counters import CountingHook
-
-            self._dev_counting = [
-                CountingHook(rank.grid, rank.ref, precision=precision,
-                             sample_every=counter_every)
-                for rank in self.ranks
-            ]
+        kw = {name: value for name, value in (("precision", precision),
+                                              ("order", order)) if value}
+        #: per rank: its device, the priced launches of one long step and
+        #: the counting hook (measured FLOP/byte per launch) of a counted run
+        self.runners = [
+            GpuAsucaRunner(rank, GPUDevice(
+                spec or TESLA_S1070, copy_engines=copy_engines,
+                label=f"rank{r}", fault_injector=self.faults),
+                ns=ns or self.config.dynamics.ns, counters=counters,
+                counter_every=counter_every, **kw)
+            for r, rank in enumerate(self.ranks)]
+        self.devices = [runner.device for runner in self.runners]
         self._backoff_charged = 0.0
+        self._by_pair = dict(self.comm.stats.by_pair)
         return self.devices
 
-    def _charge_devices(self, by_pair_before: dict, states: list[State]) -> None:
-        """Charge one step's modeled kernels plus the step's halo PCIe
-        traffic (D2H on the sender, H2D on the receiver — the GPU-CPU
-        leg of every exchanged strip) to the per-rank timelines.  On a
-        counted run (``attach_devices(counters=True)``), the per-rank
-        hook measures this step's kernels against the rank state and
-        annotates the launches with measured counts."""
+    def _charge_devices(self, states: list[State], index: int) -> None:
+        """Charge step ``index``'s modeled kernels plus the halo PCIe
+        traffic since the last charge (D2H on the sender, H2D on the
+        receiver — the GPU-CPU leg of every exchanged strip) to the
+        per-rank timelines.  On a counted run
+        (``attach_devices(counters=True)``), the per-rank hook measures
+        this step's kernels against the rank state and annotates the
+        launches with measured counts."""
         from ..gpu.runtime import charge_step
 
-        for r, device in enumerate(self.devices):
-            charge_step(
-                device, self._dev_launches[r],
-                hook=self._dev_counting[r] if self._dev_counting else None,
-                step_index=self.step_index, state=states[r])
-        for (src, dst), nbytes in self.comm.stats.by_pair.items():
-            delta = nbytes - by_pair_before.get((src, dst), 0)
+        for runner, state in zip(self.runners, states):
+            charge_step(runner.device, runner._launches, hook=runner.counting,
+                        step_index=index, state=state)
+        before, self._by_pair = self._by_pair, dict(self.comm.stats.by_pair)
+        for (src, dst), nbytes in self._by_pair.items():
+            delta = nbytes - before.get((src, dst), 0)
             if delta <= 0:
                 continue
-            t_d2h = delta / self.devices[src].spec.pcie_bandwidth
-            self.devices[src].schedule(
-                f"halo_d2h:{src}->{dst}", "d2h",
-                self.devices[src].default_stream, t_d2h,
-                bytes_moved=delta, tag="halo")
-            t_h2d = delta / self.devices[dst].spec.pcie_bandwidth
-            self.devices[dst].schedule(
-                f"halo_h2d:{src}->{dst}", "h2d",
-                self.devices[dst].default_stream, t_h2d,
-                bytes_moved=delta, tag="halo")
+            for rank, kind in ((src, "d2h"), (dst, "h2d")):
+                device = self.devices[rank]
+                device.schedule(f"halo_{kind}:{src}->{dst}", kind,
+                                device.default_stream,
+                                delta / device.spec.pcie_bandwidth,
+                                bytes_moved=delta, tag="halo")
         # retry/backoff waits stall the host-side network leg: charge the
         # step's newly accrued recovery time to every rank's 'mpi' engine
         # so overlap numbers reflect the cost of the recovered faults
@@ -220,10 +190,10 @@ class MultiGpuAsuca:
     def gather_state(self, states: list[State]) -> State:
         """Assemble a global state from rank states: each rank's cells and
         the halo cells it holds on the global edge.  Those are what the
-        single-domain step leaves there, so the block equals a
-        single-domain run's, halos included, except where the model
-        relaxes (the caller refills the halos, as
-        :meth:`~repro.core.model.AsucaModel.step` does)."""
+        single-domain step leaves there, and where the model relaxes the
+        halos are refilled (as :meth:`~repro.core.model.AsucaModel.step`
+        does), so the block equals a single-domain run's, halos
+        included."""
         g = self.global_grid
         h = g.halo
         out = zeros_state(g, states[0].dtype, states[0].q)
@@ -249,6 +219,8 @@ class MultiGpuAsuca:
                 if st.precip_accum is not None:
                     out.precip_accum[sub.x0 : sub.x0 + sub.nx,
                                      sub.y0 : sub.y0 + sub.ny] = st.precip_accum
+        if self.relaxation is not None:
+            fill_halos_state(out)
         return out
 
     # ---------------------------------------------------------------- step
@@ -257,39 +229,55 @@ class MultiGpuAsuca:
         with span("halo_exchange", cat="comm"):
             self.exchanger.exchange(states, names, axes=axes)
 
-    def step(self, states: list[State]) -> list[State]:
-        """One long step across all ranks, lockstep.
+    def driver(self, *, modeled: bool = True) -> Driver:
+        """These ranks stepped in lock-step, the halo exchange their
+        refresh.  ``modeled``: the run's decomposition, whose rank states
+        a checkpoint holds; its scatter exchanges every halo once, and
+        each step is charged to the attached devices
+        (:meth:`attach_devices`).  Else the host tiles of one modeled
+        domain, stepped as one long step of it.
 
-        Raises :class:`~repro.resilience.faults.RankCrash` before any
-        work when the fault plan kills a rank at this step.
-        """
-        if self.faults is not None:
-            self.faults.begin_step(self.step_index)
-            crashed = self.faults.crash_rank(self.step_index)
-            if crashed is not None:
-                raise RankCrash(rank=crashed, step=self.step_index)
-        by_pair_before = (dict(self.comm.stats.by_pair)
-                          if self.devices is not None else {})
-        # a transport fault's accounting is not the program's: the
-        # generators run every step of a plan that holds one
-        why = (None if self.faults is None or not self.faults.transport
-               else native.Unbound("faults", "transport planned"))
-        with span("rk3_long_step", cat="phase"):
-            new_states = run_lockstep(
-                [rank.long_step(st) for rank, st in zip(self.ranks, states)],
-                self.exchange_all, why)
-        if self.devices is not None:
-            self._charge_devices(by_pair_before, new_states)
-        self.step_index += 1
-        return new_states
+        A transport fault's accounting is not the program's: the
+        generators run every step of a plan that holds one."""
+        # looked up per call: a method patched on the instance or the
+        # class after the driver is made still runs
+        exchange = lambda states, names: self.exchange_all(states, names)  # noqa: E731
+        if not modeled:
+            # nothing collects the tiles' comm: it keeps no message log
+            self.comm.logged = False
+            n = len(self.ranks)
 
-    def run(self, states: list[State], n_steps: int, *,
-            checkpoint=None) -> list[State]:
-        """Advance ``n_steps`` long steps; with a
-        :class:`~repro.resilience.checkpoint.CheckpointManager` the
-        per-rank states are snapshotted at the manager's cadence."""
-        for _ in range(n_steps):
-            states = self.step(states)
-            if checkpoint is not None and checkpoint.due(self.step_index):
-                checkpoint.save(self.step_index, states)
-        return states
+            def fills(k: int) -> None:
+                # the modeled domain's 1x1 fill, which the tiles' exchange
+                # (and, where the model relaxes, the gathered refill)
+                # stands in for
+                ex = active_executor()
+                ex.calls["fill_halos_state"] += k
+                if native.kernels() is not None:
+                    ex.accelerated += k
+                else:
+                    ex.fallbacks += k
+
+            def refresh(states: list[State], names) -> None:
+                self.exchange_all(states, names)
+                fills(n)                # one dispatch, each tile's share
+
+            return Driver(self.ranks, refresh, self.scatter_state,
+                          self.gather_state, tally=StencilExecutor("fused"),
+                          charge=(None if self.relaxation is None else
+                                  lambda stepped, new, index: fills(1)))
+
+        def scatter(state: State) -> list[State]:
+            states = self.scatter_state(state)
+            self.exchange_all(states, None)
+            self._by_pair = dict(self.comm.stats.by_pair)
+            return states
+
+        return Driver(
+            self.ranks, exchange, scatter, self.gather_state,
+            charge=(None if self.devices is None else
+                    lambda stepped, new, index: self._charge_devices(
+                        new, index)),
+            why=(None if self.faults is None or not self.faults.transport
+                 else native.Unbound("faults", "transport planned")),
+            span=("rk3_long_step", "phase"), machine=self)

@@ -6,10 +6,11 @@ execution flow.
 
 * ``upload()`` stages the initial state into device arrays (charging PCIe
   time once, like the paper's "Initial data" arrow);
-* ``step()`` advances the *actual* numerics (bit-identical to running the
-  model directly — the analogue of the paper's "agree within machine
-  round-off" check is exact equality here) while charging the modeled
-  kernel times of one long step to the device timeline;
+* its :meth:`~GpuAsucaRunner.driver` steps the *actual* numerics
+  (bit-identical to running the model directly — the analogue of the
+  paper's "agree within machine round-off" check is exact equality here)
+  and charges the modeled kernel times of every long step to the device
+  timeline;
 * ``download()`` fetches only the output fields (the paper: "minimum
   necessary data are transferred from the GPU").
 
@@ -19,7 +20,9 @@ reproduction.
 """
 from __future__ import annotations
 
-from ..core.model import AsucaModel
+from dataclasses import replace
+
+from ..core.model import AsucaModel, Driver
 from ..core.state import State
 from .asuca_kernels import DEFAULT_NS, step_schedule
 from .coalescing import ArrayOrder
@@ -133,9 +136,8 @@ class GpuAsucaRunner:
 
     def sync_device(self, state: State) -> None:
         """Overwrite the staged device copies with ``state`` without
-        charging PCIe time — used by checkpoint-restart recovery, where
-        the restore cost is accounted by the checkpoint layer, and the
-        arrays are already allocated."""
+        charging PCIe time (a restored checkpoint: the restore cost is
+        the checkpoint layer's); with nothing staged yet, upload it."""
         if not self._device_arrays:
             self.upload(state)
             return
@@ -151,23 +153,28 @@ class GpuAsucaRunner:
                 d.copy_to_host(state.get(name), tag="output")
 
     # ---------------------------------------------------------------- step
-    def step(self, state: State) -> State:
-        """Advance the real model one long step and charge the modeled
-        kernel launches to the device."""
-        new = self.model.step(state)
-        charge_step(self.device, self._launches, hook=self.counting,
-                    step_index=self.steps_taken, state=state)
-        # keep the staged device copies current (no PCIe traffic: this is
-        # device-resident data, the whole point of the full-GPU port)
-        for name, d in self._device_arrays.items():
-            d.fill_from(new.get(name))
-        self.steps_taken += 1
-        return new
+    def driver(self) -> Driver:
+        """The model's one-domain driver on this device: its scatter
+        stages the state (:meth:`sync_device`), and every step charges
+        the modeled kernel launches to the device."""
+        one = self.model.driver()
 
-    def run(self, state: State, n_steps: int) -> State:
-        for _ in range(n_steps):
-            state = self.step(state)
-        return state
+        def charge(stepped: list[State], new: list[State], index: int):
+            if one.charge is not None:      # a relaxing model's refill
+                one.charge(stepped, new, index)
+            charge_step(self.device, self._launches, hook=self.counting,
+                        step_index=self.steps_taken, state=stepped[0])
+            # keep the staged device copies current (no PCIe traffic:
+            # device-resident data, the whole point of the full-GPU port)
+            for name, d in self._device_arrays.items():
+                d.fill_from(new[0].get(name))
+            self.steps_taken += 1
+
+        def stage(state: State) -> list[State]:
+            self.sync_device(state)
+            return [state]
+
+        return replace(one, scatter=stage, charge=charge, runner=self)
 
     # ---------------------------------------------------------- reporting
     def sustained_gflops(self) -> float:

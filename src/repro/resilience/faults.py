@@ -14,9 +14,8 @@ A :class:`FaultInjector` consumes a plan at runtime.  It is plugged into
   each transmission of an exchange point, before it copies a byte;
 * :class:`~repro.gpu.device.GPUDevice` — transient PCIe copy failures
   fire on H2D/D2H :meth:`~repro.gpu.device.GPUDevice.schedule`;
-* :class:`~repro.dist.multigpu.MultiGpuAsuca` / the
-  :class:`~repro.api.Experiment` step loop — rank crashes raise
-  :class:`RankCrash`, recovered by checkpoint-restart.
+* the :class:`~repro.api.Experiment` step, on every backend — rank
+  crashes raise :class:`RankCrash`, recovered by checkpoint-restart.
 
 Each event carries a ``count``; every firing consumes one, so a retried
 message eventually gets through (unless the plan outlasts the

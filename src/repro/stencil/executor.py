@@ -99,6 +99,19 @@ class StencilExecutor:
         self.skipped += len(names)
         self.inactive = tuple(names)
 
+    def credit(self, tiles: "StencilExecutor", share: int) -> None:
+        """Move what ``share`` host tiles of one modeled domain dispatched
+        in ``tiles`` here, as one tile's share: the modeled domain's
+        counts, whatever the host's tiling."""
+        for name, n in tiles.calls.items():
+            self.calls[name] += n // share
+        self.accelerated += tiles.accelerated // share
+        self.fallbacks += tiles.fallbacks // share
+        self.skipped += tiles.skipped // share
+        self.inactive = tiles.inactive
+        tiles.calls.clear()
+        tiles.accelerated = tiles.fallbacks = tiles.skipped = 0
+
     # --------------------------------------------------------- reporting
     def stats(self) -> Dict[str, Any]:
         return {

@@ -35,7 +35,6 @@ Defaults are CFL-safe by construction: the advective Courant number
 """
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -86,12 +85,9 @@ class VortexCase:
     rmax: float
     center: tuple[float, float]
     #: per-step track points keyed by model time (idempotent under
-    #: crash-recovery replay), recorded by the wrapped model step
+    #: crash-recovery replay), recorded after every long step by
+    #: :class:`repro.api.Experiment`
     track: dict = field(default_factory=dict)
-
-    def run(self, n_steps: int) -> State:
-        self.state = self.model.run(self.state, n_steps)
-        return self.state
 
     # --------------------------------------------------------- products
     def max_wind(self) -> float:
@@ -282,26 +278,8 @@ def make_vortex_case(
     apply_ic_noise(state, seed=seed, theta_noise=theta_noise,
                    wind_noise=wind_noise)
     model._exchange(state, None)
-    case = VortexCase(grid=grid, ref=ref, model=model, state=state,
+    return VortexCase(grid=grid, ref=ref, model=model, state=state,
                       vmax=vmax, rmax=rmax, center=(cx, cy))
-
-    # wrap the model step so every long step drops a track point; keyed
-    # by model time, so a crash-recovery replay overwrites rather than
-    # duplicates.  The wrapper holds the case (which holds the model)
-    # weakly: a model whose attribute reached back to it would be a cycle,
-    # its grid and buffers freed only when the collector next runs
-    held, stepped = weakref.ref(case), weakref.ref(model)
-
-    def _recording_step(st: State) -> State:
-        model = stepped()
-        new = AsucaModel.step(model, st)
-        case = held()
-        if case is not None:
-            case.record_track(new)
-        return new
-
-    model.step = _recording_step
-    return case
 
 
 def _interior_max_wind(state: State) -> float:

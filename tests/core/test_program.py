@@ -77,7 +77,7 @@ def _integrators(driver) -> list:
 def _step(driver, states):
     if isinstance(driver, AsucaModel):
         return [driver.step(states[0])]
-    return driver.step(states)
+    return driver.driver().step(states)
 
 
 def _bytes(states) -> list:
@@ -728,13 +728,13 @@ def test_a_layout_change_declines_once_and_records_again():
 def test_a_crash_only_plan_replays():
     """``crash@3`` changes nothing the window does: steps 0-2 record and
     replay, step 3 crashes before any work."""
-    driver, states = _build(ranks=(2, 2), faults=FaultInjector(
-        FaultPlan.parse("crash@3")))
+    exp = Experiment(RunSpec("real-case", nx=16, ny=16, nz=8,
+                             backend="multigpu", ranks=(2, 2),
+                             faults="crash@3")).prepare()
     before = (Counter(native.UNBOUND), Counter(native.PROGRAMS))
-    for _ in range(3):
-        states = _step(driver, states)
+    exp.advance(3)
     with pytest.raises(RankCrash):
-        _step(driver, states)
+        exp._step_once()
     assert Counter(native.UNBOUND) - before[0] == Counter()
     programs = Counter(native.PROGRAMS) - before[1]
     assert (programs["recorded"], programs["replayed"]) == (1, 2)

@@ -22,6 +22,8 @@ from hypothesis import given, settings, strategies as st
 from repro.api import Experiment, RunSpec
 from repro.core import program
 from repro.core.grid import make_grid
+from repro.dist.multigpu import MultiGpuAsuca
+from repro.obs.trace import TraceSession, use_session
 from repro.stencil import native
 
 SRC = str(pathlib.Path(__file__).resolve().parents[2] / "src")
@@ -39,7 +41,7 @@ def experiment(spec: RunSpec, tiles, physics=None) -> Experiment:
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(program, "host_tiles", lambda grid: tiles)
         exp = Experiment(spec).prepare()
-    assert (exp._tiles is not None) == (tiles is not None)
+    assert (len(exp.driver.ranks) > 1) == (tiles is not None)
     if physics is not None:
         exp.model.config.physics_enabled = physics
     return exp
@@ -98,7 +100,7 @@ def test_tiled_equals_untiled_bitwise(drawn, steps, physics, read, loaded):
     assert results[1].retry_stats is None
     # a finished run releases the tile integrators' buffers too
     assert all(rank.integrator.stage_state is None
-               for rank in runs[1]._tiles.ranks)
+               for rank in runs[1].driver.ranks)
 
 
 # ---------------------------------------------------- checkpoints, crash
@@ -145,6 +147,45 @@ def test_crash_recovery_equals_an_uninterrupted_run(drawn, k, checkpoint,
 
 
 # --------------------------------------------------------------- counts
+@pytest.mark.parametrize("workload", ["warm-bubble", "real-case"])
+@pytest.mark.parametrize("loaded", [True, False], ids=["library", "oracles"])
+def test_a_tiled_run_counts_its_modeled_domains_dispatches(loaded, workload):
+    """The ``stencil[...]`` counts of a run are the modeled domain's: the
+    1x1 fill at every refresh point and after every relaxing step (the
+    real case relaxes), and, where the tiles agree on the active tracers
+    (the warm bubble), every count: each kernel once, the same transports
+    skipped."""
+    if loaded and LIB.state != "loaded":
+        pytest.skip(f"native[{LIB.state}]")
+    spec = replace(DYCORE_CPU, workload=workload, steps=3)
+    with library(loaded):
+        runs = [experiment(spec, t) for t in (None, (2, 1))]
+        stats = [exp.run().stencil_stats for exp in runs]
+    fills = [exp.executor.calls["fill_halos_state"] for exp in runs]
+    assert fills[0] == fills[1] > 0
+    if workload == "warm-bubble":
+        for s in stats:
+            s.pop("native")
+        assert stats[0]["skipped"] > 0
+        assert stats[1] == stats[0]
+
+
+def test_the_tiles_keep_no_message_log():
+    """Nothing collects the tiles' comm, so a traced tiled run logs no
+    message (a modeled decomposition's comm still does)."""
+    exp = experiment(replace(DYCORE_CPU, nx=24, ny=24, nz=12), (2, 1))
+    tiles = exp.driver.gather.__self__          # the tiles' MultiGpuAsuca
+    modeled = MultiGpuAsuca(exp.grid, exp.case.ref, 2, 1, exp.model.config)
+    with use_session(TraceSession("tiles")):
+        for driver in (exp.driver, modeled.driver()):
+            states = driver.scatter(exp.case.state)
+            for i in range(3):
+                states = driver.step(states, i)
+    assert tiles.comm.message_log == []
+    assert len(modeled.comm.message_log) > 0
+    assert tiles.comm.stats.messages > 0       # the tiles did exchange
+
+
 @pytest.mark.skipif(LIB.state != "loaded", reason=f"native[{LIB.state}]")
 def test_the_dycore_cpu_spec_records_once_and_replays():
     """Tiled, the benchmark's single-domain spec records one program over
@@ -177,7 +218,7 @@ def test_a_dycore_cpu_run_reports_its_tiles_and_the_walk():
     name = f"{t}x1"
     tiled = native.TILES[name]
     exp = Experiment(replace(DYCORE_CPU, steps=3, metrics=True)).prepare()
-    assert exp._tiles is not None and exp.machine is None
+    assert len(exp.driver.ranks) == t and exp.machine is None
     assert native.TILES[name] == tiled + 1
     result = exp.run()
     assert (result.halo_messages, result.halo_bytes) == (0, 0)
@@ -212,8 +253,8 @@ def test_an_untiled_run_imports_no_tile_machine():
     probe = ("import sys; from repro.api import Experiment, RunSpec; "
              "exp = Experiment(RunSpec('warm-bubble', nx=16, ny=16, nz=8, "
              "steps=2, backend='cpu')); exp.run(); "
-             "print(exp._tiles, 'repro.dist.multigpu' in sys.modules)")
+             "print(len(exp.driver.ranks), 'repro.dist.multigpu' in sys.modules)")
     done = subprocess.run([sys.executable, "-c", probe], text=True,
                           capture_output=True, timeout=120,
                           env=dict(os.environ, PYTHONPATH=SRC))
-    assert done.stdout.split() == ["None", "False"], done.stderr
+    assert done.stdout.split() == ["1", "False"], done.stderr

@@ -69,11 +69,11 @@ def _moisten(model, st):
 def _run_both(single, machine, st, steps=3):
     """Step the single-domain model and the decomposed machine side by
     side and assert the gathered interiors are bitwise the single ones."""
-    rank_states = machine.scatter_state(st)
-    machine.exchange_all(rank_states, None)
-    for _ in range(steps):
+    driver = machine.driver()
+    rank_states = driver.scatter(st)
+    for i in range(steps):
         st = single.step(st)
-        rank_states = machine.step(rank_states)
+        rank_states = driver.step(rank_states, i)
     gathered = machine.gather_state(rank_states)
     g = single.grid
     h = g.halo
@@ -161,10 +161,11 @@ def test_mass_conservation_distributed():
     machine = MultiGpuAsuca(g, ref, 2, 2, cfg)
     single = AsucaModel(g, ref, cfg)
     st = _perturbed_initial(single)
-    rank_states = machine.scatter_state(st)
-    machine.exchange_all(rank_states, None)
+    driver = machine.driver()
+    rank_states = driver.scatter(st)
     m0 = sum(rs.total_mass() for rs in rank_states)
-    rank_states = machine.run(rank_states, 5)
+    for i in range(5):
+        rank_states = driver.step(rank_states, i)
     assert sum(rs.total_mass() for rs in rank_states) == pytest.approx(
         m0, rel=1e-8)
 
@@ -174,10 +175,10 @@ def test_comm_traffic_recorded():
     machine = MultiGpuAsuca(g, ref, 2, 2, cfg)
     single = AsucaModel(g, ref, cfg)
     st = _perturbed_initial(single)
-    rank_states = machine.scatter_state(st)
-    machine.exchange_all(rank_states, None)
+    driver = machine.driver()
+    rank_states = driver.scatter(st)
     machine.comm.stats.reset()
-    machine.step(rank_states)
+    driver.step(rank_states)
     stats = machine.comm.stats
     assert stats.messages > 0
     assert stats.bytes_total > 0

@@ -65,8 +65,10 @@ def test_hook_annotate_scales_to_launch():
 def test_runner_annotates_sampled_steps_only():
     case = _case()
     runner = GpuAsucaRunner(case.model, counters=True, counter_every=2)
-    runner.upload(case.state)
-    runner.run(case.state, 3)   # steps 0, 1, 2 — 0 and 2 sampled
+    driver = runner.driver()
+    states = driver.scatter(case.state)
+    for i in range(3):          # steps 0, 1, 2 — 0 and 2 sampled
+        states = driver.step(states, i)
     kernel_ops = [op for op in runner.device.timeline if op.kind == "kernel"]
     measured = [op for op in kernel_ops if op.measured is not None]
     assert 0 < len(measured) == 2 * len(kernel_ops) // 3
@@ -78,12 +80,13 @@ def test_counters_do_not_perturb_run():
     plain_case, counted_case = _case(), _case()
     plain = GpuAsucaRunner(plain_case.model)
     counted = GpuAsucaRunner(counted_case.model, counters=True)
-    plain.upload(plain_case.state)
-    counted.upload(counted_case.state)
-    st_p, st_c = plain_case.state, counted_case.state
-    for _ in range(2):
-        st_p = plain.step(st_p)
-        st_c = counted.step(st_c)
+    drivers = plain.driver(), counted.driver()
+    st_p, st_c = (d.scatter(case.state)
+                  for d, case in zip(drivers, (plain_case, counted_case)))
+    for i in range(2):
+        st_p = drivers[0].step(st_p, i)
+        st_c = drivers[1].step(st_c, i)
+    st_p, st_c = st_p[0], st_c[0]
     for name in st_p.prognostic_names():
         np.testing.assert_array_equal(st_p.get(name), st_c.get(name),
                                       err_msg=name)
@@ -123,7 +126,7 @@ def test_experiment_multigpu_counters_per_rank():
                              nx=16, ny=16, nz=12, ranks=(2, 2),
                              counters=True)).prepare()
     exp.run()
-    assert exp.machine._dev_counting is not None
+    assert all(runner.counting is not None for runner in exp.machine.runners)
     assert len(exp.machine.devices) == 4
     for device in exp.machine.devices:
         measured = [op for op in device.timeline

@@ -13,7 +13,7 @@ def test_download_writes_into_state_arrays():
                                    ztop=12000.0, dt=4.0, ns=4)
     runner = GpuAsucaRunner(case.model)
     runner.upload(case.state)
-    st = runner.step(case.state)
+    st, = runner.driver().step([case.state])
 
     # poison the host-side output fields, then fetch them back from the
     # device: the downloaded values must be visible in the state
@@ -32,7 +32,7 @@ def test_download_default_fields_and_accounting():
                                    ztop=12000.0, dt=4.0, ns=4)
     runner = GpuAsucaRunner(case.model)
     runner.upload(case.state)
-    st = runner.step(case.state)
+    st, = runner.driver().step([case.state])
     st.rhotheta[:] = -1.0
     runner.download(st)
     # overwritten by device data, and the PCIe time was charged

@@ -26,13 +26,13 @@ def cases():
 
 def test_gpu_path_bit_identical(cases):
     direct, via_gpu = cases
-    runner = GpuAsucaRunner(via_gpu.model)
-    runner.upload(via_gpu.state)
+    driver = GpuAsucaRunner(via_gpu.model).driver()
     st_direct = direct.state
-    st_gpu = via_gpu.state
-    for _ in range(3):
+    st_gpu = driver.scatter(via_gpu.state)
+    for i in range(3):
         st_direct = direct.model.step(st_direct)
-        st_gpu = runner.step(st_gpu)
+        st_gpu = driver.step(st_gpu, i)
+    st_gpu, = st_gpu
     for name in st_direct.prognostic_names():
         np.testing.assert_array_equal(
             st_direct.get(name), st_gpu.get(name), err_msg=name
@@ -42,8 +42,11 @@ def test_gpu_path_bit_identical(cases):
 def test_device_time_accounting(cases):
     _, case = cases
     runner = GpuAsucaRunner(case.model)
-    runner.upload(case.state)
-    st = runner.run(case.state, 2)
+    driver = runner.driver()
+    states = driver.scatter(case.state)     # the one upload
+    for i in range(2):
+        states = driver.step(states, i)
+    st, = states
     dev = runner.device
     assert dev.busy_time("kernel") > 0
     # Fig. 1: input transfer happened once, during upload
@@ -85,13 +88,12 @@ def test_one_rank_multigpu_charges_the_runner_kernel_sequence(ice):
         case.model.config.ice_enabled = ice
         case.model.config.physics_enabled = ice
     runner = GpuAsucaRunner(a.model, ns=ns)
-    runner.step(a.state)
+    runner.driver().step([a.state])
 
     machine = MultiGpuAsuca(b.grid, b.ref, 1, 1, b.model.config)
     (device,) = machine.attach_devices(ns=ns)
-    states = machine.scatter_state(b.state)
-    machine.exchange_all(states, None)
-    machine.step(states)
+    driver = machine.driver()
+    driver.step(driver.scatter(b.state))
 
     def kernel_ops(dev):
         return [(op.name, op.start.hex(), op.end.hex(), op.flops,

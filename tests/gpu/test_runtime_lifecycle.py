@@ -65,6 +65,6 @@ def test_step_after_reupload_keeps_device_copies_current():
     runner = GpuAsucaRunner(case.model)
     runner.upload(case.state)
     runner.upload(case.state)
-    st = runner.step(case.state)
+    st, = runner.driver().step([case.state])
     np.testing.assert_array_equal(runner._device_arrays["rhou"].data,
                                   st.rhou)

@@ -13,7 +13,7 @@ from repro.workloads.shear_layer import make_shear_layer_case
 def counted_ops():
     case = make_shear_layer_case(nx=16, ny=16, nz=12)
     runner = GpuAsucaRunner(case.model, counters=True)
-    runner.step(case.state)
+    runner.driver().step([case.state])
     return list(runner.device.timeline)
 
 

@@ -49,10 +49,10 @@ def traced_run():
     machine.attach_devices()
     session = TraceSession("warm-bubble-2x2")
     with use_session(session):
-        states = machine.scatter_state(case.state)
-        machine.exchange_all(states, None)
-        for _ in range(N_STEPS):
-            states = machine.step(states)
+        driver = machine.driver()
+        states = driver.scatter(case.state)
+        for i in range(N_STEPS):
+            states = driver.step(states, i)
     for r, device in enumerate(machine.devices):
         session.collect_device(device, rank=r)
     session.collect_comm(machine.comm)
@@ -194,9 +194,11 @@ def test_single_device_gflops_matches_runtime():
     runner = GpuAsucaRunner(case.model)
     session = TraceSession("single")
     with use_session(session):
-        runner.upload(case.state)
-        st = runner.run(case.state, 2)
-        runner.download(st)
+        driver = runner.driver()
+        states = driver.scatter(case.state)
+        for i in range(2):
+            states = driver.step(states, i)
+        runner.download(states[0])
     session.collect_device(runner.device, rank=0)
     session.finalize(steps=2)
     assert session.metrics.gauge("gflops.sustained").value == pytest.approx(

@@ -124,23 +124,28 @@ class TestResumeBitIdentity:
         def fresh():
             machine = MultiGpuAsuca(case.grid, case.ref, 2, 2,
                                     case.model.config)
-            states = machine.scatter_state(case.model.initial_state())
-            machine.exchange_all(states, None)
-            return machine, states
+            driver = machine.driver()
+            return driver, driver.scatter(case.model.initial_state())
 
-        machine, states = fresh()
-        ref = machine.gather_state(machine.run(states, 4))
+        def run(driver, states, first, n, checkpoint=None):
+            for i in range(first, first + n):
+                states = driver.step(states, i)
+                if checkpoint is not None and checkpoint.due(i + 1):
+                    checkpoint.save(i + 1, states)
+            return states
+
+        driver, states = fresh()
+        ref = driver.gather(run(driver, states, 0, 4))
 
         m = CheckpointManager(tmp_path, every=2)
-        machine, states = fresh()
-        machine.run(states, 2, checkpoint=m)       # "killed" here
-        ckpt = m.load([r.grid for r in machine.ranks])
+        driver, states = fresh()
+        run(driver, states, 0, 2, checkpoint=m)    # "killed" here
+        ckpt = m.load([r.grid for r in driver.ranks])
         assert ckpt.step == 2
 
-        machine2, _ = fresh()                      # a fresh process
-        machine2.step_index = ckpt.step
-        out = machine2.gather_state(machine2.run(ckpt.states, 2,
-                                                 checkpoint=m))
+        driver2, _ = fresh()                       # a fresh process
+        out = driver2.gather(run(driver2, ckpt.states, ckpt.step, 2,
+                                 checkpoint=m))
         for name in ref.prognostic_names():
             np.testing.assert_array_equal(out.get(name), ref.get(name),
                                           err_msg=name)

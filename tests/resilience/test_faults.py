@@ -188,14 +188,16 @@ class TestFaultyExchange:
                 for st in states] == before
 
     def test_crash_raises_rank_crash(self):
-        machine, gstate = _machine_and_state(
-            plan=FaultPlan.parse("crash@1:r2"), amplitude=1e-3)
-        states = machine.scatter_state(gstate)
-        machine.exchange_all(states, None)
-        states = machine.step(states)
+        """The one crash check, at the top of every backend's step."""
+        from repro.api import Experiment, RunSpec
+
+        exp = Experiment(RunSpec("warm-bubble", nx=12, ny=12, nz=4,
+                                 ranks=(2, 2), faults="crash@1:r2")).prepare()
+        exp.advance(1)
         with pytest.raises(RankCrash) as exc:
-            machine.step(states)
+            exp._step_once()
         assert exc.value.rank == 2 and exc.value.step == 1
+        assert exp.step_index == 1
 
     def test_stepped_run_with_faults_matches_clean_run(self):
         """Two model steps over a faulty-but-recovered transport equal the
@@ -205,13 +207,11 @@ class TestFaultyExchange:
             plan=FaultPlan.parse("drop@0,corrupt@1,delay@1"),
             amplitude=1e-3)
 
-        a = clean.scatter_state(gstate)
-        clean.exchange_all(a, None)
-        b = faulty.scatter_state(gstate)
-        faulty.exchange_all(b, None)
-        for _ in range(2):
-            a = clean.run(a, 1)
-            b = faulty.run(b, 1)
+        da, db = clean.driver(), faulty.driver()
+        a, b = da.scatter(gstate), db.scatter(gstate)
+        for i in range(2):
+            faulty.faults.begin_step(i)
+            a, b = da.step(a, i), db.step(b, i)
         ga, gb = clean.gather_state(a), faulty.gather_state(b)
         for name in ga.prognostic_names():
             np.testing.assert_array_equal(ga.get(name), gb.get(name),

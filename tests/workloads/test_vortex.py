@@ -1,8 +1,12 @@
 """The balanced warm-core vortex: initial balance, CFL-safe defaults,
 track recording, and seeded-member reproducibility."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from repro.api import Experiment, RunSpec
+from repro.core import program
 from repro.workloads.vortex import make_vortex_case, rankine_wind
 
 
@@ -24,8 +28,9 @@ def test_rankine_profile_shape():
 def test_initial_state_is_balanced():
     """Gradient-wind + hydrostatic construction: the unperturbed vortex
     barely moves — vertical wind stays a tiny fraction of vmax."""
-    case = make_vortex_case(nx=24, ny=24, nz=10, seed=None)
-    case.run(5)
+    exp = Experiment(RunSpec("vortex", nx=24, ny=24, nz=10, steps=5))
+    exp.run()
+    case = exp.case
     g = case.grid
     _, _, w = case.state.velocities()
     max_w = float(np.abs(w[g.isl]).max())
@@ -59,9 +64,8 @@ def test_rmax_clamped_to_fit_small_domains():
 
 # ----------------------------------------------------------------- track
 def test_track_series_records_every_step():
-    case = make_vortex_case(nx=16, ny=16, nz=8)
-    case.run(4)
-    series = case.series()
+    series = Experiment(RunSpec("vortex", nx=16, ny=16, nz=8, steps=4)
+                        ).run().series
     assert len(series["t"]) == 4
     assert series["t"] == sorted(series["t"])
     for key in ("cx", "cy", "max_wind", "min_p_pert"):
@@ -73,24 +77,47 @@ def test_track_series_records_every_step():
 def test_track_replay_is_idempotent():
     # crash-recovery replays steps; time-keyed points overwrite instead
     # of duplicating
-    case = make_vortex_case(nx=16, ny=16, nz=8, seed=3)
-    s0 = case.state
-    case.model.run(s0, 2)
-    case.model.run(s0, 2)  # replay the same two steps
-    assert len(case.series()["t"]) == 2
+    result = Experiment(RunSpec("vortex", nx=16, ny=16, nz=8, seed=3,
+                                steps=2, faults="crash@1")).run()
+    assert result.recoveries == 1       # step 0 was stepped twice
+    assert len(result.series["t"]) == 2
+
+
+@pytest.mark.parametrize("faults", [None, "crash@2"], ids=["straight", "crash"])
+def test_every_backend_records_the_same_track(monkeypatch, faults):
+    """``Experiment`` records the track after every step on every backend:
+    one domain, one device, a 2x2 decomposition and host tiles give the
+    same series bit for bit, and a crash-recovery replay overwrites the
+    points it steps again."""
+    spec = RunSpec("vortex", nx=16, ny=16, nz=8, steps=3, seed=3,
+                   faults=faults)
+    series = {backend: Experiment(replace(spec, backend=backend, ranks=ranks)
+                                  ).run().series
+              for backend, ranks in (("cpu", None), ("gpu", None),
+                                     ("multigpu", (2, 2)))}
+    monkeypatch.setattr(program, "host_tiles", lambda grid: (2, 1))
+    tiled = Experiment(replace(spec, backend="cpu")).prepare()
+    assert len(tiled.driver.ranks) == 2
+    series["tiles"] = tiled.run().series
+    assert len(series["cpu"]["t"]) == 3
+    for backend, got in series.items():
+        assert got == series["cpu"], backend
 
 
 # ------------------------------------------------------------ seeded members
+def _run(seed: int):
+    return Experiment(RunSpec("vortex", nx=16, ny=16, nz=8, seed=seed,
+                              steps=2)).run().state
+
+
 def test_seed_reproduces_bitwise():
-    a = make_vortex_case(nx=16, ny=16, nz=8, seed=7).run(2)
-    b = make_vortex_case(nx=16, ny=16, nz=8, seed=7).run(2)
+    a, b = (_run(seed=7) for _ in range(2))
     assert np.array_equal(a.rhotheta, b.rhotheta)
     assert np.array_equal(a.rhou, b.rhou)
 
 
 def test_different_seeds_diverge():
-    a = make_vortex_case(nx=16, ny=16, nz=8, seed=1).run(2)
-    b = make_vortex_case(nx=16, ny=16, nz=8, seed=2).run(2)
+    a, b = _run(seed=1), _run(seed=2)
     assert not np.array_equal(a.rhotheta, b.rhotheta)
 
 
