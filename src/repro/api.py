@@ -46,6 +46,7 @@ from .obs.trace import TraceSession, span, use_session
 from .resilience.checkpoint import CheckpointError, CheckpointManager
 from .resilience.faults import FaultInjector, FaultPlan, RankCrash
 from .resilience.retry import RetryPolicy
+from .stencil.executor import use_executor
 
 __all__ = ["RunSpec", "Experiment", "RunResult", "make_case", "parse_ranks"]
 
@@ -487,13 +488,10 @@ class Experiment:
     def _contexts(self):
         """Activate the stencil executor and the session around any
         stepping."""
-        from .stencil import use_executor
-
-        with contextlib.ExitStack() as stack:
-            if self.executor is not None:
-                stack.enter_context(use_executor(self.executor))
-            if self.session is not None:
-                stack.enter_context(use_session(self.session))
+        with (contextlib.nullcontext() if self.executor is None
+              else use_executor(self.executor)), \
+                (contextlib.nullcontext() if self.session is None
+                 else use_session(self.session)):
             yield
 
     # ------------------------------------------------------------ drive

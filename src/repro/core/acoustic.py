@@ -295,8 +295,8 @@ class AcousticScratch:
         self.u = np.empty((nxh + 1, nyh, nz))
         self.v = np.empty((nxh, nyh + 1, nz))
         self.arena = np.zeros(5 * (nyh + 1) * (nz + 1))
-        #: the warm rain's surface precipitation and its product with dt
-        self.precip = np.empty((2, nx, ny))
+        #: the warm rain's surface precipitation
+        self.precip = np.empty((nx, ny))
 
     def arrays(self) -> list:
         """Every array of the scratch's own memory (no view)."""

@@ -17,6 +17,7 @@ one compiled call and :meth:`Strips.copy` is its oracle.
 from __future__ import annotations
 
 import copy
+import ctypes
 import functools
 import math
 from dataclasses import dataclass, field
@@ -24,6 +25,7 @@ from typing import Iterable
 
 import numpy as np
 
+from ..stencil import native
 from ..stencil.spec import stencil
 from .grid import Grid
 from .state import State
@@ -279,9 +281,11 @@ class RelaxationBC:
         self._weight_c = self._make_weight(grid.nxh, grid.nyh)
         self._weight_u = self._make_weight(grid.nxh + 1, grid.nyh)
         self._weight_v = self._make_weight(grid.nxh, grid.nyh + 1)
-        #: (field shape, dt, origin) -> the relaxation coefficient, and
-        #: (field shape, dtype) -> a scratch field: shared by the rank
-        #: views (their long steps run one at a time)
+        #: (field shape, dt, origin) -> the relaxation coefficient,
+        #: (field shape, dtype) -> a scratch field of the NumPy text, and
+        #: (library's struct, layout, dt, origin) -> a view's :meth:`row`: shared by
+        #: the rank views (their NumPy texts run one at a time; a row
+        #: computes in registers)
         self._work: dict = {}
 
     def _make_weight(self, nx_tot: int, ny_tot: int) -> np.ndarray:
@@ -308,6 +312,9 @@ class RelaxationBC:
 
     def set_target(self, name: str, target: np.ndarray) -> None:
         self.targets[name] = target
+        # every view's row holds the old targets: the next step binds anew
+        # (and a captured step keyed on the row records again)
+        self._work.clear()
 
     def weight_for(self, arr: np.ndarray) -> np.ndarray:
         """The (x, y) weight field matching an array's staggering."""
@@ -326,27 +333,101 @@ class RelaxationBC:
         view.origin = (x0, y0)
         return view
 
+    def row(self, lay, dt: float) -> "_Row | native.Unbound | None":
+        """The compiled relaxation of states of ``lay`` over ``dt`` on this
+        view: its struct, every address but the fields' set, built once
+        until the next :meth:`set_target`; or why a loaded library cannot
+        take the targets (a target not float64, not C-contiguous or not
+        of its field's shape); ``None`` without a library.  A captured step
+        keys on it: a new target records again."""
+        lib = native.kernels()
+        if lib is None:
+            return None
+        key = (lib.relax_args, lay, dt, self.origin)
+        row = self._work.get(key)
+        if row is None:
+            row = self._work[key] = self._bind(lib, lay, dt)
+        return row
+
+    def _bind(self, lib, lay, dt: float) -> "_Row | native.Unbound":
+        if len(self.targets) > lib.RELAX_MAXF:
+            return native.Unbound("relaxation", f"{len(self.targets)} targets")
+        args = lib.relax_args(nf=len(self.targets))
+        index, shape, held = [], [], []
+        for n, (name, target) in enumerate(self.targets.items()):
+            if name not in lay.names:
+                return native.Unbound(name, "not a field of the layout")
+            i = lay.names.index(name)
+            fshape = lay.shapes[i]
+            window = target[self._here(fshape)]
+            if (type(target) is not np.ndarray or target.dtype != np.float64
+                    or not target.flags.c_contiguous
+                    or window.shape != fshape):
+                return native.Unbound(f"{name} target", "not a float64 "
+                                      "C-contiguous field of its shape")
+            coef = self._coef(fshape, dt, target)
+            index.append(i)
+            shape += [*fshape, *(s // 8 for s in target.strides[:2])]
+            args.t[n] = window.__array_interface__["data"][0]
+            args.c[n] = native.address(coef)
+            held += [target, coef]
+        table = np.array(shape, np.int64)
+        args.shape = native.address(table)
+        return _Row(args, index, [table, *held])
+
+    def _here(self, shape) -> tuple:
+        """This view's window of a global field of a state field's shape."""
+        x0, y0 = self.origin
+        return slice(x0, x0 + shape[0]), slice(y0, y0 + shape[1])
+
+    def _coef(self, shape, dt: float, target: np.ndarray) -> np.ndarray:
+        """``dt w / (1 + dt w)`` on a field of ``shape`` (z broadcast)."""
+        key = (shape, dt, self.origin)
+        coef = self._work.get(key)
+        if coef is None:
+            factor = dt * self.weight_for(target)[self._here(shape)]
+            if len(shape) == 3:
+                factor = factor[:, :, None]
+            coef = self._work[key] = factor / (1.0 + factor)
+        return coef
+
     def apply(self, state: State, dt: float) -> None:
         """Relax the state toward the installed targets over ``dt``.
         Point-wise, so on a rank-local view (:meth:`at`) halo cells relax
         exactly as the neighbor's interior does — no exchange is needed
-        afterwards."""
-        x0, y0 = self.origin
+        afterwards.  One compiled call (csrc/halo.c ``boundary_relax``, a
+        row of a captured step) where :meth:`row` binds, else the NumPy
+        below, its oracle: the same bytes."""
+        row = self.row(state.layout, dt)
+        ptrs = state.pointers() if isinstance(row, _Row) else row
+        if isinstance(ptrs, list):
+            row.args.f[:len(row.index)] = [ptrs[i] for i in row.index]
+            native.kernels().relax(ctypes.byref(row.args))
+            return
+        if ptrs is not None:
+            native.unbound("relaxation", ptrs)
+        self._relax_numpy(state, dt)
+
+    def _relax_numpy(self, state: State, dt: float) -> None:
+        """:meth:`apply`'s NumPy text (its oracle)."""
         for name, target in self.targets.items():
             arr = state.get(name)
-            here = (slice(x0, x0 + arr.shape[0]), slice(y0, y0 + arr.shape[1]))
-            key = (arr.shape, dt, self.origin)
-            coef = self._work.get(key)
-            if coef is None:
-                factor = dt * self.weight_for(target)[here]
-                if arr.ndim == 3:
-                    factor = factor[:, :, None]
-                coef = self._work[key] = factor / (1.0 + factor)
+            coef = self._coef(arr.shape, dt, target)
             dtype = np.result_type(arr, target, coef)
             tmp = self._work.get((arr.shape, dtype))
             if tmp is None:
                 tmp = self._work[arr.shape, dtype] = np.empty(arr.shape, dtype)
             # arr -= coef * (arr - target), in place: the same operations
-            np.subtract(arr, target[here], out=tmp)
+            np.subtract(arr, target[self._here(arr.shape)], out=tmp)
             np.multiply(coef, tmp, out=tmp)
             np.subtract(arr, tmp, out=arr)
+
+
+class _Row:
+    """A view's bound relaxation: the struct, the layout index of each
+    relaxed field, and the arrays its addresses point into."""
+
+    __slots__ = ("args", "index", "held")
+
+    def __init__(self, args, index: list, held: list):
+        self.args, self.index, self.held = args, index, held

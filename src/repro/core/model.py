@@ -252,8 +252,29 @@ class AsucaModel:
         and lateral relaxation (paper Fig. 1 flow) — as a generator that
         yields ``(state, names)`` wherever halos must be refreshed before
         it is resumed, and returns the new state.  Relaxation is
-        point-wise, so nothing is yielded after it."""
-        new = yield from self.integrator.step_phases(state)
+        point-wise, so nothing is yielded after it.
+
+        The warm rain, its refresh and the relaxation run inside the
+        step's captured window (:mod:`repro.core.program`), keyed on
+        what their rows hold; with cold rain or surface forcing, which
+        the program does not take, all physics runs after the window."""
+        cfg = self.config
+        sc = cfg.surface
+        if cfg.ice_enabled or sc.heat_flux != 0.0 or sc.radiation_tau > 0.0:
+            new = yield from self.integrator.step_phases(state)
+            return (yield from self._physics(new))
+        relax = self.relaxation and self.relaxation.row(state.layout,
+                                                        cfg.dynamics.dt)
+        new = yield from self.integrator.step_phases(
+            state, ((cfg.physics_enabled, cfg.kessler, relax),
+                    self._physics))
+        if cfg.physics_enabled:     # a replayed warm rain accumulated too
+            new._precip = True
+        return new
+
+    def _physics(self, new: State) -> LongStep:
+        """The physics of a long step over the dynamics' result ``new``,
+        in place, as a generator of its refresh points."""
         cfg = self.config
         dt = cfg.dynamics.dt
         if cfg.physics_enabled:

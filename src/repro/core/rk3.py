@@ -8,13 +8,15 @@ one compiled call a stage where a library is loaded,
 acoustically from the long-step start (:mod:`repro.core.acoustic`).
 A stage's call passes all it reads and sets the stage state up, and the
 context's computes the EOS pressure it reads, so a captured step
-(:mod:`repro.core.program`) needs no hook here.
+(:mod:`repro.core.program`) needs no hook here; the step's input copy,
+its state check and the physics a window takes are rows too.
 """
 from __future__ import annotations
 
 import ctypes
 import functools
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -231,7 +233,7 @@ class StageBinding:
         ex.calls.update(advect_u=1, advect_v=1, advect_w=1,
                         advect_scalar=1 + active)
         ex.accelerated += 4 + active
-        ex.skip_transports(idle)
+        ex.skip_transports(idle, compiled=True)
         v = self.views
         fluxes = v[6:8] if moved else [state.rhou, state.rhov]
         forcing = SlowForcing(*v[:4], *fluxes, *v[4:6], [
@@ -359,7 +361,8 @@ def _slow_numpy(state, cfg, limiter, rayleigh_w, base, metric_flux, idle,
     if idle and not (np.isfinite(fx.sum() + fy.sum() + fz.sum())
                      and state.rho.min() > 0.0):
         idle = []
-    active_executor().skip_transports(idle)
+    ex = active_executor()
+    before = Counter(ex.calls)
     with span("advect_moisture", cat="phase",
               active=" ".join(n for n in state.q if n not in idle)):
         q_tend = {
@@ -367,6 +370,10 @@ def _slow_numpy(state, cfg, limiter, rayleigh_w, base, metric_flux, idle,
             adv.advect_scalar(q_hat / state.rho, fx, fy, fz, g, limiter)
             for name, q_hat in state.q.items()
         }
+    # the dispatches one transport made (its oracle's nested ones too)
+    active = len(state.q) - len(idle)
+    ex.skip_transports(idle, per={name: n // active for name, n in (
+        Counter(ex.calls) - before).items()} if active else None)
 
     w_s = state.rhow.copy()
     w_s[:, :, 0] = 0.0
@@ -441,7 +448,7 @@ class Rk3Integrator:
         dt, ns = self.cfg.dt, self.cfg.ns
         return [(dt / 3.0, 1), (dt / 2.0, max(ns // 2, 1)), (dt, ns)]
 
-    def step_phases(self, state: State):
+    def step_phases(self, state: State, tail=None):
         """The RK3 stages as a generator: yields ``(state_to_refresh,
         field_names_or_None)`` at every halo-exchange point; the driver
         must refresh the halos before resuming.  Returns the new state
@@ -450,10 +457,14 @@ class Rk3Integrator:
         Every rank of a decomposed run yields the identical sequence of
         exchange points, which is what lets
         :func:`repro.core.model.run_lockstep` drive all ranks together.
-        It also yields ``(base, Window)`` where the dynamics begin (after
-        the first refresh) and ``(state, END)`` where they end: the
-        driver marks the window replayed where the captured program ran
-        over it (:mod:`repro.core.program`), else the stages run here.
+        It also yields ``(base, Window)`` where the step's captured window
+        begins (before the input copy) and ``(state, END)`` where it ends
+        (after the state check and ``tail``'s physics): the driver marks
+        the window replayed where the captured program ran over it
+        (:mod:`repro.core.program`), else it runs here.  ``tail``, where
+        the window takes the model's physics: ``(key, physics)``, what the
+        physics rows hold beyond this integrator (a program keys on it)
+        and the generator of that physics over the new state.
 
         A step allocates one block: its base, a copy of ``state`` whose
         halos the first exchange point refreshes (``state``, which a
@@ -469,17 +480,20 @@ class Rk3Integrator:
             self.stage_state = State.of(state.grid, lay,
                                         np.zeros(lay.size, lay.dtype))
         base = State.of(state.grid, lay, np.empty(lay.size, lay.dtype))
-        yield base.assign(state), None  # make sure every halo is valid
-        window = Window(self, state, base)
+        window = Window(self, state, base, tail and tail[0])
         yield base, window
+        cur = self.stage_state
         if window.replayed:
-            cur = self.stage_state
-            cur.time, cur._precip = base.time + self.cfg.dt, base._precip
+            cur.time, cur._precip = state.time + self.cfg.dt, state._precip
         else:
+            yield base.assign(state), None  # make sure every halo is valid
             cur = yield from self._stages(base)
+            if self.cfg.check_finite:
+                cur.validate(step=round(cur.time / self.cfg.dt))
+            if tail is not None:
+                yield from tail[1](cur)
+            yield cur, END
         self.stage_state = base
-        if self.cfg.check_finite:
-            cur.validate(step=round(cur.time / self.cfg.dt))
         return cur
 
     def _stages(self, base: State):
@@ -512,5 +526,4 @@ class Rk3Integrator:
             if q_fields:
                 yield stepper.st, q_fields
             cur = stepper.st
-        yield cur, END
         return cur

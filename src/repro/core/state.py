@@ -23,6 +23,7 @@ All arrays carry the horizontal halo of the owning :class:`~repro.core.grid.Grid
 """
 from __future__ import annotations
 
+import ctypes
 import functools
 import itertools
 import math
@@ -121,6 +122,10 @@ class _Species(dict):
         dict.__setitem__(self, name, _put(self[name], value, name))
 
 
+#: what :meth:`State.__getattr__` makes on first use
+_VIEWS = frozenset({"_slot", "_views", "_dyn", "_q", "_ptrs"})
+
+
 def _dynamic(i: int) -> property:
     return property(lambda self: self._dyn[i],
                     lambda self, value: self.set(DYNAMIC[i], value))
@@ -159,14 +164,24 @@ class State:
 
     def _bind(self, grid, lay, block, time, precip) -> None:
         self.grid, self.layout, self.block, self.time = grid, lay, block, time
+        self._precip = precip
+        #: the block's base address
+        self.address = block.__array_interface__["data"][0]
+
+    def __getattr__(self, name: str):
+        """The field views and every field's address (layout order), made
+        on the first use of any: a replayed step never looks at its base's
+        fields, so it makes none."""
+        if name not in _VIEWS:
+            raise AttributeError(name)
+        lay, block = self.layout, self.block
         *views, self._slot = [block[o:o + math.prod(s)].reshape(s) for o, s
                               in zip(lay.offsets, lay.shapes)]
         self._views, self._dyn = tuple(views), views[:5]
         self._q = _Species(zip(lay.names[5:], views[5:]))
-        self._precip = precip
-        #: the block's base address, and every field's (layout order)
-        self.address = base = block.ctypes.data
-        self._ptrs = [base + o * lay.dtype.itemsize for o in lay.offsets[:-1]]
+        self._ptrs = [self.address + o * lay.dtype.itemsize
+                      for o in lay.offsets[:-1]]
+        return object.__getattribute__(self, name)
 
     # ------------------------------------------------------------- basics
     @property
@@ -202,10 +217,17 @@ class State:
 
     def assign(self, src: "State") -> "State":
         """Make this state a copy of ``src``, of the same layout: one copy
-        into this state's block."""
+        into this state's block (one compiled call where a library is
+        loaded: a captured step's input copy is a row)."""
         if src.layout is not self.layout:
             raise LayoutError("assign between states of different layouts")
-        np.copyto(self.block, src.block)
+        lib = native.kernels()
+        if lib is None or not (self.block.flags.c_contiguous
+                               and src.block.flags.c_contiguous):
+            np.copyto(self.block, src.block)
+        else:
+            lib.copy(ctypes.byref(lib.copy_args(
+                dst=self.address, src=src.address, bytes=self.block.nbytes)))
         self.time, self._precip = src.time, src._precip
         return self
 
@@ -246,10 +268,22 @@ class State:
         """Raise :class:`NumericalBlowup` if any array is non-finite or
         density is non-positive in the interior — the model driver calls
         this after long step ``step`` when ``check_finite`` is on.  One
-        pass over the block first: its sum is finite only if every value
-        is, and only a sum that is not (a non-finite halo value, or an
-        overflow) runs the per-field interior scan."""
+        compiled call where a library takes the state (csrc/halo.c
+        ``state_validate``: a captured step's row, whose nonzero return
+        aborts a replay), and only a state it finds wrong runs the NumPy
+        below, its oracle, which names the field.  There, one pass over the
+        block first: its sum is finite only if every value is, and only a
+        sum that is not (a non-finite halo value, or an overflow) runs the
+        per-field interior scan."""
         g = self.grid
+        lib = native.kernels()
+        ptrs = None if lib is None else self.pointers()
+        if isinstance(ptrs, list) and len(ptrs) <= lib.STATE_MAXF:
+            args = lib.validate_args(nxh=g.nxh, nyh=g.nyh, nz=g.nz, h=g.halo,
+                                     nx=g.nx, ny=g.ny, nf=len(ptrs))
+            args.f[:len(ptrs)] = ptrs
+            if not lib.validate(ctypes.byref(args)):
+                return
         if not math.isfinite(np.add.reduce(self.block)):
             for name in self.prognostic_names():
                 if not np.all(np.isfinite(g.interior(self.get(name)))):

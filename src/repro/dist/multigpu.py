@@ -175,8 +175,10 @@ class MultiGpuAsuca:
 
     # -------------------------------------------------------- scatter/gather
     def scatter_state(self, global_state: State) -> list[State]:
-        """Split a global state into per-rank states (copies)."""
+        """Split a global state into per-rank states (copies), the
+        accumulated precipitation too."""
         h = self.global_grid.halo
+        precip = global_state.precip_accum
         states = []
         for sub, rank in zip(self.subs, self.ranks):
             st = zeros_state(rank.grid, global_state.dtype, global_state.q)
@@ -184,6 +186,9 @@ class MultiGpuAsuca:
             for name in st.prognostic_names():
                 st.get(name)[...] = global_state.get(name)[
                     _field_slices(sub, h, name)]
+            if precip is not None:
+                st.precip_accum = precip[sub.x0:sub.x0 + sub.nx,
+                                         sub.y0:sub.y0 + sub.ny]
             states.append(st)
         return states
 
@@ -263,7 +268,8 @@ class MultiGpuAsuca:
                 fills(n)                # one dispatch, each tile's share
 
             return Driver(self.ranks, refresh, self.scatter_state,
-                          self.gather_state, tally=StencilExecutor("fused"),
+                          self.gather_state,
+                          tally=StencilExecutor("fused", grouped=True),
                           charge=(None if self.relaxation is None else
                                   lambda stepped, new, index: fills(1)))
 

@@ -446,17 +446,20 @@ CAPTURE: contextvars.ContextVar = contextvars.ContextVar("repro_capture",
                                                          default=None)
 
 
-@contextlib.contextmanager
 def span(name: str, *, cat: str = "host", pid: str = "host",
          tid: str = "main", **attrs):
     """Record the enclosed block as a span on the innermost active
-    session (a no-op — one list check — when none is active and no step
-    is being captured).  The block receives ``attrs``, the span's
-    attributes, and may add to them."""
+    session (a no-op — one list check and a ``nullcontext`` — when none
+    is active and no step is being captured).  The block receives
+    ``attrs``, the span's attributes, and may add to them."""
     rec = CAPTURE.get()
     if not _SESSIONS and rec is None:
-        yield attrs
-        return
+        return contextlib.nullcontext(attrs)
+    return _span(name, cat, pid, tid, attrs, rec)
+
+
+@contextlib.contextmanager
+def _span(name, cat, pid, tid, attrs, rec):
     session = _SESSIONS[-1] if _SESSIONS else None
     first = rec.mark() if rec is not None else 0
     t0 = time.perf_counter()

@@ -39,9 +39,10 @@ __all__ = ["KesslerConfig", "kessler_step", "KESSLER_FLOPS_PER_POINT"]
 KESSLER_FLOPS_PER_POINT = 120
 
 
-@dataclass
+@dataclass(frozen=True)
 class KesslerConfig:
-    """Kessler constants (Klemp & Wilhelmson 1978 defaults)."""
+    """Kessler constants (Klemp & Wilhelmson 1978 defaults), frozen: a
+    captured step holds what they decide."""
 
     autoconv_rate: float = 1.0e-3      #: k1 [1/s]
     autoconv_threshold: float = 1.0e-3 #: a [kg/kg]

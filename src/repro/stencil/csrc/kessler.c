@@ -11,7 +11,10 @@
  * The fields are halo-inclusive (nxh, nyh, nz) and updated in place on
  * the interior; from segment (3) to segment (7) the interior holds the
  * mixing ratios q / rho and theta instead of the G rho-weighted values.
- * Scratch is interior-shaped (nx, ny, nz).
+ * Scratch is interior-shaped (nx, ny, nz).  The surface rate (precip) is
+ * added, times dt, to the accumulator (accum: the state's interior slot),
+ * as the oracle's two ufuncs do.  A row of a captured step
+ * (repro/core/program.py): `int entry(void *)`.
  */
 typedef struct {
     long nyh, nz, h, nx, ny;
@@ -22,7 +25,7 @@ typedef struct {
     double max_cfl, dz_min;         /* the CFL loop's, as the oracle's */
     double gamma, kappa;            /* the EOS's and the Exner pow's */
     const double *jac, *dz_c;
-    double *rho, *rhotheta, *qv, *qc, *qr, *precip;
+    double *rho, *rhotheta, *qv, *qc, *qr, *precip, *accum;
     double *b0, *b1, *b2, *b3, *b4;
     /* one sedimentation sub-step, set by the CFL loop: dt_sub, dt_sub / dt */
     double dt_sub, frac;
@@ -204,7 +207,7 @@ static void powers(const double *b, long n, double *p, double y, double *dst)
 }
 
 /* one warm-rain step: precip is the sedimentation's surface rate */
-void kessler_step(kessler_args *a)
+int kessler_step(kessler_args *a)
 {
     const long n = a->nx * a->ny * a->nz;
     double remaining = a->dt;
@@ -245,4 +248,7 @@ void kessler_step(kessler_args *a)
             ufunc_exp(a->b4, a->b4, n);
     }
     segment(a, 7);
+    for (long i = 0; i < a->nx * a->ny; i++)
+        a->accum[i] = a->accum[i] + a->precip[i] * a->dt;
+    return 0;
 }

@@ -1,4 +1,4 @@
-/* The walker of repro/core/program.py: the dynamics of a long step as a
+/* The walker of repro/core/program.py: a whole long step as a
  * table of rows, recorded once from the generator and replayed in one
  * call with the GIL released.  Every row is one call the generator made:
  * the address of its entry, `int entry(void *)` (a Recorded entry of
@@ -17,8 +17,9 @@
  * which touch only that rank's blocks and its own scratch.  Each worker
  * runs the runs of its own block of ranks first, then takes any run not
  * yet taken (one atomic flag a run, the program's, zeroed each walk);
- * worker 0, the caller, runs the exchange row once every run of the
- * segment is done and then opens the next segment; a waiting worker
+ * worker 0, the caller, runs the exchange row (where the segment has
+ * one) once every run of the segment is done and then opens the next
+ * segment; a waiting worker
  * spins a few microseconds, then yields its CPU each turn.  Workers 1..
  * are threads made for this call and joined before it returns (a team of
  * one makes none, and runs every row in table order).  A nonzero row

@@ -1,5 +1,6 @@
 """The compiled entry of the halo fill, and the load-time check of the
-bodies the slow stage and the halo refreshes run.
+bodies the slow stage, the halo refreshes, the relaxation and the state
+check run.
 
 :func:`run_strips` runs one strip table as one call of ``csrc/halo.c``'s
 strip runner where a verified library is in force; the single-domain
@@ -73,8 +74,10 @@ def native_check(lib) -> str:
     four-cell stencil of signed zeros, ones, 3.25, infinities, NaN and a
     subnormal under fluxes of both signs; then the strip runner: the
     single-domain fill, and a 2 x 2 open and a 3 x 1 periodic exchange
-    point.  The advections are held to their oracles inside the slow
-    stage (:func:`repro.core.acoustic.native_check`)."""
+    point; then the Davies relaxation and the state check.  The
+    advections are held to their oracles inside the slow stage
+    (:func:`repro.core.acoustic.native_check`); the state copy is a
+    ``memcpy``."""
     from ..core import advection as adv
     from ..core.boundary import fill_halos_state, strip_table
     from ..core.grid import make_grid
@@ -143,6 +146,78 @@ def native_check(lib) -> str:
         strips.copy(want)
         if not all(map(native.same, got.values(), want)):
             return f"halo strips, {case}"
+    return _relax_check(lib) or _validate_check(lib)
+
+
+def _relax_check(lib) -> str:
+    """The Davies relaxation against its NumPy text: a 5 x 4 open domain
+    and a 2 x 2 rank view of it at (2, 1), every staggering, a target
+    with a NaN, an infinity and a signed zero."""
+    from ..core.boundary import RelaxationBC
+    from ..core.grid import make_grid
+    from ..core.state import State
+
+    wave = native.wave
+    whole = make_grid(5, 4, 3, 100.0, 130.0, 300.0, periodic_x=False,
+                      periodic_y=False)
+    bc = RelaxationBC(whole, width=2, tau=7.0)
+    for k, (name, shape) in enumerate((
+            ("rho", whole.shape_c), ("rhou", whole.shape_u),
+            ("rhov", whole.shape_v), ("rhow", whole.shape_w),
+            ("qv", whole.shape_c))):
+        target = wave(shape, 0.3 + 0.2 * k, 1.0)
+        target.reshape(-1)[k:k + 3] = (np.nan, np.inf, -0.0)
+        bc.set_target(name, target)
+    for view, g in ((bc, whole), (bc.at(2, 1), make_grid(
+            2, 2, 3, 100.0, 130.0, 300.0, periodic_x=False,
+            periodic_y=False))):
+        runs = []
+        for relax in (view.apply, view._relax_numpy):
+            st = State(g, *(wave(s, k, 1.5) for s, k in (
+                (g.shape_c, 0.7), (g.shape_u, 0.9), (g.shape_v, 1.1),
+                (g.shape_w, 1.3), (g.shape_c, 1.7))),
+                {"qv": wave(g.shape_c, 1.9, 0.5)})
+            with native.using(lib), np.errstate(all="ignore"):
+                relax(st, 5.0)
+            runs.append(st.block.copy())
+        if not native.same(*runs):
+            return f"relaxation, origin {view.origin}"
+    return ""
+
+
+def _validate_check(lib) -> str:
+    """The state check against its NumPy text (raises or not): a valid
+    state, a halo-only NaN, then one interior NaN or infinity in each
+    field, at its first and last interior cell, and a density of +0.0,
+    -0.0 and -1 there."""
+    from ..core.grid import make_grid
+    from ..core.state import NumericalBlowup, State
+
+    g = make_grid(3, 2, 3, 100.0, 130.0, 300.0)
+    h = g.halo
+    valid = State(g, native.wave(g.shape_c, 0.7, 2.0), *(
+        native.wave(s, k) for s, k in ((g.shape_u, 0.9), (g.shape_v, 1.1),
+                                       (g.shape_w, 1.3), (g.shape_c, 1.7))),
+        {"qv": native.wave(g.shape_c, 1.9)})
+    cases = [(None, None, 0.0), ("rhotheta", (0, 0, 0), np.nan)]
+    for name in valid.prognostic_names():
+        cases += [(name, (h, h, 0), np.nan), (name, (
+            h + g.nx - 1, h + g.ny - 1, -1), -np.inf)]
+    cases += [("rho", (h + 1, h, 1), v) for v in (0.0, -0.0, -1.0)]
+    for name, at, value in cases:
+        st = valid.copy()
+        if name is not None:
+            st.get(name)[at] = value
+        outcomes = []
+        for use in (lib, None):
+            with native.using(use):
+                try:
+                    st.validate()
+                    outcomes.append(None)
+                except NumericalBlowup as err:
+                    outcomes.append(err.field)
+        if outcomes[0] != outcomes[1]:
+            return f"state check, {name} {value} at {at}"
     return ""
 
 

@@ -31,9 +31,9 @@ returns hits across backends.
 """
 from __future__ import annotations
 
-import contextlib
 import contextvars
 from collections import Counter
+from itertools import repeat
 from typing import Any, Dict
 
 from ..obs.trace import CAPTURE
@@ -49,6 +49,9 @@ __all__ = [
 
 BACKENDS = ("reference", "fused")
 
+#: the dispatches of one transport of a compiled stage
+_COMPILED = {"advect_scalar": 1}
+
 
 class StencilExecutor:
     """Dispatches :class:`~repro.stencil.spec.StencilFunction` calls, with
@@ -56,7 +59,7 @@ class StencilExecutor:
     first; the entry declines with ``NotImplemented`` where no library is
     in force or its operands are not covered, and the oracle runs."""
 
-    def __init__(self, backend: str = "reference"):
+    def __init__(self, backend: str = "reference", *, grouped: bool = False):
         if backend not in BACKENDS:
             raise ValueError(
                 f"unknown stencil backend {backend!r}; choose one of "
@@ -76,6 +79,10 @@ class StencilExecutor:
         self.skipped = 0
         #: the species the most recent stage found inactive
         self.inactive: tuple = ()
+        #: ``grouped`` (the host tiles' executor): each stage's inactive
+        #: species and whether its transports counted as compiled, in
+        #: order, until :meth:`credit` takes them
+        self.stages: "list | None" = [] if grouped else None
 
     # ---------------------------------------------------------- dispatch
     def call(self, sf: StencilFunction, args: tuple, kwargs: dict) -> Any:
@@ -92,24 +99,53 @@ class StencilExecutor:
             rec.decline(native.Unbound(sf.spec.name, "NumPy in a window"))
         return sf.reference(*args, **kwargs)
 
-    def skip_transports(self, names) -> None:
-        """Record the species whose transport an RK stage skipped because
-        the result is known exactly (core/rk3.py: an all-zero field stays
-        ``+0.0``), so a report can say why a dry run is faster."""
-        self.skipped += len(names)
-        self.inactive = tuple(names)
+    def skip_transports(self, *stages, compiled: bool = False,
+                        per: "dict | None" = None) -> None:
+        """Record, for each RK stage of ``stages``, the species whose
+        transport it skipped because the result is known exactly
+        (core/rk3.py: an all-zero field stays ``+0.0``), so a report can
+        say why a dry run is faster.  ``compiled``: a transport is one
+        compiled ``advect_scalar`` dispatch; else ``per``, the dispatches
+        one made (``None``: no transport ran)."""
+        if not stages:
+            return
+        self.skipped += sum(map(len, stages))
+        self.inactive = tuple(stages[-1])
+        if self.stages is not None:
+            per = _COMPILED if compiled else per
+            self.stages += zip(map(tuple, stages), repeat(per))
 
     def credit(self, tiles: "StencilExecutor", share: int) -> None:
         """Move what ``share`` host tiles of one modeled domain dispatched
-        in ``tiles`` here, as one tile's share: the modeled domain's
-        counts, whatever the host's tiling."""
+        in ``tiles`` (a ``grouped`` executor) here, as one tile's share:
+        the modeled domain's counts, whatever the host's tiling.  The
+        tiles record their stages ``share`` at a time (lock-step order);
+        the modeled domain skips a species where every tile of the stage
+        did, and transports it where any did, with the dispatches a tile's
+        transport made."""
+        stages, tiles.stages, skipped = tiles.stages, [], 0
+        for k in range(0, len(stages), share):
+            group = stages[k:k + share]
+            common = group[0][0]
+            if group.count(group[0]) < share:  # may disagree
+                common = tuple(n for n in common
+                               if all(n in idle for idle, _ in group))
+                per = next(p for _, p in group if p)
+                for idle, _ in group:
+                    # a tile's own skip: a transport of the domain
+                    extra = len(idle) - len(common)
+                    for name, n in per.items():
+                        tiles.calls[name] += n * extra
+                    tiles.accelerated += (per is _COMPILED) * extra
+            skipped += len(common)
+            tiles.inactive = common
         for name, n in tiles.calls.items():
             self.calls[name] += n // share
+            tiles.calls[name] = 0
         self.accelerated += tiles.accelerated // share
         self.fallbacks += tiles.fallbacks // share
-        self.skipped += tiles.skipped // share
+        self.skipped += skipped
         self.inactive = tiles.inactive
-        tiles.calls.clear()
         tiles.accelerated = tiles.fallbacks = tiles.skipped = 0
 
     # --------------------------------------------------------- reporting
@@ -156,18 +192,25 @@ def active_executor() -> StencilExecutor:
     return ex
 
 
-@contextlib.contextmanager
-def use_executor(executor: StencilExecutor):
+class use_executor:
     """Route stencil dispatch through ``executor`` inside the block
     (the :class:`~repro.api.Experiment` enters this around stepping); a
     ``reference`` executor also holds every compiled body off
-    (``native.using(None)``) for the block."""
-    token = _ACTIVE.set(executor)
-    try:
-        if executor.backend == "reference":
-            with native.using(None):
-                yield executor
-        else:
-            yield executor
-    finally:
-        _ACTIVE.reset(token)
+    (``native.using(None)``) for the block.  A class, not a generator:
+    a step enters one, and a generator's context costs four Python calls
+    more."""
+
+    def __init__(self, executor: StencilExecutor):
+        self.executor = executor
+
+    def __enter__(self) -> StencilExecutor:
+        self.token, self.held = _ACTIVE.set(self.executor), None
+        if self.executor.backend == "reference":
+            self.held = native.using(None)
+            self.held.__enter__()
+        return self.executor
+
+    def __exit__(self, *exc) -> None:
+        if self.held is not None:
+            self.held.__exit__(*exc)
+        _ACTIVE.reset(self.token)

@@ -4,7 +4,10 @@ with its sedimentation as one call of ``csrc/kessler.c``, whose every
 loop rule"), on the five interior buffers of the integrator's
 :class:`~repro.core.acoustic.AcousticScratch` (the model hands it over; a
 caller without one gets a fresh one).  The precipitation it returns is
-that scratch too (copy it to keep it past the integrator's next step).
+that scratch too (copy it to keep it past the integrator's next step); the
+call adds it, times ``dt``, to the state's accumulator.  A row of a
+captured step (:mod:`repro.core.program`): a replay runs the warm rain with
+no Python at all.
 
 Like every compiled body, it has one NumPy text, the oracle: the
 load-time reference and the body that runs without a library (the
@@ -39,7 +42,9 @@ def _kessler_step(state, ref, dt, cfg=None, scratch=None):
         return NotImplemented
     cfg, g = cfg or KesslerConfig(), state.grid
     s = scratch or AcousticScratch(g)
-    names, (precip, precip_dt) = state.layout.names, s.precip
+    if state.precip_accum is None:
+        state.precip_accum = np.zeros((g.nx, g.ny))
+    lay = state.layout
     lib.kessler(ctypes.byref(lib.kessler_args(
         nyh=g.nyh, nz=g.nz, h=g.halo, nx=g.nx, ny=g.ny,
         sedimented=cfg.sedimentation, evaporation=cfg.evaporation,
@@ -51,14 +56,11 @@ def _kessler_step(state, ref, dt, cfg=None, scratch=None):
         vt_exp=sed._VT_EXP, rho_sfc=sed._RHO_SFC, max_cfl=sed.MAX_CFL,
         dz_min=float(g.dz_c.min()), gamma=c.CP / c.CV, kappa=c.KAPPA,
         jac=native.address(g.jac), dz_c=native.address(g.dz_c),
-        **{n: ptrs[names.index(n)] for n in _FIELDS},
+        **{n: ptrs[lay.names.index(n)] for n in _FIELDS},
         **{f"b{k}": b.ctypes.data for k, b in enumerate(s.i)},
-        precip=precip.ctypes.data)))
-    if state.precip_accum is None:
-        state.precip_accum = np.zeros((g.nx, g.ny))
-    np.multiply(precip, dt, out=precip_dt)
-    state.precip_accum += precip_dt
-    return precip
+        precip=s.precip.ctypes.data,
+        accum=state.address + 8 * lay.offsets[-1])))
+    return s.precip
 
 
 def native_check(lib) -> str:
@@ -68,7 +70,8 @@ def native_check(lib) -> str:
     cloud water at and around the autoconversion threshold, sub- and
     super-saturated cells, signed zeros and a NaN vapor cell; then again
     with a NaN rain cell and a NaN density cell (their fall speed ends the
-    CFL loop at once), without evaporation and saturation adjustment."""
+    CFL loop at once), without evaporation and saturation adjustment, onto
+an accumulator that already holds rain (the first run's starts unset)."""
     from ..core.grid import make_grid
     from ..core.state import State
 
@@ -89,7 +92,9 @@ def native_check(lib) -> str:
         for compiled in (True, False):
             st = State(g, rho.copy(), None, None, None,
                        (300.0 + 10.0 * wave(shape, 0.41)) * rho,
-                       {k: v.copy() for k, v in q.items()})
+                       {k: v.copy() for k, v in q.items()},
+                       precip_accum=wave((g.nx, g.ny), 0.61, 2.0)
+                       if nan_rain else None)
             with native.using(lib), np.errstate(all="ignore"):
                 precip = (_kessler_step(st, None, 5.0, cfg) if compiled
                           else kessler_step.reference(st, None, 5.0, cfg))

@@ -7,7 +7,8 @@ from the ufunc objects at load: the bodies' only ``exp`` / ``pow``),
 ``csrc/acoustic.c`` (the HE-VI substep as one call, an RK stage's slow
 tendencies as one call, the EOS with the linearization, the operator
 assembly and the velocities of a state), ``csrc/kessler.c`` (the
-warm-rain step as one call), ``csrc/halo.c`` (the halo strip runner) and
+warm-rain step as one call), ``csrc/halo.c`` (the halo strip runner, the
+state copy, the Davies relaxation and the state check) and
 ``csrc/program.c`` (the walker of a captured long step,
 :mod:`repro.core.program`) become one shared object per *(translation
 units, flags, NumPy and Python header directories, NumPy version,
@@ -109,8 +110,9 @@ class Native:
     #: advection ``advect`` (bound to be checked alone), the one-call
     #: ``substep`` and ``slow_stage``, ``metric_flux``, ``context``,
     #: ``operator``, ``velocities``, ``kessler``, ``moisture`` (the stage's
-    #: moisture finish), ``halo_strips`` (byte copies: any dtype) and
-    #: ``run_program`` (a captured step's walker); the structs by their C
+    #: moisture finish), ``halo_strips`` and ``copy`` (byte copies: any
+    #: dtype), ``relax`` (the Davies relaxation), ``validate`` (the state
+    #: check) and ``run_program`` (a captured step's walker); the structs by their C
     #: names (``stage_args``, ...) and the integer ``#define`` constants
     #: (``STAGE_MAXQ``, ``THOMAS_BLOCK``, ...), read from the sources
     f64: SimpleNamespace | None = field(default=None, repr=False)
@@ -191,7 +193,8 @@ def count_programs(team: int = 0, **counts) -> None:
     """Add ``counts`` to :data:`PROGRAMS` (stepping threads count too);
     ``team``: a replay's, kept where it is the widest yet."""
     with _UNBOUND_LOCK:
-        PROGRAMS.update(counts)
+        for name, n in counts.items():
+            PROGRAMS[name] += n
         if team > PROGRAMS["team"]:
             PROGRAMS["team"] = team
 
@@ -403,13 +406,14 @@ def _bind(dll: ctypes.CDLL, structs: dict, defines: dict) -> dict:
     f64.advect = fn("advect_f64", ctypes.c_int, *[_PTR] * 5, *[_LONG] * 6,
                     *[ctypes.c_double] * 2, _PTR, _PTR)
     (f64.substep, f64.slow_stage, f64.context, f64.operator,
-     f64.halo_strips, f64.moisture) = map(row, (
+     f64.halo_strips, f64.moisture, f64.kessler, f64.copy, f64.relax,
+     f64.validate) = map(row, (
         "acoustic_substep", "slow_stage", "acoustic_context",
-        "acoustic_operator", "halo_strips", "moisture_finish"))
+        "acoustic_operator", "halo_strips", "moisture_finish",
+        "kessler_step", "state_copy", "boundary_relax", "state_validate"))
     f64.velocities = fn("state_velocities", *[_LONG] * 3, *[_PTR] * 7)
     f64.metric_flux = fn("acoustic_metric_flux", _PTR, ctypes.c_int,
                          *[_PTR] * 4)
-    f64.kessler = fn("kessler_step", _PTR)
     f64.run_program = fn("run_program", _PTR, _PTR, _PTR, restype=_LONG)
     dll.repro_clones.restype = ctypes.c_char_p
     ufuncs = (np.exp, np.power)

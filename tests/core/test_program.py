@@ -39,12 +39,16 @@ STEPS = 4           # the recording step and three replays
 
 def _build(ranks=(1, 1), periodic=(True, True), halo=3, moist=True,
            sponge=True, coriolis=True, terrain=True, n=(5, 4, 6), seed=0,
-           dtype=np.float64, faults=None, **dynamics):
-    """A fresh driver and its initial rank states."""
+           dtype=np.float64, faults=None, rain=False, ztop=8000.0,
+           **dynamics):
+    """A fresh driver and its initial rank states; ``rain``: cloud and rain
+    water above the autoconversion threshold in a column block (under a
+    low ``ztop`` the rain falls in several CFL sub-steps a step)."""
     (px, py), (nx, ny, nz) = ranks, n
-    grid = make_grid(nx * px, ny * py, nz, 1000.0, 1000.0, 8000.0, halo=halo,
+    grid = make_grid(nx * px, ny * py, nz, 1000.0, 1000.0, ztop, halo=halo,
                      periodic_x=periodic[0], periodic_y=periodic[1],
-                     terrain=bell_mountain(300.0, 2000.0, 500.0 * nx * px,
+                     terrain=bell_mountain(min(300.0, ztop / 10.0), 2000.0,
+                                           500.0 * nx * px,
                                            500.0 * ny * py)
                      if terrain else None)
     ref = make_reference_state(grid, tropospheric_sounding())
@@ -59,6 +63,10 @@ def _build(ranks=(1, 1), periodic=(True, True), halo=3, moist=True,
     if moist:
         state.q["qv"][...] = 0.012 * np.exp(-grid.z3d_c() / 3000.0) * state.rho
         state.q["qc"][...] = 2e-3 * state.rho
+    if rain:
+        blob = (slice(halo, halo + 2 * px), slice(halo, halo + ny * py), ...)
+        state.q["qc"][blob] = 4e-3 * state.rho[blob]
+        state.q["qr"][blob] = 3e-3 * state.rho[blob]
     model._exchange(state, None)
     for name in ("rhou", "rhov", "rhotheta") if relax else ():
         relax.set_target(name, state.get(name).copy())
@@ -137,16 +145,19 @@ def _run(params, steps, traced, generator=False, team=None):
        halo=st.sampled_from([2, 3]), moist=st.booleans(),
        sponge=st.booleans(), coriolis=st.booleans(), terrain=st.booleans(),
        n=st.tuples(st.integers(3, 6), st.integers(3, 5), st.integers(4, 7)),
-       seed=st.integers(0, 2 ** 16), traced=st.booleans())
+       seed=st.integers(0, 2 ** 16), traced=st.booleans(),
+       rain=st.booleans())
 def test_replay_equals_the_generator(ranks, periodic, halo, moist, sponge,
-                                     coriolis, terrain, n, seed, traced):
-    """Three replays after the recording step: every block byte, every
-    count, the traffic and (traced) every span and message, as the
-    generator makes them."""
+                                     coriolis, terrain, n, seed, traced,
+                                     rain):
+    """Three replays after the recording step: every block byte (the
+    precipitation accumulator too), every count, the traffic and (traced)
+    every span and message, as the generator makes them; with rain
+    falling (``rain``), some of it reaches the ground."""
     n = (max(n[0], halo), max(n[1], halo), n[2])
     params = dict(ranks=ranks, periodic=periodic, halo=halo, moist=moist,
                   sponge=sponge, coriolis=coriolis, terrain=terrain, n=n,
-                  seed=seed)
+                  seed=seed, rain=rain, ztop=120.0 if rain else 8000.0)
     got, counts, events, programs = _run(params, STEPS, traced)
     want, want_counts, want_events, _ = _run(params, STEPS, traced,
                                              generator=True)
@@ -168,16 +179,16 @@ def test_replay_equals_the_generator(ranks, periodic, halo, moist, sponge,
        halo=st.sampled_from([2, 3]), moist=st.booleans(),
        sponge=st.booleans(), team=st.sampled_from([1, 2, 3]),
        n=st.tuples(st.integers(3, 6), st.integers(3, 5), st.integers(4, 6)),
-       seed=st.integers(0, 2 ** 16))
+       seed=st.integers(0, 2 ** 16), rain=st.booleans())
 def test_a_team_walk_equals_the_serial_walk_and_the_generator(
-        ranks, periodic, halo, moist, sponge, team, n, seed):
+        ranks, periodic, halo, moist, sponge, team, n, seed, rain):
     """Three replays walked by a team of 1, 2 or 3 threads (more than
     ranks, too): every block byte, every count, the traffic, and the
     spans' names and order, as the one-thread walk and the generator make
     them; no replayed span runs backwards (``_run`` checks every span)."""
     params = dict(ranks=ranks, periodic=periodic, halo=halo, moist=moist,
                   sponge=sponge, n=(max(n[0], halo), max(n[1], halo), n[2]),
-                  seed=seed)
+                  seed=seed, rain=rain, ztop=120.0 if rain else 8000.0)
     runs = [_run(params, STEPS, True, team=team),
             _run(params, STEPS, True, team=1),
             _run(params, STEPS, True, generator=True)]
@@ -217,8 +228,8 @@ def test_a_wrapper_that_resumes_with_next_keeps_the_replay(monkeypatch):
 
     phases = Rk3Integrator.step_phases
 
-    def wrapped(self, state):
-        gen = phases(self, state)
+    def wrapped(self, state, *tail):
+        gen = phases(self, state, *tail)
         try:
             while True:
                 yield next(gen)
@@ -256,7 +267,7 @@ def test_every_recorded_entry_takes_one_struct_and_returns_int():
         assert not COMPILED
         return
     entries = [e for e in vars(lib).values() if isinstance(e, native.Recorded)]
-    assert len(entries) == 6
+    assert len(entries) == 10
     for e in entries:
         assert e.fn.argtypes == (ctypes.c_void_p,), e.name
         assert e.fn.restype is ctypes.c_int, e.name
@@ -279,14 +290,15 @@ def test_every_row_address_is_a_recorded_entry(monkeypatch):
 
 @pytest.mark.skipif(not COMPILED, reason="needs the compiled bodies")
 @pytest.mark.parametrize("spec, nrow", [
-    (RunSpec("warm-bubble", nx=16, ny=16, nz=8, steps=1), 32),
+    (RunSpec("warm-bubble", nx=16, ny=16, nz=8, steps=1), 37),
     (RunSpec("real-case", nx=16, ny=16, nz=8, steps=1, backend="multigpu",
-             ranks=(2, 2)), 89)], ids=["1x1", "2x2"])
+             ranks=(2, 2)), 107)], ids=["1x1", "2x2"])
 def test_every_row_is_a_call_the_window_made(spec, nrow, monkeypatch):
     """The recorded rows' entries are, in order, the ``native.Recorded``
     calls the window made, nothing inserted (a stage's copies run inside
-    its ``slow_stage`` row); only an exchange point's strip table row
-    points into the program's own chunks."""
+    its ``slow_stage`` row; a decomposed exchange point's strip table is
+    split into rank parts, an axis at a time); only an exchange point's
+    strip table rows point into the program's own chunks."""
     made = []
     call = native.Recorded.__call__
 
@@ -303,8 +315,15 @@ def test_every_row_is_a_call_the_window_made(spec, nrow, monkeypatch):
     exp = Experiment(spec).prepare()
     exp.advance(1)
     (rec,) = recorders
-    assert [name for name, _, _ in rec.rows] == made
+    # an exchange point of several ranks is one row a rank and axis phase
+    # (its parts, consecutive rows), one call
+    calls = [name for i, (name, _, chunk) in enumerate(rec.rows)
+             if chunk.part is None or not i
+             or rec.rows[i - 1][2].part is None]
+    assert calls == made
     assert len(made) == nrow
+    assert any(chunk.part is not None for *_, chunk in rec.rows) == (
+        len(exp.driver.ranks) > 1)
     assert {name for name, _, chunk in rec.rows
             if chunk.refs} == {"halo_strips"}
     assert all(chunk.refs for name, _, chunk in rec.rows
@@ -378,8 +397,8 @@ def test_every_address_outside_the_blocks_lies_in_what_the_program_keeps(
 
 
 def _recorded(monkeypatch, team=2, ranks=(2, 2)):
-    """A driver stepped once on a team of ``team`` (recording its
-    program), the program and its recorder."""
+    """A driver of open edges (it relaxes) stepped once on a team of
+    ``team`` (recording its program), the program and its recorder."""
     recorders = []
     init = program.StepProgram.__init__
 
@@ -389,7 +408,7 @@ def _recorded(monkeypatch, team=2, ranks=(2, 2)):
 
     monkeypatch.setattr(program.StepProgram, "__init__", spied)
     monkeypatch.setattr(program, "team_size", lambda ranks: team)
-    driver, states = _build(ranks=ranks)
+    driver, states = _build(ranks=ranks, periodic=(False, False))
     states = _step(driver, states)
     (rec,) = recorders
     return driver, states, _integrators(driver)[0].program, rec
@@ -524,10 +543,15 @@ def test_the_eos_is_inside_the_window(monkeypatch):
 
 
 # ------------------------------------------------------------ aborts
-def _aborted(params, rank=0, team=None) -> list:
-    """A replay, then a step whose rank ``rank`` holds a flux of 1e308,
-    on the program (on a team of ``team``) and on the generator alone:
-    each run's raise, bytes, counts, spans and traffic."""
+def _flux(st, h):
+    st.rhou[h + 1, h + 1, 1] = 1e308
+
+
+def _aborted(params, rank=0, team=None, plant=_flux) -> list:
+    """A replay, then a step whose rank ``rank`` holds what ``plant``
+    writes (default: a flux of 1e308), on the program (on a team of
+    ``team``) and on the generator alone: each run's raise, bytes,
+    counts, spans and traffic."""
     runs = []
     for generator in (False, True):
         driver, states = _build(**params)
@@ -543,8 +567,7 @@ def _aborted(params, rank=0, team=None) -> list:
             with use_executor(ex), use_session(sess), \
                     np.errstate(all="ignore"):
                 states = _step(driver, _step(driver, states))
-                h = states[rank].grid.halo
-                states[rank].rhou[h + 1, h + 1, 1] = 1e308
+                plant(states[rank], states[rank].grid.halo)
                 with pytest.raises(NumericalBlowup) as err:
                     _step(driver, states)
         finally:
@@ -586,6 +609,97 @@ def test_an_aborted_team_walk_credits_nothing(rank):
     assert runs[0] == runs[1]
     assert native.PROGRAMS["generator"] - generator_windows == 2 * COMPILED
     assert native.PROGRAMS["replayed"] - replayed == COMPILED
+
+
+def _nan_cloud(st, h):
+    st.q["qc"][h + 1, h, 2] = np.nan
+
+
+def _no_density(st, h):
+    st.rho[h, h + 1, 1] = -st.rho[h, h + 1, 1]
+
+
+@pytest.mark.parametrize("plant", [_nan_cloud, _no_density],
+                         ids=["nan", "density"])
+@pytest.mark.parametrize("ranks, team", [((1, 1), 1), ((2, 2), 1),
+                                         ((2, 2), 2)])
+def test_a_blowup_in_a_replay_raises_the_generators_error(ranks, team,
+                                                          plant, monkeypatch):
+    """An interior NaN (cloud water, which the dynamics carry to the
+    state check untouched), or a negative density, in the input of a
+    replayed step, on a team of one and of two: the replay stops (the NaN
+    at the check's row), credits nothing, and the generator's rerun
+    raises the ``NumericalBlowup`` of a run on the generator alone, with
+    the same field, time and step, the same bytes and counts."""
+    failed = []
+    replay = program.StepProgram.replay
+
+    def spied(self, windows):
+        walk = self.run
+        self.run = lambda stamps: failed.append(walk(stamps)) or failed[-1]
+        try:
+            return replay(self, windows)
+        finally:
+            self.run = walk
+
+    monkeypatch.setattr(program.StepProgram, "replay", spied)
+    generator_windows = native.PROGRAMS["generator"]
+    replayed = native.PROGRAMS["replayed"]
+    runs = _aborted(dict(ranks=ranks), ranks[0] * ranks[1] - 1, team=team,
+                    plant=plant)
+    assert runs[0] == runs[1]
+    field, _, step = runs[0][0]
+    assert step == 3 and (field == "qc") == (plant is _nan_cloud)
+    # the recording step and the rerun of the aborted one; one replay
+    assert native.PROGRAMS["generator"] - generator_windows == 2 * COMPILED
+    assert native.PROGRAMS["replayed"] - replayed == COMPILED
+    assert len(failed) == 2 * COMPILED and (not failed or failed[0] == 0)
+    if COMPILED and plant is _nan_cloud:
+        names = [name for name, _, _ in _recorded_rows(ranks)]
+        assert names[failed[1] - 1] == "state_validate"
+
+
+def _recorded_rows(ranks) -> list:
+    """The rows a driver of ``ranks`` records (its recorder's)."""
+    recorders = []
+    init = program.StepProgram.__init__
+
+    def spied(self, rec, lib):
+        recorders.append(rec)
+        init(self, rec, lib)
+
+    program.StepProgram.__init__ = spied
+    try:
+        driver, states = _build(ranks=ranks)
+        _step(driver, states)
+    finally:
+        program.StepProgram.__init__ = init
+    return recorders[0].rows
+
+
+@pytest.mark.parametrize("ranks, team", [((1, 1), 1), ((2, 2), 2)])
+def test_a_halo_only_nan_passes_a_replayed_step(ranks, team):
+    """A NaN and an infinity in the halos of a replayed step's input: the
+    first refresh overwrites them and the step replays, as the generator
+    steps."""
+    def planted(generator):
+        driver, states = _build(ranks=ranks)
+        enter, team_size = program.enter, program.team_size
+        if generator:
+            program.enter = lambda windows, why: None
+        program.team_size = lambda n: team
+        replayed = native.PROGRAMS["replayed"]
+        try:
+            states = _step(driver, _step(driver, states))
+            for st in states:
+                st.rhotheta[0, 0, 0], st.q["qr"][-1, 2, 1] = np.nan, -np.inf
+            states = _step(driver, states)
+        finally:
+            program.enter, program.team_size = enter, team_size
+        return _bytes(states), native.PROGRAMS["replayed"] - replayed
+
+    got, replays = planted(False)
+    assert (got, replays) == (planted(True)[0], 2 * COMPILED)
 
 
 @pytest.mark.skipif(not COMPILED, reason="needs the compiled bodies")

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from repro.api import Experiment, RunSpec
+from repro.core import program
 from repro.core.grid import make_grid
 from repro.core.state import (
     LayoutError,
@@ -104,6 +105,20 @@ def test_validate_passes_nan_in_a_halo_only():
     st.rhotheta[0, 0, 0] = np.nan
     st.q["qr"][-1, 2, 1] = -np.inf
     st.validate(step=7)
+
+
+def test_the_oracle_check_passes_a_halo_nan_and_names_an_interior_one():
+    """Without a library the NumPy check decides alone (with one, the
+    compiled row decides and the NumPy names the field: the tests above)."""
+    st = _valid_state()
+    h = st.grid.halo
+    st.rhotheta[0, 0, 0] = np.nan
+    with native.using(None):
+        st.validate(step=7)
+        st.q["qc"][h, h + 1, 2] = np.inf
+        with pytest.raises(NumericalBlowup) as err:
+            st.validate(step=7)
+    assert err.value.field == "qc"
 
 
 @pytest.mark.parametrize("name", ["rhov", "qc"])
@@ -200,25 +215,31 @@ def _allocations():
         _SET_HANDLER(old)
 
 
-@pytest.mark.parametrize("spec", [SERVE_16, DECOMP_2X2],
-                         ids=["single-domain", "2x2"])
-def test_a_warm_long_step_allocates_one_block_a_rank(spec, monkeypatch,
-                                                    capsys):
-    """With a compiler a warm long step, a replayed one (its dynamics one
-    call of the recorded program, whose stamps are preallocated), makes
-    one NumPy allocation of >= 1 KiB a rank, its base block (the step's
+@pytest.mark.parametrize("spec, tiles", [
+    (SERVE_16, None), (DECOMP_2X2, None),
+    (RunSpec("warm-bubble", nx=48, ny=48, nz=24, backend="cpu", seed=3),
+     (2, 1))], ids=["single-domain", "2x2", "tiled"])
+def test_a_warm_long_step_allocates_one_block_a_rank(spec, tiles,
+                                                    monkeypatch, capsys):
+    """With a compiler a warm long step, a replayed one (the whole step,
+    its warm rain and relaxation too, one call of the recorded program,
+    whose stamps are preallocated), makes one NumPy allocation of >= 1 KiB
+    a rank (a host tile of a tiled run too), its base block (the step's
     only NumPy block still alive after it: the integrator keeps it as a
     stage state and returns the block it replaces), and calls neither
     ``native.pointers`` nor ``State.copy``.  Without one the oracles
     allocate: the count is reported, not gated."""
-    exp = Experiment(spec).prepare()
+    with monkeypatch.context() as m:
+        m.setattr(program, "host_tiles", lambda grid: tiles)
+        exp = Experiment(spec).prepare()
+    assert exp.model.config.physics_enabled
     exp.advance(2)
     calls = Counter()
     for owner, name in ((native, "pointers"), (State, "copy")):
         fn = getattr(owner, name)
         monkeypatch.setattr(owner, name, lambda *a, _n=name, _f=fn, **k: (
             calls.update([_n]), _f(*a, **k))[1])
-    ranks = len(_states(exp))
+    ranks = len(exp._states)
     replayed = native.PROGRAMS["replayed"]
     tracemalloc.start()
     try:
@@ -230,7 +251,7 @@ def test_a_warm_long_step_allocates_one_block_a_rank(spec, monkeypatch,
         tracemalloc.stop()
     # the measured step replays the program its first step recorded
     assert native.PROGRAMS["replayed"] - replayed == int(COMPILED)
-    blocks = sorted(st.block.nbytes for st in _states(exp))
+    blocks = sorted(st.block.nbytes for st in exp._states)
     if not COMPILED:
         with capsys.disabled():
             print(f"\n[no compiler] a warm {spec.workload} long step: "

@@ -36,14 +36,26 @@ WORKLOADS = ("warm-bubble", "real-case", "shear-layer", "vortex")
 HALO = 3
 
 
-def experiment(spec: RunSpec, tiles, physics=None) -> Experiment:
-    """A prepared run of ``spec`` stepped as ``tiles`` (None: untiled)."""
+def experiment(spec: RunSpec, tiles, physics=None, rain=False
+               ) -> Experiment:
+    """A prepared run of ``spec`` stepped as ``tiles`` (None: untiled);
+    ``rain``: cloud and rain water above the autoconversion threshold
+    planted in a block of columns of its initial state."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(program, "host_tiles", lambda grid: tiles)
         exp = Experiment(spec).prepare()
     assert (len(exp.driver.ranks) > 1) == (tiles is not None)
     if physics is not None:
         exp.model.config.physics_enabled = physics
+    if rain:
+        st, h = exp.case.state, exp.grid.halo
+        blob = (slice(h, h + 3), slice(h + 1, h + exp.grid.ny - 1),
+                slice(0, exp.grid.nz // 2))
+        st.q["qc"][blob] = 4e-3 * st.rho[blob]
+        st.q["qr"][blob] = 3e-3 * st.rho[blob]
+        # the run's states and its cold-restart states, from the planted one
+        exp._step_to(exp.driver.scatter(st), st)
+        exp._initial = exp.rank_states
     return exp
 
 
@@ -67,24 +79,28 @@ def tiled_specs(draw):
     return spec, tiles
 
 
+# ------------------------------------------------------------- equality
 def blocks(exp: Experiment) -> bytes:
     st_ = exp.state
-    return st_.block.tobytes() + np.float64(st_.time).tobytes()
+    precip = b"" if st_.precip_accum is None else st_.precip_accum.tobytes()
+    return st_.block.tobytes() + np.float64(st_.time).tobytes() + precip
 
 
-# ------------------------------------------------------------- equality
 @settings(max_examples=14, deadline=None)
 @given(tiled_specs(), st.integers(1, 3), st.booleans(), st.booleans(),
-       st.booleans())
-def test_tiled_equals_untiled_bitwise(drawn, steps, physics, read, loaded):
-    """The whole block, halos included, after ``steps`` steps (after every
-    step where the state is read between steps: a read gathers, and the
-    real case's snapshot writes the gathered halos), and the vortex
-    track series."""
+       st.booleans(), st.booleans())
+def test_tiled_equals_untiled_bitwise(drawn, steps, physics, read, loaded,
+                                      rain):
+    """The whole block, halos included, and the precipitation
+    accumulator, after ``steps`` steps (after every step where the state
+    is read between steps: a read gathers, and the real case's snapshot
+    writes the gathered halos), and the vortex track series; ``rain``:
+    with rain falling."""
     spec, tiles = drawn
     spec = replace(spec, steps=steps)
     with library(loaded):
-        runs = [experiment(spec, t, physics) for t in (None, tiles)]
+        runs = [experiment(spec, t, physics, rain and physics is not False)
+                for t in (None, tiles)]
         for _ in range(steps):
             for exp in runs:
                 exp.advance(1)
@@ -130,20 +146,52 @@ def test_checkpoints_are_the_same_bytes_and_restore_either_way(drawn,
 
 
 @settings(max_examples=6, deadline=None)
-@given(tiled_specs(), st.integers(1, 3), st.booleans(), st.booleans())
+@given(tiled_specs(), st.integers(1, 3), st.booleans(), st.booleans(),
+       st.booleans())
 def test_crash_recovery_equals_an_uninterrupted_run(drawn, k, checkpoint,
-                                                    loaded):
+                                                    loaded, rain):
     """``crash@k``, recovered from the newest checkpoint (or, without
-    checkpoints, by a cold restart from the initial state)."""
+    checkpoints, by a cold restart from the initial state), rain falling
+    or not: the block and the precipitation accumulator."""
     spec, tiles = drawn
     with tempfile.TemporaryDirectory() as tmp, library(loaded):
         extra = (dict(checkpoint_every=1, checkpoint_dir=tmp) if checkpoint
                  else {})
         crashed = experiment(replace(spec, steps=4, faults=f"crash@{k}",
-                                     **extra), tiles).run()
-        straight = experiment(replace(spec, steps=4), None).run()
+                                     **extra), tiles, rain=rain)
+        crashed.run()
+        straight = experiment(replace(spec, steps=4), None, rain=rain)
+        straight.run()
     assert crashed.recoveries == 1
-    assert crashed.state.block.tobytes() == straight.state.block.tobytes()
+    assert blocks(crashed) == blocks(straight)
+
+
+@pytest.mark.parametrize("loaded", [True, False], ids=["library", "oracles"])
+def test_rain_falls_alike_tiled_untiled_and_replayed(loaded, monkeypatch):
+    """The 24x24x12 warm bubble with rain planted, through ``crash@2``
+    restored from a checkpoint: tiled (a replayed program where a library
+    is loaded), untiled, and untiled on the generator alone end on the
+    same block and the same precipitation accumulator, which holds
+    rain."""
+    if loaded and LIB.state != "loaded":
+        pytest.skip(f"native[{LIB.state}]")
+    spec = replace(DYCORE_CPU, nx=24, ny=24, nz=12, steps=4,
+                   faults="crash@2", checkpoint_every=1)
+    ends = []
+    with tempfile.TemporaryDirectory() as tmp, library(loaded):
+        for k, tiles in enumerate([(2, 1), None, None]):
+            with monkeypatch.context() as m:
+                if k == 2:
+                    m.setattr(program, "enter", lambda windows, why: None)
+                replayed = native.PROGRAMS["replayed"]
+                exp = experiment(replace(spec, checkpoint_dir=os.path.join(
+                    tmp, str(k))), tiles, rain=True)
+                assert exp.run().recoveries == 1
+                assert (native.PROGRAMS["replayed"] > replayed) == (
+                    loaded and k < 2)
+            ends.append(blocks(exp))
+    assert ends[0] == ends[1] == ends[2]
+    assert exp.state.precip_accum.max() > 0
 
 
 # --------------------------------------------------------------- counts
@@ -152,9 +200,9 @@ def test_crash_recovery_equals_an_uninterrupted_run(drawn, k, checkpoint,
 def test_a_tiled_run_counts_its_modeled_domains_dispatches(loaded, workload):
     """The ``stencil[...]`` counts of a run are the modeled domain's: the
     1x1 fill at every refresh point and after every relaxing step (the
-    real case relaxes), and, where the tiles agree on the active tracers
-    (the warm bubble), every count: each kernel once, the same transports
-    skipped."""
+    real case relaxes), each kernel once, and a transport skipped where
+    every tile skipped it (with ``seed=3`` the real case's tiles disagree
+    on an active tracer)."""
     if loaded and LIB.state != "loaded":
         pytest.skip(f"native[{LIB.state}]")
     spec = replace(DYCORE_CPU, workload=workload, steps=3)
@@ -163,11 +211,11 @@ def test_a_tiled_run_counts_its_modeled_domains_dispatches(loaded, workload):
         stats = [exp.run().stencil_stats for exp in runs]
     fills = [exp.executor.calls["fill_halos_state"] for exp in runs]
     assert fills[0] == fills[1] > 0
-    if workload == "warm-bubble":
-        for s in stats:
-            s.pop("native")
-        assert stats[0]["skipped"] > 0
-        assert stats[1] == stats[0]
+    assert [exp.executor.calls for exp in runs[1:]] == [runs[0].executor.calls]
+    for s in stats:
+        s.pop("native")
+    assert stats[0]["skipped"] > 0
+    assert stats[1] == stats[0]
 
 
 def test_the_tiles_keep_no_message_log():

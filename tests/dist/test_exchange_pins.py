@@ -51,11 +51,12 @@ def test_exchange_sequence_and_traffic(workload, ice, post_physics,
     assert seen == _long_step(post_physics)
     before = native.PROGRAMS["replayed"]
     exp.advance(2)
-    # a replayed step's dynamics exchange inside the recorded program,
-    # which credits the same traffic
+    # a replayed step exchanges inside the recorded program, which credits
+    # the same traffic: the whole step, or, where the program does not
+    # take the cold rain, all but the physics one
     replayed = native.PROGRAMS["replayed"] - before
     assert seen == ((3 - replayed) * _long_step(post_physics)
-                    + replayed * [None, post_physics])
+                    + replayed * [post_physics] * ice)
     assert replayed == (2 if native.kernels() else 0)
     assert machine.comm.stats.messages == messages
     assert machine.comm.stats.bytes_total == nbytes
